@@ -9,7 +9,9 @@
 // discarded after counting, so peak memory tracks one chunk per worker
 // instead of the whole decoded artifact. The wpp_open_* metrics on
 // -debug-addr expose the open path (bytes mapped, chunks materialized,
-// time to first result).
+// time to first result); the hotpath_* metrics expose the search's
+// stages (per-chunk window count, chunk merge plus seam windows,
+// harvest) and the number of distinct windows counted.
 //
 // The input may be a file path or a content-addressed store reference
 // ("@<hash-prefix>" or "<workload>@<scale>", resolved through -store or

@@ -17,7 +17,6 @@
 package engine
 
 import (
-	"encoding/binary"
 	"sort"
 
 	"repro/internal/sequitur"
@@ -144,107 +143,6 @@ func (a *Analysis) Collect(r int32, start, length uint64, out []uint64) []uint64
 		out = a.Collect(s.Rule, childStart, take, out)
 		length -= take
 		start = cum[j+1]
-	}
-	return out
-}
-
-// CountWindows accumulates, for every distinct window of length l in the
-// grammar's expansion, its total occurrence count. Keys are the
-// big-endian byte strings of the window's symbols (see AppendKey).
-//
-// Every window of the expansion either crosses a boundary between two
-// RHS symbols of exactly one lowest rule, or lies entirely within one
-// nonterminal's expansion and is attributed recursively; enumerating,
-// for each rule, the windows that cross its RHS boundaries — weighted by
-// the rule's use count — therefore counts every window exactly once
-// without expanding the trace.
-func (a *Analysis) CountWindows(l int, counts map[string]uint64) {
-	if len(a.Snap.Rules) == 0 {
-		return
-	}
-	if l == 1 {
-		// Single-event windows never cross boundaries; count terminals
-		// directly.
-		var key [8]byte
-		a.Terminals(func(v, uses uint64) {
-			binary.BigEndian.PutUint64(key[:], v)
-			counts[string(key[:])] += uses
-		})
-		return
-	}
-	L := uint64(l)
-	var terms []uint64
-	key := make([]byte, 0, l*8)
-	for r := range a.Snap.Rules {
-		if a.Uses[r] == 0 {
-			continue
-		}
-		cum := a.CumLens[r]
-		total := cum[len(cum)-1]
-		if total < L {
-			continue
-		}
-		ruleUses := a.Uses[r]
-		maxStart := total - L
-		// Enumerate window start offsets that cross at least one boundary
-		// between RHS symbols, merged into maximal runs [lo, hi) so each
-		// run's terminals are materialized once and the window slides.
-		next := uint64(0)
-		runLo, runHi := uint64(0), uint64(0)
-		haveRun := false
-		flush := func() {
-			if !haveRun {
-				return
-			}
-			terms = a.Collect(int32(r), runLo, runHi-1+L-runLo, terms[:0])
-			for o := runLo; o < runHi; o++ {
-				key = AppendKey(key[:0], terms[o-runLo:o-runLo+L])
-				counts[string(key)] += ruleUses
-			}
-			haveRun = false
-		}
-		for b := 1; b < len(cum)-1; b++ {
-			p := cum[b]
-			lo := uint64(0)
-			if p >= L {
-				lo = p - L + 1
-			}
-			if lo < next {
-				lo = next
-			}
-			hi := p // window must start strictly before the boundary
-			if hi > maxStart+1 {
-				hi = maxStart + 1
-			}
-			if lo >= hi {
-				continue
-			}
-			if haveRun && lo <= runHi {
-				runHi = hi
-			} else {
-				flush()
-				runLo, runHi, haveRun = lo, hi, true
-			}
-			next = hi
-		}
-		flush()
-	}
-}
-
-// AppendKey appends the canonical window key of the symbols to dst: each
-// symbol as 8 big-endian bytes. All window-count maps share this form.
-func AppendKey(dst []byte, window []uint64) []byte {
-	for _, v := range window {
-		dst = binary.BigEndian.AppendUint64(dst, v)
-	}
-	return dst
-}
-
-// DecodeKey inverts AppendKey.
-func DecodeKey(key string) []uint64 {
-	out := make([]uint64, len(key)/8)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint64([]byte(key[i*8 : (i+1)*8]))
 	}
 	return out
 }

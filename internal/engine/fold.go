@@ -77,26 +77,30 @@ func (a *Analysis) Boundary(width int) Boundary {
 	return b
 }
 
-// CrossingWindows visits, for every chunk i, each occurrence of a
-// length-l window that starts inside chunk i but extends past its end
-// into later chunks. Each crossing occurrence's start position lies in
-// exactly one chunk, so it is visited exactly once, with implicit weight
-// 1 (boundary regions are raw positions, not grammar-weighted). The
-// window slice is reused across calls; visitors must copy if they
-// retain it. Boundaries must have been built with width >= l-1.
-func CrossingWindows(bounds []Boundary, l int, visit func(window []uint64)) {
-	if l < 2 {
+// CrossingWindows visits, for every chunk i, each start position inside
+// chunk i from which a window of at most maxLen events extends past the
+// chunk's end into later chunks. visit receives the longest such window,
+// clipped at the end of the trace, and from, the shortest length at which
+// a window from that start crosses the seam: the visit stands for one
+// occurrence each of window[:l], from <= l <= len(window). Each crossing
+// occurrence's start lies in exactly one chunk, so it is visited exactly
+// once, with implicit weight 1 (boundary regions are raw positions, not
+// grammar-weighted). The window slice is reused across calls; visitors
+// must copy if they retain it. Boundaries must have been built with
+// width >= maxLen-1.
+func CrossingWindows(bounds []Boundary, maxLen int, visit func(window []uint64, from int)) {
+	if maxLen < 2 {
 		return // a 1-window cannot cross a boundary
 	}
-	stream := make([]uint64, 0, 2*l)
+	stream := make([]uint64, 0, 2*maxLen)
 	for i, b := range bounds {
 		if b.Length == 0 {
 			continue
 		}
-		t := uint64(len(b.Tail)) // tail covers all crossing start positions: t >= min(Length, l-1)
-		// stream = tail of chunk i ++ up to l-1 following events.
+		t := len(b.Tail) // tail covers all crossing start positions: t >= min(Length, maxLen-1)
+		// stream = tail of chunk i ++ up to maxLen-1 following events.
 		stream = append(stream[:0], b.Tail...)
-		need := l - 1
+		need := maxLen - 1
 		for j := i + 1; j < len(bounds) && need > 0; j++ {
 			h := bounds[j].Head
 			if len(h) > need {
@@ -105,16 +109,13 @@ func CrossingWindows(bounds []Boundary, l int, visit func(window []uint64)) {
 			stream = append(stream, h...)
 			need -= len(h)
 		}
-		// Window starts at stream index s, crossing iff it extends past
-		// the chunk end (s+l > t) while starting inside it (s < t).
-		for s := uint64(0); s < t; s++ {
-			if s+uint64(l) <= t {
-				continue // fully inside chunk i: already grammar-counted
-			}
-			if s+uint64(l) > uint64(len(stream)) {
-				break // runs past the end of the trace
-			}
-			visit(stream[s : s+uint64(l)])
+		if len(stream) == t {
+			continue // nothing follows the last chunk
+		}
+		// A window from stream index s crosses iff it starts inside the
+		// chunk (s < t) and is longer than t-s.
+		for s := max(0, t-maxLen+1); s < t; s++ {
+			visit(stream[s:min(len(stream), s+maxLen)], t-s+1)
 		}
 	}
 }

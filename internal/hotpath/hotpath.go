@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obsv"
@@ -35,8 +36,19 @@ type Metrics struct {
 	// BoundaryWindows counts window occurrences materialized from chunk
 	// boundary regions (the work chunking adds over the monolithic scan).
 	BoundaryWindows *obsv.Counter
+	// WindowsDistinct counts the distinct windows of length MinLen..MaxLen
+	// the searches counted, the size of what the harvest scans.
+	WindowsDistinct *obsv.Counter
 	// SubpathsEmitted counts minimal hot subpaths reported.
 	SubpathsEmitted *obsv.Counter
+	// CountSeconds times each chunk grammar's window count.
+	CountSeconds *obsv.Histogram
+	// SeamSeconds times, per search, the merge of the chunk counts plus
+	// the windows crossing chunk seams.
+	SeamSeconds *obsv.Histogram
+	// HarvestSeconds times, per search, the scan of the counted windows
+	// for minimal hot subpaths.
+	HarvestSeconds *obsv.Histogram
 }
 
 // NewMetrics registers the standard analysis metric names on r. A nil
@@ -45,7 +57,11 @@ func NewMetrics(r *obsv.Registry) *Metrics {
 	return &Metrics{
 		ChunksScanned:   r.Counter("hotpath_chunks_scanned_total"),
 		BoundaryWindows: r.Counter("hotpath_boundary_windows_total"),
+		WindowsDistinct: r.Counter("hotpath_windows_distinct_total"),
 		SubpathsEmitted: r.Counter("hotpath_subpaths_total"),
+		CountSeconds:    r.Histogram("hotpath_count_seconds", nil),
+		SeamSeconds:     r.Histogram("hotpath_seam_seconds", nil),
+		HarvestSeconds:  r.Histogram("hotpath_harvest_seconds", nil),
 	}
 }
 
@@ -55,7 +71,9 @@ var noopMetrics = &Metrics{}
 // Options selects what counts as a hot subpath.
 type Options struct {
 	// MinLen and MaxLen bound the subpath length in acyclic paths
-	// (events). MinLen >= 1; MaxLen >= MinLen.
+	// (events). MinLen >= 1; MinLen <= MaxLen <= engine.MaxWindowLen, the
+	// longest window the search's window trie holds (a longer MaxLen is
+	// rejected with an *engine.LimitError).
 	MinLen, MaxLen int
 	// Threshold is the fraction of the execution's total instruction
 	// count a subpath's aggregate cost must reach to be hot, e.g. 0.01
@@ -80,6 +98,9 @@ func (o Options) validate() error {
 	}
 	if o.MaxLen < o.MinLen {
 		return fmt.Errorf("hotpath: MaxLen %d < MinLen %d", o.MaxLen, o.MinLen)
+	}
+	if o.MaxLen > engine.MaxWindowLen {
+		return fmt.Errorf("hotpath: %w", &engine.LimitError{What: "MaxLen", Value: uint64(o.MaxLen), Limit: engine.MaxWindowLen})
 	}
 	if o.Threshold <= 0 || o.Threshold > 1 {
 		return fmt.Errorf("hotpath: Threshold %v outside (0,1]", o.Threshold)
@@ -129,17 +150,18 @@ func FindView(v *wpp.ArtifactView, opts Options, workers int) ([]Subpath, error)
 	return find(v, workers, opts, v.PathCost, v.TotalInstructions())
 }
 
-// windowState accumulates per-chunk window counts (one map per window
-// length) and boundary regions across the merge.
+// windowState accumulates the per-chunk window tries and boundary
+// regions across the merge.
 type windowState struct {
-	counts []map[string]uint64 // counts[l-MinLen]: windows fully inside scanned chunks
-	bounds []engine.Boundary   // one per chunk, in chunk order
+	trie   *engine.WindowTrie // windows fully inside the scanned chunks
+	bounds []engine.Boundary  // one per chunk, in chunk order
+	merge  time.Duration      // time spent merging chunk tries
 }
 
 // windowFold is the hot-subpath search expressed over the engine: the
-// per-chunk pass counts every window length on the grammar and
-// materializes the chunk's boundary regions; the merge sums counts and
-// concatenates boundaries in chunk order.
+// per-chunk pass counts every window length on the grammar into a window
+// trie and materializes the chunk's boundary regions; the merge adds the
+// tries and concatenates boundaries in chunk order.
 type windowFold struct {
 	opts Options
 	met  *Metrics
@@ -147,71 +169,81 @@ type windowFold struct {
 
 func (f windowFold) Chunk(_ int, a *engine.Analysis) *windowState {
 	f.met.ChunksScanned.Inc()
-	nl := f.opts.MaxLen - f.opts.MinLen + 1
-	st := &windowState{counts: make([]map[string]uint64, nl)}
-	for l := f.opts.MinLen; l <= f.opts.MaxLen; l++ {
-		m := make(map[string]uint64)
-		a.CountWindows(l, m)
-		st.counts[l-f.opts.MinLen] = m
-	}
-	st.bounds = []engine.Boundary{a.Boundary(f.opts.MaxLen - 1)}
-	return st
+	start := time.Now()
+	t := a.CountWindowRange(f.opts.MinLen, f.opts.MaxLen)
+	f.met.CountSeconds.Observe(time.Since(start))
+	return &windowState{trie: t, bounds: []engine.Boundary{a.Boundary(f.opts.MaxLen - 1)}}
 }
 
 func (f windowFold) Merge(acc, next *windowState) *windowState {
-	for li, m := range next.counts {
-		for k, n := range m {
-			acc.counts[li][k] += n
-		}
-	}
+	start := time.Now()
+	acc.trie.Merge(next.trie)
 	acc.bounds = append(acc.bounds, next.bounds...)
+	acc.merge += time.Since(start)
 	return acc
 }
 
 // find is the single hot-subpath implementation behind Find,
-// FindChunked, and FindView: run the window fold over the chunk source,
-// add the boundary-crossing windows (weight 1 each, attributed to the
-// chunk holding their start — a single chunk contributes none), then
-// harvest minimal hot subpaths length by length.
+// FindChunked, and FindView: count the source's windows, then harvest
+// minimal hot subpaths from the counts.
 func find(src engine.Source, workers int, opts Options, costOf func(trace.Event) uint64, total uint64) ([]Subpath, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	met := opts.metrics()
-	st, err := engine.RunSource(src, workers, windowFold{opts: opts, met: met})
+	t, err := countWindows(src, workers, opts)
 	if err != nil {
 		return nil, err
 	}
+	met := opts.metrics()
 	var result []Subpath
-	if st != nil {
-		hot := map[string]bool{}
-		key := make([]byte, 0, opts.MaxLen*8)
-		for l := opts.MinLen; l <= opts.MaxLen; l++ {
-			counts := st.counts[l-opts.MinLen]
-			engine.CrossingWindows(st.bounds, l, func(window []uint64) {
-				key = engine.AppendKey(key[:0], window)
-				counts[string(key)]++
-				met.BoundaryWindows.Inc()
-			})
-			result = harvest(counts, l, opts, hot, result, costOf, total)
-		}
+	if t != nil {
+		start := time.Now()
+		result = harvest(t, opts, costOf, total)
+		met.HarvestSeconds.Observe(time.Since(start))
 	}
 	sortSubpaths(result)
 	met.SubpathsEmitted.Add(uint64(len(result)))
 	return result, nil
 }
 
+// countWindows counts every window of length opts.MinLen..opts.MaxLen in
+// the source's trace into one trie: the window fold over the chunks, then
+// the windows crossing chunk seams (weight 1 each, attributed to the
+// chunk holding their start — a single chunk contributes none). A source
+// without chunks yields a nil trie.
+func countWindows(src engine.Source, workers int, opts Options) (*engine.WindowTrie, error) {
+	met := opts.metrics()
+	st, err := engine.RunSource(src, workers, windowFold{opts: opts, met: met})
+	if err != nil || st == nil {
+		return nil, err
+	}
+	start := time.Now()
+	engine.CrossingWindows(st.bounds, opts.MaxLen, func(window []uint64, from int) {
+		if from = max(from, opts.MinLen); from <= len(window) {
+			st.trie.Add(window, from, 1)
+			met.BoundaryWindows.Add(uint64(len(window) - from + 1))
+		}
+	})
+	met.SeamSeconds.Observe(st.merge + time.Since(start))
+	if err := st.trie.Err(); err != nil {
+		return nil, fmt.Errorf("hotpath: %w", err)
+	}
+	return st.trie, nil
+}
+
 // FindByScan locates the same minimal hot subpaths by decompressing the
-// trace and sliding a window over it.
+// trace and sliding a window over it, one length at a time.
 func FindByScan(w *wpp.WPP, opts Options) ([]Subpath, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	if w.Instructions == 0 {
+		return nil, nil
+	}
 	var events []trace.Event
 	w.Walk(func(e trace.Event) bool { events = append(events, e); return true })
 	counts := make(map[string]uint64)
-	hot := map[string]bool{}
-	var result []Subpath
+	var hot []hotWindow
 	key := make([]byte, 0, opts.MaxLen*8)
 	for l := opts.MinLen; l <= opts.MaxLen; l++ {
 		clear(counts)
@@ -222,41 +254,91 @@ func FindByScan(w *wpp.WPP, opts Options) ([]Subpath, error) {
 			}
 			counts[string(key)]++
 		}
-		result = harvest(counts, l, opts, hot, result, w.PathCost, w.Instructions)
+		for k, count := range counts {
+			var unit uint64
+			for i := 0; i < len(k); i += 8 {
+				unit += w.PathCost(trace.Event(binary.BigEndian.Uint64([]byte(k[i : i+8]))))
+			}
+			if cost, frac, ok := hotCost(unit, count, opts, w.Instructions); ok {
+				hot = append(hot, hotWindow{key: k, count: count, cost: cost, frac: frac})
+			}
+		}
 	}
+	result := minimal(hot, opts.MinLen)
 	sortSubpaths(result)
 	return result, nil
 }
 
-// harvest converts this length's window counts into subpaths, marks hot
-// windows, and appends the minimal ones to result. costOf and total
-// supply the cost model (a WPP's or a ChunkedWPP's).
-func harvest(counts map[string]uint64, l int, opts Options, hot map[string]bool, result []Subpath, costOf func(trace.Event) uint64, total uint64) []Subpath {
+// harvest scans the trie's windows once, in node order, extending each
+// window's unit cost from its prefix's, and returns the minimal hot
+// subpaths. Keys and events are materialized only for hot windows.
+// costOf and total supply the cost model (a WPP's or a ChunkedWPP's).
+func harvest(t *engine.WindowTrie, opts Options, costOf func(trace.Event) uint64, total uint64) []Subpath {
 	if total == 0 {
-		return result
+		return nil
 	}
-	for key, count := range counts {
-		events := decodeKey(key)
-		var unit uint64
-		for _, e := range events {
-			unit += costOf(e)
-		}
-		cost := unit * count
-		frac := float64(cost) / float64(total)
-		if frac < opts.Threshold {
+	met := opts.metrics()
+	unit := make([]uint64, t.Len())
+	var distinct uint64
+	var hot []hotWindow
+	var syms []uint64
+	for n := 1; n < t.Len(); n++ {
+		unit[n] = unit[t.Parent[n]] + costOf(trace.Event(t.Sym[n]))
+		count := t.Count[n]
+		if count == 0 || int(t.Depth[n]) < opts.MinLen {
 			continue
 		}
-		hot[key] = true
-		if containsHotSub(key, l, opts.MinLen, hot) {
+		distinct++
+		cost, frac, ok := hotCost(unit[n], count, opts, total)
+		if !ok {
 			continue
 		}
-		result = append(result, Subpath{Events: events, Count: count, Cost: cost, Fraction: frac})
+		syms = t.Window(uint32(n), syms[:0])
+		key := make([]byte, 0, 8*len(syms))
+		for _, v := range syms {
+			key = binary.BigEndian.AppendUint64(key, v)
+		}
+		hot = append(hot, hotWindow{key: string(key), count: count, cost: cost, frac: frac})
+	}
+	met.WindowsDistinct.Add(distinct)
+	return minimal(hot, opts.MinLen)
+}
+
+// hotWindow is a window whose aggregate cost meets the threshold, keyed
+// by its symbols' concatenated 8-byte big-endian encodings.
+type hotWindow struct {
+	key         string
+	count, cost uint64
+	frac        float64
+}
+
+// hotCost applies the threshold to a window occurring count times at
+// unit cost per occurrence.
+func hotCost(unit, count uint64, opts Options, total uint64) (cost uint64, frac float64, hot bool) {
+	cost = unit * count
+	frac = float64(cost) / float64(total)
+	return cost, frac, !(frac < opts.Threshold)
+}
+
+// minimal returns the hot windows no proper contiguous subwindow of which
+// (of length >= minLen) is itself hot.
+func minimal(hot []hotWindow, minLen int) []Subpath {
+	set := make(map[string]bool, len(hot))
+	for _, h := range hot {
+		set[h.key] = true
+	}
+	var result []Subpath
+	for _, h := range hot {
+		if containsHotSub(h.key, len(h.key)/8, minLen, set) {
+			continue
+		}
+		result = append(result, Subpath{Events: decodeKey(h.key), Count: h.count, Cost: h.cost, Fraction: h.frac})
 	}
 	return result
 }
 
 // containsHotSub reports whether any proper contiguous subwindow of key
-// (of length >= minLen) is already hot.
+// (of length >= minLen) is hot.
 func containsHotSub(key string, l, minLen int, hot map[string]bool) bool {
 	for sub := minLen; sub < l; sub++ {
 		for off := 0; off+sub <= l; off++ {
@@ -269,10 +351,9 @@ func containsHotSub(key string, l, minLen int, hot map[string]bool) bool {
 }
 
 func decodeKey(key string) []trace.Event {
-	syms := engine.DecodeKey(key)
-	events := make([]trace.Event, len(syms))
-	for i, v := range syms {
-		events[i] = trace.Event(v)
+	events := make([]trace.Event, len(key)/8)
+	for i := range events {
+		events[i] = trace.Event(binary.BigEndian.Uint64([]byte(key[i*8 : (i+1)*8])))
 	}
 	return events
 }

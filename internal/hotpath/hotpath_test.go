@@ -1,11 +1,13 @@
 package hotpath
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/interp"
 	"repro/internal/trace"
 	"repro/internal/wlc"
@@ -51,6 +53,7 @@ func TestOptionsValidation(t *testing.T) {
 		{MinLen: 3, MaxLen: 2, Threshold: 0.1},
 		{MinLen: 1, MaxLen: 2, Threshold: 0},
 		{MinLen: 1, MaxLen: 2, Threshold: 1.5},
+		{MinLen: 1, MaxLen: engine.MaxWindowLen + 1, Threshold: 0.1},
 	}
 	for _, o := range bad {
 		if _, err := Find(w, o); err == nil {
@@ -59,6 +62,15 @@ func TestOptionsValidation(t *testing.T) {
 		if _, err := FindByScan(w, o); err == nil {
 			t.Errorf("scan: options %+v accepted", o)
 		}
+	}
+	// A MaxLen the window trie cannot hold is a typed limit error; the
+	// longest one it can hold is accepted.
+	var le *engine.LimitError
+	if _, err := Find(w, bad[len(bad)-1]); !errors.As(err, &le) {
+		t.Errorf("MaxLen beyond engine.MaxWindowLen: error %v, want an *engine.LimitError", err)
+	}
+	if _, err := Find(w, Options{MinLen: 1, MaxLen: engine.MaxWindowLen, Threshold: 0.1}); err != nil {
+		t.Errorf("MaxLen engine.MaxWindowLen rejected: %v", err)
 	}
 }
 

@@ -138,6 +138,7 @@ func AppendBatchOf[T ~uint64](g *Grammar, vs []T) {
 // resolutions without any aliasing hazard.
 func (g *Grammar) matchB(s symRef, sp *symbol, m symRef, a, b uint64) {
 	var r ruleRef
+	var id uint64
 	ms := g.sym(m)
 	mPrevS := g.sym(ms.prev)
 	mNextNextS := g.sym(g.sym(ms.next).next)
@@ -146,6 +147,7 @@ func (g *Grammar) matchB(s symRef, sp *symbol, m symRef, a, b uint64) {
 		// The index entry for (a, b) points at that body and stays.
 		r = mPrevS.rule
 		g.metrics.RulesReused.Inc()
+		id = g.rules[r].id
 		g.substituteB(s, sp, r, a, b, false)
 	} else {
 		r = g.allocRule(g.nextID)
@@ -170,10 +172,14 @@ func (g *Grammar) matchB(s symRef, sp *symbol, m symRef, a, b uint64) {
 		if xv.rule != nilRule {
 			g.rules[xv.rule].uses++
 		}
+		id = g.rules[r].id
 		// Replace the older occurrence first so its index entry is
 		// released before the newer one is rewritten.
 		g.substituteB(m, ms, r, a, b, true)
 		g.substituteB(s, sp, r, a, b, false)
+		if g.rules[r].id != id {
+			return // inlined by the seam checks' matches, as in match
+		}
 		// Index the body digram. Its keys are exactly (a, b): the copies
 		// are never touched by the recursive substitutions above (the
 		// body is unreachable from the index until this insert), and a
@@ -181,12 +187,20 @@ func (g *Grammar) matchB(s symRef, sp *symbol, m symRef, a, b uint64) {
 		// itself holds a use of it, so both keys are stable.
 		g.table.set(a, b, c1)
 	}
-	// Rule utility, exactly as in match.
-	if f := g.firstOf(r); !g.opts.DisableRuleUtility {
-		fs := g.sym(f)
-		if fs.isNonterminal() && g.rules[fs.rule].uses == 1 {
-			g.expandB(f, fs)
-		}
+	// Rule utility, exactly as in enforceUtility; the rarely needed
+	// last-symbol inline runs on the scalar expand.
+	if g.opts.DisableRuleUtility || g.rules[r].id != id {
+		return
+	}
+	f := g.firstOf(r)
+	if fs := g.sym(f); fs.isNonterminal() && g.rules[fs.rule].uses == 1 {
+		g.expandB(f, fs)
+	}
+	if g.rules[r].id != id {
+		return
+	}
+	if l := g.lastOf(r); g.sym(l).isNonterminal() && g.rules[g.sym(l).rule].uses == 1 {
+		g.expand(l)
 	}
 }
 

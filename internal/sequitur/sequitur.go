@@ -254,12 +254,14 @@ func (g *Grammar) check(h symRef) bool {
 // indexed one.
 func (g *Grammar) match(s, m symRef) {
 	var r ruleRef
+	var id uint64
 	mPrev := g.sym(m).prev
 	mNextNext := g.sym(g.sym(m).next).next
 	if g.sym(mPrev).guard && g.sym(mNextNext).guard {
 		// The matched occurrence is the entire body of a rule: reuse it.
 		r = g.sym(mPrev).rule
 		g.metrics.RulesReused.Inc()
+		id = g.rules[r].id
 		g.substitute(s, r)
 	} else {
 		// Create a new rule whose body is a copy of the digram.
@@ -269,17 +271,41 @@ func (g *Grammar) match(s, m symRef) {
 		g.metrics.RulesCreated.Inc()
 		g.link(g.rules[r].guardSym, g.copySym(s))
 		g.link(g.firstOf(r), g.copySym(g.sym(s).next))
+		id = g.rules[r].id
 		// Replace the older occurrence first so its index entry is
 		// released before the newer one is rewritten.
 		g.substitute(m, r)
 		g.substitute(s, r)
+		if g.rules[r].id != id {
+			return // inlined by the seam checks' matches; see enforceUtility
+		}
 		f := g.firstOf(r)
 		g.table.set(g.keyOf(f), g.keyOf(g.sym(f).next), f)
 	}
-	// Rule utility: if the body of r begins with a nonterminal that is now
-	// used only once, inline that rule.
-	if f := g.firstOf(r); !g.opts.DisableRuleUtility && g.sym(f).isNonterminal() && g.rules[g.sym(f).rule].uses == 1 {
+	g.enforceUtility(r, id)
+}
+
+// enforceUtility restores rule utility after a match into r, whose id
+// is id. The match left r's body as the two symbols of the repeated
+// digram, so only a nonterminal at either end of it can have dropped to
+// a single use; such a rule is inlined. Substituting and inlining both
+// re-check the seams they open, which can cascade into further matches
+// that inline r itself, so r is examined only while its slot still
+// carries its id (a freed slot is zeroed, a recycled one gets a fresh
+// id). For the same reason match indexes a new rule's body digram only
+// if the rule survived its substitutions.
+func (g *Grammar) enforceUtility(r ruleRef, id uint64) {
+	if g.opts.DisableRuleUtility || g.rules[r].id != id {
+		return
+	}
+	if f := g.firstOf(r); g.sym(f).isNonterminal() && g.rules[g.sym(f).rule].uses == 1 {
 		g.expand(f)
+	}
+	if g.rules[r].id != id {
+		return
+	}
+	if l := g.lastOf(r); g.sym(l).isNonterminal() && g.rules[g.sym(l).rule].uses == 1 {
+		g.expand(l)
 	}
 }
 
@@ -314,10 +340,10 @@ func (g *Grammar) substitute(h symRef, r ruleRef) {
 
 // expand inlines the single remaining use u of its rule, deleting the
 // rule. u must be a nonterminal whose rule has uses == 1. In practice u is
-// always the first symbol of a rule body (see match), so the left seam is
-// a guard; the right seam is re-checked, which either indexes the new
-// digram or folds it into an existing rule, keeping digram uniqueness
-// strict.
+// the first or the last symbol of a rule body (see enforceUtility), so
+// one of its seams is a guard; the other is re-checked, which either
+// indexes the new digram or folds it into an existing rule, keeping
+// digram uniqueness strict.
 func (g *Grammar) expand(u symRef) {
 	us := g.sym(u)
 	r := us.rule

@@ -171,6 +171,45 @@ func TestInvariantsAfterEveryAppend(t *testing.T) {
 	}
 }
 
+// TestRuleUtilityAtBodyEnd pins an input on which a match leaves the
+// rule referenced by the last symbol of the new rule's body with a
+// single use ("5 5 4" after "5 5 4": rule 5 4 ends up only inside rule
+// 5·(5 4)); both the scalar and the batch core must inline it, and the
+// pointer/map oracle must agree with them.
+func TestRuleUtilityAtBodyEnd(t *testing.T) {
+	in := []uint64{7, 5, 0, 1, 1, 5, 3, 3, 4, 1, 3, 5, 5, 5, 4, 2, 4, 0, 6, 2, 7, 4, 3, 5, 6, 2, 7, 5, 5, 4, 5, 2, 1, 1, 2, 3, 6, 6, 5, 2, 1, 0, 1, 5, 1, 7, 1, 7}
+	scalar := New()
+	for i, v := range in {
+		scalar.Append(v)
+		if err := scalar.Verify(); err != nil {
+			t.Fatalf("scalar, after %d appends: %v", i+1, err)
+		}
+	}
+	batch := New()
+	batch.AppendBatch(in)
+	if err := batch.Verify(); err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	for name, g := range map[string]*Grammar{"scalar": scalar, "batch": batch} {
+		if got := expandAll(g); !reflect.DeepEqual(got, in) {
+			t.Fatalf("%s: expansion mismatch: %v", name, got)
+		}
+		if err := g.Snapshot().Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if !reflect.DeepEqual(scalar.Snapshot(), batch.Snapshot()) {
+		t.Fatal("scalar and batch grammars differ")
+	}
+	o := newOracle()
+	for _, v := range in {
+		o.Append(v)
+	}
+	if !reflect.DeepEqual(o.Snapshot(), scalar.Snapshot()) {
+		t.Fatal("arena grammar differs from the oracle")
+	}
+}
+
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(raw []byte) bool {
 		in := make([]uint64, len(raw))
