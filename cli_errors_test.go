@@ -3,7 +3,7 @@ package repro_test
 // Error-path hardening for the artifact-reading tools: every malformed
 // input must produce a non-zero exit and a one-line diagnostic on
 // stderr — never a panic, never a silent success. The corrupt inputs
-// exercise the full DecodeAny surface: empty files, unknown magic, and
+// exercise the whole decode surface: empty files, unknown magic, and
 // headers truncated after each artifact kind's magic.
 
 import (

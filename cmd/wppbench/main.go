@@ -7,6 +7,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -251,11 +252,11 @@ func runOpenBench(path string, scale experiments.Scale, reps int) error {
 }
 
 // checkGolden decodes and structurally verifies every artifact under
-// dir — the committed golden corpus spans all four registered formats,
-// so a failure here means a decoder regressed on bytes it must read
-// forever. Each artifact is read through both open paths, the eager
-// decoder and the lazy mmap-backed view, and the two must agree on the
-// header fields and pass their respective verifiers.
+// dir — the committed golden corpus spans all four formats, so a
+// failure here means the decoder regressed on bytes it must read
+// forever. Each artifact is verified both as a lazy mmap-backed view and
+// fully decoded, and the decoded artifact must re-encode to the file's
+// exact bytes.
 func checkGolden(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -267,33 +268,33 @@ func checkGolden(dir string) error {
 			continue
 		}
 		path := dir + "/" + e.Name()
-		f, err := os.Open(path)
+		v, err := iwpp.OpenViewFile(path, nil)
+		if err != nil {
+			return fmt.Errorf("golden %s: view open: %w", path, err)
+		}
+		format := v.Format()
+		err = v.Verify(0)
+		v.Close()
+		if err != nil {
+			return fmt.Errorf("golden %s (%s): view verify: %w", path, format, err)
+		}
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		a, format, err := iwpp.DecodeArtifactNamed(f)
-		f.Close()
+		a, err := iwpp.Decode(data)
 		if err != nil {
 			return fmt.Errorf("golden %s: decode: %w", path, err)
 		}
 		if err := a.Verify(); err != nil {
 			return fmt.Errorf("golden %s (%s): verify: %w", path, format, err)
 		}
-		v, err := iwpp.OpenViewFile(path, nil)
-		if err != nil {
-			return fmt.Errorf("golden %s: view open: %w", path, err)
+		var buf bytes.Buffer
+		if _, err := a.Encode(&buf); err != nil {
+			return fmt.Errorf("golden %s (%s): re-encode: %w", path, format, err)
 		}
-		if err := v.Verify(0); err != nil {
-			v.Close()
-			return fmt.Errorf("golden %s (%s): view verify: %w", path, format, err)
-		}
-		if v.Format() != format || v.NumEvents() != a.NumEvents() ||
-			v.TotalInstructions() != a.TotalInstructions() || v.DistinctPaths() != a.DistinctPaths() {
-			v.Close()
-			return fmt.Errorf("golden %s: view header disagrees with eager decode", path)
-		}
-		if err := v.Close(); err != nil {
-			return err
+		if !bytes.Equal(buf.Bytes(), data) {
+			return fmt.Errorf("golden %s (%s): decode then re-encode does not reproduce the file bytes", path, format)
 		}
 		fmt.Printf("golden %s: %s, %d events ok\n", e.Name(), format, a.NumEvents())
 		n++
@@ -306,7 +307,7 @@ func checkGolden(dir string) error {
 }
 
 // isArtifactName matches the extensions the golden corpus uses, one per
-// registered format generation, plus the legacy .wpp suffix.
+// format, plus the legacy .wpp suffix.
 func isArtifactName(name string) bool {
 	for _, ext := range []string{".wpp", ".wpp1", ".wpp2", ".wpc1", ".wpc2"} {
 		if strings.HasSuffix(name, ext) {

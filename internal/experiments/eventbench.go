@@ -57,7 +57,7 @@ type EventBenchRow struct {
 	// chains share the worker-side compressor, so the ratio isolates the
 	// ingestion feed and is structurally smaller than the mono speedup.
 	Chunked EventBenchChain `json:"chunked"`
-	// Encoded artifact sizes under each registered format, whole file.
+	// Encoded artifact sizes under each format, whole file.
 	WPP1Bytes int64 `json:"wpp1_bytes"`
 	WPP2Bytes int64 `json:"wpp2_bytes"`
 	WPC1Bytes int64 `json:"wpc1_bytes"`

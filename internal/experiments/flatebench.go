@@ -126,7 +126,7 @@ func flateRow(dir, stem, kind, extV1, extV2 string, reps int) (FlateBenchRow, er
 	for i := 0; i < reps; i++ {
 		var a iwpp.Artifact
 		d2 := timeOnce(func() {
-			a, err = iwpp.DecodeArtifact(bytes.NewReader(v2))
+			a, err = iwpp.Decode(v2)
 		})
 		if err != nil {
 			return row, fmt.Errorf("flatebench %s%s: %w", stem, extV2, err)
@@ -143,7 +143,7 @@ func flateRow(dir, stem, kind, extV1, extV2 string, reps int) (FlateBenchRow, er
 			if err != nil {
 				return
 			}
-			_, err = iwpp.DecodeArtifact(bytes.NewReader(raw))
+			_, err = iwpp.Decode(raw)
 		})
 		if err != nil {
 			return row, fmt.Errorf("flatebench %s%s.gz: %w", stem, extV1, err)

@@ -151,8 +151,8 @@ func TestV2NeverLargerOnBundledWorkloads(t *testing.T) {
 	}
 }
 
-// TestGoldenRoundTrip decodes every committed golden artifact through
-// the sniffing decoder, verifies its structure, and re-encodes it at
+// TestGoldenRoundTrip decodes every committed golden artifact, whatever
+// its format, verifies its structure, and re-encodes it at
 // the version the decoder reported — the canonical re-encoding must
 // reproduce the committed bytes exactly. This is the property the CLIs
 // rely on to rewrite archives without touching their contents.
@@ -171,7 +171,12 @@ func TestGoldenRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, format, err := iwpp.DecodeArtifactNamed(bytes.NewReader(data))
+			v, err := iwpp.NewView(data, nil)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			format := v.Format()
+			a, err := iwpp.Decode(data)
 			if err != nil {
 				t.Fatalf("decode (%s): %v", format, err)
 			}

@@ -9,7 +9,9 @@ package experiments
 // (both sides do the full analysis; the view materializes one chunk per
 // worker instead of holding the decoded artifact). Every row also
 // cross-checks that both paths produce identical answers, so the
-// trajectory can never pin a speedup bought with a wrong result.
+// trajectory can never pin a speedup bought with a wrong result. The
+// eager path is wpp.Decode, which is the same view materialized in full,
+// so the columns compare full materialization with lazy use.
 
 import (
 	"bytes"
@@ -149,7 +151,7 @@ func openBenchRow(name, format string, enc []byte, reps int) (OpenBenchRow, erro
 	row := OpenBenchRow{Name: name, Format: format, Bytes: int64(len(enc))}
 
 	eagerStats := func() error {
-		a, err := iwpp.DecodeArtifact(bytes.NewReader(enc))
+		a, err := iwpp.Decode(enc)
 		if err != nil {
 			return err
 		}
@@ -165,7 +167,7 @@ func openBenchRow(name, format string, enc []byte, reps int) (OpenBenchRow, erro
 		return v.Close()
 	}
 	eagerHot := func() ([]hotpath.Subpath, error) {
-		a, err := iwpp.DecodeArtifact(bytes.NewReader(enc))
+		a, err := iwpp.Decode(enc)
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +193,7 @@ func openBenchRow(name, format string, enc []byte, reps int) (OpenBenchRow, erro
 	}
 
 	// Parity first: both pipelines must agree before any timing counts.
-	eagerArt, err := iwpp.DecodeArtifact(bytes.NewReader(enc))
+	eagerArt, err := iwpp.Decode(enc)
 	if err != nil {
 		return row, err
 	}

@@ -80,45 +80,55 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// Decode reads a snapshot written by Encode. When r is already a
-// *bufio.Reader it is used directly (no read-ahead is lost), so multiple
-// snapshots can be decoded back to back from one stream.
-func Decode(r io.Reader) (*Snapshot, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("sequitur: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("sequitur: bad magic %q", m[:])
-	}
-	numRules, err := binary.ReadUvarint(br)
+// maxRules caps the rule count and every rule length a decoder accepts.
+const maxRules = 1 << 31
+
+// Scan returns the length of the snapshot encoding that starts data,
+// without building the snapshot, so a container can delimit snapshots
+// written back to back. Its framing and plausibility caps are Decode's;
+// rule-reference range checks are left to Decode.
+func Scan(data []byte) (int, error) {
+	d := decoder{data: data}
+	numRules, err := d.header()
 	if err != nil {
-		return nil, fmt.Errorf("sequitur: reading rule count: %w", err)
+		return 0, err
 	}
-	const maxRules = 1 << 31
-	if numRules > maxRules {
-		return nil, fmt.Errorf("sequitur: implausible rule count %d", numRules)
+	for i := uint64(0); i < numRules; i++ {
+		rhsLen, err := d.ruleLen(i)
+		if err != nil {
+			return 0, err
+		}
+		for j := uint64(0); j < rhsLen; j++ {
+			if _, ok := d.uvarint(); !ok {
+				return 0, fmt.Errorf("sequitur: rule %d sym %d: %w", i, j, io.ErrUnexpectedEOF)
+			}
+		}
+	}
+	return d.off, nil
+}
+
+// Decode builds the snapshot Encode wrote into data. data must hold
+// exactly one encoding: trailing bytes are an error.
+func Decode(data []byte) (*Snapshot, error) {
+	d := decoder{data: data}
+	numRules, err := d.header()
+	if err != nil {
+		return nil, err
 	}
 	sn := &Snapshot{Rules: make([][]Sym, 0, min(numRules, 1<<16))}
-	for i := 0; i < int(numRules); i++ {
-		rhsLen, err := binary.ReadUvarint(br)
+	for i := uint64(0); i < numRules; i++ {
+		rhsLen, err := d.ruleLen(i)
 		if err != nil {
-			return nil, fmt.Errorf("sequitur: rule %d: reading length: %w", i, err)
-		}
-		if rhsLen > maxRules {
-			return nil, fmt.Errorf("sequitur: rule %d: implausible length %d", i, rhsLen)
+			return nil, err
 		}
 		// Grow incrementally: every symbol costs at least one input byte,
-		// so a corrupt length fails at EOF instead of allocating it all.
+		// so a corrupt length fails at the end of data instead of
+		// allocating it all.
 		rhs := make([]Sym, 0, min(rhsLen, 1<<16))
 		for j := uint64(0); j < rhsLen; j++ {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("sequitur: rule %d sym %d: %w", i, j, err)
+			v, ok := d.uvarint()
+			if !ok {
+				return nil, fmt.Errorf("sequitur: rule %d sym %d: %w", i, j, io.ErrUnexpectedEOF)
 			}
 			if v&1 == 1 {
 				ri := v >> 1
@@ -132,7 +142,58 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		}
 		sn.Rules = append(sn.Rules, rhs)
 	}
+	if d.off != len(data) {
+		return nil, fmt.Errorf("sequitur: %d trailing bytes after snapshot", len(data)-d.off)
+	}
 	return sn, nil
+}
+
+// decoder is a bounds-checked cursor over one snapshot encoding.
+type decoder struct {
+	data []byte
+	off  int
+}
+
+// uvarint reads one varint; ok is false if data ends inside it or it
+// overflows 64 bits.
+func (d *decoder) uvarint() (v uint64, ok bool) {
+	v, n := binary.Uvarint(d.data[d.off:])
+	if n <= 0 {
+		return 0, false
+	}
+	d.off += n
+	return v, true
+}
+
+// header reads the magic and the rule count.
+func (d *decoder) header() (uint64, error) {
+	if len(d.data) < len(magic) {
+		return 0, fmt.Errorf("sequitur: reading magic: %w", io.ErrUnexpectedEOF)
+	}
+	if [4]byte(d.data) != magic {
+		return 0, fmt.Errorf("sequitur: bad magic %q", d.data[:len(magic)])
+	}
+	d.off = len(magic)
+	numRules, ok := d.uvarint()
+	if !ok {
+		return 0, fmt.Errorf("sequitur: reading rule count: %w", io.ErrUnexpectedEOF)
+	}
+	if numRules > maxRules {
+		return 0, fmt.Errorf("sequitur: implausible rule count %d", numRules)
+	}
+	return numRules, nil
+}
+
+// ruleLen reads rule i's right-hand-side length.
+func (d *decoder) ruleLen(i uint64) (uint64, error) {
+	n, ok := d.uvarint()
+	if !ok {
+		return 0, fmt.Errorf("sequitur: rule %d: reading length: %w", i, io.ErrUnexpectedEOF)
+	}
+	if n > maxRules {
+		return 0, fmt.Errorf("sequitur: rule %d: implausible length %d", i, n)
+	}
+	return n, nil
 }
 
 // Validate checks that the snapshot is well formed and acyclic: every rule

@@ -316,9 +316,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if got := sn.EncodedSize(); got != written {
 			t.Fatalf("EncodedSize = %d, Encode wrote %d", got, written)
 		}
-		back, err := Decode(&buf)
+		back, err := Decode(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n, err := Scan(buf.Bytes()); err != nil || n != buf.Len() {
+			t.Fatalf("Scan = %d, %v; want %d", n, err, buf.Len())
 		}
 		if !reflect.DeepEqual(back, sn) {
 			t.Fatal("decode(encode(snapshot)) != snapshot")
@@ -327,15 +330,27 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Fatal("expected error for bad magic")
+	for _, data := range [][]byte{
+		[]byte("nope"),                // bad magic
+		nil,                           // empty input
+		{'S', 'Q', 'G', '1', 5},       // valid magic, truncated body
+		{'S', 'Q', 'G', '1', 1, 1, 3}, // rule reference out of range
+	} {
+		if _, err := Decode(data); err == nil {
+			t.Errorf("Decode(%q) succeeded", data)
+		}
 	}
-	if _, err := Decode(bytes.NewReader(nil)); err == nil {
-		t.Fatal("expected error for empty input")
+	// Scan delimits; only Decode insists the encoding fills its input.
+	var buf bytes.Buffer
+	if _, err := (&Snapshot{Rules: [][]Sym{{{Rule: -1, Value: 7}}}}).Encode(&buf); err != nil {
+		t.Fatal(err)
 	}
-	// Valid magic, truncated body.
-	if _, err := Decode(bytes.NewReader([]byte{'S', 'Q', 'G', '1', 5})); err == nil {
-		t.Fatal("expected error for truncated body")
+	padded := append(buf.Bytes(), 0)
+	if n, err := Scan(padded); err != nil || n != buf.Len() {
+		t.Fatalf("Scan = %d, %v; want %d", n, err, buf.Len())
+	}
+	if _, err := Decode(padded); err == nil {
+		t.Fatal("Decode accepted a trailing byte")
 	}
 }
 

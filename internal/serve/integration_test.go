@@ -155,7 +155,7 @@ func TestSealedHotMatchesWpphot(t *testing.T) {
 			if err != nil {
 				t.Fatalf("artifact: %v", err)
 			}
-			a, err := iwpp.DecodeArtifact(bytes.NewReader(enc))
+			a, err := iwpp.Decode(enc)
 			if err != nil {
 				t.Fatalf("decoding artifact: %v", err)
 			}

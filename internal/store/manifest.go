@@ -126,10 +126,10 @@ func (s *Store) PutArtifact(a iwpp.Artifact) (Hash, *Manifest, error) {
 }
 
 // PutArtifactBytes stores an already-encoded artifact. The bytes are
-// decoded to recover chunk structure (so chunked artifacts still dedup
-// per chunk), then stored exactly as given.
+// decoded in full first, so corrupt input is refused rather than
+// stored, then stored exactly as given.
 func (s *Store) PutArtifactBytes(enc []byte) (Hash, *Manifest, error) {
-	a, err := iwpp.DecodeArtifact(bytes.NewReader(enc))
+	a, err := iwpp.Decode(enc)
 	if err != nil {
 		return Hash{}, nil, fmt.Errorf("store: decoding artifact: %w", err)
 	}
@@ -138,16 +138,22 @@ func (s *Store) PutArtifactBytes(enc []byte) (Hash, *Manifest, error) {
 
 // PutArtifactEncoded stores an artifact whose encoding the caller
 // already holds, skipping the re-encode of PutArtifact and the decode
-// of PutArtifactBytes. enc must be a's Encode output; for chunked
-// artifacts the split is verified against enc before anything is
-// recorded.
+// of PutArtifactBytes. enc must be a's Encode output; its header is
+// checked against a before anything is recorded.
 func (s *Store) PutArtifactEncoded(a iwpp.Artifact, enc []byte) (Hash, *Manifest, error) {
 	return s.putArtifact(a, enc)
 }
 
+// putArtifact stores enc, the encoding of a. Chunked artifacts are
+// split into header and chunk objects along the framing of enc itself,
+// so the parts reassemble exactly the bytes being addressed.
 func (s *Store) putArtifact(a iwpp.Artifact, enc []byte) (Hash, *Manifest, error) {
-	if len(enc) < 4 {
-		return Hash{}, nil, fmt.Errorf("store: artifact too short (%d bytes)", len(enc))
+	v, err := iwpp.NewView(enc, nil)
+	if err != nil {
+		return Hash{}, nil, fmt.Errorf("store: artifact header: %w", err)
+	}
+	if err := checkHeader(v, a); err != nil {
+		return Hash{}, nil, err
 	}
 	h := HashOf(enc)
 	if m, err := s.Manifest(h); err == nil {
@@ -163,14 +169,13 @@ func (s *Store) putArtifact(a iwpp.Artifact, enc []byte) (Hash, *Manifest, error
 		Format:   string(enc[:4]),
 		Size:     int64(len(enc)),
 	}
-	if c, ok := a.(*iwpp.ChunkedWPP); ok {
-		header, chunks, err := c.EncodeParts()
+	if v.Chunked() {
+		header, chunks, err := v.Parts()
 		if err != nil {
 			return Hash{}, nil, fmt.Errorf("store: splitting artifact: %w", err)
 		}
 		// The parts must reassemble the exact bytes being addressed;
-		// verify before anything is recorded so a split bug can never
-		// persist a manifest that lies about its artifact.
+		// bytes after the last chunk would be lost, so refuse them.
 		total := len(header)
 		for _, ch := range chunks {
 			total += len(ch)
@@ -204,6 +209,19 @@ func (s *Store) putArtifact(a iwpp.Artifact, enc []byte) (Hash, *Manifest, error
 	}
 	s.met.ArtifactsStored.Inc()
 	return h, m, nil
+}
+
+// checkHeader reports an error unless the view's header describes a:
+// the same container, chunk count and header counters.
+func checkHeader(v *iwpp.ArtifactView, a iwpp.Artifact) error {
+	c, chunked := a.(*iwpp.ChunkedWPP)
+	if v.Chunked() != chunked || (chunked && v.NumChunks() != len(c.Chunks)) ||
+		v.NumEvents() != a.NumEvents() || v.TotalInstructions() != a.TotalInstructions() ||
+		v.DistinctPaths() != a.DistinctPaths() || len(v.FuncTable()) != len(a.FuncTable()) {
+		return fmt.Errorf("store: encoding (%s, %d events) is not the artifact's (%d events)",
+			v.Format(), v.NumEvents(), a.NumEvents())
+	}
+	return nil
 }
 
 // GetArtifact reassembles the full encoded bytes of artifact h from its

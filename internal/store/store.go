@@ -8,9 +8,9 @@
 //
 //   - blob objects — the complete encoded bytes of a monolithic
 //     artifact (WPP1/WPP2), stored whole;
-//   - chunk objects — one framed sequitur snapshot each, produced by
-//     ChunkedWPP.EncodeParts, plus the artifact header as its own
-//     object.
+//   - chunk objects — one framed sequitur snapshot each, split from a
+//     chunked artifact's encoding by wpp.ArtifactView.Parts, plus the
+//     artifact header as its own object.
 //
 // Because a chunked artifact's encoding is exactly header || chunk_0 ||
 // ... || chunk_{n-1}, the store records a manifest listing the part

@@ -141,8 +141,14 @@ func TestGoldenCorpusRoundTrip(t *testing.T) {
 		if chunked && m.Kind != "chunked" {
 			t.Fatalf("%s: kind %q", name, m.Kind)
 		}
-		if chunked && len(m.Parts) < 2 {
-			t.Fatalf("%s: chunked manifest with %d parts", name, len(m.Parts))
+		if chunked {
+			v, err := iwpp.NewView(data, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m.Parts) != 1+v.NumChunks() {
+				t.Fatalf("%s: chunked manifest with %d parts for %d chunks", name, len(m.Parts), v.NumChunks())
+			}
 		}
 		got, err := s.GetArtifact(h)
 		if err != nil {
@@ -360,4 +366,45 @@ func mustWorkloadArg(t *testing.T, name, scale string) int64 {
 		t.Fatal(err)
 	}
 	return arg
+}
+
+// TestPutArtifactEncodedChecksHeader hands PutArtifactEncoded an
+// encoding that is not the artifact's: the put must fail and store
+// nothing.
+func TestPutArtifactEncodedChecksHeader(t *testing.T) {
+	s, _ := newTestStore(t)
+	build := func(n int, chunk uint64) (iwpp.Artifact, []byte) {
+		b := iwpp.New([]string{"f"}, nil, iwpp.BuildOptions{ChunkSize: chunk})
+		for i := 0; i < n; i++ {
+			b.Add(trace.MakeEvent(0, uint64(i%5)))
+		}
+		a := b.Finish(uint64(n))
+		var buf bytes.Buffer
+		if _, err := a.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return a, buf.Bytes()
+	}
+	mono, monoEnc := build(100, 0)
+	chunked, chunkedEnc := build(100, 16)
+	_, otherEnc := build(120, 16)
+	for _, c := range []struct {
+		name string
+		a    iwpp.Artifact
+		enc  []byte
+	}{
+		{"chunked bytes for a monolithic artifact", mono, chunkedEnc},
+		{"monolithic bytes for a chunked artifact", chunked, monoEnc},
+		{"another artifact's bytes", chunked, otherEnc},
+	} {
+		if _, _, err := s.PutArtifactEncoded(c.a, c.enc); err == nil {
+			t.Errorf("%s: put succeeded", c.name)
+		}
+		if _, err := s.Manifest(HashOf(c.enc)); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: manifest recorded (%v)", c.name, err)
+		}
+	}
+	if _, _, err := s.PutArtifactEncoded(chunked, chunkedEnc); err != nil {
+		t.Fatalf("matching encoding refused: %v", err)
+	}
 }

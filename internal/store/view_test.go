@@ -62,7 +62,7 @@ func TestOpenViewParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eager, err := iwpp.DecodeArtifact(bytes.NewReader(enc))
+			eager, err := iwpp.Decode(enc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,13 +1,11 @@
 package wpp
 
 import (
-	"bufio"
 	"io"
 	"time"
 
 	"repro/internal/bl"
 	"repro/internal/trace"
-	"repro/internal/wpp/codec"
 )
 
 // Builder is the unified front-end of WPP construction: a trace.Sink
@@ -29,12 +27,15 @@ type Builder interface {
 
 // Artifact is a sealed whole program path, monolithic or chunked: the
 // common analysis and persistence surface over *WPP and *ChunkedWPP.
-// It is a superset of codec.Artifact, so any Artifact round-trips
-// through the format registry. Callers needing strategy-specific API
-// (Grammar, Chunks, positional queries) type-assert to the concrete
-// type.
+// Decode produces one from any of the four encodings. Callers needing
+// strategy-specific API (Grammar, Chunks, positional queries)
+// type-assert to the concrete type.
 type Artifact interface {
-	codec.Artifact
+	// Verify checks the artifact's internal structural consistency.
+	Verify() error
+	// Encode writes the artifact in the encoding its Version selects and
+	// reports the bytes written.
+	Encode(io.Writer) (int64, error)
 	// NumEvents is the trace length (number of acyclic path events).
 	NumEvents() uint64
 	// TotalInstructions is the executed IR instruction count.
@@ -205,55 +206,6 @@ var (
 	_ LiveSnapshotter = (*MonoBuilder)(nil)
 )
 
-// The on-disk formats register with the codec at link time; any tool
-// importing this package can DecodeAny both.
-func init() {
-	codec.Register(codec.Format{
-		Magic: wppMagic,
-		Name:  "monolithic WPP",
-		Decode: func(br *bufio.Reader) (codec.Artifact, error) {
-			w, err := decodeBody(br)
-			if err != nil {
-				return nil, err
-			}
-			return w, nil
-		},
-	})
-	codec.Register(codec.Format{
-		Magic: chunkedMagic,
-		Name:  "chunked WPP",
-		Decode: func(br *bufio.Reader) (codec.Artifact, error) {
-			c, err := decodeChunkedBody(br)
-			if err != nil {
-				return nil, err
-			}
-			return c, nil
-		},
-	})
-	codec.Register(codec.Format{
-		Magic: wpp2Magic,
-		Name:  "monolithic WPP v2",
-		Decode: func(br *bufio.Reader) (codec.Artifact, error) {
-			w, err := decodeBodyV2(br)
-			if err != nil {
-				return nil, err
-			}
-			return w, nil
-		},
-	})
-	codec.Register(codec.Format{
-		Magic: chunked2Magic,
-		Name:  "chunked WPP v2",
-		Decode: func(br *bufio.Reader) (codec.Artifact, error) {
-			c, err := decodeChunkedBodyV2(br)
-			if err != nil {
-				return nil, err
-			}
-			return c, nil
-		},
-	})
-}
-
 // SetVersion selects an artifact's on-disk encoding (FormatV1 or
 // FormatV2). The encoding is a property of serialization only: the
 // in-memory artifact and everything derived from it are identical under
@@ -265,26 +217,4 @@ func SetVersion(a Artifact, v uint8) {
 	case *ChunkedWPP:
 		t.Version = v
 	}
-}
-
-// DecodeArtifact decodes any registered artifact format via the codec
-// registry, returning the unified Artifact surface.
-func DecodeArtifact(r io.Reader) (Artifact, error) {
-	a, err := codec.DecodeAny(r)
-	if err != nil {
-		return nil, err
-	}
-	// Every format this package registers decodes to an Artifact.
-	return a.(Artifact), nil
-}
-
-// DecodeArtifactNamed is DecodeArtifact, additionally reporting the
-// registered name of the format that was read ("monolithic WPP v2"),
-// for tools that display it.
-func DecodeArtifactNamed(r io.Reader) (Artifact, string, error) {
-	a, name, err := codec.DecodeAnyNamed(r)
-	if err != nil {
-		return nil, name, err
-	}
-	return a.(Artifact), name, nil
 }

@@ -3,11 +3,9 @@ package wpp
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"sort"
 
-	"repro/internal/sequitur"
 	"repro/internal/trace"
 )
 
@@ -44,7 +42,7 @@ func (c *ChunkedWPP) Encode(out io.Writer) (int64, error) {
 // encodeHeaderV1 writes everything before the chunk grammars: magic,
 // function table, geometry, cost table, and the chunk count. Encode is
 // exactly this header followed by each chunk's sequitur encoding — the
-// split EncodeParts exposes for per-chunk content addressing.
+// split ArtifactView.Parts recovers for per-chunk content addressing.
 func (c *ChunkedWPP) encodeHeaderV1(out io.Writer) (int64, error) {
 	bw := bufio.NewWriter(out)
 	var written int64
@@ -125,137 +123,4 @@ func (c *ChunkedWPP) EncodedBytes() int64 {
 	}
 	n += int64(uvarintLen(uint64(len(c.Chunks))))
 	return n + c.EncodedSize()
-}
-
-// DecodeChunked reads a chunked WPP written by Encode.
-func DecodeChunked(r io.Reader) (*ChunkedWPP, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("wpp: reading magic: %w", err)
-	}
-	if m != chunkedMagic {
-		return nil, fmt.Errorf("wpp: bad magic %q", m[:])
-	}
-	return decodeChunkedBody(br)
-}
-
-func decodeChunkedBody(br *bufio.Reader) (*ChunkedWPP, error) {
-	get := func(what string) (uint64, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("wpp: reading %s: %w", what, err)
-		}
-		return v, nil
-	}
-	numFuncs, err := get("function count")
-	if err != nil {
-		return nil, err
-	}
-	if numFuncs > trace.MaxFuncs {
-		return nil, fmt.Errorf("wpp: implausible function count %d", numFuncs)
-	}
-	c := &ChunkedWPP{Funcs: make([]FuncInfo, numFuncs), Version: FormatV1, costs: map[trace.Event]uint64{}}
-	for i := range c.Funcs {
-		nameLen, err := get("name length")
-		if err != nil {
-			return nil, err
-		}
-		if nameLen > 1<<16 {
-			return nil, fmt.Errorf("wpp: implausible name length %d", nameLen)
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, fmt.Errorf("wpp: reading name: %w", err)
-		}
-		c.Funcs[i].Name = string(name)
-		if c.Funcs[i].NumPaths, err = get("path count"); err != nil {
-			return nil, err
-		}
-	}
-	if c.ChunkSize, err = get("chunk size"); err != nil {
-		return nil, err
-	}
-	if c.ChunkSize == 0 {
-		return nil, fmt.Errorf("wpp: chunk size 0")
-	}
-	if c.Events, err = get("event count"); err != nil {
-		return nil, err
-	}
-	if c.Instructions, err = get("instruction count"); err != nil {
-		return nil, err
-	}
-	peak, err := get("peak live RHS")
-	if err != nil {
-		return nil, err
-	}
-	if peak > 1<<40 {
-		return nil, fmt.Errorf("wpp: implausible peak live RHS %d", peak)
-	}
-	c.PeakLiveRHS = int(peak)
-	numCosts, err := get("cost count")
-	if err != nil {
-		return nil, err
-	}
-	if numCosts > 1<<32 {
-		return nil, fmt.Errorf("wpp: implausible cost count %d", numCosts)
-	}
-	for i := uint64(0); i < numCosts; i++ {
-		e, err := get("cost event")
-		if err != nil {
-			return nil, err
-		}
-		cost, err := get("cost value")
-		if err != nil {
-			return nil, err
-		}
-		// Raw varints can carry function bits no numbering produces;
-		// refuse them rather than admit unanalyzable events.
-		if err := trace.CheckEvent(trace.Event(e)); err != nil {
-			return nil, fmt.Errorf("wpp: cost table: %w", err)
-		}
-		c.costs[trace.Event(e)] = cost
-	}
-	numChunks, err := get("chunk count")
-	if err != nil {
-		return nil, err
-	}
-	// Every chunk costs at least a few bytes; cap against absurd headers.
-	if numChunks > 1<<32 {
-		return nil, fmt.Errorf("wpp: implausible chunk count %d", numChunks)
-	}
-	c.Chunks = make([]*sequitur.Snapshot, 0, min(numChunks, 1<<16))
-	for i := uint64(0); i < numChunks; i++ {
-		// Each snapshot reads from the same buffered stream.
-		snap, err := sequitur.Decode(br)
-		if err != nil {
-			return nil, fmt.Errorf("wpp: chunk %d: %w", i, err)
-		}
-		c.Chunks = append(c.Chunks, snap)
-	}
-	return c, nil
-}
-
-// DecodeAny sniffs the artifact magic via the codec registry and decodes
-// either a monolithic WPP ("WPP1"/"WPP2") or a chunked WPP
-// ("WPC1"/"WPC2"); exactly one of the returns is non-nil on success.
-func DecodeAny(r io.Reader) (*WPP, *ChunkedWPP, error) {
-	w, c, _, err := DecodeAnyNamed(r)
-	return w, c, err
-}
-
-// DecodeAnyNamed is DecodeAny, additionally reporting the registered
-// name of the format that was read.
-func DecodeAnyNamed(r io.Reader) (*WPP, *ChunkedWPP, string, error) {
-	a, name, err := DecodeArtifactNamed(r)
-	if err != nil {
-		return nil, nil, name, err
-	}
-	switch t := a.(type) {
-	case *WPP:
-		return t, nil, name, nil
-	case *ChunkedWPP:
-		return nil, t, name, nil
-	}
-	return nil, nil, name, fmt.Errorf("wpp: unsupported artifact type %T", a)
 }

@@ -20,10 +20,7 @@ func TestChunkedEncodeRoundTrip(t *testing.T) {
 		if n != int64(buf.Len()) {
 			t.Fatalf("Encode reported %d bytes, wrote %d", n, buf.Len())
 		}
-		got, err := DecodeChunked(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := decodeChunked(t, buf.Bytes())
 		if err := got.Verify(); err != nil {
 			t.Fatal(err)
 		}
@@ -54,55 +51,32 @@ func TestChunkedEncodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeAny decodes both containers through the one Decode entry
+// point and checks junk is refused.
 func TestDecodeAny(t *testing.T) {
-	// Monolithic artifact through the sniffing decoder.
 	mb := NewMonoBuilder([]string{"f"}, nil)
-	for i := 0; i < 100; i++ {
-		mb.Add(trace.MakeEvent(0, uint64(i%3)))
-	}
-	mono := mb.Finish(100)
-	var mbuf bytes.Buffer
-	if _, err := mono.Encode(&mbuf); err != nil {
-		t.Fatal(err)
-	}
-	w, cw, err := DecodeAny(bytes.NewReader(mbuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w == nil || cw != nil {
-		t.Fatalf("monolithic artifact sniffed as (%v, %v)", w, cw)
-	}
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Chunked artifact through the same entry point.
 	cb := NewChunkedBuilder([]string{"f"}, nil, 16)
 	for i := 0; i < 100; i++ {
+		mb.Add(trace.MakeEvent(0, uint64(i%3)))
 		cb.Add(trace.MakeEvent(0, uint64(i%3)))
 	}
-	chunked := cb.Finish(100)
-	var cbuf bytes.Buffer
-	if _, err := chunked.Encode(&cbuf); err != nil {
+	var mbuf, cbuf bytes.Buffer
+	if _, err := mb.Finish(100).Encode(&mbuf); err != nil {
 		t.Fatal(err)
 	}
-	w, cw, err = DecodeAny(bytes.NewReader(cbuf.Bytes()))
-	if err != nil {
+	if _, err := cb.Finish(100).Encode(&cbuf); err != nil {
 		t.Fatal(err)
 	}
-	if w != nil || cw == nil {
-		t.Fatalf("chunked artifact sniffed as (%v, %v)", w, cw)
-	}
-	if err := cw.Verify(); err != nil {
+	if err := decodeWPP(t, mbuf.Bytes()).Verify(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Junk must error out, not panic.
-	if _, _, err := DecodeAny(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Fatal("junk accepted")
+	if err := decodeChunked(t, cbuf.Bytes()).Verify(); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := DecodeAny(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input accepted")
+	for _, junk := range [][]byte{[]byte("nope"), nil} {
+		if _, err := Decode(junk); err == nil {
+			t.Fatalf("Decode accepted %q", junk)
+		}
 	}
 }
 
@@ -119,13 +93,13 @@ func TestDecodeChunkedRejectsCorruption(t *testing.T) {
 	data := buf.Bytes()
 	// Truncations anywhere must produce an error, never a panic.
 	for cut := 0; cut < len(data); cut += 7 {
-		if _, err := DecodeChunked(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := Decode(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	// Wrong magic.
 	bad := append([]byte("WPPX"), data[4:]...)
-	if _, err := DecodeChunked(bytes.NewReader(bad)); err == nil {
+	if _, err := Decode(bad); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }

@@ -129,7 +129,7 @@ func sameChunked(t *testing.T, a, b *ChunkedWPP) {
 	}
 }
 
-// TestWPP2RoundTrip: v2-encode, decode through the registry, compare
+// TestWPP2RoundTrip: v2-encode, decode, compare
 // against the original, and re-encode byte-identically (the canonical
 // re-encoding property the golden corpus relies on).
 func TestWPP2RoundTrip(t *testing.T) {
@@ -148,14 +148,7 @@ func TestWPP2RoundTrip(t *testing.T) {
 			if got := w.EncodedSize(); got != n {
 				t.Fatalf("EncodedSize %d != encoded %d", got, n)
 			}
-			a, err := DecodeArtifact(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, ok := a.(*WPP)
-			if !ok {
-				t.Fatalf("decoded %T, want *WPP", a)
-			}
+			got := decodeWPP(t, buf.Bytes())
 			if got.Version != FormatV2 {
 				t.Fatalf("decoded Version = %d, want %d", got.Version, FormatV2)
 			}
@@ -191,14 +184,7 @@ func TestWPC2RoundTrip(t *testing.T) {
 			if got := c.EncodedBytes(); got != n {
 				t.Fatalf("EncodedBytes %d != encoded %d", got, n)
 			}
-			a, err := DecodeArtifact(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, ok := a.(*ChunkedWPP)
-			if !ok {
-				t.Fatalf("decoded %T, want *ChunkedWPP", a)
-			}
+			got := decodeChunked(t, buf.Bytes())
 			if got.Version != FormatV2 {
 				t.Fatalf("decoded Version = %d, want %d", got.Version, FormatV2)
 			}
@@ -233,15 +219,7 @@ func TestWPP2DecodeEqualsWPP1Decode(t *testing.T) {
 			if _, err := w.Encode(&b2); err != nil {
 				t.Fatal(err)
 			}
-			d1, err := Decode(bytes.NewReader(b1.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			a2, err := DecodeArtifact(bytes.NewReader(b2.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameWPP(t, d1, a2.(*WPP))
+			sameWPP(t, decodeWPP(t, b1.Bytes()), decodeWPP(t, b2.Bytes()))
 
 			c := buildChunkedFor(events, 32)
 			var c1, c2 bytes.Buffer
@@ -253,15 +231,7 @@ func TestWPP2DecodeEqualsWPP1Decode(t *testing.T) {
 			if _, err := c.Encode(&c2); err != nil {
 				t.Fatal(err)
 			}
-			e1, err := DecodeChunked(bytes.NewReader(c1.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e2, err := DecodeArtifact(bytes.NewReader(c2.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameChunked(t, e1, e2.(*ChunkedWPP))
+			sameChunked(t, decodeChunked(t, c1.Bytes()), decodeChunked(t, c2.Bytes()))
 		})
 	}
 }

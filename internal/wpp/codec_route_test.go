@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/trace"
-	"repro/internal/wpp/codec"
 )
 
 // encodeMono builds and encodes a small monolithic artifact.
@@ -37,20 +36,38 @@ func encodeChunkedBytes(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// TestCodecRegistersBothFormats checks that package init registered the
-// monolithic and chunked formats with the artifact codec.
-func TestCodecRegistersBothFormats(t *testing.T) {
-	for _, magic := range [][4]byte{{'W', 'P', 'P', '1'}, {'W', 'P', 'C', '1'}} {
-		if _, ok := codec.Lookup(magic); !ok {
-			t.Errorf("format %q not registered", magic[:])
-		}
+// decodeWPP decodes data, which must hold a monolithic artifact.
+func decodeWPP(t testing.TB, data []byte) *WPP {
+	t.Helper()
+	a, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
 	}
+	w, ok := a.(*WPP)
+	if !ok {
+		t.Fatalf("decoded %T, want *WPP", a)
+	}
+	return w
 }
 
-// TestDecodeArtifactRoundTrip routes both on-disk formats through the
-// codec registry and checks the concrete types come back.
+// decodeChunked decodes data, which must hold a chunked artifact.
+func decodeChunked(t testing.TB, data []byte) *ChunkedWPP {
+	t.Helper()
+	a, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ok := a.(*ChunkedWPP)
+	if !ok {
+		t.Fatalf("decoded %T, want *ChunkedWPP", a)
+	}
+	return c
+}
+
+// TestDecodeArtifactRoundTrip decodes both containers through Decode
+// and checks the concrete types come back.
 func TestDecodeArtifactRoundTrip(t *testing.T) {
-	a, err := DecodeArtifact(bytes.NewReader(encodeMonoBytes(t)))
+	a, err := Decode(encodeMonoBytes(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +79,7 @@ func TestDecodeArtifactRoundTrip(t *testing.T) {
 		t.Fatalf("events = %d, want 120", w.NumEvents())
 	}
 
-	a, err = DecodeArtifact(bytes.NewReader(encodeChunkedBytes(t)))
+	a, err = Decode(encodeChunkedBytes(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +92,8 @@ func TestDecodeArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeArtifactDispatchErrors drives the registry's failure modes:
-// inputs the sniffer must reject before any format decoder runs.
+// TestDecodeArtifactDispatchErrors drives the magic check's failure
+// modes: inputs rejected before any header field is read.
 func TestDecodeArtifactDispatchErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -91,9 +108,9 @@ func TestDecodeArtifactDispatchErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := DecodeArtifact(bytes.NewReader(c.data))
+			_, err := Decode(c.data)
 			if err == nil {
-				t.Fatalf("DecodeArtifact accepted %q", c.data)
+				t.Fatalf("Decode accepted %q", c.data)
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %q does not mention %q", err, c.want)
@@ -102,15 +119,15 @@ func TestDecodeArtifactDispatchErrors(t *testing.T) {
 	}
 }
 
-// TestDecodeArtifactUnknownMagicNamesFormats checks the registry's
-// unknown-magic error lists the formats it does know, so a user holding
-// a future or corrupt artifact sees what this build can read.
+// TestDecodeArtifactUnknownMagicNamesFormats checks the unknown-magic
+// error lists the formats Decode does know, so a user holding a future
+// or corrupt artifact sees what this build can read.
 func TestDecodeArtifactUnknownMagicNamesFormats(t *testing.T) {
-	_, err := DecodeArtifact(bytes.NewReader([]byte("WPP9....")))
+	_, err := Decode([]byte("WPP9...."))
 	if err == nil {
 		t.Fatal("unknown version accepted")
 	}
-	for _, magic := range []string{"WPP1", "WPC1"} {
+	for _, magic := range []string{"WPP1", "WPP2", "WPC1", "WPC2"} {
 		if !strings.Contains(err.Error(), magic) {
 			t.Errorf("error %q does not list known format %q", err, magic)
 		}
@@ -118,7 +135,7 @@ func TestDecodeArtifactUnknownMagicNamesFormats(t *testing.T) {
 }
 
 // TestDecodeArtifactTruncatedBody checks truncation after a valid magic
-// fails inside the selected format decoder, not with a panic.
+// fails with an error, not a panic.
 func TestDecodeArtifactTruncatedBody(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"mono":    encodeMonoBytes(t),
@@ -126,7 +143,7 @@ func TestDecodeArtifactTruncatedBody(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			for _, cut := range []int{4, 5, len(data) / 2, len(data) - 1} {
-				if _, err := DecodeArtifact(bytes.NewReader(data[:cut])); err == nil {
+				if _, err := Decode(data[:cut]); err == nil {
 					t.Errorf("truncation at %d accepted", cut)
 				}
 			}
@@ -154,7 +171,7 @@ func TestDecodeArtifactRejectsOutOfRangeEvent(t *testing.T) {
 	if _, err := w.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	_, err := DecodeArtifact(&buf)
+	_, err := Decode(buf.Bytes())
 	if err == nil {
 		t.Fatal("artifact with out-of-range cost-table event accepted")
 	}

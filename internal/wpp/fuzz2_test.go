@@ -1,8 +1,8 @@
 package wpp
 
-// Fuzzers for the v2 codec layer: the WPP2/WPC2 decoders must never
-// panic or loop on arbitrary bytes, and the delta varint cost-table
-// sub-codec must round-trip every representable table.
+// Fuzzer for the v2 cost-table sub-codec, which must round-trip every
+// representable table, and the golden seed loader the decode fuzzers
+// share.
 
 import (
 	"bufio"
@@ -39,77 +39,6 @@ func goldenSeeds(f *testing.F) [][]byte {
 		f.Fatal("golden corpus is empty")
 	}
 	return seeds
-}
-
-// v2Seeds builds real v2 artifacts for the decode fuzzer corpus.
-func v2Seeds(f *testing.F) [][]byte {
-	f.Helper()
-	var seeds [][]byte
-	for _, events := range testStreams() {
-		w := buildMonoFor(events)
-		w.Version = FormatV2
-		var mb bytes.Buffer
-		if _, err := w.Encode(&mb); err != nil {
-			f.Fatal(err)
-		}
-		seeds = append(seeds, mb.Bytes())
-		c := buildChunkedFor(events, 64)
-		c.Version = FormatV2
-		var cb bytes.Buffer
-		if _, err := c.Encode(&cb); err != nil {
-			f.Fatal(err)
-		}
-		seeds = append(seeds, cb.Bytes())
-	}
-	return seeds
-}
-
-// FuzzDecodeWPP2 asserts the v2 decoders never panic on arbitrary
-// bytes, and that whatever decodes verifies, walks safely, and
-// re-encodes canonically (decode of the re-encoding is equal).
-func FuzzDecodeWPP2(f *testing.F) {
-	for _, s := range v2Seeds(f) {
-		f.Add(s)
-		f.Add(s[:len(s)/2]) // truncation
-	}
-	for _, s := range goldenSeeds(f) {
-		f.Add(s)
-	}
-	f.Add([]byte("WPP2"))
-	f.Add([]byte("WPC2"))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := DecodeArtifact(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := a.Verify(); err != nil {
-			return
-		}
-		n := 0
-		a.Walk(func(trace.Event) bool {
-			n++
-			return n < 100000
-		})
-		// Canonical re-encode: whatever decoded and verified must
-		// serialize, and decoding the serialization must agree.
-		var buf bytes.Buffer
-		if _, err := a.Encode(&buf); err != nil {
-			t.Fatalf("verified artifact fails to re-encode: %v", err)
-		}
-		b, err := DecodeArtifact(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-encoded artifact fails to decode: %v", err)
-		}
-		var buf2 bytes.Buffer
-		if _, err := b.Encode(&buf2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-			t.Fatal("re-encoding is not a fixed point")
-		}
-	})
 }
 
 // FuzzVarintRoundTrip drives the delta-packed cost-table sub-codec with
@@ -152,8 +81,7 @@ func FuzzVarintRoundTrip(f *testing.F) {
 			t.Fatalf("costTableSize %d != encoded %d", costTableSize(dict, costs), buf.Len())
 		}
 
-		d := &v2Decoder{br: bufio.NewReader(&buf)}
-		gotDict, gotCosts, err := d.costTable()
+		gotDict, gotCosts, err := parseCostTableV2(&byteReader{data: buf.Bytes()})
 		if err != nil {
 			t.Fatalf("decoding round trip: %v", err)
 		}

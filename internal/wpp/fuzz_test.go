@@ -97,49 +97,43 @@ func FuzzChunkedParity(f *testing.F) {
 	})
 }
 
-// FuzzDecodeChunked asserts the chunked decoder never panics on
-// arbitrary bytes and that whatever decodes is safe to verify and walk.
+// FuzzDecode holds Decode to its contract on arbitrary bytes, seeded
+// with every golden artifact (all four formats) and its first half.
+// FuzzDecodeChunked, FuzzDecodeAny and FuzzDecodeWPP2 hold Decode to the
+// same contract from their own seed corpora; checkDecode is the contract.
+func FuzzDecode(f *testing.F) {
+	for _, s := range goldenSeeds(f) {
+		f.Add(s)
+		f.Add(s[:len(s)/2])
+	}
+	for _, s := range []string{"WPP1", "WPP2", "WPC1", "WPC2", "WPP9", ""} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(checkDecode)
+}
+
+// FuzzDecodeChunked seeds the Decode contract with a small chunked
+// artifact, its bare magic, the empty file and a truncation, plus the
+// committed crasher in testdata/fuzz/FuzzDecodeChunked.
 func FuzzDecodeChunked(f *testing.F) {
 	b := NewChunkedBuilder([]string{"f"}, nil, 16)
 	for i := 0; i < 200; i++ {
 		b.Add(trace.MakeEvent(0, uint64(i%5)))
 	}
-	c := b.Finish(200)
 	var buf bytes.Buffer
-	if _, err := c.Encode(&buf); err != nil {
+	if _, err := b.Finish(200).Encode(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte("WPC1"))
 	f.Add([]byte{})
 	f.Add(buf.Bytes()[:buf.Len()/2]) // truncated
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := DecodeChunked(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := c.Verify(); err != nil {
-			return
-		}
-		n := 0
-		var walked []trace.Event
-		c.Walk(func(e trace.Event) bool {
-			walked = append(walked, e)
-			n++
-			return n < 100000
-		})
-		// Recompressing whatever the artifact expands to must yield a
-		// grammar that satisfies the live invariants (decoded terminals can
-		// exceed MaxTerminal, so checkLiveGrammar clamps them).
-		checkLiveGrammar(t, walked)
-	})
+	f.Fuzz(checkDecode)
 }
 
-// FuzzDecodeAny asserts the codec-registry sniffer never panics on
-// arbitrary bytes and that whichever format decoder it dispatches to
-// yields an artifact that is safe to verify and walk. Seeds cover both
-// registered formats, bare magics, the empty file, and truncations.
+// FuzzDecodeAny seeds the Decode contract with a monolithic and a
+// chunked v1 artifact, bare and unknown magics, the empty file, and
+// truncations of both containers.
 func FuzzDecodeAny(f *testing.F) {
 	mb := NewMonoBuilder([]string{"f"}, nil)
 	cb := NewChunkedBuilder([]string{"f"}, nil, 16)
@@ -163,58 +157,78 @@ func FuzzDecodeAny(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(mono.Bytes()[:mono.Len()/2])       // truncated monolithic
 	f.Add(chunked.Bytes()[:chunked.Len()/2]) // truncated chunked
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := DecodeArtifact(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := a.Verify(); err != nil {
-			return
-		}
-		n := 0
-		var walked []trace.Event
-		a.Walk(func(e trace.Event) bool {
-			walked = append(walked, e)
-			n++
-			return n < 100000
-		})
-		checkLiveGrammar(t, walked)
-	})
+	f.Fuzz(checkDecode)
 }
 
-// FuzzDecode asserts the .wpp decoder never panics on arbitrary bytes,
-// and that valid artifacts survive a decode/verify round trip.
-func FuzzDecode(f *testing.F) {
-	// Seed with a real artifact.
-	b := NewMonoBuilder([]string{"f"}, nil)
-	for i := 0; i < 200; i++ {
-		b.Add(trace.MakeEvent(0, uint64(i%5)))
+// FuzzDecodeWPP2 seeds the Decode contract with v2 builds of the test
+// streams in both containers and their halves, the golden corpus, and
+// the bare v2 magics.
+func FuzzDecodeWPP2(f *testing.F) {
+	for _, events := range testStreams() {
+		w := buildMonoFor(events)
+		w.Version = FormatV2
+		c := buildChunkedFor(events, 64)
+		c.Version = FormatV2
+		for _, a := range []Artifact{w, c} {
+			var buf bytes.Buffer
+			if _, err := a.Encode(&buf); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+			f.Add(buf.Bytes()[:buf.Len()/2]) // truncated
+		}
 	}
-	w := b.Finish(200)
-	var buf bytes.Buffer
-	if _, err := w.Encode(&buf); err != nil {
-		f.Fatal(err)
+	for _, s := range goldenSeeds(f) {
+		f.Add(s)
 	}
-	f.Add(buf.Bytes())
-	f.Add([]byte("WPP1"))
+	f.Add([]byte("WPP2"))
+	f.Add([]byte("WPC2"))
 	f.Add([]byte{})
-	f.Add(buf.Bytes()[:buf.Len()/2]) // truncated
+	f.Fuzz(checkDecode)
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		w, err := Decode(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Whatever decodes must be safe to verify and walk (Verify
-		// rejects cyclic grammars before Walk could loop forever).
-		if err := w.Verify(); err != nil {
-			return
-		}
-		n := 0
-		w.Walk(func(trace.Event) bool {
-			n++
-			return n < 100000
-		})
+// checkDecode is Decode's contract on arbitrary bytes:
+//   - it never panics or loops;
+//   - whatever decodes and verifies walks safely, and recompressing its
+//     expansion gives a grammar that satisfies the live invariants;
+//   - it re-encodes, and decoding the re-encoding is a fixed point;
+//   - truncating that exact encoding makes Decode fail.
+func checkDecode(t *testing.T, data []byte) {
+	a, err := Decode(data)
+	if err != nil {
+		return
+	}
+	// Verify rejects cyclic grammars before Walk could loop forever.
+	if err := a.Verify(); err != nil {
+		return
+	}
+	var walked []trace.Event
+	a.Walk(func(e trace.Event) bool {
+		walked = append(walked, e)
+		return len(walked) < 100000
 	})
+	// Decoded terminals can exceed MaxTerminal; checkLiveGrammar
+	// clamps them.
+	checkLiveGrammar(t, walked)
+
+	var enc bytes.Buffer
+	if _, err := a.Encode(&enc); err != nil {
+		t.Fatalf("verified artifact fails to re-encode: %v", err)
+	}
+	b, err := Decode(enc.Bytes())
+	if err != nil {
+		t.Fatalf("re-encoded artifact fails to decode: %v", err)
+	}
+	var enc2 bytes.Buffer
+	if _, err := b.Encode(&enc2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc.Bytes(), enc2.Bytes()) {
+		t.Fatal("re-encoding is not a fixed point")
+	}
+	for _, cut := range []int{enc.Len() - 1, enc.Len() / 2} {
+		if _, err := Decode(enc.Bytes()[:cut]); err == nil {
+			t.Fatalf("truncation to %d of %d bytes decoded", cut, enc.Len())
+		}
+	}
 }

@@ -2,83 +2,72 @@ package wpp
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestEncodePartsReassembles pins the property the content-addressed
-// store relies on: header || chunk bytes... is exactly the Encode
-// stream, for both format versions and a spread of chunk geometries.
-func TestEncodePartsReassembles(t *testing.T) {
+// joinParts concatenates a view's header and chunk parts.
+func joinParts(t *testing.T, v *ArtifactView) []byte {
+	t.Helper()
+	header, chunks, err := v.Parts()
+	if err != nil {
+		t.Fatalf("Parts: %v", err)
+	}
+	if len(chunks) != v.NumChunks() {
+		t.Fatalf("%d parts for %d chunks", len(chunks), v.NumChunks())
+	}
+	return bytes.Join(append([][]byte{header}, chunks...), nil)
+}
+
+// TestViewPartsReassemble pins the property the content-addressed store
+// relies on: the header and chunk parts a view splits from an encoding
+// join back into it, for both format versions and a spread of chunk
+// geometries.
+func TestViewPartsReassemble(t *testing.T) {
 	for name, events := range testStreams() {
-		if len(events) == 0 {
-			continue
-		}
 		for _, cs := range []uint64{1, 64, 1 << 20} {
 			for _, version := range []uint8{FormatV1, FormatV2} {
 				c := buildChunkedFor(events, cs)
 				c.Version = version
-				var want bytes.Buffer
-				if _, err := c.Encode(&want); err != nil {
+				var enc bytes.Buffer
+				if _, err := c.Encode(&enc); err != nil {
 					t.Fatalf("%s cs=%d v%d: %v", name, cs, version, err)
 				}
-				header, chunks, err := c.EncodeParts()
+				v, err := NewView(enc.Bytes(), nil)
 				if err != nil {
-					t.Fatalf("%s cs=%d v%d: EncodeParts: %v", name, cs, version, err)
+					t.Fatalf("%s cs=%d v%d: %v", name, cs, version, err)
 				}
-				if len(chunks) != len(c.Chunks) {
-					t.Fatalf("%s cs=%d v%d: %d parts for %d chunks", name, cs, version, len(chunks), len(c.Chunks))
-				}
-				got := append([]byte(nil), header...)
-				for _, ch := range chunks {
-					got = append(got, ch...)
-				}
-				if !bytes.Equal(got, want.Bytes()) {
-					t.Fatalf("%s cs=%d v%d: EncodeParts concatenation diverges from Encode (%d vs %d bytes)",
-						name, cs, version, len(got), want.Len())
+				if got := joinParts(t, v); !bytes.Equal(got, enc.Bytes()) {
+					t.Fatalf("%s cs=%d v%d: parts join to %d bytes, encoding is %d",
+						name, cs, version, len(got), enc.Len())
 				}
 			}
 		}
 	}
+	mono, err := NewView(encodeMonoBytes(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := mono.Parts(); err == nil {
+		t.Fatal("a monolithic view split into parts")
+	}
 }
 
-// TestEncodePartsGoldenCorpus reassembles every committed chunked golden
-// artifact from its parts: decode, split, concatenate, byte-compare.
-func TestEncodePartsGoldenCorpus(t *testing.T) {
-	dir := filepath.Join("..", "experiments", "testdata", "golden")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("reading golden corpus: %v", err)
-	}
+// TestViewPartsGoldenCorpus splits every committed chunked golden
+// artifact and joins the parts back into the committed bytes.
+func TestViewPartsGoldenCorpus(t *testing.T) {
 	n := 0
-	for _, ent := range entries {
-		if !strings.HasSuffix(ent.Name(), ".wpc1") && !strings.HasSuffix(ent.Name(), ".wpc2") {
+	for name, data := range goldenArtifacts(t) {
+		if !strings.Contains(name, ".wpc") {
 			continue
 		}
 		n++
-		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		v, err := NewView(data, nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		_, c, err := DecodeAny(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: %v", ent.Name(), err)
-		}
-		if c == nil {
-			t.Fatalf("%s: expected a chunked artifact", ent.Name())
-		}
-		header, chunks, err := c.EncodeParts()
-		if err != nil {
-			t.Fatalf("%s: EncodeParts: %v", ent.Name(), err)
-		}
-		got := append([]byte(nil), header...)
-		for _, ch := range chunks {
-			got = append(got, ch...)
-		}
-		if !bytes.Equal(got, data) {
-			t.Errorf("%s: parts do not reassemble the committed bytes (%d vs %d)", ent.Name(), len(got), len(data))
+		if got := joinParts(t, v); !bytes.Equal(got, data) {
+			t.Errorf("%s: parts do not reassemble the committed bytes (%d vs %d)", name, len(got), len(data))
 		}
 	}
 	if n == 0 {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,18 +15,18 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/sequitur"
 	"repro/internal/trace"
-	"repro/internal/wpp/codec"
 )
 
 // ArtifactView is a lazy, read-only view of an encoded artifact in any
-// of the four registered formats. Opening a view parses only the header
-// — magic, function table, counters, cost table — without building
-// sequitur grammars, copying symbol arrays, or even walking the chunk
-// region. Chunk byte regions are delimited by a one-time framing scan
-// on first materialization, and chunk grammars materialize on demand
-// via Chunk, each decode fully bounds-checked against the same caps as
-// the eager decoders, so a corrupt artifact yields a typed error at
-// materialization rather than silent garbage.
+// of the four formats (WPP1, WPP2, WPC1, WPC2). It is the package's only
+// artifact parser: Decode is NewView followed by Materialize. Opening a
+// view parses only the header — magic, function table, counters, cost
+// table — without building sequitur grammars, copying symbol arrays, or
+// even walking the chunk region. Chunk byte regions are delimited by a
+// one-time framing scan on first materialization, and chunk grammars
+// materialize on demand via Chunk, each decode fully bounds-checked, so
+// a corrupt artifact yields a typed error at materialization rather
+// than silent garbage.
 //
 // A view over an in-memory buffer (NewView, OpenViewFile) holds the
 // buffer for its whole lifetime; a view assembled from store parts
@@ -52,15 +54,15 @@ type ArtifactView struct {
 	costs map[trace.Event]uint64
 
 	// nchunks is the chunk count declared by the header (1 for the
-	// monolithic formats). loads holds one loader per chunk; for
-	// byte-backed views it is built lazily by chunkIndex from raw, the
-	// encoded artifact starting with the header and hdrEnd, the offset
-	// of the first chunk grammar. Parts-backed views set loads at
-	// construction and leave raw nil.
+	// monolithic formats). A byte-backed view holds raw, the encoded
+	// artifact, and hdrEnd, the offset of the first chunk grammar; segs,
+	// each chunk's byte region, is delimited from raw on first use. A
+	// parts-backed view leaves raw nil and holds one loader per chunk.
 	nchunks   int
-	loads     []ChunkLoad
 	raw       []byte
 	hdrEnd    int
+	segs      [][]byte
+	loads     []ChunkLoad
 	indexOnce sync.Once
 	indexErr  error
 
@@ -173,9 +175,9 @@ func (r *byteReader) take(n int, what string) ([]byte, error) {
 	return b, nil
 }
 
-// parseFuncTable mirrors the eager decoders' function-table parse,
-// including its plausibility caps. Names are copied out of the buffer
-// (string conversion), so the table never retains mapped bytes.
+// parseFuncTable reads the function table, capping its sizes. Names are
+// copied out of the buffer (string conversion), so the table never
+// retains mapped bytes.
 func parseFuncTable(r *byteReader) ([]FuncInfo, error) {
 	numFuncs, err := r.uvarint("function count")
 	if err != nil {
@@ -205,8 +207,8 @@ func parseFuncTable(r *byteReader) ([]FuncInfo, error) {
 	return funcs, nil
 }
 
-// parseCostTableV1 reads a v1 cost table (absolute events, any order —
-// the eager decoder accepts unsorted tables, so the view must too).
+// parseCostTableV1 reads a v1 cost table: absolute events, in any
+// order.
 func parseCostTableV1(r *byteReader) (map[trace.Event]uint64, error) {
 	numCosts, err := r.uvarint("cost count")
 	if err != nil {
@@ -234,8 +236,8 @@ func parseCostTableV1(r *byteReader) (map[trace.Event]uint64, error) {
 }
 
 // parseCostTableV2 reads a v2 delta-encoded cost table, returning the
-// reconstructed dictionary and cost map. The strict-ascent and overflow
-// rejections match the eager v2 decoder.
+// reconstructed dictionary and cost map. Deltas that break strict
+// ascent are rejected: they would make dictionary ranks ambiguous.
 func parseCostTableV2(r *byteReader) ([]trace.Event, map[trace.Event]uint64, error) {
 	numCosts, err := r.uvarint("cost count")
 	if err != nil {
@@ -277,6 +279,35 @@ func parseCostTableV2(r *byteReader) ([]trace.Event, map[trace.Event]uint64, err
 	return dict, costs, nil
 }
 
+// formats lists the four artifact encodings by magic, in the order an
+// unknown-magic error names them.
+var formats = []struct {
+	magic   [4]byte
+	name    string
+	version uint8
+	chunked bool
+}{
+	{wppMagic, "monolithic WPP", FormatV1, false},
+	{wpp2Magic, "monolithic WPP v2", FormatV2, false},
+	{chunkedMagic, "chunked WPP", FormatV1, true},
+	{chunked2Magic, "chunked WPP v2", FormatV2, true},
+}
+
+// lookupFormat names the encoding a magic opens; an unknown magic is an
+// error listing the ones this build reads.
+func lookupFormat(m [4]byte) (name string, version uint8, chunked bool, err error) {
+	for _, f := range formats {
+		if f.magic == m {
+			return f.name, f.version, f.chunked, nil
+		}
+	}
+	known := make([]string, len(formats))
+	for i, f := range formats {
+		known[i] = fmt.Sprintf("%q %s", f.magic[:], f.name)
+	}
+	return "", 0, false, fmt.Errorf("wpp: bad magic %q (known formats: %s)", m[:], strings.Join(known, ", "))
+}
+
 // parseHeader decodes everything before the chunk grammars and returns
 // the number of chunks that follow (1 for the monolithic formats, whose
 // single grammar is modeled as one chunk).
@@ -285,24 +316,8 @@ func (v *ArtifactView) parseHeader(r *byteReader) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var m [4]byte
-	copy(m[:], mb)
-	switch m {
-	case wppMagic:
-		v.version = FormatV1
-	case wpp2Magic:
-		v.version = FormatV2
-	case chunkedMagic:
-		v.version, v.chunked = FormatV1, true
-	case chunked2Magic:
-		v.version, v.chunked = FormatV2, true
-	default:
-		return 0, fmt.Errorf("wpp: bad magic %q", mb)
-	}
-	if f, ok := codec.Lookup(m); ok {
-		v.format = f.Name
-	} else {
-		v.format = string(m[:])
+	if v.format, v.version, v.chunked, err = lookupFormat([4]byte(mb)); err != nil {
+		return 0, err
 	}
 	if v.funcs, err = parseFuncTable(r); err != nil {
 		return 0, err
@@ -351,104 +366,6 @@ func (v *ArtifactView) parseHeader(r *byteReader) (int, error) {
 	return int(numChunks), nil
 }
 
-var sqgMagic = [4]byte{'S', 'Q', 'G', '1'}
-
-// maxViewRules mirrors the eager snapshot decoder's rule/RHS cap.
-const maxViewRules = 1 << 31
-
-// scanSnapshot advances r over one encoded sequitur snapshot without
-// building it. The framing and plausibility caps match sequitur.Decode;
-// rule-reference range checks are deferred to materialization, where
-// the full decode enforces them.
-func scanSnapshot(r *byteReader) error {
-	mb, err := r.take(4, "snapshot magic")
-	if err != nil {
-		return fmt.Errorf("sequitur: reading magic: %w", io.ErrUnexpectedEOF)
-	}
-	var m [4]byte
-	copy(m[:], mb)
-	if m != sqgMagic {
-		return fmt.Errorf("sequitur: bad magic %q", mb)
-	}
-	numRules, err := r.uvarint("rule count")
-	if err != nil {
-		return fmt.Errorf("sequitur: reading rule count: %w", io.ErrUnexpectedEOF)
-	}
-	if numRules > maxViewRules {
-		return fmt.Errorf("sequitur: implausible rule count %d", numRules)
-	}
-	for i := uint64(0); i < numRules; i++ {
-		rhsLen, err := r.uvarint("rule length")
-		if err != nil {
-			return fmt.Errorf("sequitur: rule %d: reading length: %w", i, io.ErrUnexpectedEOF)
-		}
-		if rhsLen > maxViewRules {
-			return fmt.Errorf("sequitur: rule %d: implausible length %d", i, rhsLen)
-		}
-		for j := uint64(0); j < rhsLen; j++ {
-			if _, err := r.uvarint("symbol"); err != nil {
-				return fmt.Errorf("sequitur: rule %d sym %d: %w", i, j, io.ErrUnexpectedEOF)
-			}
-		}
-	}
-	return nil
-}
-
-// decodeSnapshot builds a snapshot from one chunk's exact byte region.
-// It mirrors sequitur.Decode — same caps, same rule-reference range
-// check — plus an exact-consumption check, since a view knows each
-// chunk's boundary where the streaming decoder does not.
-func decodeSnapshot(data []byte) (*sequitur.Snapshot, error) {
-	r := &byteReader{data: data}
-	mb, err := r.take(4, "snapshot magic")
-	if err != nil {
-		return nil, fmt.Errorf("sequitur: reading magic: %w", io.ErrUnexpectedEOF)
-	}
-	var m [4]byte
-	copy(m[:], mb)
-	if m != sqgMagic {
-		return nil, fmt.Errorf("sequitur: bad magic %q", mb)
-	}
-	numRules, err := r.uvarint("rule count")
-	if err != nil {
-		return nil, fmt.Errorf("sequitur: reading rule count: %w", io.ErrUnexpectedEOF)
-	}
-	if numRules > maxViewRules {
-		return nil, fmt.Errorf("sequitur: implausible rule count %d", numRules)
-	}
-	sn := &sequitur.Snapshot{Rules: make([][]sequitur.Sym, 0, min(numRules, 1<<16))}
-	for i := uint64(0); i < numRules; i++ {
-		rhsLen, err := r.uvarint("rule length")
-		if err != nil {
-			return nil, fmt.Errorf("sequitur: rule %d: reading length: %w", i, io.ErrUnexpectedEOF)
-		}
-		if rhsLen > maxViewRules {
-			return nil, fmt.Errorf("sequitur: rule %d: implausible length %d", i, rhsLen)
-		}
-		rhs := make([]sequitur.Sym, 0, min(rhsLen, 1<<16))
-		for j := uint64(0); j < rhsLen; j++ {
-			s, err := r.uvarint("symbol")
-			if err != nil {
-				return nil, fmt.Errorf("sequitur: rule %d sym %d: %w", i, j, io.ErrUnexpectedEOF)
-			}
-			if s&1 == 1 {
-				ri := s >> 1
-				if ri >= numRules {
-					return nil, fmt.Errorf("sequitur: rule %d sym %d: rule reference %d out of range", i, j, ri)
-				}
-				rhs = append(rhs, sequitur.Sym{Rule: int32(ri)})
-			} else {
-				rhs = append(rhs, sequitur.Sym{Rule: -1, Value: s >> 1})
-			}
-		}
-		sn.Rules = append(sn.Rules, rhs)
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("sequitur: %d trailing bytes after snapshot", len(data)-r.off)
-	}
-	return sn, nil
-}
-
 // NewView indexes an encoded artifact held in memory. Only the header
 // is parsed here; the chunk region is delimited lazily, so an open
 // followed by header queries never touches the trace bytes at all. The
@@ -461,17 +378,18 @@ func NewView(data []byte, opts *ViewOptions) (*ArtifactView, error) {
 		o = *opts
 	}
 	v := &ArtifactView{met: o.Metrics.orNoop(), closer: o.Closer, opened: time.Now()}
-	fail := func(err error) (*ArtifactView, error) {
+	start := time.Now()
+	r := &byteReader{data: data}
+	var numChunks int
+	err := noFault(func() (err error) {
+		numChunks, err = v.parseHeader(r)
+		return err
+	})
+	if err != nil {
 		if v.closer != nil {
 			v.closer.Close()
 		}
 		return nil, err
-	}
-	start := time.Now()
-	r := &byteReader{data: data}
-	numChunks, err := v.parseHeader(r)
-	if err != nil {
-		return fail(err)
 	}
 	v.nchunks = numChunks
 	v.raw = data
@@ -483,40 +401,87 @@ func NewView(data []byte, opts *ViewOptions) (*ArtifactView, error) {
 	return v, nil
 }
 
-// chunkIndex returns the per-chunk loaders. For byte-backed views the
-// chunk boundaries are delimited here by a framing scan that runs
-// exactly once, on first use — keeping the open path O(header); framing
-// corruption discovered by the scan surfaces as a *ViewError naming the
-// offending chunk on this and every later access. Parts-backed views
-// were indexed at construction and return immediately.
-func (v *ArtifactView) chunkIndex() ([]ChunkLoad, error) {
-	v.indexOnce.Do(func() {
-		if v.raw == nil {
-			return
+// Decode fully decodes an encoded artifact in any of the four formats:
+// it is NewView followed by Materialize, so the result re-encodes to
+// the bytes that were read, up to the end of the last grammar.
+func Decode(data []byte) (Artifact, error) {
+	v, err := NewView(data, nil)
+	if err != nil {
+		return nil, err
+	}
+	return v.Materialize()
+}
+
+// noFault runs fn with memory faults turned into panics
+// (debug.SetPanicOnFault) and recovers such a panic as an error, so a
+// mapped file truncated under a view fails the read instead of killing
+// the process with SIGBUS. The setting is per goroutine, so every path
+// that reads artifact bytes — the header parse, the framing scan, and
+// each chunk decode, including those on eachChunk's workers — runs
+// under its own call.
+func noFault(fn func() error) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			fault, ok := r.(interface{ Addr() uintptr })
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("wpp: memory fault at %#x reading the artifact (file truncated while mapped?)", fault.Addr())
 		}
-		r := &byteReader{data: v.raw, off: v.hdrEnd}
-		loads := make([]ChunkLoad, 0, min(v.nchunks, 1<<16))
+	}()
+	return fn()
+}
+
+// segments returns a byte-backed view's chunk regions, delimited by a
+// framing scan that runs exactly once, on first use — keeping the open
+// path O(header). Framing corruption discovered by the scan surfaces as
+// a *ViewError naming the offending chunk on this and every later
+// access.
+func (v *ArtifactView) segments() ([][]byte, error) {
+	v.indexOnce.Do(func() {
+		segs := make([][]byte, 0, min(v.nchunks, 1<<16))
+		off := v.hdrEnd
 		for i := 0; i < v.nchunks; i++ {
-			segStart := r.off
-			if err := scanSnapshot(r); err != nil {
+			var n int
+			err := noFault(func() (err error) {
+				n, err = sequitur.Scan(v.raw[off:])
+				return err
+			})
+			if err != nil {
 				v.indexErr = &ViewError{Chunk: i, Err: err}
 				return
 			}
-			seg := v.raw[segStart:r.off]
-			loads = append(loads, func() ([]byte, func(), error) { return seg, nil, nil })
+			segs = append(segs, v.raw[off:off+n])
+			off += n
 		}
-		// Trailing bytes after the last chunk are tolerated, as with the
-		// eager streaming decoders; the artifact ends where its grammar
-		// does.
-		v.loads = loads
-		v.met.BytesIndexed.Add(uint64(r.off - v.hdrEnd))
+		// Bytes after the last chunk are tolerated: the artifact ends
+		// where its grammar does.
+		v.segs = segs
+		v.met.BytesIndexed.Add(uint64(off - v.hdrEnd))
 	})
-	return v.loads, v.indexErr
+	return v.segs, v.indexErr
+}
+
+// Parts splits a byte-backed chunked view into its header (everything
+// before the first chunk grammar) and one byte slice per chunk grammar,
+// all subslices of the viewed bytes. A content-addressed store hashes
+// the parts individually and reopens them with NewViewParts; their
+// concatenation is the artifact up to the end of its last chunk.
+func (v *ArtifactView) Parts() (header []byte, chunks [][]byte, err error) {
+	if !v.chunked || v.raw == nil {
+		return nil, nil, fmt.Errorf("wpp: only a chunked view over whole artifact bytes splits into parts")
+	}
+	segs, err := v.segments()
+	if err != nil {
+		return nil, nil, err
+	}
+	return v.raw[:v.hdrEnd], segs, nil
 }
 
 // NewViewParts assembles a view from a chunked artifact stored as
 // separate parts: the header bytes (everything before the first chunk
-// grammar, as split by EncodeParts) plus one ChunkLoad per chunk.
+// grammar, as split by Parts) plus one ChunkLoad per chunk.
 // totalSize is the whole artifact's encoded size. The header must
 // declare exactly len(chunks) chunks and be fully consumed by the
 // parse. Chunk bytes are loaded — and verified, if the loader verifies
@@ -576,8 +541,8 @@ func OpenViewFile(path string, opts *ViewOptions) (*ArtifactView, error) {
 	return NewView(d.Bytes(), &o)
 }
 
-// Format is the registered display name of the format that was indexed
-// (e.g. "chunked WPP v2").
+// Format is the display name of the format that was indexed (e.g.
+// "chunked WPP v2").
 func (v *ArtifactView) Format() string { return v.format }
 
 // Chunked reports whether the artifact is a chunked container. A
@@ -647,21 +612,30 @@ func (v *ArtifactView) Chunk(i int) (*sequitur.Snapshot, error) {
 	if i < 0 || i >= v.nchunks {
 		return nil, &ViewError{Chunk: i, Err: fmt.Errorf("wpp: chunk index out of range (%d chunks)", v.nchunks)}
 	}
-	loads, err := v.chunkIndex()
-	if err != nil {
-		return nil, err
+	var data []byte
+	var release func()
+	if v.raw != nil {
+		segs, err := v.segments()
+		if err != nil {
+			return nil, err
+		}
+		data = segs[i]
 	}
-	data, release, err := loads[i]()
-	if err != nil {
-		return nil, &ViewError{Chunk: i, Err: err}
-	}
-	sn, derr := decodeSnapshot(data)
-	n := len(data)
+	var sn *sequitur.Snapshot
+	err := noFault(func() (err error) {
+		if v.raw == nil {
+			if data, release, err = v.loads[i](); err != nil {
+				return err
+			}
+		}
+		sn, err = sequitur.Decode(data)
+		return err
+	})
 	if release != nil {
 		release()
 	}
-	if derr != nil {
-		return nil, &ViewError{Chunk: i, Err: derr}
+	if err != nil {
+		return nil, &ViewError{Chunk: i, Err: err}
 	}
 	if v.dict != nil {
 		if err := unrankSnapshot(sn, v.dict); err != nil {
@@ -669,7 +643,7 @@ func (v *ArtifactView) Chunk(i int) (*sequitur.Snapshot, error) {
 		}
 	}
 	v.met.ChunksMaterialized.Inc()
-	v.met.MaterializedBytes.Add(uint64(n))
+	v.met.MaterializedBytes.Add(uint64(len(data)))
 	v.firstOnce.Do(func() { v.met.FirstResultSeconds.Observe(time.Since(v.opened)) })
 	return sn, nil
 }
@@ -890,9 +864,8 @@ func (v *ArtifactView) copyCosts() map[trace.Event]uint64 {
 	return costs
 }
 
-// WPP materializes the whole monolithic artifact. The result is
-// identical to eagerly decoding the original bytes — it re-encodes
-// byte-for-byte.
+// WPP materializes the whole monolithic artifact. The result
+// re-encodes to the original bytes, up to the end of its last grammar.
 func (v *ArtifactView) WPP() (*WPP, error) {
 	if v.chunked {
 		return nil, fmt.Errorf("wpp: view is a %s; use ChunkedWPP", v.format)
@@ -911,9 +884,8 @@ func (v *ArtifactView) WPP() (*WPP, error) {
 	}, nil
 }
 
-// ChunkedWPP materializes the whole chunked artifact. The result is
-// identical to eagerly decoding the original bytes — it re-encodes
-// byte-for-byte.
+// ChunkedWPP materializes the whole chunked artifact. The result
+// re-encodes to the original bytes, up to the end of its last grammar.
 func (v *ArtifactView) ChunkedWPP() (*ChunkedWPP, error) {
 	if !v.chunked {
 		return nil, fmt.Errorf("wpp: view is a %s; use WPP", v.format)

@@ -1,10 +1,10 @@
 package wpp
 
-// The view parity suite pins the PR's central claim: a lazy
-// ArtifactView answers every question identically to the eager decoder
-// on the same bytes, for all four registered formats, and corruption
-// surfaces as typed errors at open or materialization — never as silent
-// garbage.
+// The view parity suite holds ArtifactView, the package's only artifact
+// parser, to refDecode, an independent streaming reference: the view
+// answers every question identically on the same bytes, for all four
+// formats, and corruption surfaces as typed errors at open or
+// materialization — never as silent garbage.
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -41,23 +42,30 @@ func goldenArtifacts(t *testing.T) map[string][]byte {
 	return out
 }
 
-// collectWalk gathers a bounded prefix of an eager artifact's trace.
+// collectWalk gathers a bounded prefix of a decoded artifact's trace.
 func collectWalk(a Artifact) []trace.Event {
 	var events []trace.Event
 	a.Walk(func(e trace.Event) bool { events = append(events, e); return true })
 	return events
 }
 
-// TestViewGoldenParity opens every golden artifact both ways and
-// demands full agreement: header fields, verification, the expanded
-// trace, per-chunk grammars, summary statistics, and a byte-identical
-// re-encoding through Materialize.
+// goldenFormats maps each golden file extension to the format name the
+// view reports for it.
+var goldenFormats = map[string]string{
+	".wpp1": "monolithic WPP", ".wpp2": "monolithic WPP v2",
+	".wpc1": "chunked WPP", ".wpc2": "chunked WPP v2",
+}
+
+// TestViewGoldenParity opens every golden artifact as a view and
+// decodes it with the reference, and demands full agreement: header
+// fields, verification, the expanded trace, per-chunk grammars, summary
+// statistics, and a byte-identical re-encoding through Materialize.
 func TestViewGoldenParity(t *testing.T) {
 	for name, data := range goldenArtifacts(t) {
 		t.Run(name, func(t *testing.T) {
-			a, format, err := DecodeArtifactNamed(bytes.NewReader(data))
+			a, err := refDecode(bytes.NewReader(data))
 			if err != nil {
-				t.Fatalf("eager decode: %v", err)
+				t.Fatalf("reference decode: %v", err)
 			}
 			v, err := NewView(data, nil)
 			if err != nil {
@@ -65,23 +73,23 @@ func TestViewGoldenParity(t *testing.T) {
 			}
 			defer v.Close()
 
-			if v.Format() != format {
-				t.Errorf("Format = %q, eager %q", v.Format(), format)
+			if want := goldenFormats[filepath.Ext(name)]; v.Format() != want {
+				t.Errorf("Format = %q, want %q", v.Format(), want)
 			}
 			if v.NumEvents() != a.NumEvents() {
-				t.Errorf("NumEvents = %d, eager %d", v.NumEvents(), a.NumEvents())
+				t.Errorf("NumEvents = %d, reference %d", v.NumEvents(), a.NumEvents())
 			}
 			if v.TotalInstructions() != a.TotalInstructions() {
-				t.Errorf("TotalInstructions = %d, eager %d", v.TotalInstructions(), a.TotalInstructions())
+				t.Errorf("TotalInstructions = %d, reference %d", v.TotalInstructions(), a.TotalInstructions())
 			}
 			if v.DistinctPaths() != a.DistinctPaths() {
-				t.Errorf("DistinctPaths = %d, eager %d", v.DistinctPaths(), a.DistinctPaths())
+				t.Errorf("DistinctPaths = %d, reference %d", v.DistinctPaths(), a.DistinctPaths())
 			}
 			if v.Size() != int64(len(data)) {
 				t.Errorf("Size = %d, file is %d bytes", v.Size(), len(data))
 			}
 			if err := a.Verify(); err != nil {
-				t.Fatalf("eager verify: %v", err)
+				t.Fatalf("reference verify: %v", err)
 			}
 			if err := v.Verify(0); err != nil {
 				t.Fatalf("view verify: %v", err)
@@ -95,8 +103,8 @@ func TestViewGoldenParity(t *testing.T) {
 			if err := v.Walk(func(e trace.Event) bool { viewEvents = append(viewEvents, e); return true }); err != nil {
 				t.Fatalf("view walk: %v", err)
 			}
-			if eager := collectWalk(a); !reflect.DeepEqual(viewEvents, eager) {
-				t.Fatalf("walk diverges: view %d events, eager %d", len(viewEvents), len(eager))
+			if ref := collectWalk(a); !reflect.DeepEqual(viewEvents, ref) {
+				t.Fatalf("walk diverges: view %d events, reference %d", len(viewEvents), len(ref))
 			}
 			for _, e := range viewEvents {
 				if v.PathCost(e) == 0 {
@@ -112,7 +120,7 @@ func TestViewGoldenParity(t *testing.T) {
 				st := w.Stats()
 				if sum.Rules != st.Rules || sum.RHSSymbols != st.RHSSymbols ||
 					sum.GrammarBytes != st.GrammarBytes || sum.RawTraceBytes != st.RawTraceBytes {
-					t.Errorf("Summarize = %+v, eager stats %+v", *sum, st)
+					t.Errorf("Summarize = %+v, reference stats %+v", *sum, st)
 				}
 				if !reflect.DeepEqual(v.FuncTable(), w.Funcs) {
 					t.Error("function tables diverge")
@@ -122,7 +130,7 @@ func TestViewGoldenParity(t *testing.T) {
 					t.Fatalf("Chunk(0): %v", err)
 				}
 				if !reflect.DeepEqual(sn, w.Grammar) {
-					t.Error("materialized grammar diverges from eager decode")
+					t.Error("materialized grammar diverges from the reference decode")
 				}
 			case *ChunkedWPP:
 				if !v.Chunked() {
@@ -130,16 +138,16 @@ func TestViewGoldenParity(t *testing.T) {
 				}
 				st := w.Stats()
 				if sum.Rules != st.Rules || sum.RHSSymbols != st.RHSSymbols || sum.GrammarBytes != st.GrammarBytes {
-					t.Errorf("Summarize = %+v, eager stats %+v", *sum, st)
+					t.Errorf("Summarize = %+v, reference stats %+v", *sum, st)
 				}
 				if sum.RawTraceBytes != w.RawTraceBytes() {
-					t.Errorf("RawTraceBytes = %d, eager %d", sum.RawTraceBytes, w.RawTraceBytes())
+					t.Errorf("RawTraceBytes = %d, reference %d", sum.RawTraceBytes, w.RawTraceBytes())
 				}
 				if !reflect.DeepEqual(v.FuncTable(), w.Funcs) {
 					t.Error("function tables diverge")
 				}
 				if v.NumChunks() != len(w.Chunks) {
-					t.Fatalf("NumChunks = %d, eager %d", v.NumChunks(), len(w.Chunks))
+					t.Fatalf("NumChunks = %d, reference %d", v.NumChunks(), len(w.Chunks))
 				}
 				if v.ChunkSize() != w.ChunkSize || v.PeakLiveRHS() != w.PeakLiveRHS {
 					t.Errorf("chunk geometry diverges: size %d/%d peak %d/%d",
@@ -151,7 +159,7 @@ func TestViewGoldenParity(t *testing.T) {
 						t.Fatalf("Chunk(%d): %v", i, err)
 					}
 					if !reflect.DeepEqual(sn, w.Chunks[i]) {
-						t.Errorf("chunk %d grammar diverges from eager decode", i)
+						t.Errorf("chunk %d grammar diverges from the reference decode", i)
 					}
 				}
 			}
@@ -207,7 +215,15 @@ func TestViewPartsCorruptChunk(t *testing.T) {
 	if c == nil {
 		t.Fatal("no multi-chunk test stream")
 	}
-	header, chunks, err := c.EncodeParts()
+	var enc bytes.Buffer
+	if _, err := c.Encode(&enc); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := NewView(enc.Bytes(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, chunks, err := whole.Parts()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +330,11 @@ func TestViewWrongKind(t *testing.T) {
 	}
 }
 
-// FuzzViewParity holds the two open paths to one contract on arbitrary
-// bytes: if the eager decoder accepts the input, the view must accept
-// it and agree on every observable; if the eager decoder rejects it,
-// the view must reject it at open or at materialization — it may defer
-// the error, but never swallow it.
+// FuzzViewParity holds the view to the streaming reference decoder on
+// arbitrary bytes: if the reference accepts the input, the view must
+// accept it, agree on every observable, and re-encode the same bytes;
+// if the reference rejects it, the view must reject it at open or at
+// materialization — it may defer the error, but never swallow it.
 func FuzzViewParity(f *testing.F) {
 	dir := filepath.Join("..", "experiments", "testdata", "golden")
 	entries, err := os.ReadDir(dir)
@@ -338,40 +354,68 @@ func FuzzViewParity(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		eager, eagerErr := DecodeArtifact(bytes.NewReader(data))
+		ref, refErr := refDecode(bytes.NewReader(data))
 		v, viewErr := NewView(data, nil)
-		if eagerErr != nil {
-			// Open may succeed (the scan is shallower than a decode),
-			// but then materializing everything must fail.
+		if refErr != nil {
+			// Open may succeed (it reads only the header), but then
+			// materializing everything must fail.
 			if viewErr == nil {
 				if _, err := v.Materialize(); err == nil {
-					t.Fatalf("eager decode failed (%v) but view materialized cleanly", eagerErr)
+					t.Fatalf("reference decode failed (%v) but view materialized cleanly", refErr)
 				}
 				v.Close()
 			}
 			return
 		}
 		if viewErr != nil {
-			t.Fatalf("eager decode succeeded but view open failed: %v", viewErr)
+			t.Fatalf("reference decode succeeded but view open failed: %v", viewErr)
 		}
 		defer v.Close()
-		if v.NumEvents() != eager.NumEvents() || v.TotalInstructions() != eager.TotalInstructions() ||
-			v.DistinctPaths() != eager.DistinctPaths() {
-			t.Fatal("view header disagrees with eager decode")
+		if v.NumEvents() != ref.NumEvents() || v.TotalInstructions() != ref.TotalInstructions() ||
+			v.DistinctPaths() != ref.DistinctPaths() {
+			t.Fatal("view header disagrees with reference decode")
 		}
 		m, err := v.Materialize()
 		if err != nil {
-			t.Fatalf("eager decode succeeded but Materialize failed: %v", err)
+			t.Fatalf("reference decode succeeded but Materialize failed: %v", err)
 		}
 		var a, b bytes.Buffer
-		if _, err := eager.Encode(&a); err != nil {
+		if _, err := ref.Encode(&a); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := m.Encode(&b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatal("materialized view re-encodes differently from eager decode")
+			t.Fatal("materialized view re-encodes differently from reference decode")
 		}
 	})
+}
+
+// TestViewFileTruncatedWhileMapped truncates a mapped artifact file
+// under an open view: the next read of its chunk bytes must fail with a
+// *ViewError instead of killing the process with SIGBUS.
+func TestViewFileTruncatedWhileMapped(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("views map files only on linux")
+	}
+	path := filepath.Join(t.TempDir(), "compress.wpc2")
+	if err := os.WriteFile(path, goldenArtifacts(t)["compress.wpc2"], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v, err := OpenViewFile(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	var ve *ViewError
+	if err := v.Walk(func(trace.Event) bool { return true }); !errors.As(err, &ve) {
+		t.Fatalf("Walk = %v, want *ViewError", err)
+	}
+	if err := v.Verify(2); !errors.As(err, &ve) {
+		t.Fatalf("Verify = %v, want *ViewError", err)
+	}
 }

@@ -459,88 +459,3 @@ func (w *WPP) EncodedSize() int64 {
 	}
 	return n + w.Grammar.EncodedSize()
 }
-
-// Decode reads a WPP written by Encode.
-func Decode(r io.Reader) (*WPP, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("wpp: reading magic: %w", err)
-	}
-	if m != wppMagic {
-		return nil, fmt.Errorf("wpp: bad magic %q", m[:])
-	}
-	return decodeBody(br)
-}
-
-// decodeBody reads everything after the magic.
-func decodeBody(br *bufio.Reader) (*WPP, error) {
-	get := func(what string) (uint64, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("wpp: reading %s: %w", what, err)
-		}
-		return v, nil
-	}
-	numFuncs, err := get("function count")
-	if err != nil {
-		return nil, err
-	}
-	if numFuncs > trace.MaxFuncs {
-		return nil, fmt.Errorf("wpp: implausible function count %d", numFuncs)
-	}
-	w := &WPP{Funcs: make([]FuncInfo, numFuncs), Version: FormatV1, costs: map[trace.Event]uint64{}}
-	for i := range w.Funcs {
-		nameLen, err := get("name length")
-		if err != nil {
-			return nil, err
-		}
-		if nameLen > 1<<16 {
-			return nil, fmt.Errorf("wpp: implausible name length %d", nameLen)
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, fmt.Errorf("wpp: reading name: %w", err)
-		}
-		w.Funcs[i].Name = string(name)
-		if w.Funcs[i].NumPaths, err = get("path count"); err != nil {
-			return nil, err
-		}
-	}
-	if w.Events, err = get("event count"); err != nil {
-		return nil, err
-	}
-	if w.Instructions, err = get("instruction count"); err != nil {
-		return nil, err
-	}
-	numCosts, err := get("cost count")
-	if err != nil {
-		return nil, err
-	}
-	if numCosts > 1<<32 {
-		return nil, fmt.Errorf("wpp: implausible cost count %d", numCosts)
-	}
-	for i := uint64(0); i < numCosts; i++ {
-		e, err := get("cost event")
-		if err != nil {
-			return nil, err
-		}
-		c, err := get("cost value")
-		if err != nil {
-			return nil, err
-		}
-		// Raw varints can carry function bits no numbering produces;
-		// refuse them rather than admit unanalyzable events.
-		if err := trace.CheckEvent(trace.Event(e)); err != nil {
-			return nil, fmt.Errorf("wpp: cost table: %w", err)
-		}
-		w.costs[trace.Event(e)] = c
-	}
-	// The grammar reads from the same stream; hand over the buffered
-	// remainder.
-	w.Grammar, err = sequitur.Decode(br)
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
-}

@@ -144,10 +144,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got := w.EncodedSize(); got != written {
 		t.Fatalf("EncodedSize = %d, Encode wrote %d", got, written)
 	}
-	back, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := decodeWPP(t, buf.Bytes())
 	if err := back.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +168,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	for _, data := range [][]byte{nil, []byte("XYZ"), []byte("WPP1"), []byte("WPP1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")} {
-		if _, err := Decode(bytes.NewReader(data)); err == nil {
+		if _, err := Decode(data); err == nil {
 			t.Fatalf("Decode(%q) succeeded", data)
 		}
 	}
@@ -236,11 +233,7 @@ func TestEmptyWPP(t *testing.T) {
 	if _, err := w.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Events != 0 {
+	if back := decodeWPP(t, buf.Bytes()); back.Events != 0 {
 		t.Fatal("empty round trip failed")
 	}
 }

@@ -209,11 +209,16 @@ func (cp *ChunkedProfile) WriteTo(w io.Writer) (int64, error) {
 	return cp.cw.Encode(w)
 }
 
-// ReadChunkedProfile loads a chunked artifact written by WriteTo.
+// ReadChunkedProfile loads a chunked artifact (WPC1 or WPC2) written by
+// WriteTo. A monolithic artifact is an error; read it with ReadProfile.
 func ReadChunkedProfile(r io.Reader) (*ChunkedProfile, error) {
-	cw, err := iwpp.DecodeChunked(r)
+	a, err := readArtifact(r)
 	if err != nil {
 		return nil, err
+	}
+	cw, ok := a.(*iwpp.ChunkedWPP)
+	if !ok {
+		return nil, fmt.Errorf("wpp: artifact is a monolithic WPP; read it with ReadProfile")
 	}
 	if err := cw.Verify(); err != nil {
 		return nil, err

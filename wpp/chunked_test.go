@@ -3,8 +3,12 @@ package wpp
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
+
+	iwpp "repro/internal/wpp"
 )
 
 func chunkedDemo(t *testing.T, args []int64, copts ChunkedOptions) (*Profile, *ChunkedProfile) {
@@ -153,5 +157,52 @@ func TestChunkedPersistRoundTrip(t *testing.T) {
 	}
 	if len(hot) == 0 {
 		t.Fatal("loaded chunked profile found no hot subpaths")
+	}
+}
+
+// TestReadProfileFormats reads both containers in both encodings
+// through ReadProfile/ReadChunkedProfile, and checks that handing a
+// reader the other container fails with an error naming it.
+func TestReadProfileFormats(t *testing.T) {
+	prof, cprof := chunkedDemo(t, []int64{50}, ChunkedOptions{ChunkSize: 64, Workers: 2})
+	encode := func(w io.WriterTo, version uint8) []byte {
+		t.Helper()
+		var v1 bytes.Buffer
+		if _, err := w.WriteTo(&v1); err != nil {
+			t.Fatal(err)
+		}
+		a, err := iwpp.Decode(v1.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		iwpp.SetVersion(a, version)
+		var out bytes.Buffer
+		if _, err := a.Encode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	for _, version := range []uint8{iwpp.FormatV1, iwpp.FormatV2} {
+		mono, chunked := encode(prof, version), encode(cprof, version)
+		back, err := ReadProfile(bytes.NewReader(mono))
+		if err != nil {
+			t.Fatalf("ReadProfile %s: %v", mono[:4], err)
+		}
+		if !back.Equal(prof) {
+			t.Fatalf("ReadProfile %s: profile differs", mono[:4])
+		}
+		cback, err := ReadChunkedProfile(bytes.NewReader(chunked))
+		if err != nil {
+			t.Fatalf("ReadChunkedProfile %s: %v", chunked[:4], err)
+		}
+		if cback.Events() != cprof.Events() || cback.Instructions() != cprof.Instructions() {
+			t.Fatalf("ReadChunkedProfile %s: header fields differ", chunked[:4])
+		}
+		if _, err := ReadProfile(bytes.NewReader(chunked)); err == nil || !strings.Contains(err.Error(), "chunked") {
+			t.Errorf("ReadProfile %s: error %v does not name the chunked container", chunked[:4], err)
+		}
+		if _, err := ReadChunkedProfile(bytes.NewReader(mono)); err == nil || !strings.Contains(err.Error(), "monolithic") {
+			t.Errorf("ReadChunkedProfile %s: error %v does not name the monolithic container", mono[:4], err)
+		}
 	}
 }

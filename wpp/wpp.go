@@ -434,11 +434,17 @@ func (pr *Profile) WriteTo(w io.Writer) (int64, error) {
 	return pr.wpp.Encode(w)
 }
 
-// ReadProfile loads a WPP artifact written by WriteTo.
+// ReadProfile loads a monolithic artifact (WPP1 or WPP2) written by
+// WriteTo. A chunked artifact is an error; read it with
+// ReadChunkedProfile.
 func ReadProfile(r io.Reader) (*Profile, error) {
-	w, err := iwpp.Decode(r)
+	a, err := readArtifact(r)
 	if err != nil {
 		return nil, err
+	}
+	w, ok := a.(*iwpp.WPP)
+	if !ok {
+		return nil, fmt.Errorf("wpp: artifact is a chunked WPP; read it with ReadChunkedProfile")
 	}
 	if err := w.Verify(); err != nil {
 		return nil, err
@@ -452,6 +458,15 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 		wpp:   w,
 		names: names,
 	}, nil
+}
+
+// readArtifact decodes an artifact in any of the four encodings from r.
+func readArtifact(r io.Reader) (iwpp.Artifact, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("wpp: reading artifact: %w", err)
+	}
+	return iwpp.Decode(data)
 }
 
 // Events reports the trace length.
