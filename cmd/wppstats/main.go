@@ -299,11 +299,10 @@ func verifyAgainstWorkload(name string, funcs []iwpp.FuncInfo, walk func(func(tr
 	if err != nil {
 		fatal(fmt.Errorf("recompiling workload %s: %w", name, err))
 	}
-	m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(trace.Event) {})})
+	nums, err := interp.Numberings(prog)
 	if err != nil {
 		fatal(err)
 	}
-	nums := m.Numberings()
 	if len(funcs) != len(nums) {
 		fatal(fmt.Errorf("artifact has %d functions, workload %s compiles to %d", len(funcs), name, len(nums)))
 	}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/bl"
 	"repro/internal/cfg"
@@ -97,14 +98,149 @@ type edgePlan struct {
 	reset   uint64
 }
 
+// opcode is a pre-decoded instruction kind: wlc's opcodes with OpBin
+// split into one opcode per operator. Every opcode from opAdd on is a
+// binary operator on two scalars.
+type opcode uint8
+
+const (
+	opConst opcode = iota
+	opMov
+	opNot
+	opNeg
+	opNewArr
+	opLen
+	opLoad
+	opStore
+	opCall
+	opPrint
+	opBad // an opcode wlc does not define; faults when executed
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opRem
+	opLt
+	opLe
+	opGt
+	opGe
+	opEq
+	opNe
+	opAnd
+	opOr
+	opXor
+	opShl
+	opShr
+	opBadBin // an operator WL does not define; faults when executed
+)
+
+var plainOpcodes = map[wlc.Op]opcode{
+	wlc.OpConst: opConst, wlc.OpMov: opMov, wlc.OpNot: opNot, wlc.OpNeg: opNeg,
+	wlc.OpNewArr: opNewArr, wlc.OpLen: opLen, wlc.OpLoad: opLoad,
+	wlc.OpStore: opStore, wlc.OpCall: opCall, wlc.OpPrint: opPrint,
+}
+
+var binOpcodes = map[wl.Kind]opcode{
+	wl.Add: opAdd, wl.Sub: opSub, wl.Mul: opMul, wl.Div: opDiv, wl.Rem: opRem,
+	wl.Lt: opLt, wl.Le: opLe, wl.Gt: opGt, wl.Ge: opGe, wl.Eq: opEq, wl.Ne: opNe,
+	wl.And: opAnd, wl.Or: opOr, wl.Xor: opXor, wl.Shl: opShl, wl.Shr: opShr,
+}
+
+// op is one pre-decoded instruction. src keeps what only calls, prints
+// and faults read: the position, the argument registers, the original
+// opcode or operator.
+type op struct {
+	code      opcode
+	dst, a, b int32
+	imm       int64 // opConst's value; opCall's callee index
+	src       *wlc.Instr
+}
+
+// block is one pre-decoded basic block: its slice of the function's op
+// stream, its terminator with resolved successor indexes, and the
+// Ball–Larus plan of each outgoing edge (PathTrace machines only).
+type block struct {
+	code   []op
+	id     cfg.BlockID
+	weight uint64
+	term   wlc.TermKind
+	cond   int32
+	succ   [2]int32
+	plan   [2]edgePlan
+}
+
+// function is one pre-decoded function.
+type function struct {
+	name   string
+	id     uint32
+	nregs  int
+	entry  int32
+	blocks []block
+}
+
+// decode flattens f into one op stream and a block table. num is nil
+// unless the machine path-traces.
+func decode(f *wlc.Func, num *bl.Numbering) function {
+	g := f.Graph
+	n := 0
+	for _, code := range f.Code {
+		n += len(code)
+	}
+	stream := make([]op, 0, n)
+	fn := function{name: f.Name, id: uint32(f.ID), nregs: f.NumRegs, entry: int32(g.Entry), blocks: make([]block, g.NumBlocks())}
+	for _, blk := range g.Blocks() {
+		start := len(stream)
+		for i := range f.Code[blk.ID] {
+			in := &f.Code[blk.ID][i]
+			o := op{dst: in.Dst, a: in.A, b: in.B, imm: in.Imm, src: in}
+			var ok bool
+			if in.Op == wlc.OpBin {
+				if o.code, ok = binOpcodes[in.BinOp]; !ok {
+					o.code = opBadBin
+				}
+			} else if o.code, ok = plainOpcodes[in.Op]; !ok {
+				o.code = opBad
+			}
+			if in.Op == wlc.OpCall {
+				o.imm = int64(in.Fn)
+			}
+			stream = append(stream, o)
+		}
+		t := f.Terms[blk.ID]
+		b := block{code: stream[start:], id: blk.ID, weight: uint64(blk.Weight), term: t.Kind, cond: t.Cond}
+		for si, succ := range blk.Succs[:min(len(blk.Succs), 2)] {
+			b.succ[si] = int32(succ)
+			if num == nil {
+				continue
+			}
+			if num.IsBack[blk.ID][si] {
+				instr := num.BackEdge[cfg.Edge{From: blk.ID, To: succ}]
+				b.plan[si] = edgePlan{back: true, emitAdd: instr.EmitAdd, reset: instr.Reset}
+			} else {
+				b.plan[si] = edgePlan{add: num.EdgeVal[blk.ID][si]}
+			}
+		}
+		fn.blocks[blk.ID] = b
+	}
+	return fn
+}
+
 // Machine executes a compiled program. A Machine is not safe for
-// concurrent use.
+// concurrent use, and its Sink and EdgeSink must not call its Run.
+//
+// Calls run on one frame slab: a callee's registers are the window
+// slab[top:top+nregs] just above its caller's, so a call allocates
+// nothing once the slab has grown to the deepest call chain. Every
+// window is zeroed on entry, which the feasible-path analysis relies on
+// (registers start at zero), and again on return, so the slab above the
+// active frames keeps no array alive.
 type Machine struct {
 	prog  *wlc.Program
 	cfg   Config
-	plans [][][]edgePlan // [func][block][succIdx]
+	funcs []function
 	nums  []*bl.Numbering
 	stats Stats
+	slab  []Value
 	// batch is non-nil when the configured Sink also implements
 	// trace.BatchSink: events are then buffered in ebuf and flushed a
 	// slice at a time, letting batch-capable consumers (the WPP
@@ -118,9 +254,32 @@ type Machine struct {
 // amortize the per-flush costs, small enough to stay cache-resident.
 const emitBatchSize = 4096
 
-// New prepares a machine. For PathTrace mode it computes the Ball–Larus
-// numbering of every function, which fails if any function is irreducible
-// or has too many acyclic paths.
+// Numberings computes the Ball–Larus numbering of every function of p,
+// indexed by function ID. It fails if the program has more functions
+// than an event can name, or if any function is irreducible or has more
+// acyclic paths than an event can encode.
+func Numberings(p *wlc.Program) ([]*bl.Numbering, error) {
+	if len(p.Funcs) > trace.MaxFuncs {
+		return nil, fmt.Errorf("interp: %d functions exceed trace limit", len(p.Funcs))
+	}
+	nums := make([]*bl.Numbering, len(p.Funcs))
+	for i, f := range p.Funcs {
+		num, err := bl.Number(f.Graph)
+		if err != nil {
+			return nil, fmt.Errorf("interp: %w", err)
+		}
+		if num.NumPaths >= 1<<trace.PathBits {
+			return nil, fmt.Errorf("interp: %s: %d paths exceed event encoding", f.Name, num.NumPaths)
+		}
+		nums[i] = num
+	}
+	return nums, nil
+}
+
+// New prepares a machine, pre-decoding every function. For PathTrace
+// mode it computes the Ball–Larus numbering of every function
+// (Numberings), which fails if any function is irreducible or has too
+// many acyclic paths.
 func New(p *wlc.Program, config Config) (*Machine, error) {
 	if config.Stdout == nil {
 		config.Stdout = io.Discard
@@ -135,35 +294,19 @@ func New(p *wlc.Program, config Config) (*Machine, error) {
 	}
 	m.stats.FuncInstrs = make([]uint64, len(p.Funcs))
 	if config.Mode == PathTrace {
-		if len(p.Funcs) > trace.MaxFuncs {
-			return nil, fmt.Errorf("interp: %d functions exceed trace limit", len(p.Funcs))
+		nums, err := Numberings(p)
+		if err != nil {
+			return nil, err
 		}
-		m.nums = make([]*bl.Numbering, len(p.Funcs))
-		m.plans = make([][][]edgePlan, len(p.Funcs))
-		for i, f := range p.Funcs {
-			num, err := bl.Number(f.Graph)
-			if err != nil {
-				return nil, fmt.Errorf("interp: %w", err)
-			}
-			if num.NumPaths >= 1<<trace.PathBits {
-				return nil, fmt.Errorf("interp: %s: %d paths exceed event encoding", f.Name, num.NumPaths)
-			}
-			m.nums[i] = num
-			plan := make([][]edgePlan, f.Graph.NumBlocks())
-			for _, b := range f.Graph.Blocks() {
-				eps := make([]edgePlan, len(b.Succs))
-				for si, succ := range b.Succs {
-					if num.IsBack[b.ID][si] {
-						instr := num.BackEdge[cfg.Edge{From: b.ID, To: succ}]
-						eps[si] = edgePlan{back: true, emitAdd: instr.EmitAdd, reset: instr.Reset}
-					} else {
-						eps[si] = edgePlan{add: num.EdgeVal[b.ID][si]}
-					}
-				}
-				plan[b.ID] = eps
-			}
-			m.plans[i] = plan
+		m.nums = nums
+	}
+	m.funcs = make([]function, len(p.Funcs))
+	for i, f := range p.Funcs {
+		var num *bl.Numbering
+		if m.nums != nil {
+			num = m.nums[i]
 		}
+		m.funcs[i] = decode(f, num)
 	}
 	return m, nil
 }
@@ -176,8 +319,13 @@ func (m *Machine) Numbering(fn uint32) *bl.Numbering { return m.nums[fn] }
 // ID.
 func (m *Machine) Numberings() []*bl.Numbering { return m.nums }
 
-// Stats returns the statistics accumulated so far.
-func (m *Machine) Stats() Stats { return m.stats }
+// Stats returns a snapshot of the statistics accumulated so far; later
+// runs on the machine do not change it.
+func (m *Machine) Stats() Stats {
+	st := m.stats
+	st.FuncInstrs = slices.Clone(m.stats.FuncInstrs)
+	return st
+}
 
 // Run executes the named function with scalar arguments and returns its
 // result.
@@ -189,11 +337,13 @@ func (m *Machine) Run(entry string, args ...int64) (int64, error) {
 	if len(args) != f.Params {
 		return 0, fmt.Errorf("interp: %s takes %d argument(s), got %d", entry, f.Params, len(args))
 	}
-	vals := make([]Value, len(args))
+	fn := &m.funcs[f.ID]
+	frame := m.push(fn, 0)
 	for i, a := range args {
-		vals[i] = Value{I: a}
+		frame[1+i] = Value{I: a}
 	}
-	res, err := m.call(f, vals)
+	res, err := m.run(fn, 0)
+	clear(m.slab[:fn.nregs])
 	// Flush on the error path too: a partial trace up to the fault is
 	// still a valid trace, and Stats.Events must agree with what the
 	// sink saw.
@@ -204,9 +354,25 @@ func (m *Machine) Run(entry string, args ...int64) (int64, error) {
 	return res.I, nil
 }
 
+// push returns f's zeroed register window at slab[top:], growing the
+// slab if it is too short. Growing moves the slab, so callers re-slice
+// their own windows after the call.
+func (m *Machine) push(f *function, top int) []Value {
+	end := top + f.nregs
+	if end > len(m.slab) {
+		slab := make([]Value, max(end, 2*len(m.slab)))
+		copy(slab, m.slab)
+		m.slab = slab
+	}
+	frame := m.slab[top:end]
+	clear(frame)
+	return frame
+}
+
 // emit delivers one event, through the batch buffer when the sink is
 // batch-capable.
 func (m *Machine) emit(e trace.Event) {
+	m.stats.Events++
 	if m.batch == nil {
 		m.cfg.Sink.Add(e)
 		return
@@ -227,222 +393,197 @@ func (m *Machine) flushEvents() {
 	m.ebuf = m.ebuf[:0]
 }
 
-func (m *Machine) rtErr(f *wlc.Func, pos wl.Pos, format string, args ...any) error {
-	return &RuntimeError{Func: f.Name, Pos: pos, Msg: fmt.Sprintf(format, args...)}
+func fault(f *function, in *op, format string, args ...any) error {
+	return &RuntimeError{Func: f.name, Pos: in.src.Pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (m *Machine) call(f *wlc.Func, args []Value) (Value, error) {
+// run executes f in the frame at slab[base:base+f.nregs], which the
+// caller has pushed and loaded with the arguments. It is the whole
+// interpreter: one loop over pre-decoded blocks, each a walk over its
+// ops followed by the terminator and its path-register update. A fault
+// returns at once, so the path it interrupts emits no event.
+func (m *Machine) run(f *function, base int) (Value, error) {
 	m.stats.Calls++
-	regs := make([]Value, f.NumRegs)
-	copy(regs[1:], args)
-
-	g := f.Graph
-	cur := g.Entry
-	pathReg := uint64(0)
+	top := base + f.nregs
+	regs := m.slab[base:top]
+	fnInstrs := &m.stats.FuncInstrs[f.id]
+	limit := m.cfg.MaxInstrs
+	mode := m.cfg.Mode
+	var path uint64
+	b := &f.blocks[f.entry]
 	for {
-		blk := g.Block(cur)
-		m.stats.Instructions += uint64(blk.Weight)
-		m.stats.FuncInstrs[f.ID] += uint64(blk.Weight)
+		m.stats.Instructions += b.weight
+		*fnInstrs += b.weight
 		m.stats.BlocksExecuted++
-		if m.cfg.MaxInstrs > 0 && m.stats.Instructions > m.cfg.MaxInstrs {
-			return Value{}, fmt.Errorf("interp: %s: %w", f.Name, ErrInstrLimit)
+		if limit > 0 && m.stats.Instructions > limit {
+			return Value{}, fmt.Errorf("interp: %s: %w", f.name, ErrInstrLimit)
 		}
-		if m.cfg.Mode == BlockTrace {
-			m.stats.Events++
-			m.emit(trace.MakeEvent(uint32(f.ID), uint64(cur)))
+		if mode == BlockTrace {
+			m.emit(trace.MakeEvent(f.id, uint64(b.id)))
 		}
-		for i := range f.Code[cur] {
-			in := &f.Code[cur][i]
-			if err := m.exec(f, regs, in); err != nil {
-				return Value{}, err
+		for i := range b.code {
+			in := &b.code[i]
+			if in.code >= opAdd {
+				x, y := &regs[in.a], &regs[in.b]
+				if x.Arr != nil || y.Arr != nil {
+					return Value{}, fault(f, in, "arithmetic on array value")
+				}
+				a, c := x.I, y.I
+				var v int64
+				switch in.code {
+				case opAdd:
+					v = a + c
+				case opSub:
+					v = a - c
+				case opMul:
+					v = a * c
+				case opDiv:
+					if c == 0 {
+						return Value{}, fault(f, in, "division by zero")
+					}
+					v = a / c
+				case opRem:
+					if c == 0 {
+						return Value{}, fault(f, in, "remainder by zero")
+					}
+					v = a % c
+				case opLt:
+					v = b2i(a < c)
+				case opLe:
+					v = b2i(a <= c)
+				case opGt:
+					v = b2i(a > c)
+				case opGe:
+					v = b2i(a >= c)
+				case opEq:
+					v = b2i(a == c)
+				case opNe:
+					v = b2i(a != c)
+				case opAnd:
+					v = a & c
+				case opOr:
+					v = a | c
+				case opXor:
+					v = a ^ c
+				case opShl:
+					v = a << (uint64(c) & 63)
+				case opShr:
+					v = int64(uint64(a) >> (uint64(c) & 63))
+				default:
+					return Value{}, fault(f, in, "unknown operator %s", in.src.BinOp)
+				}
+				regs[in.dst] = Value{I: v}
+				continue
+			}
+			switch in.code {
+			case opConst:
+				regs[in.dst] = Value{I: in.imm}
+			case opMov:
+				regs[in.dst] = regs[in.a]
+			case opNot:
+				regs[in.dst] = Value{I: b2i(!truthy(&regs[in.a]))}
+			case opNeg:
+				a := &regs[in.a]
+				if a.Arr != nil {
+					return Value{}, fault(f, in, "negation of array value")
+				}
+				regs[in.dst] = Value{I: -a.I}
+			case opNewArr:
+				n := &regs[in.a]
+				if n.Arr != nil {
+					return Value{}, fault(f, in, "array length is an array")
+				}
+				if n.I < 0 || n.I > 1<<30 {
+					return Value{}, fault(f, in, "array length %d out of range", n.I)
+				}
+				regs[in.dst] = Value{Arr: make([]int64, n.I)}
+			case opLen:
+				a := &regs[in.a]
+				if a.Arr == nil {
+					return Value{}, fault(f, in, "len of non-array")
+				}
+				regs[in.dst] = Value{I: int64(len(a.Arr))}
+			case opLoad:
+				a, idx := &regs[in.a], &regs[in.b]
+				if a.Arr == nil {
+					return Value{}, fault(f, in, "indexing non-array")
+				}
+				if idx.Arr != nil || idx.I < 0 || idx.I >= int64(len(a.Arr)) {
+					return Value{}, fault(f, in, "index %d out of range [0,%d)", idx.I, len(a.Arr))
+				}
+				regs[in.dst] = Value{I: a.Arr[idx.I]}
+			case opStore:
+				a, idx, v := &regs[in.a], &regs[in.b], &regs[in.dst]
+				if a.Arr == nil {
+					return Value{}, fault(f, in, "indexing non-array")
+				}
+				if idx.Arr != nil || idx.I < 0 || idx.I >= int64(len(a.Arr)) {
+					return Value{}, fault(f, in, "index %d out of range [0,%d)", idx.I, len(a.Arr))
+				}
+				if v.Arr != nil {
+					return Value{}, fault(f, in, "storing array into array element")
+				}
+				a.Arr[idx.I] = v.I
+			case opCall:
+				callee := &m.funcs[in.imm]
+				frame := m.push(callee, top)
+				for i, r := range in.src.Args {
+					frame[1+i] = regs[r]
+				}
+				res, err := m.run(callee, top)
+				clear(m.slab[top : top+callee.nregs])
+				regs = m.slab[base:top]
+				if err != nil {
+					return Value{}, err
+				}
+				regs[in.dst] = res
+			case opPrint:
+				for i, r := range in.src.Args {
+					if i > 0 {
+						fmt.Fprint(m.cfg.Stdout, " ")
+					}
+					v := regs[r]
+					if v.Arr != nil {
+						fmt.Fprintf(m.cfg.Stdout, "%v", v.Arr)
+					} else {
+						fmt.Fprintf(m.cfg.Stdout, "%d", v.I)
+					}
+				}
+				fmt.Fprintln(m.cfg.Stdout)
+			default:
+				return Value{}, fault(f, in, "unknown opcode %d", in.src.Op)
 			}
 		}
-		t := f.Terms[cur]
 		var si int
-		switch t.Kind {
-		case TermJumpKind:
-			si = 0
-		case TermBranchKind:
-			if truthy(regs[t.Cond]) {
-				si = 0
-			} else {
+		switch b.term {
+		case wlc.TermBranch:
+			if !truthy(&regs[b.cond]) {
 				si = 1
 			}
-		case TermExitKind:
-			if m.cfg.Mode == PathTrace {
-				m.stats.Events++
-				m.emit(trace.MakeEvent(uint32(f.ID), pathReg))
+		case wlc.TermExit:
+			if mode == PathTrace {
+				m.emit(trace.MakeEvent(f.id, path))
 			}
 			return regs[0], nil
 		}
-		next := blk.Succs[si]
 		if m.cfg.EdgeSink != nil {
-			m.cfg.EdgeSink(uint32(f.ID), cur, si)
+			m.cfg.EdgeSink(f.id, b.id, si)
 		}
-		if m.cfg.Mode == PathTrace {
-			ep := m.plans[f.ID][cur][si]
+		if mode == PathTrace {
+			ep := &b.plan[si]
 			if ep.back {
-				m.stats.Events++
-				m.emit(trace.MakeEvent(uint32(f.ID), pathReg+ep.emitAdd))
-				pathReg = ep.reset
+				m.emit(trace.MakeEvent(f.id, path+ep.emitAdd))
+				path = ep.reset
 			} else {
-				pathReg += ep.add
+				path += ep.add
 			}
 		}
-		cur = next
+		b = &f.blocks[b.succ[si]]
 	}
 }
 
-// Terminator kinds re-exported locally to keep the hot switch compact.
-const (
-	TermJumpKind   = wlc.TermJump
-	TermBranchKind = wlc.TermBranch
-	TermExitKind   = wlc.TermExit
-)
-
-func truthy(v Value) bool {
-	if v.Arr != nil {
-		return true
-	}
-	return v.I != 0
-}
-
-func (m *Machine) exec(f *wlc.Func, regs []Value, in *wlc.Instr) error {
-	switch in.Op {
-	case wlc.OpConst:
-		regs[in.Dst] = Value{I: in.Imm}
-	case wlc.OpMov:
-		regs[in.Dst] = regs[in.A]
-	case wlc.OpBin:
-		a, b := regs[in.A], regs[in.B]
-		if a.Arr != nil || b.Arr != nil {
-			return m.rtErr(f, in.Pos, "arithmetic on array value")
-		}
-		v, err := evalBin(in.BinOp, a.I, b.I)
-		if err != nil {
-			return m.rtErr(f, in.Pos, "%v", err)
-		}
-		regs[in.Dst] = Value{I: v}
-	case wlc.OpNot:
-		if truthy(regs[in.A]) {
-			regs[in.Dst] = Value{I: 0}
-		} else {
-			regs[in.Dst] = Value{I: 1}
-		}
-	case wlc.OpNeg:
-		a := regs[in.A]
-		if a.Arr != nil {
-			return m.rtErr(f, in.Pos, "negation of array value")
-		}
-		regs[in.Dst] = Value{I: -a.I}
-	case wlc.OpNewArr:
-		n := regs[in.A]
-		if n.Arr != nil {
-			return m.rtErr(f, in.Pos, "array length is an array")
-		}
-		if n.I < 0 || n.I > 1<<30 {
-			return m.rtErr(f, in.Pos, "array length %d out of range", n.I)
-		}
-		regs[in.Dst] = Value{Arr: make([]int64, n.I)}
-	case wlc.OpLen:
-		a := regs[in.A]
-		if a.Arr == nil {
-			return m.rtErr(f, in.Pos, "len of non-array")
-		}
-		regs[in.Dst] = Value{I: int64(len(a.Arr))}
-	case wlc.OpLoad:
-		a, idx := regs[in.A], regs[in.B]
-		if a.Arr == nil {
-			return m.rtErr(f, in.Pos, "indexing non-array")
-		}
-		if idx.Arr != nil || idx.I < 0 || idx.I >= int64(len(a.Arr)) {
-			return m.rtErr(f, in.Pos, "index %d out of range [0,%d)", idx.I, len(a.Arr))
-		}
-		regs[in.Dst] = Value{I: a.Arr[idx.I]}
-	case wlc.OpStore:
-		a, idx, v := regs[in.A], regs[in.B], regs[in.Dst]
-		if a.Arr == nil {
-			return m.rtErr(f, in.Pos, "indexing non-array")
-		}
-		if idx.Arr != nil || idx.I < 0 || idx.I >= int64(len(a.Arr)) {
-			return m.rtErr(f, in.Pos, "index %d out of range [0,%d)", idx.I, len(a.Arr))
-		}
-		if v.Arr != nil {
-			return m.rtErr(f, in.Pos, "storing array into array element")
-		}
-		a.Arr[idx.I] = v.I
-	case wlc.OpCall:
-		callee := m.prog.Funcs[in.Fn]
-		args := make([]Value, len(in.Args))
-		for i, r := range in.Args {
-			args[i] = regs[r]
-		}
-		res, err := m.call(callee, args)
-		if err != nil {
-			return err
-		}
-		regs[in.Dst] = res
-	case wlc.OpPrint:
-		for i, r := range in.Args {
-			if i > 0 {
-				fmt.Fprint(m.cfg.Stdout, " ")
-			}
-			v := regs[r]
-			if v.Arr != nil {
-				fmt.Fprintf(m.cfg.Stdout, "%v", v.Arr)
-			} else {
-				fmt.Fprintf(m.cfg.Stdout, "%d", v.I)
-			}
-		}
-		fmt.Fprintln(m.cfg.Stdout)
-	default:
-		return m.rtErr(f, in.Pos, "unknown opcode %d", in.Op)
-	}
-	return nil
-}
-
-func evalBin(op wl.Kind, a, b int64) (int64, error) {
-	switch op {
-	case wl.Add:
-		return a + b, nil
-	case wl.Sub:
-		return a - b, nil
-	case wl.Mul:
-		return a * b, nil
-	case wl.Div:
-		if b == 0 {
-			return 0, errors.New("division by zero")
-		}
-		return a / b, nil
-	case wl.Rem:
-		if b == 0 {
-			return 0, errors.New("remainder by zero")
-		}
-		return a % b, nil
-	case wl.Lt:
-		return b2i(a < b), nil
-	case wl.Le:
-		return b2i(a <= b), nil
-	case wl.Gt:
-		return b2i(a > b), nil
-	case wl.Ge:
-		return b2i(a >= b), nil
-	case wl.Eq:
-		return b2i(a == b), nil
-	case wl.Ne:
-		return b2i(a != b), nil
-	case wl.And:
-		return a & b, nil
-	case wl.Or:
-		return a | b, nil
-	case wl.Xor:
-		return a ^ b, nil
-	case wl.Shl:
-		return a << (uint64(b) & 63), nil
-	case wl.Shr:
-		return int64(uint64(a) >> (uint64(b) & 63)), nil
-	}
-	return 0, fmt.Errorf("unknown operator %s", op)
+func truthy(v *Value) bool {
+	return v.Arr != nil || v.I != 0
 }
 
 func b2i(b bool) int64 {

@@ -3,6 +3,7 @@ package interp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -237,47 +238,232 @@ func TestPrint(t *testing.T) {
 	}
 }
 
-func TestRuntimeErrors(t *testing.T) {
-	cases := []struct {
-		name, src string
-		sub       string
-	}{
-		{"div0", "func main() { return 1 / 0; }", "division by zero"},
-		{"rem0", "func main() { return 1 % 0; }", "remainder by zero"},
-		{"oob", "func main() { var a = array(2); return a[5]; }", "out of range"},
-		{"oob-neg", "func main() { var a = array(2); return a[0-1]; }", "out of range"},
-		{"oob-store", "func main() { var a = array(2); a[2] = 1; return 0; }", "out of range"},
-		{"index-scalar", "func main() { var x = 3; return x[0]; }", "non-array"},
-		{"len-scalar", "func main() { return len(3); }", "non-array"},
-		{"neg-len", "func main() { var a = array(0-1); return 0; }", "out of range"},
-		{"arith-array", "func main() { var a = array(1); return a + 1; }", "array"},
+// faultSrc runs work three times with a two-trip loop in each call, so
+// main and work have both emitted path events when the statement put in
+// place of %s faults on the third call (i == 2). a has length 3.
+const faultSrc = `
+func work(a, i) {
+    var s = 0;
+    var k = 0;
+    while k < 2 { s = s + k; k = k + 1; }
+    if i == 2 {
+        %s
+    }
+    return s;
+}
+func main() {
+    var a = array(3);
+    var i = 0;
+    var acc = 0;
+    while i < 5 {
+        acc = acc + work(a, i);
+        i = i + 1;
+    }
+    return acc;
+}`
+
+// faultState is everything observable once a run stops at a fault.
+type faultState struct {
+	err    string
+	stats  string // Stats formatted with %+v
+	events string // PathTrace events delivered to a batch sink, as fn:path
+}
+
+// runToFault runs src's main under PathTrace into a trace.Buffer and
+// records the state at the fault it must end in. It also runs src
+// untraced and requires the same error and the same Stats bar Events.
+func runToFault(t *testing.T, src string, maxInstrs uint64) (faultState, error) {
+	t.Helper()
+	p, err := wlc.Compile(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
+	buf := &trace.Buffer{}
+	m, err := New(p, Config{Mode: PathTrace, Sink: buf, MaxInstrs: maxInstrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, runErr := m.Run("main")
+	if runErr == nil {
+		t.Fatal("run did not fault")
+	}
+	st := m.Stats()
+	evs := make([]string, len(buf.Events))
+	for i, e := range buf.Events {
+		evs[i] = fmt.Sprintf("%d:%d", e.Func(), e.Path())
+	}
+	got := faultState{err: runErr.Error(), stats: fmt.Sprintf("%+v", st), events: strings.Join(evs, " ")}
+
+	plain, err := New(p, Config{MaxInstrs: maxInstrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.Run("main"); err == nil || err.Error() != got.err {
+		t.Fatalf("untraced run: error %v, want %q", err, got.err)
+	}
+	st.Events = 0
+	if ps := plain.Stats(); !reflect.DeepEqual(ps, st) {
+		t.Fatalf("untraced run: stats %+v, want %+v", ps, st)
+	}
+	return got, runErr
+}
+
+// TestRuntimeErrors pins, for every RuntimeError kind, the exact error,
+// Stats and flushed path events at the fault: the faulting path itself
+// emits nothing.
+// runtimeErrorCases cover every RuntimeError kind, at top level and
+// inside a call after both functions have emitted path events.
+var runtimeErrorCases = []struct {
+	name, src string
+	want      faultState
+}{
+	{"div0", "func main() { return 1 / 0; }", faultState{
+		"runtime error in main at 1:24: division by zero",
+		"{Instructions:6 Events:0 Calls:1 BlocksExecuted:2 FuncInstrs:[6]}",
+		""}},
+	{"rem0", "func main() { return 1 % 0; }", faultState{
+		"runtime error in main at 1:24: remainder by zero",
+		"{Instructions:6 Events:0 Calls:1 BlocksExecuted:2 FuncInstrs:[6]}",
+		""}},
+	{"oob", "func main() { var a = array(2); return a[5]; }", faultState{
+		"runtime error in main at 1:40: index 5 out of range [0,2)",
+		"{Instructions:8 Events:0 Calls:1 BlocksExecuted:2 FuncInstrs:[8]}",
+		""}},
+	{"oob-neg", "func main() { var a = array(2); return a[0-1]; }", faultState{
+		"runtime error in main at 1:40: index -1 out of range [0,2)",
+		"{Instructions:10 Events:0 Calls:1 BlocksExecuted:2 FuncInstrs:[10]}",
+		""}},
+	{"oob-store", "func main() { var a = array(2); a[2] = 1; return 0; }", faultState{
+		"runtime error in main at 1:33: index 2 out of range [0,2)",
+		"{Instructions:10 Events:0 Calls:1 BlocksExecuted:2 FuncInstrs:[10]}",
+		""}},
+	{"index-scalar", "func main() { var x = 3; return x[0]; }", faultState{
+		"runtime error in main at 1:33: indexing non-array",
+		"{Instructions:7 Events:0 Calls:1 BlocksExecuted:2 FuncInstrs:[7]}",
+		""}},
+	{"len-scalar", "func main() { return len(3); }", faultState{
+		"runtime error in main at 1:22: len of non-array",
+		"{Instructions:5 Events:0 Calls:1 BlocksExecuted:2 FuncInstrs:[5]}",
+		""}},
+	{"neg-len", "func main() { var a = array(0-1); return 0; }", faultState{
+		"runtime error in main at 1:23: array length -1 out of range",
+		"{Instructions:9 Events:0 Calls:1 BlocksExecuted:2 FuncInstrs:[9]}",
+		""}},
+	{"arith-array", "func main() { var a = array(1); return a + 1; }", faultState{
+		"runtime error in main at 1:42: arithmetic on array value",
+		"{Instructions:8 Events:0 Calls:1 BlocksExecuted:2 FuncInstrs:[8]}",
+		""}},
+	{"nested-arith-array", fmt.Sprintf(faultSrc, "s = s * a;"), faultState{
+		"runtime error in work at 7:15: arithmetic on array value",
+		"{Instructions:138 Events:10 Calls:4 BlocksExecuted:37 FuncInstrs:[99 39]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3"}},
+	{"nested-neg-array", fmt.Sprintf(faultSrc, "s = -a;"), faultState{
+		"runtime error in work at 7:13: negation of array value",
+		"{Instructions:138 Events:10 Calls:4 BlocksExecuted:37 FuncInstrs:[99 39]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3"}},
+	{"nested-div0", fmt.Sprintf(faultSrc, "s = s / (i - 2);"), faultState{
+		"runtime error in work at 7:15: division by zero",
+		"{Instructions:140 Events:10 Calls:4 BlocksExecuted:37 FuncInstrs:[101 39]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3"}},
+	{"nested-rem0", fmt.Sprintf(faultSrc, "s = s % (i - 2);"), faultState{
+		"runtime error in work at 7:15: remainder by zero",
+		"{Instructions:140 Events:10 Calls:4 BlocksExecuted:37 FuncInstrs:[101 39]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3"}},
+	{"nested-oob", fmt.Sprintf(faultSrc, "s = a[i + 1];"), faultState{
+		"runtime error in work at 7:13: index 3 out of range [0,3)",
+		"{Instructions:140 Events:10 Calls:4 BlocksExecuted:37 FuncInstrs:[101 39]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3"}},
+	{"nested-oob-store", fmt.Sprintf(faultSrc, "a[i + 1] = s;"), faultState{
+		"runtime error in work at 7:9: index 3 out of range [0,3)",
+		"{Instructions:139 Events:10 Calls:4 BlocksExecuted:37 FuncInstrs:[100 39]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3"}},
+	{"nested-index-scalar", fmt.Sprintf(faultSrc, "s = s[0];"), faultState{
+		"runtime error in work at 7:13: indexing non-array",
+		"{Instructions:139 Events:10 Calls:4 BlocksExecuted:37 FuncInstrs:[100 39]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3"}},
+	{"nested-index-array", fmt.Sprintf(faultSrc, "s = a[a];"), faultState{
+		"runtime error in work at 7:13: index 0 out of range [0,3)",
+		"{Instructions:138 Events:10 Calls:4 BlocksExecuted:37 FuncInstrs:[99 39]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3"}},
+	{"nested-store-scalar", fmt.Sprintf(faultSrc, "s[0] = 1;"), faultState{
+		"runtime error in work at 7:9: indexing non-array",
+		"{Instructions:139 Events:10 Calls:4 BlocksExecuted:37 FuncInstrs:[100 39]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3"}},
+	{"nested-store-array", fmt.Sprintf(faultSrc, "a[0] = a;"), faultState{
+		"runtime error in work at 7:9: storing array into array element",
+		"{Instructions:138 Events:10 Calls:4 BlocksExecuted:37 FuncInstrs:[99 39]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3"}},
+	{"nested-neg-len", fmt.Sprintf(faultSrc, "a = array(i - 3);"), faultState{
+		"runtime error in work at 7:13: array length -1 out of range",
+		"{Instructions:140 Events:10 Calls:4 BlocksExecuted:37 FuncInstrs:[101 39]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3"}},
+	{"nested-huge-len", fmt.Sprintf(faultSrc, "a = array(1 << 31);"), faultState{
+		"runtime error in work at 7:13: array length 2147483648 out of range",
+		"{Instructions:141 Events:10 Calls:4 BlocksExecuted:37 FuncInstrs:[102 39]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3"}},
+	{"nested-array-len", fmt.Sprintf(faultSrc, "a = array(a);"), faultState{
+		"runtime error in work at 7:13: array length is an array",
+		"{Instructions:138 Events:10 Calls:4 BlocksExecuted:37 FuncInstrs:[99 39]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3"}},
+	{"nested-len-scalar", fmt.Sprintf(faultSrc, "s = len(s);"), faultState{
+		"runtime error in work at 7:13: len of non-array",
+		"{Instructions:138 Events:10 Calls:4 BlocksExecuted:37 FuncInstrs:[99 39]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3"}},
+}
+
+func TestRuntimeErrors(t *testing.T) {
+	for _, c := range runtimeErrorCases {
 		t.Run(c.name, func(t *testing.T) {
-			err := runErr(t, c.src)
-			if !strings.Contains(err.Error(), c.sub) {
-				t.Fatalf("error %q does not contain %q", err, c.sub)
-			}
+			got, err := runToFault(t, c.src, 0)
 			var re *RuntimeError
 			if !errors.As(err, &re) {
 				t.Fatalf("error %T is not a RuntimeError", err)
+			}
+			if got != c.want {
+				t.Fatalf("fault state\n got %#v\nwant %#v", got, c.want)
 			}
 		})
 	}
 }
 
+// instrLimitCases trip the instruction limit at top level, inside a
+// call, and on the exit block.
+var instrLimitCases = []struct {
+	name      string
+	src       string
+	maxInstrs uint64
+	want      faultState
+}{
+	{"loop", "func main() { var i = 0; while i >= 0 { i = i + 1; } return i; }", 100, faultState{
+		"interp: main: instruction limit exceeded",
+		"{Instructions:102 Events:13 Calls:1 BlocksExecuted:30 FuncInstrs:[102]}",
+		"0:0 0:2 0:2 0:2 0:2 0:2 0:2 0:2 0:2 0:2 0:2 0:2 0:2"}},
+	// work's loop on its second call.
+	{"nested-call", fmt.Sprintf(faultSrc, "s = 0;"), 75, faultState{
+		"interp: work: instruction limit exceeded",
+		"{Instructions:77 Events:4 Calls:3 BlocksExecuted:20 FuncInstrs:[48 29]}",
+		"0:0 0:3 0:5 1:0"}},
+	// One instruction short of the full run's 233: the exit block trips.
+	{"exit-block", fmt.Sprintf(faultSrc, "s = 0;"), 232, faultState{
+		"interp: main: instruction limit exceeded",
+		"{Instructions:233 Events:20 Calls:6 BlocksExecuted:66 FuncInstrs:[168 65]}",
+		"0:0 0:3 0:5 1:0 0:0 0:3 0:5 1:2 0:0 0:3 0:4 1:2 0:0 0:3 0:5 1:2 0:0 0:3 0:5 1:2"}},
+}
+
+// TestInstrLimit pins the state at an instruction-limit fault: the
+// limit trips on the block whose weight crosses it, that block is
+// counted, and no event is emitted for it.
 func TestInstrLimit(t *testing.T) {
-	p, err := wlc.Compile("func main() { var i = 0; while i >= 0 { i = i + 1; } return i; }")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(p, Config{MaxInstrs: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = m.Run("main")
-	if !errors.Is(err, ErrInstrLimit) {
-		t.Fatalf("got %v, want ErrInstrLimit", err)
+	for _, c := range instrLimitCases {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := runToFault(t, c.src, c.maxInstrs)
+			if !errors.Is(err, ErrInstrLimit) {
+				t.Fatalf("got %v, want ErrInstrLimit", err)
+			}
+			if got != c.want {
+				t.Fatalf("fault state\n got %#v\nwant %#v", got, c.want)
+			}
+		})
 	}
 }
 
@@ -328,6 +514,51 @@ func main() { return twice(1) + twice(2); }`)
 	}
 	if st.Instructions == 0 || st.BlocksExecuted == 0 {
 		t.Fatalf("zero counters: %+v", st)
+	}
+	// Stats is a snapshot: a second run moves the machine's counters,
+	// not the ones already handed out.
+	first := fmt.Sprintf("%+v", st)
+	if _, err := m.Run("main"); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%+v", st); got != first {
+		t.Fatalf("snapshot changed under a second run: %s, was %s", got, first)
+	}
+	if again := m.Stats(); again.Calls != 6 || again.FuncInstrs[0] != 2*st.FuncInstrs[0] {
+		t.Fatalf("after two runs: %+v, first run %+v", again, st)
+	}
+}
+
+const fibSrc = `
+func fib(n) {
+    if n < 2 { return n; }
+    return fib(n - 1) + fib(n - 2);
+}
+func main(n) { return fib(n); }`
+
+// TestRunAllocsFlatInCalls: once the frame slab has grown to the
+// deepest call chain, a run allocates nothing per call, so fib(20) (21891
+// calls) allocates no more than fib(15) (1973 calls).
+func TestRunAllocsFlatInCalls(t *testing.T) {
+	p, err := wlc.Compile(fibSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events int
+	m, err := New(p, Config{Mode: PathTrace, Sink: trace.SinkFunc(func(trace.Event) { events++ })})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := m.Run("main", n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	allocs(20)
+	if a15, a20 := allocs(15), allocs(20); a15 != a20 {
+		t.Fatalf("allocations grow with calls: fib(15) %.0f, fib(20) %.0f per run", a15, a20)
 	}
 }
 

@@ -242,7 +242,7 @@ func (s *Server) openProgram(name string) (*sessionProgram, *apiError) {
 	if err != nil {
 		return nil, errf(http.StatusInternalServerError, "compiling %s: %v", name, err)
 	}
-	m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(trace.Event) {})})
+	nums, err := interp.Numberings(prog)
 	if err != nil {
 		return nil, errf(http.StatusInternalServerError, "numbering %s: %v", name, err)
 	}
@@ -250,7 +250,6 @@ func (s *Server) openProgram(name string) (*sessionProgram, *apiError) {
 	for i, f := range prog.Funcs {
 		names[i] = f.Name
 	}
-	nums := m.Numberings()
 	p := &sessionProgram{names: names, nums: nums, numPaths: numPathsOf(nums)}
 	s.compiled[name] = p
 	return p, nil
