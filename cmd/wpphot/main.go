@@ -1,8 +1,12 @@
 // wpphot reports the minimal hot subpaths of a .wpp artifact, analyzing
-// the compressed grammar directly. Both artifact kinds are accepted:
-// monolithic ("WPP1") and chunked ("WPC1", written by wppbuild -chunk).
-// Chunked artifacts are analyzed per chunk on -workers goroutines; the
-// answers are identical to the monolithic analysis of the same trace.
+// the compressed grammar directly. All four containers are accepted:
+// monolithic ("WPP1", "WPP2") and chunked ("WPC1", "WPC2", written by
+// wppbuild -chunk), in either format version. The window count runs on
+// -workers goroutines: chunked artifacts per chunk, and an artifact with
+// fewer chunks than workers — a monolithic one always — split further
+// into prefix shards, each counting the windows whose first -min events
+// hash to it. The answers are identical at every worker count and to the
+// monolithic analysis of the same trace.
 //
 // The artifact opens through the lazy mmap-backed view layer: chunk
 // grammars materialize inside the per-chunk analysis pass and are
@@ -42,7 +46,7 @@ func main() {
 	threshold := flag.Float64("threshold", 0.01, "hotness threshold as a fraction of total cost")
 	top := flag.Int("top", 20, "print at most this many subpaths")
 	scan := flag.Bool("scan", false, "use the decompress-and-scan baseline instead of the grammar analysis (monolithic artifacts only)")
-	workers := flag.Int("workers", 0, "concurrency for per-chunk analysis of chunked artifacts (0 = all cores)")
+	workers := flag.Int("workers", 0, "goroutines counting windows: one per chunk, or per prefix shard when there are fewer chunks than workers, as in a monolithic artifact (0 = all cores)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :6060)")
 	progress := flag.Duration("progress", 0, "emit a progress line to stderr at this interval (e.g. 1s)")
 	storeDir := flag.String("store", "", "content-addressed store directory for @hash and name@scale inputs (default $WPP_STORE)")

@@ -229,7 +229,36 @@ func (t *WindowTrie) Merge(o *WindowTrie) {
 
 // CountWindowRange returns a new trie counting every window of length
 // minLen..maxLen in the grammar's expansion, in one walk per start
-// position; windows shorter than minLen have count 0.
+// position; windows shorter than minLen have count 0. It is the
+// one-shard case of CountWindowShard.
+func (a *Analysis) CountWindowRange(minLen, maxLen int) *WindowTrie {
+	return a.CountWindowShard(minLen, maxLen, 0, 1)
+}
+
+// ShardOf returns the prefix shard, in 0..shards-1, of the windows that
+// begin with prefix: a hash of its symbols mod shards, and 0 without
+// hashing when there is one shard.
+func ShardOf(prefix []uint64, shards int) int {
+	if shards <= 1 {
+		return 0
+	}
+	var h uint64
+	for _, v := range prefix {
+		h = trieHash(uint32(h), v)
+	}
+	return int(h % uint64(shards))
+}
+
+// CountWindowShard is CountWindowRange restricted to prefix shard shard
+// of shards: it counts only the windows whose start position routes to
+// the shard, by ShardOf of the start's first minLen symbols. Every window
+// counted from a start is at least minLen long, so it begins with that
+// prefix, and so do all its own prefixes of length minLen and more. The
+// shards of one grammar are therefore disjoint: each counted window, and
+// each window of depth minLen or more, is a node of exactly one shard's
+// trie, and their counts together are CountWindowRange's. Only windows
+// shorter than minLen, whose counts are always 0, repeat across shards.
+// It panics unless 0 <= shard < shards.
 //
 // A window of the expansion either lies inside one nonterminal of some
 // rule body — and is owned by that nonterminal's rule — or is owned by
@@ -242,7 +271,10 @@ func (t *WindowTrie) Merge(o *WindowTrie) {
 // walked once, to depth min(maxLen, ruleLen-o), counting from the
 // shortest owned length up. Starts are grouped into contiguous runs so
 // each run's terminals are materialized once.
-func (a *Analysis) CountWindowRange(minLen, maxLen int) *WindowTrie {
+func (a *Analysis) CountWindowShard(minLen, maxLen, shard, shards int) *WindowTrie {
+	if shard < 0 || shard >= shards {
+		panic(fmt.Sprintf("engine: shard %d outside 0..%d", shard, shards-1))
+	}
 	t := NewWindowTrie()
 	if maxLen > MaxWindowLen {
 		t.fail(&LimitError{What: "window length", Value: uint64(maxLen), Limit: MaxWindowLen})
@@ -252,7 +284,7 @@ func (a *Analysis) CountWindowRange(minLen, maxLen int) *WindowTrie {
 	var terms []uint64
 	var starts []uint64
 	var froms []int
-	w := walker{t: t}
+	w := walker{t: t, minLen: minLen, shard: shard, shards: shards}
 	for r, rhs := range a.Snap.Rules {
 		uses := a.Uses[r]
 		cum := a.CumLens[r]
@@ -314,12 +346,17 @@ const walkBatch = 64
 // probe's home slot — loads the processor can have in flight together —
 // and then interns against a warm cache; a walk one window at a time
 // would instead wait out each cache miss in turn.
+//
+// A walker counting one prefix shard drops, in add, every window whose
+// first minLen symbols route to another shard.
 type walker struct {
 	t     *WindowTrie
 	terms []uint64 // the batch's windows, back to back
 	win   [walkBatch]batchWindow
 	k     int    // windows queued
 	sink  uint32 // consumes the touch loads so the compiler keeps them
+
+	minLen, shard, shards int
 }
 
 // batchWindow is one queued window, terms[off:off+n], with its Add
@@ -331,8 +368,12 @@ type batchWindow struct {
 	node, h      uint32
 }
 
-// add queues Add(window, from, weight).
+// add queues Add(window, from, weight) if the window's prefix routes to
+// the walker's shard.
 func (w *walker) add(window []uint64, from int, weight uint64) {
+	if w.shards > 1 && ShardOf(window[:w.minLen], w.shards) != w.shard {
+		return
+	}
 	w.win[w.k] = batchWindow{off: len(w.terms), n: len(window), from: from, weight: weight}
 	w.terms = append(w.terms, window...)
 	if w.k++; w.k == walkBatch {

@@ -1,0 +1,39 @@
+package hotpath
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/workloads"
+	"repro/internal/wpp"
+)
+
+// BenchmarkFindViewMono times FindView on monolithic WPP2 views of the
+// expr, sort and bfs artifacts the hot-query benchmark stores, at wpphot's
+// default options, on 1 and 2 workers: on 2 the view's single chunk
+// splits into two prefix shards.
+func BenchmarkFindViewMono(b *testing.B) {
+	opts := Options{MinLen: 4, MaxLen: 16, Threshold: 0.01}
+	for _, p := range []struct {
+		name string
+		arg  int64
+	}{{"expr", 150}, {"sort", 7000}, {"bfs", 450}} {
+		wl, err := workloads.ByName(p.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w, _ := programBoth(b, wl.Source, 1<<40, p.arg)
+		v := viewFor(b, w, wpp.FormatV2)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", p.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := FindView(v, opts, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(w.NumEvents())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mev/s")
+			})
+		}
+	}
+}

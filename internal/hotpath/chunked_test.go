@@ -23,7 +23,7 @@ func syntheticChunked(ids []uint64, chunkSize uint64) *wpp.ChunkedWPP {
 // programBoth builds a monolithic and a chunked WPP from one interpreter
 // run, so the chunked analyses can be checked against the monolithic
 // oracle on a real program with real path costs.
-func programBoth(t *testing.T, src string, chunkSize uint64, args ...int64) (*wpp.WPP, *wpp.ChunkedWPP) {
+func programBoth(t testing.TB, src string, chunkSize uint64, args ...int64) (*wpp.WPP, *wpp.ChunkedWPP) {
 	t.Helper()
 	p, err := wlc.Compile(src)
 	if err != nil {

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -102,7 +103,7 @@ func (o Options) validate() error {
 	if o.MaxLen > engine.MaxWindowLen {
 		return fmt.Errorf("hotpath: %w", &engine.LimitError{What: "MaxLen", Value: uint64(o.MaxLen), Limit: engine.MaxWindowLen})
 	}
-	if o.Threshold <= 0 || o.Threshold > 1 {
+	if !(o.Threshold > 0 && o.Threshold <= 1) { // also rejects NaN
 		return fmt.Errorf("hotpath: Threshold %v outside (0,1]", o.Threshold)
 	}
 	return nil
@@ -134,7 +135,8 @@ func Find(w *wpp.WPP, opts Options) ([]Subpath, error) {
 // counted on that chunk's grammar, in compressed form — or crosses a
 // chunk boundary and is counted once, attributed to the chunk containing
 // its start position. Merging is by summation, so worker scheduling
-// cannot change any count.
+// cannot change any count. With fewer chunks than workers, each chunk's
+// count splits into prefix shards (see countWindows).
 func FindChunked(c *wpp.ChunkedWPP, opts Options, workers int) ([]Subpath, error) {
 	return find(engine.SliceSource(c.Chunks), workers, opts, c.PathCost, c.Instructions)
 }
@@ -144,8 +146,10 @@ func FindChunked(c *wpp.ChunkedWPP, opts Options, workers int) ([]Subpath, error
 // chunk-parallel: each chunk grammar is materialized inside the fold's
 // per-chunk pass and discarded after counting, so peak memory tracks
 // one chunk per worker instead of the whole artifact. A monolithic view
-// is the one-chunk case. Materialization failures (corrupt chunks)
-// surface as *wpp.ViewError.
+// is the one-chunk case; with fewer chunks than workers, each chunk's
+// count splits into prefix shards so every worker counts (see
+// countWindows). Materialization failures (corrupt chunks) surface as
+// *wpp.ViewError.
 func FindView(v *wpp.ArtifactView, opts Options, workers int) ([]Subpath, error) {
 	return find(v, workers, opts, v.PathCost, v.TotalInstructions())
 }
@@ -153,34 +157,54 @@ func FindView(v *wpp.ArtifactView, opts Options, workers int) ([]Subpath, error)
 // windowState accumulates the per-chunk window tries and boundary
 // regions across the merge.
 type windowState struct {
-	trie   *engine.WindowTrie // windows fully inside the scanned chunks
-	bounds []engine.Boundary  // one per chunk, in chunk order
-	merge  time.Duration      // time spent merging chunk tries
+	tries  []*engine.WindowTrie // windows fully inside the scanned chunks, one trie per prefix shard
+	bounds []engine.Boundary    // one per chunk, in chunk order
+	merge  time.Duration        // time spent merging chunk tries
 }
 
 // windowFold is the hot-subpath search expressed over the engine: the
-// per-chunk pass counts every window length on the grammar into a window
-// trie and materializes the chunk's boundary regions; the merge adds the
-// tries and concatenates boundaries in chunk order.
+// per-chunk pass counts every window length on the grammar into one
+// window trie per prefix shard, the shards on their own goroutines, and
+// materializes the chunk's boundary regions; the merge adds the tries
+// shard by shard and concatenates boundaries in chunk order.
 type windowFold struct {
-	opts Options
-	met  *Metrics
+	opts   Options
+	met    *Metrics
+	shards int
 }
 
 func (f windowFold) Chunk(_ int, a *engine.Analysis) *windowState {
 	f.met.ChunksScanned.Inc()
 	start := time.Now()
-	t := a.CountWindowRange(f.opts.MinLen, f.opts.MaxLen)
+	tries := make([]*engine.WindowTrie, f.shards)
+	eachShard(f.shards, func(s int) {
+		tries[s] = a.CountWindowShard(f.opts.MinLen, f.opts.MaxLen, s, f.shards)
+	})
 	f.met.CountSeconds.Observe(time.Since(start))
-	return &windowState{trie: t, bounds: []engine.Boundary{a.Boundary(f.opts.MaxLen - 1)}}
+	return &windowState{tries: tries, bounds: []engine.Boundary{a.Boundary(f.opts.MaxLen - 1)}}
 }
 
 func (f windowFold) Merge(acc, next *windowState) *windowState {
 	start := time.Now()
-	acc.trie.Merge(next.trie)
+	eachShard(f.shards, func(s int) { acc.tries[s].Merge(next.tries[s]) })
 	acc.bounds = append(acc.bounds, next.bounds...)
 	acc.merge += time.Since(start)
 	return acc
+}
+
+// eachShard calls fn(0), ..., fn(n-1), each on its own goroutine when
+// n > 1, and returns when all have.
+func eachShard(n int, fn func(s int)) {
+	var wg sync.WaitGroup
+	for s := 1; s < n; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(s)
+		}()
+	}
+	fn(0)
+	wg.Wait()
 }
 
 // find is the single hot-subpath implementation behind Find,
@@ -190,15 +214,15 @@ func find(src engine.Source, workers int, opts Options, costOf func(trace.Event)
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	t, err := countWindows(src, workers, opts)
+	tries, err := countWindows(src, workers, opts)
 	if err != nil {
 		return nil, err
 	}
 	met := opts.metrics()
 	var result []Subpath
-	if t != nil {
+	if tries != nil {
 		start := time.Now()
-		result = harvest(t, opts, costOf, total)
+		result = harvest(tries, opts, costOf, total)
 		met.HarvestSeconds.Observe(time.Since(start))
 	}
 	sortSubpaths(result)
@@ -207,28 +231,38 @@ func find(src engine.Source, workers int, opts Options, costOf func(trace.Event)
 }
 
 // countWindows counts every window of length opts.MinLen..opts.MaxLen in
-// the source's trace into one trie: the window fold over the chunks, then
-// the windows crossing chunk seams (weight 1 each, attributed to the
-// chunk holding their start — a single chunk contributes none). A source
-// without chunks yields a nil trie.
-func countWindows(src engine.Source, workers int, opts Options) (*engine.WindowTrie, error) {
+// the source's trace into disjoint prefix-shard tries (see
+// engine.CountWindowShard): the window fold over the chunks, then the
+// windows crossing chunk seams (weight 1 each, attributed to the chunk
+// holding their start — a single chunk contributes none), each routed to
+// the shard of its first MinLen events. A source with fewer chunks than
+// workers splits into workers/chunks shards, so the workers the chunks
+// leave idle count shards of them; otherwise there is one shard. A source
+// without chunks yields no tries.
+func countWindows(src engine.Source, workers int, opts Options) ([]*engine.WindowTrie, error) {
 	met := opts.metrics()
-	st, err := engine.RunSource(src, workers, windowFold{opts: opts, met: met})
+	shards := 1
+	if n := src.NumChunks(); n > 0 {
+		shards = max(1, engine.Workers(workers)/n)
+	}
+	st, err := engine.RunSource(src, workers, windowFold{opts: opts, met: met, shards: shards})
 	if err != nil || st == nil {
 		return nil, err
 	}
 	start := time.Now()
 	engine.CrossingWindows(st.bounds, opts.MaxLen, func(window []uint64, from int) {
 		if from = max(from, opts.MinLen); from <= len(window) {
-			st.trie.Add(window, from, 1)
+			st.tries[engine.ShardOf(window[:opts.MinLen], shards)].Add(window, from, 1)
 			met.BoundaryWindows.Add(uint64(len(window) - from + 1))
 		}
 	})
 	met.SeamSeconds.Observe(st.merge + time.Since(start))
-	if err := st.trie.Err(); err != nil {
-		return nil, fmt.Errorf("hotpath: %w", err)
+	for _, t := range st.tries {
+		if err := t.Err(); err != nil {
+			return nil, fmt.Errorf("hotpath: %w", err)
+		}
 	}
-	return st.trie, nil
+	return st.tries, nil
 }
 
 // FindByScan locates the same minimal hot subpaths by decompressing the
@@ -269,15 +303,33 @@ func FindByScan(w *wpp.WPP, opts Options) ([]Subpath, error) {
 	return result, nil
 }
 
-// harvest scans the trie's windows once, in node order, extending each
-// window's unit cost from its prefix's, and returns the minimal hot
-// subpaths. Keys and events are materialized only for hot windows.
-// costOf and total supply the cost model (a WPP's or a ChunkedWPP's).
-func harvest(t *engine.WindowTrie, opts Options, costOf func(trace.Event) uint64, total uint64) []Subpath {
+// harvest scans the shard tries' windows for hot ones, the shards
+// concurrently, and returns the minimal hot subpaths among them all.
+// costOf and total supply the cost model (a WPP's or a ChunkedWPP's);
+// costOf must be safe for concurrent calls.
+func harvest(tries []*engine.WindowTrie, opts Options, costOf func(trace.Event) uint64, total uint64) []Subpath {
 	if total == 0 {
 		return nil
 	}
+	hots := make([][]hotWindow, len(tries))
+	distinct := make([]uint64, len(tries))
+	eachShard(len(tries), func(s int) {
+		hots[s], distinct[s] = hotWindows(tries[s], opts, costOf, total)
+	})
 	met := opts.metrics()
+	var hot []hotWindow
+	for s := range tries {
+		hot = append(hot, hots[s]...)
+		met.WindowsDistinct.Add(distinct[s])
+	}
+	return minimal(hot, opts.MinLen)
+}
+
+// hotWindows scans one trie's windows once, in node order, extending each
+// window's unit cost from its prefix's, and returns its hot windows and
+// its number of distinct counted windows. Keys are materialized only for
+// hot windows.
+func hotWindows(t *engine.WindowTrie, opts Options, costOf func(trace.Event) uint64, total uint64) ([]hotWindow, uint64) {
 	unit := make([]uint64, t.Len())
 	var distinct uint64
 	var hot []hotWindow
@@ -300,8 +352,7 @@ func harvest(t *engine.WindowTrie, opts Options, costOf func(trace.Event) uint64
 		}
 		hot = append(hot, hotWindow{key: string(key), count: count, cost: cost, frac: frac})
 	}
-	met.WindowsDistinct.Add(distinct)
-	return minimal(hot, opts.MinLen)
+	return hot, distinct
 }
 
 // hotWindow is a window whose aggregate cost meets the threshold, keyed

@@ -3,6 +3,7 @@ package hotpath
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -53,6 +54,7 @@ func TestOptionsValidation(t *testing.T) {
 		{MinLen: 3, MaxLen: 2, Threshold: 0.1},
 		{MinLen: 1, MaxLen: 2, Threshold: 0},
 		{MinLen: 1, MaxLen: 2, Threshold: 1.5},
+		{MinLen: 1, MaxLen: 2, Threshold: math.NaN()},
 		{MinLen: 1, MaxLen: engine.MaxWindowLen + 1, Threshold: 0.1},
 	}
 	for _, o := range bad {

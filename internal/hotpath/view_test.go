@@ -2,6 +2,8 @@ package hotpath
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -9,7 +11,7 @@ import (
 )
 
 // viewFor encodes the artifact and reopens it as a lazy view.
-func viewFor(t *testing.T, a wpp.Artifact, version uint8) *wpp.ArtifactView {
+func viewFor(t testing.TB, a wpp.Artifact, version uint8) *wpp.ArtifactView {
 	t.Helper()
 	switch w := a.(type) {
 	case *wpp.WPP:
@@ -74,6 +76,51 @@ func main(n) {
 				t.Fatalf("v%d workers=%d: FindView on chunked view diverges from FindChunked", version, workers)
 			}
 		}
+	}
+}
+
+// TestFindViewWorkersAgree: on every committed golden artifact (all
+// four formats), FindView answers identically at 1..4 workers — the
+// monolithic files split into prefix shards from 2 workers on.
+func TestFindViewWorkersAgree(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "experiments", "testdata", "golden", "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("golden corpus unavailable: %v", err)
+	}
+	optSets := []Options{
+		{MinLen: 1, MaxLen: 6, Threshold: 0.01},
+		{MinLen: 4, MaxLen: 16, Threshold: 0.005},
+	}
+	var found int
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := wpp.NewView(data, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, opts := range optSets {
+			var want []Subpath
+			for workers := 1; workers <= 4; workers++ {
+				got, err := FindView(v, opts, workers)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", path, workers, err)
+				}
+				if workers == 1 {
+					want = got
+					found += len(got)
+				} else if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s min=%d max=%d: workers=%d gives %d subpaths, workers=1 %d",
+						path, opts.MinLen, opts.MaxLen, workers, len(got), len(want))
+				}
+			}
+		}
+		v.Close()
+	}
+	if found == 0 {
+		t.Fatal("no golden artifact has a hot subpath: the comparison is vacuous")
 	}
 }
 

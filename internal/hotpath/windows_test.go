@@ -36,16 +36,24 @@ func keyOf(window []uint64) string {
 	return string(key)
 }
 
-// trieCounts reads the same per-length maps off a counted trie.
-func trieCounts(t *engine.WindowTrie, minLen, maxLen int) []map[string]uint64 {
+// trieCounts reads the same per-length maps off counted prefix-shard
+// tries, failing if a counted window appears in two shards.
+func trieCounts(t *testing.T, tries []*engine.WindowTrie, minLen, maxLen int) []map[string]uint64 {
+	t.Helper()
 	out := make([]map[string]uint64, maxLen-minLen+1)
 	for i := range out {
 		out[i] = map[string]uint64{}
 	}
-	for n := 1; n < t.Len(); n++ {
-		d := int(t.Depth[n])
-		if d >= minLen && d <= maxLen && t.Count[n] != 0 {
-			out[d-minLen][keyOf(t.Window(uint32(n), nil))] = t.Count[n]
+	for _, tr := range tries {
+		for n := 1; n < tr.Len(); n++ {
+			d := int(tr.Depth[n])
+			if d >= minLen && d <= maxLen && tr.Count[n] != 0 {
+				key := keyOf(tr.Window(uint32(n), nil))
+				if _, dup := out[d-minLen][key]; dup {
+					t.Fatalf("window %x counted in two shards", key)
+				}
+				out[d-minLen][key] = tr.Count[n]
+			}
 		}
 	}
 	return out
@@ -66,11 +74,11 @@ func chunkSnapshots(events []uint64, chunkSize int) engine.SliceSource {
 // counts for every length of opts.
 func checkWindowParity(t *testing.T, label string, src engine.Source, want []map[string]uint64, opts Options, workers int) {
 	t.Helper()
-	tr, err := countWindows(src, workers, opts)
+	tries, err := countWindows(src, workers, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if tr == nil {
+	if tries == nil {
 		for _, m := range want {
 			if len(m) != 0 {
 				t.Fatalf("%s: no trie for a non-empty trace", label)
@@ -78,7 +86,10 @@ func checkWindowParity(t *testing.T, label string, src engine.Source, want []map
 		}
 		return
 	}
-	got := trieCounts(tr, opts.MinLen, opts.MaxLen)
+	if src.NumChunks() < workers && len(tries) < 2 {
+		t.Fatalf("%s: %d chunks on %d workers counted in %d shard(s)", label, src.NumChunks(), workers, len(tries))
+	}
+	got := trieCounts(t, tries, opts.MinLen, opts.MaxLen)
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("%s: length %d: trie has %d distinct windows, scan %d", label, opts.MinLen+i, len(got[i]), len(want[i]))
@@ -126,13 +137,18 @@ func TestWindowCountParityOnWorkloads(t *testing.T) {
 }
 
 // FuzzWindowCountParity checks the window trie against the scan on a
-// fuzzer-chosen small-alphabet stream, chunk size and length range.
+// fuzzer-chosen small-alphabet stream, chunk size, length range and
+// worker count. The monolithic stream runs at one worker and at 2-4,
+// where it splits into prefix shards; the chunked stream, when it has at
+// most 64 chunks, runs at 2-4 workers per chunk, so its seam windows are
+// routed across shards too.
 func FuzzWindowCountParity(f *testing.F) {
-	f.Add([]byte("abcabcabdabcabcabd"), uint8(4), uint8(2), uint8(6))
-	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaab"), uint8(3), uint8(1), uint8(9))
-	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 3, 2, 1, 0}, uint8(0), uint8(4), uint8(4))
-	f.Add([]byte("x"), uint8(1), uint8(1), uint8(1))
-	f.Fuzz(func(t *testing.T, raw []byte, chunk, minLen, span uint8) {
+	f.Add([]byte("abcabcabdabcabcabd"), uint8(4), uint8(2), uint8(6), uint8(0))
+	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaab"), uint8(3), uint8(1), uint8(9), uint8(1))
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 3, 2, 1, 0}, uint8(0), uint8(4), uint8(4), uint8(2))
+	f.Add([]byte("x"), uint8(1), uint8(1), uint8(1), uint8(0))
+	f.Add([]byte("abcdabcdabcdabceabcdabcdabcdabce"), uint8(12), uint8(0), uint8(7), uint8(2))
+	f.Fuzz(func(t *testing.T, raw []byte, chunk, minLen, span, extra uint8) {
 		if len(raw) > 2000 {
 			return
 		}
@@ -143,10 +159,20 @@ func FuzzWindowCountParity(f *testing.F) {
 		opts := Options{MinLen: int(minLen%8) + 1, Threshold: 0.5}
 		opts.MaxLen = opts.MinLen + int(span%14)
 		want := scanCounts(events, opts.MinLen, opts.MaxLen)
+		workers := 2 + int(extra%3)
 		// One chunk holding the whole stream (none if it is empty).
-		checkWindowParity(t, "mono", chunkSnapshots(events, len(events)+1), want, opts, 1)
+		mono := chunkSnapshots(events, len(events)+1)
+		checkWindowParity(t, "mono", mono, want, opts, 1)
+		checkWindowParity(t, fmt.Sprintf("mono workers=%d", workers), mono, want, opts, workers)
 		if chunk > 0 {
-			checkWindowParity(t, fmt.Sprintf("chunk%d", chunk), chunkSnapshots(events, int(chunk)), want, opts, 2)
+			src := chunkSnapshots(events, int(chunk))
+			// workers per chunk when there are few chunks; 2 when there
+			// are too many to give each its own goroutines.
+			cw := 2
+			if len(src) <= 64 {
+				cw = workers * len(src)
+			}
+			checkWindowParity(t, fmt.Sprintf("chunk%d workers=%d", chunk, cw), src, want, opts, cw)
 		}
 	})
 }
@@ -161,14 +187,16 @@ func TestStageMetrics(t *testing.T) {
 	if _, err := FindChunked(cw, opts, 2); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := countWindows(engine.SliceSource(cw.Chunks), 2, Options{MinLen: 2, MaxLen: 6})
+	tries, err := countWindows(engine.SliceSource(cw.Chunks), 2, Options{MinLen: 2, MaxLen: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var distinct uint64
-	for n := 1; n < tr.Len(); n++ {
-		if tr.Depth[n] >= 2 && tr.Count[n] != 0 {
-			distinct++
+	for _, tr := range tries {
+		for n := 1; n < tr.Len(); n++ {
+			if tr.Depth[n] >= 2 && tr.Count[n] != 0 {
+				distinct++
+			}
 		}
 	}
 	if got := met.WindowsDistinct.Value(); got != distinct || got == 0 {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -381,6 +382,18 @@ func TestProtocolStatusCodes(t *testing.T) {
 		got, _ := c.Info(id)
 		if got.Events != 80 {
 			t.Fatalf("quota rejection was not transactional: %d events", got.Events)
+		}
+	})
+
+	t.Run("bad hot threshold 400", func(t *testing.T) {
+		// NaN fails every comparison, so it must be refused outright
+		// rather than slip past a range check and make every window hot.
+		for _, th := range []float64{math.NaN(), 1.5, -0.1} {
+			_, err := c.Hot(id, HotQuery{Threshold: th})
+			wantStatus(t, err, http.StatusBadRequest)
+		}
+		if _, err := c.Hot(id, HotQuery{Threshold: 0.01}); err != nil {
+			t.Fatalf("valid live hot query: %v", err)
 		}
 	})
 
