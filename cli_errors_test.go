@@ -35,6 +35,16 @@ func TestCLICorruptArtifacts(t *testing.T) {
 	truncMono := write("trunc.wpp", []byte{'W', 'P', 'P', '1', 0x80})
 	truncChunked := write("trunc.wpc", []byte{'W', 'P', 'C', '1', 0x03, 0x80})
 	missing := filepath.Join(dir, "does-not-exist.wpp")
+	// Well-framed artifacts whose grammar is cyclic: rule 1 expands to
+	// event 0 followed by rule 1 itself. Each opens cleanly; expanding
+	// the grammar would never terminate.
+	funcs := []byte{1, 1, 'f', 0}  // one function "f", no path count
+	costs := []byte{2, 0, 1, 1, 1} // events 0 and 1, cost 1 (v1 and v2 alike)
+	cyclic := []byte{'S', 'Q', 'G', '1', 2, 2, 3, 3, 2, 0, 3}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	cycMono := write("cyclic.wpp", cat([]byte("WPP1"), funcs, []byte{8, 8}, costs, cyclic))
+	cycMono2 := write("cyclic2.wpp", cat([]byte("WPP2"), funcs, []byte{8, 8}, costs, cyclic))
+	cycChunked := write("cyclic.wpc", cat([]byte("WPC1"), funcs, []byte{8, 8, 8, 0}, costs, []byte{1}, cyclic))
 
 	inputs := []struct {
 		name, path string
@@ -45,6 +55,9 @@ func TestCLICorruptArtifacts(t *testing.T) {
 		{"short magic", shortMagic},
 		{"truncated monolithic header", truncMono},
 		{"truncated chunked header", truncChunked},
+		{"cyclic WPP1 grammar", cycMono},
+		{"cyclic WPP2 grammar", cycMono2},
+		{"cyclic WPC1 grammar", cycChunked},
 	}
 	tools := []struct {
 		tool string

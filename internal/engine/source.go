@@ -9,13 +9,16 @@ import (
 
 // Source is a sequence of chunk grammars an analysis can fold over
 // without requiring them all in memory at once. The in-memory artifacts
-// satisfy it trivially (SliceSource); lazy views materialize each chunk
-// inside the Chunk call, so a corrupt or unreadable chunk surfaces as
-// an error from the fold instead of failing the open.
+// (a monolithic WPP is one chunk) return their grammars as they are;
+// lazy views materialize and validate each chunk inside the Chunk call,
+// so a corrupt or unreadable chunk surfaces as an error from the fold
+// instead of failing the open.
 //
-// Chunk must be safe for concurrent calls on distinct indices and may
-// be called more than once per index; implementations return a snapshot
-// the caller may read freely.
+// Every chunk a Source returns is a well-formed, acyclic grammar
+// (sequitur.Snapshot.Validate accepts it), so analyses may recurse over
+// its rules. Chunk must be safe for concurrent calls on distinct indices
+// and may be called more than once per index; implementations return a
+// snapshot the caller may read freely.
 type Source interface {
 	// NumChunks reports the number of chunk grammars.
 	NumChunks() int
@@ -33,23 +36,22 @@ func (s SliceSource) NumChunks() int { return len(s) }
 // Chunk implements Source.
 func (s SliceSource) Chunk(i int) (*sequitur.Snapshot, error) { return s[i], nil }
 
-// MapSource builds each chunk's Analysis and applies fn to it on
-// `workers` goroutines (normalized by Workers), returning results in
-// chunk order. fn must only write state owned by index i. If any chunk
-// fails to load, every chunk is still visited and the error for the
-// lowest-indexed failing chunk is returned — deterministic at every
-// worker count.
-func MapSource[R any](src Source, workers int, fn func(i int, a *Analysis) R) ([]R, error) {
+// EachChunk loads every chunk of src and calls fn on it, on `workers`
+// goroutines (normalized by Workers; one worker runs inline). It is the
+// one chunk-parallel loop behind every fold, view scan and verifier.
+// Every chunk is visited even after a failure, and the error returned is
+// the lowest-indexed chunk's — from loading it or from fn — so it is
+// deterministic at every worker count. fn must only write state owned by
+// index i.
+func EachChunk(src Source, workers int, fn func(i int, sn *sequitur.Snapshot) error) error {
 	n := src.NumChunks()
-	out := make([]R, n)
 	errs := make([]error, n)
 	run := func(i int) {
 		sn, err := src.Chunk(i)
-		if err != nil {
-			errs[i] = err
-			return
+		if err == nil {
+			err = fn(i, sn)
 		}
-		out[i] = fn(i, NewAnalysis(sn))
+		errs[i] = err
 	}
 	if workers = Workers(workers); workers > n {
 		workers = n
@@ -78,8 +80,24 @@ func MapSource[R any](src Source, workers int, fn func(i int, a *Analysis) R) ([
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
+	}
+	return nil
+}
+
+// MapSource builds each chunk's Analysis and applies fn to it via
+// EachChunk, returning results in chunk order. fn must only write state
+// owned by index i. A chunk that fails to load fails the map with the
+// lowest-indexed failing chunk's error.
+func MapSource[R any](src Source, workers int, fn func(i int, a *Analysis) R) ([]R, error) {
+	out := make([]R, src.NumChunks())
+	err := EachChunk(src, workers, func(i int, sn *sequitur.Snapshot) error {
+		out[i] = fn(i, NewAnalysis(sn))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -59,15 +59,15 @@ func A3(scale Scale, names []string, chunkSizes []uint64) ([]A3Row, *Table, erro
 			if size == 0 {
 				size = uint64(len(events)) + 1
 			}
-			b := iwpp.NewChunkedBuilder(nil, nil, size)
+			b := iwpp.New(nil, nil, iwpp.BuildOptions{ChunkSize: size, Workers: 1})
 			for _, e := range events {
 				b.Add(e)
 			}
-			return b.Finish(0)
+			return b.Finish(0).(*iwpp.ChunkedWPP)
 		}
 
 		mono := build(0)
-		monoBytes := mono.EncodedSize()
+		monoBytes := mono.Stats().GrammarBytes
 		emit := func(chunk uint64, c *iwpp.ChunkedWPP) {
 			st := c.Stats()
 			r := A3Row{

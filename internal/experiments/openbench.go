@@ -97,7 +97,7 @@ func OpenBench(scale Scale, names []string, chunkSize uint64, reps int) (*OpenBe
 // encodeAllFormats runs one workload traced and returns its four
 // encodings keyed by extension, built exactly as the golden corpus is:
 // the monolithic grammar from the online per-event build, the chunked
-// artifact from the chunked builder at the given chunk size.
+// artifact from wpp.New at the given chunk size on one worker.
 func encodeAllFormats(name string, scale Scale, chunkSize uint64) (map[string][]byte, error) {
 	w, err := workloads.ByName(name)
 	if err != nil {
@@ -111,11 +111,11 @@ func encodeAllFormats(name string, scale Scale, chunkSize uint64) (map[string][]
 	for i, f := range art.prog.Funcs {
 		fnames[i] = f.Name
 	}
-	cb := iwpp.NewChunkedBuilder(fnames, art.nums, chunkSize)
+	cb := iwpp.New(fnames, art.nums, iwpp.BuildOptions{ChunkSize: chunkSize, Workers: 1})
 	for _, e := range art.events {
 		cb.Add(e)
 	}
-	chunked := cb.Finish(art.stats.Instructions)
+	chunked := cb.Finish(art.stats.Instructions).(*iwpp.ChunkedWPP)
 
 	out := make(map[string][]byte, 4)
 	for _, f := range []struct {
@@ -132,12 +132,7 @@ func encodeAllFormats(name string, scale Scale, chunkSize uint64) (map[string][]
 		if f.chunked {
 			a = chunked
 		}
-		switch t := a.(type) {
-		case *iwpp.WPP:
-			t.Version = f.version
-		case *iwpp.ChunkedWPP:
-			t.Version = f.version
-		}
+		iwpp.SetVersion(a, f.version)
 		var buf bytes.Buffer
 		if _, err := a.Encode(&buf); err != nil {
 			return nil, fmt.Errorf("%s.%s: %w", name, f.ext, err)

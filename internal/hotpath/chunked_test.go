@@ -13,11 +13,11 @@ import (
 
 // syntheticChunked mirrors syntheticWPP for the chunked pipeline.
 func syntheticChunked(ids []uint64, chunkSize uint64) *wpp.ChunkedWPP {
-	b := wpp.NewChunkedBuilder([]string{"f"}, nil, chunkSize)
+	b := wpp.New([]string{"f"}, nil, wpp.BuildOptions{ChunkSize: chunkSize, Workers: 1})
 	for _, id := range ids {
 		b.Add(trace.MakeEvent(0, id))
 	}
-	return b.Finish(uint64(len(ids)))
+	return b.Finish(uint64(len(ids))).(*wpp.ChunkedWPP)
 }
 
 // programBoth builds a monolithic and a chunked WPP from one interpreter
@@ -30,7 +30,7 @@ func programBoth(t testing.TB, src string, chunkSize uint64, args ...int64) (*wp
 		t.Fatal(err)
 	}
 	var mb *wpp.MonoBuilder
-	var cb *wpp.ChunkedBuilder
+	var cb wpp.Builder
 	m, err := interp.New(p, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
 		mb.Add(e)
 		cb.Add(e)
@@ -43,11 +43,11 @@ func programBoth(t testing.TB, src string, chunkSize uint64, args ...int64) (*wp
 		names[i] = f.Name
 	}
 	mb = wpp.NewMonoBuilder(names, m.Numberings())
-	cb = wpp.NewChunkedBuilder(names, m.Numberings(), chunkSize)
+	cb = wpp.New(names, m.Numberings(), wpp.BuildOptions{ChunkSize: chunkSize, Workers: 1})
 	if _, err := m.Run("main", args...); err != nil {
 		t.Fatal(err)
 	}
-	return mb.Finish(m.Stats().Instructions), cb.Finish(m.Stats().Instructions)
+	return mb.Finish(m.Stats().Instructions), cb.Finish(m.Stats().Instructions).(*wpp.ChunkedWPP)
 }
 
 // TestFindChunkedOracle: FindChunked must agree exactly with the

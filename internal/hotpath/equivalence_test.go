@@ -28,7 +28,7 @@ func workloadBoth(t *testing.T, name string) (*wpp.WPP, *wpp.ChunkedWPP) {
 		t.Fatal(err)
 	}
 	var mb *wpp.MonoBuilder
-	var cb *wpp.ChunkedBuilder
+	var cb wpp.Builder
 	m, err := interp.New(p, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
 		mb.Add(e)
 		cb.Add(e)
@@ -41,11 +41,11 @@ func workloadBoth(t *testing.T, name string) (*wpp.WPP, *wpp.ChunkedWPP) {
 		names[i] = f.Name
 	}
 	mb = wpp.NewMonoBuilder(names, m.Numberings())
-	cb = wpp.NewChunkedBuilder(names, m.Numberings(), equivChunkSize)
+	cb = wpp.New(names, m.Numberings(), wpp.BuildOptions{ChunkSize: equivChunkSize, Workers: 1})
 	if _, err := m.Run("main", w.Small); err != nil {
 		t.Fatal(err)
 	}
-	return mb.Finish(m.Stats().Instructions), cb.Finish(m.Stats().Instructions)
+	return mb.Finish(m.Stats().Instructions), cb.Finish(m.Stats().Instructions).(*wpp.ChunkedWPP)
 }
 
 // TestFoldEquivalenceOnWorkloads is the refactor's keystone property

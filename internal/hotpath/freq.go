@@ -44,7 +44,7 @@ func frequencies(src engine.Source, workers int) (map[trace.Event]uint64, error)
 // EventFrequencies returns the execution count of every distinct acyclic
 // path event, computed from the grammar without decompressing the trace.
 func EventFrequencies(w *wpp.WPP) map[trace.Event]uint64 {
-	freqs, _ := frequencies(engine.SliceSource{w.Grammar}, 1)
+	freqs, _ := frequencies(w, 1)
 	return freqs
 }
 
@@ -53,7 +53,7 @@ func EventFrequencies(w *wpp.WPP) map[trace.Event]uint64 {
 // (<=0 means GOMAXPROCS) and merged. It matches EventFrequencies on a
 // monolithic WPP over the same stream exactly.
 func ChunkedEventFrequencies(c *wpp.ChunkedWPP, workers int) map[trace.Event]uint64 {
-	freqs, _ := frequencies(engine.SliceSource(c.Chunks), workers)
+	freqs, _ := frequencies(c, workers)
 	return freqs
 }
 

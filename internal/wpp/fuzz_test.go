@@ -32,9 +32,9 @@ func checkLiveGrammar(t *testing.T, events []trace.Event) {
 }
 
 // FuzzChunkedParity drives arbitrary event streams and chunk sizes
-// through both the sequential and the parallel chunked builders and
-// fails on any divergence: differing chunk structure, stats, encodings,
-// expansions, or a Verify failure on either side.
+// through both the reference (refBuilder) and the parallel chunked
+// builder and fails on any divergence: differing chunk structure, stats,
+// encodings, expansions, or a Verify failure on either side.
 func FuzzChunkedParity(f *testing.F) {
 	// Seeds cover the degenerate geometries: chunkSize 1 (every event its
 	// own chunk), a stream shorter than one chunk, an empty stream, and a
@@ -57,8 +57,8 @@ func FuzzChunkedParity(f *testing.F) {
 			events[i] = trace.MakeEvent(uint32(b%4), uint64(b))
 		}
 
-		sb := NewChunkedBuilder(nil, nil, chunkSize)
-		pb := NewParallelChunkedBuilder(nil, nil, chunkSize, ParallelOptions{Workers: nw})
+		sb := newRefBuilder(funcNames(events), nil, chunkSize)
+		pb := NewParallelChunkedBuilder(funcNames(events), nil, chunkSize, ParallelOptions{Workers: nw})
 		for _, e := range events {
 			sb.Add(e)
 			pb.Add(e)
@@ -67,7 +67,7 @@ func FuzzChunkedParity(f *testing.F) {
 		par := pb.Finish(uint64(len(events)))
 
 		if err := seq.Verify(); err != nil {
-			t.Fatalf("sequential verify: %v", err)
+			t.Fatalf("reference verify: %v", err)
 		}
 		if err := par.VerifyParallel(nw); err != nil {
 			t.Fatalf("parallel verify: %v", err)
@@ -116,7 +116,7 @@ func FuzzDecode(f *testing.F) {
 // artifact, its bare magic, the empty file and a truncation, plus the
 // committed crasher in testdata/fuzz/FuzzDecodeChunked.
 func FuzzDecodeChunked(f *testing.F) {
-	b := NewChunkedBuilder([]string{"f"}, nil, 16)
+	b := newRefBuilder([]string{"f"}, nil, 16)
 	for i := 0; i < 200; i++ {
 		b.Add(trace.MakeEvent(0, uint64(i%5)))
 	}
@@ -136,7 +136,7 @@ func FuzzDecodeChunked(f *testing.F) {
 // truncations of both containers.
 func FuzzDecodeAny(f *testing.F) {
 	mb := NewMonoBuilder([]string{"f"}, nil)
-	cb := NewChunkedBuilder([]string{"f"}, nil, 16)
+	cb := newRefBuilder([]string{"f"}, nil, 16)
 	for i := 0; i < 200; i++ {
 		e := trace.MakeEvent(0, uint64(i%5))
 		mb.Add(e)

@@ -1,7 +1,6 @@
 package wpp
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -29,19 +28,21 @@ func (o ParallelOptions) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ParallelChunkedBuilder is a ChunkedBuilder whose per-chunk SEQUITUR
-// compression runs on a bounded worker pool. The Add front-end stays
-// single-threaded (it is an interp Sink, called from one goroutine): it
-// only buffers events and tallies path costs; a full buffer is handed to
-// the pool over a bounded channel, so a slow compressor exerts
-// backpressure on the producer instead of queueing unbounded raw chunks.
+// ParallelChunkedBuilder builds a ChunkedWPP, compressing chunks on a
+// bounded worker pool. Its output is defined independently of the pool:
+// chunk i is the SEQUITUR grammar of events [i·chunkSize,
+// (i+1)·chunkSize) of the stream, each distinct event is priced once,
+// and PeakLiveRHS is the largest chunk grammar's symbol count at seal
+// time. SEQUITUR is a deterministic function of a chunk's events and
+// results are reassembled by chunk index, so the artifact — Chunks,
+// Stats and encoding — is byte-identical at every worker count and
+// schedule.
 //
-// The pipeline is deterministic: chunk i is exactly the events
-// [i*chunkSize, (i+1)*chunkSize) of the stream, SEQUITUR is a
-// deterministic function of a chunk's events, and results are reassembled
-// by chunk index — so Finish returns a ChunkedWPP whose Chunks, Stats,
-// and encoding are byte-identical to the sequential ChunkedBuilder's,
-// regardless of worker count or scheduling.
+// The Add front-end stays single-threaded (it is an interp Sink, called
+// from one goroutine): it only buffers events and tallies path costs; a
+// full buffer is handed to the pool over a bounded channel, so a slow
+// compressor exerts backpressure on the producer instead of queueing
+// unbounded raw chunks.
 //
 // Live memory is bounded by O(workers · chunkSize): at most `workers`
 // chunks queued in the channel, `workers` being compressed, and one being
@@ -88,8 +89,8 @@ type parallelJob struct {
 type parallelResult struct {
 	idx  int
 	snap *sequitur.Snapshot
-	// rhs is the grammar's RHS symbol count at seal time, the same
-	// quantity the sequential builder samples for PeakLiveRHS.
+	// rhs is the grammar's RHS symbol count at seal time, the quantity
+	// PeakLiveRHS maximizes.
 	rhs int
 }
 
@@ -100,17 +101,10 @@ func NewParallelChunkedBuilder(names []string, nums []*bl.Numbering, chunkSize u
 	if chunkSize == 0 {
 		panic("wpp: chunk size must be positive")
 	}
-	funcs := make([]FuncInfo, len(names))
-	for i, n := range names {
-		funcs[i] = FuncInfo{Name: n}
-		if nums != nil {
-			funcs[i].NumPaths = nums[i].NumPaths
-		}
-	}
 	workers := opts.workers()
 	b := &ParallelChunkedBuilder{
 		chunkSize:  chunkSize,
-		funcs:      funcs,
+		funcs:      funcTable(names, nums),
 		nums:       nums,
 		costs:      map[trace.Event]uint64{},
 		jobs:       make(chan parallelJob, workers),
@@ -166,9 +160,8 @@ func (b *ParallelChunkedBuilder) worker(id int) {
 		b.metrics.QueueDepth.Set(int64(len(b.jobs)))
 		g.Reset()
 		// The chunk slice is a ready-made batch; the batched fast path
-		// produces a grammar identical to per-event Append (the
-		// sequential ChunkedBuilder's scalar path is the oracle the
-		// differential tests compare against).
+		// produces a grammar identical to per-event Append (the tests'
+		// per-event reference build is the oracle they compare against).
 		g.AppendBatch(job.events)
 		rhs := g.Stats().RHSSymbols
 		snap := g.Snapshot()
@@ -212,15 +205,7 @@ func (b *ParallelChunkedBuilder) Add(e trace.Event) {
 	b.events++
 	b.metrics.EventsIngested.Inc()
 	if _, seen := b.costs[e]; !seen {
-		cost := uint64(1)
-		if b.nums != nil {
-			w, err := b.nums[e.Func()].PathWeight(e.Path())
-			if err != nil {
-				panic(fmt.Sprintf("wpp: invalid event %v: %v", e, err))
-			}
-			cost = uint64(w)
-		}
-		b.costs[e] = cost
+		b.costs[e] = pathCost(b.nums, e)
 	}
 	if uint64(len(b.buf)) >= b.chunkSize {
 		b.seal()
@@ -314,7 +299,7 @@ func (b *ParallelChunkedBuilder) buildReport(c *ChunkedWPP, wall time.Duration) 
 		DistinctPaths: len(c.costs),
 		Workers:       len(b.workerBusy),
 		BytesIn:       c.RawTraceBytes(),
-		BytesOut:      c.EncodedBytes(),
+		BytesOut:      c.EncodedSize(),
 		WallTime:      wall,
 		WorkerBusy:    make([]float64, len(b.workerBusy)),
 	}

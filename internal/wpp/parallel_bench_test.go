@@ -32,12 +32,12 @@ const benchChunk = 4096
 //
 //	go test ./internal/wpp/ -bench 'ChunkedBuild|ParallelBuild' -cpu 1,2,4
 
-func BenchmarkChunkedBuildSequential(b *testing.B) {
+func BenchmarkChunkedBuildReference(b *testing.B) {
 	events := benchStream(1 << 18)
 	b.SetBytes(int64(len(events) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cb := NewChunkedBuilder(nil, nil, benchChunk)
+		cb := newRefBuilder(nil, nil, benchChunk)
 		for _, e := range events {
 			cb.Add(e)
 		}
@@ -96,8 +96,8 @@ func itoa(n int) string {
 }
 
 // TestParallelOverheadBound is the benchmark regression guard: the
-// parallel pipeline at Workers=1 must stay within 1.2x of the sequential
-// chunked builder's wall time on the same stream (plus a small absolute
+// parallel pipeline at Workers=1 must stay within 1.2x of the per-event
+// reference build's wall time on the same stream (plus a small absolute
 // grace so sub-millisecond jitter cannot fail the build). The pipeline's
 // only extra work at one worker is buffering each chunk and one channel
 // hop per seal, which is far cheaper than grammar construction; a bigger
@@ -122,7 +122,7 @@ func TestParallelOverheadBound(t *testing.T) {
 	}
 
 	seq := timeOf(func() {
-		cb := NewChunkedBuilder(nil, nil, benchChunk)
+		cb := newRefBuilder(nil, nil, benchChunk)
 		for _, e := range events {
 			cb.Add(e)
 		}
@@ -138,9 +138,9 @@ func TestParallelOverheadBound(t *testing.T) {
 
 	const grace = 20 * time.Millisecond
 	limit := seq + seq/5 + grace // 1.2x + jitter grace
-	t.Logf("sequential %v, parallel(w=1) %v, limit %v", seq, par, limit)
+	t.Logf("reference %v, parallel(w=1) %v, limit %v", seq, par, limit)
 	if par > limit {
-		t.Errorf("parallel pipeline at Workers=1 took %v, over the %v bound (sequential %v)", par, limit, seq)
+		t.Errorf("parallel pipeline at Workers=1 took %v, over the %v bound (reference %v)", par, limit, seq)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // concurrently, tiny chunks (so seals are frequent and the jobs channel
 // stays saturated), randomized pacing between Adds so seal timing varies
 // relative to worker progress. Every artifact is checked against the
-// sequential builder. Run under -race this exercises the pool's
-// happens-before edges; -short trims the trial count.
+// per-event reference (refBuilder). Run under -race this exercises the
+// pool's happens-before edges; -short trims the trial count.
 func TestParallelStress(t *testing.T) {
 	trials := 12
 	streamLen := 20000
@@ -43,7 +43,7 @@ func TestParallelStress(t *testing.T) {
 			chunkSize := uint64(1 + rng.Intn(64)) // tiny: hundreds to thousands of seals
 			workers := 1 + rng.Intn(8)
 
-			pb := NewParallelChunkedBuilder(nil, nil, chunkSize, ParallelOptions{Workers: workers})
+			pb := NewParallelChunkedBuilder(funcNames(events), nil, chunkSize, ParallelOptions{Workers: workers})
 			for i, e := range events {
 				pb.Add(e)
 				// Randomize seal timing relative to worker progress: yield
@@ -56,14 +56,14 @@ func TestParallelStress(t *testing.T) {
 			}
 			par := pb.Finish(uint64(n))
 
-			sb := NewChunkedBuilder(nil, nil, chunkSize)
+			sb := newRefBuilder(funcNames(events), nil, chunkSize)
 			for _, e := range events {
 				sb.Add(e)
 			}
 			seq := sb.Finish(uint64(n))
 
 			if !reflect.DeepEqual(par.Chunks, seq.Chunks) || par.Stats() != seq.Stats() {
-				errs[trial] = "parallel artifact diverged from sequential"
+				errs[trial] = "parallel artifact diverged from the reference"
 				return
 			}
 			if err := par.VerifyParallel(workers); err != nil {
@@ -88,7 +88,7 @@ func TestParallelBackpressure(t *testing.T) {
 	if testing.Short() {
 		n = 10000
 	}
-	b := NewParallelChunkedBuilder(nil, nil, 4, ParallelOptions{Workers: 1})
+	b := NewParallelChunkedBuilder([]string{"f"}, nil, 4, ParallelOptions{Workers: 1})
 	for i := 0; i < n; i++ {
 		b.Add(trace.MakeEvent(0, uint64(i%7)))
 	}

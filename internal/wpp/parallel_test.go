@@ -50,8 +50,8 @@ func eventsFor(t testing.TB, name string) ([]trace.Event, uint64) {
 	return events, m.Stats().Instructions
 }
 
-func feedSequential(events []trace.Event, instrs, chunkSize uint64) *ChunkedWPP {
-	b := NewChunkedBuilder(nil, nil, chunkSize)
+func feedReference(events []trace.Event, instrs, chunkSize uint64) *ChunkedWPP {
+	b := newRefBuilder(funcNames(events), nil, chunkSize)
 	for _, e := range events {
 		b.Add(e)
 	}
@@ -59,7 +59,7 @@ func feedSequential(events []trace.Event, instrs, chunkSize uint64) *ChunkedWPP 
 }
 
 func feedParallel(events []trace.Event, instrs, chunkSize uint64, workers int) *ChunkedWPP {
-	b := NewParallelChunkedBuilder(nil, nil, chunkSize, ParallelOptions{Workers: workers})
+	b := NewParallelChunkedBuilder(funcNames(events), nil, chunkSize, ParallelOptions{Workers: workers})
 	for _, e := range events {
 		b.Add(e)
 	}
@@ -83,7 +83,7 @@ func expand(c *ChunkedWPP) []trace.Event {
 
 // TestParallelEquivalence is the determinism keystone: for every
 // workload, several chunk sizes, and worker counts 1/2/8, the parallel
-// builder's artifact must be byte-identical to the sequential builder's
+// builder's artifact must be byte-identical to the reference build's
 // — same chunks, stats, encoded size, encoding, and full expansion.
 func TestParallelEquivalence(t *testing.T) {
 	chunkSizes := []uint64{1, 64, 1000, 1 << 20}
@@ -91,13 +91,13 @@ func TestParallelEquivalence(t *testing.T) {
 	for _, name := range workloads.Names() {
 		events, instrs := eventsFor(t, name)
 		for _, cs := range chunkSizes {
-			seq := feedSequential(events, instrs, cs)
+			seq := feedReference(events, instrs, cs)
 			seqBytes := encodeChunked(t, seq)
 			seqExp := expand(seq)
 			for _, nw := range workerCounts {
 				par := feedParallel(events, instrs, cs, nw)
 				if !reflect.DeepEqual(par.Chunks, seq.Chunks) {
-					t.Fatalf("%s chunk=%d workers=%d: chunks differ from sequential", name, cs, nw)
+					t.Fatalf("%s chunk=%d workers=%d: chunks differ from the reference", name, cs, nw)
 				}
 				if got, want := par.Stats(), seq.Stats(); got != want {
 					t.Fatalf("%s chunk=%d workers=%d: stats %+v != %+v", name, cs, nw, got, want)
@@ -120,7 +120,7 @@ func TestParallelEquivalence(t *testing.T) {
 }
 
 // TestParallelMatchesRawStream checks the pipeline against the ground
-// truth (the raw stream), not just against the sequential builder.
+// truth (the raw stream), not just against the reference build.
 func TestParallelMatchesRawStream(t *testing.T) {
 	events, instrs := eventsFor(t, "compress")
 	par := feedParallel(events, instrs, 100, 4)
@@ -133,7 +133,7 @@ func TestParallelMatchesRawStream(t *testing.T) {
 }
 
 // TestParallelCostsMatchSequential: the cost table is built in the Add
-// front-end; it must match the sequential builder's exactly, including
+// front-end; it must match the reference build's exactly, including
 // per-path weights from real numberings.
 func TestParallelCostsMatchSequential(t *testing.T) {
 	w, err := workloads.ByName("sort")
@@ -148,7 +148,7 @@ func TestParallelCostsMatchSequential(t *testing.T) {
 	for i, f := range prog.Funcs {
 		names[i] = f.Name
 	}
-	var seqB *ChunkedBuilder
+	var seqB *refBuilder
 	var parB *ParallelChunkedBuilder
 	m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
 		seqB.Add(e)
@@ -157,7 +157,7 @@ func TestParallelCostsMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqB = NewChunkedBuilder(names, m.Numberings(), 128)
+	seqB = newRefBuilder(names, m.Numberings(), 128)
 	parB = NewParallelChunkedBuilder(names, m.Numberings(), 128, ParallelOptions{Workers: 3})
 	if _, err := m.Run("main", w.Small); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,8 @@ package wpp
 // hold ArtifactView to: a streaming decoder of all four formats, written
 // independently of the view's byte-slice parser and of sequitur.Decode.
 // It reads one bufio stream front to back, with the same plausibility
-// caps as the view, and tolerates bytes after the last grammar as the
-// view does.
+// caps as the view, validates every grammar as the view does, and
+// tolerates bytes after the last grammar as the view does.
 
 import (
 	"bufio"
@@ -142,6 +142,12 @@ func refDecode(r io.Reader) (Artifact, error) {
 	snaps := make([]*sequitur.Snapshot, 0, min(numChunks, 1<<16))
 	for i := uint64(0); i < numChunks; i++ {
 		sn, err := refSnapshot(d.br)
+		if err == nil {
+			// The view serves only grammars an analysis can recurse
+			// over (the engine.Source contract), so the reference
+			// refuses what Validate refuses: cycles and short rules.
+			err = sn.Validate()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("ref: chunk %d: %w", i, err)
 		}

@@ -45,63 +45,59 @@ func digramDupBound(events uint64, grammars int) int {
 	return 2*grammars + int(events/50)
 }
 
-// VerifyArtifact deep-checks a monolithic artifact beyond Verify's
-// structural pass: the grammar must satisfy SEQUITUR's published
-// invariants (rule utility >= 2, full reachability from the start rule,
-// digram uniqueness up to the documented seam slack) and every distinct
+// VerifyArtifact deep-checks the artifact beyond Verify's structural
+// pass: the grammar must satisfy SEQUITUR's published invariants (rule
+// utility >= 2, full reachability from the start rule, digram
+// uniqueness up to the documented seam slack) and every distinct
 // event's path ID must lie inside the artifact's recorded per-function
 // path count. It is the integrity gate behind wppstats -verify and
 // wppbuild -verify.
-func (w *WPP) VerifyArtifact() (VerifyReport, error) {
-	rep := VerifyReport{Kind: "monolithic", Events: w.Events, Chunks: 1, Rules: len(w.Grammar.Rules)}
-	if err := w.Verify(); err != nil {
-		return rep, err
-	}
-	if err := verifyGrammarInvariants(w.Grammar, "grammar"); err != nil {
-		return rep, err
-	}
-	rep.DupDigrams = w.Grammar.DigramDuplicates()
-	rep.DupDigramBound = digramDupBound(w.Events, 1)
-	if rep.DupDigrams > rep.DupDigramBound {
-		return rep, fmt.Errorf("wpp: grammar has %d duplicate digrams, tolerated seam slack is %d", rep.DupDigrams, rep.DupDigramBound)
-	}
-	err := verifyEventBounds(w.Funcs, w.costs, w.Walk, &rep)
-	return rep, err
-}
+func (w *WPP) VerifyArtifact() (VerifyReport, error) { return w.artifact().verifyArtifact() }
 
-// VerifyArtifact is the chunked counterpart of WPP.VerifyArtifact: every
-// chunk grammar is held to the SEQUITUR invariants, chunk expansions must
-// respect the declared chunk geometry (every chunk except the last
-// expands to exactly ChunkSize events), and event path IDs are bounded by
-// the recorded per-function path counts.
-func (c *ChunkedWPP) VerifyArtifact() (VerifyReport, error) {
-	rep := VerifyReport{Kind: "chunked", Events: c.Events, Chunks: len(c.Chunks)}
-	if err := c.Verify(); err != nil {
+// VerifyArtifact is WPP.VerifyArtifact for every chunk grammar, plus the
+// declared chunk geometry: every chunk except the last expands to
+// exactly ChunkSize events.
+func (c *ChunkedWPP) VerifyArtifact() (VerifyReport, error) { return c.artifact().verifyArtifact() }
+
+// verifyArtifact is the one deep check behind both VerifyArtifact
+// methods; a monolithic artifact is one chunk without a geometry check.
+func (a *artifact) verifyArtifact() (VerifyReport, error) {
+	rep := VerifyReport{Kind: "monolithic", Events: a.events, Chunks: len(a.chunks)}
+	if a.chunked {
+		rep.Kind = "chunked"
+	}
+	if err := verify(&a.header, a, 1); err != nil {
 		return rep, err
 	}
-	if c.ChunkSize == 0 {
+	if a.chunked && a.chunkSize == 0 {
 		return rep, fmt.Errorf("wpp: chunked artifact declares chunk size 0")
 	}
-	for i, ch := range c.Chunks {
-		label := fmt.Sprintf("chunk %d", i)
+	for i, ch := range a.chunks {
+		label := "grammar"
+		if a.chunked {
+			label = fmt.Sprintf("chunk %d", i)
+		}
 		if err := verifyGrammarInvariants(ch, label); err != nil {
 			return rep, err
 		}
 		rep.Rules += len(ch.Rules)
 		rep.DupDigrams += ch.DigramDuplicates()
+		if !a.chunked {
+			continue
+		}
 		n := ch.ExpandedLen()[0]
-		if i < len(c.Chunks)-1 && n != c.ChunkSize {
-			return rep, fmt.Errorf("wpp: %s expands to %d events, declared chunk size is %d", label, n, c.ChunkSize)
+		if i < len(a.chunks)-1 && n != a.chunkSize {
+			return rep, fmt.Errorf("wpp: %s expands to %d events, declared chunk size is %d", label, n, a.chunkSize)
 		}
-		if i == len(c.Chunks)-1 && (n == 0 || n > c.ChunkSize) {
-			return rep, fmt.Errorf("wpp: final %s expands to %d events, want 1..%d", label, n, c.ChunkSize)
+		if i == len(a.chunks)-1 && (n == 0 || n > a.chunkSize) {
+			return rep, fmt.Errorf("wpp: final %s expands to %d events, want 1..%d", label, n, a.chunkSize)
 		}
 	}
-	rep.DupDigramBound = digramDupBound(c.Events, len(c.Chunks))
+	rep.DupDigramBound = digramDupBound(a.events, len(a.chunks))
 	if rep.DupDigrams > rep.DupDigramBound {
-		return rep, fmt.Errorf("wpp: chunks have %d duplicate digrams, tolerated seam slack is %d", rep.DupDigrams, rep.DupDigramBound)
+		return rep, fmt.Errorf("wpp: %d duplicate digrams across %d grammar(s), tolerated seam slack is %d", rep.DupDigrams, len(a.chunks), rep.DupDigramBound)
 	}
-	err := verifyEventBounds(c.Funcs, c.costs, c.Walk, &rep)
+	err := verifyEventBounds(a.funcs, a.costs, func(yield func(trace.Event) bool) { walk(a, yield) }, &rep)
 	return rep, err
 }
 

@@ -1,6 +1,7 @@
 package wpp
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -115,7 +116,7 @@ func TestVerifyArtifactRejectsForeignCostEntry(t *testing.T) {
 }
 
 func TestVerifyArtifactChunked(t *testing.T) {
-	b := NewChunkedBuilder([]string{"f0", "f1"}, nil, 64)
+	b := newRefBuilder([]string{"f0", "f1"}, nil, 64)
 	events := synthEvents(500)
 	for _, e := range events {
 		b.Add(e)
@@ -141,8 +142,39 @@ func TestVerifyArtifactEmpty(t *testing.T) {
 	if _, err := w.VerifyArtifact(); err != nil {
 		t.Fatalf("empty monolithic artifact: %v", err)
 	}
-	cb := NewChunkedBuilder(nil, nil, 8)
+	cb := newRefBuilder(nil, nil, 8)
 	if _, err := cb.Finish(0).VerifyArtifact(); err != nil {
 		t.Fatalf("empty chunked artifact: %v", err)
+	}
+}
+
+// TestVerifyRejectsUnknownFunction: an event naming a function beyond
+// the function table fails Verify on both containers, eagerly and
+// through a view.
+func TestVerifyRejectsUnknownFunction(t *testing.T) {
+	events := []trace.Event{trace.MakeEvent(0, 1), trace.MakeEvent(1, 2), trace.MakeEvent(0, 1)}
+	b := NewParallelChunkedBuilder([]string{"f0"}, nil, 2, ParallelOptions{Workers: 1})
+	m := NewMonoBuilder([]string{"f0"}, nil)
+	for _, e := range events {
+		b.Add(e)
+		m.Add(e)
+	}
+	for _, a := range []Artifact{b.Finish(3), m.Finish(3)} {
+		if err := a.Verify(); err == nil || !strings.Contains(err.Error(), "unknown function") {
+			t.Errorf("%T.Verify = %v, want an unknown-function error", a, err)
+		}
+		var buf bytes.Buffer
+		if _, err := a.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		v, err := NewView(buf.Bytes(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			if err := v.Verify(workers); err == nil || !strings.Contains(err.Error(), "unknown function") {
+				t.Errorf("%s view Verify(%d) = %v, want an unknown-function error", v.Format(), workers, err)
+			}
+		}
 	}
 }

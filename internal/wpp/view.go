@@ -4,13 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
+	"maps"
 	"runtime/debug"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/mmapio"
 	"repro/internal/obsv"
 	"repro/internal/sequitur"
@@ -35,23 +35,19 @@ import (
 // before touching the trace — is decoded eagerly, so stats-style
 // queries answer in O(header) instead of O(trace).
 //
-// Views are safe for concurrent use after opening: the deferred chunk
-// index is built exactly once under a sync.Once, and materialization is
-// pure (every Chunk call decodes afresh; nothing is cached or mutated).
+// A view is an engine.Source: every chunk it returns has passed
+// sequitur.Snapshot.Validate, so analyses over it may recurse over the
+// rules. Views are safe for concurrent use after opening: the deferred
+// chunk index is built exactly once under a sync.Once, and
+// materialization is pure (every Chunk call decodes afresh; nothing is
+// cached or mutated).
 type ArtifactView struct {
-	format       string
-	chunked      bool
-	version      uint8
-	funcs        []FuncInfo
-	chunkSize    uint64
-	events       uint64
-	instructions uint64
-	peakLiveRHS  int
-	size         int64
+	header
+	format string
+	size   int64
 	// dict is the v2 terminal dictionary (ascending cost-table events);
 	// nil for v1, whose terminals are raw event values.
-	dict  []trace.Event
-	costs map[trace.Event]uint64
+	dict []trace.Event
 
 	// nchunks is the chunk count declared by the header (1 for the
 	// monolithic formats). A byte-backed view holds raw, the encoded
@@ -417,8 +413,8 @@ func Decode(data []byte) (Artifact, error) {
 // mapped file truncated under a view fails the read instead of killing
 // the process with SIGBUS. The setting is per goroutine, so every path
 // that reads artifact bytes — the header parse, the framing scan, and
-// each chunk decode, including those on eachChunk's workers — runs
-// under its own call.
+// each chunk decode, including those on engine.EachChunk's workers —
+// runs under its own call.
 func noFault(fn func() error) (err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer func() {
@@ -604,10 +600,11 @@ func (v *ArtifactView) Close() error {
 }
 
 // Chunk materializes chunk i's grammar: load bytes, decode with full
-// bounds checks, release the bytes, and (for v2) rewrite terminal ranks
-// back to event values against the artifact's dictionary. Every call
-// decodes afresh; the returned snapshot shares nothing with the view's
-// backing bytes and stays valid after Close.
+// bounds checks, release the bytes, validate the grammar (in range,
+// acyclic, no short rules), and (for v2) rewrite terminal ranks back to
+// event values against the artifact's dictionary. Every call decodes
+// afresh; the returned snapshot shares nothing with the view's backing
+// bytes and stays valid after Close.
 func (v *ArtifactView) Chunk(i int) (*sequitur.Snapshot, error) {
 	if i < 0 || i >= v.nchunks {
 		return nil, &ViewError{Chunk: i, Err: fmt.Errorf("wpp: chunk index out of range (%d chunks)", v.nchunks)}
@@ -628,7 +625,9 @@ func (v *ArtifactView) Chunk(i int) (*sequitur.Snapshot, error) {
 				return err
 			}
 		}
-		sn, err = sequitur.Decode(data)
+		if sn, err = sequitur.Decode(data); err == nil {
+			err = sn.Validate()
+		}
 		return err
 	})
 	if release != nil {
@@ -652,160 +651,14 @@ func (v *ArtifactView) Chunk(i int) (*sequitur.Snapshot, error) {
 // a time, stopping early if yield returns false. Unlike the eager
 // artifacts' Walk it can fail: a corrupt chunk surfaces as a *ViewError
 // instead of being undecodable at open time.
-func (v *ArtifactView) Walk(yield func(trace.Event) bool) error {
-	for i := 0; i < v.nchunks; i++ {
-		sn, err := v.Chunk(i)
-		if err != nil {
-			return err
-		}
-		if len(sn.Rules) == 0 {
-			continue
-		}
-		if !sn.Expand(0, func(val uint64) bool { return yield(trace.Event(val)) }) {
-			return nil
-		}
-	}
-	return nil
-}
+func (v *ArtifactView) Walk(yield func(trace.Event) bool) error { return walk(v, yield) }
 
-// eachChunk materializes every chunk across a worker pool, invoking fn
-// per chunk. Errors are deterministic: the one reported is always for
-// the lowest-indexed failing chunk, whatever the schedule. fn must be
-// safe for concurrent calls on distinct i.
-func (v *ArtifactView) eachChunk(workers int, fn func(i int, sn *sequitur.Snapshot) error) error {
-	n := v.nchunks
-	if n == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				sn, err := v.Chunk(i)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				errs[i] = fn(i, sn)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Verify checks the view's artifact for internal consistency, applying
-// exactly the checks the eager artifact's Verify would: for monolithic
-// views, grammar validity, expansion length against the header, and
-// per-event function range and cost presence; for chunked views,
-// per-chunk grammar validity and the total expansion length. workers
-// sizes the chunk pool (<=0 means GOMAXPROCS; monolithic views have one
-// chunk and verify sequentially).
-func (v *ArtifactView) Verify(workers int) error {
-	if v.chunked {
-		return v.verifyChunked(workers)
-	}
-	return v.verifyMono()
-}
-
-func (v *ArtifactView) verifyMono() error {
-	sn, err := v.Chunk(0)
-	if err != nil {
-		return err
-	}
-	if err := sn.Validate(); err != nil {
-		return err
-	}
-	lens := sn.ExpandedLen()
-	if len(lens) > 0 && lens[0] != v.events {
-		return fmt.Errorf("wpp: grammar expands to %d events, header says %d", lens[0], v.events)
-	}
-	if len(lens) == 0 && v.events != 0 {
-		return fmt.Errorf("wpp: empty grammar but %d events", v.events)
-	}
-	// The eager Verify walks the expansion checking every event; the
-	// expansion's event set is exactly the terminals of rules reachable
-	// from the start rule, so checking those accepts the same artifacts
-	// in grammar time rather than trace time.
-	if len(sn.Rules) == 0 {
-		return nil
-	}
-	reach := make([]bool, len(sn.Rules))
-	var visit func(int)
-	visit = func(i int) {
-		if reach[i] {
-			return
-		}
-		reach[i] = true
-		for _, s := range sn.Rules[i] {
-			if s.IsRule() {
-				visit(int(s.Rule))
-			}
-		}
-	}
-	visit(0)
-	for i, rhs := range sn.Rules {
-		if !reach[i] {
-			continue
-		}
-		for _, s := range rhs {
-			if s.IsRule() {
-				continue
-			}
-			e := trace.Event(s.Value)
-			if int(e.Func()) >= len(v.funcs) {
-				return fmt.Errorf("wpp: event %v references unknown function", e)
-			}
-			if _, ok := v.costs[e]; !ok {
-				return fmt.Errorf("wpp: event %v has no recorded cost", e)
-			}
-		}
-	}
-	return nil
-}
-
-func (v *ArtifactView) verifyChunked(workers int) error {
-	lens := make([]uint64, v.nchunks)
-	err := v.eachChunk(workers, func(i int, sn *sequitur.Snapshot) error {
-		if err := sn.Validate(); err != nil {
-			return fmt.Errorf("wpp: chunk %d: %w", i, err)
-		}
-		if el := sn.ExpandedLen(); len(el) > 0 {
-			lens[i] = el[0]
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	var total uint64
-	for _, l := range lens {
-		total += l
-	}
-	if total != v.events {
-		return fmt.Errorf("wpp: chunks expand to %d events, header says %d", total, v.events)
-	}
-	return nil
-}
+// Verify checks the view's artifact for internal consistency with the
+// same checks the eager artifacts' Verify runs: every chunk grammar is
+// valid, the expansion lengths sum to the header's event count, and
+// every event names a known function and has a recorded cost. workers
+// sizes the chunk pool (<=0 means GOMAXPROCS).
+func (v *ArtifactView) Verify(workers int) error { return verify(&v.header, v, workers) }
 
 // ViewSummary aggregates the grammar-shape statistics that require
 // materializing chunks: rule and symbol counts, the canonical encoded
@@ -826,42 +679,17 @@ type ViewSummary struct {
 // Summarize materializes every chunk across a worker pool and
 // aggregates grammar statistics, matching the eager artifacts' Stats
 // figures field for field.
-func (v *ArtifactView) Summarize(workers int) (*ViewSummary, error) {
-	type acc struct {
-		rules, syms int
-		grammar     int64
-		raw         int64
-	}
-	per := make([]acc, v.nchunks)
-	err := v.eachChunk(workers, func(i int, sn *sequitur.Snapshot) error {
-		a := acc{rules: len(sn.Rules), grammar: sn.EncodedSize(), raw: snapshotRawBytes(sn)}
-		for _, rhs := range sn.Rules {
-			a.syms += len(rhs)
-		}
-		per[i] = a
+func (v *ArtifactView) Summarize(workers int) (*ViewSummary, error) { return summarize(v, workers) }
+
+// chunks materializes every chunk grammar, in order, across a worker
+// pool.
+func (v *ArtifactView) chunks() ([]*sequitur.Snapshot, error) {
+	chunks := make([]*sequitur.Snapshot, v.nchunks)
+	err := engine.EachChunk(v, 0, func(i int, sn *sequitur.Snapshot) error {
+		chunks[i] = sn
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	s := &ViewSummary{RawTraceBytes: 4} // trace magic
-	for _, a := range per {
-		s.Rules += a.rules
-		s.RHSSymbols += a.syms
-		s.GrammarBytes += a.grammar
-		s.RawTraceBytes += a.raw
-	}
-	return s, nil
-}
-
-// copyCosts clones the view's cost table for a materialized artifact,
-// so the artifact stays independent of the view.
-func (v *ArtifactView) copyCosts() map[trace.Event]uint64 {
-	costs := make(map[trace.Event]uint64, len(v.costs))
-	for e, c := range v.costs {
-		costs[e] = c
-	}
-	return costs
+	return chunks, err
 }
 
 // WPP materializes the whole monolithic artifact. The result
@@ -870,17 +698,17 @@ func (v *ArtifactView) WPP() (*WPP, error) {
 	if v.chunked {
 		return nil, fmt.Errorf("wpp: view is a %s; use ChunkedWPP", v.format)
 	}
-	sn, err := v.Chunk(0)
+	chunks, err := v.chunks()
 	if err != nil {
 		return nil, err
 	}
 	return &WPP{
 		Funcs:        v.funcs,
-		Grammar:      sn,
+		Grammar:      chunks[0],
 		Events:       v.events,
 		Instructions: v.instructions,
 		Version:      v.version,
-		costs:        v.copyCosts(),
+		costs:        maps.Clone(v.costs),
 	}, nil
 }
 
@@ -890,11 +718,7 @@ func (v *ArtifactView) ChunkedWPP() (*ChunkedWPP, error) {
 	if !v.chunked {
 		return nil, fmt.Errorf("wpp: view is a %s; use WPP", v.format)
 	}
-	chunks := make([]*sequitur.Snapshot, v.nchunks)
-	err := v.eachChunk(0, func(i int, sn *sequitur.Snapshot) error {
-		chunks[i] = sn
-		return nil
-	})
+	chunks, err := v.chunks()
 	if err != nil {
 		return nil, err
 	}
@@ -906,7 +730,7 @@ func (v *ArtifactView) ChunkedWPP() (*ChunkedWPP, error) {
 		Instructions: v.instructions,
 		PeakLiveRHS:  v.peakLiveRHS,
 		Version:      v.version,
-		costs:        v.copyCosts(),
+		costs:        maps.Clone(v.costs),
 	}, nil
 }
 

@@ -352,6 +352,8 @@ func FuzzViewParity(f *testing.F) {
 	f.Add([]byte("WPP1"))
 	f.Add([]byte("WPC2"))
 	f.Add([]byte{})
+	// Well framed, but rule 1 references itself: both sides must refuse.
+	f.Add([]byte{'W', 'P', 'P', '1', 1, 1, 'f', 0, 8, 8, 2, 0, 1, 1, 1, 'S', 'Q', 'G', '1', 2, 2, 3, 3, 2, 0, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref, refErr := refDecode(bytes.NewReader(data))

@@ -11,11 +11,9 @@
 package wpp
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
 
 	"repro/internal/bl"
 	"repro/internal/sequitur"
@@ -76,16 +74,9 @@ func (b *MonoBuilder) SetMetrics(m *BuildMetrics) {
 // interp.Machine.Numberings). Numberings supply per-path instruction
 // costs; a nil slice makes every path cost 1.
 func NewMonoBuilder(names []string, nums []*bl.Numbering) *MonoBuilder {
-	funcs := make([]FuncInfo, len(names))
-	for i, n := range names {
-		funcs[i] = FuncInfo{Name: n}
-		if nums != nil {
-			funcs[i].NumPaths = nums[i].NumPaths
-		}
-	}
 	return &MonoBuilder{
 		grammar: sequitur.New(),
-		funcs:   funcs,
+		funcs:   funcTable(names, nums),
 		nums:    nums,
 		costs:   map[trace.Event]uint64{},
 	}
@@ -97,17 +88,7 @@ func (b *MonoBuilder) Add(e trace.Event) {
 	b.events++
 	b.metrics.EventsIngested.Inc()
 	if _, seen := b.costs[e]; !seen {
-		cost := uint64(1)
-		if b.nums != nil {
-			w, err := b.nums[e.Func()].PathWeight(e.Path())
-			if err != nil {
-				// An event the numbering cannot regenerate indicates a
-				// corrupted trace; surface loudly rather than mis-cost.
-				panic(fmt.Sprintf("wpp: invalid event %v: %v", e, err))
-			}
-			cost = uint64(w)
-		}
-		b.costs[e] = cost
+		b.costs[e] = pathCost(b.nums, e)
 	}
 }
 
@@ -128,6 +109,34 @@ func (b *MonoBuilder) AddBatch(es []trace.Event) {
 	b.lazyCosts = true
 }
 
+// funcTable is the function table a builder records: one entry per
+// name, with its Ball–Larus path count when numberings are supplied.
+func funcTable(names []string, nums []*bl.Numbering) []FuncInfo {
+	funcs := make([]FuncInfo, len(names))
+	for i, n := range names {
+		funcs[i] = FuncInfo{Name: n}
+		if nums != nil {
+			funcs[i].NumPaths = nums[i].NumPaths
+		}
+	}
+	return funcs
+}
+
+// pathCost prices one event: the instruction count of its acyclic path
+// under nums, or 1 without numberings. An event the numbering cannot
+// regenerate indicates a corrupted trace; it panics rather than
+// mis-cost.
+func pathCost(nums []*bl.Numbering, e trace.Event) uint64 {
+	if nums == nil {
+		return 1
+	}
+	w, err := nums[e.Func()].PathWeight(e.Path())
+	if err != nil {
+		panic(fmt.Sprintf("wpp: invalid event %v: %v", e, err))
+	}
+	return uint64(w)
+}
+
 // fillCosts prices every distinct terminal of the snapshots that has no
 // cost entry yet. The set of terminal values across a grammar's rules is
 // exactly the set of distinct values in the stream it generates, so this
@@ -141,21 +150,9 @@ func fillCosts(costs map[trace.Event]uint64, nums []*bl.Numbering, snaps ...*seq
 					continue
 				}
 				e := trace.Event(s.Value)
-				if _, seen := costs[e]; seen {
-					continue
+				if _, seen := costs[e]; !seen {
+					costs[e] = pathCost(nums, e)
 				}
-				cost := uint64(1)
-				if nums != nil {
-					w, err := nums[e.Func()].PathWeight(e.Path())
-					if err != nil {
-						// An event the numbering cannot regenerate
-						// indicates a corrupted trace; surface loudly
-						// rather than mis-cost.
-						panic(fmt.Sprintf("wpp: invalid event %v: %v", e, err))
-					}
-					cost = uint64(w)
-				}
-				costs[e] = cost
 			}
 		}
 	}
@@ -196,10 +193,7 @@ func (b *MonoBuilder) Finish(instructions uint64) *WPP {
 // mutable with the builder.
 func (b *MonoBuilder) SnapshotWPP() *WPP {
 	snap := b.grammar.Snapshot()
-	costs := make(map[trace.Event]uint64, len(b.costs))
-	for e, c := range b.costs {
-		costs[e] = c
-	}
+	costs := maps.Clone(b.costs)
 	if b.lazyCosts {
 		fillCosts(costs, b.nums, snap)
 	}
@@ -253,14 +247,29 @@ func (w *WPP) PathCost(e trace.Event) uint64 { return w.costs[e] }
 // executed.
 func (w *WPP) DistinctPaths() int { return len(w.costs) }
 
+// artifact is w as the shared implementation sees it: one chunk.
+func (w *WPP) artifact() *artifact {
+	return &artifact{
+		header: header{version: w.Version, funcs: w.Funcs, events: w.Events, instructions: w.Instructions, costs: w.costs},
+		chunks: []*sequitur.Snapshot{w.Grammar},
+	}
+}
+
+// NumChunks is 1: a monolithic WPP is the one-chunk case of the chunked
+// artifact. Together with Chunk it makes the WPP an engine.Source.
+func (w *WPP) NumChunks() int { return 1 }
+
+// Chunk returns the grammar, the only chunk (i must be 0).
+func (w *WPP) Chunk(i int) (*sequitur.Snapshot, error) {
+	if i != 0 {
+		return nil, fmt.Errorf("wpp: chunk %d of a monolithic WPP", i)
+	}
+	return w.Grammar, nil
+}
+
 // Walk yields the full event trace in order, stopping early if yield
 // returns false.
-func (w *WPP) Walk(yield func(trace.Event) bool) {
-	if len(w.Grammar.Rules) == 0 {
-		return
-	}
-	w.Grammar.Expand(0, func(v uint64) bool { return yield(trace.Event(v)) })
-}
+func (w *WPP) Walk(yield func(trace.Event) bool) { walk(w, yield) }
 
 // Stats summarizes WPP size.
 type Stats struct {
@@ -281,181 +290,25 @@ type Stats struct {
 // reconstructed from the grammar by weighting each rule's terminals with
 // rule use counts.
 func (w *WPP) Stats() Stats {
-	st := Stats{
+	sum, _ := summarize(w, 1)
+	return Stats{
 		Events:        w.Events,
-		Rules:         len(w.Grammar.Rules),
+		Rules:         sum.Rules,
+		RHSSymbols:    sum.RHSSymbols,
 		DistinctPaths: len(w.costs),
-		GrammarBytes:  w.Grammar.EncodedSize(),
 		EncodedBytes:  w.EncodedSize(),
+		GrammarBytes:  sum.GrammarBytes,
+		RawTraceBytes: sum.RawTraceBytes,
 	}
-	for _, rhs := range w.Grammar.Rules {
-		st.RHSSymbols += len(rhs)
-	}
-	st.RawTraceBytes = w.rawTraceBytes()
-	return st
 }
 
-// rawTraceBytes computes the varint-encoded size of the full expansion
-// without materializing it: bytes(rule) summed bottom-up with use counts.
-func (w *WPP) rawTraceBytes() int64 {
-	return 4 + snapshotRawBytes(w.Grammar) // trace magic + payload
-}
+// Verify checks internal consistency: the grammar is well formed, its
+// expansion length equals Events, and every event it expands to has a
+// recorded cost and an in-range function ID.
+func (w *WPP) Verify() error { return verify(&w.artifact().header, w, 1) }
 
-// snapshotRawBytes is the varint byte size of a snapshot's full expansion,
-// computed bottom-up with memoization rather than by expanding.
-func snapshotRawBytes(sn *sequitur.Snapshot) int64 {
-	n := len(sn.Rules)
-	if n == 0 {
-		return 0
-	}
-	memo := make([]int64, n)
-	done := make([]bool, n)
-	var visit func(int) int64
-	visit = func(i int) int64 {
-		if done[i] {
-			return memo[i]
-		}
-		var total int64
-		for _, s := range sn.Rules[i] {
-			if s.IsRule() {
-				total += visit(int(s.Rule))
-			} else {
-				total += int64(uvarintLen(s.Value))
-			}
-		}
-		memo[i] = total
-		done[i] = true
-		return total
-	}
-	return visit(0)
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// Verify checks internal consistency: the grammar is well formed and its
-// expansion length equals Events, and every expanded event has a recorded
-// cost and an in-range function ID.
-func (w *WPP) Verify() error {
-	if err := w.Grammar.Validate(); err != nil {
-		return err
-	}
-	lens := w.Grammar.ExpandedLen()
-	if len(lens) > 0 && lens[0] != w.Events {
-		return fmt.Errorf("wpp: grammar expands to %d events, header says %d", lens[0], w.Events)
-	}
-	if len(lens) == 0 && w.Events != 0 {
-		return fmt.Errorf("wpp: empty grammar but %d events", w.Events)
-	}
-	var bad error
-	w.Walk(func(e trace.Event) bool {
-		if int(e.Func()) >= len(w.Funcs) {
-			bad = fmt.Errorf("wpp: event %v references unknown function", e)
-			return false
-		}
-		if _, ok := w.costs[e]; !ok {
-			bad = fmt.Errorf("wpp: event %v has no recorded cost", e)
-			return false
-		}
-		return true
-	})
-	return bad
-}
-
-// Binary layout (all varints except magic and names):
-//
-//	magic "WPP1"
-//	numFuncs, then per func: nameLen, name bytes, numPaths
-//	events, instructions
-//	numCosts, then per entry (sorted by event): event, cost
-//	grammar snapshot (sequitur encoding)
-var wppMagic = [4]byte{'W', 'P', 'P', '1'}
-
-// Encode writes the WPP to w in the encoding Version selects.
-func (w *WPP) Encode(out io.Writer) (int64, error) {
-	if w.Version >= FormatV2 {
-		return w.encodeV2(out)
-	}
-	bw := bufio.NewWriter(out)
-	var written int64
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		m, err := bw.Write(buf[:n])
-		written += int64(m)
-		return err
-	}
-	n, err := bw.Write(wppMagic[:])
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	if err := put(uint64(len(w.Funcs))); err != nil {
-		return written, err
-	}
-	for _, f := range w.Funcs {
-		if err := put(uint64(len(f.Name))); err != nil {
-			return written, err
-		}
-		m, err := bw.WriteString(f.Name)
-		written += int64(m)
-		if err != nil {
-			return written, err
-		}
-		if err := put(f.NumPaths); err != nil {
-			return written, err
-		}
-	}
-	if err := put(w.Events); err != nil {
-		return written, err
-	}
-	if err := put(w.Instructions); err != nil {
-		return written, err
-	}
-	if err := put(uint64(len(w.costs))); err != nil {
-		return written, err
-	}
-	events := make([]trace.Event, 0, len(w.costs))
-	for e := range w.costs {
-		events = append(events, e)
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i] < events[j] })
-	for _, e := range events {
-		if err := put(uint64(e)); err != nil {
-			return written, err
-		}
-		if err := put(w.costs[e]); err != nil {
-			return written, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return written, err
-	}
-	gn, err := w.Grammar.Encode(out)
-	written += gn
-	return written, err
-}
+// Encode writes the WPP to out in the encoding Version selects.
+func (w *WPP) Encode(out io.Writer) (int64, error) { return w.artifact().encode(out) }
 
 // EncodedSize returns the byte size Encode would produce.
-func (w *WPP) EncodedSize() int64 {
-	if w.Version >= FormatV2 {
-		return w.encodedSizeV2()
-	}
-	n := int64(4)
-	n += int64(uvarintLen(uint64(len(w.Funcs))))
-	for _, f := range w.Funcs {
-		n += int64(uvarintLen(uint64(len(f.Name)))) + int64(len(f.Name)) + int64(uvarintLen(f.NumPaths))
-	}
-	n += int64(uvarintLen(w.Events)) + int64(uvarintLen(w.Instructions))
-	n += int64(uvarintLen(uint64(len(w.costs))))
-	for e, c := range w.costs {
-		n += int64(uvarintLen(uint64(e))) + int64(uvarintLen(c))
-	}
-	return n + w.Grammar.EncodedSize()
-}
+func (w *WPP) EncodedSize() int64 { return w.artifact().encodedSize() }
