@@ -11,11 +11,11 @@ import (
 // AbsVal is the abstract value of one WL register: an element of the
 // lattice
 //
-//	        Any
-//	       /   \
-//	  [lo,hi]  Arr
-//	       \   /
-//	        Bot
+//	      Any
+//	     /   \
+//	[lo,hi]  Arr
+//	     \   /
+//	      Bot
 //
 // where [lo,hi] is a signed-int64 interval (constants are degenerate
 // intervals). Arr means "definitely an array" — arrays carry no further
@@ -338,7 +338,7 @@ func binOp(op wl.Kind, a, b AbsVal) AbsVal {
 				}
 				return Interval(0, hi)
 			}
-			return Interval(-(m - 1), m - 1)
+			return Interval(-(m - 1), m-1)
 		}
 		if a.lo >= 0 && b.lo >= 1 {
 			hi := b.hi - 1

@@ -17,7 +17,9 @@
 package engine
 
 import (
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/sequitur"
 )
@@ -35,6 +37,14 @@ type Analysis struct {
 	// CumLens[r][j] is the cumulative expansion length of rule r's RHS
 	// after symbol j (CumLens[r][0] == 0).
 	CumLens [][]uint64
+
+	// The window counts' symbol ranks, built once by rankTerminals:
+	// dict lists the distinct terminals in ascending order, so rank k is
+	// event dict[k], and ranked is Snap.Rules with every terminal's Value
+	// replaced by its rank.
+	rankOnce sync.Once
+	dict     []uint64
+	ranked   [][]sequitur.Sym
 }
 
 // NewAnalysis computes the memoized per-rule data for one snapshot in a
@@ -122,27 +132,75 @@ func (a *Analysis) Terminals(visit func(v uint64, uses uint64)) {
 // Collect appends the terminals of rule r's expansion in [start,
 // start+length) to out, descending only the subtrees the range touches.
 func (a *Analysis) Collect(r int32, start, length uint64, out []uint64) []uint64 {
-	rhs := a.Snap.Rules[r]
+	return collect(a, a.Snap.Rules, r, start, length, out)
+}
+
+// collectRanks is Collect over the ranked rule bodies: it appends the
+// ranks of the terminals instead of the terminals. rankTerminals must
+// have run.
+func (a *Analysis) collectRanks(r int32, start, length uint64, out []uint32) []uint32 {
+	return collect(a, a.ranked, r, start, length, out)
+}
+
+// collect is Collect over rules, a's rule bodies or their ranked copy.
+func collect[T uint32 | uint64](a *Analysis, rules [][]sequitur.Sym, r int32, start, length uint64, out []T) []T {
+	rhs := rules[r]
 	cum := a.CumLens[r]
 	// Binary search for the first RHS symbol whose span contains start.
 	j := sort.Search(len(rhs), func(j int) bool { return cum[j+1] > start })
 	for ; length > 0 && j < len(rhs); j++ {
 		s := rhs[j]
 		if !s.IsRule() {
-			out = append(out, s.Value)
+			out = append(out, T(s.Value))
 			length--
 			start = cum[j+1]
 			continue
 		}
 		childStart := start - cum[j]
-		avail := a.ExpLen[s.Rule] - childStart
-		take := length
-		if take > avail {
-			take = avail
-		}
-		out = a.Collect(s.Rule, childStart, take, out)
+		take := min(length, a.ExpLen[s.Rule]-childStart)
+		out = collect(a, rules, s.Rule, childStart, take, out)
 		length -= take
 		start = cum[j+1]
 	}
 	return out
+}
+
+// rankTerminals builds dict and ranked on first use; the prefix shards
+// of one grammar share them, and folds that never count windows never
+// build them.
+func (a *Analysis) rankTerminals() {
+	a.rankOnce.Do(func() {
+		rank := map[uint64]uint64{}
+		size := 0
+		for _, rhs := range a.Snap.Rules {
+			size += len(rhs)
+			for _, s := range rhs {
+				if !s.IsRule() {
+					rank[s.Value] = 0
+				}
+			}
+		}
+		a.dict = make([]uint64, 0, len(rank))
+		for v := range rank {
+			a.dict = append(a.dict, v)
+		}
+		slices.Sort(a.dict)
+		for k, v := range a.dict {
+			rank[v] = uint64(k)
+		}
+		// One backing array for every ranked body, as in Snapshot.
+		flat := make([]sequitur.Sym, size)
+		a.ranked = make([][]sequitur.Sym, len(a.Snap.Rules))
+		for r, rhs := range a.Snap.Rules {
+			body := flat[:len(rhs):len(rhs)]
+			flat = flat[len(rhs):]
+			for j, s := range rhs {
+				if !s.IsRule() {
+					s.Value = rank[s.Value]
+				}
+				body[j] = s
+			}
+			a.ranked[r] = body
+		}
+	})
 }

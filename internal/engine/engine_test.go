@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/sequitur"
@@ -48,10 +49,19 @@ func TestAnalysisLengthAndUses(t *testing.T) {
 	}
 }
 
+// TestCollectMatchesDirectSlicing checks Collect, and collectRanks mapped
+// back through the rank dictionary, against slices of the trace.
 func TestCollectMatchesDirectSlicing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	syms := randSyms(rng, 300, 4)
+	for i := range syms {
+		syms[i] = syms[i]*1000 + 7 // ranks 0..3 are not events
+	}
 	a := NewAnalysis(buildSnap(t, syms))
+	a.rankTerminals()
+	if !slices.IsSorted(a.dict) || len(a.dict) != 4 {
+		t.Fatalf("rank dictionary %v: want the 4 distinct events, ascending", a.dict)
+	}
 	for trial := 0; trial < 100; trial++ {
 		start := uint64(rng.Intn(len(syms)))
 		length := uint64(rng.Intn(len(syms)-int(start)) + 1)
@@ -59,6 +69,13 @@ func TestCollectMatchesDirectSlicing(t *testing.T) {
 		want := syms[start : start+length]
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("Collect(0,%d,%d) = %v, want %v", start, length, got, want)
+		}
+		got = got[:0]
+		for _, k := range a.collectRanks(0, start, length, nil) {
+			got = append(got, a.dict[k])
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("collectRanks(0,%d,%d) maps to %v, want %v", start, length, got, want)
 		}
 	}
 }

@@ -30,20 +30,12 @@ func Workers(workers int) int {
 	return workers
 }
 
-// Map builds each snapshot's Analysis and applies fn to it on `workers`
-// goroutines (normalized by Workers), returning results in chunk order.
-// fn must only write state owned by index i. It is MapSource over an
-// in-memory slice, whose chunk access cannot fail.
-func Map[R any](snaps []*sequitur.Snapshot, workers int, fn func(i int, a *Analysis) R) []R {
-	out, _ := MapSource(SliceSource(snaps), workers, fn)
-	return out
-}
-
 // Run executes a Fold over the snapshot sequence: per-chunk passes in
-// parallel via Map, then a sequential in-order merge. With a single
-// snapshot the result is Chunk(0, ...) — the monolithic case is the
-// one-chunk special case of the same engine. It is RunSource over an
-// in-memory slice, whose chunk access cannot fail.
+// parallel on `workers` goroutines (normalized by Workers), then a
+// sequential in-order merge. With a single snapshot the result is
+// Chunk(0, ...) — the monolithic case is the one-chunk special case of
+// the same engine. It is RunSource over an in-memory slice, whose chunk
+// access cannot fail.
 func Run[R any](snaps []*sequitur.Snapshot, workers int, f Fold[R]) R {
 	out, _ := RunSource(SliceSource(snaps), workers, f)
 	return out

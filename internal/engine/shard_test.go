@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/interp"
@@ -34,9 +35,16 @@ func workloadAnalysis(t *testing.T, name string) *Analysis {
 	return NewAnalysis(g.Snapshot())
 }
 
-// lookup returns the node of window parent·sym, or 0 if t has none.
-func (t *WindowTrie) lookup(parent uint32, sym uint64) uint32 {
-	for i := uint32(trieHash(parent, sym)) & t.mask; t.slots[i].id != 0; i = (i + 1) & t.mask {
+// lookup returns the node of window parent·v, for v an event, or 0 if t
+// has none. It ranks v in t's own dictionary, so it looks up a node of
+// another trie whatever that trie's ranks.
+func (t *WindowTrie) lookup(parent uint32, v uint64) uint32 {
+	k := slices.Index(t.Dict, v)
+	if k < 0 {
+		return 0
+	}
+	sym := uint32(k)
+	for i := uint32(trieHash(parent, uint64(sym))) & t.mask; t.slots[i].id != 0; i = (i + 1) & t.mask {
 		if s := t.slots[i]; s.parent == parent && s.sym == sym {
 			return s.id
 		}
@@ -85,7 +93,7 @@ func TestShardsPartitionWindowCount(t *testing.T) {
 							if p >= uint32(n) {
 								t.Fatalf("%s shard %d: node %d has parent %d", label, s, n, p)
 							}
-							if remap[n] = full.lookup(remap[p], tr.Sym[n]); remap[n] == 0 {
+							if remap[n] = full.lookup(remap[p], tr.Dict[tr.Sym[n]]); remap[n] == 0 {
 								t.Fatalf("%s shard %d: window %v is not in the full count", label, s, tr.Window(uint32(n), nil))
 							}
 							switch d := int(tr.Depth[n]); {

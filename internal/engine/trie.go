@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // The window trie hash-conses windows: the window w[0..l) gets one
@@ -43,45 +44,78 @@ func (e *LimitError) Error() string {
 // and the node it names; id == 0 marks an empty slot, which is why the
 // root's ID is reserved.
 type trieSlot struct {
-	sym    uint64
-	parent uint32
-	id     uint32
+	parent, sym, id uint32
 }
 
 // WindowTrie numbers and counts windows. Node n is the window whose last
 // symbol is Sym[n] and whose other symbols form window Parent[n]; parents
 // always have smaller IDs than their children, so one forward pass over
 // the nodes can extend any per-window quantity from its prefix.
+//
+// Symbols are ranks: symbol k stands for the event Dict[k]. A trie counted
+// from a grammar starts from that grammar's dictionary of terminals; Add
+// and Merge rank the events they bring that are not in Dict yet, so tries
+// with different dictionaries merge exactly.
 type WindowTrie struct {
 	// Parent[n] is the node of window n without its last symbol.
 	Parent []uint32
-	// Sym[n] is the last symbol of window n.
-	Sym []uint64
+	// Sym[n] is the rank of the last symbol of window n.
+	Sym []uint32
 	// Depth[n] is the length of window n.
 	Depth []uint8
 	// Count[n] is the number of occurrences of window n added so far.
 	Count []uint64
+	// Dict[k] is the event of rank k.
+	Dict []uint64
 
 	slots    []trieSlot
 	mask     uint32
 	growAt   int
+	ranks    map[uint64]uint32 // Dict inverted, built by the first rank call
 	maxNodes int
+	maxSyms  int
 	err      error
 }
 
 const minTrieSlots = 64
 
+// maxTrieSyms is the default dictionary-size limit: ranks are uint32.
+const maxTrieSyms = 1 << 32
+
 // NewWindowTrie returns a trie holding only the root (the empty window).
 func NewWindowTrie() *WindowTrie {
 	t := &WindowTrie{
 		Parent:   []uint32{0},
-		Sym:      []uint64{0},
+		Sym:      []uint32{0},
 		Depth:    []uint8{0},
 		Count:    []uint64{0},
 		maxNodes: maxTrieNodes,
+		maxSyms:  maxTrieSyms,
 	}
 	t.initSlots(minTrieSlots)
 	return t
+}
+
+// triePool holds released tries, so a count interns into tables already
+// grown by an earlier one. A sync.Pool, not a free list: tries it holds
+// are freed after two idle GC cycles.
+var triePool = sync.Pool{New: func() any { return NewWindowTrie() }}
+
+// Reset empties t to the root and drops its dictionary and error, keeping
+// the capacity of its arrays. The slot table keeps its size, so the next
+// count interns into a table an earlier one has already grown.
+func (t *WindowTrie) Reset() {
+	clear(t.slots)
+	t.Parent, t.Sym, t.Depth, t.Count = t.Parent[:1], t.Sym[:1], t.Depth[:1], t.Count[:1]
+	t.Count[0] = 0
+	t.Dict, t.ranks, t.err = nil, nil, nil
+}
+
+// Release resets t and returns it to the pool CountWindowShard takes its
+// tries from. t must not be used after its release.
+func (t *WindowTrie) Release() {
+	t.Reset()
+	triePool.Put(t)
 }
 
 // Len reports the number of nodes, root included.
@@ -91,7 +125,7 @@ func (t *WindowTrie) Len() int { return len(t.Parent) }
 // set, the trie stops adding windows and its counts are incomplete.
 func (t *WindowTrie) Err() error { return t.err }
 
-// Window appends node n's symbols, first to last, to dst.
+// Window appends node n's events, first to last, to dst.
 func (t *WindowTrie) Window(n uint32, dst []uint64) []uint64 {
 	d := int(t.Depth[n])
 	start := len(dst)
@@ -99,7 +133,7 @@ func (t *WindowTrie) Window(n uint32, dst []uint64) []uint64 {
 		dst = append(dst, 0)
 	}
 	for i := start + d - 1; n != 0; i-- {
-		dst[i] = t.Sym[n]
+		dst[i] = t.Dict[t.Sym[n]]
 		n = t.Parent[n]
 	}
 	return dst
@@ -126,15 +160,38 @@ func (t *WindowTrie) initSlots(capacity int) {
 	t.growAt = capacity - capacity/4
 }
 
+// rank returns the rank of event v, adding v to Dict if it has none. It
+// reports false once the rank space is exhausted, and records the failure
+// in Err.
+func (t *WindowTrie) rank(v uint64) (uint32, bool) {
+	if t.ranks == nil {
+		t.ranks = make(map[uint64]uint32, len(t.Dict))
+		for k, e := range t.Dict {
+			t.ranks[e] = uint32(k)
+		}
+	}
+	if k, ok := t.ranks[v]; ok {
+		return k, true
+	}
+	n := len(t.Dict)
+	if n >= t.maxSyms {
+		t.fail(&LimitError{What: "window trie symbol count", Value: uint64(n) + 1, Limit: uint64(t.maxSyms)})
+		return 0, false
+	}
+	t.Dict = append(t.Dict, v)
+	t.ranks[v] = uint32(n)
+	return uint32(n), true
+}
+
 // intern returns the node of window parent·sym, creating it if absent.
 // It returns 0 — the root, never a child — once the node-ID space is
 // exhausted, and records the failure in Err.
-func (t *WindowTrie) intern(parent uint32, sym uint64) uint32 {
-	return t.internHashed(uint32(trieHash(parent, sym)), parent, sym)
+func (t *WindowTrie) intern(parent, sym uint32) uint32 {
+	return t.internHashed(uint32(trieHash(parent, uint64(sym))), parent, sym)
 }
 
 // internHashed is intern given the key's hash.
-func (t *WindowTrie) internHashed(h, parent uint32, sym uint64) uint32 {
+func (t *WindowTrie) internHashed(h, parent, sym uint32) uint32 {
 	i := h & t.mask
 	for {
 		s := &t.slots[i]
@@ -167,7 +224,7 @@ func (t *WindowTrie) internHashed(h, parent uint32, sym uint64) uint32 {
 		t.Count = slices.Grow(t.Count, n)
 	}
 	id := uint32(n)
-	t.slots[i] = trieSlot{sym: sym, parent: parent, id: id}
+	t.slots[i] = trieSlot{parent: parent, sym: sym, id: id}
 	t.Parent = append(t.Parent, parent)
 	t.Sym = append(t.Sym, sym)
 	t.Depth = append(t.Depth, t.Depth[parent]+1)
@@ -182,7 +239,7 @@ func (t *WindowTrie) rehash(capacity int) {
 		if s.id == 0 {
 			continue
 		}
-		i := uint32(trieHash(s.parent, s.sym)) & t.mask
+		i := uint32(trieHash(s.parent, uint64(s.sym))) & t.mask
 		for t.slots[i].id != 0 {
 			i = (i + 1) & t.mask
 		}
@@ -190,10 +247,10 @@ func (t *WindowTrie) rehash(capacity int) {
 	}
 }
 
-// Add interns every prefix of window and adds weight to the count of each
-// prefix at least from symbols long: one call counts the occurrences of
-// window[:from], window[:from+1], ..., window that start at the same
-// position.
+// Add interns every prefix of window, a sequence of events, and adds
+// weight to the count of each prefix at least from symbols long: one call
+// counts the occurrences of window[:from], window[:from+1], ..., window
+// that start at the same position.
 func (t *WindowTrie) Add(window []uint64, from int, weight uint64) {
 	if len(window) > MaxWindowLen {
 		t.fail(&LimitError{What: "window length", Value: uint64(len(window)), Limit: MaxWindowLen})
@@ -201,7 +258,11 @@ func (t *WindowTrie) Add(window []uint64, from int, weight uint64) {
 	}
 	var n uint32
 	for d, v := range window {
-		if n = t.intern(n, v); n == 0 {
+		k, ok := t.rank(v)
+		if !ok {
+			return
+		}
+		if n = t.intern(n, k); n == 0 {
 			return
 		}
 		if d+1 >= from {
@@ -210,15 +271,23 @@ func (t *WindowTrie) Add(window []uint64, from int, weight uint64) {
 	}
 }
 
-// Merge adds every window of o to t with its count: a remap in node
-// order, which visits each parent before its children.
+// Merge adds every window of o to t with its count: a remap of o's ranks
+// into t's dictionary, then of its nodes in node order, which visits each
+// parent before its children.
 func (t *WindowTrie) Merge(o *WindowTrie) {
 	if o.err != nil {
 		t.fail(o.err)
 	}
+	ranks := make([]uint32, len(o.Dict))
+	for k, v := range o.Dict {
+		var ok bool
+		if ranks[k], ok = t.rank(v); !ok {
+			return
+		}
+	}
 	remap := make([]uint32, o.Len())
 	for n := 1; n < o.Len(); n++ {
-		id := t.intern(remap[o.Parent[n]], o.Sym[n])
+		id := t.intern(remap[o.Parent[n]], ranks[o.Sym[n]])
 		if id == 0 {
 			return
 		}
@@ -227,7 +296,7 @@ func (t *WindowTrie) Merge(o *WindowTrie) {
 	}
 }
 
-// CountWindowRange returns a new trie counting every window of length
+// CountWindowRange returns a trie counting every window of length
 // minLen..maxLen in the grammar's expansion, in one walk per start
 // position; windows shorter than minLen have count 0. It is the
 // one-shard case of CountWindowShard.
@@ -236,8 +305,9 @@ func (a *Analysis) CountWindowRange(minLen, maxLen int) *WindowTrie {
 }
 
 // ShardOf returns the prefix shard, in 0..shards-1, of the windows that
-// begin with prefix: a hash of its symbols mod shards, and 0 without
-// hashing when there is one shard.
+// begin with prefix: a hash of its events mod shards, and 0 without
+// hashing when there is one shard. It hashes events, never ranks, which
+// differ between grammars.
 func ShardOf(prefix []uint64, shards int) int {
 	if shards <= 1 {
 		return 0
@@ -251,14 +321,25 @@ func ShardOf(prefix []uint64, shards int) int {
 
 // CountWindowShard is CountWindowRange restricted to prefix shard shard
 // of shards: it counts only the windows whose start position routes to
-// the shard, by ShardOf of the start's first minLen symbols. Every window
+// the shard, by ShardOf of the start's first minLen events. Every window
 // counted from a start is at least minLen long, so it begins with that
 // prefix, and so do all its own prefixes of length minLen and more. The
 // shards of one grammar are therefore disjoint: each counted window, and
 // each window of depth minLen or more, is a node of exactly one shard's
 // trie, and their counts together are CountWindowRange's. Only windows
 // shorter than minLen, whose counts are always 0, repeat across shards.
-// It panics unless 0 <= shard < shards.
+// It panics unless 0 <= shard < shards. The trie comes from the pool
+// Release returns tries to.
+func (a *Analysis) CountWindowShard(minLen, maxLen, shard, shards int) *WindowTrie {
+	if shard < 0 || shard >= shards {
+		panic(fmt.Sprintf("engine: shard %d outside 0..%d", shard, shards-1))
+	}
+	t := triePool.Get().(*WindowTrie)
+	a.countShard(t, minLen, maxLen, shard, shards)
+	return t
+}
+
+// countShard is CountWindowShard into t, an empty trie.
 //
 // A window of the expansion either lies inside one nonterminal of some
 // rule body — and is owned by that nonterminal's rule — or is owned by
@@ -269,72 +350,51 @@ func ShardOf(prefix []uint64, shards int) int {
 // start o inside body symbol j, the owned lengths are those reaching
 // past cum[j+1] (every length if j is a terminal); so each start is
 // walked once, to depth min(maxLen, ruleLen-o), counting from the
-// shortest owned length up. Starts are grouped into contiguous runs so
-// each run's terminals are materialized once.
-func (a *Analysis) CountWindowShard(minLen, maxLen, shard, shards int) *WindowTrie {
-	if shard < 0 || shard >= shards {
-		panic(fmt.Sprintf("engine: shard %d outside 0..%d", shard, shards-1))
-	}
-	t := NewWindowTrie()
+// shortest owned length up. The walker collects the ranks of
+// overlapping starts' windows once, as one run.
+func (a *Analysis) countShard(t *WindowTrie, minLen, maxLen, shard, shards int) {
 	if maxLen > MaxWindowLen {
 		t.fail(&LimitError{What: "window length", Value: uint64(maxLen), Limit: MaxWindowLen})
-		return t
+		return
 	}
+	a.rankTerminals()
+	if len(a.dict) > t.maxSyms {
+		t.fail(&LimitError{What: "window trie symbol count", Value: uint64(len(a.dict)), Limit: uint64(t.maxSyms)})
+		return
+	}
+	t.Dict = slices.Clip(a.dict) // shared: rank must append to a copy
 	L, minL := uint64(maxLen), uint64(minLen)
-	var terms []uint64
-	var starts []uint64
-	var froms []int
-	w := walker{t: t, minLen: minLen, shard: shard, shards: shards}
-	for r, rhs := range a.Snap.Rules {
+	w := walker{t: t, a: a, maxLen: L, minLen: minLen, shard: shard, shards: shards}
+	for r, rhs := range a.ranked {
 		uses := a.Uses[r]
 		cum := a.CumLens[r]
 		total := cum[len(rhs)]
 		if uses == 0 || total < minL {
 			continue
 		}
-		// Collect the rule's starts, in position order, with the
-		// shortest length each owns.
-		starts, froms = starts[:0], froms[:0]
-		for j, s := range rhs {
-			end := cum[j+1]
-			if !s.IsRule() {
-				o := cum[j]
-				if o+minL <= total {
-					starts, froms = append(starts, o), append(froms, minLen)
+		w.rule(int32(r), total, uses)
+		for j := 0; j < len(rhs); j++ {
+			if !rhs[j].IsRule() {
+				// A stretch of terminals, each starting windows of
+				// every length.
+				k := j + 1
+				for k < len(rhs) && !rhs[k].IsRule() {
+					k++
 				}
+				w.starts(cum[j], cum[k], 0)
+				j = k - 1
 				continue
 			}
-			lo := cum[j]
-			if end-lo >= L {
-				lo = end - L + 1
-			}
-			for o := lo; o < end; o++ {
-				from := max(minL, end-o+1)
-				if from > L || o+from > total {
-					continue
-				}
-				starts, froms = append(starts, o), append(froms, int(from))
-			}
-		}
-		for i := 0; i < len(starts); {
-			k := i + 1
-			for k < len(starts) && starts[k] == starts[k-1]+1 {
-				k++
-			}
-			lo := starts[i]
-			hi := min(total, starts[k-1]+L)
-			terms = a.Collect(int32(r), lo, hi-lo, terms[:0])
-			for ; i < k; i++ {
-				o := starts[i] - lo
-				w.add(terms[o:min(uint64(len(terms)), o+L)], froms[i], uses)
-			}
+			// The starts inside a nonterminal whose windows reach past
+			// its end within maxLen.
+			end := cum[j+1]
+			w.starts(max(cum[j], end+1-min(end+1, L)), end, end)
 		}
 		if t.err != nil {
 			break
 		}
 	}
 	w.flush()
-	return t
 }
 
 // walkBatch is how many windows a walker steps through together.
@@ -347,16 +407,28 @@ const walkBatch = 64
 // and then interns against a warm cache; a walk one window at a time
 // would instead wait out each cache miss in turn.
 //
-// A walker counting one prefix shard drops, in add, every window whose
-// first minLen symbols route to another shard.
+// The windows are those of one rule at a time. The walker collects the
+// ranks of a run of overlapping windows once, into terms, and a queued
+// window refers to its part of the run in place; terms starts afresh for
+// a new run only when no window is queued.
+//
+// A walker counting one prefix shard drops, in starts, every window whose
+// first minLen events route to another shard.
 type walker struct {
 	t     *WindowTrie
-	terms []uint64 // the batch's windows, back to back
+	a     *Analysis
+	terms []uint32 // the collected runs, back to back
 	win   [walkBatch]batchWindow
 	k     int    // windows queued
 	sink  uint32 // consumes the touch loads so the compiler keeps them
 
-	minLen, shard, shards int
+	r             int32  // the rule walked
+	total, uses   uint64 // its expansion length and use count
+	runLo, runHi  uint64 // the run's positions in the rule, [runLo, runHi)
+	runOff        int    // the run's offset in terms
+	maxLen        uint64
+	minLen        int
+	shard, shards int
 }
 
 // batchWindow is one queued window, terms[off:off+n], with its Add
@@ -368,17 +440,61 @@ type batchWindow struct {
 	node, h      uint32
 }
 
-// add queues Add(window, from, weight) if the window's prefix routes to
-// the walker's shard.
-func (w *walker) add(window []uint64, from int, weight uint64) {
-	if w.shards > 1 && ShardOf(window[:w.minLen], w.shards) != w.shard {
+// rule starts the walk of rule r, of expansion length total and used uses
+// times.
+func (w *walker) rule(r int32, total, uses uint64) {
+	w.r, w.total, w.uses = r, total, uses
+	w.runLo, w.runHi = 0, 0
+}
+
+// starts queues the windows of rule w.r from each start position o in
+// [lo, hi) that own a length in minLen..maxLen and whose prefix routes to
+// the walker's shard. The windows from o owned by the rule are those
+// reaching past position end, every window if o >= end. Calls must come
+// in increasing position order within a rule.
+func (w *walker) starts(lo, hi, end uint64) {
+	if lo >= hi {
 		return
 	}
-	w.win[w.k] = batchWindow{off: len(w.terms), n: len(window), from: from, weight: weight}
-	w.terms = append(w.terms, window...)
-	if w.k++; w.k == walkBatch {
-		w.flush()
+	if lo >= w.runHi {
+		// A new run.
+		if w.k == 0 {
+			w.terms = w.terms[:0]
+		}
+		w.runLo, w.runHi, w.runOff = lo, lo, len(w.terms)
 	}
+	if need := min(w.total, hi-1+w.maxLen); need > w.runHi {
+		w.terms = w.a.collectRanks(w.r, w.runHi, need-w.runHi, w.terms)
+		w.runHi = need
+	}
+	minL := uint64(w.minLen)
+	for o := lo; o < hi; o++ {
+		from := minL
+		if o < end {
+			from = max(minL, end-o+1)
+		}
+		if o+from > w.total {
+			return // so do the later starts: o+from only grows with o
+		}
+		off := w.runOff + int(o-w.runLo)
+		if w.shards > 1 && w.shardOf(w.terms[off:off+w.minLen]) != w.shard {
+			continue
+		}
+		n := int(min(w.total, o+w.maxLen) - o)
+		w.win[w.k] = batchWindow{off: off, n: n, from: int(from), weight: w.uses}
+		if w.k++; w.k == walkBatch {
+			w.flush()
+		}
+	}
+}
+
+// shardOf is ShardOf of the events the ranks in prefix stand for.
+func (w *walker) shardOf(prefix []uint32) int {
+	var h uint64
+	for _, k := range prefix {
+		h = trieHash(uint32(h), w.t.Dict[k])
+	}
+	return int(h % uint64(w.shards))
 }
 
 // flush walks the queued windows.
@@ -392,7 +508,7 @@ func (w *walker) flush() {
 		var sink uint32
 		for i := range win {
 			if b := &win[i]; d < b.n {
-				b.h = uint32(trieHash(b.node, w.terms[b.off+d]))
+				b.h = uint32(trieHash(b.node, uint64(w.terms[b.off+d])))
 				sink += t.slots[b.h&t.mask].id
 			}
 		}
@@ -408,7 +524,7 @@ func (w *walker) flush() {
 			}
 		}
 	}
-	w.k, w.terms = 0, w.terms[:0]
+	w.k = 0
 }
 
 // CountWindows accumulates, for every distinct window of length l in the
@@ -421,8 +537,9 @@ func (a *Analysis) CountWindows(l int, counts map[string]uint64) {
 		panic(fmt.Sprintf("engine: CountWindows length %d outside 1..%d", l, MaxWindowLen))
 	}
 	t := a.CountWindowRange(l, l)
+	defer t.Release()
 	if t.err != nil {
-		panic(t.err) // 2^32 distinct windows in one grammar: beyond addressable memory
+		panic(t.err) // 2^32 distinct windows or symbols in one grammar: beyond addressable memory
 	}
 	var syms []uint64
 	var key []byte

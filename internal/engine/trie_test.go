@@ -4,7 +4,9 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // trieCounts lists the trie's nonzero counts of length-l windows in
@@ -72,9 +74,14 @@ func TestWindowTrieWindowAndParentOrder(t *testing.T) {
 	}
 }
 
+// TestWindowTrieMergeSumsCounts merges two tries whose dictionaries
+// overlap but rank their events differently.
 func TestWindowTrieMergeSumsCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a, b := randSyms(rng, 120, 3), randSyms(rng, 90, 4)
+	for i := range b {
+		b[i] += 2
+	}
 	ta := NewAnalysis(buildSnap(t, a)).CountWindowRange(2, 7)
 	tb := NewAnalysis(buildSnap(t, b)).CountWindowRange(2, 7)
 	ta.Merge(tb)
@@ -91,7 +98,7 @@ func TestWindowTrieMergeSumsCounts(t *testing.T) {
 
 // TestWindowTrieLimits checks that every way of exceeding the trie's
 // representable range reports a *LimitError instead of truncating a
-// depth or wrapping a node ID.
+// depth or wrapping a node ID or a symbol rank.
 func TestWindowTrieLimits(t *testing.T) {
 	a := NewAnalysis(buildSnap(t, randSyms(rand.New(rand.NewSource(29)), 300, 3)))
 	long := make([]uint64, MaxWindowLen+1)
@@ -121,6 +128,25 @@ func TestWindowTrieLimits(t *testing.T) {
 			tr.Merge(a.CountWindowRange(1, 6))
 			return tr
 		}},
+		{"symbols exhausted by a count", func() *WindowTrie {
+			tr := NewWindowTrie()
+			tr.maxSyms = 2
+			a.countShard(tr, 1, 6, 0, 1)
+			return tr
+		}},
+		{"symbols exhausted by Add", func() *WindowTrie {
+			tr := NewWindowTrie()
+			tr.maxSyms = 2
+			tr.Add([]uint64{5, 6, 5, 7, 6}, 1, 1)
+			return tr
+		}},
+		{"symbols exhausted by Merge", func() *WindowTrie {
+			tr := NewWindowTrie()
+			tr.maxSyms = 2
+			tr.Add([]uint64{7, 8}, 1, 1)
+			tr.Merge(a.CountWindowRange(1, 6))
+			return tr
+		}},
 		{"exhaustion carried over by Merge", func() *WindowTrie {
 			full := NewWindowTrie()
 			full.maxNodes = 2
@@ -143,6 +169,10 @@ func TestWindowTrieLimits(t *testing.T) {
 			if tr.maxNodes > 0 && tr.Len() > tr.maxNodes {
 				t.Fatalf("trie grew to %d nodes past its limit %d", tr.Len(), tr.maxNodes)
 			}
+			if len(tr.Dict) > tr.maxSyms {
+				t.Fatalf("dictionary grew to %d symbols past its limit %d", len(tr.Dict), tr.maxSyms)
+			}
+			checkRanks(t, tr)
 			for n := 1; n < tr.Len(); n++ {
 				if int(tr.Depth[n]) > MaxWindowLen || tr.Parent[n] >= uint32(n) {
 					t.Fatalf("node %d: depth %d parent %d", n, tr.Depth[n], tr.Parent[n])
@@ -163,5 +193,98 @@ func TestCountWindowsRejectsOutOfRangeLength(t *testing.T) {
 			}()
 			a.CountWindows(l, map[string]uint64{})
 		}()
+	}
+}
+
+// windowCounts maps the window of every node of t, by content, to its
+// count.
+func windowCounts(t *WindowTrie) map[string]uint64 {
+	out := make(map[string]uint64, t.Len())
+	for n := 1; n < t.Len(); n++ {
+		out[windowKey(t.Window(uint32(n), nil))] = t.Count[n]
+	}
+	return out
+}
+
+// checkRanks fails unless every node's symbol ranks an entry of Dict.
+func checkRanks(t *testing.T, tr *WindowTrie) {
+	t.Helper()
+	for n := 1; n < tr.Len(); n++ {
+		if int(tr.Sym[n]) >= len(tr.Dict) {
+			t.Fatalf("node %d has rank %d, dictionary size %d", n, tr.Sym[n], len(tr.Dict))
+		}
+	}
+}
+
+// TestTrieReuseIsolation checks that a reset trie keeps nothing of its
+// earlier counts: a query of grammar A run on a trie that already counted
+// A and then B — whose events A lacks — numbers the same windows with the
+// same counts as on a fresh trie. The query also merges another chunk's
+// trie and adds a seam window, each with events missing from A's
+// dictionary, so both paths that extend a dictionary run on the reused
+// trie.
+func TestTrieReuseIsolation(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	symsB := randSyms(rng, 300, 6)
+	for i := range symsB {
+		symsB[i] += 100
+	}
+	a := NewAnalysis(buildSnap(t, randSyms(rng, 400, 4)))
+	b := NewAnalysis(buildSnap(t, symsB))
+	other := NewAnalysis(buildSnap(t, append(randSyms(rng, 200, 3), 9, 9, 7, 1)))
+	seam := []uint64{3, 8, 0, 1, 5}
+	query := func(tr *WindowTrie) map[string]uint64 {
+		t.Helper()
+		a.countShard(tr, 2, 7, 0, 1)
+		o := other.CountWindowRange(2, 7)
+		tr.Merge(o)
+		o.Release()
+		tr.Add(seam, 2, 1)
+		if err := tr.Err(); err != nil {
+			t.Fatal(err)
+		}
+		checkRanks(t, tr)
+		return windowCounts(tr)
+	}
+	fresh := NewWindowTrie()
+	want := query(fresh)
+	for _, v := range []uint64{9, 7, 8, 5} {
+		if !slices.Contains(fresh.Dict, v) {
+			t.Fatalf("event %d missing from the merged dictionary %v", v, fresh.Dict)
+		}
+	}
+
+	tr := NewWindowTrie()
+	query(tr)
+	tr.Reset()
+	b.countShard(tr, 1, 9, 0, 1)
+	tr.Add([]uint64{100, 101, 999}, 1, 3)
+	tr.Reset()
+	if got := query(tr); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reused trie counts %d windows, fresh trie %d, or their counts differ", len(got), len(want))
+	}
+	if tr.Len() != fresh.Len() {
+		t.Fatalf("reused trie has %d nodes, fresh trie %d", tr.Len(), fresh.Len())
+	}
+
+	// The same through the pool: every count of A, whatever trie it
+	// draws, matches a fresh one.
+	for i := 0; i < 4; i++ {
+		tb := b.CountWindowRange(1, 9)
+		tb.Release()
+		ta := a.CountWindowRange(2, 7)
+		ref := NewWindowTrie()
+		a.countShard(ref, 2, 7, 0, 1)
+		if got, want := windowCounts(ta), windowCounts(ref); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: pooled trie counts differ from a fresh trie's", i)
+		}
+		ta.Release()
+	}
+}
+
+// TestTrieSlotSize pins the interning-table slot at three uint32s.
+func TestTrieSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(trieSlot{}); got != 12 {
+		t.Fatalf("trieSlot is %d bytes, want 12", got)
 	}
 }

@@ -224,6 +224,14 @@ func find(src engine.Source, workers int, opts Options, costOf func(trace.Event)
 		start := time.Now()
 		result = harvest(tries, opts, costOf, total)
 		met.HarvestSeconds.Observe(time.Since(start))
+		// The result holds copies of the windows, so the tries can go
+		// back to the pool. Only these are released, not the other
+		// chunks' tries merged into them: the pool would then hold one
+		// trie per chunk, each grown in turn to the largest count that
+		// draws it.
+		for _, t := range tries {
+			t.Release()
+		}
 	}
 	sortSubpaths(result)
 	met.SubpathsEmitted.Add(uint64(len(result)))
@@ -326,16 +334,20 @@ func harvest(tries []*engine.WindowTrie, opts Options, costOf func(trace.Event) 
 }
 
 // hotWindows scans one trie's windows once, in node order, extending each
-// window's unit cost from its prefix's, and returns its hot windows and
-// its number of distinct counted windows. Keys are materialized only for
-// hot windows.
+// window's unit cost from its prefix's by its last symbol's, priced once
+// per rank, and returns its hot windows and its number of distinct
+// counted windows. Keys are materialized only for hot windows.
 func hotWindows(t *engine.WindowTrie, opts Options, costOf func(trace.Event) uint64, total uint64) ([]hotWindow, uint64) {
+	symCost := make([]uint64, len(t.Dict))
+	for k, v := range t.Dict {
+		symCost[k] = costOf(trace.Event(v))
+	}
 	unit := make([]uint64, t.Len())
 	var distinct uint64
 	var hot []hotWindow
 	var syms []uint64
 	for n := 1; n < t.Len(); n++ {
-		unit[n] = unit[t.Parent[n]] + costOf(trace.Event(t.Sym[n]))
+		unit[n] = unit[t.Parent[n]] + symCost[t.Sym[n]]
 		count := t.Count[n]
 		if count == 0 || int(t.Depth[n]) < opts.MinLen {
 			continue

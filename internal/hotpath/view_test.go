@@ -2,9 +2,11 @@ package hotpath
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/wpp"
@@ -211,4 +213,66 @@ func main(n) {
 			t.Fatalf("%T vs %T: CompareSpectraView diverges from eager comparison", combo[0], combo[1])
 		}
 	}
+}
+
+// TestFindViewConcurrentReuse: four goroutines search every golden
+// artifact, each in its own shuffled order and at 1 and 2 workers, so
+// their window counts run on tries other searches released, at the same
+// time; every answer must equal the artifact's one-shot answer.
+func TestFindViewConcurrentReuse(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "experiments", "testdata", "golden", "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("golden corpus unavailable: %v", err)
+	}
+	opts := []Options{
+		{MinLen: 1, MaxLen: 6, Threshold: 0.01},
+		{MinLen: 4, MaxLen: 16, Threshold: 0.005},
+	}
+	data := make([][]byte, len(paths))
+	want := make([][][]Subpath, len(paths)) // [artifact][option set]
+	for i, path := range paths {
+		if data[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		v, err := wpp.NewView(data[i], nil)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, o := range opts {
+			got, err := FindView(v, o, 1)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			want[i] = append(want[i], got)
+		}
+		v.Close()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for _, workers := range []int{1, 2} {
+				for _, i := range rng.Perm(len(paths)) {
+					v, err := wpp.NewView(data[i], nil)
+					if err != nil {
+						t.Errorf("%s: %v", paths[i], err)
+						return
+					}
+					for k, o := range opts {
+						got, err := FindView(v, o, workers)
+						if err != nil {
+							t.Errorf("%s: %v", paths[i], err)
+						} else if !reflect.DeepEqual(got, want[i][k]) {
+							t.Errorf("goroutine %d: %s min=%d max=%d workers=%d: %d subpaths, one-shot %d",
+								g, paths[i], o.MinLen, o.MaxLen, workers, len(got), len(want[i][k]))
+						}
+					}
+					v.Close()
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

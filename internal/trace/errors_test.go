@@ -65,7 +65,7 @@ func TestReaderSourceWireErrors(t *testing.T) {
 		{"wpp artifact magic", []byte("WPP1\x00\x00"), ErrBadMagic, 0},
 		{
 			"frame cut mid-varint",
-			wireTrace(t, []Event{MakeEvent(9, 1 << 20), MakeEvent(9, 1 << 21)}, func(b []byte) []byte {
+			wireTrace(t, []Event{MakeEvent(9, 1<<20), MakeEvent(9, 1<<21)}, func(b []byte) []byte {
 				return b[:len(b)-1] // drop the final continuation byte
 			}),
 			ErrTruncated, 1,
