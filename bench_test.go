@@ -223,7 +223,7 @@ func BenchmarkHotpathFindGrammar(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := hotpath.Find(w, opts); err != nil {
+		if _, err := hotpath.Find(w, opts, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

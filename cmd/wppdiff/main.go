@@ -112,7 +112,7 @@ func main() {
 // The comparison runs chunk-parallel over both views, so chunked
 // artifacts diff without decoding either whole grammar set.
 func diffSpectra(a, b *iwpp.ArtifactView, top int) {
-	d, err := hotpath.CompareSpectraView(a, b, 0)
+	d, err := hotpath.CompareSpectra(a, b, 0)
 	if err != nil {
 		fatal(err)
 	}
@@ -127,17 +127,13 @@ func diffSpectra(a, b *iwpp.ArtifactView, top int) {
 			fmt.Printf("... %d more\n", len(d.Entries)-i)
 			break
 		}
-		name := fmt.Sprintf("f%d", e.Event.Func())
-		if int(e.Event.Func()) < len(funcs) {
-			name = funcs[e.Event.Func()].Name
-		}
 		tag := ""
 		if e.OnlyA {
 			tag = "  (only in A)"
 		} else if e.OnlyB {
 			tag = "  (only in B)"
 		}
-		fmt.Printf("  %-20s %10d vs %-10d%s\n", fmt.Sprintf("%s:%d", name, e.Event.Path()), e.CountA, e.CountB, tag)
+		fmt.Printf("  %-20s %10d vs %-10d%s\n", iwpp.EventName(funcs, e.Event), e.CountA, e.CountB, tag)
 	}
 	os.Exit(1)
 }
@@ -154,13 +150,7 @@ func render(v *iwpp.ArtifactView, events []trace.Event, i int) string {
 	if i >= len(events) {
 		return "<end of trace>"
 	}
-	e := events[i]
-	funcs := v.FuncTable()
-	name := fmt.Sprintf("f%d", e.Func())
-	if int(e.Func()) < len(funcs) {
-		name = funcs[e.Func()].Name
-	}
-	return fmt.Sprintf("%s:%d", name, e.Path())
+	return iwpp.EventName(v.FuncTable(), events[i])
 }
 
 func fatal(err error) {

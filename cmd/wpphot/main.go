@@ -36,7 +36,6 @@ import (
 	"repro/internal/hotpath"
 	"repro/internal/obsv"
 	"repro/internal/store"
-	"repro/internal/trace"
 	iwpp "repro/internal/wpp"
 )
 
@@ -92,7 +91,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		subs, err = hotpath.FindView(v, opts, *workers)
+		subs, err = hotpath.Find(v, opts, *workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -107,19 +106,11 @@ func main() {
 		}
 		parts := make([]string, len(s.Events))
 		for j, e := range s.Events {
-			parts[j] = renderEvent(funcs, e)
+			parts[j] = iwpp.EventName(funcs, e)
 		}
 		fmt.Printf("%3d. [%s] x%d cost=%d (%.2f%%)\n", i+1, strings.Join(parts, " "), s.Count, s.Cost, s.Fraction*100)
 	}
 	fmt.Printf("coverage (sum of fractions): %.2f\n", hotpath.Coverage(subs))
-}
-
-func renderEvent(funcs []iwpp.FuncInfo, e trace.Event) string {
-	name := fmt.Sprintf("f%d", e.Func())
-	if int(e.Func()) < len(funcs) {
-		name = funcs[e.Func()].Name
-	}
-	return fmt.Sprintf("%s:%d", name, e.Path())
 }
 
 func fatal(err error) {

@@ -3,9 +3,11 @@
 // profile (the paper's point that a WPP subsumes a Ball–Larus profile),
 // or the grammar DAG in Graphviz form.
 //
-// Both artifact kinds are accepted: monolithic ("WPP1") and chunked
-// ("WPC1"). -dump works on either; -dot, -profile, and -funcs need the
-// monolithic grammar and reject chunked artifacts with an error.
+// Both artifact kinds are accepted, monolithic ("WPP1", "WPP2") and
+// chunked ("WPC1", "WPC2"), and every report but one reads either: a
+// chunked artifact adds its chunk geometry to the statistics. Only -dot
+// needs the single monolithic grammar and rejects chunked artifacts with
+// an error.
 //
 // Inputs open through the lazy mmap-backed view layer: the artifact is
 // indexed in one cheap pass and chunk grammars materialize only for the
@@ -80,82 +82,72 @@ func main() {
 		fatal(err)
 	}
 	defer v.Close()
-	format := v.Format()
 	if *workload != "" && !*verify && !*coverage {
 		fatal(fmt.Errorf("-workload requires -verify or -coverage"))
 	}
 	if *coverage && *workload == "" {
 		fatal(fmt.Errorf("-coverage requires -workload (the artifact does not carry the program)"))
 	}
-	if v.Chunked() {
-		if *coverage {
-			coverageReport(*workload, v.FuncTable(), distinctWalk(v))
-			return
-		}
-		chunkedStats(v, format, *dump, *verify, *profile > 0, *funcs, *dot, *workload)
-		return
-	}
-	if *coverage {
-		if err := v.Verify(0); err != nil {
-			fatal(fmt.Errorf("artifact fails verification: %w", err))
-		}
-		coverageReport(*workload, v.FuncTable(), distinctWalk(v))
-		return
-	}
 	if err := v.Verify(0); err != nil {
 		fatal(fmt.Errorf("artifact fails verification: %w", err))
 	}
+	if *coverage {
+		coverageReport(*workload, v.FuncTable(), distinctWalk(v))
+		return
+	}
 	if *verify {
-		w, err := v.WPP()
+		a, err := v.Materialize()
 		if err != nil {
 			fatal(err)
 		}
-		rep, err := w.VerifyArtifact()
+		rep, err := a.VerifyArtifact()
 		if err != nil {
 			fatal(fmt.Errorf("artifact fails deep verification: %w", err))
 		}
 		fmt.Println(rep.String())
 		if *workload != "" {
-			verifyAgainstWorkload(*workload, w.Funcs, w.Walk)
+			verifyAgainstWorkload(*workload, a.FuncTable(), a.Walk)
 		}
 	}
 	table := v.FuncTable()
-	name := func(e trace.Event) string {
-		if int(e.Func()) < len(table) {
-			return table[e.Func()].Name
-		}
-		return fmt.Sprintf("f%d", e.Func())
-	}
 	if *dot {
+		if v.Chunked() {
+			fatal(fmt.Errorf("-dot supports only monolithic artifacts (chunked artifacts have one grammar per chunk)"))
+		}
 		w, err := v.WPP()
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(w.Grammar.Dot(func(v uint64) string {
-			e := trace.Event(v)
-			return fmt.Sprintf("%s:%d", name(e), e.Path())
-		}))
+		fmt.Print(w.Grammar.Dot(func(sym uint64) string { return iwpp.EventName(table, trace.Event(sym)) }))
 		return
 	}
 	sum, err := v.Summarize(0)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("format:         %s\n", format)
+	kind := "wpp"
+	fmt.Printf("format:         %s\n", v.Format())
 	fmt.Printf("functions:      %d\n", len(table))
 	fmt.Printf("events:         %d\n", v.NumEvents())
 	fmt.Printf("distinct paths: %d\n", v.DistinctPaths())
 	fmt.Printf("instructions:   %d\n", v.TotalInstructions())
+	if v.Chunked() {
+		kind = "wpc"
+		fmt.Printf("chunks:         %d (size %d)\n", v.NumChunks(), v.ChunkSize())
+	}
 	fmt.Printf("rules:          %d\n", sum.Rules)
 	fmt.Printf("rhs symbols:    %d\n", sum.RHSSymbols)
+	if v.Chunked() {
+		fmt.Printf("peak live rhs:  %d\n", v.PeakLiveRHS())
+	}
 	fmt.Printf("raw trace:      %d bytes\n", sum.RawTraceBytes)
-	fmt.Printf("wpp:            %d bytes (%.1fx)\n", v.Size(), float64(sum.RawTraceBytes)/float64(v.Size()))
+	fmt.Printf("%s:            %d bytes (%.1fx)\n", kind, v.Size(), float64(sum.RawTraceBytes)/float64(v.Size()))
 	fmt.Printf("grammar only:   %d bytes\n", sum.GrammarBytes)
 	if *dump > 0 {
 		fmt.Println("trace prefix:")
 		n := 0
 		err := v.Walk(func(e trace.Event) bool {
-			fmt.Printf("  %6d  %s:%d\n", n, name(e), e.Path())
+			fmt.Printf("  %6d  %s\n", n, iwpp.EventName(table, e))
 			n++
 			return n < *dump
 		})
@@ -173,85 +165,17 @@ func main() {
 			if i >= *profile {
 				break
 			}
-			fmt.Printf("  %-20s x%-10d cost=%-12d %6.2f%%\n",
-				fmt.Sprintf("%s:%d", name(p.Event), p.Event.Path()), p.Count, p.Cost, p.Fraction*100)
+			fmt.Printf("  %-20s x%-10d cost=%-12d %6.2f%%\n", iwpp.EventName(table, p.Event), p.Count, p.Cost, p.Fraction*100)
 		}
 	}
 	if *funcs {
-		entries, err := hotpath.FuncProfileView(v, 0)
+		entries, err := hotpath.FuncProfile(v, 0)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println("function profile:")
 		for _, fp := range entries {
-			fname := fmt.Sprintf("f%d", fp.Func)
-			if int(fp.Func) < len(table) {
-				fname = table[fp.Func].Name
-			}
-			fmt.Printf("  %-16s events=%-10d cost=%-12d %6.2f%%\n", fname, fp.Events, fp.Cost, fp.Fraction*100)
-		}
-	}
-}
-
-// chunkedStats is the chunked-artifact branch: structure statistics plus
-// -dump (the trace walk works per chunk). The grammar-level views need
-// the single monolithic grammar and are rejected.
-func chunkedStats(v *iwpp.ArtifactView, format string, dump int, verify, profile, funcs, dot bool, workload string) {
-	if dot {
-		fatal(fmt.Errorf("-dot supports only monolithic artifacts (chunked artifacts have one grammar per chunk)"))
-	}
-	if profile || funcs {
-		fatal(fmt.Errorf("-profile and -funcs support only monolithic artifacts"))
-	}
-	if err := v.Verify(0); err != nil {
-		fatal(fmt.Errorf("artifact fails verification: %w", err))
-	}
-	if verify {
-		c, err := v.ChunkedWPP()
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := c.VerifyArtifact()
-		if err != nil {
-			fatal(fmt.Errorf("artifact fails deep verification: %w", err))
-		}
-		fmt.Println(rep.String())
-		if workload != "" {
-			verifyAgainstWorkload(workload, c.Funcs, c.Walk)
-		}
-	}
-	sum, err := v.Summarize(0)
-	if err != nil {
-		fatal(err)
-	}
-	table := v.FuncTable()
-	raw, enc := sum.RawTraceBytes, v.Size()
-	fmt.Printf("format:         %s\n", format)
-	fmt.Printf("functions:      %d\n", len(table))
-	fmt.Printf("events:         %d\n", v.NumEvents())
-	fmt.Printf("distinct paths: %d\n", v.DistinctPaths())
-	fmt.Printf("instructions:   %d\n", v.TotalInstructions())
-	fmt.Printf("chunks:         %d (size %d)\n", v.NumChunks(), v.ChunkSize())
-	fmt.Printf("rules:          %d\n", sum.Rules)
-	fmt.Printf("rhs symbols:    %d\n", sum.RHSSymbols)
-	fmt.Printf("peak live rhs:  %d\n", v.PeakLiveRHS())
-	fmt.Printf("raw trace:      %d bytes\n", raw)
-	fmt.Printf("wpc:            %d bytes (%.1fx)\n", enc, float64(raw)/float64(enc))
-	fmt.Printf("grammar only:   %d bytes\n", sum.GrammarBytes)
-	if dump > 0 {
-		fmt.Println("trace prefix:")
-		n := 0
-		err := v.Walk(func(e trace.Event) bool {
-			name := fmt.Sprintf("f%d", e.Func())
-			if int(e.Func()) < len(table) {
-				name = table[e.Func()].Name
-			}
-			fmt.Printf("  %6d  %s:%d\n", n, name, e.Path())
-			n++
-			return n < dump
-		})
-		if err != nil {
-			fatal(err)
+			fmt.Printf("  %-16s events=%-10d cost=%-12d %6.2f%%\n", iwpp.FuncName(table, fp.Func), fp.Events, fp.Cost, fp.Fraction*100)
 		}
 	}
 }
@@ -263,7 +187,7 @@ func chunkedStats(v *iwpp.ArtifactView, format string, dump int, verify, profile
 // entries with nonzero count — instead of expanding the trace.
 func distinctWalk(v *iwpp.ArtifactView) func(func(trace.Event) bool) {
 	return func(yield func(trace.Event) bool) {
-		freqs, err := hotpath.EventFrequenciesView(v, 0)
+		freqs, err := hotpath.EventFrequencies(v, 0)
 		if err != nil {
 			fatal(err)
 		}

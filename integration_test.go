@@ -235,7 +235,7 @@ func TestGrammarAnalysisOracleOnWorkloads(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := hotpath.Options{MinLen: 2, MaxLen: 10, Threshold: 0.005}
-		fast, err := hotpath.Find(w, opts)
+		fast, err := hotpath.Find(w, opts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,11 @@ func TestRecoveredFuncProfileMatchesGroundTruth(t *testing.T) {
 
 		truth := m.Stats().FuncInstrs
 		recovered := make([]uint64, len(prog.Funcs))
-		for _, fe := range hotpath.FuncProfile(wp) {
+		prof, err := hotpath.FuncProfile(wp, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fe := range prof {
 			recovered[fe.Func] = fe.Cost
 		}
 		for fn := range truth {

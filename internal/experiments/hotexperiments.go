@@ -48,7 +48,7 @@ func E5(scale Scale, minLens []int, thresholds []float64) ([]E5Row, *Table, erro
 	for _, a := range arts {
 		for _, l := range minLens {
 			for _, th := range thresholds {
-				subs, err := hotpath.Find(a.wpp, hotpath.Options{MinLen: l, MaxLen: 4 * l, Threshold: th})
+				subs, err := hotpath.Find(a.wpp, hotpath.Options{MinLen: l, MaxLen: 4 * l, Threshold: th}, 1)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -110,7 +110,7 @@ func E6(scale Scale, opts hotpath.Options, reps int) ([]E6Row, *Table, error) {
 		var fast, slow []hotpath.Subpath
 		gTime, err := timeBest(reps, func() error {
 			var err error
-			fast, err = hotpath.Find(a.wpp, opts)
+			fast, err = hotpath.Find(a.wpp, opts, 1)
 			return err
 		})
 		if err != nil {

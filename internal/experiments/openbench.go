@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/hotpath"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 	iwpp "repro/internal/wpp"
 )
@@ -166,20 +165,14 @@ func openBenchRow(name, format string, enc []byte, reps int) (OpenBenchRow, erro
 		if err != nil {
 			return nil, err
 		}
-		switch t := a.(type) {
-		case *iwpp.WPP:
-			return hotpath.Find(t, openBenchOpts)
-		case *iwpp.ChunkedWPP:
-			return hotpath.FindChunked(t, openBenchOpts, 0)
-		}
-		return nil, fmt.Errorf("unknown artifact type %T", a)
+		return hotpath.Find(a, openBenchOpts, 0)
 	}
 	viewHot := func() (*iwpp.ArtifactView, []hotpath.Subpath, error) {
 		v, err := iwpp.NewView(enc, nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		subs, err := hotpath.FindView(v, openBenchOpts, 0)
+		subs, err := hotpath.Find(v, openBenchOpts, 0)
 		if err != nil {
 			v.Close()
 			return nil, nil, err
@@ -193,16 +186,11 @@ func openBenchRow(name, format string, enc []byte, reps int) (OpenBenchRow, erro
 		return row, err
 	}
 	row.Events = eagerArt.NumEvents()
-	var eagerFreqs map[trace.Event]uint64
-	var eagerSubs []hotpath.Subpath
-	switch t := eagerArt.(type) {
-	case *iwpp.WPP:
-		eagerFreqs = hotpath.EventFrequencies(t)
-		eagerSubs, err = hotpath.Find(t, openBenchOpts)
-	case *iwpp.ChunkedWPP:
-		eagerFreqs = hotpath.ChunkedEventFrequencies(t, 0)
-		eagerSubs, err = hotpath.FindChunked(t, openBenchOpts, 0)
+	eagerFreqs, err := hotpath.EventFrequencies(eagerArt, 0)
+	if err != nil {
+		return row, err
 	}
+	eagerSubs, err := hotpath.Find(eagerArt, openBenchOpts, 0)
 	if err != nil {
 		return row, err
 	}
@@ -210,7 +198,7 @@ func openBenchRow(name, format string, enc []byte, reps int) (OpenBenchRow, erro
 	if err != nil {
 		return row, err
 	}
-	viewFreqs, err := hotpath.EventFrequenciesView(v, 0)
+	viewFreqs, err := hotpath.EventFrequencies(v, 0)
 	if err != nil {
 		v.Close()
 		return row, err

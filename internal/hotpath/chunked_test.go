@@ -77,7 +77,7 @@ func TestFindChunkedOracle(t *testing.T) {
 			Threshold: []float64{0.01, 0.05, 0.2}[rng.Intn(3)],
 		}
 		mono := syntheticWPP(ids)
-		want, err := Find(mono, opts)
+		want, err := Find(mono, opts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func main(n) {
 	opts := Options{MinLen: 2, MaxLen: 8, Threshold: 0.01}
 	for _, cs := range []uint64{1, 37, 500} {
 		mono, chunked := programBoth(t, src, cs, 60)
-		want, err := Find(mono, opts)
+		want, err := Find(mono, opts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,11 +161,11 @@ func TestChunkedEventFrequenciesOracle(t *testing.T) {
 		for i := range ids {
 			ids[i] = uint64(rng.Intn(5))
 		}
-		want := EventFrequencies(syntheticWPP(ids))
+		want := freqsOf(t, syntheticWPP(ids), 1)
 		for _, cs := range []uint64{1, 3, 50, uint64(n) + 1} {
 			c := syntheticChunked(ids, cs)
 			for _, workers := range []int{1, 4} {
-				got := ChunkedEventFrequencies(c, workers)
+				got := freqsOf(t, c, workers)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d chunk=%d workers=%d: %v != %v", trial, cs, workers, got, want)
 				}
@@ -183,7 +183,7 @@ func TestFindChunkedCrossingOnly(t *testing.T) {
 		ids = append(ids, 1, 2, 3)
 	}
 	opts := Options{MinLen: 2, MaxLen: 2, Threshold: 0.2}
-	want, err := Find(syntheticWPP(ids), opts)
+	want, err := Find(syntheticWPP(ids), opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

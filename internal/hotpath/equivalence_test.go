@@ -69,7 +69,7 @@ func TestFoldEquivalenceOnWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Find(w, opts)
+			got, err := Find(w, opts, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,12 +89,12 @@ func TestFoldEquivalenceOnWorkloads(t *testing.T) {
 			// Frequency folds against a direct walk of the expanded trace.
 			want := map[trace.Event]uint64{}
 			w.Walk(func(e trace.Event) bool { want[e]++; return true })
-			if got := EventFrequencies(w); !reflect.DeepEqual(got, want) {
+			if got := freqsOf(t, w, 1); !reflect.DeepEqual(got, want) {
 				t.Fatalf("EventFrequencies diverges from walk count")
 			}
 			for _, nw := range workerCounts {
-				if got := ChunkedEventFrequencies(cw, nw); !reflect.DeepEqual(got, want) {
-					t.Fatalf("ChunkedEventFrequencies(workers=%d) diverges from walk count", nw)
+				if got := freqsOf(t, cw, nw); !reflect.DeepEqual(got, want) {
+					t.Fatalf("EventFrequencies(chunked, workers=%d) diverges from walk count", nw)
 				}
 			}
 		})
@@ -108,7 +108,7 @@ func TestFoldEquivalenceOnWorkloads(t *testing.T) {
 func TestSpectrumEquivalenceOnWorkloads(t *testing.T) {
 	for _, name := range workloads.Names() {
 		w, _ := workloadBoth(t, name)
-		d := CompareSpectra(w, w)
+		d := spectraOf(t, w, w)
 		if !d.Identical() {
 			t.Fatalf("%s: self-comparison not identity: %d differing entries", name, len(d.Entries))
 		}

@@ -28,9 +28,13 @@ func (freqFold) Merge(acc, next map[trace.Event]uint64) map[trace.Event]uint64 {
 	return acc
 }
 
-// frequencies is the single implementation behind EventFrequencies,
-// ChunkedEventFrequencies, and EventFrequenciesView.
-func frequencies(src engine.Source, workers int) (map[trace.Event]uint64, error) {
+// EventFrequencies returns the execution count of every distinct acyclic
+// path event, computed from the grammars without decompressing the
+// trace: per chunk on `workers` goroutines (<=0 means GOMAXPROCS), merged
+// by summation, so every worker count and artifact shape of one event
+// stream yields the same map. Only a lazy view's chunks can fail, with a
+// *wpp.ViewError.
+func EventFrequencies(src Source, workers int) (map[trace.Event]uint64, error) {
 	freqs, err := engine.RunSource(src, workers, freqFold{})
 	if err != nil {
 		return nil, err
@@ -39,29 +43,6 @@ func frequencies(src engine.Source, workers int) (map[trace.Event]uint64, error)
 		freqs = make(map[trace.Event]uint64)
 	}
 	return freqs, nil
-}
-
-// EventFrequencies returns the execution count of every distinct acyclic
-// path event, computed from the grammar without decompressing the trace.
-func EventFrequencies(w *wpp.WPP) map[trace.Event]uint64 {
-	freqs, _ := frequencies(w, 1)
-	return freqs
-}
-
-// ChunkedEventFrequencies returns the execution count of every distinct
-// event, computed per chunk in compressed form on `workers` goroutines
-// (<=0 means GOMAXPROCS) and merged. It matches EventFrequencies on a
-// monolithic WPP over the same stream exactly.
-func ChunkedEventFrequencies(c *wpp.ChunkedWPP, workers int) map[trace.Event]uint64 {
-	freqs, _ := frequencies(c, workers)
-	return freqs
-}
-
-// EventFrequenciesView computes the same frequency map directly over a
-// lazy view, materializing one chunk per worker at a time. It matches
-// the eager functions exactly on every artifact.
-func EventFrequenciesView(v *wpp.ArtifactView, workers int) (map[trace.Event]uint64, error) {
-	return frequencies(v, workers)
 }
 
 // PathProfileEntry is one row of a classic Ball–Larus path profile,
@@ -75,31 +56,20 @@ type PathProfileEntry struct {
 	Fraction float64
 }
 
-// PathProfile recovers the classic path profile (path → frequency,
-// weighted by cost) from the WPP, sorted hottest first. This is the
-// paper's observation that a WPP subsumes a path profile: the aggregate
-// view falls out of the complete trace.
-func PathProfile(w *wpp.WPP) []PathProfileEntry {
-	return pathProfile(EventFrequencies(w), w.PathCost, w.Instructions)
-}
-
-// PathProfileView recovers the path profile directly from a lazy view,
-// chunk-parallel on `workers` goroutines. It matches PathProfile on the
-// eagerly decoded artifact exactly.
-func PathProfileView(v *wpp.ArtifactView, workers int) ([]PathProfileEntry, error) {
-	freqs, err := EventFrequenciesView(v, workers)
+// PathProfileView recovers the classic path profile (path → frequency,
+// weighted by cost) from the compressed trace, sorted hottest first, on
+// `workers` goroutines as EventFrequencies. This is the paper's
+// observation that a WPP subsumes a path profile: the aggregate view
+// falls out of the complete trace.
+func PathProfileView(src Source, workers int) ([]PathProfileEntry, error) {
+	freqs, err := EventFrequencies(src, workers)
 	if err != nil {
 		return nil, err
 	}
-	return pathProfile(freqs, v.PathCost, v.TotalInstructions()), nil
-}
-
-// pathProfile converts a frequency map into the sorted profile under
-// the given cost model.
-func pathProfile(freqs map[trace.Event]uint64, costOf func(trace.Event) uint64, total uint64) []PathProfileEntry {
+	total := src.TotalInstructions()
 	entries := make([]PathProfileEntry, 0, len(freqs))
 	for e, n := range freqs {
-		cost := n * costOf(e)
+		cost := n * src.PathCost(e)
 		var frac float64
 		if total > 0 {
 			frac = float64(cost) / float64(total)
@@ -112,6 +82,13 @@ func pathProfile(freqs map[trace.Event]uint64, costOf func(trace.Event) uint64, 
 		}
 		return entries[i].Event < entries[j].Event
 	})
+	return entries, nil
+}
+
+// PathProfile is PathProfileView on a monolithic WPP, which cannot fail,
+// kept because the perfbench module calls it by name.
+func PathProfile(w *wpp.WPP) []PathProfileEntry {
+	entries, _ := PathProfileView(w, 1)
 	return entries
 }
 
@@ -123,26 +100,14 @@ type FuncProfileEntry struct {
 	Fraction float64
 }
 
-// FuncProfile attributes execution cost to functions, recovered entirely
-// from the compressed trace.
-func FuncProfile(w *wpp.WPP) []FuncProfileEntry {
-	return funcProfile(EventFrequencies(w), w.PathCost, w.Instructions)
-}
-
-// FuncProfileView attributes execution cost to functions directly from
-// a lazy view, chunk-parallel on `workers` goroutines. It matches
-// FuncProfile on the eagerly decoded artifact exactly.
-func FuncProfileView(v *wpp.ArtifactView, workers int) ([]FuncProfileEntry, error) {
-	freqs, err := EventFrequenciesView(v, workers)
+// FuncProfile attributes execution cost to functions, recovered
+// entirely from the compressed trace on `workers` goroutines as
+// EventFrequencies, sorted costliest first.
+func FuncProfile(src Source, workers int) ([]FuncProfileEntry, error) {
+	freqs, err := EventFrequencies(src, workers)
 	if err != nil {
 		return nil, err
 	}
-	return funcProfile(freqs, v.PathCost, v.TotalInstructions()), nil
-}
-
-// funcProfile aggregates a frequency map to function granularity under
-// the given cost model.
-func funcProfile(freqs map[trace.Event]uint64, costOf func(trace.Event) uint64, total uint64) []FuncProfileEntry {
 	byFunc := map[uint32]*FuncProfileEntry{}
 	for e, n := range freqs {
 		fe := byFunc[e.Func()]
@@ -151,8 +116,9 @@ func funcProfile(freqs map[trace.Event]uint64, costOf func(trace.Event) uint64, 
 			byFunc[e.Func()] = fe
 		}
 		fe.Events += n
-		fe.Cost += n * costOf(e)
+		fe.Cost += n * src.PathCost(e)
 	}
+	total := src.TotalInstructions()
 	out := make([]FuncProfileEntry, 0, len(byFunc))
 	for _, fe := range byFunc {
 		if total > 0 {
@@ -166,5 +132,5 @@ func funcProfile(freqs map[trace.Event]uint64, costOf func(trace.Event) uint64, 
 		}
 		return out[i].Func < out[j].Func
 	})
-	return out
+	return out, nil
 }

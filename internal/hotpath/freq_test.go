@@ -23,7 +23,7 @@ func main(n) {
     }
     return acc;
 }`, 80)
-	freqs := EventFrequencies(w)
+	freqs := freqsOf(t, w, 1)
 	// Oracle: count by walking the expansion.
 	direct := map[trace.Event]uint64{}
 	var total uint64
@@ -45,6 +45,16 @@ func main(n) {
 	if sum != total || sum != w.Events {
 		t.Fatalf("frequency sum %d != events %d", sum, w.Events)
 	}
+}
+
+// freqsOf is EventFrequencies on an eager artifact, which cannot fail.
+func freqsOf(t testing.TB, src Source, workers int) map[trace.Event]uint64 {
+	t.Helper()
+	freqs, err := EventFrequencies(src, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return freqs
 }
 
 func TestPathProfile(t *testing.T) {
@@ -94,7 +104,10 @@ func main(n) {
     while i < n { acc = acc + busy(i) + idle(i); i = i + 1; }
     return acc;
 }`, 50)
-	prof := FuncProfile(w)
+	prof, err := FuncProfile(w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(prof) != 3 {
 		t.Fatalf("%d functions in profile, want 3", len(prof))
 	}
@@ -118,7 +131,7 @@ func main(n) {
 
 func TestEventFrequenciesEmpty(t *testing.T) {
 	w := syntheticWPP(nil)
-	if n := len(EventFrequencies(w)); n != 0 {
+	if n := len(freqsOf(t, w, 1)); n != 0 {
 		t.Fatalf("%d frequencies for empty trace", n)
 	}
 	if p := PathProfile(w); len(p) != 0 {

@@ -46,9 +46,9 @@ func FuzzViewAnalyses(f *testing.F) {
 			return
 		}
 		defer v.Close()
-		EventFrequenciesView(v, 2)
+		EventFrequencies(v, 2)
 		v.Summarize(2)
-		FindView(v, Options{MinLen: 1, MaxLen: 4, Threshold: 0.01}, 2)
+		Find(v, Options{MinLen: 1, MaxLen: 4, Threshold: 0.01}, 2)
 		if v.Verify(2) != nil || v.NumEvents() > 1<<16 {
 			return
 		}

@@ -4,15 +4,18 @@
 // instructions per occurrence) meets a threshold fraction of the whole
 // execution, where no shorter contained subpath is itself hot.
 //
-// The analysis runs directly on the SEQUITUR grammar, without
-// decompressing the trace, as a fold over the engine package's single
-// traversal: per-chunk window counting on the grammar DAG, plus boundary
-// windows materialized across chunk seams. A monolithic WPP is the
-// one-chunk special case of the same fold, so Find and FindChunked share
-// one implementation and produce identical subpaths for identical event
-// streams. FindByScan is the paper's strawman alternative (decompress and
-// slide a window); it produces identical results and serves as both the
-// E6 baseline and a correctness oracle in tests.
+// Every analysis here is one function over Source, the engine's chunk
+// grammars plus their cost model, so a monolithic WPP, a chunked WPP and
+// a lazy view of either are analyzed by the same code. The hot-subpath
+// search runs directly on the SEQUITUR grammar, without decompressing
+// the trace, as a fold over the engine package's single traversal:
+// per-chunk window counting on the grammar DAG, plus boundary windows
+// materialized across chunk seams. A monolithic WPP is the one-chunk
+// case of the same fold, so every artifact shape of one event stream
+// yields identical subpaths. FindByScan is the paper's strawman
+// alternative (decompress and slide a window); it produces identical
+// results and serves as both the E6 baseline and a correctness oracle in
+// tests.
 package hotpath
 
 import (
@@ -122,36 +125,74 @@ type Subpath struct {
 	Fraction float64
 }
 
-// Find locates all minimal hot subpaths by analyzing the grammar in
-// compressed form: the one-chunk case of the shared fold.
-func Find(w *wpp.WPP, opts Options) ([]Subpath, error) {
-	return find(w, 1, opts, w.PathCost, w.Instructions)
+// Source is what the analyses read: the chunk grammars of an artifact
+// plus the cost model that prices their events.
+type Source interface {
+	engine.Source
+	// PathCost returns the instruction cost of one occurrence of an
+	// event's acyclic path (0 for unknown events). It must be safe for
+	// concurrent calls.
+	PathCost(trace.Event) uint64
+	// TotalInstructions is the execution's instruction count.
+	TotalInstructions() uint64
 }
 
-// FindChunked locates the same minimal hot subpaths as Find would on a
-// monolithic WPP of the identical event stream, analyzing a chunked WPP
-// with per-chunk passes on `workers` goroutines (<=0 means GOMAXPROCS).
-// A window of the full trace either lies entirely inside one chunk —
-// counted on that chunk's grammar, in compressed form — or crosses a
-// chunk boundary and is counted once, attributed to the chunk containing
-// its start position. Merging is by summation, so worker scheduling
-// cannot change any count. With fewer chunks than workers, each chunk's
-// count splits into prefix shards (see countWindows).
+var (
+	_ Source = (*wpp.WPP)(nil)
+	_ Source = (*wpp.ChunkedWPP)(nil)
+	_ Source = (*wpp.ArtifactView)(nil)
+)
+
+// Find locates all minimal hot subpaths by analyzing the source's chunk
+// grammars in compressed form, on `workers` goroutines (<=0 means
+// GOMAXPROCS). A window of the full trace either lies entirely inside
+// one chunk — counted on that chunk's grammar — or crosses a chunk seam
+// and is counted once, attributed to the chunk containing its start
+// position. Merging is by summation, so neither the worker count nor the
+// artifact's chunking can change any count; a monolithic WPP is the
+// one-chunk case. With fewer chunks than workers, each chunk's count
+// splits into prefix shards so every worker counts (see countWindows).
+// A lazy view materializes each chunk grammar inside the per-chunk pass
+// and discards it after counting, so peak memory tracks one chunk per
+// worker; its materialization failures surface as *wpp.ViewError.
+func Find(src Source, opts Options, workers int) ([]Subpath, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	tries, err := countWindows(src, workers, opts)
+	if err != nil {
+		return nil, err
+	}
+	met := opts.metrics()
+	var result []Subpath
+	if tries != nil {
+		start := time.Now()
+		result = harvest(tries, opts, src)
+		met.HarvestSeconds.Observe(time.Since(start))
+		// The result holds copies of the windows, so the tries can go
+		// back to the pool. Only these are released, not the other
+		// chunks' tries merged into them: the pool would then hold one
+		// trie per chunk, each grown in turn to the largest count that
+		// draws it.
+		for _, t := range tries {
+			t.Release()
+		}
+	}
+	sortSubpaths(result)
+	met.SubpathsEmitted.Add(uint64(len(result)))
+	return result, nil
+}
+
+// FindChunked is Find on a chunked WPP, kept because the perfbench
+// module calls it by name.
 func FindChunked(c *wpp.ChunkedWPP, opts Options, workers int) ([]Subpath, error) {
-	return find(c, workers, opts, c.PathCost, c.Instructions)
+	return Find(c, opts, workers)
 }
 
-// FindView locates the same minimal hot subpaths as Find/FindChunked
-// would on the eagerly decoded artifact, analyzing a lazy view
-// chunk-parallel: each chunk grammar is materialized inside the fold's
-// per-chunk pass and discarded after counting, so peak memory tracks
-// one chunk per worker instead of the whole artifact. A monolithic view
-// is the one-chunk case; with fewer chunks than workers, each chunk's
-// count splits into prefix shards so every worker counts (see
-// countWindows). Materialization failures (corrupt chunks) surface as
-// *wpp.ViewError.
+// FindView is Find on a lazy view, kept because the perfbench module
+// calls it by name.
 func FindView(v *wpp.ArtifactView, opts Options, workers int) ([]Subpath, error) {
-	return find(v, workers, opts, v.PathCost, v.TotalInstructions())
+	return Find(v, opts, workers)
 }
 
 // windowState accumulates the per-chunk window tries and boundary
@@ -205,37 +246,6 @@ func eachShard(n int, fn func(s int)) {
 	}
 	fn(0)
 	wg.Wait()
-}
-
-// find is the single hot-subpath implementation behind Find,
-// FindChunked, and FindView: count the source's windows, then harvest
-// minimal hot subpaths from the counts.
-func find(src engine.Source, workers int, opts Options, costOf func(trace.Event) uint64, total uint64) ([]Subpath, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	tries, err := countWindows(src, workers, opts)
-	if err != nil {
-		return nil, err
-	}
-	met := opts.metrics()
-	var result []Subpath
-	if tries != nil {
-		start := time.Now()
-		result = harvest(tries, opts, costOf, total)
-		met.HarvestSeconds.Observe(time.Since(start))
-		// The result holds copies of the windows, so the tries can go
-		// back to the pool. Only these are released, not the other
-		// chunks' tries merged into them: the pool would then hold one
-		// trie per chunk, each grown in turn to the largest count that
-		// draws it.
-		for _, t := range tries {
-			t.Release()
-		}
-	}
-	sortSubpaths(result)
-	met.SubpathsEmitted.Add(uint64(len(result)))
-	return result, nil
 }
 
 // countWindows counts every window of length opts.MinLen..opts.MaxLen in
@@ -312,17 +322,16 @@ func FindByScan(w *wpp.WPP, opts Options) ([]Subpath, error) {
 }
 
 // harvest scans the shard tries' windows for hot ones, the shards
-// concurrently, and returns the minimal hot subpaths among them all.
-// costOf and total supply the cost model (a WPP's or a ChunkedWPP's);
-// costOf must be safe for concurrent calls.
-func harvest(tries []*engine.WindowTrie, opts Options, costOf func(trace.Event) uint64, total uint64) []Subpath {
-	if total == 0 {
+// concurrently, and returns the minimal hot subpaths among them all
+// under the source's cost model.
+func harvest(tries []*engine.WindowTrie, opts Options, src Source) []Subpath {
+	if src.TotalInstructions() == 0 {
 		return nil
 	}
 	hots := make([][]hotWindow, len(tries))
 	distinct := make([]uint64, len(tries))
 	eachShard(len(tries), func(s int) {
-		hots[s], distinct[s] = hotWindows(tries[s], opts, costOf, total)
+		hots[s], distinct[s] = hotWindows(tries[s], opts, src)
 	})
 	met := opts.metrics()
 	var hot []hotWindow
@@ -337,10 +346,11 @@ func harvest(tries []*engine.WindowTrie, opts Options, costOf func(trace.Event) 
 // window's unit cost from its prefix's by its last symbol's, priced once
 // per rank, and returns its hot windows and its number of distinct
 // counted windows. Keys are materialized only for hot windows.
-func hotWindows(t *engine.WindowTrie, opts Options, costOf func(trace.Event) uint64, total uint64) ([]hotWindow, uint64) {
+func hotWindows(t *engine.WindowTrie, opts Options, src Source) ([]hotWindow, uint64) {
+	total := src.TotalInstructions()
 	symCost := make([]uint64, len(t.Dict))
 	for k, v := range t.Dict {
-		symCost[k] = costOf(trace.Event(v))
+		symCost[k] = src.PathCost(trace.Event(v))
 	}
 	unit := make([]uint64, t.Len())
 	var distinct uint64

@@ -58,7 +58,7 @@ func TestOptionsValidation(t *testing.T) {
 		{MinLen: 1, MaxLen: engine.MaxWindowLen + 1, Threshold: 0.1},
 	}
 	for _, o := range bad {
-		if _, err := Find(w, o); err == nil {
+		if _, err := Find(w, o, 1); err == nil {
 			t.Errorf("options %+v accepted", o)
 		}
 		if _, err := FindByScan(w, o); err == nil {
@@ -68,10 +68,10 @@ func TestOptionsValidation(t *testing.T) {
 	// A MaxLen the window trie cannot hold is a typed limit error; the
 	// longest one it can hold is accepted.
 	var le *engine.LimitError
-	if _, err := Find(w, bad[len(bad)-1]); !errors.As(err, &le) {
+	if _, err := Find(w, bad[len(bad)-1], 1); !errors.As(err, &le) {
 		t.Errorf("MaxLen beyond engine.MaxWindowLen: error %v, want an *engine.LimitError", err)
 	}
-	if _, err := Find(w, Options{MinLen: 1, MaxLen: engine.MaxWindowLen, Threshold: 0.1}); err != nil {
+	if _, err := Find(w, Options{MinLen: 1, MaxLen: engine.MaxWindowLen, Threshold: 0.1}, 1); err != nil {
 		t.Errorf("MaxLen engine.MaxWindowLen rejected: %v", err)
 	}
 }
@@ -82,7 +82,7 @@ func TestUniformRepetition(t *testing.T) {
 	// MinLen 2.
 	ids := make([]uint64, 100)
 	w := syntheticWPP(ids)
-	got, err := Find(w, Options{MinLen: 2, MaxLen: 6, Threshold: 0.5})
+	got, err := Find(w, Options{MinLen: 2, MaxLen: 6, Threshold: 0.5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAlternation(t *testing.T) {
 		ids[i] = uint64(i % 2)
 	}
 	w := syntheticWPP(ids)
-	got, err := Find(w, Options{MinLen: 2, MaxLen: 5, Threshold: 0.3})
+	got, err := Find(w, Options{MinLen: 2, MaxLen: 5, Threshold: 0.3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestMinimalityAcrossLengths(t *testing.T) {
 	// 2-windows (1,2) and (2,3) occur 30 times: cost 60. 3-window
 	// (1,2,3) occurs 30 times: cost 90. Pick threshold between.
 	th := 75.0 / total
-	got, err := Find(w, Options{MinLen: 2, MaxLen: 4, Threshold: th})
+	got, err := Find(w, Options{MinLen: 2, MaxLen: 4, Threshold: th}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestMinimalityAcrossLengths(t *testing.T) {
 func TestSingleEventWindows(t *testing.T) {
 	ids := []uint64{5, 5, 5, 7, 5, 5}
 	w := syntheticWPP(ids)
-	got, err := Find(w, Options{MinLen: 1, MaxLen: 1, Threshold: 0.5})
+	got, err := Find(w, Options{MinLen: 1, MaxLen: 1, Threshold: 0.5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestThresholdBoundary(t *testing.T) {
 	// Fraction exactly at the threshold counts as hot.
 	ids := []uint64{1, 1, 2, 3} // window (1,1) cost 2 of 4 = 0.5
 	w := syntheticWPP(ids)
-	got, err := Find(w, Options{MinLen: 2, MaxLen: 2, Threshold: 0.5})
+	got, err := Find(w, Options{MinLen: 2, MaxLen: 2, Threshold: 0.5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestThresholdBoundary(t *testing.T) {
 func TestEmptyAndTinyTraces(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3} {
 		w := syntheticWPP(make([]uint64, n))
-		got, err := Find(w, Options{MinLen: 4, MaxLen: 8, Threshold: 0.1})
+		got, err := Find(w, Options{MinLen: 4, MaxLen: 8, Threshold: 0.1}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func main(n) {
     }
     return acc;
 }`, 100)
-	got, err := Find(w, Options{MinLen: 2, MaxLen: 4, Threshold: 0.05})
+	got, err := Find(w, Options{MinLen: 2, MaxLen: 4, Threshold: 0.05}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestScanOracle(t *testing.T) {
 			MaxLen:    3 + rng.Intn(6),
 			Threshold: []float64{0.01, 0.05, 0.2}[rng.Intn(3)],
 		}
-		fast, err := Find(w, opts)
+		fast, err := Find(w, opts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func main(n) {
     return s;
 }`, 60)
 	opts := Options{MinLen: 2, MaxLen: 8, Threshold: 0.01}
-	fast, err := Find(w, opts)
+	fast, err := Find(w, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/trace"
-	"repro/internal/wpp"
 )
 
 // Path spectra comparison (Reps, Ball, Das & Larus, FSE 1997 — the
@@ -35,32 +34,21 @@ type SpectrumDiff struct {
 	SharedPaths, TotalPaths int
 }
 
-// CompareSpectra computes the path-spectrum difference of two WPPs,
-// without decompressing either. The two profiles must come from the same
-// compiled program for the event IDs to be comparable; callers are
-// responsible for that (as with any spectra comparison).
-func CompareSpectra(a, b *wpp.WPP) *SpectrumDiff {
-	return diffSpectra(EventFrequencies(a), EventFrequencies(b))
-}
-
-// CompareSpectraView computes the same spectrum difference over two
-// lazy views, chunk-parallel on `workers` goroutines per side. Unlike
-// CompareSpectra it accepts any artifact shape — chunked spectra merge
-// per chunk, so the monolithic-only restriction does not apply.
-func CompareSpectraView(a, b *wpp.ArtifactView, workers int) (*SpectrumDiff, error) {
-	fa, err := EventFrequenciesView(a, workers)
+// CompareSpectra computes the path-spectrum difference of two runs
+// without decompressing either, each side's frequencies on `workers`
+// goroutines as EventFrequencies, so any two artifact shapes compare.
+// The two runs must come from the same compiled program for the event
+// IDs to be comparable; callers are responsible for that (as with any
+// spectra comparison).
+func CompareSpectra(a, b Source, workers int) (*SpectrumDiff, error) {
+	fa, err := EventFrequencies(a, workers)
 	if err != nil {
 		return nil, err
 	}
-	fb, err := EventFrequenciesView(b, workers)
+	fb, err := EventFrequencies(b, workers)
 	if err != nil {
 		return nil, err
 	}
-	return diffSpectra(fa, fb), nil
-}
-
-// diffSpectra compares two frequency maps into the sorted diff report.
-func diffSpectra(fa, fb map[trace.Event]uint64) *SpectrumDiff {
 	diff := &SpectrumDiff{}
 	seen := map[trace.Event]bool{}
 	for e, ca := range fa {
@@ -96,7 +84,7 @@ func diffSpectra(fa, fb map[trace.Event]uint64) *SpectrumDiff {
 		}
 		return diff.Entries[i].Event < diff.Entries[j].Event
 	})
-	return diff
+	return diff, nil
 }
 
 // Identical reports whether the two spectra match exactly.

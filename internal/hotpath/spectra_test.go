@@ -6,11 +6,21 @@ import (
 	"repro/internal/trace"
 )
 
+// spectraOf is CompareSpectra on eager artifacts, which cannot fail.
+func spectraOf(t testing.TB, a, b Source) *SpectrumDiff {
+	t.Helper()
+	d, err := CompareSpectra(a, b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestCompareSpectraIdentical(t *testing.T) {
 	ids := []uint64{1, 2, 3, 1, 2, 1}
 	a := syntheticWPP(ids)
 	b := syntheticWPP(ids)
-	d := CompareSpectra(a, b)
+	d := spectraOf(t, a, b)
 	if !d.Identical() {
 		t.Fatalf("identical traces diff: %+v", d.Entries)
 	}
@@ -22,7 +32,7 @@ func TestCompareSpectraIdentical(t *testing.T) {
 func TestCompareSpectraFrequencyShift(t *testing.T) {
 	a := syntheticWPP([]uint64{1, 1, 1, 2})
 	b := syntheticWPP([]uint64{1, 2, 2, 2})
-	d := CompareSpectra(a, b)
+	d := spectraOf(t, a, b)
 	if d.Identical() {
 		t.Fatal("differing spectra reported identical")
 	}
@@ -45,7 +55,7 @@ func TestCompareSpectraFrequencyShift(t *testing.T) {
 func TestCompareSpectraExclusivePaths(t *testing.T) {
 	a := syntheticWPP([]uint64{1, 1, 2})
 	b := syntheticWPP([]uint64{1, 1, 3, 3, 3, 3, 3})
-	d := CompareSpectra(a, b)
+	d := spectraOf(t, a, b)
 	if len(d.Entries) != 2 {
 		t.Fatalf("%d entries, want 2 (path 2 only in A, path 3 only in B)", len(d.Entries))
 	}
@@ -81,10 +91,10 @@ func main(n) {
 	large := programWPP(t, src, 150) // reaches all branches
 	same1 := programWPP(t, src, 9)
 
-	if d := CompareSpectra(small, same1); !d.Identical() {
+	if d := spectraOf(t, small, same1); !d.Identical() {
 		t.Fatalf("identical runs diff: %+v", d.Entries)
 	}
-	d := CompareSpectra(small, large)
+	d := spectraOf(t, small, large)
 	if d.Identical() {
 		t.Fatal("different inputs produced identical spectra")
 	}

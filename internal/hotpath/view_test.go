@@ -50,7 +50,7 @@ func main(n) {
 }`
 	w, c := programBoth(t, src, 16, 40)
 	opts := Options{MinLen: 2, MaxLen: 6, Threshold: 0.001}
-	wantMono, err := Find(w, opts)
+	wantMono, err := Find(w, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +127,8 @@ func TestFindViewWorkersAgree(t *testing.T) {
 }
 
 // TestFrequenciesAndProfilesView: the frequency, path-profile, and
-// function-profile view entry points must match their eager
-// counterparts on both kinds and versions.
+// function-profile analyses over a lazy view must match them over the
+// eager monolithic artifact on both kinds and versions.
 func TestFrequenciesAndProfilesView(t *testing.T) {
 	src := `
 func step(x) {
@@ -142,21 +142,20 @@ func main(n) {
     return s;
 }`
 	w, c := programBoth(t, src, 8, 60)
-	wantFreq := EventFrequencies(w)
-	if !reflect.DeepEqual(wantFreq, ChunkedEventFrequencies(c, 2)) {
+	wantFreq := freqsOf(t, w, 1)
+	if !reflect.DeepEqual(wantFreq, freqsOf(t, c, 2)) {
 		t.Fatal("eager frequency oracle is broken")
 	}
 	wantPaths := PathProfile(w)
-	wantFuncs := FuncProfile(w)
+	wantFuncs, err := FuncProfile(w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, version := range []uint8{wpp.FormatV1, wpp.FormatV2} {
 		for _, a := range []wpp.Artifact{w, c} {
 			v := viewFor(t, a, version)
-			freq, err := EventFrequenciesView(v, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(freq, wantFreq) {
-				t.Fatalf("v%d %T: EventFrequenciesView diverges", version, a)
+			if !reflect.DeepEqual(freqsOf(t, v, 2), wantFreq) {
+				t.Fatalf("v%d %T: EventFrequencies on the view diverges", version, a)
 			}
 			paths, err := PathProfileView(v, 2)
 			if err != nil {
@@ -165,20 +164,19 @@ func main(n) {
 			if !reflect.DeepEqual(paths, wantPaths) {
 				t.Fatalf("v%d %T: PathProfileView diverges", version, a)
 			}
-			funcs, err := FuncProfileView(v, 2)
+			funcs, err := FuncProfile(v, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(funcs, wantFuncs) {
-				t.Fatalf("v%d %T: FuncProfileView diverges", version, a)
+				t.Fatalf("v%d %T: FuncProfile on the view diverges", version, a)
 			}
 		}
 	}
 }
 
-// TestCompareSpectraView: the view comparison must match the eager
-// monolithic comparison, and must also work chunked-vs-chunked and
-// mixed — the combination the eager API rejects.
+// TestCompareSpectraView: the comparison over views must match the
+// eager monolithic comparison chunked-vs-chunked and mixed as well.
 func TestCompareSpectraView(t *testing.T) {
 	srcA := `
 func main(n) {
@@ -202,15 +200,15 @@ func main(n) {
 }`
 	wa, ca := programBoth(t, srcA, 8, 30)
 	wb, cb := programBoth(t, srcB, 8, 30)
-	want := CompareSpectra(wa, wb)
+	want := spectraOf(t, wa, wb)
 	combos := [][2]wpp.Artifact{{wa, wb}, {ca, cb}, {wa, cb}, {ca, wb}}
 	for _, combo := range combos {
-		got, err := CompareSpectraView(viewFor(t, combo[0], wpp.FormatV2), viewFor(t, combo[1], wpp.FormatV1), 2)
+		got, err := CompareSpectra(viewFor(t, combo[0], wpp.FormatV2), viewFor(t, combo[1], wpp.FormatV1), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%T vs %T: CompareSpectraView diverges from eager comparison", combo[0], combo[1])
+			t.Fatalf("%T vs %T: CompareSpectra on views diverges from eager comparison", combo[0], combo[1])
 		}
 	}
 }

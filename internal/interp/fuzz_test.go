@@ -331,7 +331,7 @@ func checkPipeline(t *testing.T, trial int, src string) {
 
 	// Grammar analysis vs scan oracle.
 	opts := hotpath.Options{MinLen: 2, MaxLen: 5, Threshold: 0.01}
-	fast, err := hotpath.Find(w, opts)
+	fast, err := hotpath.Find(w, opts, 1)
 	if err != nil {
 		fail("find: %v", err)
 	}

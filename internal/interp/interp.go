@@ -64,8 +64,9 @@ type Stats struct {
 	// BlocksExecuted is the number of basic-block entries.
 	BlocksExecuted uint64
 	// FuncInstrs attributes Instructions to functions, indexed by
-	// function ID. It is the ground truth the WPP-recovered function
-	// profile (hotpath.FuncProfile) is validated against.
+	// function ID. It is the ground truth the function profile that
+	// hotpath.FuncProfile recovers from any WPP artifact, monolithic,
+	// chunked or a lazy view, is validated against.
 	FuncInstrs []uint64
 }
 

@@ -160,7 +160,7 @@ func TestSealedHotMatchesWpphot(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decoding artifact: %v", err)
 			}
-			want, err := hotpath.Find(a.(*iwpp.WPP), hotOptions)
+			want, err := hotpath.Find(a.(*iwpp.WPP), hotOptions, 1)
 			if err != nil {
 				t.Fatalf("hotpath.Find: %v", err)
 			}
@@ -225,7 +225,7 @@ func TestLiveHotMatchesPrefixBuild(t *testing.T) {
 	b := iwpp.NewMonoBuilder(cap.Names, cap.Nums)
 	b.AddBatch(cap.Events[:cut])
 	ref := b.SnapshotWPP()
-	want, err := hotpath.Find(ref, hotpath.Options{MinLen: 4, MaxLen: 16, Threshold: 0.001})
+	want, err := hotpath.Find(ref, hotpath.Options{MinLen: 4, MaxLen: 16, Threshold: 0.001}, 1)
 	if err != nil {
 		t.Fatalf("hotpath.Find on prefix: %v", err)
 	}

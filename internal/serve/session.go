@@ -246,56 +246,36 @@ func (ss *session) evict() bool {
 // chunked sessions cannot snapshot mid-flight and answer 409.
 func (ss *session) hotQuery(opts hotpath.Options, k int) (HotResult, *apiError) {
 	ss.mu.Lock()
-	var (
-		live    *iwpp.WPP
-		sealedA iwpp.Artifact
-	)
+	a, sealed := ss.artifact, ss.state == sessSealed
 	switch ss.state {
 	case sessGone:
 		ss.mu.Unlock()
 		return HotResult{}, errf(http.StatusGone, "session %s was evicted", ss.id)
-	case sessSealed:
-		sealedA = ss.artifact
-		ss.mu.Unlock()
-	default:
+	case sessOpen:
 		snapper, ok := ss.builder.(iwpp.LiveSnapshotter)
 		if !ok {
 			ss.mu.Unlock()
 			return HotResult{}, errf(http.StatusConflict,
 				"session %s is chunked: live queries need a monolithic session; seal first", ss.id)
 		}
-		live = snapper.SnapshotWPP()
-		ss.mu.Unlock()
+		a = snapper.SnapshotWPP()
 	}
+	ss.mu.Unlock()
 
-	var (
-		subs  []hotpath.Subpath
-		err   error
-		funcs []iwpp.FuncInfo
-		res   HotResult
-	)
-	switch {
-	case live != nil:
-		subs, err = hotpath.Find(live, opts)
-		funcs = live.Funcs
-		res = HotResult{Sealed: false, Events: live.Events, TotalCost: live.Instructions}
-	default:
-		switch t := sealedA.(type) {
-		case *iwpp.WPP:
-			subs, err = hotpath.Find(t, opts)
-		case *iwpp.ChunkedWPP:
-			subs, err = hotpath.FindChunked(t, opts, 0)
-		}
-		funcs = sealedA.FuncTable()
-		res = HotResult{Sealed: true, Events: sealedA.NumEvents(), TotalCost: sealedA.TotalInstructions()}
-	}
+	subs, err := hotpath.Find(a, opts, 0)
 	if err != nil {
 		return HotResult{}, errf(http.StatusBadRequest, "%v", err)
 	}
 	if k > 0 && len(subs) > k {
 		subs = subs[:k]
 	}
-	res.Subpaths = make([]HotSubpath, len(subs))
+	funcs := a.FuncTable()
+	res := HotResult{
+		Sealed:    sealed,
+		Events:    a.NumEvents(),
+		TotalCost: a.TotalInstructions(),
+		Subpaths:  make([]HotSubpath, len(subs)),
+	}
 	for i, s := range subs {
 		h := HotSubpath{
 			Events:   make([]string, len(s.Events)),
@@ -306,11 +286,7 @@ func (ss *session) hotQuery(opts hotpath.Options, k int) (HotResult, *apiError) 
 		}
 		for j, e := range s.Events {
 			h.Raw[j] = uint64(e)
-			name := fmt.Sprintf("f%d", e.Func())
-			if int(e.Func()) < len(funcs) && funcs[e.Func()].Name != "" {
-				name = funcs[e.Func()].Name
-			}
-			h.Events[j] = fmt.Sprintf("%s:%d", name, e.Path())
+			h.Events[j] = iwpp.EventName(funcs, e)
 		}
 		res.Subpaths[i] = h
 	}

@@ -33,6 +33,9 @@ type Builder interface {
 // strategy-specific API (Grammar, Chunks, positional queries)
 // type-assert to the concrete type.
 type Artifact interface {
+	// Source exposes the chunk grammars to the analyses (a monolithic
+	// artifact is one chunk).
+	engine.Source
 	// Verify checks the artifact's internal structural consistency.
 	Verify() error
 	// Encode writes the artifact in the encoding its Version selects and
@@ -206,8 +209,6 @@ var (
 	_ Artifact        = (*ChunkedWPP)(nil)
 	_ LiveSnapshotter = (*monoHandle)(nil)
 	_ LiveSnapshotter = (*MonoBuilder)(nil)
-	_ engine.Source   = (*WPP)(nil)
-	_ engine.Source   = (*ChunkedWPP)(nil)
 	_ engine.Source   = (*ArtifactView)(nil)
 )
 

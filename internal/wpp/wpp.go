@@ -26,6 +26,21 @@ type FuncInfo struct {
 	NumPaths uint64
 }
 
+// FuncName returns function id's name in funcs, or "f<id>" when the ID
+// is out of range or the name is empty.
+func FuncName(funcs []FuncInfo, id uint32) string {
+	if int(id) < len(funcs) && funcs[id].Name != "" {
+		return funcs[id].Name
+	}
+	return fmt.Sprintf("f%d", id)
+}
+
+// EventName renders an event as "func:pathID", the function named as by
+// FuncName.
+func EventName(funcs []FuncInfo, e trace.Event) string {
+	return fmt.Sprintf("%s:%d", FuncName(funcs, e.Func()), e.Path())
+}
+
 // WPP is a finished whole program path.
 type WPP struct {
 	// Funcs is indexed by function ID.

@@ -36,7 +36,6 @@ type ChunkedProfile struct {
 	Stats RunStats
 
 	cw      *iwpp.ChunkedWPP
-	names   []string
 	nums    []*bl.Numbering
 	workers int
 	report  *BuildReport
@@ -70,7 +69,6 @@ func (p *Program) ProfileChunked(args []int64, copts ChunkedOptions, opts ...Run
 		Result:  res,
 		Stats:   stats,
 		cw:      art.(*iwpp.ChunkedWPP),
-		names:   p.names,
 		nums:    nums,
 		workers: copts.Workers,
 		report:  rep,
@@ -115,7 +113,7 @@ func (cp *ChunkedProfile) Instructions() uint64 { return cp.cw.Instructions }
 // Walk yields every acyclic-path event of the trace in order.
 func (cp *ChunkedProfile) Walk(yield func(fn string, pathID uint64) bool) {
 	cp.cw.Walk(func(e trace.Event) bool {
-		return yield(cp.names[e.Func()], e.Path())
+		return yield(cp.cw.Funcs[e.Func()].Name, e.Path())
 	})
 }
 
@@ -127,44 +125,7 @@ func (cp *ChunkedProfile) Verify() error { return cp.cw.VerifyParallel(cp.worker
 // concurrently with the profile's worker count. The result is identical
 // to Profile.HotSubpaths over the same execution.
 func (cp *ChunkedProfile) HotSubpaths(opts HotOptions) ([]HotSubpath, error) {
-	subs, err := hotpath.FindChunked(cp.cw, hotpath.Options{
-		MinLen: opts.MinLen, MaxLen: opts.MaxLen, Threshold: opts.Threshold,
-	}, cp.workers)
-	if err != nil {
-		return nil, err
-	}
-	var depths [][]int
-	if cp.nums != nil {
-		depths = make([][]int, len(cp.nums))
-		for i, num := range cp.nums {
-			d, err := num.Graph.LoopDepths()
-			if err != nil {
-				return nil, err
-			}
-			depths[i] = d
-		}
-	}
-	out := make([]HotSubpath, len(subs))
-	for i, s := range subs {
-		paths := make([]string, len(s.Events))
-		depth := 0
-		for j, e := range s.Events {
-			paths[j] = fmt.Sprintf("%s:%d", cp.names[e.Func()], e.Path())
-			if depths != nil {
-				seq, err := cp.nums[e.Func()].Regenerate(e.Path())
-				if err != nil {
-					return nil, err
-				}
-				for _, b := range seq {
-					if d := depths[e.Func()][b]; d > depth {
-						depth = d
-					}
-				}
-			}
-		}
-		out[i] = HotSubpath{Paths: paths, Count: s.Count, Cost: s.Cost, Fraction: s.Fraction, LoopDepth: depth}
-	}
-	return out, nil
+	return hotSubpaths(cp.cw, cp.nums, opts, cp.workers)
 }
 
 // PathFrequency is one acyclic path's execution count.
@@ -178,7 +139,7 @@ type PathFrequency struct {
 // from the chunked trace, computed per chunk concurrently, sorted by
 // count descending.
 func (cp *ChunkedProfile) PathFrequencies() []PathFrequency {
-	freqs := hotpath.ChunkedEventFrequencies(cp.cw, cp.workers)
+	freqs, _ := hotpath.EventFrequencies(cp.cw, cp.workers) // in-memory chunks cannot fail
 	out := make([]PathFrequency, 0, len(freqs))
 	type row struct {
 		e trace.Event
@@ -195,11 +156,7 @@ func (cp *ChunkedProfile) PathFrequencies() []PathFrequency {
 		return rows[i].e < rows[j].e
 	})
 	for _, r := range rows {
-		name := fmt.Sprintf("f%d", r.e.Func())
-		if int(r.e.Func()) < len(cp.names) {
-			name = cp.names[r.e.Func()]
-		}
-		out = append(out, PathFrequency{Path: fmt.Sprintf("%s:%d", name, r.e.Path()), Count: r.n})
+		out = append(out, PathFrequency{Path: iwpp.EventName(cp.cw.Funcs, r.e), Count: r.n})
 	}
 	return out
 }
@@ -223,13 +180,8 @@ func ReadChunkedProfile(r io.Reader) (*ChunkedProfile, error) {
 	if err := cw.Verify(); err != nil {
 		return nil, err
 	}
-	names := make([]string, len(cw.Funcs))
-	for i, f := range cw.Funcs {
-		names[i] = f.Name
-	}
 	return &ChunkedProfile{
 		Stats: RunStats{Instructions: cw.Instructions, PathEvents: cw.Events},
 		cw:    cw,
-		names: names,
 	}, nil
 }

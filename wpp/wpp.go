@@ -297,41 +297,41 @@ func (h HotSubpath) String() string {
 // HotSubpaths finds all minimal hot subpaths, analyzing the compressed
 // grammar directly. Results are sorted by cost, hottest first.
 func (pr *Profile) HotSubpaths(opts HotOptions) ([]HotSubpath, error) {
-	subs, err := hotpath.Find(pr.wpp, hotpath.Options{
+	return hotSubpaths(pr.wpp, pr.nums, opts, 0)
+}
+
+// hotSubpaths searches src on `workers` goroutines and renders each
+// subpath, with its loop depth when the program's numberings are known
+// (nums is nil for profiles loaded from disk, and depths stay 0).
+func hotSubpaths(src iwpp.Artifact, nums []*bl.Numbering, opts HotOptions, workers int) ([]HotSubpath, error) {
+	subs, err := hotpath.Find(src, hotpath.Options{
 		MinLen: opts.MinLen, MaxLen: opts.MaxLen, Threshold: opts.Threshold,
-	})
+	}, workers)
 	if err != nil {
 		return nil, err
 	}
-	// Per-function block loop depths, for annotating subpaths. Loaded
-	// profiles have no numberings; depth stays 0 there.
-	var depths [][]int
-	if pr.nums != nil {
-		depths = make([][]int, len(pr.nums))
-		for i, num := range pr.nums {
-			d, err := num.Graph.LoopDepths()
-			if err != nil {
-				return nil, err
-			}
-			depths[i] = d
+	depths := make([][]int, len(nums))
+	for i, num := range nums {
+		if depths[i], err = num.Graph.LoopDepths(); err != nil {
+			return nil, err
 		}
 	}
+	funcs := src.FuncTable()
 	out := make([]HotSubpath, len(subs))
 	for i, s := range subs {
 		paths := make([]string, len(s.Events))
 		depth := 0
 		for j, e := range s.Events {
-			paths[j] = fmt.Sprintf("%s:%d", pr.names[e.Func()], e.Path())
-			if depths != nil {
-				seq, err := pr.nums[e.Func()].Regenerate(e.Path())
-				if err != nil {
-					return nil, err
-				}
-				for _, b := range seq {
-					if d := depths[e.Func()][b]; d > depth {
-						depth = d
-					}
-				}
+			paths[j] = iwpp.EventName(funcs, e)
+			if nums == nil {
+				continue
+			}
+			seq, err := nums[e.Func()].Regenerate(e.Path())
+			if err != nil {
+				return nil, err
+			}
+			for _, b := range seq {
+				depth = max(depth, depths[e.Func()][b])
 			}
 		}
 		out[i] = HotSubpath{Paths: paths, Count: s.Count, Cost: s.Cost, Fraction: s.Fraction, LoopDepth: depth}
@@ -411,15 +411,11 @@ type SpectrumEntry struct {
 // count difference, largest first; an empty result means the spectra are
 // identical.
 func (pr *Profile) CompareSpectra(other *Profile) []SpectrumEntry {
-	d := hotpath.CompareSpectra(pr.wpp, other.wpp)
+	d, _ := hotpath.CompareSpectra(pr.wpp, other.wpp, 1) // in-memory grammars cannot fail
 	out := make([]SpectrumEntry, len(d.Entries))
 	for i, e := range d.Entries {
-		name := fmt.Sprintf("f%d", e.Event.Func())
-		if int(e.Event.Func()) < len(pr.names) {
-			name = pr.names[e.Event.Func()]
-		}
 		out[i] = SpectrumEntry{
-			Path:   fmt.Sprintf("%s:%d", name, e.Event.Path()),
+			Path:   iwpp.EventName(pr.wpp.Funcs, e.Event),
 			CountA: e.CountA, CountB: e.CountB,
 			OnlyA: e.OnlyA, OnlyB: e.OnlyB,
 		}
@@ -493,7 +489,7 @@ func (pr *Profile) Slice(from, n uint64) ([]string, error) {
 	}
 	out := make([]string, len(events))
 	for i, e := range events {
-		out[i] = fmt.Sprintf("%s:%d", pr.names[e.Func()], e.Path())
+		out[i] = iwpp.EventName(pr.wpp.Funcs, e)
 	}
 	return out, nil
 }
@@ -518,12 +514,11 @@ func (pr *Profile) Diff(other *Profile) (int64, string, string) {
 	var a, b []trace.Event
 	pr.wpp.Walk(func(e trace.Event) bool { a = append(a, e); return true })
 	other.wpp.Walk(func(e trace.Event) bool { b = append(b, e); return true })
-	render := func(list []trace.Event, names []string, i int) string {
+	render := func(list []trace.Event, funcs []iwpp.FuncInfo, i int) string {
 		if i >= len(list) {
 			return "<end of trace>"
 		}
-		e := list[i]
-		return fmt.Sprintf("%s:%d", names[e.Func()], e.Path())
+		return iwpp.EventName(funcs, list[i])
 	}
 	n := len(a)
 	if len(b) < n {
@@ -531,11 +526,11 @@ func (pr *Profile) Diff(other *Profile) (int64, string, string) {
 	}
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
-			return int64(i), render(a, pr.names, i), render(b, other.names, i)
+			return int64(i), render(a, pr.wpp.Funcs, i), render(b, other.wpp.Funcs, i)
 		}
 	}
 	if len(a) != len(b) {
-		return int64(n), render(a, pr.names, n), render(b, other.names, n)
+		return int64(n), render(a, pr.wpp.Funcs, n), render(b, other.wpp.Funcs, n)
 	}
 	return -1, "", ""
 }
