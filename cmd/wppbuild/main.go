@@ -41,6 +41,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
@@ -342,21 +343,27 @@ func fromTrace(path string, newBuilder builderFactory) (iwpp.Artifact, *iwpp.Bui
 		return nil, nil, err
 	}
 	defer f.Close()
-	src, err := trace.NewReaderSource(f)
+	r, err := trace.NewReader(f)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Function IDs are discovered from the events; names are synthetic.
 	maxFn := uint32(0)
 	b := newBuilder(nil, nil)
-	if _, err := trace.Copy(trace.SinkFunc(func(e trace.Event) {
-		if e.Func() > maxFn {
-			maxFn = e.Func()
+	batch := make([]trace.Event, 4096)
+	for {
+		n, err := r.ReadBatch(batch)
+		for _, e := range batch[:n] {
+			maxFn = max(maxFn, e.Func())
 		}
-		b.Add(e)
-	}), src); err != nil {
-		b.Finish(0)
-		return nil, nil, err
+		b.AddBatch(batch[:n])
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			b.Finish(0)
+			return nil, nil, err
+		}
 	}
 	a := b.Finish(b.Events()) // cost 1 per event
 	names := make([]iwpp.FuncInfo, maxFn+1)

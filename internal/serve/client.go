@@ -97,20 +97,7 @@ func (c *Client) Open(req OpenRequest) (SessionInfo, error) {
 // EncodeFrame renders events as one WPT1 wire frame — the body of an
 // ingest POST.
 func EncodeFrame(events []trace.Event) []byte {
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		panic(err) // writes to a bytes.Buffer cannot fail
-	}
-	for _, e := range events {
-		if err := w.Write(e); err != nil {
-			panic(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	return trace.AppendFrame(make([]byte, 0, trace.EncodedSize(events)), events)
 }
 
 // Ingest streams one frame of events into the session.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -35,10 +36,16 @@ type Config struct {
 	// MaxBodyBytes bounds one events frame; larger bodies get 413.
 	// Default 8 MiB (~1M varint events).
 	MaxBodyBytes int64
-	// MaxInflight bounds concurrently buffered ingest frames server-wide
-	// — the daemon's peak ingest memory is MaxInflight*MaxBodyBytes
-	// regardless of client count; excess frames get 503. Default
-	// 2*GOMAXPROCS.
+	// MaxInflight bounds concurrently decoded ingest frames server-wide;
+	// excess frames get 503. Each in-flight frame holds one 32 KiB
+	// decode block and its decoded events, 8 B each. A varint can be
+	// one byte, so a frame decodes to at most MaxBodyBytes events, 8 ×
+	// MaxBodyBytes bytes (a frame of zero bytes, which an anonymous
+	// session accepts, gets there), and while the event buffer grows
+	// its old array is live too. Peak ingest memory is therefore about
+	// MaxInflight × (16 × MaxBodyBytes + 32 KiB) at worst, whatever the
+	// client count; idle buffers wait in a sync.Pool, which GC empties.
+	// Default 2*GOMAXPROCS.
 	MaxInflight int
 	// IdleTimeout evicts sessions (open or sealed) with no activity for
 	// this long. 0 disables idle eviction.
@@ -392,7 +399,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		*bufp = (*bufp)[:0]
 		eventBufPool.Put(bufp)
 	}()
-	events, aerr := decodeFrame(w, r, s.cfg.MaxBodyBytes, ss.checkEvent, (*bufp)[:0])
+	events, aerr := decodeFrame(w, r, s.cfg.MaxBodyBytes, ss, (*bufp)[:0])
 	*bufp = events[:0]
 	if aerr != nil {
 		s.met.IngestErrors.Inc()
@@ -409,30 +416,49 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// decodeFrame reads one WPT1 frame from the request, mapping each
-// failure mode to its protocol status: oversized body 413, bad magic /
-// truncation / out-of-range events 400.
-func decodeFrame(w http.ResponseWriter, r *http.Request, maxBytes int64, check func(trace.Event) error, buf []trace.Event) ([]trace.Event, *apiError) {
-	body := http.MaxBytesReader(w, r.Body, maxBytes)
-	src, err := trace.NewReaderSource(body)
-	if err != nil {
-		return nil, frameError(err)
+// frameReaders pools WPT1 readers, each with its decode block, across
+// ingest frames.
+var frameReaders = sync.Pool{New: func() any { return new(trace.Reader) }}
+
+// decodeFrame reads one WPT1 frame from the request and validates it
+// against the session, mapping each failure mode to its protocol
+// status: oversized body 413, bad magic / truncation / out-of-range
+// events 400. It returns the grown buffer even on failure, so the
+// caller can pool it.
+func decodeFrame(w http.ResponseWriter, r *http.Request, maxBytes int64, ss *session, buf []trace.Event) ([]trace.Event, *apiError) {
+	buf, err := readFrame(http.MaxBytesReader(w, r.Body, maxBytes), maxBytes, buf)
+	// A session check failure on an event before a wire error came
+	// first in the stream, so it is the one reported.
+	if cerr := ss.checkEvents(buf); cerr != nil {
+		return buf, frameError(cerr)
 	}
-	var checkErr error
-	_, err = src.Each(func(e trace.Event) bool {
-		if checkErr = check(e); checkErr != nil {
-			return false
-		}
-		buf = append(buf, e)
-		return true
-	})
 	if err != nil {
-		return nil, frameError(err)
-	}
-	if checkErr != nil {
-		return nil, frameError(checkErr)
+		return buf, frameError(err)
 	}
 	return buf, nil
+}
+
+// readFrame decodes the whole WPT1 frame in body, at most maxBytes
+// long, onto buf through a pooled reader. On error, buf holds the
+// events decoded before it. Each event takes at least one byte, so buf
+// never grows past maxBytes events.
+func readFrame(body io.Reader, maxBytes int64, buf []trace.Event) ([]trace.Event, error) {
+	fr := frameReaders.Get().(*trace.Reader)
+	defer frameReaders.Put(fr)
+	err := fr.Reset(body)
+	for err == nil {
+		if len(buf) == cap(buf) {
+			grow := min(int64(len(buf)), maxBytes-int64(len(buf))) // double, clipped
+			buf = slices.Grow(buf, int(max(grow, 1)))
+		}
+		var n int
+		n, err = fr.ReadBatch(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+	}
+	if err == io.EOF {
+		err = nil
+	}
+	return buf, err
 }
 
 func frameError(err error) *apiError {
@@ -445,9 +471,8 @@ func frameError(err error) *apiError {
 		errors.Is(err, trace.ErrEventRange):
 		return errf(http.StatusBadRequest, "%v", err)
 	default:
-		// Anything else while reading a client body (connection drop,
-		// stray varint overflow) is still the client's frame failing,
-		// not server state.
+		// Anything else while reading a client body (a connection
+		// drop) is still the client's frame failing, not server state.
 		return errf(http.StatusBadRequest, "reading frame: %v", err)
 	}
 }

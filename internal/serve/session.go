@@ -118,21 +118,24 @@ func (ss *session) info() SessionInfo {
 	return info
 }
 
-// checkEvent validates one decoded event against the session's program.
+// checkEvents validates a decoded frame against the session's program.
 // The trace reader has already bounded the packed encoding; workload
 // sessions additionally refuse events their numberings could never emit,
 // so a hostile stream cannot poison the cost fill at seal time.
-func (ss *session) checkEvent(e trace.Event) error {
+func (ss *session) checkEvents(events []trace.Event) error {
 	if ss.numPaths == nil {
 		return nil
 	}
-	if int(e.Func()) >= len(ss.numPaths) {
-		return fmt.Errorf("%w: function %d not in session program (%d functions)",
-			trace.ErrEventRange, e.Func(), len(ss.numPaths))
-	}
-	if e.Path() >= ss.numPaths[e.Func()] {
-		return fmt.Errorf("%w: path %d invalid for function %d (%d paths)",
-			trace.ErrEventRange, e.Path(), e.Func(), ss.numPaths[e.Func()])
+	for _, e := range events {
+		fn := e.Func()
+		if int(fn) >= len(ss.numPaths) {
+			return fmt.Errorf("%w: function %d not in session program (%d functions)",
+				trace.ErrEventRange, fn, len(ss.numPaths))
+		}
+		if e.Path() >= ss.numPaths[fn] {
+			return fmt.Errorf("%w: path %d invalid for function %d (%d paths)",
+				trace.ErrEventRange, e.Path(), fn, ss.numPaths[fn])
+		}
 	}
 	return nil
 }

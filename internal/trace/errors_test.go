@@ -10,7 +10,7 @@ import (
 
 // wireTrace encodes events the way Writer does, then applies mutate to
 // the raw bytes, simulating what a network peer could deliver.
-func wireTrace(t *testing.T, events []Event, mutate func([]byte) []byte) []byte {
+func wireTrace(t testing.TB, events []Event, mutate func([]byte) []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -44,21 +44,23 @@ func rawEvents(values ...uint64) []byte {
 	return b
 }
 
-// TestReaderSourceWireErrors drives the ReaderSource error paths with the
-// malformed inputs a trace-ingestion server must survive: truncated batch
-// frames (bodies cut mid-varint or mid-magic) and event values no
-// Ball–Larus numbering could have produced. Every case must return the
-// typed sentinel the server maps to a 400 — never panic, never yield the
-// bad event.
-func TestReaderSourceWireErrors(t *testing.T) {
+// wireCase is one malformed (or barely well-formed) WPT1 input and the
+// decoder's required answer to it.
+type wireCase struct {
+	name string
+	data []byte
+	want error
+	// yields is how many events must be delivered before the error.
+	yields int
+}
+
+// wireErrorCases are the malformed inputs a trace-ingestion server must
+// survive: truncated batch frames (bodies cut mid-varint or mid-magic),
+// varints past 64 bits, and event values no Ball–Larus numbering could
+// have produced.
+func wireErrorCases(t testing.TB) []wireCase {
 	valid := []Event{MakeEvent(1, 2), MakeEvent(3, 4), MakeEvent(5, 6)}
-	cases := []struct {
-		name string
-		data []byte
-		want error
-		// yields is how many events must be delivered before the error.
-		yields int
-	}{
+	return []wireCase{
 		{"empty body", nil, ErrTruncated, 0},
 		{"magic cut short", []byte("WP"), ErrTruncated, 0},
 		{"wrong magic", []byte("XXXXzzzz"), ErrBadMagic, 0},
@@ -86,7 +88,16 @@ func TestReaderSourceWireErrors(t *testing.T) {
 			rawEvents(uint64(MakeEvent(1, 1)), uint64(MakeEvent(2, 2)), uint64(MaxFuncs+7)<<PathBits),
 			ErrEventRange, 2,
 		},
+		{"varint of ten continuation bytes", append([]byte("WPT1"), bytes.Repeat([]byte{0x80}, 10)...), ErrEventRange, 0},
+		{"varint past 64 bits", append(append([]byte("WPT1"), bytes.Repeat([]byte{0x80}, 9)...), 0x02), ErrEventRange, 0},
 	}
+}
+
+// TestReaderSourceWireErrors drives the ReaderSource error paths with
+// wireErrorCases. Every case must return the typed sentinel the server
+// maps to a 400 — never panic, never yield the bad event.
+func TestReaderSourceWireErrors(t *testing.T) {
+	cases := wireErrorCases(t)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			src, err := NewReaderSource(bytes.NewReader(c.data))

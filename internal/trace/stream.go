@@ -53,7 +53,9 @@ func (b *Buffer) Each(yield func(Event) bool) (uint64, error) {
 // so a recorded trace file replays through the same pipeline as a live
 // execution.
 type ReaderSource struct {
-	r *Reader
+	r       *Reader
+	batch   [512]Event
+	pending []Event // the tail of batch decoded but not yet yielded
 }
 
 // NewReaderSource validates the trace magic on rd and returns the
@@ -66,21 +68,29 @@ func NewReaderSource(rd io.Reader) (*ReaderSource, error) {
 	return &ReaderSource{r: r}, nil
 }
 
-// Each streams events until EOF or until yield returns false.
+// Each streams events until EOF or until yield returns false; a later
+// Each resumes after the last event yielded.
 func (s *ReaderSource) Each(yield func(Event) bool) (uint64, error) {
 	var n uint64
 	for {
-		e, err := s.r.Read()
-		if err == io.EOF {
-			return n, nil
+		for len(s.pending) > 0 {
+			e := s.pending[0]
+			s.pending = s.pending[1:]
+			n++
+			if !yield(e) {
+				return n, nil
+			}
 		}
-		if err != nil {
+		// The Reader's errors are sticky, so an error that came with
+		// the last events is returned by the next call.
+		k, err := s.r.ReadBatch(s.batch[:])
+		if k == 0 {
+			if err == io.EOF {
+				err = nil
+			}
 			return n, err
 		}
-		n++
-		if !yield(e) {
-			return n, nil
-		}
+		s.pending = s.batch[:k]
 	}
 }
 

@@ -95,9 +95,26 @@ func (b *Buffer) Add(e Event) { b.Events = append(b.Events, e) }
 // Len reports the number of events.
 func (b *Buffer) Len() int { return len(b.Events) }
 
+// blockSize is the byte block the WPT1 Reader decodes from.
+const blockSize = 32 << 10
+
+var traceMagic = [4]byte{'W', 'P', 'T', '1'}
+
+// AppendFrame appends the WPT1 encoding of events to dst — the 4-byte
+// magic, then one uvarint per event — and returns the extended slice.
+// It is the one WPT1 encoder: a trace file is one long frame, and a
+// wppd ingest body is one frame.
+func AppendFrame(dst []byte, events []Event) []byte {
+	dst = append(dst, traceMagic[:]...)
+	for _, e := range events {
+		dst = binary.AppendUvarint(dst, uint64(e))
+	}
+	return dst
+}
+
 // Writer streams events to an io.Writer in the raw uncompressed trace
-// format: a 4-byte magic followed by one uvarint per event. This is the
-// "explicit trace" whose size the paper's Table 1 reports.
+// format, one AppendFrame frame. This is the "explicit trace" whose
+// size the paper's Table 1 reports.
 type Writer struct {
 	bw     *bufio.Writer
 	n      int64
@@ -105,20 +122,17 @@ type Writer struct {
 	buf    [binary.MaxVarintLen64]byte
 }
 
-var traceMagic = [4]byte{'W', 'P', 'T', '1'}
-
 // NewWriter returns a trace writer over w.
 func NewWriter(w io.Writer) (*Writer, error) {
 	tw := &Writer{bw: bufio.NewWriter(w)}
-	n, err := tw.bw.Write(traceMagic[:])
+	n, err := tw.bw.Write(AppendFrame(tw.buf[:0], nil))
 	tw.n = int64(n)
 	return tw, err
 }
 
 // Write appends one event.
 func (w *Writer) Write(e Event) error {
-	n := binary.PutUvarint(w.buf[:], uint64(e))
-	wrote, err := w.bw.Write(w.buf[:n])
+	wrote, err := w.bw.Write(binary.AppendUvarint(w.buf[:0], uint64(e)))
 	w.n += int64(wrote)
 	w.events++
 	return err
@@ -134,47 +148,137 @@ func (w *Writer) BytesWritten() int64 { return w.n }
 // Events reports the number of events written.
 func (w *Writer) Events() uint64 { return w.events }
 
-// Reader reads a stream produced by Writer.
+// Reader decodes a WPT1 stream a block at a time: it reads up to
+// blockSize bytes into a buffer it owns and decodes the complete
+// varints in it, carrying a varint cut by the block's end over to the
+// next refill. The zero Reader is ready for Reset, so servers can pool
+// readers across streams.
 type Reader struct {
-	br *bufio.Reader
+	rd       io.Reader
+	buf      []byte // the block; buf[off:end] is read but not decoded
+	off, end int
+	err      error // the read error that ended rd (io.EOF at its end)
 }
 
 // NewReader validates the magic and returns a reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("trace: %w: reading magic: %v", ErrTruncated, err)
-		}
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+func NewReader(rd io.Reader) (*Reader, error) {
+	r := new(Reader)
+	if err := r.Reset(rd); err != nil {
+		return nil, err
 	}
-	if m != traceMagic {
-		return nil, fmt.Errorf("trace: %w %q", ErrBadMagic, m[:])
-	}
-	return &Reader{br: br}, nil
+	return r, nil
 }
 
-// Read returns the next event, or io.EOF at the end of the stream. Events
-// are validated as they are decoded: a stream cut mid-varint returns
-// ErrTruncated and a value no numbering could have produced returns
-// ErrEventRange, so adversarial input surfaces as a typed error rather
-// than corrupting (or panicking) a downstream builder.
-func (r *Reader) Read() (Event, error) {
-	v, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		if err == io.EOF {
-			return 0, io.EOF
-		}
-		if err == io.ErrUnexpectedEOF {
-			return 0, fmt.Errorf("trace: %w: event cut mid-varint", ErrTruncated)
-		}
-		return 0, fmt.Errorf("trace: %w", err)
+// Reset discards the reader's state, validates the magic at the start
+// of rd and leaves the reader positioned on rd's first event. The block
+// is allocated on first use and kept across Resets.
+func (r *Reader) Reset(rd io.Reader) error {
+	if r.buf == nil {
+		r.buf = make([]byte, blockSize)
 	}
-	if err := CheckEvent(Event(v)); err != nil {
+	r.rd, r.off, r.end, r.err = rd, 0, 0, nil
+	for r.end < len(traceMagic) && r.err == nil {
+		r.fill()
+	}
+	if r.end < len(traceMagic) {
+		if r.err == io.EOF || r.err == io.ErrUnexpectedEOF {
+			return fmt.Errorf("trace: %w: stream ends %d bytes into the magic", ErrTruncated, r.end)
+		}
+		return fmt.Errorf("trace: reading magic: %w", r.err)
+	}
+	if m := r.buf[:len(traceMagic)]; !bytes.Equal(m, traceMagic[:]) {
+		return fmt.Errorf("trace: %w %q", ErrBadMagic, m)
+	}
+	r.off = len(traceMagic)
+	return nil
+}
+
+// fill moves the undecoded tail of the block to its front and makes one
+// Read into the space after it, recording the read error, if any. Like
+// bufio, it gives up with io.ErrNoProgress after 100 empty reads.
+func (r *Reader) fill() {
+	r.end = copy(r.buf, r.buf[r.off:r.end])
+	r.off = 0
+	for range 100 {
+		n, err := r.rd.Read(r.buf[r.end:])
+		r.end += n
+		if err != nil {
+			r.err = err
+			return
+		}
+		if n > 0 {
+			return
+		}
+	}
+	r.err = io.ErrNoProgress
+}
+
+// ReadBatch decodes up to len(dst) events into dst and returns how many
+// it decoded. Events are validated as they are decoded: a stream cut
+// mid-varint returns ErrTruncated, and a varint past 64 bits or a value
+// no numbering could have produced returns ErrEventRange, so
+// adversarial input surfaces as a typed error rather than corrupting
+// (or panicking) a downstream builder. At the end of a well-formed
+// stream it returns io.EOF. dst[:n] holds valid events even when err is
+// not nil, and the error is sticky: every later call returns it again
+// with n = 0.
+func (r *Reader) ReadBatch(dst []Event) (int, error) {
+	n := 0
+	for n < len(dst) {
+		b := r.buf[r.off:r.end]
+		var k int
+		for n < len(dst) {
+			var v uint64
+			if v, k = binary.Uvarint(b); k <= 0 {
+				break
+			}
+			if Event(v).Func() >= MaxFuncs { // CheckEvent's test, without a call per event
+				r.off = r.end - len(b)
+				return n, CheckEvent(Event(v))
+			}
+			dst[n] = Event(v)
+			n++
+			b = b[k:]
+		}
+		r.off = r.end - len(b)
+		if n == len(dst) {
+			break
+		}
+		// Uvarint wants more bytes than b holds (k == 0) or saw more
+		// than 64 bits (k < 0). Ten bytes that all continue overflow
+		// whatever follows them.
+		if k < 0 || len(b) >= binary.MaxVarintLen64 {
+			return n, fmt.Errorf("trace: %w: varint overflows a 64-bit integer", ErrEventRange)
+		}
+		if r.err != nil {
+			return n, r.endErr(len(b) > 0)
+		}
+		r.fill()
+	}
+	return n, nil
+}
+
+// endErr maps the read error that ended the stream to the decoder's
+// contract; cut reports whether it came mid-varint.
+func (r *Reader) endErr(cut bool) error {
+	switch {
+	case r.err == io.EOF && !cut:
+		return io.EOF
+	case r.err == io.EOF || r.err == io.ErrUnexpectedEOF:
+		return fmt.Errorf("trace: %w: event cut mid-varint", ErrTruncated)
+	default:
+		return fmt.Errorf("trace: %w", r.err)
+	}
+}
+
+// Read returns the next event, or io.EOF at the end of the stream, with
+// ReadBatch's validation.
+func (r *Reader) Read() (Event, error) {
+	var e [1]Event
+	if _, err := r.ReadBatch(e[:]); err != nil {
 		return 0, err
 	}
-	return Event(v), nil
+	return e[0], nil
 }
 
 // EncodedSize returns the raw trace size in bytes for the given events,
@@ -245,20 +349,23 @@ func Deflate(events []Event, level int) ([]byte, error) {
 
 // Inflate decompresses data produced by Deflate back into events.
 func Inflate(data []byte) ([]Event, error) {
-	fr := flate.NewReader(bytes.NewReader(data))
-	defer fr.Close()
-	br := bufio.NewReader(fr)
+	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		return nil, fmt.Errorf("trace: inflate: %w", err)
+	}
 	var events []Event
-	for {
-		v, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			return events, nil
+	for len(raw) > 0 {
+		v, n := binary.Uvarint(raw)
+		if n == 0 {
+			return nil, fmt.Errorf("trace: inflate: %w: event cut mid-varint", ErrTruncated)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: inflate: %w", err)
+		if n < 0 {
+			return nil, fmt.Errorf("trace: inflate: %w: varint overflows a 64-bit integer", ErrEventRange)
 		}
 		events = append(events, Event(v))
+		raw = raw[n:]
 	}
+	return events, nil
 }
 
 type countingDiscard struct{ n int64 }
