@@ -28,7 +28,7 @@ func main() {
 	reps := flag.Int("reps", 3, "repetitions for timing experiments (best-of)")
 	workers := flag.Int("workers", 0, "worker count for the p1 parallel-scaling experiment (0 = all cores)")
 	seqbench := flag.String("seqbench", "", "measure raw SEQUITUR throughput and write the trajectory JSON to this file (e.g. BENCH_sequitur.json); if the file already holds a previous run, print a benchstat-style comparison before overwriting")
-	eventbench := flag.String("eventbench", "", "measure the scalar-vs-batched builder ingestion chains and write the trajectory JSON to this file (e.g. BENCH_eventpath.json); diffs against a previous run like -seqbench")
+	eventbench := flag.String("eventbench", "", "measure the per-event vs batched builder ingestion chains and write the trajectory JSON to this file (e.g. BENCH_eventpath.json); diffs against a previous run like -seqbench")
 	storebench := flag.String("storebench", "", "measure content-addressed store resolve latency and repeat-run dedup across small and medium scales and write the trajectory JSON to this file (e.g. BENCH_store.json); diffs against a previous run like -seqbench")
 	openbench := flag.String("openbench", "", "measure lazy view opens against eager decode (time to first result, hot query, allocations) and write the trajectory JSON to this file (e.g. BENCH_openpath.json); diffs against a previous run like -seqbench")
 	flatebench := flag.String("flatebench", "", "compare the v2 varint codecs against gzip'd v1 encodings on this golden-corpus directory (size and decode speed); prints a table, writes nothing")

@@ -261,21 +261,14 @@ func proveNumberings(names []string, nums []*bl.Numbering) {
 // builderFactory constructs the event consumer for one build.
 type builderFactory func(names []string, nums []*bl.Numbering) iwpp.Builder
 
-// builderSink late-binds the builder (which needs the machine's
-// numberings, so it is constructed after the machine) while presenting
-// a batch-capable sink, so the interpreter delivers events a slice at
-// a time and the builder runs its batched compression path.
-type builderSink struct{ b iwpp.Builder }
-
-func (s *builderSink) Add(e trace.Event)         { s.b.Add(e) }
-func (s *builderSink) AddBatch(es []trace.Event) { s.b.AddBatch(es) }
-
 func fromSource(source string, args []int64, newBuilder builderFactory) (iwpp.Artifact, *iwpp.BuildReport, *wlc.Program, error) {
 	prog, err := wlc.Compile(source)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	sink := &builderSink{}
+	// The builder needs the machine's numberings, so it is constructed
+	// after the machine and bound into the sink then.
+	sink := &trace.LateSink{}
 	m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: sink})
 	if err != nil {
 		return nil, nil, nil, err
@@ -285,7 +278,7 @@ func fromSource(source string, args []int64, newBuilder builderFactory) (iwpp.Ar
 		names[i] = fn.Name
 	}
 	b := newBuilder(names, m.Numberings())
-	sink.b = b
+	sink.Dst = b
 	if _, err := m.Run("main", args...); err != nil {
 		b.Finish(0) // drain the pipeline so worker goroutines do not leak
 		return nil, nil, nil, err

@@ -2,9 +2,11 @@ package experiments
 
 // EventBench is the event-path trajectory: a machine-readable measurement
 // of the whole builder ingestion chain — trace events in, sealed artifact
-// out — comparing the classic scalar path (one Add per event, per-event
-// metric updates) against the batched path (AddBatch slices feeding
-// Grammar.AppendBatch, metrics amortized per batch). Both chains run with
+// out — comparing the per-event path (one Add per event, each a
+// one-event batch with its own metric updates) against the batched path
+// (AddBatch slices feeding Grammar.AppendBatch, metrics amortized per
+// batch). The JSON keeps the "scalar" name for the per-event chain so
+// old and new trajectory files still diff. Both chains run with
 // BuildMetrics installed, the configuration every CLI deploys, and both
 // run back-to-back in one process on the same captured event stream, so
 // the speedup column is an honest same-machine ratio.
@@ -35,7 +37,8 @@ const EventBenchSchema = "wpp/eventbench/v1"
 // chain is measured with the slice width it sees in production.
 const eventBatchWidth = 4096
 
-// EventBenchChain is one construction strategy's scalar-vs-batch pair.
+// EventBenchChain is one construction strategy's per-event-vs-batch
+// pair.
 type EventBenchChain struct {
 	// ScalarEventsPerSec is the best-of-reps throughput of per-event
 	// Add ingestion with per-event metric updates.
@@ -53,7 +56,7 @@ type EventBenchRow struct {
 	Events uint64 `json:"events"`
 	// Mono is the monolithic single-grammar chain, the wppbuild default.
 	Mono EventBenchChain `json:"mono"`
-	// Chunked is the parallel chunked pipeline. Its scalar and batch
+	// Chunked is the parallel chunked pipeline. Its per-event and batch
 	// chains share the worker-side compressor, so the ratio isolates the
 	// ingestion feed and is structurally smaller than the mono speedup.
 	Chunked EventBenchChain `json:"chunked"`
@@ -77,7 +80,7 @@ type EventBenchResult struct {
 
 // feed drives the ingestion phase of one build — the event-path this
 // trajectory measures. batched selects the path. Both chains replay the
-// interpreter's emission discipline exactly: the scalar chain routes
+// interpreter's emission discipline exactly: the per-event chain routes
 // every event through a trace.SinkFunc trampoline and an interface
 // dispatch (how the pre-batch pipeline delivered events), the batched
 // chain through the interpreter's emission buffer (append per event,

@@ -45,11 +45,11 @@ var goldenFormats = []goldenFormat{
 }
 
 // buildGolden reproduces one workload's artifacts exactly as the golden
-// corpus was generated: the monolithic grammar from the scalar per-event
-// chain (runTraced's online build), the chunked artifact through the
-// deployed parallel batch pipeline. The differential suites pin scalar
-// and batch ingestion to equal grammars, so the choice of chain here is
-// a determinism convention, not a semantic one.
+// corpus was generated: the monolithic grammar from the per-event chain
+// (runTraced's online build), the chunked artifact through the deployed
+// parallel batch pipeline. The differential suites pin per-event and
+// batch ingestion to equal grammars, so the choice of chain here is a
+// determinism convention, not a semantic one.
 func buildGolden(t *testing.T, name string) map[string][]byte {
 	t.Helper()
 	w, err := workloads.ByName(name)

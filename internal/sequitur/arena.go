@@ -3,7 +3,7 @@ package sequitur
 // This file holds the grammar's memory layout: symbols live in chunked
 // slabs addressed by dense uint32 handles, rules in one dense slice
 // addressed by their arena index. Neither ever hands a pointer to the
-// heap allocator on the hot path — Append recycles freed slots through
+// heap allocator on the hot path — appends recycle freed slots through
 // intrusive freelists, and Reset rewinds the arenas without releasing
 // their storage, so a pooled grammar compresses chunk after chunk with
 // zero steady-state allocations.

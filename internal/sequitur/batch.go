@@ -8,41 +8,43 @@ func panicTerminal(v uint64) {
 	panic(fmt.Sprintf("sequitur: terminal %d out of range", v))
 }
 
-// The batch append engine: AppendBatch consumes a slice of terminals and
-// produces a grammar structurally identical to feeding the same values
-// through Append one at a time. It is a second, specialized implementation
-// of the same algorithm, not a loop over Append — the differential tests
-// in batch_test.go and the parity fuzzer pin the two paths together.
+// The append engine. Every terminal reaches the grammar through
+// AppendBatchOf — Append is the one-element batch — so the package has
+// a single implementation of the SEQUITUR update. It is held to the
+// map-indexed, pointer-chased transliteration of Nevill-Manning and
+// Witten's algorithm in oracle_test.go: on every input and at every
+// batch width the snapshots must be identical.
 //
-// Where the speed comes from, relative to the scalar path:
+// Where the speed comes from, relative to that textbook formulation:
 //
 //   - the start rule's tail handle and its digram key are carried across
 //     iterations instead of being re-derived from the guard every event,
 //     so the common no-repetition append touches the symbol arena once;
 //   - the digram probe uses getOrSet: one walk of the probe chain either
-//     finds the repeated occurrence or indexes the new digram, where the
-//     scalar path probes twice (get, then set);
+//     finds the repeated occurrence or indexes the new digram, where a
+//     textbook check probes twice (get, then set);
 //   - substitution passes the digram keys it already knows down the call
-//     chain (substituteB, checkKeyed) instead of recomputing them from
-//     the arena, and skips the two index probes the scalar unlink pair
-//     issues that are provably no-ops (see substituteB);
+//     chain (substituteB, checkKeyed, expandB) instead of recomputing
+//     them from the arena, and skips the index probes of a generic
+//     unlink that are provably no-ops (see substituteB);
 //   - the replaced occurrence's arena slot is rewritten in place as the
 //     new nonterminal instead of being freed and immediately re-allocated;
 //   - instrumentation (terminal counter, table gauge) updates once per
 //     batch instead of once per event.
 //
-// Equivalence rests on one observation: the grammar's evolution depends
-// only on the digram table's *contents* (a key → occurrence map), never
-// on its memory layout, and on the structural chain state — not on arena
-// handle numbering. Every shortcut below preserves table contents and
-// structure exactly; Verify cross-checks both after the fact.
+// Equivalence with the oracle rests on one observation: the grammar's
+// evolution depends only on the digram table's *contents* (a key →
+// occurrence map), never on its memory layout, and on the structural
+// chain state — not on arena handle numbering. Every shortcut below
+// preserves table contents and structure exactly; Verify cross-checks
+// both after the fact.
 
 // AppendBatch feeds a slice of terminals to the grammar, equivalent to
 // calling Append for each element in order. It panics if any value is
 // >= MaxTerminal — the whole batch is validated before any element is
 // appended. The instrumentation hooks observe one update per batch
-// rather than per event; counter totals still match the scalar path
-// after the batch completes.
+// rather than per event; counter totals after the batch are the same
+// at every batch width.
 func (g *Grammar) AppendBatch(vs []uint64) { AppendBatchOf(g, vs) }
 
 // AppendBatchOf is AppendBatch generalized over any uint64-shaped
@@ -97,8 +99,8 @@ func AppendBatchOf[T ~uint64](g *Grammar, vs []T) {
 			tail, tp, tailKey, tailGuard = h, s, v, false
 			continue
 		}
-		// Digram uniqueness for (tail, h), keys known: the scalar path's
-		// check() with its get-then-set replaced by one fused probe. The
+		// Digram uniqueness for (tail, h), keys known: a digram check
+		// with its get-then-set replaced by one fused probe. The
 		// new digram cannot already be indexed at tail (tail was the last
 		// symbol; its digram did not exist), so a found entry is always a
 		// genuine other occurrence or an overlap.
@@ -130,12 +132,12 @@ func AppendBatchOf[T ~uint64](g *Grammar, vs []T) {
 	}
 }
 
-// matchB mirrors match with the digram keys (a, b) of the repeated
-// digram already known: s is the newly formed occurrence, m the indexed
-// one. sp is s resolved — callers always have the pointer in hand, and
-// sym(h) is a pure function of the handle (slabs never move), so
-// threading resolved pointers down the chain drops redundant arena
-// resolutions without any aliasing hazard.
+// matchB handles a repeated digram whose keys (a, b) are already known:
+// s is the newly formed occurrence, m the indexed one. sp is s resolved
+// — callers always have the pointer in hand, and sym(h) is a pure
+// function of the handle (slabs never move), so threading resolved
+// pointers down the chain drops redundant arena resolutions without any
+// aliasing hazard.
 func (g *Grammar) matchB(s symRef, sp *symbol, m symRef, a, b uint64) {
 	var r ruleRef
 	var id uint64
@@ -155,8 +157,7 @@ func (g *Grammar) matchB(s symRef, sp *symbol, m symRef, a, b uint64) {
 		g.liveRules++
 		g.metrics.RulesCreated.Inc()
 		// Build the two-symbol body (copies of s and s.next) with direct
-		// writes instead of the generic copySym+link pair: the body is
-		// empty, so every neighbor is the fresh guard.
+		// writes: the body is empty, so every neighbor is the fresh guard.
 		gh := g.rules[r].guardSym
 		c1 := g.allocSym()
 		c2 := g.allocSym()
@@ -178,7 +179,7 @@ func (g *Grammar) matchB(s symRef, sp *symbol, m symRef, a, b uint64) {
 		g.substituteB(m, ms, r, a, b, true)
 		g.substituteB(s, sp, r, a, b, false)
 		if g.rules[r].id != id {
-			return // inlined by the seam checks' matches, as in match
+			return // inlined by the seam checks' matches; see below
 		}
 		// Index the body digram. Its keys are exactly (a, b): the copies
 		// are never touched by the recursive substitutions above (the
@@ -187,8 +188,14 @@ func (g *Grammar) matchB(s symRef, sp *symbol, m symRef, a, b uint64) {
 		// itself holds a use of it, so both keys are stable.
 		g.table.set(a, b, c1)
 	}
-	// Rule utility, exactly as in enforceUtility; the rarely needed
-	// last-symbol inline runs on the scalar expand.
+	// Rule utility. The match left r's body as the two symbols of the
+	// repeated digram, so only a nonterminal at either end of it can have
+	// dropped to a single use; such a rule is inlined. Substituting and
+	// inlining both re-check the seams they open, which can cascade into
+	// further matches that inline r itself, so r is examined only while
+	// its slot still carries its id (a freed slot is zeroed, a recycled
+	// one gets a fresh id). For the same reason a new rule's body digram
+	// is indexed above only if the rule survived its substitutions.
 	if g.opts.DisableRuleUtility || g.rules[r].id != id {
 		return
 	}
@@ -199,79 +206,60 @@ func (g *Grammar) matchB(s symRef, sp *symbol, m symRef, a, b uint64) {
 	if g.rules[r].id != id {
 		return
 	}
-	if l := g.lastOf(r); g.sym(l).isNonterminal() && g.rules[g.sym(l).rule].uses == 1 {
-		g.expand(l)
+	l := g.lastOf(r)
+	if ls := g.sym(l); ls.isNonterminal() && g.rules[ls.rule].uses == 1 {
+		g.expandB(l, ls)
 	}
 }
 
-// expandB mirrors expand for the batch chain: u (resolved as us) is the
-// only remaining use of its rule rr and — by the matchB call discipline —
-// the first body symbol of the rule being grown, so its left seam is that
-// rule's guard. That lets this variant skip the left-seam forget probe,
-// drop the unlink splice stores (both immediately overwritten by the body
-// splice), skip the dead uses decrement on a rule about to be freed, and
-// run the right-seam re-check on the fused getOrSet probe with both
-// digram keys in hand. Table operation order matches expand exactly.
+// expandB inlines u (resolved as us), the only remaining use of its
+// rule rr, and deletes the rule. u is the first or the last symbol of a
+// rule body (see matchB), so one of its seams is that body's guard; the
+// other is re-checked with both keys in hand, which either indexes the
+// new digram or folds it into an existing rule. The body symbols keep
+// their identity, so interior digram index entries remain valid; only
+// u, the guard and the rule's arena slot are released. The uses count
+// of rr is not decremented: the slot is zeroed when the rule is freed.
 func (g *Grammar) expandB(u symRef, us *symbol) {
 	rr := us.rule
-	left := us.prev
-	right := us.next
+	uKey := ^g.rules[rr].id
+	left, right := us.prev, us.next
 	gh := g.rules[rr].guardSym
 	first := g.sym(gh).next
 	last := g.sym(gh).prev
 	if g.sym(first).guard {
 		panic("sequitur: expanding empty rule")
 	}
-	rightS := g.sym(right)
-	rightGuard := rightS.guard
-	var bKey uint64
-	if !rightGuard {
-		// u's right digram may be indexed at u.
-		if rightS.rule != nilRule {
-			bKey = ^g.rules[rightS.rule].id
-		} else {
-			bKey = rightS.value
-		}
-		g.table.deleteIf(^g.rules[rr].id, bKey, u)
+	leftS, rightS := g.sym(left), g.sym(right)
+	// Evict u's two digrams where the index points at them.
+	var leftKey, rightKey uint64
+	if !leftS.guard {
+		leftKey = g.symKey(leftS)
+		g.table.deleteIf(leftKey, uKey, left)
+	}
+	if !rightS.guard {
+		rightKey = g.symKey(rightS)
+		g.table.deleteIf(uKey, rightKey, u)
 	}
 	g.rhsSymbols--
-	// Free u and splice the rule body in its place. The body symbols keep
-	// their identity, so interior digram index entries remain valid; only
-	// the guard and the rule's arena slot are released.
+	// Free u and splice the rule body in its place.
 	*us = symbol{next: g.symFree}
 	g.symFree = u
-	leftS := g.sym(left)
+	firstS, lastS := g.sym(first), g.sym(last)
 	leftS.next = first
-	g.sym(first).prev = left
-	lastS := g.sym(last)
+	firstS.prev = left
 	lastS.next = right
 	rightS.prev = last
 	g.liveRules--
 	g.freeSym(gh)
 	g.freeRule(rr)
-	if !leftS.guard {
-		// Unreachable under the call discipline (left is the growing
-		// rule's guard); kept for exact parity with expand.
-		if g.check(left) {
-			return
-		}
+	// Re-check the open seams. If the left one substituted, the right
+	// one was handled by the recursive work.
+	if !leftS.guard && g.checkKeyed(left, leftS, leftKey, g.symKey(firstS)) {
+		return
 	}
-	if !rightGuard {
-		var aKey uint64
-		if lastS.rule != nilRule {
-			aKey = ^g.rules[lastS.rule].id
-		} else {
-			aKey = lastS.value
-		}
-		m := g.table.getOrSet(aKey, bKey, last)
-		if m == nilSym || m == last {
-			return
-		}
-		if g.sym(m).next == last || m == right {
-			// Overlapping occurrence: leave it, as check does.
-			return
-		}
-		g.matchB(last, lastS, m, aKey, bKey)
+	if !rightS.guard {
+		g.checkKeyed(last, lastS, g.symKey(lastS), rightKey)
 	}
 }
 
@@ -281,21 +269,22 @@ func (g *Grammar) expandB(u symRef, us *symbol) {
 // indexed occurrence; false for the newly formed one, whose entry points
 // at the other occurrence).
 //
-// Two probes from the scalar unlink pair are skipped as provably dead:
+// Unlinking h.next and then h one at a time, forgetting each one's
+// digrams, would issue four index probes; two of them are provably dead
+// and skipped:
 //
-//   - unlink(h.next)'s forget of the digram *starting at h* probes
+//   - unlinking h.next forgets the digram *starting at h*, probing
 //     (a, b) — that entry points at the matched occurrence, so it is a
 //     hit only when indexed (then it must be deleted) and a guaranteed
 //     miss otherwise;
-//   - unlink(h)'s forget of h's own digram after the first splice: any
-//     entry pointing at h must carry h's current digram key (the unlink
-//     discipline Verify enforces), which is (a, b) — already deleted or
-//     pointing elsewhere — so the probe can never delete anything.
+//   - unlinking h afterwards forgets h's own digram: any entry pointing
+//     at h must carry h's current digram key (the discipline Verify
+//     enforces), which is (a, b) — already deleted or pointing
+//     elsewhere — so the probe can never delete anything.
 //
 // The two replaced symbols are also not round-tripped through the
-// freelist: the scalar path frees h and immediately re-allocates the
-// same slot for the new nonterminal (LIFO freelist), so the slot is
-// rewritten in place here and only h.next's slot is freed.
+// freelist: h's slot is rewritten in place as the new nonterminal and
+// only h.next's slot is freed.
 func (g *Grammar) substituteB(h symRef, hs *symbol, r ruleRef, a, b uint64, indexed bool) {
 	p := hs.prev
 	x := hs.next
@@ -309,11 +298,7 @@ func (g *Grammar) substituteB(h symRef, hs *symbol, r ruleRef, a, b uint64, inde
 	var xnKey uint64
 	if !xnGuard {
 		// x's right digram may be indexed at x.
-		if xNextS.rule != nilRule {
-			xnKey = ^g.rules[xNextS.rule].id
-		} else {
-			xnKey = xNextS.value
-		}
+		xnKey = g.symKey(xNextS)
 		g.table.deleteIf(b, xnKey, x)
 	}
 	if xs.rule != nilRule {
@@ -324,11 +309,7 @@ func (g *Grammar) substituteB(h symRef, hs *symbol, r ruleRef, a, b uint64, inde
 	var pKey uint64
 	if !pGuard {
 		// The digram (p, h) may be indexed at p.
-		if ps.rule != nilRule {
-			pKey = ^g.rules[ps.rule].id
-		} else {
-			pKey = ps.value
-		}
+		pKey = g.symKey(ps)
 		g.table.deleteIf(pKey, a, p)
 	}
 	if hs.rule != nilRule {
@@ -352,10 +333,10 @@ func (g *Grammar) substituteB(h symRef, hs *symbol, r ruleRef, a, b uint64, inde
 	}
 }
 
-// checkKeyed is check with both digram keys known and the guard tests
-// already done by the caller: it enforces digram uniqueness for the
-// digram (h, h.next) whose keys are (a, b), and reports whether a
-// substitution took place. hp is h resolved.
+// checkKeyed enforces digram uniqueness for the digram (h, h.next)
+// whose keys (a, b) are known, the guard tests already done by the
+// caller, and reports whether a substitution took place. hp is h
+// resolved.
 func (g *Grammar) checkKeyed(h symRef, hp *symbol, a, b uint64) bool {
 	m := g.table.getOrSet(a, b, h)
 	if m == nilSym || m == h {

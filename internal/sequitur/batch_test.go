@@ -1,12 +1,12 @@
 package sequitur
 
-// The batch/scalar differential suite: AppendBatch is a second
-// implementation of the SEQUITUR update, so every test here drives the
-// same stream through both paths and requires structurally identical
-// grammars. Verify outcomes are compared rather than required nil —
-// the scalar reference itself has documented rule-utility seam slack
-// on some streams, and the batch path must reproduce it exactly, not
-// "fix" it.
+// The batch-width suite: Append is AppendBatch on a one-element slice,
+// so every test here feeds one stream at width 1 and at wider batch
+// geometries and holds each grammar to the oracle's snapshot
+// (oracle_test.go). Between the widths, Verify outcomes and Stats are
+// compared rather than Verify being required nil: seam slack is a
+// property of the algorithm on a stream, and batching must reproduce
+// it exactly, not "fix" it.
 
 import (
 	"fmt"
@@ -15,33 +15,55 @@ import (
 	"testing"
 )
 
-// diffStreams feeds vs through scalar Append and through AppendBatch in
-// the given splits, then asserts the two grammars are indistinguishable:
-// same Verify outcome, same snapshot, same stats.
-func diffStreams(t *testing.T, vs []uint64, splits []int) {
-	t.Helper()
-	gs := New()
+// oracleSnapshot feeds vs to a fresh oracle and returns its snapshot.
+func oracleSnapshot(vs []uint64, opts Options) *Snapshot {
+	o := newOracleWithOptions(opts)
 	for _, v := range vs {
-		gs.Append(v)
+		o.Append(v)
 	}
-	gb := New()
+	return o.Snapshot()
+}
+
+// diffStreams feeds vs one value at a time and in the given splits,
+// then asserts both grammars snapshot as the oracle does and agree with
+// each other on their Verify outcome and stats.
+func diffStreams(t *testing.T, vs []uint64, splits []int, opts Options) {
+	t.Helper()
+	g1 := NewWithOptions(opts)
+	for _, v := range vs {
+		g1.Append(v)
+	}
+	gw := NewWithOptions(opts)
 	lo := 0
 	for _, w := range splits {
-		gb.AppendBatch(vs[lo : lo+w])
+		gw.AppendBatch(vs[lo : lo+w])
 		lo += w
 	}
 	if lo != len(vs) {
 		t.Fatalf("splits cover %d of %d values", lo, len(vs))
 	}
-	if s, b := fmt.Sprint(gs.Verify()), fmt.Sprint(gb.Verify()); s != b {
-		t.Fatalf("Verify outcomes differ: scalar=%v batch=%v", s, b)
+	if a, b := fmt.Sprint(g1.Verify()), fmt.Sprint(gw.Verify()); a != b {
+		t.Fatalf("Verify outcomes differ: width 1=%v batched=%v", a, b)
 	}
-	if !reflect.DeepEqual(gs.Snapshot(), gb.Snapshot()) {
-		t.Fatalf("snapshots differ (n=%d)", len(vs))
+	want := oracleSnapshot(vs, opts)
+	if !reflect.DeepEqual(g1.Snapshot(), want) {
+		t.Fatalf("width-1 snapshot diverges from the oracle (n=%d)", len(vs))
 	}
-	if gs.Stats() != gb.Stats() {
-		t.Fatalf("stats differ: %+v vs %+v", gs.Stats(), gb.Stats())
+	if !reflect.DeepEqual(gw.Snapshot(), want) {
+		t.Fatalf("batched snapshot diverges from the oracle (n=%d)", len(vs))
 	}
+	if g1.Stats() != gw.Stats() {
+		t.Fatalf("stats differ: %+v vs %+v", g1.Stats(), gw.Stats())
+	}
+}
+
+// fixedSplits cuts n into batches of width w (the last may be shorter).
+func fixedSplits(n, w int) []int {
+	var splits []int
+	for rem := n; rem > 0; rem -= w {
+		splits = append(splits, min(w, rem))
+	}
+	return splits
 }
 
 // randomSplits cuts n into random batch widths in [1, maxW].
@@ -66,7 +88,7 @@ func TestBatchDifferentialRandom(t *testing.T) {
 		for i := range vs {
 			vs[i] = uint64(rng.Intn(alpha))
 		}
-		diffStreams(t, vs, randomSplits(rng, n, 64))
+		diffStreams(t, vs, randomSplits(rng, n, 64), Options{})
 	}
 }
 
@@ -105,23 +127,19 @@ func TestBatchDifferentialPatterns(t *testing.T) {
 	for name, vs := range patterns {
 		t.Run(name, func(t *testing.T) {
 			// One whole-stream batch and a fine split both must match.
-			diffStreams(t, vs, []int{len(vs)})
-			diffStreams(t, vs, randomSplits(rand.New(rand.NewSource(3)), len(vs), 5))
+			diffStreams(t, vs, []int{len(vs)}, Options{})
+			diffStreams(t, vs, randomSplits(rand.New(rand.NewSource(3)), len(vs), 5), Options{})
 		})
 	}
 }
 
 // TestBatchMixedWithScalar interleaves Append and AppendBatch calls on
-// one grammar against a pure-scalar reference.
+// one grammar and holds the result to the oracle.
 func TestBatchMixedWithScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	vs := make([]uint64, 3000)
 	for i := range vs {
 		vs[i] = uint64(rng.Intn(6))
-	}
-	gs := New()
-	for _, v := range vs {
-		gs.Append(v)
 	}
 	gm := New()
 	for lo := 0; lo < len(vs); {
@@ -134,14 +152,14 @@ func TestBatchMixedWithScalar(t *testing.T) {
 		gm.AppendBatch(vs[lo:hi])
 		lo = hi
 	}
-	if s, b := fmt.Sprint(gs.Verify()), fmt.Sprint(gm.Verify()); s != b {
-		t.Fatalf("Verify outcomes differ: scalar=%v mixed=%v", s, b)
+	if err := gm.Verify(); err != nil {
+		t.Fatalf("mixed feed: %v", err)
 	}
-	if !reflect.DeepEqual(gs.Snapshot(), gm.Snapshot()) {
-		t.Fatal("snapshots differ")
+	if !reflect.DeepEqual(gm.Snapshot(), oracleSnapshot(vs, Options{})) {
+		t.Fatal("mixed-feed snapshot diverges from the oracle")
 	}
-	if gs.Stats() != gm.Stats() {
-		t.Fatalf("stats differ: %+v vs %+v", gs.Stats(), gm.Stats())
+	if st := gm.Stats(); st.Terminals != uint64(len(vs)) {
+		t.Fatalf("mixed feed consumed %d of %d terminals", st.Terminals, len(vs))
 	}
 }
 
@@ -168,33 +186,33 @@ func TestBatchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestBatchMetricsParity: instrumented counters must agree between the
-// paths after the stream completes (the batch path updates them per
-// batch, not per event).
+// TestBatchMetricsParity: instrumented counters must agree between
+// width 1 and one whole-stream batch after the stream completes (a
+// batch updates them once, not per event).
 func TestBatchMetricsParity(t *testing.T) {
 	vs := allocStream(5000)
-	gs := New()
-	gs.SetMetrics(testMetrics())
+	g1 := New()
+	g1.SetMetrics(testMetrics())
 	for _, v := range vs {
-		gs.Append(v)
+		g1.Append(v)
 	}
 	gb := New()
 	gb.SetMetrics(testMetrics())
 	gb.AppendBatch(vs)
 	for name, pair := range map[string][2]uint64{
-		"terminals":     {gs.metrics.Terminals.Value(), gb.metrics.Terminals.Value()},
-		"rules_created": {gs.metrics.RulesCreated.Value(), gb.metrics.RulesCreated.Value()},
-		"rules_reused":  {gs.metrics.RulesReused.Value(), gb.metrics.RulesReused.Value()},
-		"digram_table":  {uint64(gs.metrics.DigramTable.Value()), uint64(gb.metrics.DigramTable.Value())},
+		"terminals":     {g1.metrics.Terminals.Value(), gb.metrics.Terminals.Value()},
+		"rules_created": {g1.metrics.RulesCreated.Value(), gb.metrics.RulesCreated.Value()},
+		"rules_reused":  {g1.metrics.RulesReused.Value(), gb.metrics.RulesReused.Value()},
+		"digram_table":  {uint64(g1.metrics.DigramTable.Value()), uint64(gb.metrics.DigramTable.Value())},
 	} {
 		if pair[0] != pair[1] {
-			t.Errorf("%s diverges: scalar=%d batch=%d", name, pair[0], pair[1])
+			t.Errorf("%s diverges: width 1=%d batch=%d", name, pair[0], pair[1])
 		}
 	}
 }
 
-// TestSteadyStateAppendBatchAllocatesNothing is the batch twin of the
-// scalar alloc guard: once warmed, Reset+AppendBatch is 0 B/event.
+// TestSteadyStateAppendBatchAllocatesNothing is the wide-batch twin of
+// the Append alloc guard: once warmed, Reset+AppendBatch is 0 B/event.
 func TestSteadyStateAppendBatchAllocatesNothing(t *testing.T) {
 	in := allocStream(60000)
 	g := New()
@@ -212,7 +230,8 @@ func TestSteadyStateAppendBatchAllocatesNothing(t *testing.T) {
 }
 
 // FuzzBatchParity lets the fuzzer pick both the stream and the batch
-// geometry; any structural divergence between the paths fails.
+// geometry; any divergence from the oracle, or between width 1 and the
+// chosen width, fails.
 func FuzzBatchParity(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1}, uint8(3))
 	f.Add([]byte{1, 2, 3, 1, 2, 3, 1, 2, 3}, uint8(1))
@@ -225,11 +244,6 @@ func FuzzBatchParity(f *testing.F) {
 		for i, b := range data {
 			vs[i] = uint64(b % 16)
 		}
-		w := int(width%64) + 1
-		var splits []int
-		for rem := len(vs); rem > 0; rem -= w {
-			splits = append(splits, min(w, rem))
-		}
-		diffStreams(t, vs, splits)
+		diffStreams(t, vs, fixedSplits(len(vs), int(width%64)+1), Options{})
 	})
 }

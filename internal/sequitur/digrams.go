@@ -96,13 +96,13 @@ func (t *digramTable) set(a, b uint64, s symRef) {
 	}
 }
 
-// getOrSet is the fused probe the batch append path uses in place of a
-// get followed by a set: one walk of the probe chain either finds the
+// getOrSet is the fused probe the append engine uses in place of a get
+// followed by a set: one walk of the probe chain either finds the
 // existing entry for (a, b) and returns its handle, or claims the first
 // empty slot for s and returns nilSym. The table contents after a miss
 // are identical to get-then-set — growth triggers on the same live/growAt
-// comparison an insert through set would have made — so the scalar and
-// batch paths evolve equal index contents from equal inputs.
+// comparison an insert through set would have made — so the engine
+// evolves the index contents the textbook check would from equal inputs.
 func (t *digramTable) getOrSet(a, b uint64, s symRef) symRef {
 	h := uint32(digramHash(a, b))
 	i := h & t.mask
@@ -131,8 +131,8 @@ func (t *digramTable) getOrSet(a, b uint64, s symRef) symRef {
 }
 
 // deleteIf removes the entry for (a, b) only when it points at s — the
-// forgetDigram contract: an occurrence may only evict its own index
-// entry, never another occurrence's. Deletion is by backward shift: the
+// forget contract: an occurrence may only evict its own index entry,
+// never another occurrence's. Deletion is by backward shift: the
 // vacated slot is refilled with later probe-chain entries whose home
 // slot lies at or before it, so no chain is ever broken and no
 // tombstones accumulate.

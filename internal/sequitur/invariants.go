@@ -7,9 +7,9 @@ package sequitur
 // UnindexedDigrams counts distinct digrams that occur in the grammar's
 // symbol chains but have no entry in the digram index — the "missing
 // entries" direction of the index/chain cross-check (Verify covers the
-// stale-entry direction). As with DigramDuplicates, seam handling around
-// substitution and rule expansion legitimately leaves a few of these, so
-// tests bound the count rather than demanding zero.
+// stale-entry direction). As with Snapshot.DigramDuplicates, seam
+// handling around substitution and rule expansion legitimately leaves a
+// few of these, so tests bound the count rather than demanding zero.
 func (g *Grammar) UnindexedDigrams() int {
 	seen := map[ruleRef]bool{g.start: true}
 	queue := []ruleRef{g.start}
@@ -59,9 +59,9 @@ func snapKey(s Sym) uint64 {
 
 // DigramDuplicates counts digrams occurring more than once across all of
 // the snapshot's rule bodies, ignoring immediately overlapping
-// occurrences within runs of identical symbols — the same measure
-// Grammar.DigramDuplicates computes on the live structure, so decoded
-// artifacts can be held to the same bound.
+// occurrences within runs of identical symbols. Tests take it from a
+// live grammar's Snapshot, and the artifact verifier from decoded
+// chunks, so both are held to the same bound.
 func (sn *Snapshot) DigramDuplicates() int {
 	count := map[digram]int{}
 	dups := 0

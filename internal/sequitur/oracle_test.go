@@ -241,7 +241,7 @@ func compareToOracle(t *testing.T, input []uint64, opts Options) {
 		t.Fatalf("arena snapshot diverges from oracle\n input: %v\n arena: %+v\noracle: %+v", input, gs.Rules, os.Rules)
 	}
 	slack := 2 + len(input)/50
-	if d := g.DigramDuplicates(); d > slack {
+	if d := g.Snapshot().DigramDuplicates(); d > slack {
 		t.Fatalf("%d duplicate digrams over %d inputs, slack %d", d, len(input), slack)
 	}
 	if m := g.UnindexedDigrams(); m > slack {

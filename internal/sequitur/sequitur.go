@@ -16,13 +16,19 @@
 // input, which is what lets whole-program-path analyses (such as the hot
 // subpath search in package hotpath) run directly on the compressed form.
 //
-// Every trace event of a build funnels through Append, so the data layout
-// is built for the allocator to stay out of the way: symbols live in slab
-// arenas addressed by dense uint32 handles (arena.go) and the digram
-// index is an open-addressing hash table (digrams.go). Steady-state
-// Append allocates nothing, and Reset rewinds a grammar for reuse while
-// keeping slabs and table capacity — the contract the pooled per-worker
-// grammars in the parallel builder rely on.
+// The package has one implementation of the SEQUITUR update, the append
+// engine in batch.go: AppendBatch feeds a slice of terminals, and Append
+// is the same engine on a one-element slice. A transliteration of the
+// textbook pointer/map implementation (oracle_test.go) is the reference
+// it is tested against.
+//
+// Every trace event of a build funnels through that engine, so the data
+// layout is built for the allocator to stay out of the way: symbols live
+// in slab arenas addressed by dense uint32 handles (arena.go) and the
+// digram index is an open-addressing hash table (digrams.go).
+// Steady-state appends allocate nothing, and Reset rewinds a grammar for
+// reuse while keeping slabs and table capacity — the contract the pooled
+// per-worker grammars in the parallel builder rely on.
 //
 // Terminal values must be below MaxTerminal; the trace-event encoding in
 // package trace stays far below that bound.
@@ -46,10 +52,13 @@ type digram struct {
 	a, b uint64
 }
 
-// keyOf returns the digram key of one symbol.
-func (g *Grammar) keyOf(h symRef) uint64 {
-	s := g.sym(h)
-	if s.isNonterminal() {
+// keyOf returns the digram key of one non-guard symbol.
+func (g *Grammar) keyOf(h symRef) uint64 { return g.symKey(g.sym(h)) }
+
+// symKey is keyOf for a symbol already resolved: terminals by value,
+// nonterminals by their rule's complemented id.
+func (g *Grammar) symKey(s *symbol) uint64 {
+	if s.rule != nilRule {
 		return ^g.rules[s.rule].id
 	}
 	return s.value
@@ -71,8 +80,8 @@ type Options struct {
 
 // Metrics is the grammar's observability hook set. All fields may be nil
 // (the zero value): obsv metrics are nil-safe no-ops, and the grammar
-// additionally skips the per-Append gauge updates entirely when no hook
-// is installed, so an uninstrumented Append pays one boolean test.
+// additionally skips the per-batch gauge updates entirely when no hook
+// is installed, so an uninstrumented append pays one boolean test.
 type Metrics struct {
 	// Terminals counts input symbols appended.
 	Terminals *obsv.Counter
@@ -116,6 +125,11 @@ type Grammar struct {
 	// any hook is installed so the hot path can skip them in one test.
 	metrics      Metrics
 	instrumented bool
+	// one is Append's one-element batch. A stack array would do in this
+	// package, but once Append is inlined into another package the
+	// compiler cannot see that the generic engine keeps no reference to
+	// its slice, and would move the array to the heap on every call.
+	one [1]uint64
 }
 
 // SetMetrics installs observability hooks. The zero Metrics disables
@@ -165,216 +179,16 @@ func (g *Grammar) Reset() {
 	g.metrics.DigramTable.Set(0)
 }
 
-// Append feeds one terminal to the grammar. It panics if v >= MaxTerminal.
+// Append feeds one terminal to the grammar: the append engine
+// (AppendBatchOf) run on a one-element batch. It panics if
+// v >= MaxTerminal.
 func (g *Grammar) Append(v uint64) {
-	if v >= MaxTerminal {
-		panic(fmt.Sprintf("sequitur: terminal %d out of range", v))
-	}
-	h := g.newSym(v, nilRule, false)
-	g.link(g.lastOf(g.start), h)
-	g.terminals++
-	if p := g.sym(h).prev; !g.sym(p).guard {
-		g.check(p)
-	}
-	if g.instrumented {
-		g.metrics.Terminals.Inc()
-		g.metrics.DigramTable.Set(int64(g.table.live))
-	}
+	g.one[0] = v
+	AppendBatchOf(g, g.one[:])
 }
 
 // Len reports the number of terminals appended so far.
 func (g *Grammar) Len() uint64 { return g.terminals }
-
-// link inserts n after p and bumps bookkeeping.
-func (g *Grammar) link(p, n symRef) {
-	ps, ns := g.sym(p), g.sym(n)
-	ns.next = ps.next
-	ns.prev = p
-	g.sym(ns.next).prev = n
-	ps.next = n
-	g.rhsSymbols++
-	if ns.isNonterminal() {
-		g.rules[ns.rule].uses++
-	}
-}
-
-// unlink removes s from its list, removing the digrams it participates in
-// from the index when the index points at them, and decrements the use
-// count of s's rule if s is a nonterminal. The caller frees the slot once
-// done with it.
-func (g *Grammar) unlink(h symRef) {
-	s := g.sym(h)
-	prev, next := s.prev, s.next
-	if !g.sym(prev).guard {
-		g.forgetDigram(prev)
-	}
-	if !g.sym(next).guard {
-		g.forgetDigram(h)
-	}
-	g.sym(prev).next = next
-	g.sym(next).prev = prev
-	g.rhsSymbols--
-	if s.isNonterminal() {
-		g.rules[s.rule].uses--
-	}
-}
-
-// forgetDigram removes the digram starting at h from the index if the
-// index entry is h itself.
-func (g *Grammar) forgetDigram(h symRef) {
-	d := g.digramAt(h)
-	g.table.deleteIf(d.a, d.b, h)
-}
-
-// check enforces digram uniqueness for the digram (s, s.next). It returns
-// true if a substitution took place.
-func (g *Grammar) check(h symRef) bool {
-	s := g.sym(h)
-	if s.guard || g.sym(s.next).guard {
-		return false
-	}
-	a, b := g.keyOf(h), g.keyOf(s.next)
-	m := g.table.get(a, b)
-	if m == nilSym {
-		g.table.set(a, b, h)
-		return false
-	}
-	if m == h {
-		return false
-	}
-	if g.sym(m).next == h || s.next == m {
-		// Overlapping occurrence (run of identical symbols): leave it.
-		return false
-	}
-	g.match(h, m)
-	return true
-}
-
-// match handles a repeated digram: s is the newly formed occurrence, m the
-// indexed one.
-func (g *Grammar) match(s, m symRef) {
-	var r ruleRef
-	var id uint64
-	mPrev := g.sym(m).prev
-	mNextNext := g.sym(g.sym(m).next).next
-	if g.sym(mPrev).guard && g.sym(mNextNext).guard {
-		// The matched occurrence is the entire body of a rule: reuse it.
-		r = g.sym(mPrev).rule
-		g.metrics.RulesReused.Inc()
-		id = g.rules[r].id
-		g.substitute(s, r)
-	} else {
-		// Create a new rule whose body is a copy of the digram.
-		r = g.allocRule(g.nextID)
-		g.nextID++
-		g.liveRules++
-		g.metrics.RulesCreated.Inc()
-		g.link(g.rules[r].guardSym, g.copySym(s))
-		g.link(g.firstOf(r), g.copySym(g.sym(s).next))
-		id = g.rules[r].id
-		// Replace the older occurrence first so its index entry is
-		// released before the newer one is rewritten.
-		g.substitute(m, r)
-		g.substitute(s, r)
-		if g.rules[r].id != id {
-			return // inlined by the seam checks' matches; see enforceUtility
-		}
-		f := g.firstOf(r)
-		g.table.set(g.keyOf(f), g.keyOf(g.sym(f).next), f)
-	}
-	g.enforceUtility(r, id)
-}
-
-// enforceUtility restores rule utility after a match into r, whose id
-// is id. The match left r's body as the two symbols of the repeated
-// digram, so only a nonterminal at either end of it can have dropped to
-// a single use; such a rule is inlined. Substituting and inlining both
-// re-check the seams they open, which can cascade into further matches
-// that inline r itself, so r is examined only while its slot still
-// carries its id (a freed slot is zeroed, a recycled one gets a fresh
-// id). For the same reason match indexes a new rule's body digram only
-// if the rule survived its substitutions.
-func (g *Grammar) enforceUtility(r ruleRef, id uint64) {
-	if g.opts.DisableRuleUtility || g.rules[r].id != id {
-		return
-	}
-	if f := g.firstOf(r); g.sym(f).isNonterminal() && g.rules[g.sym(f).rule].uses == 1 {
-		g.expand(f)
-	}
-	if g.rules[r].id != id {
-		return
-	}
-	if l := g.lastOf(r); g.sym(l).isNonterminal() && g.rules[g.sym(l).rule].uses == 1 {
-		g.expand(l)
-	}
-}
-
-// copySym returns a fresh symbol with the same content as s.
-func (g *Grammar) copySym(h symRef) symRef {
-	s := g.sym(h)
-	return g.newSym(s.value, s.rule, false)
-}
-
-// substitute replaces the digram (s, s.next) with a reference to rule r,
-// then re-checks the digrams formed at both seams. The two replaced
-// symbols go back to the arena immediately: unlink has already evicted
-// any index entry held by them, so no live reference remains.
-func (g *Grammar) substitute(h symRef, r ruleRef) {
-	p := g.sym(h).prev
-	x := g.sym(h).next
-	g.unlink(x)
-	g.unlink(h)
-	g.freeSym(x)
-	g.freeSym(h)
-	n := g.newSym(0, r, false)
-	g.link(p, n)
-	// Check the left seam; if it substituted, the right seam was handled
-	// by the recursive work, and p.next may no longer be n.
-	if !g.sym(p).guard && g.check(p) {
-		return
-	}
-	if !g.sym(g.sym(n).next).guard {
-		g.check(n)
-	}
-}
-
-// expand inlines the single remaining use u of its rule, deleting the
-// rule. u must be a nonterminal whose rule has uses == 1. In practice u is
-// the first or the last symbol of a rule body (see enforceUtility), so
-// one of its seams is a guard; the other is re-checked, which either
-// indexes the new digram or folds it into an existing rule, keeping
-// digram uniqueness strict.
-func (g *Grammar) expand(u symRef) {
-	us := g.sym(u)
-	r := us.rule
-	left := us.prev
-	right := us.next
-	first := g.firstOf(r)
-	last := g.lastOf(r)
-	if g.sym(first).guard {
-		panic("sequitur: expanding empty rule")
-	}
-	g.unlink(u)
-	g.freeSym(u)
-	// Splice the rule body in place of u. The body symbols keep their
-	// identity, so interior digram index entries remain valid; only the
-	// guard and the rule's arena slot are released.
-	g.sym(left).next = first
-	g.sym(first).prev = left
-	g.sym(last).next = right
-	g.sym(right).prev = last
-	g.liveRules--
-	g.freeSym(g.rules[r].guardSym)
-	g.freeRule(r)
-	if !g.sym(left).guard {
-		if g.check(left) {
-			return
-		}
-	}
-	if !g.sym(right).guard {
-		g.check(last)
-	}
-}
 
 // Expand invokes yield for every terminal of the full expansion of the
 // start rule, in order. Iteration stops early if yield returns false.
@@ -500,8 +314,9 @@ func (sn *Snapshot) Expand(ri int, yield func(uint64) bool) bool {
 // Digram uniqueness is deliberately NOT enforced exactly: as in
 // Nevill-Manning and Witten's published implementation, seam handling
 // around substitutions and rule expansion can leave rare duplicate or
-// unindexed digrams. DigramDuplicates and UnindexedDigrams report how
-// many exist in each direction of the index/chain cross-check; tests
+// unindexed digrams. Snapshot.DigramDuplicates and UnindexedDigrams
+// report how many exist in each direction of the index/chain
+// cross-check; tests
 // bound them rather than requiring zero. Verify is meant for tests; it
 // walks the whole grammar.
 //
@@ -575,43 +390,4 @@ func (g *Grammar) Verify() error {
 		return fmt.Errorf("sequitur: digram table live=%d but %d entries occupied", g.table.live, live)
 	}
 	return nil
-}
-
-// DigramDuplicates counts digrams that occur more than once in the
-// grammar, ignoring immediately overlapping occurrences within runs of
-// identical symbols. A well-behaved grammar keeps this near zero; it is
-// exposed so tests can bound the known seam-handling slack instead of
-// demanding exact uniqueness.
-func (g *Grammar) DigramDuplicates() int {
-	seen := map[ruleRef]bool{g.start: true}
-	queue := []ruleRef{g.start}
-	count := map[digram]int{}
-	dups := 0
-	for len(queue) > 0 {
-		r := queue[0]
-		queue = queue[1:]
-		prevOverlap := false
-		for h := g.firstOf(r); !g.sym(h).guard; h = g.sym(h).next {
-			s := g.sym(h)
-			if s.isNonterminal() && !seen[s.rule] {
-				seen[s.rule] = true
-				queue = append(queue, s.rule)
-			}
-			if g.sym(s.next).guard {
-				continue
-			}
-			d := g.digramAt(h)
-			// Skip the second of two overlapping occurrences (aaa).
-			if !g.sym(s.prev).guard && g.keyOf(s.prev) == d.a && d.a == d.b && !prevOverlap {
-				prevOverlap = true
-				continue
-			}
-			prevOverlap = false
-			count[d]++
-			if count[d] > 1 {
-				dups++
-			}
-		}
-	}
-	return dups
 }

@@ -288,7 +288,9 @@ func BuildWorkloadArtifact(source string, args []int64, chunk uint64, workers in
 	if err != nil {
 		return nil, err
 	}
-	sink := &builderSink{}
+	// The builder needs the machine's numberings, so it is constructed
+	// after the machine and bound into the sink then.
+	sink := &trace.LateSink{}
 	m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: sink})
 	if err != nil {
 		return nil, err
@@ -298,18 +300,10 @@ func BuildWorkloadArtifact(source string, args []int64, chunk uint64, workers in
 		names[i] = fn.Name
 	}
 	b := iwpp.New(names, m.Numberings(), iwpp.BuildOptions{ChunkSize: chunk, Workers: workers})
-	sink.b = b
+	sink.Dst = b
 	if _, err := m.Run("main", args...); err != nil {
 		b.Finish(0) // drain the pipeline so worker goroutines do not leak
 		return nil, err
 	}
 	return b.Finish(m.Stats().Instructions), nil
 }
-
-// builderSink late-binds the builder (which needs the machine's
-// numberings, so it is constructed after the machine) while presenting
-// a batch-capable sink.
-type builderSink struct{ b iwpp.Builder }
-
-func (s *builderSink) Add(e trace.Event)         { s.b.Add(e) }
-func (s *builderSink) AddBatch(es []trace.Event) { s.b.AddBatch(es) }

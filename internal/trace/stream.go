@@ -9,8 +9,8 @@ type Sink interface {
 	Add(Event)
 }
 
-// SinkFunc adapts a plain function to a Sink, for call sites that tee,
-// filter, or late-bind the real consumer.
+// SinkFunc adapts a plain function to a Sink, for call sites that tee
+// or filter events.
 type SinkFunc func(Event)
 
 // Add calls f(e).
@@ -26,6 +26,20 @@ type BatchSink interface {
 	Sink
 	AddBatch(es []Event)
 }
+
+// LateSink is a BatchSink whose destination is bound after the sink is
+// handed out: a producer that needs its sink at construction (the
+// interpreter) can feed a consumer that needs the producer first (a WPP
+// builder needs the machine's numberings). Dst must be set before the
+// first event arrives. Producers see a BatchSink, so events travel a
+// slice at a time.
+type LateSink struct{ Dst BatchSink }
+
+// Add forwards e to Dst.
+func (s *LateSink) Add(e Event) { s.Dst.Add(e) }
+
+// AddBatch forwards es to Dst.
+func (s *LateSink) AddBatch(es []Event) { s.Dst.AddBatch(es) }
 
 // AddBatch appends the whole slice; Buffer is the in-memory BatchSink.
 func (b *Buffer) AddBatch(es []Event) { b.Events = append(b.Events, es...) }

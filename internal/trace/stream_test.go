@@ -140,3 +140,21 @@ func TestSinkFuncAdapts(t *testing.T) {
 		t.Fatalf("SinkFunc recorded %v", got)
 	}
 }
+
+func TestLateSinkForwardsToBoundDst(t *testing.T) {
+	s := &LateSink{}
+	var b Buffer
+	s.Dst = &b
+	var bs BatchSink = s
+	bs.Add(MakeEvent(1, 2))
+	bs.AddBatch([]Event{MakeEvent(3, 4), MakeEvent(5, 6)})
+	want := []Event{MakeEvent(1, 2), MakeEvent(3, 4), MakeEvent(5, 6)}
+	if len(b.Events) != len(want) {
+		t.Fatalf("destination holds %d events, want %d", len(b.Events), len(want))
+	}
+	for i := range want {
+		if b.Events[i] != want[i] {
+			t.Fatalf("event %d = %v, want %v", i, b.Events[i], want[i])
+		}
+	}
+}

@@ -2,10 +2,10 @@ package wpp
 
 // Builder-level batch differential: feeding a stream through AddBatch
 // (in arbitrary splits) must produce an artifact byte-identical to
-// feeding it through Add, for every construction strategy and worker
-// count, in both encodings. This pins the whole batched path — trace
-// conversion, chunk-boundary splitting, deferred cost derivation, and
-// the batched SEQUITUR engine — to the scalar oracle end to end.
+// feeding it through Add one event at a time, for every construction
+// strategy and worker count, in both encodings. This pins the batched
+// path — chunk-boundary splitting and batch-width independence of the
+// SEQUITUR engine — to the per-event feed end to end.
 
 import (
 	"bytes"
@@ -15,8 +15,8 @@ import (
 	"repro/internal/trace"
 )
 
-// feedScalar drives the stream one event at a time.
-func feedScalar(b Builder, events []trace.Event) {
+// feedEach drives the stream one event at a time.
+func feedEach(b Builder, events []trace.Event) {
 	for _, e := range events {
 		b.Add(e)
 	}
@@ -72,7 +72,7 @@ func TestAddBatchMatchesAddArtifacts(t *testing.T) {
 			t.Run(name+"/"+st.name, func(t *testing.T) {
 				names := funcNames(events)
 				ref := New(names, nil, st.opts)
-				feedScalar(ref, events)
+				feedEach(ref, events)
 				want := ref.Finish(uint64(len(events)))
 
 				got := New(names, nil, st.opts)
@@ -90,7 +90,7 @@ func TestAddBatchMatchesAddArtifacts(t *testing.T) {
 					wb := encodeArtifact(t, want)
 					gb := encodeArtifact(t, a)
 					if !bytes.Equal(wb, gb) {
-						t.Fatalf("v%d artifacts diverge: scalar %d bytes, batched %d bytes", v, len(wb), len(gb))
+						t.Fatalf("v%d artifacts diverge: per-event %d bytes, batched %d bytes", v, len(wb), len(gb))
 					}
 				}
 			})
@@ -99,7 +99,7 @@ func TestAddBatchMatchesAddArtifacts(t *testing.T) {
 }
 
 // TestAddBatchMixedWithAdd interleaves the two ingestion surfaces on
-// one builder against the pure-scalar reference.
+// one builder against the pure per-event reference.
 func TestAddBatchMixedWithAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	events := make([]trace.Event, 4000)
@@ -108,7 +108,7 @@ func TestAddBatchMixedWithAdd(t *testing.T) {
 	}
 	for _, opts := range []BuildOptions{{}, {ChunkSize: 128, Workers: 2}} {
 		ref := New(funcNames(events), nil, opts)
-		feedScalar(ref, events)
+		feedEach(ref, events)
 		want := encodeArtifact(t, ref.Finish(7777))
 
 		mixed := New(funcNames(events), nil, opts)

@@ -23,7 +23,7 @@ func checkLiveGrammar(t *testing.T, events []trace.Event) {
 		t.Fatalf("live grammar verify: %v", err)
 	}
 	slack := 2 + len(events)/50
-	if d := g.DigramDuplicates(); d > slack {
+	if d := g.Snapshot().DigramDuplicates(); d > slack {
 		t.Fatalf("live grammar has %d duplicate digrams over %d events, slack is %d", d, len(events), slack)
 	}
 	if m := g.UnindexedDigrams(); m > slack {

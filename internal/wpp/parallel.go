@@ -38,11 +38,12 @@ func (o ParallelOptions) workers() int {
 // Stats and encoding — is byte-identical at every worker count and
 // schedule.
 //
-// The Add front-end stays single-threaded (it is an interp Sink, called
-// from one goroutine): it only buffers events and tallies path costs; a
-// full buffer is handed to the pool over a bounded channel, so a slow
+// The Add/AddBatch front-end stays single-threaded (it is an interp
+// Sink, called from one goroutine): it only buffers events; a full
+// buffer is handed to the pool over a bounded channel, so a slow
 // compressor exerts backpressure on the producer instead of queueing
-// unbounded raw chunks.
+// unbounded raw chunks. Path costs are derived from the sealed chunk
+// grammars at Finish.
 //
 // Live memory is bounded by O(workers · chunkSize): at most `workers`
 // chunks queued in the channel, `workers` being compressed, and one being
@@ -52,7 +53,6 @@ type ParallelChunkedBuilder struct {
 	funcs     []FuncInfo
 	nums      []*bl.Numbering
 	events    uint64
-	costs     map[trace.Event]uint64
 
 	buf     []uint64 // current chunk, owned by the Add goroutine
 	nextIdx int      // index of the chunk being filled
@@ -66,9 +66,6 @@ type ParallelChunkedBuilder struct {
 	// Collector-owned state, safe to read only after <-done.
 	chunks  []*sequitur.Snapshot
 	peakRHS int
-
-	// lazyCosts: see MonoBuilder.
-	lazyCosts bool
 
 	metrics BuildMetrics
 	start   time.Time
@@ -106,7 +103,6 @@ func NewParallelChunkedBuilder(names []string, nums []*bl.Numbering, chunkSize u
 		chunkSize:  chunkSize,
 		funcs:      funcTable(names, nums),
 		nums:       nums,
-		costs:      map[trace.Event]uint64{},
 		jobs:       make(chan parallelJob, workers),
 		results:    make(chan parallelResult, workers),
 		done:       make(chan struct{}),
@@ -192,42 +188,28 @@ func (b *ParallelChunkedBuilder) collect() {
 	close(b.done)
 }
 
-// Add feeds one event. It must be called from a single goroutine (it is
-// an interp Sink), and not after Finish.
+// Add feeds one event: the one-event case of AddBatch, under the same
+// rules. An invalid event (one the numberings cannot regenerate)
+// surfaces at Finish, where the cost table is derived.
 func (b *ParallelChunkedBuilder) Add(e trace.Event) {
-	if b.finished {
-		panic("wpp: Add after Finish")
-	}
-	if b.buf == nil {
-		b.buf = b.getBuf()
-	}
-	b.buf = append(b.buf, uint64(e))
-	b.events++
-	b.metrics.EventsIngested.Inc()
-	if _, seen := b.costs[e]; !seen {
-		b.costs[e] = pathCost(b.nums, e)
-	}
-	if uint64(len(b.buf)) >= b.chunkSize {
-		b.seal()
-	}
+	one := [1]trace.Event{e}
+	b.AddBatch(one[:])
 }
 
 // AddBatch feeds a slice of events, filling and sealing chunk buffers
-// as boundaries are crossed. Like Add it must be called from a single
-// goroutine, and not after Finish. It is equivalent to calling Add per
-// element; distinct-path costs are derived from the sealed chunk
-// grammars at Finish instead of being tracked per event. Add and
-// AddBatch may be mixed.
+// as boundaries are crossed. It must be called from a single goroutine
+// (it is an interp Sink), and not after Finish. Distinct-path costs are
+// derived from the sealed chunk grammars at Finish, so invalid events
+// surface there rather than at ingestion.
 func (b *ParallelChunkedBuilder) AddBatch(es []trace.Event) {
 	if b.finished {
-		panic("wpp: AddBatch after Finish")
+		panic("wpp: Add after Finish")
 	}
 	if len(es) == 0 {
 		return
 	}
 	b.events += uint64(len(es))
 	b.metrics.EventsIngested.Add(uint64(len(es)))
-	b.lazyCosts = true
 	for len(es) > 0 {
 		if b.buf == nil {
 			b.buf = b.getBuf()
@@ -273,9 +255,6 @@ func (b *ParallelChunkedBuilder) Finish(instructions uint64) *ChunkedWPP {
 	b.wg.Wait()
 	close(b.results)
 	<-b.done
-	if b.lazyCosts {
-		fillCosts(b.costs, b.nums, b.chunks...)
-	}
 	c := &ChunkedWPP{
 		Funcs:        b.funcs,
 		Chunks:       b.chunks,
@@ -283,7 +262,7 @@ func (b *ParallelChunkedBuilder) Finish(instructions uint64) *ChunkedWPP {
 		Events:       b.events,
 		Instructions: instructions,
 		PeakLiveRHS:  b.peakRHS,
-		costs:        b.costs,
+		costs:        fillCosts(b.nums, b.chunks...),
 	}
 	b.report = b.buildReport(c, time.Since(b.start))
 	return c

@@ -3,9 +3,10 @@
 // instrumented execution (Larus, "Whole Program Paths", PLDI 1999).
 //
 // A WPP is built online: the Builder is handed to the interpreter as its
-// event sink, feeds each event to SEQUITUR as it arrives, and tracks the
-// cost (IR instructions) of each distinct acyclic path so analyses can
-// weight the compressed trace without rerunning the program. The finished
+// event sink and feeds events to SEQUITUR as they arrive. When the WPP
+// is sealed, the cost (IR instructions) of each distinct acyclic path is
+// read off the grammar's terminals, so analyses can weight the
+// compressed trace without rerunning the program. The finished
 // WPP is a self-contained artifact: it can be persisted, reloaded, walked
 // (full expansion), and analyzed in compressed form (package hotpath).
 package wpp
@@ -13,7 +14,6 @@ package wpp
 import (
 	"fmt"
 	"io"
-	"maps"
 
 	"repro/internal/bl"
 	"repro/internal/sequitur"
@@ -70,11 +70,7 @@ type MonoBuilder struct {
 	funcs   []FuncInfo
 	nums    []*bl.Numbering
 	events  uint64
-	costs   map[trace.Event]uint64
 	metrics BuildMetrics
-	// lazyCosts records that batches were ingested without per-event cost
-	// tracking, so Finish derives the cost table from the grammar.
-	lazyCosts bool
 }
 
 // SetMetrics installs observability hooks (see BuildMetrics); nil
@@ -93,27 +89,22 @@ func NewMonoBuilder(names []string, nums []*bl.Numbering) *MonoBuilder {
 		grammar: sequitur.New(),
 		funcs:   funcTable(names, nums),
 		nums:    nums,
-		costs:   map[trace.Event]uint64{},
 	}
 }
 
-// Add feeds one path event to the grammar.
+// Add feeds one path event to the grammar: the one-event case of
+// AddBatch. Like AddBatch it does not price the event; an invalid event
+// (one the numberings cannot regenerate) surfaces at Finish or
+// SnapshotWPP, where the cost table is derived.
 func (b *MonoBuilder) Add(e trace.Event) {
-	b.grammar.Append(uint64(e))
-	b.events++
-	b.metrics.EventsIngested.Inc()
-	if _, seen := b.costs[e]; !seen {
-		b.costs[e] = pathCost(b.nums, e)
-	}
+	one := [1]trace.Event{e}
+	b.AddBatch(one[:])
 }
 
-// AddBatch feeds a slice of path events to the grammar through the
-// batched SEQUITUR fast path. It is equivalent to calling Add for each
-// element: the grammar evolves identically, and the cost of each
-// distinct path — tracked per event by Add — is instead derived from
-// the grammar's terminals at Finish, which prices exactly the same set
-// of distinct events. Invalid events surface at Finish rather than at
-// ingestion. Add and AddBatch may be mixed freely.
+// AddBatch feeds a slice of path events to the grammar, equivalent to
+// calling Add for each element. The cost of each distinct path is
+// derived from the grammar's terminals at Finish (see fillCosts), so
+// invalid events surface there rather than at ingestion.
 func (b *MonoBuilder) AddBatch(es []trace.Event) {
 	if len(es) == 0 {
 		return
@@ -121,7 +112,6 @@ func (b *MonoBuilder) AddBatch(es []trace.Event) {
 	sequitur.AppendBatchOf(b.grammar, es)
 	b.events += uint64(len(es))
 	b.metrics.EventsIngested.Add(uint64(len(es)))
-	b.lazyCosts = true
 }
 
 // funcTable is the function table a builder records: one entry per
@@ -152,12 +142,13 @@ func pathCost(nums []*bl.Numbering, e trace.Event) uint64 {
 	return uint64(w)
 }
 
-// fillCosts prices every distinct terminal of the snapshots that has no
-// cost entry yet. The set of terminal values across a grammar's rules is
-// exactly the set of distinct values in the stream it generates, so this
-// reconstructs what per-event tracking would have recorded, in time
-// proportional to the grammar rather than the trace.
-func fillCosts(costs map[trace.Event]uint64, nums []*bl.Numbering, snaps ...*sequitur.Snapshot) {
+// fillCosts returns a fresh cost table pricing every distinct terminal
+// of the snapshots. The set of terminal values across a grammar's rules
+// is exactly the set of distinct values in the stream it generates, so
+// this prices every executed path once, in time proportional to the
+// grammar rather than the trace.
+func fillCosts(nums []*bl.Numbering, snaps ...*sequitur.Snapshot) map[trace.Event]uint64 {
+	costs := map[trace.Event]uint64{}
 	for _, sn := range snaps {
 		for _, rhs := range sn.Rules {
 			for _, s := range rhs {
@@ -171,6 +162,7 @@ func fillCosts(costs map[trace.Event]uint64, nums []*bl.Numbering, snaps ...*seq
 			}
 		}
 	}
+	return costs
 }
 
 // Events reports the number of events consumed so far.
@@ -184,39 +176,31 @@ func (b *MonoBuilder) GrammarStats() sequitur.Stats { return b.grammar.Stats() }
 // count (interp.Stats.Instructions).
 func (b *MonoBuilder) Finish(instructions uint64) *WPP {
 	snap := b.grammar.Snapshot()
-	if b.lazyCosts {
-		fillCosts(b.costs, b.nums, snap)
-	}
 	return &WPP{
 		Funcs:        b.funcs,
 		Grammar:      snap,
 		Events:       b.events,
 		Instructions: instructions,
-		costs:        b.costs,
+		costs:        fillCosts(b.nums, snap),
 	}
 }
 
 // SnapshotWPP captures the still-growing build as a queryable WPP
 // without sealing it: the grammar is snapshotted at its current state,
-// the cost table is copied (and, after batched ingestion, derived from
-// the snapshot's terminals exactly as Finish would derive it), and the
-// builder continues unaffected. Because the executed-instruction total is
-// not known until the trace ends, the snapshot's Instructions is set to
-// TotalPathCost — the cost-weighted trace length — so hot-subpath
-// fractions stay well defined mid-stream. The caller must serialize
+// the cost table is derived from the snapshot's terminals exactly as
+// Finish derives it, and the builder continues unaffected. Because the
+// executed-instruction total is not known until the trace ends, the
+// snapshot's Instructions is set to TotalPathCost — the cost-weighted
+// trace length — so hot-subpath fractions stay well defined mid-stream. The caller must serialize
 // SnapshotWPP against Add/AddBatch; the returned WPP shares nothing
 // mutable with the builder.
 func (b *MonoBuilder) SnapshotWPP() *WPP {
 	snap := b.grammar.Snapshot()
-	costs := maps.Clone(b.costs)
-	if b.lazyCosts {
-		fillCosts(costs, b.nums, snap)
-	}
 	w := &WPP{
 		Funcs:   b.funcs,
 		Grammar: snap,
 		Events:  b.events,
-		costs:   costs,
+		costs:   fillCosts(b.nums, snap),
 	}
 	w.Instructions = w.TotalPathCost()
 	return w

@@ -146,23 +146,24 @@ type Profile struct {
 }
 
 // profileWith runs main(args...) under path tracing, streaming events
-// through the interpreter's Sink into the builder iwpp.New selects for
-// bopts, and seals the artifact. It is the single traced-execution path
-// behind Profile and ProfileChunked.
+// a batch at a time through the interpreter's Sink into the builder
+// iwpp.New selects for bopts, and seals the artifact. It is the single
+// traced-execution path behind Profile and ProfileChunked.
 func (p *Program) profileWith(args []int64, bopts iwpp.BuildOptions, rc runConfig) (iwpp.Artifact, *iwpp.BuildReport, int64, RunStats, []*bl.Numbering, error) {
 	// The builder needs the machine's numberings, so it is constructed
-	// after the machine; the SinkFunc closure late-binds it.
-	var b iwpp.Builder
+	// after the machine and bound into the sink then.
+	sink := &trace.LateSink{}
 	m, err := interp.New(p.prog, interp.Config{
 		Mode:      interp.PathTrace,
-		Sink:      trace.SinkFunc(func(e trace.Event) { b.Add(e) }),
+		Sink:      sink,
 		Stdout:    rc.stdout,
 		MaxInstrs: rc.maxInstrs,
 	})
 	if err != nil {
 		return nil, nil, 0, RunStats{}, nil, err
 	}
-	b = iwpp.New(p.names, m.Numberings(), bopts)
+	b := iwpp.New(p.names, m.Numberings(), bopts)
+	sink.Dst = b
 	start := time.Now()
 	res, err := m.Run("main", args...)
 	if err != nil {
