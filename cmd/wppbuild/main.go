@@ -46,6 +46,7 @@ import (
 	"strconv"
 
 	"repro/internal/bl"
+	"repro/internal/collect"
 	"repro/internal/dataflow"
 	"repro/internal/experiments"
 	"repro/internal/interp"
@@ -74,6 +75,10 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	version, err := formatVersion(*format)
+	if err != nil {
+		fatal(err)
+	}
 
 	reg := obsv.NewRegistry()
 	met := iwpp.NewBuildMetrics(reg)
@@ -86,7 +91,7 @@ func main() {
 
 	// Every input path builds through the unified Builder interface; the
 	// construction strategy is chosen by options, not by entry point.
-	newBuilder := func(names []string, nums []*bl.Numbering) iwpp.Builder {
+	var newBuilder collect.BuilderFactory = func(names []string, nums []*bl.Numbering) iwpp.Builder {
 		return iwpp.New(names, nums, iwpp.BuildOptions{ChunkSize: *chunk, Workers: *workers, Metrics: met})
 	}
 
@@ -142,9 +147,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := setFormat(a, *format); err != nil {
-		fatal(err)
-	}
+	iwpp.SetVersion(a, version)
 	if *verify {
 		vrep, verr := a.VerifyArtifact()
 		if verr != nil {
@@ -192,44 +195,33 @@ func main() {
 	shutdown()
 }
 
-// setFormat selects the artifact's on-disk encoding. The encoding is a
-// property of serialization only: the in-memory artifact and everything
-// derived from it are identical under either version.
-func setFormat(a iwpp.Artifact, format string) error {
-	var v uint8
+// formatVersion maps the -format flag to an artifact encoding version.
+// The encoding is a property of serialization only: the in-memory
+// artifact and everything derived from it are identical under either
+// version.
+func formatVersion(format string) (uint8, error) {
 	switch format {
 	case "wpp1":
-		v = iwpp.FormatV1
+		return iwpp.FormatV1, nil
 	case "wpp2":
-		v = iwpp.FormatV2
-	default:
-		return fmt.Errorf("unknown -format %q (want wpp1 or wpp2)", format)
+		return iwpp.FormatV2, nil
 	}
-	switch t := a.(type) {
-	case *iwpp.WPP:
-		t.Version = v
-	case *iwpp.ChunkedWPP:
-		t.Version = v
-	}
-	return nil
+	return 0, fmt.Errorf("unknown -format %q (want wpp1 or wpp2)", format)
 }
 
-// printArtifact renders the per-format build summary; the formats differ
-// (a chunked build reports chunk geometry and pipeline utilization), so
-// presentation type-switches on the concrete artifact.
+// printArtifact renders the build summary; a chunked build also reports
+// chunk geometry and pipeline utilization.
 func printArtifact(a iwpp.Artifact, rep *iwpp.BuildReport, n int64, path string) {
-	switch t := a.(type) {
-	case *iwpp.WPP:
-		st := t.Stats()
+	st := a.Stats()
+	if st.ChunkSize == 0 {
 		fmt.Printf("events: %d\nrules: %d\nrhs symbols: %d\nraw trace bytes: %d\nwpp bytes: %d (%.1fx)\n-> %s\n",
 			st.Events, st.Rules, st.RHSSymbols, st.RawTraceBytes, n, float64(st.RawTraceBytes)/float64(n), path)
-	case *iwpp.ChunkedWPP:
-		st := t.Stats()
-		fmt.Printf("events: %d\nchunks: %d (size %d)\nrules: %d\nrhs symbols: %d\npeak live symbols: %d\nwpc bytes: %d\n-> %s\n",
-			st.Events, st.Chunks, t.ChunkSize, st.Rules, st.RHSSymbols, st.PeakLiveRHS, n, path)
-		if rep != nil {
-			fmt.Println(rep.String())
-		}
+		return
+	}
+	fmt.Printf("events: %d\nchunks: %d (size %d)\nrules: %d\nrhs symbols: %d\npeak live symbols: %d\nwpc bytes: %d\n-> %s\n",
+		st.Events, st.Chunks, st.ChunkSize, st.Rules, st.RHSSymbols, st.PeakLiveRHS, n, path)
+	if rep != nil {
+		fmt.Println(rep.String())
 	}
 }
 
@@ -258,33 +250,16 @@ func proveNumberings(names []string, nums []*bl.Numbering) {
 	fmt.Printf("bl: proved %d/%d numbering(s) unique+compact (%d skipped)\n", proved, len(nums), skipped)
 }
 
-// builderFactory constructs the event consumer for one build.
-type builderFactory func(names []string, nums []*bl.Numbering) iwpp.Builder
-
-func fromSource(source string, args []int64, newBuilder builderFactory) (iwpp.Artifact, *iwpp.BuildReport, *wlc.Program, error) {
+func fromSource(source string, args []int64, newBuilder collect.BuilderFactory) (iwpp.Artifact, *iwpp.BuildReport, *wlc.Program, error) {
 	prog, err := wlc.Compile(source)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// The builder needs the machine's numberings, so it is constructed
-	// after the machine and bound into the sink then.
-	sink := &trace.LateSink{}
-	m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: sink})
+	t, err := collect.Run(prog, args, interp.Config{}, newBuilder)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	names := make([]string, len(prog.Funcs))
-	for i, fn := range prog.Funcs {
-		names[i] = fn.Name
-	}
-	b := newBuilder(names, m.Numberings())
-	sink.Dst = b
-	if _, err := m.Run("main", args...); err != nil {
-		b.Finish(0) // drain the pipeline so worker goroutines do not leak
-		return nil, nil, nil, err
-	}
-	a := b.Finish(m.Stats().Instructions)
-	return a, b.Report(), prog, nil
+	return t.Artifact, t.Report, prog, nil
 }
 
 // checkFeasibility is the -verify feasible-path cross-check: every
@@ -330,7 +305,7 @@ func checkFeasibility(prog *wlc.Program, a iwpp.Artifact) {
 		len(distinct), feasible, total, skipped)
 }
 
-func fromTrace(path string, newBuilder builderFactory) (iwpp.Artifact, *iwpp.BuildReport, error) {
+func fromTrace(path string, newBuilder collect.BuilderFactory) (iwpp.Artifact, *iwpp.BuildReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err

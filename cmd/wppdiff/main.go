@@ -4,9 +4,11 @@
 // library-level version).
 //
 // Both artifact kinds are accepted, in any combination: inputs open
-// through the lazy mmap-backed view layer, the event-level diff walks
-// monolithic ("WPP1") and chunked ("WPC1") traces alike, and -spectrum
-// compares path-frequency spectra chunk-parallel on either kind.
+// through the lazy mmap-backed view layer, the event-level diff
+// compares monolithic ("WPP1") and chunked ("WPC1") traces alike,
+// block by block through positional queries on the compressed form
+// (neither trace is materialized), and -spectrum compares
+// path-frequency spectra chunk-parallel on either kind.
 //
 // Either input may be a file path or a content-addressed store
 // reference ("@<hash-prefix>" or "<workload>@<scale>", resolved through
@@ -27,6 +29,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/engine"
 	"repro/internal/hotpath"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -66,43 +69,34 @@ func main() {
 		return
 	}
 
-	var ea, eb []trace.Event
-	if err := a.Walk(func(e trace.Event) bool { ea = append(ea, e); return true }); err != nil {
+	pa, err := engine.NewPositions(a)
+	if err != nil {
 		fatal(err)
 	}
-	if err := b.Walk(func(e trace.Event) bool { eb = append(eb, e); return true }); err != nil {
+	pb, err := engine.NewPositions(b)
+	if err != nil {
 		fatal(err)
 	}
-
-	n := len(ea)
-	if len(eb) < n {
-		n = len(eb)
+	diverge, err := engine.FirstDiff(pa, pb)
+	if err != nil {
+		fatal(err)
 	}
-	diverge := -1
-	for i := 0; i < n; i++ {
-		if ea[i] != eb[i] {
-			diverge = i
-			break
-		}
-	}
-	if diverge < 0 && len(ea) == len(eb) {
-		fmt.Printf("identical: %d events\n", len(ea))
+	if diverge == pa.Len() && diverge == pb.Len() {
+		fmt.Printf("identical: %d events\n", pa.Len())
 		return
 	}
-	if diverge < 0 {
-		diverge = n
-	}
-	fmt.Printf("traces diverge at event %d of %d/%d\n", diverge, len(ea), len(eb))
-	fmt.Printf("  %s (%s): %s\n", flag.Arg(0), a.Format(), render(a, ea, diverge))
-	fmt.Printf("  %s (%s): %s\n", flag.Arg(1), b.Format(), render(b, eb, diverge))
+	fmt.Printf("traces diverge at event %d of %d/%d\n", diverge, pa.Len(), pb.Len())
+	fmt.Printf("  %s (%s): %s\n", flag.Arg(0), a.Format(), render(a, pa, diverge))
+	fmt.Printf("  %s (%s): %s\n", flag.Arg(1), b.Format(), render(b, pb, diverge))
 	if *verbose {
-		lo := diverge - 5
-		if lo < 0 {
-			lo = 0
+		lo := diverge - min(diverge, 5)
+		context, err := pa.Slice(lo, diverge-lo, nil)
+		if err != nil {
+			fatal(err)
 		}
 		fmt.Println("context:")
-		for i := lo; i < diverge; i++ {
-			fmt.Printf("  %6d  %s\n", i, render(a, ea, i))
+		for j, e := range context {
+			fmt.Printf("  %6d  %s\n", lo+uint64(j), iwpp.EventName(a.FuncTable(), trace.Event(e)))
 		}
 	}
 	os.Exit(1)
@@ -146,11 +140,14 @@ func load(path string) (*iwpp.ArtifactView, error) {
 	return v, nil
 }
 
-func render(v *iwpp.ArtifactView, events []trace.Event, i int) string {
-	if i >= len(events) {
+// render names the event at position i of a trace, or "<end of trace>"
+// past its end.
+func render(v *iwpp.ArtifactView, p *engine.Positions, i uint64) string {
+	e, err := p.EventAt(i)
+	if err != nil {
 		return "<end of trace>"
 	}
-	return iwpp.EventName(v.FuncTable(), events[i])
+	return iwpp.EventName(v.FuncTable(), trace.Event(e))
 }
 
 func fatal(err error) {

@@ -73,7 +73,8 @@ type Tree struct {
 	EdgeCounts map[Edge]uint64
 }
 
-// Walker yields the trace's events in order; *wpp.WPP.Walk satisfies it.
+// Walker yields the trace's events in order; every in-memory artifact
+// (wpp.Artifact: *wpp.WPP or *wpp.ChunkedWPP) satisfies it.
 type Walker interface {
 	Walk(func(trace.Event) bool)
 }

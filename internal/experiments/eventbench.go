@@ -113,12 +113,7 @@ func feed(b iwpp.Builder, events []trace.Event, batched bool) {
 // encodedLen serializes the artifact at the given format version and
 // returns the whole-file byte count.
 func encodedLen(a iwpp.Artifact, version uint8) (int64, error) {
-	switch t := a.(type) {
-	case *iwpp.WPP:
-		t.Version = version
-	case *iwpp.ChunkedWPP:
-		t.Version = version
-	}
+	iwpp.SetVersion(a, version)
 	var buf bytes.Buffer
 	return a.Encode(&buf)
 }

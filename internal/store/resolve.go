@@ -9,8 +9,9 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/bl"
+	"repro/internal/collect"
 	"repro/internal/interp"
-	"repro/internal/trace"
 	"repro/internal/wlc"
 	"repro/internal/workloads"
 	iwpp "repro/internal/wpp"
@@ -280,30 +281,19 @@ func DefaultBuild(key BuildKey) BuildFunc {
 	}
 }
 
-// BuildWorkloadArtifact runs WL source under path tracing and
-// compresses the event stream online: the canonical source-to-artifact
-// chain shared by wppbuild and the store's lazy builds.
+// BuildWorkloadArtifact compiles WL source and builds its artifact with
+// collect.Run, the source-to-artifact chain wppbuild and the
+// public facade also use.
 func BuildWorkloadArtifact(source string, args []int64, chunk uint64, workers int) (iwpp.Artifact, error) {
 	prog, err := wlc.Compile(source)
 	if err != nil {
 		return nil, err
 	}
-	// The builder needs the machine's numberings, so it is constructed
-	// after the machine and bound into the sink then.
-	sink := &trace.LateSink{}
-	m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: sink})
+	t, err := collect.Run(prog, args, interp.Config{}, func(names []string, nums []*bl.Numbering) iwpp.Builder {
+		return iwpp.New(names, nums, iwpp.BuildOptions{ChunkSize: chunk, Workers: workers})
+	})
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(prog.Funcs))
-	for i, fn := range prog.Funcs {
-		names[i] = fn.Name
-	}
-	b := iwpp.New(names, m.Numberings(), iwpp.BuildOptions{ChunkSize: chunk, Workers: workers})
-	sink.Dst = b
-	if _, err := m.Run("main", args...); err != nil {
-		b.Finish(0) // drain the pipeline so worker goroutines do not leak
-		return nil, err
-	}
-	return b.Finish(m.Stats().Instructions), nil
+	return t.Artifact, nil
 }

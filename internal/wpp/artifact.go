@@ -376,9 +376,26 @@ func walk(src engine.Source, yield func(trace.Event) bool) error {
 	return nil
 }
 
+// stats is the one Stats computation behind both artifact types.
+func (a *artifact) stats() Stats {
+	sum, _ := summarize(a, 1) // in-memory chunks cannot fail
+	return Stats{
+		Events:        a.events,
+		Chunks:        len(a.chunks),
+		ChunkSize:     a.chunkSize,
+		Rules:         sum.Rules,
+		RHSSymbols:    sum.RHSSymbols,
+		DistinctPaths: len(a.costs),
+		PeakLiveRHS:   a.peakLiveRHS,
+		EncodedBytes:  a.encodedSize(),
+		GrammarBytes:  sum.GrammarBytes,
+		RawTraceBytes: sum.RawTraceBytes,
+	}
+}
+
 // summarize aggregates the grammar-shape statistics of every chunk of
-// src on `workers` goroutines: the figures behind Stats, ChunkedStats
-// and ArtifactView.Summarize.
+// src on `workers` goroutines: the figures behind Stats and
+// ArtifactView.Summarize.
 func summarize(src engine.Source, workers int) (*ViewSummary, error) {
 	per := make([]ViewSummary, src.NumChunks())
 	err := engine.EachChunk(src, workers, func(i int, sn *sequitur.Snapshot) error {

@@ -29,15 +29,21 @@ type Builder interface {
 
 // Artifact is a sealed whole program path, monolithic or chunked: the
 // common analysis and persistence surface over *WPP and *ChunkedWPP.
-// Decode produces one from any of the four encodings. Callers needing
-// strategy-specific API (Grammar, Chunks, positional queries)
-// type-assert to the concrete type.
+// Decode produces one from any of the four encodings, and
+// engine.NewPositions answers positional queries on any of them.
+// Callers needing strategy-specific API (Grammar, Chunks) type-assert
+// to the concrete type.
 type Artifact interface {
 	// Source exposes the chunk grammars to the analyses (a monolithic
 	// artifact is one chunk).
 	engine.Source
 	// Verify checks the artifact's internal structural consistency.
 	Verify() error
+	// VerifyParallel is Verify with its per-chunk checks on `workers`
+	// goroutines (<=0 means GOMAXPROCS).
+	VerifyParallel(workers int) error
+	// Stats summarizes the artifact's size.
+	Stats() Stats
 	// Encode writes the artifact in the encoding its Version selects and
 	// reports the bytes written.
 	Encode(io.Writer) (int64, error)

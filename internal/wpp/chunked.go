@@ -63,28 +63,8 @@ func (c *ChunkedWPP) Encode(out io.Writer) (int64, error) { return c.artifact().
 // alone.
 func (c *ChunkedWPP) EncodedSize() int64 { return c.artifact().encodedSize() }
 
-// Stats summarizes the chunked artifact.
-type ChunkedStats struct {
-	Chunks       int
-	Events       uint64
-	Rules        int
-	RHSSymbols   int
-	GrammarBytes int64
-	PeakLiveRHS  int
-}
-
 // Stats computes the summary.
-func (c *ChunkedWPP) Stats() ChunkedStats {
-	sum, _ := summarize(c, 1)
-	return ChunkedStats{
-		Chunks:       len(c.Chunks),
-		Events:       c.Events,
-		Rules:        sum.Rules,
-		RHSSymbols:   sum.RHSSymbols,
-		GrammarBytes: sum.GrammarBytes,
-		PeakLiveRHS:  c.PeakLiveRHS,
-	}
-}
+func (c *ChunkedWPP) Stats() Stats { return c.artifact().stats() }
 
 // PathCost returns the instruction cost of one event's acyclic path.
 // Unknown events cost 0.

@@ -166,29 +166,24 @@ func TestInstrumentedOverheadBound(t *testing.T) {
 	}
 	events := benchStream(n)
 
-	timeOf := func(f func()) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for rep := 0; rep < 5; rep++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < best {
-				best = d
-			}
+	build := func(met *BuildMetrics) time.Duration {
+		start := time.Now()
+		pb := NewParallelChunkedBuilder(nil, nil, benchChunk, ParallelOptions{Workers: 1, Metrics: met})
+		for _, e := range events {
+			pb.Add(e)
 		}
-		return best
-	}
-	build := func(met *BuildMetrics) func() {
-		return func() {
-			pb := NewParallelChunkedBuilder(nil, nil, benchChunk, ParallelOptions{Workers: 1, Metrics: met})
-			for _, e := range events {
-				pb.Add(e)
-			}
-			pb.Finish(uint64(n))
-		}
+		pb.Finish(uint64(n))
+		return time.Since(start)
 	}
 
-	plain := timeOf(build(nil))
-	instrumented := timeOf(build(NewBuildMetrics(obsv.NewRegistry())))
+	// Best of five per side, the repetitions interleaved so that load
+	// from a neighbouring process hits both sides alike.
+	met := NewBuildMetrics(obsv.NewRegistry())
+	plain, instrumented := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for rep := 0; rep < 5; rep++ {
+		plain = min(plain, build(nil))
+		instrumented = min(instrumented, build(met))
+	}
 
 	const grace = 20 * time.Millisecond
 	limit := plain + plain/20 + grace // 1.05x + jitter grace

@@ -59,8 +59,6 @@ type WPP struct {
 	// costs maps each distinct event to the instruction count of its
 	// acyclic path.
 	costs map[trace.Event]uint64
-	// idx is the lazily built positional index (see query.go).
-	idx *index
 }
 
 // MonoBuilder accumulates a WPP online. Its Add method is an interp.Config
@@ -270,41 +268,43 @@ func (w *WPP) Chunk(i int) (*sequitur.Snapshot, error) {
 // returns false.
 func (w *WPP) Walk(yield func(trace.Event) bool) { walk(w, yield) }
 
-// Stats summarizes WPP size.
+// Stats summarizes an artifact's size, monolithic or chunked.
 type Stats struct {
-	Events        uint64
+	Events uint64
+	// Chunks is the number of chunk grammars (1 for a monolithic
+	// artifact); ChunkSize is the chunked container's events per chunk
+	// (0 for a monolithic artifact).
+	Chunks    int
+	ChunkSize uint64
+	// Rules and RHSSymbols are totals across all chunk grammars.
 	Rules         int
 	RHSSymbols    int
 	DistinctPaths int
+	// PeakLiveRHS is the largest number of live grammar symbols during a
+	// chunked construction (0 for a monolithic artifact).
+	PeakLiveRHS int
 	// EncodedBytes is the on-disk size of the whole artifact.
 	EncodedBytes int64
-	// GrammarBytes is the on-disk size of the grammar alone.
+	// GrammarBytes is the on-disk size of the grammars alone.
 	GrammarBytes int64
 	// RawTraceBytes is the size of the uncompressed varint trace the
-	// grammar replaces.
+	// grammars replace.
 	RawTraceBytes int64
 }
 
 // Stats computes size statistics. It expands nothing; raw trace size is
 // reconstructed from the grammar by weighting each rule's terminals with
 // rule use counts.
-func (w *WPP) Stats() Stats {
-	sum, _ := summarize(w, 1)
-	return Stats{
-		Events:        w.Events,
-		Rules:         sum.Rules,
-		RHSSymbols:    sum.RHSSymbols,
-		DistinctPaths: len(w.costs),
-		EncodedBytes:  w.EncodedSize(),
-		GrammarBytes:  sum.GrammarBytes,
-		RawTraceBytes: sum.RawTraceBytes,
-	}
-}
+func (w *WPP) Stats() Stats { return w.artifact().stats() }
 
 // Verify checks internal consistency: the grammar is well formed, its
 // expansion length equals Events, and every event it expands to has a
 // recorded cost and an in-range function ID.
-func (w *WPP) Verify() error { return verify(&w.artifact().header, w, 1) }
+func (w *WPP) Verify() error { return w.VerifyParallel(1) }
+
+// VerifyParallel is Verify; a monolithic WPP has one grammar to check,
+// so workers does not matter.
+func (w *WPP) VerifyParallel(workers int) error { return verify(&w.artifact().header, w, workers) }
 
 // Encode writes the WPP to out in the encoding Version selects.
 func (w *WPP) Encode(out io.Writer) (int64, error) { return w.artifact().encode(out) }

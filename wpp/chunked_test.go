@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"strings"
 	"testing"
 
+	"repro/internal/workloads"
 	iwpp "repro/internal/wpp"
 )
 
-func chunkedDemo(t *testing.T, args []int64, copts ChunkedOptions) (*Profile, *ChunkedProfile) {
+func chunkedDemo(t *testing.T, args []int64, copts ChunkedOptions) (*Profile, *Profile) {
 	t.Helper()
 	p, err := Compile(demo)
 	if err != nil {
@@ -73,6 +73,26 @@ func TestProfileChunkedMatchesProfile(t *testing.T) {
 		}
 		if len(got) == 0 {
 			t.Fatal("hot loop produced no hot subpaths")
+		}
+
+		// The call tree, the spectra and the build report work on
+		// either container.
+		rootM, edgesM, err := prof.CallTree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rootC, edgesC, err := cprof.CallTree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rootC, rootM) || !reflect.DeepEqual(edgesC, edgesM) {
+			t.Fatalf("%+v: call trees diverge", copts)
+		}
+		if d := cprof.CompareSpectra(prof); len(d) != 0 {
+			t.Fatalf("%+v: spectra of the same run differ: %v", copts, d)
+		}
+		if prof.Report() == nil || cprof.Report() == nil || cprof.Report().Events != cprof.Events() {
+			t.Fatalf("%+v: build reports %v, %v", copts, prof.Report(), cprof.Report())
 		}
 	}
 }
@@ -136,7 +156,7 @@ func TestChunkedPersistRoundTrip(t *testing.T) {
 	if _, err := cprof.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadChunkedProfile(&buf)
+	back, err := ReadProfile(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +181,7 @@ func TestChunkedPersistRoundTrip(t *testing.T) {
 }
 
 // TestReadProfileFormats reads both containers in both encodings
-// through ReadProfile/ReadChunkedProfile, and checks that handing a
-// reader the other container fails with an error naming it.
+// through ReadProfile.
 func TestReadProfileFormats(t *testing.T) {
 	prof, cprof := chunkedDemo(t, []int64{50}, ChunkedOptions{ChunkSize: 64, Workers: 2})
 	encode := func(w io.WriterTo, version uint8) []byte {
@@ -191,18 +210,69 @@ func TestReadProfileFormats(t *testing.T) {
 		if !back.Equal(prof) {
 			t.Fatalf("ReadProfile %s: profile differs", mono[:4])
 		}
-		cback, err := ReadChunkedProfile(bytes.NewReader(chunked))
+		cback, err := ReadProfile(bytes.NewReader(chunked))
 		if err != nil {
-			t.Fatalf("ReadChunkedProfile %s: %v", chunked[:4], err)
+			t.Fatalf("ReadProfile %s: %v", chunked[:4], err)
 		}
 		if cback.Events() != cprof.Events() || cback.Instructions() != cprof.Instructions() {
-			t.Fatalf("ReadChunkedProfile %s: header fields differ", chunked[:4])
+			t.Fatalf("ReadProfile %s: header fields differ", chunked[:4])
 		}
-		if _, err := ReadProfile(bytes.NewReader(chunked)); err == nil || !strings.Contains(err.Error(), "chunked") {
-			t.Errorf("ReadProfile %s: error %v does not name the chunked container", chunked[:4], err)
+		if !cback.Equal(prof) {
+			t.Fatalf("ReadProfile %s: trace differs from the monolithic profile's", chunked[:4])
 		}
-		if _, err := ReadChunkedProfile(bytes.NewReader(mono)); err == nil || !strings.Contains(err.Error(), "monolithic") {
-			t.Errorf("ReadChunkedProfile %s: error %v does not name the monolithic container", mono[:4], err)
-		}
+	}
+}
+
+// TestContainersAgreeOnWorkloads holds a chunked profile (chunk 64, two
+// workers) to the monolithic profile of the same run, on every bundled
+// workload at small scale: positional queries, hot subpaths, path
+// frequencies, and a Diff of -1 against each other.
+func TestContainersAgreeOnWorkloads(t *testing.T) {
+	for _, w := range workloads.All {
+		t.Run(w.Name, func(t *testing.T) {
+			p, err := Compile(w.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			args := []int64{w.Small}
+			mono, err := p.Profile(args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunked, err := p.ProfileChunked(args, ChunkedOptions{ChunkSize: 64, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := mono.Events()
+			if chunked.Events() != n || chunked.Size().Chunks < 2 {
+				t.Fatalf("events %d vs %d, %d chunks", chunked.Events(), n, chunked.Size().Chunks)
+			}
+			for _, i := range []uint64{0, n / 2, n - 1} {
+				fm, im, errm := mono.EventAt(i)
+				fc, ic, errc := chunked.EventAt(i)
+				if errm != nil || errc != nil || fm != fc || im != ic {
+					t.Fatalf("EventAt(%d): %s:%d %v vs %s:%d %v", i, fm, im, errm, fc, ic, errc)
+				}
+			}
+			sm, errm := mono.Slice(n/3, n/3)
+			sc, errc := chunked.Slice(n/3, n/3)
+			if errm != nil || errc != nil || !reflect.DeepEqual(sm, sc) {
+				t.Fatalf("Slice differs: %v %v", errm, errc)
+			}
+			hopts := HotOptions{MinLen: 2, MaxLen: 8, Threshold: 0.01}
+			hm, errm := mono.HotSubpaths(hopts)
+			hc, errc := chunked.HotSubpaths(hopts)
+			if errm != nil || errc != nil || !reflect.DeepEqual(hm, hc) {
+				t.Fatalf("HotSubpaths differ: %v %v", errm, errc)
+			}
+			if !reflect.DeepEqual(mono.PathFrequencies(), chunked.PathFrequencies()) {
+				t.Fatal("PathFrequencies differ")
+			}
+			for _, pair := range [][2]*Profile{{mono, chunked}, {chunked, mono}} {
+				if i, ea, eb := pair[0].Diff(pair[1]); i != -1 {
+					t.Fatalf("Diff = %d (%s vs %s), want -1", i, ea, eb)
+				}
+			}
+		})
 	}
 }

@@ -24,10 +24,13 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/bl"
 	"repro/internal/calltree"
+	"repro/internal/collect"
+	"repro/internal/engine"
 	"repro/internal/hotpath"
 	"repro/internal/interp"
 	"repro/internal/trace"
@@ -132,68 +135,57 @@ func runStats(s interp.Stats, d time.Duration) RunStats {
 
 // Profile is a finished whole program path together with everything
 // needed to interpret it: the Ball–Larus numberings that map path IDs
-// back to basic-block sequences.
+// back to basic-block sequences. The trace is one monolithic grammar
+// (Program.Profile) or a sequence of chunk grammars
+// (Program.ProfileChunked); every method answers the same on either.
 type Profile struct {
 	// Result is the traced run's return value.
 	Result int64
 	// Stats describes the traced run.
 	Stats RunStats
 
-	wpp   *iwpp.WPP
-	nums  []*bl.Numbering
-	names []string
-	prog  *wlc.Program
+	art     iwpp.Artifact
+	nums    []*bl.Numbering
+	names   []string
+	prog    *wlc.Program
+	workers int
+	report  *BuildReport
+
+	posOnce sync.Once
+	pos     *engine.Positions
 }
 
 // profileWith runs main(args...) under path tracing, streaming events
-// a batch at a time through the interpreter's Sink into the builder
-// iwpp.New selects for bopts, and seals the artifact. It is the single
-// traced-execution path behind Profile and ProfileChunked.
-func (p *Program) profileWith(args []int64, bopts iwpp.BuildOptions, rc runConfig) (iwpp.Artifact, *iwpp.BuildReport, int64, RunStats, []*bl.Numbering, error) {
-	// The builder needs the machine's numberings, so it is constructed
-	// after the machine and bound into the sink then.
-	sink := &trace.LateSink{}
-	m, err := interp.New(p.prog, interp.Config{
-		Mode:      interp.PathTrace,
-		Sink:      sink,
-		Stdout:    rc.stdout,
-		MaxInstrs: rc.maxInstrs,
-	})
-	if err != nil {
-		return nil, nil, 0, RunStats{}, nil, err
+// into the builder iwpp.New selects for bopts, and wraps the sealed
+// artifact. It is the single traced-execution path behind Profile and
+// ProfileChunked.
+func (p *Program) profileWith(args []int64, bopts iwpp.BuildOptions, opts []RunOption) (*Profile, error) {
+	var rc runConfig
+	for _, o := range opts {
+		o(&rc)
 	}
-	b := iwpp.New(p.names, m.Numberings(), bopts)
-	sink.Dst = b
 	start := time.Now()
-	res, err := m.Run("main", args...)
+	t, err := collect.Run(p.prog, args, interp.Config{Stdout: rc.stdout, MaxInstrs: rc.maxInstrs},
+		func(names []string, nums []*bl.Numbering) iwpp.Builder { return iwpp.New(names, nums, bopts) })
 	if err != nil {
-		// Drain the pipeline so worker goroutines do not leak.
-		b.Finish(0)
-		return nil, nil, 0, RunStats{}, nil, err
+		return nil, err
 	}
-	art := b.Finish(m.Stats().Instructions)
-	return art, b.Report(), res, runStats(m.Stats(), time.Since(start)), m.Numberings(), nil
+	return &Profile{
+		Result:  t.Value,
+		Stats:   runStats(t.Stats, time.Since(start)),
+		art:     t.Artifact,
+		nums:    t.Numberings,
+		names:   p.names,
+		prog:    p.prog,
+		workers: bopts.Workers,
+		report:  t.Report,
+	}, nil
 }
 
 // Profile runs main(args...) under path tracing, compressing the event
 // stream online into a whole program path.
 func (p *Program) Profile(args []int64, opts ...RunOption) (*Profile, error) {
-	var rc runConfig
-	for _, o := range opts {
-		o(&rc)
-	}
-	art, _, res, stats, nums, err := p.profileWith(args, iwpp.BuildOptions{}, rc)
-	if err != nil {
-		return nil, err
-	}
-	return &Profile{
-		Result: res,
-		Stats:  stats,
-		wpp:    art.(*iwpp.WPP),
-		nums:   nums,
-		names:  p.names,
-		prog:   p.prog,
-	}, nil
+	return p.profileWith(args, iwpp.BuildOptions{}, opts)
 }
 
 // Size summarizes the WPP against the trace it replaces.
@@ -202,11 +194,20 @@ type Size struct {
 	Events uint64
 	// DistinctPaths is the number of distinct (function, path) pairs.
 	DistinctPaths int
-	// Rules and RHSSymbols measure the SEQUITUR grammar.
+	// Rules and RHSSymbols measure the SEQUITUR grammars, summed over
+	// chunks.
 	Rules, RHSSymbols int
 	// WPPBytes is the encoded size of the whole artifact; GrammarBytes of
-	// the grammar alone; RawTraceBytes of the uncompressed trace.
+	// the grammars alone; RawTraceBytes of the uncompressed trace.
 	WPPBytes, GrammarBytes, RawTraceBytes int64
+	// Chunks is the number of chunk grammars (1 for a monolithic
+	// profile) and ChunkSize the events per chunk (0 for a monolithic
+	// profile).
+	Chunks    int
+	ChunkSize uint64
+	// PeakLiveRHS is the largest live grammar seen during a chunked
+	// construction — the working-set bound that chunking buys.
+	PeakLiveRHS int
 }
 
 // Factor is the compression factor raw/WPP.
@@ -218,13 +219,17 @@ func (s Size) Factor() float64 {
 }
 
 func (s Size) String() string {
-	return fmt.Sprintf("events=%d distinct=%d rules=%d symbols=%d raw=%dB wpp=%dB (%.1fx)",
+	str := fmt.Sprintf("events=%d distinct=%d rules=%d symbols=%d raw=%dB wpp=%dB (%.1fx)",
 		s.Events, s.DistinctPaths, s.Rules, s.RHSSymbols, s.RawTraceBytes, s.WPPBytes, s.Factor())
+	if s.ChunkSize > 0 {
+		str += fmt.Sprintf(" chunks=%d peak=%d", s.Chunks, s.PeakLiveRHS)
+	}
+	return str
 }
 
 // Size reports the profile's size statistics.
 func (pr *Profile) Size() Size {
-	st := pr.wpp.Stats()
+	st := pr.art.Stats()
 	return Size{
 		Events:        st.Events,
 		DistinctPaths: st.DistinctPaths,
@@ -233,12 +238,24 @@ func (pr *Profile) Size() Size {
 		WPPBytes:      st.EncodedBytes,
 		GrammarBytes:  st.GrammarBytes,
 		RawTraceBytes: st.RawTraceBytes,
+		Chunks:        st.Chunks,
+		ChunkSize:     st.ChunkSize,
+		PeakLiveRHS:   st.PeakLiveRHS,
 	}
 }
 
+// Report returns the build summary recorded while this profile was
+// constructed. Profiles loaded with ReadProfile were not built in this
+// process and return nil.
+func (pr *Profile) Report() *BuildReport { return pr.report }
+
+// Verify checks every grammar of the profile, chunks in parallel with
+// the profile's worker count.
+func (pr *Profile) Verify() error { return pr.art.VerifyParallel(pr.workers) }
+
 // Walk yields every acyclic-path event of the trace in order.
 func (pr *Profile) Walk(yield func(fn string, pathID uint64) bool) {
-	pr.wpp.Walk(func(e trace.Event) bool {
+	pr.art.Walk(func(e trace.Event) bool {
 		return yield(pr.names[e.Func()], e.Path())
 	})
 }
@@ -296,18 +313,15 @@ func (h HotSubpath) String() string {
 }
 
 // HotSubpaths finds all minimal hot subpaths, analyzing the compressed
-// grammar directly. Results are sorted by cost, hottest first.
+// grammars directly (chunks concurrently with the profile's worker
+// count). Each subpath carries its loop depth when the program's
+// numberings are known; a profile loaded from disk has none, and its
+// depths stay 0. Results are sorted by cost, hottest first.
 func (pr *Profile) HotSubpaths(opts HotOptions) ([]HotSubpath, error) {
-	return hotSubpaths(pr.wpp, pr.nums, opts, 0)
-}
-
-// hotSubpaths searches src on `workers` goroutines and renders each
-// subpath, with its loop depth when the program's numberings are known
-// (nums is nil for profiles loaded from disk, and depths stay 0).
-func hotSubpaths(src iwpp.Artifact, nums []*bl.Numbering, opts HotOptions, workers int) ([]HotSubpath, error) {
-	subs, err := hotpath.Find(src, hotpath.Options{
+	nums := pr.nums
+	subs, err := hotpath.Find(pr.art, hotpath.Options{
 		MinLen: opts.MinLen, MaxLen: opts.MaxLen, Threshold: opts.Threshold,
-	}, workers)
+	}, pr.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +331,7 @@ func hotSubpaths(src iwpp.Artifact, nums []*bl.Numbering, opts HotOptions, worke
 			return nil, err
 		}
 	}
-	funcs := src.FuncTable()
+	funcs := pr.art.FuncTable()
 	out := make([]HotSubpath, len(subs))
 	for i, s := range subs {
 		paths := make([]string, len(s.Events))
@@ -361,7 +375,7 @@ func (pr *Profile) CallTree() (*CallNode, []CallEdge, error) {
 	if pr.nums == nil || pr.prog == nil {
 		return nil, nil, fmt.Errorf("wpp: call-tree reconstruction needs the program (profile loaded from disk?)")
 	}
-	tree, err := calltree.Build(pr.prog, pr.nums, pr.wpp, "main")
+	tree, err := calltree.Build(pr.prog, pr.nums, pr.art, "main")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -412,11 +426,11 @@ type SpectrumEntry struct {
 // count difference, largest first; an empty result means the spectra are
 // identical.
 func (pr *Profile) CompareSpectra(other *Profile) []SpectrumEntry {
-	d, _ := hotpath.CompareSpectra(pr.wpp, other.wpp, 1) // in-memory grammars cannot fail
+	d, _ := hotpath.CompareSpectra(pr.art, other.art, pr.workers) // in-memory grammars cannot fail
 	out := make([]SpectrumEntry, len(d.Entries))
 	for i, e := range d.Entries {
 		out[i] = SpectrumEntry{
-			Path:   iwpp.EventName(pr.wpp.Funcs, e.Event),
+			Path:   iwpp.EventName(pr.art.FuncTable(), e.Event),
 			CountA: e.CountA, CountB: e.CountB,
 			OnlyA: e.OnlyA, OnlyB: e.OnlyB,
 		}
@@ -424,114 +438,144 @@ func (pr *Profile) CompareSpectra(other *Profile) []SpectrumEntry {
 	return out
 }
 
-// WriteTo persists the WPP artifact. The numberings are not persisted;
-// a profile read back can be walked and analyzed but cannot map path IDs
-// to block names without the program.
+// PathFrequency is one acyclic path's execution count.
+type PathFrequency struct {
+	// Path renders the acyclic path as "func:pathID".
+	Path  string
+	Count uint64
+}
+
+// PathFrequencies recovers the classic path profile (path → frequency)
+// from the compressed trace, chunks in parallel with the profile's
+// worker count, sorted by count descending.
+func (pr *Profile) PathFrequencies() []PathFrequency {
+	freqs, _ := hotpath.EventFrequencies(pr.art, pr.workers) // in-memory grammars cannot fail
+	type row struct {
+		e trace.Event
+		n uint64
+	}
+	rows := make([]row, 0, len(freqs))
+	for e, n := range freqs {
+		rows = append(rows, row{e, n})
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].n != rows[j].n {
+			return rows[i].n > rows[j].n
+		}
+		return rows[i].e < rows[j].e
+	})
+	out := make([]PathFrequency, len(rows))
+	for i, r := range rows {
+		out[i] = PathFrequency{Path: iwpp.EventName(pr.art.FuncTable(), r.e), Count: r.n}
+	}
+	return out
+}
+
+// WriteTo persists the WPP artifact in its container: "WPP1" for a
+// monolithic profile, "WPC1" for a chunked one. The numberings are not
+// persisted; a profile read back can be walked and analyzed but cannot
+// map path IDs to block names without the program.
 func (pr *Profile) WriteTo(w io.Writer) (int64, error) {
-	return pr.wpp.Encode(w)
+	return pr.art.Encode(w)
 }
 
-// ReadProfile loads a monolithic artifact (WPP1 or WPP2) written by
-// WriteTo. A chunked artifact is an error; read it with
-// ReadChunkedProfile.
+// ReadProfile loads an artifact written by WriteTo, in any of the four
+// formats (WPP1, WPP2, WPC1, WPC2).
 func ReadProfile(r io.Reader) (*Profile, error) {
-	a, err := readArtifact(r)
-	if err != nil {
-		return nil, err
-	}
-	w, ok := a.(*iwpp.WPP)
-	if !ok {
-		return nil, fmt.Errorf("wpp: artifact is a chunked WPP; read it with ReadChunkedProfile")
-	}
-	if err := w.Verify(); err != nil {
-		return nil, err
-	}
-	names := make([]string, len(w.Funcs))
-	for i, f := range w.Funcs {
-		names[i] = f.Name
-	}
-	return &Profile{
-		Stats: RunStats{Instructions: w.Instructions, PathEvents: w.Events},
-		wpp:   w,
-		names: names,
-	}, nil
-}
-
-// readArtifact decodes an artifact in any of the four encodings from r.
-func readArtifact(r io.Reader) (iwpp.Artifact, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("wpp: reading artifact: %w", err)
 	}
-	return iwpp.Decode(data)
+	a, err := iwpp.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := a.Verify(); err != nil {
+		return nil, err
+	}
+	names := make([]string, len(a.FuncTable()))
+	for i, f := range a.FuncTable() {
+		names[i] = f.Name
+	}
+	return &Profile{
+		Stats: RunStats{Instructions: a.TotalInstructions(), PathEvents: a.NumEvents()},
+		art:   a,
+		names: names,
+	}, nil
 }
 
 // Events reports the trace length.
-func (pr *Profile) Events() uint64 { return pr.wpp.Events }
+func (pr *Profile) Events() uint64 { return pr.art.NumEvents() }
+
+// Instructions reports the traced run's instruction count.
+func (pr *Profile) Instructions() uint64 { return pr.art.TotalInstructions() }
+
+// positions is the profile's positional index, built on first use.
+func (pr *Profile) positions() *engine.Positions {
+	pr.posOnce.Do(func() {
+		pr.pos, _ = engine.NewPositions(pr.art) // in-memory grammars cannot fail
+	})
+	return pr.pos
+}
 
 // EventAt returns the i-th trace event (0-based) as (function, pathID),
 // answered from the compressed form in O(grammar depth) after a one-time
-// O(grammar size) index build — random access into a trace that was never
+// pass over the chunks — random access into a trace that was never
 // materialized.
 func (pr *Profile) EventAt(i uint64) (fn string, pathID uint64, err error) {
-	e, err := pr.wpp.EventAt(i)
+	v, err := pr.positions().EventAt(i)
 	if err != nil {
 		return "", 0, err
 	}
+	e := trace.Event(v)
 	return pr.names[e.Func()], e.Path(), nil
 }
 
 // Slice returns the events at positions [from, from+n) as "func:pathID"
 // strings, without expanding the rest of the trace.
 func (pr *Profile) Slice(from, n uint64) ([]string, error) {
-	events, err := pr.wpp.Slice(from, n, nil)
+	events, err := pr.positions().Slice(from, n, nil)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]string, len(events))
-	for i, e := range events {
-		out[i] = iwpp.EventName(pr.wpp.Funcs, e)
+	for i, v := range events {
+		out[i] = iwpp.EventName(pr.art.FuncTable(), trace.Event(v))
 	}
 	return out, nil
 }
 
-// Instructions reports the traced run's instruction count.
-func (pr *Profile) Instructions() uint64 { return pr.wpp.Instructions }
-
 // Equal reports whether two profiles have identical traces (same events
-// in the same order). It compares expansions, not grammar shapes.
+// in the same order), whatever their containers. It compares
+// expansions, not grammar shapes.
 func (pr *Profile) Equal(other *Profile) bool {
-	if pr.wpp.Events != other.wpp.Events {
+	if pr.Events() != other.Events() {
 		return false
 	}
 	i, _, _ := pr.Diff(other)
 	return i < 0
 }
 
-// Diff walks both traces and returns the index of the first event where
-// they differ, with renderings of the two events; it returns -1 if the
-// traces are identical.
+// Diff returns the index of the first event where the two traces
+// differ, with renderings of the two events ("<end of trace>" past the
+// end of the shorter one); it returns -1 if the traces are identical.
+// It compares the compressed traces block by block and materializes
+// neither.
 func (pr *Profile) Diff(other *Profile) (int64, string, string) {
-	var a, b []trace.Event
-	pr.wpp.Walk(func(e trace.Event) bool { a = append(a, e); return true })
-	other.wpp.Walk(func(e trace.Event) bool { b = append(b, e); return true })
-	render := func(list []trace.Event, funcs []iwpp.FuncInfo, i int) string {
-		if i >= len(list) {
-			return "<end of trace>"
-		}
-		return iwpp.EventName(funcs, list[i])
+	a, b := pr.positions(), other.positions()
+	i, _ := engine.FirstDiff(a, b) // in-memory grammars cannot fail
+	if i == a.Len() && i == b.Len() {
+		return -1, "", ""
 	}
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+	return int64(i), pr.render(i), other.render(i)
+}
+
+// render names the event at position i, or "<end of trace>" past the
+// end.
+func (pr *Profile) render(i uint64) string {
+	v, err := pr.positions().EventAt(i)
+	if err != nil {
+		return "<end of trace>"
 	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return int64(i), render(a, pr.wpp.Funcs, i), render(b, other.wpp.Funcs, i)
-		}
-	}
-	if len(a) != len(b) {
-		return int64(n), render(a, pr.wpp.Funcs, n), render(b, other.wpp.Funcs, n)
-	}
-	return -1, "", ""
+	return iwpp.EventName(pr.art.FuncTable(), trace.Event(v))
 }
