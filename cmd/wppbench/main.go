@@ -8,7 +8,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,10 +26,10 @@ func main() {
 	verify := flag.Bool("verify", false, "deep-verify every workload's artifacts (monolithic and chunked) before running experiments")
 	reps := flag.Int("reps", 3, "repetitions for timing experiments (best-of)")
 	workers := flag.Int("workers", 0, "worker count for the p1 parallel-scaling experiment (0 = all cores)")
-	seqbench := flag.String("seqbench", "", "measure raw SEQUITUR throughput and write the trajectory JSON to this file (e.g. BENCH_sequitur.json); if the file already holds a previous run, print a benchstat-style comparison before overwriting")
-	eventbench := flag.String("eventbench", "", "measure the per-event vs batched builder ingestion chains and write the trajectory JSON to this file (e.g. BENCH_eventpath.json); diffs against a previous run like -seqbench")
-	storebench := flag.String("storebench", "", "measure content-addressed store resolve latency and repeat-run dedup across small and medium scales and write the trajectory JSON to this file (e.g. BENCH_store.json); diffs against a previous run like -seqbench")
-	openbench := flag.String("openbench", "", "measure lazy view opens against eager decode (time to first result, hot query, allocations) and write the trajectory JSON to this file (e.g. BENCH_openpath.json); diffs against a previous run like -seqbench")
+	seqbench := flag.String("seqbench", "", "measure raw SEQUITUR throughput and record the trajectory in this file (e.g. BENCH_sequitur.json), printing a comparison with the run it already holds")
+	eventbench := flag.String("eventbench", "", "measure the per-event vs batched builder ingestion chains and record the trajectory in this file (e.g. BENCH_eventpath.json), printing a comparison with the run it already holds")
+	storebench := flag.String("storebench", "", "measure content-addressed store resolve latency and repeat-run dedup across small and medium scales and record the trajectory in this file (e.g. BENCH_store.json), printing a comparison with the run it already holds")
+	openbench := flag.String("openbench", "", "measure lazy view opens against eager decode (time to first result, hot query, allocations) and record the trajectory in this file (e.g. BENCH_openpath.json), printing a comparison with the run it already holds")
 	flatebench := flag.String("flatebench", "", "compare the v2 varint codecs against gzip'd v1 encodings on this golden-corpus directory (size and decode speed); prints a table, writes nothing")
 	golden := flag.String("golden", "", "decode and verify every artifact in this directory before running anything else; exit nonzero on the first failure")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :6060)")
@@ -143,112 +142,48 @@ func main() {
 		_, tbl, err := experiments.F1(scale)
 		show(tbl, err)
 	}
-	if *seqbench != "" {
-		if err := runSeqBench(*seqbench, scale, *reps); err != nil {
+	// -workers 0 means all cores for p1; the event and store benches
+	// record two workers instead.
+	benchWorkers := *workers
+	if benchWorkers <= 0 {
+		benchWorkers = 2
+	}
+	record := func(err error) {
+		if err != nil {
 			fatal(err)
 		}
 		expDone.Inc()
+	}
+	if *seqbench != "" {
+		record(experiments.SeqLayout.Record(os.Stdout, *seqbench, func() (*experiments.Trajectory[experiments.SeqBenchRow], error) {
+			return experiments.SeqBench(scale, workloads.Names(), 4096, *reps)
+		}))
 	}
 	if *eventbench != "" {
-		if err := runEventBench(*eventbench, scale, *workers, *reps); err != nil {
-			fatal(err)
-		}
-		expDone.Inc()
+		record(experiments.EventLayout.Record(os.Stdout, *eventbench, func() (*experiments.Trajectory[experiments.EventBenchRow], error) {
+			return experiments.EventBench(scale, workloads.Names(), 4096, benchWorkers, *reps)
+		}))
 	}
 	if *storebench != "" {
-		if err := runStoreBench(*storebench, *workers, *reps); err != nil {
-			fatal(err)
-		}
-		expDone.Inc()
+		// The scales are fixed at small and medium: the dedup claim the
+		// trajectory pins is per tuple, so the two scales double the grid
+		// rather than parameterize it.
+		record(experiments.StoreLayout.Record(os.Stdout, *storebench, func() (*experiments.Trajectory[experiments.StoreBenchRow], error) {
+			return experiments.StoreBench([]experiments.Scale{experiments.Small, experiments.Medium}, workloads.Names(), 4096, benchWorkers, *reps)
+		}))
 	}
 	if *openbench != "" {
-		if err := runOpenBench(*openbench, scale, *reps); err != nil {
-			fatal(err)
-		}
-		expDone.Inc()
+		record(experiments.OpenLayout.Record(os.Stdout, *openbench, func() (*experiments.Trajectory[experiments.OpenBenchRow], error) {
+			return experiments.OpenBench(scale, workloads.Names(), 4096, *reps)
+		}))
 	}
 	if *flatebench != "" {
-		_, tbl, err := experiments.FlateBench(*flatebench, *reps)
-		show(tbl, err)
-	}
-}
-
-// loadTrajectory reads the previous trajectory point from path so a new
-// run can diff against it. A missing file is a fresh start (nil, nil);
-// unparseable or wrong-schema files are errors that name the fix, since
-// silently overwriting a point would erase the trajectory it pins.
-// schema extracts the stored schema tag from the decoded point.
-func loadTrajectory[T any](path, wantSchema string, schema func(*T) string) (*T, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
+		res, err := experiments.FlateBench(*flatebench, *reps)
+		if err != nil {
+			fatal(err)
 		}
-		return nil, err
+		show(experiments.FlateLayout.Table(res), nil)
 	}
-	old := new(T)
-	if err := json.Unmarshal(raw, old); err != nil {
-		return nil, fmt.Errorf("previous trajectory %s is not valid JSON (delete it to start fresh): %w", path, err)
-	}
-	if got := schema(old); got != wantSchema {
-		return nil, fmt.Errorf("previous trajectory %s has schema %q, want %q (delete it to start fresh)", path, got, wantSchema)
-	}
-	return old, nil
-}
-
-// writeTrajectory persists a trajectory point as indented JSON, the
-// format loadTrajectory reads back.
-func writeTrajectory(path string, res any) error {
-	raw, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// runStoreBench records a store trajectory point. The scales are fixed
-// at small and medium — the dedup claim the trajectory pins is
-// per-tuple, so the two scales double the grid rather than parameterize
-// it — and diffs against the previous point like runSeqBench.
-func runStoreBench(path string, workers, reps int) error {
-	old, err := loadTrajectory(path, experiments.StoreBenchSchema,
-		func(r *experiments.StoreBenchResult) string { return r.Schema })
-	if err != nil {
-		return err
-	}
-	if workers <= 0 {
-		workers = 2
-	}
-	scales := []experiments.Scale{experiments.Small, experiments.Medium}
-	res, tbl, err := experiments.StoreBench(scales, workloads.Names(), 4096, workers, reps)
-	if err != nil {
-		return err
-	}
-	fmt.Println(tbl.String())
-	if old != nil {
-		fmt.Println(experiments.CompareStoreBench(old, res).String())
-	}
-	return writeTrajectory(path, res)
-}
-
-// runOpenBench records an open-path trajectory point: lazy view opens
-// vs eager decode across every workload and format, diffing against
-// the previous point like runSeqBench.
-func runOpenBench(path string, scale experiments.Scale, reps int) error {
-	old, err := loadTrajectory(path, experiments.OpenBenchSchema,
-		func(r *experiments.OpenBenchResult) string { return r.Schema })
-	if err != nil {
-		return err
-	}
-	res, tbl, err := experiments.OpenBench(scale, workloads.Names(), 4096, reps)
-	if err != nil {
-		return err
-	}
-	fmt.Println(tbl.String())
-	if old != nil {
-		fmt.Println(experiments.CompareOpenBench(old, res).String())
-	}
-	return writeTrajectory(path, res)
 }
 
 // checkGolden decodes and structurally verifies every artifact under
@@ -315,49 +250,6 @@ func isArtifactName(name string) bool {
 		}
 	}
 	return false
-}
-
-// runEventBench records an event-path trajectory point, diffing against
-// the previous point when the file holds one (same protocol as
-// runSeqBench).
-func runEventBench(path string, scale experiments.Scale, workers, reps int) error {
-	old, err := loadTrajectory(path, experiments.EventBenchSchema,
-		func(r *experiments.EventBenchResult) string { return r.Schema })
-	if err != nil {
-		return err
-	}
-	if workers <= 0 {
-		workers = 2
-	}
-	res, tbl, err := experiments.EventBench(scale, workloads.Names(), 4096, workers, reps)
-	if err != nil {
-		return err
-	}
-	fmt.Println(tbl.String())
-	if old != nil {
-		fmt.Println(experiments.CompareEventBench(old, res).String())
-	}
-	return writeTrajectory(path, res)
-}
-
-// runSeqBench records a compressor-throughput trajectory point: measure
-// every workload, diff against the previous point if the file holds one,
-// then overwrite the file so the next PR diffs against this run.
-func runSeqBench(path string, scale experiments.Scale, reps int) error {
-	old, err := loadTrajectory(path, experiments.SeqBenchSchema,
-		func(r *experiments.SeqBenchResult) string { return r.Schema })
-	if err != nil {
-		return err
-	}
-	res, tbl, err := experiments.SeqBench(scale, workloads.Names(), 4096, reps)
-	if err != nil {
-		return err
-	}
-	fmt.Println(tbl.String())
-	if old != nil {
-		fmt.Println(experiments.CompareSeqBench(old, res).String())
-	}
-	return writeTrajectory(path, res)
 }
 
 func fatal(err error) {

@@ -2,7 +2,9 @@
 // workload's captured path-event stream over N concurrent connections,
 // optionally injecting client faults (mid-stream disconnects, malformed
 // frames, duplicate seals), and writes a machine-readable throughput
-// report.
+// report: table L1, and with -json the BENCH_serve.json trajectory, which
+// is compared with the run the file already holds before it is
+// overwritten.
 //
 // Usage:
 //
@@ -16,7 +18,7 @@
 package main
 
 import (
-	"encoding/json"
+	"cmp"
 	"flag"
 	"fmt"
 	"net/http/httptest"
@@ -47,7 +49,7 @@ func main() {
 	faults := flag.Bool("faults", false, "inject disconnects, malformed frames, and double seals")
 	verifySHA := flag.Bool("verify-sha", true, "assert sealed artifacts are byte-identical to a local build")
 	seed := flag.Int64("seed", 1, "randomization seed")
-	jsonOut := flag.String("json", "", "write the report rows as JSON to this file")
+	jsonOut := flag.String("json", "", "write the report rows as a trajectory JSON to this file, printing a comparison with the run it already holds")
 	flag.Parse()
 
 	scale, err := experiments.ParseScale(*scaleFlag)
@@ -73,45 +75,44 @@ func main() {
 		base = ts.URL
 	}
 
-	var rows []*serve.LoadReport
-	for _, clients := range levels {
-		opts := serve.LoadOptions{
-			Workload:  *workload,
-			Scale:     scale,
-			Clients:   clients,
-			Sessions:  *sessions,
-			BatchSize: *batch,
-			Chunk:     *chunk,
-			Format:    *format,
-			Seed:      *seed,
-			VerifySHA: *verifySHA,
+	run := func() (*experiments.Trajectory[serve.LoadReport], error) {
+		res := serve.LoadLayout.Start(map[string]string{
+			"format": cmp.Or(*format, "wpp1"), "faults": fmt.Sprint(*faults), "seed": fmt.Sprint(*seed),
+		})
+		for _, clients := range levels {
+			opts := serve.LoadOptions{
+				Workload:  *workload,
+				Scale:     scale,
+				Clients:   clients,
+				Sessions:  *sessions,
+				BatchSize: *batch,
+				Chunk:     *chunk,
+				Format:    *format,
+				Seed:      *seed,
+				VerifySHA: *verifySHA,
+			}
+			if *faults {
+				opts.Faults = serve.FaultPlan{DisconnectEvery: 5, MalformedEvery: 7, DoubleSealEvery: 3}
+			}
+			rep, err := serve.RunLoad(base, opts)
+			if err != nil {
+				return nil, err
+			}
+			res.Rows = append(res.Rows, *rep)
 		}
-		if *faults {
-			opts.Faults = serve.FaultPlan{DisconnectEvery: 5, MalformedEvery: 7, DoubleSealEvery: 3}
-		}
-		rep, err := serve.RunLoad(base, opts)
-		if err != nil {
-			fatal(err)
-		}
-		rows = append(rows, rep)
-		fmt.Printf("%-10s clients=%-3d sessions=%-4d events=%-9d sealed=%-4d %10.0f ev/s %7.2f MB/s  503s=%d errs=%d\n",
-			rep.Workload, rep.Clients, rep.Sessions, rep.EventsSent, rep.Sealed,
-			rep.EventsPerSec, rep.MBPerSec, rep.Shed503s, rep.Errors)
+		return res, nil
 	}
 
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
+	if *jsonOut == "" {
+		res, err := run()
 		if err != nil {
 			fatal(err)
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wppload: wrote %s\n", *jsonOut)
+		fmt.Println(serve.LoadLayout.Table(res).String())
+		return
 	}
+	if err := serve.LoadLayout.Record(os.Stdout, *jsonOut, run); err != nil {
+		fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "wppload: wrote %s\n", *jsonOut)
 }

@@ -54,14 +54,16 @@ func main() {
 	fmt.Printf("%-12s %12s %12s %10s\n", "function", "paths taken", "path execs", "example")
 	for _, fn := range names {
 		c := perFunc[fn]
-		// Show one concrete uncovered-vs-covered contrast: the first
-		// exercised path rendered as blocks.
-		var anyID uint64
+		// Show one concrete exercised path rendered as blocks: the lowest
+		// path ID, so the output is the same on every run.
+		first := true
+		var minID uint64
 		for id := range c.seen {
-			anyID = id
-			break
+			if first || id < minID {
+				minID, first = id, false
+			}
 		}
-		blocks, err := profile.PathBlocks(fn, anyID)
+		blocks, err := profile.PathBlocks(fn, minID)
 		if err != nil {
 			log.Fatal(err)
 		}

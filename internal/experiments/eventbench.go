@@ -21,17 +21,12 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"runtime"
-	"time"
 
 	"repro/internal/obsv"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 	iwpp "repro/internal/wpp"
 )
-
-// EventBenchSchema identifies the trajectory file format.
-const EventBenchSchema = "wpp/eventbench/v1"
 
 // eventBatchWidth mirrors the interpreter's emission buffer: the batched
 // chain is measured with the slice width it sees in production.
@@ -67,15 +62,42 @@ type EventBenchRow struct {
 	WPC2Bytes int64 `json:"wpc2_bytes"`
 }
 
-// EventBenchResult is the serialized trajectory point.
-type EventBenchResult struct {
-	Schema    string          `json:"schema"`
-	Scale     string          `json:"scale"`
-	ChunkSize uint64          `json:"chunk_size"`
-	Workers   int             `json:"workers"`
-	Reps      int             `json:"reps"`
-	Go        string          `json:"go"`
-	Workloads []EventBenchRow `json:"workloads"`
+// EventLayout is table B1 and the BENCH_eventpath.json trajectory.
+var EventLayout = Layout[EventBenchRow]{
+	Schema: "wpp/eventbench/v2",
+	ID:     "B1",
+	Title: func(t *Trajectory[EventBenchRow]) string {
+		c := t.Config
+		return fmt.Sprintf("event-path ingestion: scalar vs batched builder chain (scale=%s, chunk=%s, workers=%s, best of %s)", c["scale"], c["chunk"], c["workers"], c["reps"])
+	},
+	Notes: func(*Trajectory[EventBenchRow]) []string {
+		return []string{
+			"throughput in Mev/s over the Add/AddBatch feed with BuildMetrics installed (the deployed configuration); builder construction and Finish, identical on both chains, are untimed",
+			"chunked chains share the worker-side compressor; their ratio isolates the ingestion feed",
+			"wpp2/wpp1 and wpc2/wpc1 are whole-file encoded size ratios; v2 is never larger by construction",
+		}
+	},
+	Columns: []Column[EventBenchRow]{
+		text("workload", func(r EventBenchRow) string { return r.Name }),
+		num("events", "%.0f", func(r EventBenchRow) float64 { return float64(r.Events) }),
+		num("mono scalar", "%.2f", func(r EventBenchRow) float64 { return r.Mono.ScalarEventsPerSec / 1e6 }),
+		tracked("mono batch", "%.2f", func(r EventBenchRow) float64 { return r.Mono.BatchEventsPerSec / 1e6 }),
+		num("speedup", "%.2fx", func(r EventBenchRow) float64 { return r.Mono.Speedup }),
+		num("chunk scalar", "%.2f", func(r EventBenchRow) float64 { return r.Chunked.ScalarEventsPerSec / 1e6 }),
+		tracked("chunk batch", "%.2f", func(r EventBenchRow) float64 { return r.Chunked.BatchEventsPerSec / 1e6 }),
+		num("speedup", "%.2fx", func(r EventBenchRow) float64 { return r.Chunked.Speedup }),
+		text("wpp2/wpp1", func(r EventBenchRow) string { return sizeRatio(r.WPP2Bytes, r.WPP1Bytes) }),
+		text("wpc2/wpc1", func(r EventBenchRow) string { return sizeRatio(r.WPC2Bytes, r.WPC1Bytes) }),
+	},
+	Key: func(r EventBenchRow) string { return r.Name },
+}
+
+// sizeRatio prints v2/v1, or n/a for an empty v1.
+func sizeRatio(v2, v1 int64) string {
+	if v1 <= 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.3f", float64(v2)/float64(v1))
 }
 
 // feed drives the ingestion phase of one build — the event-path this
@@ -121,26 +143,19 @@ func encodedLen(a iwpp.Artifact, version uint8) (int64, error) {
 // EventBench measures the builder ingestion chains on the named
 // workloads at the given scale. chunkSize and workers shape the chunked
 // pipeline; reps is best-of.
-func EventBench(scale Scale, names []string, chunkSize uint64, workers, reps int) (*EventBenchResult, *Table, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	res := &EventBenchResult{
-		Schema:    EventBenchSchema,
-		Scale:     scale.String(),
-		ChunkSize: chunkSize,
-		Workers:   workers,
-		Reps:      reps,
-		Go:        runtime.Version(),
-	}
+func EventBench(scale Scale, names []string, chunkSize uint64, workers, reps int) (*Trajectory[EventBenchRow], error) {
+	reps = max(reps, 1)
+	res := EventLayout.Start(map[string]string{
+		"scale": scale.String(), "chunk": fmt.Sprint(chunkSize), "workers": fmt.Sprint(workers), "reps": fmt.Sprint(reps),
+	})
 	for _, name := range names {
 		w, err := workloads.ByName(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		art, err := runTraced(w, scale)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		fnames := make([]string, len(art.prog.Funcs))
 		for i, f := range art.prog.Funcs {
@@ -148,7 +163,7 @@ func EventBench(scale Scale, names []string, chunkSize uint64, workers, reps int
 		}
 		row := EventBenchRow{Name: name, Events: uint64(len(art.events))}
 		if len(art.events) == 0 {
-			res.Workloads = append(res.Workloads, row)
+			res.Rows = append(res.Rows, row)
 			continue
 		}
 		instrs := art.stats.Instructions
@@ -158,29 +173,22 @@ func EventBench(scale Scale, names []string, chunkSize uint64, workers, reps int
 		// the chain that pays it. The scalar and batched builds alternate
 		// within each repetition so a load spike on a shared machine hits
 		// both chains alike instead of skewing whichever phase it lands
-		// on; each side's best-of is taken across the interleaved reps.
-		// Only the feed is timed: construction and Finish are byte-for-byte
-		// identical work on both chains, and folding their fixed cost into
-		// the rate would just dilute the per-event ratio on short traces.
+		// on. Only the feeds are timed: construction and Finish are
+		// byte-for-byte identical work on both chains, and folding their
+		// fixed cost into the rate would just dilute the per-event ratio
+		// on short traces, so their steps' times are dropped.
 		measurePair := func(opts func() iwpp.BuildOptions) (float64, float64, iwpp.Artifact) {
+			var b iwpp.Builder
 			var a iwpp.Artifact
-			var bestS, bestB time.Duration
-			for i := 0; i < reps; i++ {
-				bS := iwpp.New(fnames, art.nums, opts())
-				dS := timeOnce(func() { feed(bS, art.events, false) })
-				bS.Finish(instrs)
-				bB := iwpp.New(fnames, art.nums, opts())
-				dB := timeOnce(func() { feed(bB, art.events, true) })
-				a = bB.Finish(instrs)
-				if i == 0 || dS < bestS {
-					bestS = dS
-				}
-				if i == 0 || dB < bestB {
-					bestB = dB
-				}
-			}
+			d, _ := bestOf(reps, // no step returns an error
+				func() error { b = iwpp.New(fnames, art.nums, opts()); return nil },
+				func() error { feed(b, art.events, false); return nil },
+				func() error { b.Finish(instrs); b = iwpp.New(fnames, art.nums, opts()); return nil },
+				func() error { feed(b, art.events, true); return nil },
+				func() error { a = b.Finish(instrs); return nil },
+			)
 			n := float64(len(art.events))
-			return n / bestS.Seconds(), n / bestB.Seconds(), a
+			return n / d[1].Seconds(), n / d[3].Seconds(), a
 		}
 		monoOpts := func() iwpp.BuildOptions {
 			return iwpp.BuildOptions{Metrics: iwpp.NewBuildMetrics(obsv.NewRegistry())}
@@ -211,89 +219,11 @@ func EventBench(scale Scale, names []string, chunkSize uint64, workers, reps int
 		} {
 			n, err := encodedLen(m.a, m.version)
 			if err != nil {
-				return nil, nil, fmt.Errorf("%s: encoding v%d: %w", name, m.version, err)
+				return nil, fmt.Errorf("%s: encoding v%d: %w", name, m.version, err)
 			}
 			*m.dst = n
 		}
-		res.Workloads = append(res.Workloads, row)
+		res.Rows = append(res.Rows, row)
 	}
-	return res, res.Table(), nil
-}
-
-// Table renders the trajectory point for humans.
-func (r *EventBenchResult) Table() *Table {
-	tbl := &Table{
-		ID:     "B1",
-		Title:  fmt.Sprintf("event-path ingestion: scalar vs batched builder chain (scale=%s, chunk=%d, workers=%d, best of %d)", r.Scale, r.ChunkSize, r.Workers, r.Reps),
-		Header: []string{"workload", "events", "mono scalar", "mono batch", "speedup", "chunk scalar", "chunk batch", "speedup", "wpp2/wpp1", "wpc2/wpc1"},
-		Notes: []string{
-			"throughput in Mev/s over the Add/AddBatch feed with BuildMetrics installed (the deployed configuration); builder construction and Finish, identical on both chains, are untimed",
-			"chunked chains share the worker-side compressor; their ratio isolates the ingestion feed",
-			"wpp2/wpp1 and wpc2/wpc1 are whole-file encoded size ratios; v2 is never larger by construction",
-		},
-	}
-	for _, w := range r.Workloads {
-		ratio := func(v2, v1 int64) string {
-			if v1 <= 0 {
-				return "n/a"
-			}
-			return fmt.Sprintf("%.3f", float64(v2)/float64(v1))
-		}
-		tbl.Rows = append(tbl.Rows, []string{
-			w.Name,
-			fmt.Sprintf("%d", w.Events),
-			fmt.Sprintf("%.2f", w.Mono.ScalarEventsPerSec/1e6),
-			fmt.Sprintf("%.2f", w.Mono.BatchEventsPerSec/1e6),
-			fmt.Sprintf("%.2fx", w.Mono.Speedup),
-			fmt.Sprintf("%.2f", w.Chunked.ScalarEventsPerSec/1e6),
-			fmt.Sprintf("%.2f", w.Chunked.BatchEventsPerSec/1e6),
-			fmt.Sprintf("%.2fx", w.Chunked.Speedup),
-			ratio(w.WPP2Bytes, w.WPP1Bytes),
-			ratio(w.WPC2Bytes, w.WPC1Bytes),
-		})
-	}
-	return tbl
-}
-
-// CompareEventBench renders an old-vs-new table from two trajectory
-// points, matched by workload name. A nil old yields a baseline notice.
-func CompareEventBench(old, cur *EventBenchResult) *Table {
-	tbl := &Table{
-		ID:     "B1Δ",
-		Title:  "event-path throughput vs previous trajectory (batched chain, events/sec)",
-		Header: []string{"workload", "mono old", "mono new", "delta", "chunk old", "chunk new", "delta"},
-	}
-	if old == nil {
-		tbl.Notes = append(tbl.Notes, "no previous trajectory file; baseline recorded")
-		return tbl
-	}
-	if old.Scale != cur.Scale || old.ChunkSize != cur.ChunkSize || old.Workers != cur.Workers {
-		tbl.Notes = append(tbl.Notes, "configs differ; deltas are indicative only")
-	}
-	prev := map[string]EventBenchRow{}
-	for _, w := range old.Workloads {
-		prev[w.Name] = w
-	}
-	delta := func(o, n float64) string {
-		if o <= 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%+.1f%%", 100*(n-o)/o)
-	}
-	for _, w := range cur.Workloads {
-		p, ok := prev[w.Name]
-		if !ok {
-			continue
-		}
-		tbl.Rows = append(tbl.Rows, []string{
-			w.Name,
-			fmt.Sprintf("%.2fM", p.Mono.BatchEventsPerSec/1e6),
-			fmt.Sprintf("%.2fM", w.Mono.BatchEventsPerSec/1e6),
-			delta(p.Mono.BatchEventsPerSec, w.Mono.BatchEventsPerSec),
-			fmt.Sprintf("%.2fM", p.Chunked.BatchEventsPerSec/1e6),
-			fmt.Sprintf("%.2fM", w.Chunked.BatchEventsPerSec/1e6),
-			delta(p.Chunked.BatchEventsPerSec, w.Chunked.BatchEventsPerSec),
-		})
-	}
-	return tbl
+	return res, nil
 }

@@ -14,6 +14,11 @@
 //	A1  ablation: path alphabet vs basic-block alphabet
 //	A2  ablation: SEQUITUR rule utility on/off
 //	F1  static path feasibility vs dynamic coverage (dataflow framework)
+//
+// The extension benches S1, B1, C1 and M1 return a Trajectory instead,
+// which their Layout renders, compares with a previous run and keeps as
+// a BENCH_*.json file (trajectory.go); C2 is rendered by the same Layout
+// machinery.
 package experiments
 
 import (
@@ -344,19 +349,14 @@ func E3(scale Scale, reps int) ([]E3Row, *Table, error) {
 		}
 		arg := scale.Arg(w)
 
-		plain, err := timeBest(reps, func() error {
+		best, err := bestOf(reps, func() error {
 			m, err := interp.New(prog, interp.Config{})
 			if err != nil {
 				return err
 			}
 			_, err = m.Run("main", arg)
 			return err
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-
-		traceWrite, err := timeBest(reps, func() error {
+		}, func() error {
 			var sink discardCounter
 			tw, err := trace.NewWriter(&sink)
 			if err != nil {
@@ -374,12 +374,7 @@ func E3(scale Scale, reps int) ([]E3Row, *Table, error) {
 				return err
 			}
 			return tw.Flush()
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-
-		wppBuild, err := timeBest(reps, func() error {
+		}, func() error {
 			g := sequitur.New()
 			m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
 				g.Append(uint64(e))
@@ -393,6 +388,7 @@ func E3(scale Scale, reps int) ([]E3Row, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		plain, traceWrite, wppBuild := best[0], best[1], best[2]
 
 		r := E3Row{
 			Name: w.Name, Plain: plain, TraceWrite: traceWrite, WPPBuild: wppBuild,
@@ -414,21 +410,6 @@ func dratio(a, b time.Duration) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-func timeBest(reps int, f func() error) (time.Duration, error) {
-	best := time.Duration(0)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		if err := f(); err != nil {
-			return 0, err
-		}
-		d := time.Since(start)
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
 }
 
 type discardCounter struct{ n int64 }
@@ -467,57 +448,28 @@ func E4(scale Scale, names []string, numSamples int) ([]E4Series, *Table, error)
 		Header: []string{"workload", "events", "rules", "rhs symbols", "symbols/event"},
 	}
 	for _, name := range names {
-		w, err := workloads.ByName(name)
+		c, err := CaptureWorkload(name, scale)
 		if err != nil {
 			return nil, nil, err
 		}
-		// First pass: count events.
-		prog, err := wlc.Compile(w.Source)
-		if err != nil {
-			return nil, nil, err
-		}
-		var total uint64
-		m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(trace.Event) { total++ })})
-		if err != nil {
-			return nil, nil, err
-		}
-		arg := scale.Arg(w)
-		if _, err := m.Run("main", arg); err != nil {
-			return nil, nil, err
-		}
+		total := uint64(len(c.Events))
 		if total == 0 {
 			continue
 		}
-		step := total / uint64(numSamples)
-		if step == 0 {
-			step = 1
-		}
-		// Second pass: sample the live grammar.
+		step := max(total/uint64(numSamples), 1)
 		g := sequitur.New()
 		var pts []E4Point
-		var count uint64
-		m2, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
+		for i, e := range c.Events {
 			g.Append(uint64(e))
-			count++
-			if count%step == 0 {
+			if count := uint64(i + 1); count%step == 0 || count == total {
 				st := g.Stats()
 				pts = append(pts, E4Point{Events: count, Rules: st.Rules, RHSSymbols: st.RHSSymbols})
 			}
-		})})
-		if err != nil {
-			return nil, nil, err
 		}
-		if _, err := m2.Run("main", arg); err != nil {
-			return nil, nil, err
-		}
-		st := g.Stats()
-		if len(pts) == 0 || pts[len(pts)-1].Events != count {
-			pts = append(pts, E4Point{Events: count, Rules: st.Rules, RHSSymbols: st.RHSSymbols})
-		}
-		series = append(series, E4Series{Name: w.Name, Points: pts})
+		series = append(series, E4Series{Name: c.Workload.Name, Points: pts})
 		for _, p := range pts {
 			tbl.Rows = append(tbl.Rows, []string{
-				w.Name, fmt.Sprint(p.Events), fmt.Sprint(p.Rules), fmt.Sprint(p.RHSSymbols),
+				c.Workload.Name, fmt.Sprint(p.Events), fmt.Sprint(p.Rules), fmt.Sprint(p.RHSSymbols),
 				fmt.Sprintf("%.4f", float64(p.RHSSymbols)/float64(p.Events)),
 			})
 		}

@@ -19,52 +19,63 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	iwpp "repro/internal/wpp"
 )
 
-// FlateBenchSchema identifies the result format (the flate table is
-// derived entirely from the committed golden corpus, so it is printed
-// rather than persisted, but the schema tags the JSON if a caller
-// serializes it anyway).
-const FlateBenchSchema = "wpp/flatebench/v1"
-
 // FlateBenchRow compares one golden artifact pair (v1 vs v2 encoding of
 // the same grammar).
 type FlateBenchRow struct {
-	Name string `json:"name"`
+	Name string
 	// Pair is "mono" (wpp1 vs wpp2) or "chunked" (wpc1 vs wpc2).
-	Pair    string `json:"pair"`
-	V1Bytes int64  `json:"v1_bytes"`
-	V1Gzip  int64  `json:"v1_gzip_bytes"`
-	V2Bytes int64  `json:"v2_bytes"`
-	V2Gzip  int64  `json:"v2_gzip_bytes"`
-	Events  uint64 `json:"events"`
+	Pair    string
+	V1Bytes int64
+	V1Gzip  int64
+	V2Bytes int64
+	V2Gzip  int64
+	Events  uint64
 	// V2DecodeMS times the native v2 decoder; V1GunzipDecodeMS times the
 	// alternative pipeline (gunzip the compressed v1 stream, then decode
 	// it). Both are best-of-reps on in-memory buffers.
-	V2DecodeMS       float64 `json:"v2_decode_ms"`
-	V1GunzipDecodeMS float64 `json:"v1_gunzip_decode_ms"`
+	V2DecodeMS       float64
+	V1GunzipDecodeMS float64
 }
 
-// FlateBenchResult is the full comparison.
-type FlateBenchResult struct {
-	Schema string          `json:"schema"`
-	Reps   int             `json:"reps"`
-	Rows   []FlateBenchRow `json:"rows"`
+// FlateLayout is table C2. It is derived entirely from the committed
+// golden corpus, so it is printed and never kept as a trajectory.
+var FlateLayout = Layout[FlateBenchRow]{
+	ID: "C2",
+	Title: func(t *Trajectory[FlateBenchRow]) string {
+		return fmt.Sprintf("v2 varint codecs vs gzip'd v1 encodings, golden corpus (best of %s)", t.Config["reps"])
+	},
+	Notes: func(*Trajectory[FlateBenchRow]) []string {
+		return []string{
+			"v2/v1.gz < 1 means the varint layer beats general-purpose compression of the naive encoding on size alone",
+			"decode columns compare the deployable read paths: native v2 decode vs gunzip-then-decode of stored v1.gz",
+			"gzip at BestCompression; sizes are whole files from the committed golden corpus",
+		}
+	},
+	Columns: []Column[FlateBenchRow]{
+		text("artifact", func(r FlateBenchRow) string { return r.Name }),
+		text("pair", func(r FlateBenchRow) string { return r.Pair }),
+		num("v1", "%.0f", func(r FlateBenchRow) float64 { return float64(r.V1Bytes) }),
+		num("v1.gz", "%.0f", func(r FlateBenchRow) float64 { return float64(r.V1Gzip) }),
+		num("v2", "%.0f", func(r FlateBenchRow) float64 { return float64(r.V2Bytes) }),
+		num("v2.gz", "%.0f", func(r FlateBenchRow) float64 { return float64(r.V2Gzip) }),
+		text("v2/v1.gz", func(r FlateBenchRow) string { return sizeRatio(r.V2Bytes, r.V1Gzip) }),
+		num("v2 dec ms", "%.3f", func(r FlateBenchRow) float64 { return r.V2DecodeMS }),
+		num("v1.gz dec ms", "%.3f", func(r FlateBenchRow) float64 { return r.V1GunzipDecodeMS }),
+	},
 }
 
 // FlateBench runs the comparison over every v1/v2 artifact pair in dir
 // (the golden corpus layout: <name>.wpp1/<name>.wpp2 and
 // <name>.wpc1/<name>.wpc2).
-func FlateBench(dir string, reps int) (*FlateBenchResult, *Table, error) {
-	if reps < 1 {
-		reps = 1
-	}
+func FlateBench(dir string, reps int) (*Trajectory[FlateBenchRow], error) {
+	reps = max(reps, 1)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Collect stems that have both generations of a pair.
 	byFile := map[string]bool{}
@@ -79,10 +90,10 @@ func FlateBench(dir string, reps int) (*FlateBenchResult, *Table, error) {
 	}
 	sort.Strings(stems)
 	if len(stems) == 0 {
-		return nil, nil, fmt.Errorf("flatebench: no v1/v2 artifact pairs in %s", dir)
+		return nil, fmt.Errorf("flatebench: no v1/v2 artifact pairs in %s", dir)
 	}
 
-	res := &FlateBenchResult{Schema: FlateBenchSchema, Reps: reps}
+	res := &Trajectory[FlateBenchRow]{Config: map[string]string{"reps": fmt.Sprint(reps)}}
 	for _, stem := range stems {
 		for _, pair := range []struct{ kind, v1, v2 string }{
 			{"mono", ".wpp1", ".wpp2"},
@@ -93,12 +104,12 @@ func FlateBench(dir string, reps int) (*FlateBenchResult, *Table, error) {
 			}
 			row, err := flateRow(dir, stem, pair.kind, pair.v1, pair.v2, reps)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			res.Rows = append(res.Rows, row)
 		}
 	}
-	return res, res.Table(), nil
+	return res, nil
 }
 
 func flateRow(dir, stem, kind, extV1, extV2 string, reps int) (FlateBenchRow, error) {
@@ -122,41 +133,31 @@ func flateRow(dir, stem, kind, extV1, extV2 string, reps int) (FlateBenchRow, er
 	}
 	row.V1Gzip, row.V2Gzip = int64(len(v1gz)), int64(len(v2gz))
 
-	var bestV2, bestV1 time.Duration
-	for i := 0; i < reps; i++ {
-		var a iwpp.Artifact
-		d2 := timeOnce(func() {
-			a, err = iwpp.Decode(v2)
-		})
+	best, err := bestOf(reps, func() error {
+		a, err := iwpp.Decode(v2)
 		if err != nil {
-			return row, fmt.Errorf("flatebench %s%s: %w", stem, extV2, err)
+			return fmt.Errorf("flatebench %s%s: %w", stem, extV2, err)
 		}
 		row.Events = a.NumEvents()
-		d1 := timeOnce(func() {
-			var zr *gzip.Reader
-			zr, err = gzip.NewReader(bytes.NewReader(v1gz))
-			if err != nil {
-				return
-			}
+		return nil
+	}, func() error {
+		zr, err := gzip.NewReader(bytes.NewReader(v1gz))
+		if err == nil {
 			var raw []byte
-			raw, err = io.ReadAll(zr)
-			if err != nil {
-				return
+			if raw, err = io.ReadAll(zr); err == nil {
+				_, err = iwpp.Decode(raw)
 			}
-			_, err = iwpp.Decode(raw)
-		})
+		}
 		if err != nil {
-			return row, fmt.Errorf("flatebench %s%s.gz: %w", stem, extV1, err)
+			return fmt.Errorf("flatebench %s%s.gz: %w", stem, extV1, err)
 		}
-		if i == 0 || d2 < bestV2 {
-			bestV2 = d2
-		}
-		if i == 0 || d1 < bestV1 {
-			bestV1 = d1
-		}
+		return nil
+	})
+	if err != nil {
+		return row, err
 	}
-	row.V2DecodeMS = 1e3 * bestV2.Seconds()
-	row.V1GunzipDecodeMS = 1e3 * bestV1.Seconds()
+	row.V2DecodeMS = 1e3 * best[0].Seconds()
+	row.V1GunzipDecodeMS = 1e3 * best[1].Seconds()
 	return row, nil
 }
 
@@ -173,35 +174,4 @@ func gzipBytes(data []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// Table renders the comparison.
-func (r *FlateBenchResult) Table() *Table {
-	tbl := &Table{
-		ID:     "C2",
-		Title:  fmt.Sprintf("v2 varint codecs vs gzip'd v1 encodings, golden corpus (best of %d)", r.Reps),
-		Header: []string{"artifact", "pair", "v1", "v1.gz", "v2", "v2.gz", "v2/v1.gz", "v2 dec ms", "v1.gz dec ms"},
-		Notes: []string{
-			"v2/v1.gz < 1 means the varint layer beats general-purpose compression of the naive encoding on size alone",
-			"decode columns compare the deployable read paths: native v2 decode vs gunzip-then-decode of stored v1.gz",
-			"gzip at BestCompression; sizes are whole files from the committed golden corpus",
-		},
-	}
-	for _, w := range r.Rows {
-		ratio := "n/a"
-		if w.V1Gzip > 0 {
-			ratio = fmt.Sprintf("%.3f", float64(w.V2Bytes)/float64(w.V1Gzip))
-		}
-		tbl.Rows = append(tbl.Rows, []string{
-			w.Name, w.Pair,
-			fmt.Sprintf("%d", w.V1Bytes),
-			fmt.Sprintf("%d", w.V1Gzip),
-			fmt.Sprintf("%d", w.V2Bytes),
-			fmt.Sprintf("%d", w.V2Gzip),
-			ratio,
-			fmt.Sprintf("%.3f", w.V2DecodeMS),
-			fmt.Sprintf("%.3f", w.V1GunzipDecodeMS),
-		})
-	}
-	return tbl
 }

@@ -108,15 +108,11 @@ func E6(scale Scale, opts hotpath.Options, reps int) ([]E6Row, *Table, error) {
 	}
 	for _, a := range arts {
 		var fast, slow []hotpath.Subpath
-		gTime, err := timeBest(reps, func() error {
+		best, err := bestOf(reps, func() error {
 			var err error
 			fast, err = hotpath.Find(a.wpp, opts, 1)
 			return err
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		sTime, err := timeBest(reps, func() error {
+		}, func() error {
 			var err error
 			slow, err = hotpath.FindByScan(a.wpp, opts)
 			return err
@@ -136,7 +132,7 @@ func E6(scale Scale, opts hotpath.Options, reps int) ([]E6Row, *Table, error) {
 		st := a.wpp.Stats()
 		r := E6Row{
 			Name: a.workload.Name, Events: st.Events, RHSSymbols: st.RHSSymbols,
-			Grammar: gTime, Scan: sTime, Speedup: dratio(sTime, gTime), Agree: agree,
+			Grammar: best[0], Scan: best[1], Speedup: dratio(best[1], best[0]), Agree: agree,
 		}
 		rows = append(rows, r)
 		tbl.Rows = append(tbl.Rows, []string{

@@ -17,16 +17,11 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"runtime"
-	"time"
 
 	"repro/internal/hotpath"
 	"repro/internal/workloads"
 	iwpp "repro/internal/wpp"
 )
-
-// OpenBenchSchema identifies the persisted trajectory format.
-const OpenBenchSchema = "wpp/openbench/v1"
 
 // OpenBenchRow is one workload x format measurement.
 type OpenBenchRow struct {
@@ -52,13 +47,40 @@ type OpenBenchRow struct {
 	Identical bool `json:"identical"`
 }
 
-// OpenBenchResult is the persisted trajectory point.
-type OpenBenchResult struct {
-	Schema    string         `json:"schema"`
-	Scale     string         `json:"scale"`
-	ChunkSize uint64         `json:"chunk_size"`
-	Reps      int            `json:"reps"`
-	Rows      []OpenBenchRow `json:"rows"`
+// OpenLayout is table M1 and the BENCH_openpath.json trajectory.
+var OpenLayout = Layout[OpenBenchRow]{
+	Schema: "wpp/openbench/v2",
+	ID:     "M1",
+	Title: func(t *Trajectory[OpenBenchRow]) string {
+		c := t.Config
+		return fmt.Sprintf("lazy view opens vs eager decode, scale=%s chunk=%s (best of %s)", c["scale"], c["chunk"], c["reps"])
+	},
+	Notes: func(*Trajectory[OpenBenchRow]) []string {
+		return []string{
+			"stats columns time the header query (time to first result): eager pays a full decode, the view answers from its index",
+			"hot columns time open + minimal-hot-subpath search; KB columns are bytes allocated during the header query",
+			"identical=true means events, frequencies, and hot subpaths agree between the paths on this row",
+		}
+	},
+	Columns: []Column[OpenBenchRow]{
+		text("workload", func(r OpenBenchRow) string { return r.Name }),
+		text("fmt", func(r OpenBenchRow) string { return r.Format }),
+		num("bytes", "%.0f", func(r OpenBenchRow) float64 { return float64(r.Bytes) }),
+		num("eager stats ms", "%.4f", func(r OpenBenchRow) float64 { return r.EagerStatsMS }),
+		tracked("view stats ms", "%.4f", func(r OpenBenchRow) float64 { return r.ViewStatsMS }),
+		text("speedup", func(r OpenBenchRow) string {
+			if r.ViewStatsMS <= 0 {
+				return "n/a"
+			}
+			return fmt.Sprintf("%.1fx", r.EagerStatsMS/r.ViewStatsMS)
+		}),
+		num("eager hot ms", "%.3f", func(r OpenBenchRow) float64 { return r.EagerHotMS }),
+		tracked("view hot ms", "%.3f", func(r OpenBenchRow) float64 { return r.ViewHotMS }),
+		num("eager KB", "%.0f", func(r OpenBenchRow) float64 { return float64(r.EagerAllocKB) }),
+		num("view KB", "%.0f", func(r OpenBenchRow) float64 { return float64(r.ViewAllocKB) }),
+		text("identical", func(r OpenBenchRow) string { return fmt.Sprint(r.Identical) }),
+	},
+	Key: func(r OpenBenchRow) string { return r.Name + "." + r.Format },
 }
 
 // benchSink defeats dead-code elimination of measured queries.
@@ -72,25 +94,23 @@ var openBenchOpts = hotpath.Options{MinLen: 4, MaxLen: 16, Threshold: 0.005}
 // OpenBench builds every named workload at the given scale, encodes it
 // in all four registered formats, and measures both query shapes on
 // each encoding, best of reps.
-func OpenBench(scale Scale, names []string, chunkSize uint64, reps int) (*OpenBenchResult, *Table, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	res := &OpenBenchResult{Schema: OpenBenchSchema, Scale: scale.String(), ChunkSize: chunkSize, Reps: reps}
+func OpenBench(scale Scale, names []string, chunkSize uint64, reps int) (*Trajectory[OpenBenchRow], error) {
+	reps = max(reps, 1)
+	res := OpenLayout.Start(map[string]string{"scale": scale.String(), "chunk": fmt.Sprint(chunkSize), "reps": fmt.Sprint(reps)})
 	for _, name := range names {
 		encs, err := encodeAllFormats(name, scale, chunkSize)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, f := range []string{"wpp1", "wpp2", "wpc1", "wpc2"} {
 			row, err := openBenchRow(name, f, encs[f], reps)
 			if err != nil {
-				return nil, nil, fmt.Errorf("openbench %s.%s: %w", name, f, err)
+				return nil, fmt.Errorf("openbench %s.%s: %w", name, f, err)
 			}
 			res.Rows = append(res.Rows, row)
 		}
 	}
-	return res, res.Table(), nil
+	return res, nil
 }
 
 // encodeAllFormats runs one workload traced and returns its four
@@ -212,140 +232,31 @@ func openBenchRow(name, format string, enc []byte, reps int) (OpenBenchRow, erro
 		return row, err
 	}
 
-	var bestES, bestVS, bestEH, bestVH time.Duration
-	for i := 0; i < reps; i++ {
-		d, err := timeOnceErr(eagerStats)
-		if err != nil {
-			return row, err
-		}
-		if i == 0 || d < bestES {
-			bestES = d
-		}
-		if d, err = timeOnceErr(viewStats); err != nil {
-			return row, err
-		}
-		if i == 0 || d < bestVS {
-			bestVS = d
-		}
-		if d, err = timeOnceErr(func() error { _, err := eagerHot(); return err }); err != nil {
-			return row, err
-		}
-		if i == 0 || d < bestEH {
-			bestEH = d
-		}
-		if d, err = timeOnceErr(func() error {
+	best, err := bestOf(reps, eagerStats, viewStats,
+		func() error { _, err := eagerHot(); return err },
+		func() error {
 			v, _, err := viewHot()
 			if err != nil {
 				return err
 			}
 			return v.Close()
-		}); err != nil {
-			return row, err
-		}
-		if i == 0 || d < bestVH {
-			bestVH = d
-		}
-	}
-	row.EagerStatsMS = 1e3 * bestES.Seconds()
-	row.ViewStatsMS = 1e3 * bestVS.Seconds()
-	row.EagerHotMS = 1e3 * bestEH.Seconds()
-	row.ViewHotMS = 1e3 * bestVH.Seconds()
-
-	ea, err := allocDuring(eagerStats)
+		})
 	if err != nil {
 		return row, err
 	}
-	va, err := allocDuring(viewStats)
+	row.EagerStatsMS = 1e3 * best[0].Seconds()
+	row.ViewStatsMS = 1e3 * best[1].Seconds()
+	row.EagerHotMS = 1e3 * best[2].Seconds()
+	row.ViewHotMS = 1e3 * best[3].Seconds()
+
+	ea, err := allocBytes(eagerStats)
+	if err != nil {
+		return row, err
+	}
+	va, err := allocBytes(viewStats)
 	if err != nil {
 		return row, err
 	}
 	row.EagerAllocKB, row.ViewAllocKB = ea/1024, va/1024
 	return row, nil
-}
-
-// timeOnceErr times one run of f, propagating its error.
-func timeOnceErr(f func() error) (time.Duration, error) {
-	start := time.Now()
-	err := f()
-	return time.Since(start), err
-}
-
-// allocDuring reports bytes allocated while f runs, with a GC fence
-// before the baseline so prior garbage is not charged to f.
-func allocDuring(f func() error) (uint64, error) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	if err := f(); err != nil {
-		return 0, err
-	}
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc, nil
-}
-
-// Table renders the trajectory point (table M1 in EXPERIMENTS.md).
-func (r *OpenBenchResult) Table() *Table {
-	tbl := &Table{
-		ID:    "M1",
-		Title: fmt.Sprintf("lazy view opens vs eager decode, scale=%s chunk=%d (best of %d)", r.Scale, r.ChunkSize, r.Reps),
-		Header: []string{"workload", "fmt", "bytes", "eager stats ms", "view stats ms", "speedup",
-			"eager hot ms", "view hot ms", "eager KB", "view KB", "identical"},
-		Notes: []string{
-			"stats columns time the header query (time to first result): eager pays a full decode, the view answers from its index",
-			"hot columns time open + minimal-hot-subpath search; KB columns are bytes allocated during the header query",
-			"identical=true means events, frequencies, and hot subpaths agree between the paths on this row",
-		},
-	}
-	for _, w := range r.Rows {
-		speedup := "n/a"
-		if w.ViewStatsMS > 0 {
-			speedup = fmt.Sprintf("%.1fx", w.EagerStatsMS/w.ViewStatsMS)
-		}
-		tbl.Rows = append(tbl.Rows, []string{
-			w.Name, w.Format,
-			fmt.Sprint(w.Bytes),
-			fmt.Sprintf("%.4f", w.EagerStatsMS),
-			fmt.Sprintf("%.4f", w.ViewStatsMS),
-			speedup,
-			fmt.Sprintf("%.3f", w.EagerHotMS),
-			fmt.Sprintf("%.3f", w.ViewHotMS),
-			fmt.Sprint(w.EagerAllocKB),
-			fmt.Sprint(w.ViewAllocKB),
-			fmt.Sprint(w.Identical),
-		})
-	}
-	return tbl
-}
-
-// CompareOpenBench diffs two trajectory points row by row on the two
-// timing queries, benchstat-style.
-func CompareOpenBench(old, cur *OpenBenchResult) *Table {
-	tbl := &Table{
-		ID:     "M1-diff",
-		Title:  "open-path trajectory vs previous run",
-		Header: []string{"workload", "fmt", "view stats old ms", "new ms", "delta", "view hot old ms", "new ms", "delta"},
-	}
-	prev := map[string]OpenBenchRow{}
-	for _, r := range old.Rows {
-		prev[r.Name+"."+r.Format] = r
-	}
-	for _, r := range cur.Rows {
-		o, ok := prev[r.Name+"."+r.Format]
-		if !ok {
-			continue
-		}
-		tbl.Rows = append(tbl.Rows, []string{
-			r.Name, r.Format,
-			fmt.Sprintf("%.4f", o.ViewStatsMS), fmt.Sprintf("%.4f", r.ViewStatsMS), pctDelta(o.ViewStatsMS, r.ViewStatsMS),
-			fmt.Sprintf("%.3f", o.ViewHotMS), fmt.Sprintf("%.3f", r.ViewHotMS), pctDelta(o.ViewHotMS, r.ViewHotMS),
-		})
-	}
-	return tbl
-}
-
-func pctDelta(old, cur float64) string {
-	if old <= 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%+.1f%%", 100*(cur-old)/old)
 }

@@ -11,11 +11,11 @@ import (
 // identical, and sane measurements.
 func TestOpenBenchInvariants(t *testing.T) {
 	names := []string{"compress", "expr"}
-	res, tbl, err := OpenBench(Small, names, 256, 1)
+	res, err := OpenBench(Small, names, 256, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Schema != OpenBenchSchema {
+	if res.Schema != OpenLayout.Schema {
 		t.Fatalf("schema %q", res.Schema)
 	}
 	if want := len(names) * 4; len(res.Rows) != want {
@@ -38,6 +38,7 @@ func TestOpenBenchInvariants(t *testing.T) {
 			t.Errorf("%s: negative timing: %+v", key, r)
 		}
 	}
+	tbl := OpenLayout.Table(res)
 	if tbl.ID != "M1" {
 		t.Fatalf("table ID %q, want M1", tbl.ID)
 	}
@@ -46,7 +47,7 @@ func TestOpenBenchInvariants(t *testing.T) {
 	}
 
 	// The diff table pairs rows across runs by workload and format.
-	diff := CompareOpenBench(res, res)
+	diff := OpenLayout.Compare(res, res)
 	if len(diff.Rows) != len(res.Rows) {
 		t.Fatalf("diff table has %d rows, want %d", len(diff.Rows), len(res.Rows))
 	}

@@ -91,26 +91,18 @@ func P1(scale Scale, names []string, chunkSize uint64, workers, reps int) ([]P1R
 			return nil, nil, fmt.Errorf("p1 %s: find results diverge (%d vs %d subpaths)", name, len(subs1), len(subsN))
 		}
 
-		time1, err := timeBest(reps, func() error { build(1); return nil })
-		if err != nil {
-			return nil, nil, err
-		}
-		timeN, err := timeBest(reps, func() error { build(workers); return nil })
-		if err != nil {
-			return nil, nil, err
-		}
-		find1, err := timeBest(reps, func() error { _, err := hotpath.FindChunked(c1, hotOpts, 1); return err })
-		if err != nil {
-			return nil, nil, err
-		}
-		findN, err := timeBest(reps, func() error { _, err := hotpath.FindChunked(cN, hotOpts, workers); return err })
+		best, err := bestOf(reps,
+			func() error { build(1); return nil },
+			func() error { build(workers); return nil },
+			func() error { _, err := hotpath.FindChunked(c1, hotOpts, 1); return err },
+			func() error { _, err := hotpath.FindChunked(cN, hotOpts, workers); return err })
 		if err != nil {
 			return nil, nil, err
 		}
 		r := P1Row{
 			Name: name, Events: uint64(len(events)), Chunks: len(c1.Chunks),
-			Build1: time1, BuildN: timeN, Speedup: dratio(time1, timeN),
-			Find1: find1, FindN: findN,
+			Build1: best[0], BuildN: best[1], Speedup: dratio(best[0], best[1]),
+			Find1: best[2], FindN: best[3],
 		}
 		rows = append(rows, r)
 		tbl.Rows = append(tbl.Rows, []string{

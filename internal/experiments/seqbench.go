@@ -11,8 +11,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"repro/internal/sequitur"
 	"repro/internal/workloads"
@@ -44,67 +42,46 @@ type SeqBenchRow struct {
 	Chunked SeqBenchMeasure `json:"chunked"`
 }
 
-// SeqBenchResult is the serialized trajectory point.
-type SeqBenchResult struct {
-	Schema    string        `json:"schema"`
-	Scale     string        `json:"scale"`
-	ChunkSize uint64        `json:"chunk_size"`
-	Reps      int           `json:"reps"`
-	Go        string        `json:"go"`
-	Workloads []SeqBenchRow `json:"workloads"`
-}
-
-// SeqBenchSchema identifies the trajectory file format.
-const SeqBenchSchema = "wpp/seqbench/v1"
-
-// allocDelta runs f and returns the heap bytes it allocated.
-func allocDelta(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
-// timeOnce times a single run of f.
-func timeOnce(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
-}
-
-// bestOf times f reps times and returns the fastest run.
-func bestOf(reps int, f func()) time.Duration {
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < reps; i++ {
-		if d := timeOnce(f); d < best {
-			best = d
+// SeqLayout is table S1 and the BENCH_sequitur.json trajectory.
+var SeqLayout = Layout[SeqBenchRow]{
+	Schema: "wpp/seqbench/v2",
+	ID:     "S1",
+	Title: func(t *Trajectory[SeqBenchRow]) string {
+		c := t.Config
+		return fmt.Sprintf("SEQUITUR compressor throughput (scale=%s, chunk=%s, best of %s)", c["scale"], c["chunk"], c["reps"])
+	},
+	Notes: func(*Trajectory[SeqBenchRow]) []string {
+		return []string{
+			"chunked regime times Reset+Append+Snapshot per chunk on one pooled grammar (warm arena)",
+			"B/ev is heap bytes allocated per event; mono includes first-touch arena growth",
 		}
-	}
-	return best
+	},
+	Columns: []Column[SeqBenchRow]{
+		text("workload", func(r SeqBenchRow) string { return r.Name }),
+		num("events", "%.0f", func(r SeqBenchRow) float64 { return float64(r.Events) }),
+		tracked("mono Mev/s", "%.2f", func(r SeqBenchRow) float64 { return r.Mono.EventsPerSec / 1e6 }),
+		tracked("mono B/ev", "%.1f", func(r SeqBenchRow) float64 { return r.Mono.AllocBytesPerEvent }),
+		tracked("chunk Mev/s", "%.2f", func(r SeqBenchRow) float64 { return r.Chunked.EventsPerSec / 1e6 }),
+		tracked("chunk B/ev", "%.1f", func(r SeqBenchRow) float64 { return r.Chunked.AllocBytesPerEvent }),
+		num("mono rules", "%.0f", func(r SeqBenchRow) float64 { return float64(r.Mono.Rules) }),
+		num("chunk rules", "%.0f", func(r SeqBenchRow) float64 { return float64(r.Chunked.Rules) }),
+	},
+	Key: func(r SeqBenchRow) string { return r.Name },
 }
 
 // SeqBench measures compressor throughput on the named workloads at the
 // given scale. chunkSize shapes the pooled regime; reps is best-of.
-func SeqBench(scale Scale, names []string, chunkSize uint64, reps int) (*SeqBenchResult, *Table, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	res := &SeqBenchResult{
-		Schema:    SeqBenchSchema,
-		Scale:     scale.String(),
-		ChunkSize: chunkSize,
-		Reps:      reps,
-		Go:        runtime.Version(),
-	}
+func SeqBench(scale Scale, names []string, chunkSize uint64, reps int) (*Trajectory[SeqBenchRow], error) {
+	reps = max(reps, 1)
+	res := SeqLayout.Start(map[string]string{"scale": scale.String(), "chunk": fmt.Sprint(chunkSize), "reps": fmt.Sprint(reps)})
 	for _, name := range names {
 		w, err := workloads.ByName(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		art, err := runTraced(w, scale)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		stream := make([]uint64, len(art.events))
 		for i, e := range art.events {
@@ -112,7 +89,7 @@ func SeqBench(scale Scale, names []string, chunkSize uint64, reps int) (*SeqBenc
 		}
 		row := SeqBenchRow{Name: name, Events: uint64(len(stream))}
 		if len(stream) == 0 {
-			res.Workloads = append(res.Workloads, row)
+			res.Rows = append(res.Rows, row)
 			continue
 		}
 
@@ -120,24 +97,23 @@ func SeqBench(scale Scale, names []string, chunkSize uint64, reps int) (*SeqBenc
 		// alloc measurement uses its own run so slab/table growth is
 		// charged honestly to the regime that pays it.
 		var g *sequitur.Grammar
-		mono := bestOf(reps, func() {
+		build := func() error {
 			g = sequitur.New()
 			for _, v := range stream {
 				g.Append(v)
 			}
-		})
+			return nil
+		}
+		// build and pass below never return an error.
+		mono, _ := bestOf(reps, build)
+		monoAlloc, _ := allocBytes(build)
 		st := g.Stats()
 		row.Mono = SeqBenchMeasure{
-			EventsPerSec: float64(len(stream)) / mono.Seconds(),
-			AllocBytesPerEvent: float64(allocDelta(func() {
-				f := sequitur.New()
-				for _, v := range stream {
-					f.Append(v)
-				}
-			})) / float64(len(stream)),
-			Rules:      st.Rules,
-			RHSSymbols: st.RHSSymbols,
-			Chunks:     1,
+			EventsPerSec:       float64(len(stream)) / mono[0].Seconds(),
+			AllocBytesPerEvent: float64(monoAlloc) / float64(len(stream)),
+			Rules:              st.Rules,
+			RHSSymbols:         st.RHSSymbols,
+			Chunks:             1,
 		}
 
 		// Chunked: one pooled grammar, Reset per chunk, Snapshot per
@@ -146,7 +122,7 @@ func SeqBench(scale Scale, names []string, chunkSize uint64, reps int) (*SeqBenc
 		// then measured warm.
 		pooled := sequitur.New()
 		var snaps []*sequitur.Snapshot
-		pass := func() {
+		pass := func() error {
 			snaps = snaps[:0]
 			for lo := 0; lo < len(stream); lo += int(chunkSize) {
 				hi := min(lo+int(chunkSize), len(stream))
@@ -156,12 +132,13 @@ func SeqBench(scale Scale, names []string, chunkSize uint64, reps int) (*SeqBenc
 				}
 				snaps = append(snaps, pooled.Snapshot())
 			}
+			return nil
 		}
-		pass() // warm the slabs and table to the largest chunk's working set
-		chunked := bestOf(reps, pass)
-		chunkedAlloc := allocDelta(pass)
+		_ = pass() // warm the slabs and table to the largest chunk's working set
+		chunked, _ := bestOf(reps, pass)
+		chunkedAlloc, _ := allocBytes(pass)
 		cm := SeqBenchMeasure{
-			EventsPerSec:       float64(len(stream)) / chunked.Seconds(),
+			EventsPerSec:       float64(len(stream)) / chunked[0].Seconds(),
 			AllocBytesPerEvent: float64(chunkedAlloc) / float64(len(stream)),
 			Chunks:             len(snaps),
 		}
@@ -172,79 +149,7 @@ func SeqBench(scale Scale, names []string, chunkSize uint64, reps int) (*SeqBenc
 			}
 		}
 		row.Chunked = cm
-		res.Workloads = append(res.Workloads, row)
+		res.Rows = append(res.Rows, row)
 	}
-	return res, res.Table(), nil
-}
-
-// Table renders the trajectory point for humans.
-func (r *SeqBenchResult) Table() *Table {
-	tbl := &Table{
-		ID:     "S1",
-		Title:  fmt.Sprintf("SEQUITUR compressor throughput (scale=%s, chunk=%d, best of %d)", r.Scale, r.ChunkSize, r.Reps),
-		Header: []string{"workload", "events", "mono Mev/s", "mono B/ev", "chunk Mev/s", "chunk B/ev", "mono rules", "chunk rules"},
-		Notes: []string{
-			"chunked regime times Reset+Append+Snapshot per chunk on one pooled grammar (warm arena)",
-			"B/ev is heap bytes allocated per event; mono includes first-touch arena growth",
-		},
-	}
-	for _, w := range r.Workloads {
-		tbl.Rows = append(tbl.Rows, []string{
-			w.Name,
-			fmt.Sprintf("%d", w.Events),
-			fmt.Sprintf("%.2f", w.Mono.EventsPerSec/1e6),
-			fmt.Sprintf("%.1f", w.Mono.AllocBytesPerEvent),
-			fmt.Sprintf("%.2f", w.Chunked.EventsPerSec/1e6),
-			fmt.Sprintf("%.1f", w.Chunked.AllocBytesPerEvent),
-			fmt.Sprintf("%d", w.Mono.Rules),
-			fmt.Sprintf("%d", w.Chunked.Rules),
-		})
-	}
-	return tbl
-}
-
-// CompareSeqBench renders a benchstat-style old-vs-new table from two
-// trajectory points, matched by workload name. Workloads present on only
-// one side are skipped; a nil old yields an empty comparison.
-func CompareSeqBench(old, cur *SeqBenchResult) *Table {
-	tbl := &Table{
-		ID:     "S1Δ",
-		Title:  "SEQUITUR throughput vs previous trajectory (events/sec, higher is better)",
-		Header: []string{"workload", "mono old", "mono new", "delta", "chunk old", "chunk new", "delta"},
-	}
-	if old == nil {
-		tbl.Notes = append(tbl.Notes, "no previous trajectory file; baseline recorded")
-		return tbl
-	}
-	if old.Scale != cur.Scale || old.ChunkSize != cur.ChunkSize {
-		tbl.Notes = append(tbl.Notes,
-			fmt.Sprintf("configs differ (old scale=%s chunk=%d, new scale=%s chunk=%d); deltas are indicative only",
-				old.Scale, old.ChunkSize, cur.Scale, cur.ChunkSize))
-	}
-	prev := map[string]SeqBenchRow{}
-	for _, w := range old.Workloads {
-		prev[w.Name] = w
-	}
-	delta := func(o, n float64) string {
-		if o <= 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%+.1f%%", 100*(n-o)/o)
-	}
-	for _, w := range cur.Workloads {
-		p, ok := prev[w.Name]
-		if !ok {
-			continue
-		}
-		tbl.Rows = append(tbl.Rows, []string{
-			w.Name,
-			fmt.Sprintf("%.2fM", p.Mono.EventsPerSec/1e6),
-			fmt.Sprintf("%.2fM", w.Mono.EventsPerSec/1e6),
-			delta(p.Mono.EventsPerSec, w.Mono.EventsPerSec),
-			fmt.Sprintf("%.2fM", p.Chunked.EventsPerSec/1e6),
-			fmt.Sprintf("%.2fM", w.Chunked.EventsPerSec/1e6),
-			delta(p.Chunked.EventsPerSec, w.Chunked.EventsPerSec),
-		})
-	}
-	return tbl
+	return res, nil
 }

@@ -1,26 +1,27 @@
 package experiments
 
 import (
-	"encoding/json"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 func TestSeqBenchSmall(t *testing.T) {
-	res, tbl, err := SeqBench(Small, []string{"compress", "sort"}, 512, 1)
+	res, err := SeqBench(Small, []string{"compress", "sort"}, 512, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Schema != SeqBenchSchema {
-		t.Fatalf("schema = %q, want %q", res.Schema, SeqBenchSchema)
+	if res.Schema != SeqLayout.Schema {
+		t.Fatalf("schema = %q, want %q", res.Schema, SeqLayout.Schema)
 	}
-	if res.Scale != "small" || res.ChunkSize != 512 {
-		t.Fatalf("config not recorded: scale=%q chunk=%d", res.Scale, res.ChunkSize)
+	if res.Config["scale"] != "small" || res.Config["chunk"] != "512" || res.Config["go"] == "" {
+		t.Fatalf("config not recorded: %v", res.Config)
 	}
-	if len(res.Workloads) != 2 {
-		t.Fatalf("got %d workload rows, want 2", len(res.Workloads))
+	if len(res.Rows) != 2 {
+		t.Fatalf("got %d workload rows, want 2", len(res.Rows))
 	}
-	for _, w := range res.Workloads {
+	for _, w := range res.Rows {
 		if w.Events == 0 {
 			t.Errorf("%s: zero events traced", w.Name)
 		}
@@ -43,48 +44,49 @@ func TestSeqBenchSmall(t *testing.T) {
 			t.Errorf("%s: chunked rhs %d < mono rhs %d", w.Name, w.Chunked.RHSSymbols, w.Mono.RHSSymbols)
 		}
 	}
-	if len(tbl.Rows) != 2 {
+	if tbl := SeqLayout.Table(res); len(tbl.Rows) != 2 {
 		t.Fatalf("table has %d rows, want 2", len(tbl.Rows))
 	}
 }
 
+// TestSeqBenchJSONRoundTrip keeps a real run through Save and Load and
+// requires the envelope and every row back unchanged.
 func TestSeqBenchJSONRoundTrip(t *testing.T) {
-	res, _, err := SeqBench(Small, []string{"sort"}, 1024, 1)
+	res, err := SeqBench(Small, []string{"sort"}, 1024, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(res)
+	path := filepath.Join(t.TempDir(), "seq.json")
+	if err := SeqLayout.Save(path, res); err != nil {
+		t.Fatal(err)
+	}
+	back, err := SeqLayout.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back SeqBenchResult
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Schema != res.Schema || len(back.Workloads) != len(res.Workloads) {
-		t.Fatalf("round trip lost data: %+v", back)
-	}
-	if back.Workloads[0].Mono.EventsPerSec != res.Workloads[0].Mono.EventsPerSec {
-		t.Fatalf("throughput changed across round trip")
+	if !reflect.DeepEqual(back, res) {
+		t.Fatalf("round trip changed the run:\n got %+v\nwant %+v", back, res)
 	}
 }
 
-func TestCompareSeqBench(t *testing.T) {
-	old := &SeqBenchResult{
-		Schema: SeqBenchSchema, Scale: "small", ChunkSize: 512,
-		Workloads: []SeqBenchRow{
+// TestSeqLayoutCompare checks the shared Compare on S1 rows: only rows on
+// both sides, signed deltas, a nil baseline and a flagged config change.
+func TestSeqLayoutCompare(t *testing.T) {
+	old := &Trajectory[SeqBenchRow]{
+		Schema: SeqLayout.Schema, Config: map[string]string{"scale": "small", "chunk": "512"},
+		Rows: []SeqBenchRow{
 			{Name: "sort", Mono: SeqBenchMeasure{EventsPerSec: 1e6}, Chunked: SeqBenchMeasure{EventsPerSec: 2e6}},
 			{Name: "gone", Mono: SeqBenchMeasure{EventsPerSec: 1e6}},
 		},
 	}
-	cur := &SeqBenchResult{
-		Schema: SeqBenchSchema, Scale: "small", ChunkSize: 512,
-		Workloads: []SeqBenchRow{
+	cur := &Trajectory[SeqBenchRow]{
+		Schema: SeqLayout.Schema, Config: map[string]string{"scale": "small", "chunk": "512"},
+		Rows: []SeqBenchRow{
 			{Name: "sort", Mono: SeqBenchMeasure{EventsPerSec: 2e6}, Chunked: SeqBenchMeasure{EventsPerSec: 3e6}},
 			{Name: "new", Mono: SeqBenchMeasure{EventsPerSec: 1e6}},
 		},
 	}
-	tbl := CompareSeqBench(old, cur)
+	tbl := SeqLayout.Compare(old, cur)
 	if len(tbl.Rows) != 1 {
 		t.Fatalf("comparison has %d rows, want 1 (only workloads on both sides)", len(tbl.Rows))
 	}
@@ -92,12 +94,19 @@ func TestCompareSeqBench(t *testing.T) {
 	if !strings.Contains(row, "+100.0%") || !strings.Contains(row, "+50.0%") {
 		t.Fatalf("deltas wrong: %q", row)
 	}
-	if tbl = CompareSeqBench(nil, cur); len(tbl.Rows) != 0 {
+	if len(tbl.Notes) != 0 {
+		t.Fatalf("equal configs flagged: %v", tbl.Notes)
+	}
+	// A slowdown reads as a negative delta.
+	if tbl = SeqLayout.Compare(cur, old); !strings.Contains(strings.Join(tbl.Rows[0], " "), "-50.0%") {
+		t.Fatalf("negative delta wrong: %q", tbl.Rows[0])
+	}
+	if tbl = SeqLayout.Compare(nil, cur); len(tbl.Rows) != 0 {
 		t.Fatalf("nil baseline must yield an empty comparison, got %d rows", len(tbl.Rows))
 	}
 	// A config mismatch is flagged, not hidden.
-	old.ChunkSize = 4096
-	if tbl = CompareSeqBench(old, cur); len(tbl.Notes) == 0 || !strings.Contains(tbl.Notes[0], "configs differ") {
+	old.Config["chunk"] = "4096"
+	if tbl = SeqLayout.Compare(old, cur); len(tbl.Notes) == 0 || !strings.Contains(tbl.Notes[0], "configs differ") {
 		t.Fatalf("config mismatch not flagged: %v", tbl.Notes)
 	}
 }

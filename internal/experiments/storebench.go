@@ -14,16 +14,12 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"runtime"
-	"time"
+	"strings"
 
 	"repro/internal/obsv"
 	"repro/internal/store"
 	iwpp "repro/internal/wpp"
 )
-
-// StoreBenchSchema identifies the trajectory file format.
-const StoreBenchSchema = "wpp/storebench/v1"
 
 // StoreBenchRow is one workload-at-scale measurement.
 type StoreBenchRow struct {
@@ -47,68 +43,77 @@ type StoreBenchRow struct {
 	RepeatDedupedBytes uint64 `json:"repeat_deduped_bytes"`
 }
 
-// StoreBenchResult is the serialized trajectory point.
-type StoreBenchResult struct {
-	Schema  string          `json:"schema"`
-	Scales  []string        `json:"scales"`
-	Chunk   uint64          `json:"chunk"`
-	Workers int             `json:"workers"`
-	Format  string          `json:"format"`
-	Reps    int             `json:"reps"`
-	Go      string          `json:"go"`
-	Rows    []StoreBenchRow `json:"rows"`
-	// Store-wide accounting over the whole run: every byte handed to
-	// PutObject either landed as a new object or deduped against one
-	// already present. DedupRatio is deduped / (written + deduped).
-	BytesWritten uint64  `json:"bytes_written"`
-	BytesDeduped uint64  `json:"bytes_deduped"`
-	DedupRatio   float64 `json:"dedup_ratio"`
+// StoreLayout is table C1 and the BENCH_store.json trajectory. Its
+// totals are the store-wide accounting over the whole run: every byte
+// handed to PutObject either landed as a new object (bytes_written) or
+// deduped against one already present (bytes_deduped); dedup_ratio is
+// deduped / (written + deduped).
+var StoreLayout = Layout[StoreBenchRow]{
+	Schema: "wpp/storebench/v2",
+	ID:     "C1",
+	Title: func(t *Trajectory[StoreBenchRow]) string {
+		c := t.Config
+		return fmt.Sprintf("content-addressed store: resolve latency and repeat-run dedup (chunk=%s, workers=%s, %s, best of %s)", c["chunk"], c["workers"], c["format"], c["reps"])
+	},
+	Notes: func(t *Trajectory[StoreBenchRow]) []string {
+		return []string{
+			"cold = cache-miss Resolve (interpreter run + build + store write); warm = cache-hit Resolve (reassemble + verify from CAS objects)",
+			"repeat columns store an independent rebuild of the same tuple: 0 new objects means every chunk grammar deduped",
+			fmt.Sprintf("store-wide: %.0f bytes written, %.0f deduped (ratio %.3f)", t.Totals["bytes_written"], t.Totals["bytes_deduped"], t.Totals["dedup_ratio"]),
+		}
+	},
+	Columns: []Column[StoreBenchRow]{
+		text("workload", func(r StoreBenchRow) string { return r.Name }),
+		text("scale", func(r StoreBenchRow) string { return r.Scale }),
+		num("bytes", "%.0f", func(r StoreBenchRow) float64 { return float64(r.ArtifactBytes) }),
+		num("parts", "%.0f", func(r StoreBenchRow) float64 { return float64(r.Parts) }),
+		num("cold ms", "%.2f", func(r StoreBenchRow) float64 { return r.ColdResolveMS }),
+		tracked("warm ms", "%.3f", func(r StoreBenchRow) float64 { return r.WarmResolveMS }),
+		num("speedup", "%.0fx", func(r StoreBenchRow) float64 { return r.Speedup }),
+		num("repeat new objs", "%.0f", func(r StoreBenchRow) float64 { return float64(r.RepeatNewObjects) }),
+		tracked("repeat dedup", "%.0fB", func(r StoreBenchRow) float64 { return float64(r.RepeatDedupedBytes) }),
+	},
+	Key: func(r StoreBenchRow) string { return r.Name + "@" + r.Scale },
 }
 
 // StoreBench measures the store on the named workloads across the given
 // scales, using a throwaway store directory. chunk and workers shape the
 // build; reps is best-of for the warm read.
-func StoreBench(scales []Scale, names []string, chunk uint64, workers, reps int) (*StoreBenchResult, *Table, error) {
-	if reps < 1 {
-		reps = 1
-	}
+func StoreBench(scales []Scale, names []string, chunk uint64, workers, reps int) (*Trajectory[StoreBenchRow], error) {
+	reps = max(reps, 1)
 	dir, err := os.MkdirTemp("", "wpp-storebench-*")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
 	met := store.NewMetrics(obsv.NewRegistry())
 	st, err := store.Open(dir, met)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	res := &StoreBenchResult{
-		Schema:  StoreBenchSchema,
-		Chunk:   chunk,
-		Workers: workers,
-		Format:  "wpp2",
-		Reps:    reps,
-		Go:      runtime.Version(),
-	}
+	var scaleNames []string
 	for _, s := range scales {
-		res.Scales = append(res.Scales, s.String())
+		scaleNames = append(scaleNames, s.String())
 	}
+	res := StoreLayout.Start(map[string]string{
+		"scale": strings.Join(scaleNames, ","), "chunk": fmt.Sprint(chunk), "workers": fmt.Sprint(workers), "format": "wpp2", "reps": fmt.Sprint(reps),
+	})
 	for _, s := range scales {
 		for _, name := range names {
 			row, err := storeBenchRow(st, met, name, s, chunk, workers, reps)
 			if err != nil {
-				return nil, nil, fmt.Errorf("storebench %s@%s: %w", name, s, err)
+				return nil, fmt.Errorf("storebench %s@%s: %w", name, s, err)
 			}
 			res.Rows = append(res.Rows, row)
 		}
 	}
-	res.BytesWritten = met.BytesWritten.Value()
-	res.BytesDeduped = met.BytesDeduped.Value()
-	if total := res.BytesWritten + res.BytesDeduped; total > 0 {
-		res.DedupRatio = float64(res.BytesDeduped) / float64(total)
+	written, deduped := float64(met.BytesWritten.Value()), float64(met.BytesDeduped.Value())
+	res.Totals = map[string]float64{"bytes_written": written, "bytes_deduped": deduped, "dedup_ratio": 0}
+	if written+deduped > 0 {
+		res.Totals["dedup_ratio"] = deduped / (written + deduped)
 	}
-	return res, res.Table(), nil
+	return res, nil
 }
 
 func storeBenchRow(st *store.Store, met *store.Metrics, name string, s Scale, chunk uint64, workers, reps int) (StoreBenchRow, error) {
@@ -117,8 +122,10 @@ func storeBenchRow(st *store.Store, met *store.Metrics, name string, s Scale, ch
 
 	buildsBefore := met.ResolveBuilds.Value()
 	var cold store.ResolveResult
-	var err error
-	dCold := timeOnce(func() { cold, err = st.Resolve(key, store.DefaultBuild(key)) })
+	dCold, err := bestOf(1, func() (err error) {
+		cold, err = st.Resolve(key, store.DefaultBuild(key))
+		return err
+	})
 	if err != nil {
 		return row, err
 	}
@@ -126,34 +133,30 @@ func storeBenchRow(st *store.Store, met *store.Metrics, name string, s Scale, ch
 		return row, fmt.Errorf("first resolve hit a cache that should be cold")
 	}
 	row.ArtifactBytes = int64(len(cold.Bytes))
-	row.ColdResolveMS = 1e3 * dCold.Seconds()
+	row.ColdResolveMS = 1e3 * dCold[0].Seconds()
 	m, err := st.Manifest(cold.Hash)
 	if err != nil {
 		return row, err
 	}
 	row.Parts = len(m.Parts)
 
-	var bestWarm time.Duration
-	for i := 0; i < reps; i++ {
-		var warm store.ResolveResult
-		d := timeOnce(func() { warm, err = st.Resolve(key, store.DefaultBuild(key)) })
-		if err != nil {
-			return row, err
+	warm, err := bestOf(reps, func() error {
+		r, err := st.Resolve(key, store.DefaultBuild(key))
+		if err == nil && !r.Hit {
+			err = fmt.Errorf("repeat resolve missed a warm cache")
 		}
-		if !warm.Hit {
-			return row, fmt.Errorf("repeat resolve missed a warm cache")
-		}
-		if i == 0 || d < bestWarm {
-			bestWarm = d
-		}
+		return err
+	})
+	if err != nil {
+		return row, err
 	}
 	// The contract the trajectory pins: warm resolves never build.
 	if got := met.ResolveBuilds.Value(); got != buildsBefore+1 {
 		return row, fmt.Errorf("resolve built %d times, want exactly 1", got-buildsBefore)
 	}
-	row.WarmResolveMS = 1e3 * bestWarm.Seconds()
-	if bestWarm > 0 {
-		row.Speedup = dCold.Seconds() / bestWarm.Seconds()
+	row.WarmResolveMS = 1e3 * warm[0].Seconds()
+	if warm[0] > 0 {
+		row.Speedup = dCold[0].Seconds() / warm[0].Seconds()
 	}
 
 	// The repeated-run scenario: an independent build of the same tuple
@@ -172,76 +175,4 @@ func storeBenchRow(st *store.Store, met *store.Metrics, name string, s Scale, ch
 	row.RepeatNewObjects = met.ObjectsWritten.Value() - wrote
 	row.RepeatDedupedBytes = met.BytesDeduped.Value() - deduped
 	return row, nil
-}
-
-// Table renders the trajectory point for humans.
-func (r *StoreBenchResult) Table() *Table {
-	tbl := &Table{
-		ID:     "C1",
-		Title:  fmt.Sprintf("content-addressed store: resolve latency and repeat-run dedup (chunk=%d, workers=%d, %s, best of %d)", r.Chunk, r.Workers, r.Format, r.Reps),
-		Header: []string{"workload", "scale", "bytes", "parts", "cold ms", "warm ms", "speedup", "repeat new objs", "repeat dedup"},
-		Notes: []string{
-			"cold = cache-miss Resolve (interpreter run + build + store write); warm = cache-hit Resolve (reassemble + verify from CAS objects)",
-			"repeat columns store an independent rebuild of the same tuple: 0 new objects means every chunk grammar deduped",
-			fmt.Sprintf("store-wide: %d bytes written, %d deduped (ratio %.3f)", r.BytesWritten, r.BytesDeduped, r.DedupRatio),
-		},
-	}
-	for _, w := range r.Rows {
-		tbl.Rows = append(tbl.Rows, []string{
-			w.Name,
-			w.Scale,
-			fmt.Sprintf("%d", w.ArtifactBytes),
-			fmt.Sprintf("%d", w.Parts),
-			fmt.Sprintf("%.2f", w.ColdResolveMS),
-			fmt.Sprintf("%.3f", w.WarmResolveMS),
-			fmt.Sprintf("%.0fx", w.Speedup),
-			fmt.Sprintf("%d", w.RepeatNewObjects),
-			fmt.Sprintf("%dB", w.RepeatDedupedBytes),
-		})
-	}
-	return tbl
-}
-
-// CompareStoreBench renders an old-vs-new table from two trajectory
-// points, matched by workload and scale. A nil old yields a baseline
-// notice.
-func CompareStoreBench(old, cur *StoreBenchResult) *Table {
-	tbl := &Table{
-		ID:     "C1Δ",
-		Title:  "store warm-resolve latency vs previous trajectory",
-		Header: []string{"workload", "scale", "warm old", "warm new", "delta", "dedup old", "dedup new"},
-	}
-	if old == nil {
-		tbl.Notes = append(tbl.Notes, "no previous trajectory file; baseline recorded")
-		return tbl
-	}
-	if old.Chunk != cur.Chunk || old.Workers != cur.Workers {
-		tbl.Notes = append(tbl.Notes, "configs differ; deltas are indicative only")
-	}
-	type keyT struct{ name, scale string }
-	prev := map[keyT]StoreBenchRow{}
-	for _, w := range old.Rows {
-		prev[keyT{w.Name, w.Scale}] = w
-	}
-	for _, w := range cur.Rows {
-		p, ok := prev[keyT{w.Name, w.Scale}]
-		if !ok {
-			continue
-		}
-		delta := "n/a"
-		if p.WarmResolveMS > 0 {
-			delta = fmt.Sprintf("%+.1f%%", 100*(w.WarmResolveMS-p.WarmResolveMS)/p.WarmResolveMS)
-		}
-		tbl.Rows = append(tbl.Rows, []string{
-			w.Name, w.Scale,
-			fmt.Sprintf("%.3fms", p.WarmResolveMS),
-			fmt.Sprintf("%.3fms", w.WarmResolveMS),
-			delta,
-			fmt.Sprintf("%dB", p.RepeatDedupedBytes),
-			fmt.Sprintf("%dB", w.RepeatDedupedBytes),
-		})
-	}
-	tbl.Notes = append(tbl.Notes,
-		fmt.Sprintf("dedup ratio: %.3f -> %.3f", old.DedupRatio, cur.DedupRatio))
-	return tbl
 }

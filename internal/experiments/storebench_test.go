@@ -7,11 +7,11 @@ import "testing"
 // the warm resolve hits, the repeat run stores zero new objects, and the
 // store-wide accounting saw real dedup.
 func TestStoreBenchInvariants(t *testing.T) {
-	res, tbl, err := StoreBench([]Scale{Small}, []string{"expr", "lexer"}, 1024, 2, 1)
+	res, err := StoreBench([]Scale{Small}, []string{"expr", "lexer"}, 1024, 2, 1)
 	if err != nil {
 		t.Fatalf("StoreBench: %v", err)
 	}
-	if tbl == nil || len(tbl.Rows) != 2 {
+	if tbl := StoreLayout.Table(res); len(tbl.Rows) != 2 {
 		t.Fatalf("expected a 2-row table")
 	}
 	if len(res.Rows) != 2 {
@@ -31,9 +31,8 @@ func TestStoreBenchInvariants(t *testing.T) {
 			t.Errorf("%s@%s: non-positive latency (cold %.3f, warm %.3f)", row.Name, row.Scale, row.ColdResolveMS, row.WarmResolveMS)
 		}
 	}
-	if res.BytesDeduped == 0 || res.DedupRatio <= 0 {
-		t.Errorf("store-wide dedup not observed: written=%d deduped=%d ratio=%.3f",
-			res.BytesWritten, res.BytesDeduped, res.DedupRatio)
+	if tot := res.Totals; tot["bytes_deduped"] == 0 || tot["dedup_ratio"] <= 0 {
+		t.Errorf("store-wide dedup not observed: %v", tot)
 	}
 }
 
@@ -41,7 +40,7 @@ func TestStoreBenchInvariants(t *testing.T) {
 // committed corpus and sanity-checks the structural invariants (pair
 // coverage and gzip actually shrinking the fixed-width v1 encoding).
 func TestFlateBenchGolden(t *testing.T) {
-	res, _, err := FlateBench("testdata/golden", 1)
+	res, err := FlateBench("testdata/golden", 1)
 	if err != nil {
 		t.Fatalf("FlateBench: %v", err)
 	}

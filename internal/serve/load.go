@@ -57,7 +57,7 @@ type LoadOptions struct {
 	VerifySHA bool
 }
 
-// LoadReport is the machine-readable result of one load run — the rows
+// LoadReport is the machine-readable result of one load run — one row
 // of BENCH_serve.json.
 type LoadReport struct {
 	Workload     string  `json:"workload"`
@@ -80,6 +80,29 @@ type LoadReport struct {
 	Seconds      float64 `json:"seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	MBPerSec     float64 `json:"mb_per_sec"`
+}
+
+// LoadLayout is table L1 and the BENCH_serve.json trajectory: one row
+// per concurrency level.
+var LoadLayout = experiments.Layout[LoadReport]{
+	Schema: "wpp/serveload/v1",
+	ID:     "L1",
+	Title: func(t *experiments.Trajectory[LoadReport]) string {
+		c := t.Config
+		return fmt.Sprintf("wppd ingest under concurrent load (format=%s, faults=%s, seed=%s)", c["format"], c["faults"], c["seed"])
+	},
+	Columns: []experiments.Column[LoadReport]{
+		{Header: "workload", Cell: func(r LoadReport) string { return r.Workload + "@" + r.Scale }},
+		{Header: "clients", Cell: func(r LoadReport) string { return fmt.Sprint(r.Clients) }},
+		{Header: "sessions", Cell: func(r LoadReport) string { return fmt.Sprint(r.Sessions) }},
+		{Header: "events", Cell: func(r LoadReport) string { return fmt.Sprint(r.EventsSent) }},
+		{Header: "sealed", Cell: func(r LoadReport) string { return fmt.Sprint(r.Sealed) }},
+		{Header: "ev/s", Cell: func(r LoadReport) string { return fmt.Sprintf("%.0f", r.EventsPerSec) }, Track: func(r LoadReport) float64 { return r.EventsPerSec }},
+		{Header: "MB/s", Cell: func(r LoadReport) string { return fmt.Sprintf("%.2f", r.MBPerSec) }, Track: func(r LoadReport) float64 { return r.MBPerSec }},
+		{Header: "503s", Cell: func(r LoadReport) string { return fmt.Sprint(r.Shed503s) }},
+		{Header: "errs", Cell: func(r LoadReport) string { return fmt.Sprint(r.Errors) }},
+	},
+	Key: func(r LoadReport) string { return fmt.Sprintf("%s@%s/%d", r.Workload, r.Scale, r.Clients) },
 }
 
 // referenceSHA builds the capture locally with the same options the
