@@ -304,16 +304,13 @@ func BenchmarkCallTreeReconstruction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var builder *iwpp.MonoBuilder
+	var builder iwpp.Builder
 	m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) { builder.Add(e) })})
 	if err != nil {
 		b.Fatal(err)
 	}
-	names := make([]string, len(prog.Funcs))
-	for i, f := range prog.Funcs {
-		names[i] = f.Name
-	}
-	builder = iwpp.NewMonoBuilder(names, m.Numberings())
+	names := prog.FuncNames()
+	builder = iwpp.New(names, m.Numberings(), iwpp.BuildOptions{})
 	if _, err := m.Run("main", w.Small); err != nil {
 		b.Fatal(err)
 	}

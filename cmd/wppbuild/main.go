@@ -91,9 +91,7 @@ func main() {
 
 	// Every input path builds through the unified Builder interface; the
 	// construction strategy is chosen by options, not by entry point.
-	var newBuilder collect.BuilderFactory = func(names []string, nums []*bl.Numbering) iwpp.Builder {
-		return iwpp.New(names, nums, iwpp.BuildOptions{ChunkSize: *chunk, Workers: *workers, Metrics: met})
-	}
+	newBuilder := collect.Build(iwpp.BuildOptions{ChunkSize: *chunk, Workers: *workers, Metrics: met})
 
 	// With -verify, prove every numbering unique and compact before the
 	// run; the artifact itself is deep-checked after it is built.
@@ -315,15 +313,12 @@ func fromTrace(path string, newBuilder collect.BuilderFactory) (iwpp.Artifact, *
 	if err != nil {
 		return nil, nil, err
 	}
-	// Function IDs are discovered from the events; names are synthetic.
-	maxFn := uint32(0)
+	// The trace carries no names: the builder names the functions it
+	// sees f0..f<max ID>.
 	b := newBuilder(nil, nil)
 	batch := make([]trace.Event, 4096)
 	for {
 		n, err := r.ReadBatch(batch)
-		for _, e := range batch[:n] {
-			maxFn = max(maxFn, e.Func())
-		}
 		b.AddBatch(batch[:n])
 		if err == io.EOF {
 			break
@@ -334,16 +329,6 @@ func fromTrace(path string, newBuilder collect.BuilderFactory) (iwpp.Artifact, *
 		}
 	}
 	a := b.Finish(b.Events()) // cost 1 per event
-	names := make([]iwpp.FuncInfo, maxFn+1)
-	for i := range names {
-		names[i] = iwpp.FuncInfo{Name: fmt.Sprintf("f%d", i)}
-	}
-	switch t := a.(type) {
-	case *iwpp.WPP:
-		t.Funcs = names
-	case *iwpp.ChunkedWPP:
-		t.Funcs = names
-	}
 	return a, b.Report(), nil
 }
 

@@ -267,16 +267,13 @@ func TestRecoveredFuncProfileMatchesGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b *iwpp.MonoBuilder
+		var b iwpp.Builder
 		m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) { b.Add(e) })})
 		if err != nil {
 			t.Fatal(err)
 		}
-		names := make([]string, len(prog.Funcs))
-		for i, f := range prog.Funcs {
-			names[i] = f.Name
-		}
-		b = iwpp.NewMonoBuilder(names, m.Numberings())
+		names := prog.FuncNames()
+		b = iwpp.New(names, m.Numberings(), iwpp.BuildOptions{})
 		if _, err := m.Run("main", w.Small); err != nil {
 			t.Fatal(err)
 		}

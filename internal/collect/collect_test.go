@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/bl"
 	"repro/internal/interp"
+	"repro/internal/trace"
 	"repro/internal/wlc"
+	"repro/internal/workloads"
 	"repro/internal/wpp"
 )
 
@@ -89,5 +91,73 @@ func TestRunDrainsOnError(t *testing.T) {
 	}
 	if !spy.finished {
 		t.Fatal("failed run left the builder unfinished")
+	}
+}
+
+// TestCaptureAgreesWithRun: on every bundled workload, the two entry
+// points run the same machine. Capture's events are the Walk of Run's
+// artifact, and the value, statistics and numberings match, for a
+// monolithic and a chunked build.
+func TestCaptureAgreesWithRun(t *testing.T) {
+	for _, w := range workloads.All {
+		prog := compile(t, w.Source)
+		args := []int64{w.Small}
+		c, err := Capture(prog, args, interp.Config{}, interp.PathTrace)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if !reflect.DeepEqual(c.Names, prog.FuncNames()) || uint64(len(c.Events)) != c.Stats.Events || len(c.Events) == 0 {
+			t.Fatalf("%s: names %v, %d events (stats %d)", w.Name, c.Names, len(c.Events), c.Stats.Events)
+		}
+		for _, opts := range []wpp.BuildOptions{{}, {ChunkSize: 64, Workers: 2}} {
+			r, err := Run(prog, args, interp.Config{}, Build(opts))
+			if err != nil {
+				t.Fatalf("%s %+v: %v", w.Name, opts, err)
+			}
+			var walked []trace.Event
+			r.Artifact.Walk(func(e trace.Event) bool { walked = append(walked, e); return true })
+			if !reflect.DeepEqual(walked, c.Events) {
+				t.Fatalf("%s %+v: artifact walks %d events, capture holds %d", w.Name, opts, len(walked), len(c.Events))
+			}
+			if r.Value != c.Value || !reflect.DeepEqual(r.Stats, c.Stats) {
+				t.Fatalf("%s %+v: run gave %d %+v, capture %d %+v", w.Name, opts, r.Value, r.Stats, c.Value, c.Stats)
+			}
+			if len(r.Numberings) != len(c.Numberings) {
+				t.Fatalf("%s %+v: %d numberings, capture %d", w.Name, opts, len(r.Numberings), len(c.Numberings))
+			}
+			for i, n := range r.Numberings {
+				cn := c.Numberings[i]
+				if n.NumPaths != cn.NumPaths || !reflect.DeepEqual(n.EdgeVal, cn.EdgeVal) || !reflect.DeepEqual(n.IsBack, cn.IsBack) {
+					t.Fatalf("%s %+v: function %d numbered differently", w.Name, opts, i)
+				}
+			}
+		}
+	}
+}
+
+// TestCaptureBlockTrace: a block-mode capture has no numberings and
+// emits more events than the path-mode run of the same program.
+func TestCaptureBlockTrace(t *testing.T) {
+	prog := compile(t, loop)
+	block, err := Capture(prog, []int64{50}, interp.Config{}, interp.BlockTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := Capture(prog, []int64{50}, interp.Config{}, interp.PathTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if block.Numberings != nil || block.Value != path.Value || len(block.Events) <= len(path.Events) {
+		t.Fatalf("block capture: %d numberings, value %d (path %d), %d events (path %d)",
+			len(block.Numberings), block.Value, path.Value, len(block.Events), len(path.Events))
+	}
+}
+
+// TestCaptureReportsRunError: a run that exceeds its budget is an
+// error, not a truncated capture.
+func TestCaptureReportsRunError(t *testing.T) {
+	prog := compile(t, `func main() { var i = 0; while i >= 0 { i = i + 1; } return 0; }`)
+	if _, err := Capture(prog, nil, interp.Config{MaxInstrs: 5000}, interp.PathTrace); err == nil {
+		t.Fatal("runaway run not aborted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bl"
+	"repro/internal/collect"
 	"repro/internal/interp"
 	"repro/internal/trace"
 	"repro/internal/wlc"
@@ -32,27 +33,25 @@ func CaptureWorkload(name string, scale Scale) (*Capture, error) {
 	if err != nil {
 		return nil, err
 	}
+	_, t, err := capture(w, scale, interp.PathTrace)
+	if err != nil {
+		return nil, err
+	}
+	return &Capture{Workload: w, Names: t.Names, Nums: t.Numberings, Events: t.Events,
+		Instructions: t.Stats.Instructions, Result: t.Value}, nil
+}
+
+// capture compiles w and runs it at the given scale traced in mode
+// (BlockTrace or PathTrace) through collect.Capture: the experiments'
+// one traced-run chain.
+func capture(w workloads.Workload, scale Scale, mode interp.Mode) (*wlc.Program, *collect.Trace, error) {
 	prog, err := wlc.Compile(w.Source)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
+		return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	c := &Capture{Workload: w}
-	m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
-		c.Events = append(c.Events, e)
-	})})
+	t, err := collect.Capture(prog, []int64{scale.Arg(w)}, interp.Config{}, mode)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
+		return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	c.Names = make([]string, len(prog.Funcs))
-	for i, f := range prog.Funcs {
-		c.Names[i] = f.Name
-	}
-	c.Nums = m.Numberings()
-	res, err := m.Run("main", scale.Arg(w))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	c.Result = res
-	c.Instructions = m.Stats().Instructions
-	return c, nil
+	return prog, t, nil
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/interp"
-	"repro/internal/trace"
-	"repro/internal/wlc"
 	"repro/internal/workloads"
 	iwpp "repro/internal/wpp"
 )
@@ -38,31 +36,19 @@ func A3(scale Scale, names []string, chunkSizes []uint64) ([]A3Row, *Table, erro
 		if err != nil {
 			return nil, nil, err
 		}
-		prog, err := wlc.Compile(w.Source)
-		if err != nil {
-			return nil, nil, err
-		}
 		// Capture the event stream once.
-		var events []trace.Event
-		m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
-			events = append(events, e)
-		})})
+		_, t, err := capture(w, scale, interp.PathTrace)
 		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := m.Run("main", scale.Arg(w)); err != nil {
 			return nil, nil, err
 		}
 
 		build := func(chunk uint64) *iwpp.ChunkedWPP {
 			size := chunk
 			if size == 0 {
-				size = uint64(len(events)) + 1
+				size = uint64(len(t.Events)) + 1
 			}
 			b := iwpp.New(nil, nil, iwpp.BuildOptions{ChunkSize: size, Workers: 1})
-			for _, e := range events {
-				b.Add(e)
-			}
+			b.AddBatch(t.Events)
 			return b.Finish(0).(*iwpp.ChunkedWPP)
 		}
 

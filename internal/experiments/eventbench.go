@@ -153,20 +153,16 @@ func EventBench(scale Scale, names []string, chunkSize uint64, workers, reps int
 		if err != nil {
 			return nil, err
 		}
-		art, err := runTraced(w, scale)
+		art, err := collectWorkload(w, scale)
 		if err != nil {
 			return nil, err
 		}
-		fnames := make([]string, len(art.prog.Funcs))
-		for i, f := range art.prog.Funcs {
-			fnames[i] = f.Name
-		}
-		row := EventBenchRow{Name: name, Events: uint64(len(art.events))}
-		if len(art.events) == 0 {
+		row := EventBenchRow{Name: name, Events: uint64(len(art.Events))}
+		if len(art.Events) == 0 {
 			res.Rows = append(res.Rows, row)
 			continue
 		}
-		instrs := art.stats.Instructions
+		instrs := art.Stats.Instructions
 
 		// Each timed build gets a fresh metrics registry — the deployed
 		// configuration — so per-event instrumentation cost is charged to
@@ -181,13 +177,13 @@ func EventBench(scale Scale, names []string, chunkSize uint64, workers, reps int
 			var b iwpp.Builder
 			var a iwpp.Artifact
 			d, _ := bestOf(reps, // no step returns an error
-				func() error { b = iwpp.New(fnames, art.nums, opts()); return nil },
-				func() error { feed(b, art.events, false); return nil },
-				func() error { b.Finish(instrs); b = iwpp.New(fnames, art.nums, opts()); return nil },
-				func() error { feed(b, art.events, true); return nil },
+				func() error { b = iwpp.New(art.Names, art.Numberings, opts()); return nil },
+				func() error { feed(b, art.Events, false); return nil },
+				func() error { b.Finish(instrs); b = iwpp.New(art.Names, art.Numberings, opts()); return nil },
+				func() error { feed(b, art.Events, true); return nil },
 				func() error { a = b.Finish(instrs); return nil },
 			)
-			n := float64(len(art.events))
+			n := float64(len(art.Events))
 			return n / d[1].Seconds(), n / d[3].Seconds(), a
 		}
 		monoOpts := func() iwpp.BuildOptions {

@@ -29,7 +29,7 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/bl"
+	"repro/internal/collect"
 	"repro/internal/interp"
 	"repro/internal/sequitur"
 	"repro/internal/trace"
@@ -110,54 +110,32 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// artifacts bundles everything one traced workload run produces.
+// artifacts bundles everything one traced workload run produces: the
+// captured stream and the WPP built from it.
 type artifacts struct {
+	*collect.Trace
 	workload workloads.Workload
 	prog     *wlc.Program
-	nums     []*bl.Numbering
-	events   []trace.Event
 	wpp      *iwpp.WPP
-	stats    interp.Stats
-	result   int64
 }
 
-// runTraced executes one workload at the given scale under path tracing,
-// capturing both the raw event stream and the online-built WPP.
-func runTraced(w workloads.Workload, scale Scale) (*artifacts, error) {
-	prog, err := wlc.Compile(w.Source)
+// collectWorkload captures one workload's run at the given scale and
+// builds its monolithic WPP from the capture.
+func collectWorkload(w workloads.Workload, scale Scale) (*artifacts, error) {
+	prog, t, err := capture(w, scale, interp.PathTrace)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
+		return nil, err
 	}
-	a := &artifacts{workload: w, prog: prog}
-	var b *iwpp.MonoBuilder
-	m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
-		a.events = append(a.events, e)
-		b.Add(e)
-	})})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	names := make([]string, len(prog.Funcs))
-	for i, f := range prog.Funcs {
-		names[i] = f.Name
-	}
-	b = iwpp.NewMonoBuilder(names, m.Numberings())
-	res, err := m.Run("main", scale.Arg(w))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	a.result = res
-	a.stats = m.Stats()
-	a.nums = m.Numberings()
-	a.wpp = b.Finish(a.stats.Instructions)
-	return a, nil
+	b := iwpp.New(t.Names, t.Numberings, iwpp.BuildOptions{})
+	b.AddBatch(t.Events)
+	return &artifacts{Trace: t, workload: w, prog: prog, wpp: b.Finish(t.Stats.Instructions).(*iwpp.WPP)}, nil
 }
 
 // RunAll runs every workload traced at the given scale.
 func RunAll(scale Scale) ([]*artifacts, error) {
 	var out []*artifacts
 	for _, w := range workloads.All {
-		a, err := runTraced(w, scale)
+		a, err := collectWorkload(w, scale)
 		if err != nil {
 			return nil, err
 		}
@@ -199,18 +177,18 @@ func e1FromArtifacts(arts []*artifacts) ([]E1Row, *Table, error) {
 	}
 	for _, a := range arts {
 		var static uint64
-		for _, n := range a.nums {
+		for _, n := range a.Numberings {
 			static += n.NumPaths
 		}
 		r := E1Row{
 			Name:          a.workload.Name,
 			Funcs:         len(a.prog.Funcs),
 			StaticPaths:   static,
-			Instructions:  a.stats.Instructions,
-			PathEvents:    a.stats.Events,
+			Instructions:  a.Stats.Instructions,
+			PathEvents:    a.Stats.Events,
 			DistinctPaths: a.wpp.DistinctPaths(),
-			RawBytes:      trace.EncodedSize(a.events),
-			FixedBytes:    trace.FixedSize(a.events),
+			RawBytes:      trace.EncodedSize(a.Events),
+			FixedBytes:    trace.FixedSize(a.Events),
 		}
 		rows = append(rows, r)
 		tbl.Rows = append(tbl.Rows, []string{
@@ -255,7 +233,7 @@ func E2(scale Scale) ([]E2Row, *Table, error) {
 		Notes:  []string{"wpp B includes the function table and path-cost table; grammar-only size is smaller", "WPP stays analyzable without decompression, DEFLATE does not"},
 	}
 	for _, a := range arts {
-		defl, err := trace.DeflateSize(a.events, flate.BestCompression)
+		defl, err := trace.DeflateSize(a.Events, flate.BestCompression)
 		if err != nil {
 			return nil, nil, err
 		}

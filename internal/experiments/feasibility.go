@@ -69,7 +69,7 @@ func F1(scale Scale) ([]F1Row, *Table, error) {
 		for i := range observed {
 			observed[i] = make(map[uint64]bool)
 		}
-		for _, e := range a.events {
+		for _, e := range a.Events {
 			observed[e.Func()][e.Path()] = true
 		}
 

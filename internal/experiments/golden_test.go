@@ -45,32 +45,28 @@ var goldenFormats = []goldenFormat{
 }
 
 // buildGolden reproduces one workload's artifacts exactly as the golden
-// corpus was generated: the monolithic grammar from the per-event chain
-// (runTraced's online build), the chunked artifact through the deployed
-// parallel batch pipeline. The differential suites pin per-event and
-// batch ingestion to equal grammars, so the choice of chain here is a
-// determinism convention, not a semantic one.
+// corpus was generated: the monolithic grammar from collectWorkload's
+// build of the captured stream, the chunked artifact through the
+// deployed parallel batch pipeline. The differential suites pin
+// per-event and batch ingestion to equal grammars, so the choice of
+// chain here is a determinism convention, not a semantic one.
 func buildGolden(t *testing.T, name string) map[string][]byte {
 	t.Helper()
 	w, err := workloads.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := runTraced(w, Small)
+	art, err := collectWorkload(w, Small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fnames := make([]string, len(art.prog.Funcs))
-	for i, f := range art.prog.Funcs {
-		fnames[i] = f.Name
-	}
-	cb := iwpp.New(fnames, art.nums, iwpp.BuildOptions{
+	cb := iwpp.New(art.Names, art.Numberings, iwpp.BuildOptions{
 		ChunkSize: goldenChunkSize,
 		Workers:   goldenWorkers,
 		Metrics:   iwpp.NewBuildMetrics(obsv.NewRegistry()),
 	})
-	feed(cb, art.events, true)
-	chunked := cb.Finish(art.stats.Instructions)
+	feed(cb, art.Events, true)
+	chunked := cb.Finish(art.Stats.Instructions)
 
 	out := make(map[string][]byte, len(goldenFormats))
 	for _, f := range goldenFormats {

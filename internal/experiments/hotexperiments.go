@@ -7,8 +7,6 @@ import (
 	"repro/internal/hotpath"
 	"repro/internal/interp"
 	"repro/internal/sequitur"
-	"repro/internal/trace"
-	"repro/internal/wlc"
 	"repro/internal/workloads"
 	iwpp "repro/internal/wpp"
 )
@@ -172,46 +170,25 @@ func A1(scale Scale, names []string) ([]A1Row, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		prog, err := wlc.Compile(w.Source)
+		_, block, err := capture(w, scale, interp.BlockTrace)
 		if err != nil {
 			return nil, nil, err
 		}
-		arg := scale.Arg(w)
-
-		gBlock := sequitur.New()
-		var blockEvents uint64
-		mb, err := interp.New(prog, interp.Config{Mode: interp.BlockTrace, Sink: trace.SinkFunc(func(e trace.Event) {
-			blockEvents++
-			gBlock.Append(uint64(e))
-		})})
+		_, path, err := capture(w, scale, interp.PathTrace)
 		if err != nil {
 			return nil, nil, err
 		}
-		if _, err := mb.Run("main", arg); err != nil {
-			return nil, nil, err
-		}
-
-		gPath := sequitur.New()
-		var pathEvents uint64
-		mp, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
-			pathEvents++
-			gPath.Append(uint64(e))
-		})})
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := mp.Run("main", arg); err != nil {
-			return nil, nil, err
-		}
-
+		gBlock, gPath := sequitur.New(), sequitur.New()
+		sequitur.AppendBatchOf(gBlock, block.Events)
+		sequitur.AppendBatchOf(gPath, path.Events)
 		r := A1Row{
 			Name:        w.Name,
-			BlockEvents: blockEvents,
-			PathEvents:  pathEvents,
-			EventRatio:  float64(blockEvents) / float64(pathEvents),
+			BlockEvents: uint64(len(block.Events)),
+			PathEvents:  uint64(len(path.Events)),
 			BlockBytes:  gBlock.Snapshot().EncodedSize(),
 			PathBytes:   gPath.Snapshot().EncodedSize(),
 		}
+		r.EventRatio = float64(r.BlockEvents) / float64(r.PathEvents)
 		r.SizeRatio = ratio(r.BlockBytes, r.PathBytes)
 		rows = append(rows, r)
 		tbl.Rows = append(tbl.Rows, []string{
@@ -249,27 +226,14 @@ func A2(scale Scale, names []string) ([]A2Row, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		prog, err := wlc.Compile(w.Source)
+		_, t, err := capture(w, scale, interp.PathTrace)
 		if err != nil {
-			return nil, nil, err
-		}
-		arg := scale.Arg(w)
-		var events []trace.Event
-		m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
-			events = append(events, e)
-		})})
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := m.Run("main", arg); err != nil {
 			return nil, nil, err
 		}
 		gOn := sequitur.New()
 		gOff := sequitur.NewWithOptions(sequitur.Options{DisableRuleUtility: true})
-		for _, e := range events {
-			gOn.Append(uint64(e))
-			gOff.Append(uint64(e))
-		}
+		sequitur.AppendBatchOf(gOn, t.Events)
+		sequitur.AppendBatchOf(gOff, t.Events)
 		on, off := gOn.Stats(), gOff.Stats()
 		r := A2Row{
 			Name:    w.Name,
@@ -296,7 +260,7 @@ func WPPForWorkload(name string, scale Scale) (*iwpp.WPP, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := runTraced(w, scale)
+	a, err := collectWorkload(w, scale)
 	if err != nil {
 		return nil, err
 	}

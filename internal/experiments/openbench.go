@@ -115,26 +115,22 @@ func OpenBench(scale Scale, names []string, chunkSize uint64, reps int) (*Trajec
 
 // encodeAllFormats runs one workload traced and returns its four
 // encodings keyed by extension, built exactly as the golden corpus is:
-// the monolithic grammar from the online per-event build, the chunked
+// the monolithic grammar from collectWorkload's build, the chunked
 // artifact from wpp.New at the given chunk size on one worker.
 func encodeAllFormats(name string, scale Scale, chunkSize uint64) (map[string][]byte, error) {
 	w, err := workloads.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	art, err := runTraced(w, scale)
+	art, err := collectWorkload(w, scale)
 	if err != nil {
 		return nil, err
 	}
-	fnames := make([]string, len(art.prog.Funcs))
-	for i, f := range art.prog.Funcs {
-		fnames[i] = f.Name
-	}
-	cb := iwpp.New(fnames, art.nums, iwpp.BuildOptions{ChunkSize: chunkSize, Workers: 1})
-	for _, e := range art.events {
+	cb := iwpp.New(art.Names, art.Numberings, iwpp.BuildOptions{ChunkSize: chunkSize, Workers: 1})
+	for _, e := range art.Events {
 		cb.Add(e)
 	}
-	chunked := cb.Finish(art.stats.Instructions).(*iwpp.ChunkedWPP)
+	chunked := cb.Finish(art.Stats.Instructions).(*iwpp.ChunkedWPP)
 
 	out := make(map[string][]byte, 4)
 	for _, f := range []struct {

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/collect"
 	"repro/internal/interp"
-	"repro/internal/trace"
 	"repro/internal/wlc"
 	iwpp "repro/internal/wpp"
 )
@@ -102,22 +102,11 @@ func A4(scale Scale, _ []string) ([]A4Row, *Table, error) {
 			if err != nil {
 				return 0, 0, 0, 0, err
 			}
-			var b *iwpp.MonoBuilder
-			m, err := interp.New(compiled, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) { b.Add(e) })})
+			t, err := collect.Run(compiled, []int64{arg}, interp.Config{}, collect.Build(iwpp.BuildOptions{}))
 			if err != nil {
 				return 0, 0, 0, 0, err
 			}
-			fnames := make([]string, len(compiled.Funcs))
-			for i, f := range compiled.Funcs {
-				fnames[i] = f.Name
-			}
-			b = iwpp.NewMonoBuilder(fnames, m.Numberings())
-			res, err := m.Run("main", arg)
-			if err != nil {
-				return 0, 0, 0, 0, err
-			}
-			wp := b.Finish(m.Stats().Instructions)
-			return m.Stats().Instructions, m.Stats().Events, wp.EncodedSize(), res, nil
+			return t.Stats.Instructions, t.Stats.Events, t.Report.BytesOut, t.Value, nil
 		}
 		pi, pe, pb, pres, err := build(false)
 		if err != nil {

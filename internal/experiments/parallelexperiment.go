@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/hotpath"
 	"repro/internal/interp"
-	"repro/internal/trace"
-	"repro/internal/wlc"
 	"repro/internal/workloads"
 	iwpp "repro/internal/wpp"
 )
@@ -52,27 +50,17 @@ func P1(scale Scale, names []string, chunkSize uint64, workers, reps int) ([]P1R
 		if err != nil {
 			return nil, nil, err
 		}
-		prog, err := wlc.Compile(w.Source)
+		_, t, err := capture(w, scale, interp.PathTrace)
 		if err != nil {
-			return nil, nil, err
-		}
-		var events []trace.Event
-		m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
-			events = append(events, e)
-		})})
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := m.Run("main", scale.Arg(w)); err != nil {
 			return nil, nil, err
 		}
 
 		build := func(nw int) *iwpp.ChunkedWPP {
-			b := iwpp.NewParallelChunkedBuilder(nil, nil, chunkSize, iwpp.ParallelOptions{Workers: nw})
-			for _, e := range events {
+			b := iwpp.New(nil, nil, iwpp.BuildOptions{ChunkSize: chunkSize, Workers: nw})
+			for _, e := range t.Events {
 				b.Add(e)
 			}
-			return b.Finish(uint64(len(events)))
+			return b.Finish(uint64(len(t.Events))).(*iwpp.ChunkedWPP)
 		}
 		c1 := build(1)
 		cN := build(workers)
@@ -100,7 +88,7 @@ func P1(scale Scale, names []string, chunkSize uint64, workers, reps int) ([]P1R
 			return nil, nil, err
 		}
 		r := P1Row{
-			Name: name, Events: uint64(len(events)), Chunks: len(c1.Chunks),
+			Name: name, Events: uint64(len(t.Events)), Chunks: len(c1.Chunks),
 			Build1: best[0], BuildN: best[1], Speedup: dratio(best[0], best[1]),
 			Find1: best[2], FindN: best[3],
 		}

@@ -79,12 +79,12 @@ func SeqBench(scale Scale, names []string, chunkSize uint64, reps int) (*Traject
 		if err != nil {
 			return nil, err
 		}
-		art, err := runTraced(w, scale)
+		art, err := collectWorkload(w, scale)
 		if err != nil {
 			return nil, err
 		}
-		stream := make([]uint64, len(art.events))
-		for i, e := range art.events {
+		stream := make([]uint64, len(art.Events))
+		for i, e := range art.Events {
 			stream[i] = uint64(e)
 		}
 		row := SeqBenchRow{Name: name, Events: uint64(len(stream))}

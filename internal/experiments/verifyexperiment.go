@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/collect"
 	"repro/internal/interp"
-	"repro/internal/trace"
 	"repro/internal/wlc"
 	"repro/internal/workloads"
 	iwpp "repro/internal/wpp"
@@ -32,12 +32,16 @@ func VerifyAll(scale Scale, names []string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		prog, err := wlc.Compile(w.Source)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", w.Name, err)
+		}
 		for _, opts := range []iwpp.BuildOptions{{}, {ChunkSize: verifyChunkSize}} {
-			art, err := buildWith(w, scale, opts)
+			t, err := collect.Run(prog, []int64{scale.Arg(w)}, interp.Config{}, collect.Build(opts))
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s: %w", w.Name, err)
 			}
-			rep, err := art.VerifyArtifact()
+			rep, err := t.Artifact.VerifyArtifact()
 			if err != nil {
 				return nil, fmt.Errorf("%s (%s): %w", name, rep.Kind, err)
 			}
@@ -50,28 +54,4 @@ func VerifyAll(scale Scale, names []string) (*Table, error) {
 		}
 	}
 	return tbl, nil
-}
-
-// buildWith traces one workload through the unified builder with the
-// given construction options and seals the artifact.
-func buildWith(w workloads.Workload, scale Scale, opts iwpp.BuildOptions) (iwpp.Artifact, error) {
-	prog, err := wlc.Compile(w.Source)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	var b iwpp.Builder
-	m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) { b.Add(e) })})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	names := make([]string, len(prog.Funcs))
-	for i, f := range prog.Funcs {
-		names[i] = f.Name
-	}
-	b = iwpp.New(names, m.Numberings(), opts)
-	if _, err := m.Run("main", scale.Arg(w)); err != nil {
-		b.Finish(0)
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	return b.Finish(m.Stats().Instructions), nil
 }

@@ -27,7 +27,7 @@ func workloadBoth(t *testing.T, name string) (*wpp.WPP, *wpp.ChunkedWPP) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mb *wpp.MonoBuilder
+	var mb wpp.Builder
 	var cb wpp.Builder
 	m, err := interp.New(p, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
 		mb.Add(e)
@@ -36,16 +36,13 @@ func workloadBoth(t *testing.T, name string) (*wpp.WPP, *wpp.ChunkedWPP) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, len(p.Funcs))
-	for i, f := range p.Funcs {
-		names[i] = f.Name
-	}
-	mb = wpp.NewMonoBuilder(names, m.Numberings())
+	names := p.FuncNames()
+	mb = wpp.New(names, m.Numberings(), wpp.BuildOptions{})
 	cb = wpp.New(names, m.Numberings(), wpp.BuildOptions{ChunkSize: equivChunkSize, Workers: 1})
 	if _, err := m.Run("main", w.Small); err != nil {
 		t.Fatal(err)
 	}
-	return mb.Finish(m.Stats().Instructions), cb.Finish(m.Stats().Instructions).(*wpp.ChunkedWPP)
+	return mb.Finish(m.Stats().Instructions).(*wpp.WPP), cb.Finish(m.Stats().Instructions).(*wpp.ChunkedWPP)
 }
 
 // TestFoldEquivalenceOnWorkloads is the refactor's keystone property

@@ -18,11 +18,11 @@ import (
 // syntheticWPP builds a WPP over function 0 from a bare event-ID stream,
 // with every path costing 1 instruction.
 func syntheticWPP(ids []uint64) *wpp.WPP {
-	b := wpp.NewMonoBuilder([]string{"f"}, nil)
+	b := wpp.New([]string{"f"}, nil, wpp.BuildOptions{})
 	for _, id := range ids {
 		b.Add(trace.MakeEvent(0, id))
 	}
-	return b.Finish(uint64(len(ids)))
+	return b.Finish(uint64(len(ids))).(*wpp.WPP)
 }
 
 func programWPP(t *testing.T, src string, args ...int64) *wpp.WPP {
@@ -31,20 +31,17 @@ func programWPP(t *testing.T, src string, args ...int64) *wpp.WPP {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b *wpp.MonoBuilder
+	var b wpp.Builder
 	m, err := interp.New(p, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) { b.Add(e) })})
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, len(p.Funcs))
-	for i, f := range p.Funcs {
-		names[i] = f.Name
-	}
-	b = wpp.NewMonoBuilder(names, m.Numberings())
+	names := p.FuncNames()
+	b = wpp.New(names, m.Numberings(), wpp.BuildOptions{})
 	if _, err := m.Run("main", args...); err != nil {
 		t.Fatal(err)
 	}
-	return b.Finish(m.Stats().Instructions)
+	return b.Finish(m.Stats().Instructions).(*wpp.WPP)
 }
 
 func TestOptionsValidation(t *testing.T) {

@@ -278,7 +278,7 @@ func checkPipeline(t *testing.T, trial int, src string) {
 
 	// Path-traced run building a WPP online.
 	var events []trace.Event
-	var builder *iwpp.MonoBuilder
+	var builder iwpp.Builder
 	mPath, err := New(prog, Config{Mode: PathTrace, MaxInstrs: budget, Sink: trace.SinkFunc(func(e trace.Event) {
 		events = append(events, e)
 		builder.Add(e)
@@ -286,11 +286,8 @@ func checkPipeline(t *testing.T, trial int, src string) {
 	if err != nil {
 		fail("new path: %v", err)
 	}
-	names := make([]string, len(prog.Funcs))
-	for i, f := range prog.Funcs {
-		names[i] = f.Name
-	}
-	builder = iwpp.NewMonoBuilder(names, mPath.Numberings())
+	names := prog.FuncNames()
+	builder = iwpp.New(names, mPath.Numberings(), iwpp.BuildOptions{})
 	if got, err := mPath.Run("main", arg); err != nil || got != want {
 		fail("path-traced: got %d err %v, want %d", got, err, want)
 	}
@@ -319,7 +316,7 @@ func checkPipeline(t *testing.T, trial int, src string) {
 	}
 
 	// WPP round trip.
-	w := builder.Finish(mPath.Stats().Instructions)
+	w := builder.Finish(mPath.Stats().Instructions).(*iwpp.WPP)
 	if err := w.Verify(); err != nil {
 		fail("wpp verify: %v", err)
 	}

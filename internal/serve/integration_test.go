@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -222,9 +223,9 @@ func TestLiveHotMatchesPrefixBuild(t *testing.T) {
 	// Reference: a local mono build of the same prefix, analyzed with the
 	// same live denominator (total path cost, since no instruction count
 	// exists before seal).
-	b := iwpp.NewMonoBuilder(cap.Names, cap.Nums)
+	b := iwpp.New(cap.Names, cap.Nums, iwpp.BuildOptions{})
 	b.AddBatch(cap.Events[:cut])
-	ref := b.SnapshotWPP()
+	ref := b.(iwpp.LiveSnapshotter).SnapshotWPP()
 	want, err := hotpath.Find(ref, hotpath.Options{MinLen: 4, MaxLen: 16, Threshold: 0.001}, 1)
 	if err != nil {
 		t.Fatalf("hotpath.Find on prefix: %v", err)
@@ -551,5 +552,38 @@ func TestMetricsFlow(t *testing.T) {
 	}
 	if s.Histograms["serve_ingest_seconds"].Count == 0 {
 		t.Errorf("ingest latency histogram empty")
+	}
+}
+
+// TestOpenClampsWorkers: a client cannot size the daemon's compression
+// pool. An open asking for 1<<30 workers succeeds with at most
+// GOMAXPROCS of them (plus the pipeline's collector), and evicting the
+// session ends every one.
+func TestOpenClampsWorkers(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	if _, err := c.Health(); err != nil { // settle the connection's goroutines first
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	info, err := c.Open(OpenRequest{Chunk: 4096, Workers: 1 << 30})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	const slack = 4
+	if n := runtime.NumGoroutine(); n > base+runtime.GOMAXPROCS(0)+slack {
+		t.Fatalf("open started %d goroutines, want at most GOMAXPROCS (%d) + %d", n-base, runtime.GOMAXPROCS(0), slack)
+	}
+	if _, err := c.Ingest(info.ID, []trace.Event{trace.MakeEvent(0, 1), trace.MakeEvent(1, 0)}); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	if err := c.Evict(info.ID); err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after evict, %d before open", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

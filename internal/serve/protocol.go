@@ -40,8 +40,11 @@ type OpenRequest struct {
 	// Chunk > 0 builds with the parallel chunked pipeline (WPC
 	// artifacts); 0 builds one monolithic grammar, which also enables
 	// live /hot queries.
-	Chunk   uint64 `json:"chunk,omitempty"`
-	Workers int    `json:"workers,omitempty"`
+	Chunk uint64 `json:"chunk,omitempty"`
+	// Workers sizes a chunked session's compression pool. The daemon
+	// clamps it to GOMAXPROCS (0 or less means GOMAXPROCS); the artifact
+	// is byte-identical at every worker count.
+	Workers int `json:"workers,omitempty"`
 	// Format selects the on-disk encoding at seal: "wpp1" (default) or
 	// "wpp2".
 	Format string `json:"format,omitempty"`

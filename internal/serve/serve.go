@@ -253,11 +253,7 @@ func (s *Server) openProgram(name string) (*sessionProgram, *apiError) {
 	if err != nil {
 		return nil, errf(http.StatusInternalServerError, "numbering %s: %v", name, err)
 	}
-	names := make([]string, len(prog.Funcs))
-	for i, f := range prog.Funcs {
-		names[i] = f.Name
-	}
-	p := &sessionProgram{names: names, nums: nums, numPaths: numPathsOf(nums)}
+	p := &sessionProgram{names: prog.FuncNames(), nums: nums, numPaths: numPathsOf(nums)}
 	s.compiled[name] = p
 	return p, nil
 }
@@ -292,16 +288,17 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		names, nums, numPaths = p.names, p.nums, p.numPaths
 	}
 
+	// Each worker is a goroutine, so a client's count is clamped to the
+	// cores: it cannot change the artifact, only the daemon's footprint.
 	builder := iwpp.New(names, nums, iwpp.BuildOptions{
 		ChunkSize: req.Chunk,
-		Workers:   req.Workers,
+		Workers:   min(max(req.Workers, 0), runtime.GOMAXPROCS(0)),
 		Metrics:   s.met.Build,
 	})
 	ss := &session{
 		workload: req.Workload,
 		scale:    req.Scale,
 		chunk:    req.Chunk,
-		workers:  req.Workers,
 		format:   format,
 		quota:    s.cfg.SessionQuota,
 		numPaths: numPaths,

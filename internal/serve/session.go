@@ -47,7 +47,6 @@ type session struct {
 	workload string
 	scale    string
 	chunk    uint64
-	workers  int
 	format   uint8
 	quota    uint64 // max events; 0 = unlimited
 
@@ -59,7 +58,6 @@ type session struct {
 	state   sessionState
 	builder iwpp.Builder
 	events  uint64
-	maxFn   uint32 // highest function ID seen (anonymous naming at seal)
 
 	artifact iwpp.Artifact
 	encoded  []byte
@@ -144,12 +142,6 @@ func (ss *session) checkEvents(events []trace.Event) error {
 // none does (quota violations reject the whole frame, so a retried frame
 // is idempotent-safe for the client to resend elsewhere).
 func (ss *session) ingest(events []trace.Event, now time.Time) (IngestResult, *apiError) {
-	var maxFn uint32
-	for _, e := range events {
-		if e.Func() > maxFn {
-			maxFn = e.Func()
-		}
-	}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	switch ss.state {
@@ -165,9 +157,6 @@ func (ss *session) ingest(events []trace.Event, now time.Time) (IngestResult, *a
 	}
 	ss.builder.AddBatch(events)
 	ss.events += uint64(len(events))
-	if maxFn > ss.maxFn {
-		ss.maxFn = maxFn
-	}
 	ss.touch(now)
 	return IngestResult{Accepted: uint64(len(events)), Events: ss.events}, nil
 }
@@ -186,20 +175,6 @@ func (ss *session) seal(req SealRequest, now time.Time) (SealResult, *apiError) 
 	}
 	a := ss.builder.Finish(req.Instructions)
 	ss.builder = nil
-	// Anonymous sessions synthesize the function table from the events,
-	// exactly as `wppbuild -trace` does.
-	if ss.numPaths == nil {
-		names := make([]iwpp.FuncInfo, ss.maxFn+1)
-		for i := range names {
-			names[i] = iwpp.FuncInfo{Name: fmt.Sprintf("f%d", i)}
-		}
-		switch t := a.(type) {
-		case *iwpp.WPP:
-			t.Funcs = names
-		case *iwpp.ChunkedWPP:
-			t.Funcs = names
-		}
-	}
 	iwpp.SetVersion(a, ss.format)
 	var buf bytes.Buffer
 	if _, err := a.Encode(&buf); err != nil {

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/bl"
 	"repro/internal/collect"
 	"repro/internal/interp"
 	"repro/internal/wlc"
@@ -289,9 +288,7 @@ func BuildWorkloadArtifact(source string, args []int64, chunk uint64, workers in
 	if err != nil {
 		return nil, err
 	}
-	t, err := collect.Run(prog, args, interp.Config{}, func(names []string, nums []*bl.Numbering) iwpp.Builder {
-		return iwpp.New(names, nums, iwpp.BuildOptions{ChunkSize: chunk, Workers: workers})
-	})
+	t, err := collect.Run(prog, args, interp.Config{}, collect.Build(iwpp.BuildOptions{ChunkSize: chunk, Workers: workers}))
 	if err != nil {
 		return nil, err
 	}

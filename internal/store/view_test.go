@@ -40,7 +40,7 @@ func TestOpenViewParity(t *testing.T) {
 	// Chunked artifact: header object + one object per chunk.
 	ch, cenc := putChunked(t, s, 256)
 	// Blob artifact: the same trace monolithic.
-	w := iwpp.NewMonoBuilder(nil, nil)
+	w := iwpp.New(nil, nil, iwpp.BuildOptions{})
 	for _, e := range syntheticEvents(4000) {
 		w.Add(e)
 	}

@@ -116,6 +116,16 @@ type Program struct {
 	ByName map[string]*Func
 }
 
+// FuncNames lists the function names, indexed by function ID: the name
+// table a WPP records.
+func (p *Program) FuncNames() []string {
+	names := make([]string, len(p.Funcs))
+	for i, f := range p.Funcs {
+		names[i] = f.Name
+	}
+	return names
+}
+
 // Disassemble renders the program's IR for debugging.
 func (p *Program) Disassemble() string {
 	var sb strings.Builder

@@ -2,11 +2,9 @@ package wpp
 
 import (
 	"io"
-	"time"
 
 	"repro/internal/bl"
 	"repro/internal/engine"
-	"repro/internal/sequitur"
 	"repro/internal/trace"
 )
 
@@ -84,19 +82,14 @@ type BuildOptions struct {
 
 // New returns a Builder for a program whose functions have the given
 // Ball–Larus numberings (indexed by function ID), constructing with the
-// strategy opts selects.
+// strategy opts selects. It is the one way to make a builder. Given no
+// names, the builder names the functions it saw f0..f<max ID> when it
+// seals or snapshots; nil numberings make every path cost 1.
 func New(names []string, nums []*bl.Numbering, opts BuildOptions) Builder {
 	if opts.ChunkSize == 0 {
-		b := NewMonoBuilder(names, nums)
-		b.SetMetrics(opts.Metrics)
-		return &monoHandle{b: b}
+		return newMonoBuilder(names, nums, opts.Metrics)
 	}
-	return &chunkedHandle{
-		b: NewParallelChunkedBuilder(names, nums, opts.ChunkSize, ParallelOptions{
-			Workers: opts.Workers,
-			Metrics: opts.Metrics,
-		}),
-	}
+	return newParallelChunkedBuilder(names, nums, opts)
 }
 
 // LiveSnapshotter is implemented by builders that can produce a
@@ -107,83 +100,6 @@ func New(names []string, nums []*bl.Numbering, opts BuildOptions) Builder {
 // query-after-seal when the assertion fails.
 type LiveSnapshotter interface {
 	SnapshotWPP() *WPP
-}
-
-// monoHandle adapts MonoBuilder to the Builder interface.
-type monoHandle struct {
-	b      *MonoBuilder
-	start  time.Time
-	report *BuildReport
-}
-
-func (h *monoHandle) Add(e trace.Event) {
-	if h.start.IsZero() {
-		h.start = time.Now()
-	}
-	h.b.Add(e)
-}
-
-func (h *monoHandle) AddBatch(es []trace.Event) {
-	if h.start.IsZero() {
-		h.start = time.Now()
-	}
-	h.b.AddBatch(es)
-}
-
-func (h *monoHandle) Events() uint64 { return h.b.Events() }
-
-func (h *monoHandle) Finish(instructions uint64) Artifact {
-	if h.start.IsZero() {
-		h.start = time.Now()
-	}
-	w := h.b.Finish(instructions)
-	r := BuildReport{
-		Events:        w.Events,
-		Chunks:        1,
-		DistinctPaths: w.DistinctPaths(),
-		Workers:       1,
-		BytesIn:       rawTraceBytes([]*sequitur.Snapshot{w.Grammar}),
-		BytesOut:      w.EncodedSize(),
-		WallTime:      time.Since(h.start),
-		WorkerBusy:    []float64{1},
-	}
-	if r.BytesOut > 0 {
-		r.Ratio = float64(r.BytesIn) / float64(r.BytesOut)
-	}
-	h.report = &r
-	return w
-}
-
-func (h *monoHandle) Report() *BuildReport { return h.report }
-
-// SnapshotWPP implements LiveSnapshotter by delegating to the wrapped
-// MonoBuilder.
-func (h *monoHandle) SnapshotWPP() *WPP { return h.b.SnapshotWPP() }
-
-// chunkedHandle adapts ParallelChunkedBuilder to the Builder interface.
-type chunkedHandle struct {
-	b        *ParallelChunkedBuilder
-	finished bool
-}
-
-func (h *chunkedHandle) Add(e trace.Event) { h.b.Add(e) }
-
-func (h *chunkedHandle) AddBatch(es []trace.Event) { h.b.AddBatch(es) }
-
-func (h *chunkedHandle) Events() uint64 { return h.b.Events() }
-
-func (h *chunkedHandle) Finish(instructions uint64) Artifact {
-	c := h.b.Finish(instructions)
-	h.finished = true
-	return c
-}
-
-func (h *chunkedHandle) Report() *BuildReport {
-	if !h.finished {
-		return nil
-	}
-	r := h.b.Report()
-	return &r
 }
 
 // NumEvents is the trace length; part of the Artifact interface (the
@@ -209,11 +125,10 @@ func (c *ChunkedWPP) FuncTable() []FuncInfo { return c.Funcs }
 
 // Interface conformance.
 var (
-	_ Builder         = (*monoHandle)(nil)
-	_ Builder         = (*chunkedHandle)(nil)
+	_ Builder         = (*MonoBuilder)(nil)
+	_ Builder         = (*ParallelChunkedBuilder)(nil)
 	_ Artifact        = (*WPP)(nil)
 	_ Artifact        = (*ChunkedWPP)(nil)
-	_ LiveSnapshotter = (*monoHandle)(nil)
 	_ LiveSnapshotter = (*MonoBuilder)(nil)
 	_ engine.Source   = (*ArtifactView)(nil)
 )

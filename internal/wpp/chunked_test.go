@@ -24,10 +24,7 @@ func buildChunked(t *testing.T, src string, chunkSize uint64, args ...int64) (*C
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, len(p.Funcs))
-	for i, f := range p.Funcs {
-		names[i] = f.Name
-	}
+	names := p.FuncNames()
 	b = newRefBuilder(names, m.Numberings(), chunkSize)
 	if _, err := m.Run("main", args...); err != nil {
 		t.Fatal(err)

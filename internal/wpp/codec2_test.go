@@ -63,11 +63,11 @@ func funcNames(events []trace.Event) []string {
 }
 
 func buildMonoFor(events []trace.Event) *WPP {
-	b := NewMonoBuilder(funcNames(events), nil)
+	b := newMonoBuilder(funcNames(events), nil, nil)
 	for _, e := range events {
 		b.Add(e)
 	}
-	return b.Finish(uint64(len(events)))
+	return b.Finish(uint64(len(events))).(*WPP)
 }
 
 func buildChunkedFor(events []trace.Event, chunkSize uint64) *ChunkedWPP {

@@ -11,7 +11,7 @@ import (
 // encodeMono builds and encodes a small monolithic artifact.
 func encodeMonoBytes(t testing.TB) []byte {
 	t.Helper()
-	b := NewMonoBuilder([]string{"f"}, nil)
+	b := newMonoBuilder([]string{"f"}, nil, nil)
 	for i := 0; i < 120; i++ {
 		b.Add(trace.MakeEvent(0, uint64(i%4)))
 	}
@@ -161,11 +161,11 @@ func TestDecodeArtifactRejectsOutOfRangeEvent(t *testing.T) {
 		t.Fatal("sanity: crafted event unexpectedly valid")
 	}
 
-	b := NewMonoBuilder([]string{"f"}, nil)
+	b := newMonoBuilder([]string{"f"}, nil, nil)
 	for i := 0; i < 20; i++ {
 		b.Add(trace.MakeEvent(0, uint64(i%3)))
 	}
-	w := b.Finish(20)
+	w := b.Finish(20).(*WPP)
 	w.costs[bad] = 1
 	var buf bytes.Buffer
 	if _, err := w.Encode(&buf); err != nil {

@@ -58,13 +58,13 @@ func FuzzChunkedParity(f *testing.F) {
 		}
 
 		sb := newRefBuilder(funcNames(events), nil, chunkSize)
-		pb := NewParallelChunkedBuilder(funcNames(events), nil, chunkSize, ParallelOptions{Workers: nw})
+		pb := newParallelChunkedBuilder(funcNames(events), nil, BuildOptions{ChunkSize: chunkSize, Workers: nw})
 		for _, e := range events {
 			sb.Add(e)
 			pb.Add(e)
 		}
 		seq := sb.Finish(uint64(len(events)))
-		par := pb.Finish(uint64(len(events)))
+		par := pb.Finish(uint64(len(events))).(*ChunkedWPP)
 
 		if err := seq.Verify(); err != nil {
 			t.Fatalf("reference verify: %v", err)
@@ -135,7 +135,7 @@ func FuzzDecodeChunked(f *testing.F) {
 // chunked v1 artifact, bare and unknown magics, the empty file, and
 // truncations of both containers.
 func FuzzDecodeAny(f *testing.F) {
-	mb := NewMonoBuilder([]string{"f"}, nil)
+	mb := newMonoBuilder([]string{"f"}, nil, nil)
 	cb := newRefBuilder([]string{"f"}, nil, 16)
 	for i := 0; i < 200; i++ {
 		e := trace.MakeEvent(0, uint64(i%5))

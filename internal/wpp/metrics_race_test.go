@@ -18,7 +18,7 @@ func TestMetricsScrapeDuringParallelBuild(t *testing.T) {
 	reg := obsv.NewRegistry()
 	met := NewBuildMetrics(reg)
 	names := []string{"f0", "f1", "f2", "f3"}
-	b := NewParallelChunkedBuilder(names, nil, 256, ParallelOptions{Workers: 4, Metrics: met})
+	b := newParallelChunkedBuilder(names, nil, BuildOptions{ChunkSize: 256, Workers: 4, Metrics: met})
 
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup
@@ -50,7 +50,7 @@ func TestMetricsScrapeDuringParallelBuild(t *testing.T) {
 	for _, e := range stream {
 		b.Add(e)
 	}
-	c := b.Finish(uint64(events))
+	c := b.Finish(uint64(events)).(*ChunkedWPP)
 	close(stop)
 	scrapers.Wait()
 

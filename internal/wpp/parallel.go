@@ -1,42 +1,24 @@
 package wpp
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/bl"
+	"repro/internal/engine"
 	"repro/internal/sequitur"
 	"repro/internal/trace"
 )
 
-// ParallelOptions tunes the parallel chunked pipeline.
-type ParallelOptions struct {
-	// Workers is the number of concurrent SEQUITUR compressors. Zero or
-	// negative means runtime.GOMAXPROCS(0).
-	Workers int
-	// Metrics installs observability hooks on the pipeline (see
-	// BuildMetrics). Nil disables instrumentation; the artifact is
-	// byte-identical either way.
-	Metrics *BuildMetrics
-}
-
-func (o ParallelOptions) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // ParallelChunkedBuilder builds a ChunkedWPP, compressing chunks on a
-// bounded worker pool. Its output is defined independently of the pool:
-// chunk i is the SEQUITUR grammar of events [i·chunkSize,
-// (i+1)·chunkSize) of the stream, each distinct event is priced once,
-// and PeakLiveRHS is the largest chunk grammar's symbol count at seal
-// time. SEQUITUR is a deterministic function of a chunk's events and
-// results are reassembled by chunk index, so the artifact — Chunks,
-// Stats and encoding — is byte-identical at every worker count and
-// schedule.
+// bounded worker pool: the chunked strategy behind New. Its output is
+// defined independently of the pool: chunk i is the SEQUITUR grammar of
+// events [i·chunkSize, (i+1)·chunkSize) of the stream, each distinct
+// event is priced once, and PeakLiveRHS is the largest chunk grammar's
+// symbol count at seal time. SEQUITUR is a deterministic function of a
+// chunk's events and results are reassembled by chunk index, so the
+// artifact — Chunks, Stats and encoding — is byte-identical at every
+// worker count and schedule.
 //
 // The Add/AddBatch front-end stays single-threaded (it is an interp
 // Sink, called from one goroutine): it only buffers events; a full
@@ -75,7 +57,7 @@ type ParallelChunkedBuilder struct {
 	workerBusy []int64
 
 	finished bool
-	report   BuildReport
+	report   *BuildReport
 }
 
 type parallelJob struct {
@@ -91,16 +73,17 @@ type parallelResult struct {
 	rhs int
 }
 
-// NewParallelChunkedBuilder returns a parallel builder that seals a chunk
-// every chunkSize events and compresses chunks on opts.Workers
-// goroutines. chunkSize must be positive.
-func NewParallelChunkedBuilder(names []string, nums []*bl.Numbering, chunkSize uint64, opts ParallelOptions) *ParallelChunkedBuilder {
-	if chunkSize == 0 {
+// newParallelChunkedBuilder returns a parallel builder that seals a
+// chunk every opts.ChunkSize events and compresses chunks on
+// opts.Workers goroutines (<=0 means GOMAXPROCS). The chunk size must be
+// positive.
+func newParallelChunkedBuilder(names []string, nums []*bl.Numbering, opts BuildOptions) *ParallelChunkedBuilder {
+	if opts.ChunkSize == 0 {
 		panic("wpp: chunk size must be positive")
 	}
-	workers := opts.workers()
+	workers := engine.Workers(opts.Workers)
 	b := &ParallelChunkedBuilder{
-		chunkSize:  chunkSize,
+		chunkSize:  opts.ChunkSize,
 		funcs:      funcTable(names, nums),
 		nums:       nums,
 		jobs:       make(chan parallelJob, workers),
@@ -243,7 +226,7 @@ func (b *ParallelChunkedBuilder) seal() {
 
 // Finish seals the current partial chunk, waits for the pool to drain,
 // and returns the artifact. The builder cannot be used afterwards.
-func (b *ParallelChunkedBuilder) Finish(instructions uint64) *ChunkedWPP {
+func (b *ParallelChunkedBuilder) Finish(instructions uint64) Artifact {
 	if b.finished {
 		panic("wpp: Finish called twice")
 	}
@@ -255,14 +238,15 @@ func (b *ParallelChunkedBuilder) Finish(instructions uint64) *ChunkedWPP {
 	b.wg.Wait()
 	close(b.results)
 	<-b.done
+	costs := fillCosts(b.nums, b.chunks...)
 	c := &ChunkedWPP{
-		Funcs:        b.funcs,
+		Funcs:        sealedFuncs(b.funcs, costs),
 		Chunks:       b.chunks,
 		ChunkSize:    b.chunkSize,
 		Events:       b.events,
 		Instructions: instructions,
 		PeakLiveRHS:  b.peakRHS,
-		costs:        fillCosts(b.nums, b.chunks...),
+		costs:        costs,
 	}
 	b.report = b.buildReport(c, time.Since(b.start))
 	return c
@@ -270,7 +254,7 @@ func (b *ParallelChunkedBuilder) Finish(instructions uint64) *ChunkedWPP {
 
 // buildReport assembles the build summary from the sealed artifact and
 // the per-worker busy times.
-func (b *ParallelChunkedBuilder) buildReport(c *ChunkedWPP, wall time.Duration) BuildReport {
+func (b *ParallelChunkedBuilder) buildReport(c *ChunkedWPP, wall time.Duration) *BuildReport {
 	r := BuildReport{
 		Events:        c.Events,
 		Chunks:        len(c.Chunks),
@@ -290,13 +274,8 @@ func (b *ParallelChunkedBuilder) buildReport(c *ChunkedWPP, wall time.Duration) 
 			r.WorkerBusy[i] = float64(busy) / float64(wall)
 		}
 	}
-	return r
+	return &r
 }
 
-// Report returns the build summary. Valid only after Finish.
-func (b *ParallelChunkedBuilder) Report() BuildReport {
-	if !b.finished {
-		panic("wpp: Report before Finish")
-	}
-	return b.report
-}
+// Report returns the build summary; nil before Finish.
+func (b *ParallelChunkedBuilder) Report() *BuildReport { return b.report }

@@ -50,7 +50,7 @@ func benchmarkParallelBuild(b *testing.B, workers int) {
 	b.SetBytes(int64(len(events) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pb := NewParallelChunkedBuilder(nil, nil, benchChunk, ParallelOptions{Workers: workers})
+		pb := newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: benchChunk, Workers: workers})
 		for _, e := range events {
 			pb.Add(e)
 		}
@@ -70,7 +70,7 @@ func BenchmarkParallelBuildWorkloads(b *testing.B) {
 			b.Run(name+"/w="+itoa(nw), func(b *testing.B) {
 				b.SetBytes(int64(len(events) * 8))
 				for i := 0; i < b.N; i++ {
-					pb := NewParallelChunkedBuilder(nil, nil, 1024, ParallelOptions{Workers: nw})
+					pb := newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: 1024, Workers: nw})
 					for _, e := range events {
 						pb.Add(e)
 					}
@@ -129,7 +129,7 @@ func TestParallelOverheadBound(t *testing.T) {
 		cb.Finish(uint64(n))
 	})
 	par := timeOf(func() {
-		pb := NewParallelChunkedBuilder(nil, nil, benchChunk, ParallelOptions{Workers: 1})
+		pb := newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: benchChunk, Workers: 1})
 		for _, e := range events {
 			pb.Add(e)
 		}
@@ -168,7 +168,7 @@ func TestInstrumentedOverheadBound(t *testing.T) {
 
 	build := func(met *BuildMetrics) time.Duration {
 		start := time.Now()
-		pb := NewParallelChunkedBuilder(nil, nil, benchChunk, ParallelOptions{Workers: 1, Metrics: met})
+		pb := newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: benchChunk, Workers: 1, Metrics: met})
 		for _, e := range events {
 			pb.Add(e)
 		}

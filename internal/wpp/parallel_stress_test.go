@@ -43,7 +43,7 @@ func TestParallelStress(t *testing.T) {
 			chunkSize := uint64(1 + rng.Intn(64)) // tiny: hundreds to thousands of seals
 			workers := 1 + rng.Intn(8)
 
-			pb := NewParallelChunkedBuilder(funcNames(events), nil, chunkSize, ParallelOptions{Workers: workers})
+			pb := newParallelChunkedBuilder(funcNames(events), nil, BuildOptions{ChunkSize: chunkSize, Workers: workers})
 			for i, e := range events {
 				pb.Add(e)
 				// Randomize seal timing relative to worker progress: yield
@@ -54,7 +54,7 @@ func TestParallelStress(t *testing.T) {
 				}
 				_ = i
 			}
-			par := pb.Finish(uint64(n))
+			par := pb.Finish(uint64(n)).(*ChunkedWPP)
 
 			sb := newRefBuilder(funcNames(events), nil, chunkSize)
 			for _, e := range events {
@@ -88,11 +88,11 @@ func TestParallelBackpressure(t *testing.T) {
 	if testing.Short() {
 		n = 10000
 	}
-	b := NewParallelChunkedBuilder([]string{"f"}, nil, 4, ParallelOptions{Workers: 1})
+	b := newParallelChunkedBuilder([]string{"f"}, nil, BuildOptions{ChunkSize: 4, Workers: 1})
 	for i := 0; i < n; i++ {
 		b.Add(trace.MakeEvent(0, uint64(i%7)))
 	}
-	c := b.Finish(uint64(n))
+	c := b.Finish(uint64(n)).(*ChunkedWPP)
 	if c.Events != uint64(n) || len(c.Chunks) != (n+3)/4 {
 		t.Fatalf("got %d events in %d chunks", c.Events, len(c.Chunks))
 	}

@@ -59,11 +59,11 @@ func feedReference(events []trace.Event, instrs, chunkSize uint64) *ChunkedWPP {
 }
 
 func feedParallel(events []trace.Event, instrs, chunkSize uint64, workers int) *ChunkedWPP {
-	b := NewParallelChunkedBuilder(funcNames(events), nil, chunkSize, ParallelOptions{Workers: workers})
+	b := newParallelChunkedBuilder(funcNames(events), nil, BuildOptions{ChunkSize: chunkSize, Workers: workers})
 	for _, e := range events {
 		b.Add(e)
 	}
-	return b.Finish(instrs)
+	return b.Finish(instrs).(*ChunkedWPP)
 }
 
 func encodeChunked(t testing.TB, c *ChunkedWPP) []byte {
@@ -144,10 +144,7 @@ func TestParallelCostsMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, len(prog.Funcs))
-	for i, f := range prog.Funcs {
-		names[i] = f.Name
-	}
+	names := prog.FuncNames()
 	var seqB *refBuilder
 	var parB *ParallelChunkedBuilder
 	m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
@@ -158,12 +155,12 @@ func TestParallelCostsMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqB = newRefBuilder(names, m.Numberings(), 128)
-	parB = NewParallelChunkedBuilder(names, m.Numberings(), 128, ParallelOptions{Workers: 3})
+	parB = newParallelChunkedBuilder(names, m.Numberings(), BuildOptions{ChunkSize: 128, Workers: 3})
 	if _, err := m.Run("main", w.Small); err != nil {
 		t.Fatal(err)
 	}
 	seq := seqB.Finish(m.Stats().Instructions)
-	par := parB.Finish(m.Stats().Instructions)
+	par := parB.Finish(m.Stats().Instructions).(*ChunkedWPP)
 	if !reflect.DeepEqual(par.costs, seq.costs) {
 		t.Fatal("cost tables differ")
 	}
@@ -182,8 +179,8 @@ func TestParallelCostsMatchSequential(t *testing.T) {
 
 func TestParallelEmpty(t *testing.T) {
 	for _, nw := range []int{1, 4} {
-		b := NewParallelChunkedBuilder(nil, nil, 10, ParallelOptions{Workers: nw})
-		c := b.Finish(0)
+		b := newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: 10, Workers: nw})
+		c := b.Finish(0).(*ChunkedWPP)
 		if err := c.Verify(); err != nil {
 			t.Fatal(err)
 		}
@@ -199,11 +196,11 @@ func TestParallelBuilderValidation(t *testing.T) {
 			t.Fatal("zero chunk size accepted")
 		}
 	}()
-	NewParallelChunkedBuilder(nil, nil, 0, ParallelOptions{})
+	newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: 0})
 }
 
 func TestParallelFinishTwicePanics(t *testing.T) {
-	b := NewParallelChunkedBuilder(nil, nil, 10, ParallelOptions{Workers: 1})
+	b := newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: 10, Workers: 1})
 	b.Add(trace.MakeEvent(0, 1))
 	b.Finish(1)
 	defer func() {

@@ -29,17 +29,17 @@ func liveNames() []string { return make([]string, 128) }
 func TestSnapshotWPPMatchesPrefixBuild(t *testing.T) {
 	events := liveEvents(800)
 	for _, cut := range []int{0, 1, 137, 400, 800} {
-		live := NewMonoBuilder(liveNames(), nil)
+		live := newMonoBuilder(liveNames(), nil, nil)
 		for _, e := range events[:cut] {
 			live.Add(e)
 		}
 		snap := live.SnapshotWPP()
 
-		ref := NewMonoBuilder(liveNames(), nil)
+		ref := newMonoBuilder(liveNames(), nil, nil)
 		for _, e := range events[:cut] {
 			ref.Add(e)
 		}
-		want := ref.Finish(0)
+		want := ref.Finish(0).(*WPP)
 
 		if snap.Events != want.Events {
 			t.Fatalf("cut %d: snapshot has %d events, want %d", cut, snap.Events, want.Events)
@@ -71,7 +71,7 @@ func TestSnapshotWPPMatchesPrefixBuild(t *testing.T) {
 		for _, e := range events[cut:] {
 			live.Add(e)
 		}
-		full := live.Finish(0)
+		full := live.Finish(0).(*WPP)
 		if full.Events != uint64(len(events)) {
 			t.Fatalf("cut %d: continued build has %d events, want %d", cut, full.Events, len(events))
 		}
@@ -87,7 +87,7 @@ func TestSnapshotWPPMatchesPrefixBuild(t *testing.T) {
 // snapshot's copied costs.
 func TestSnapshotWPPAfterBatchedIngest(t *testing.T) {
 	events := liveEvents(600)
-	live := NewMonoBuilder(liveNames(), nil)
+	live := newMonoBuilder(liveNames(), nil, nil)
 	live.AddBatch(events[:300])
 	snap := live.SnapshotWPP()
 	if got := snap.DistinctPaths(); got == 0 {
@@ -102,7 +102,7 @@ func TestSnapshotWPPAfterBatchedIngest(t *testing.T) {
 	if snap.DistinctPaths() != before {
 		t.Fatal("continued ingestion mutated the snapshot's cost table")
 	}
-	full := live.Finish(42)
+	full := live.Finish(42).(*WPP)
 	if full.Instructions != 42 {
 		t.Fatalf("Finish instructions = %d, want 42", full.Instructions)
 	}
@@ -111,7 +111,7 @@ func TestSnapshotWPPAfterBatchedIngest(t *testing.T) {
 // TestSnapshotWPPInstructionsIsTotalPathCost pins the documented live
 // denominator.
 func TestSnapshotWPPInstructionsIsTotalPathCost(t *testing.T) {
-	live := NewMonoBuilder(liveNames(), nil)
+	live := newMonoBuilder(liveNames(), nil, nil)
 	live.AddBatch(liveEvents(256))
 	snap := live.SnapshotWPP()
 	if snap.Instructions != snap.TotalPathCost() {
@@ -124,12 +124,12 @@ func TestSnapshotWPPInstructionsIsTotalPathCost(t *testing.T) {
 
 // TestTotalPathCostWeighted checks the weighted sum against a direct walk.
 func TestTotalPathCostWeighted(t *testing.T) {
-	b := NewMonoBuilder(liveNames(), nil)
+	b := newMonoBuilder(liveNames(), nil, nil)
 	events := liveEvents(512)
 	for _, e := range events {
 		b.Add(e)
 	}
-	w := b.Finish(0)
+	w := b.Finish(0).(*WPP)
 	// Direct walk with the artifact's own cost table.
 	var want uint64
 	w.Walk(func(e trace.Event) bool { want += w.PathCost(e); return true })

@@ -12,11 +12,11 @@ import (
 // buildVerifyWPP compresses a synthetic event stream with the monolithic
 // builder.
 func buildVerifyWPP(events []trace.Event) *WPP {
-	b := NewMonoBuilder([]string{"f0", "f1"}, nil)
+	b := newMonoBuilder([]string{"f0", "f1"}, nil, nil)
 	for _, e := range events {
 		b.Add(e)
 	}
-	return b.Finish(uint64(len(events)))
+	return b.Finish(uint64(len(events))).(*WPP)
 }
 
 func synthEvents(n int) []trace.Event {
@@ -153,8 +153,8 @@ func TestVerifyArtifactEmpty(t *testing.T) {
 // through a view.
 func TestVerifyRejectsUnknownFunction(t *testing.T) {
 	events := []trace.Event{trace.MakeEvent(0, 1), trace.MakeEvent(1, 2), trace.MakeEvent(0, 1)}
-	b := NewParallelChunkedBuilder([]string{"f0"}, nil, 2, ParallelOptions{Workers: 1})
-	m := NewMonoBuilder([]string{"f0"}, nil)
+	b := newParallelChunkedBuilder([]string{"f0"}, nil, BuildOptions{ChunkSize: 2, Workers: 1})
+	m := newMonoBuilder([]string{"f0"}, nil, nil)
 	for _, e := range events {
 		b.Add(e)
 		m.Add(e)

@@ -14,6 +14,7 @@ package wpp
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/bl"
 	"repro/internal/sequitur"
@@ -61,33 +62,31 @@ type WPP struct {
 	costs map[trace.Event]uint64
 }
 
-// MonoBuilder accumulates a WPP online. Its Add method is an interp.Config
-// Sink.
+// MonoBuilder accumulates a WPP online: the monolithic strategy behind
+// New, one SEQUITUR grammar over the whole stream.
 type MonoBuilder struct {
 	grammar *sequitur.Grammar
 	funcs   []FuncInfo
 	nums    []*bl.Numbering
 	events  uint64
 	metrics BuildMetrics
+	start   time.Time // first event; the report's wall time runs from here
+	report  *BuildReport
 }
 
-// SetMetrics installs observability hooks (see BuildMetrics); nil
-// disables instrumentation. Call before feeding events.
-func (b *MonoBuilder) SetMetrics(m *BuildMetrics) {
-	b.metrics = m.orNoop()
-	b.grammar.SetMetrics(b.metrics.Grammar)
-}
-
-// NewMonoBuilder returns a builder for a program whose functions have the
-// given Ball–Larus numberings (indexed by function ID, as produced by
-// interp.Machine.Numberings). Numberings supply per-path instruction
-// costs; a nil slice makes every path cost 1.
-func NewMonoBuilder(names []string, nums []*bl.Numbering) *MonoBuilder {
-	return &MonoBuilder{
+// newMonoBuilder returns a monolithic builder for a program whose
+// functions have the given Ball–Larus numberings (indexed by function
+// ID, as produced by interp.Machine.Numberings), instrumented by m (nil
+// disables instrumentation).
+func newMonoBuilder(names []string, nums []*bl.Numbering, m *BuildMetrics) *MonoBuilder {
+	b := &MonoBuilder{
 		grammar: sequitur.New(),
 		funcs:   funcTable(names, nums),
 		nums:    nums,
+		metrics: m.orNoop(),
 	}
+	b.grammar.SetMetrics(b.metrics.Grammar)
+	return b
 }
 
 // Add feeds one path event to the grammar: the one-event case of
@@ -104,6 +103,9 @@ func (b *MonoBuilder) Add(e trace.Event) {
 // derived from the grammar's terminals at Finish (see fillCosts), so
 // invalid events surface there rather than at ingestion.
 func (b *MonoBuilder) AddBatch(es []trace.Event) {
+	if b.start.IsZero() {
+		b.start = time.Now()
+	}
 	if len(es) == 0 {
 		return
 	}
@@ -121,6 +123,24 @@ func funcTable(names []string, nums []*bl.Numbering) []FuncInfo {
 		if nums != nil {
 			funcs[i].NumPaths = nums[i].NumPaths
 		}
+	}
+	return funcs
+}
+
+// sealedFuncs is the function table an artifact carries: funcs, or for
+// a build given no names, f0..f<max> over the highest function ID the
+// cost table prices ([f0] for an empty trace).
+func sealedFuncs(funcs []FuncInfo, costs map[trace.Event]uint64) []FuncInfo {
+	if len(funcs) > 0 {
+		return funcs
+	}
+	var maxFn uint32
+	for e := range costs {
+		maxFn = max(maxFn, e.Func())
+	}
+	funcs = make([]FuncInfo, maxFn+1)
+	for i := range funcs {
+		funcs[i].Name = fmt.Sprintf("f%d", i)
 	}
 	return funcs
 }
@@ -170,16 +190,44 @@ func (b *MonoBuilder) Events() uint64 { return b.events }
 // experiments that sample the builder mid-stream.
 func (b *MonoBuilder) GrammarStats() sequitur.Stats { return b.grammar.Stats() }
 
-// Finish seals the WPP. instructions is the total executed instruction
-// count (interp.Stats.Instructions).
-func (b *MonoBuilder) Finish(instructions uint64) *WPP {
+// Finish seals the WPP and records the build report. instructions is
+// the total executed instruction count (interp.Stats.Instructions).
+func (b *MonoBuilder) Finish(instructions uint64) Artifact {
+	if b.start.IsZero() {
+		b.start = time.Now()
+	}
+	w := b.snapshot()
+	w.Instructions = instructions
+	r := BuildReport{
+		Events:        w.Events,
+		Chunks:        1,
+		DistinctPaths: w.DistinctPaths(),
+		Workers:       1,
+		BytesIn:       rawTraceBytes([]*sequitur.Snapshot{w.Grammar}),
+		BytesOut:      w.EncodedSize(),
+		WallTime:      time.Since(b.start),
+		WorkerBusy:    []float64{1},
+	}
+	if r.BytesOut > 0 {
+		r.Ratio = float64(r.BytesIn) / float64(r.BytesOut)
+	}
+	b.report = &r
+	return w
+}
+
+// Report returns the build summary; nil before Finish.
+func (b *MonoBuilder) Report() *BuildReport { return b.report }
+
+// snapshot is the grammar at its current state as an artifact, without
+// an instruction total.
+func (b *MonoBuilder) snapshot() *WPP {
 	snap := b.grammar.Snapshot()
+	costs := fillCosts(b.nums, snap)
 	return &WPP{
-		Funcs:        b.funcs,
-		Grammar:      snap,
-		Events:       b.events,
-		Instructions: instructions,
-		costs:        fillCosts(b.nums, snap),
+		Funcs:   sealedFuncs(b.funcs, costs),
+		Grammar: snap,
+		Events:  b.events,
+		costs:   costs,
 	}
 }
 
@@ -193,13 +241,7 @@ func (b *MonoBuilder) Finish(instructions uint64) *WPP {
 // SnapshotWPP against Add/AddBatch; the returned WPP shares nothing
 // mutable with the builder.
 func (b *MonoBuilder) SnapshotWPP() *WPP {
-	snap := b.grammar.Snapshot()
-	w := &WPP{
-		Funcs:   b.funcs,
-		Grammar: snap,
-		Events:  b.events,
-		costs:   fillCosts(b.nums, snap),
-	}
+	w := b.snapshot()
 	w.Instructions = w.TotalPathCost()
 	return w
 }

@@ -43,15 +43,12 @@ func buildWPP(t *testing.T, src string, args ...int64) (*WPP, []trace.Event) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, len(p.Funcs))
-	for i, f := range p.Funcs {
-		names[i] = f.Name
-	}
-	b = NewMonoBuilder(names, m.Numberings())
+	names := p.FuncNames()
+	b = newMonoBuilder(names, m.Numberings(), nil)
 	if _, err := m.Run("main", args...); err != nil {
 		t.Fatal(err)
 	}
-	return b.Finish(m.Stats().Instructions), raw
+	return b.Finish(m.Stats().Instructions).(*WPP), raw
 }
 
 func TestBuildAndWalk(t *testing.T) {
@@ -183,11 +180,11 @@ func TestVerifyCatchesTruncatedEvents(t *testing.T) {
 }
 
 func TestBuilderWithoutNumberings(t *testing.T) {
-	b := NewMonoBuilder([]string{"f"}, nil)
+	b := newMonoBuilder([]string{"f"}, nil, nil)
 	for i := 0; i < 10; i++ {
 		b.Add(trace.MakeEvent(0, uint64(i%3)))
 	}
-	w := b.Finish(123)
+	w := b.Finish(123).(*WPP)
 	if w.PathCost(trace.MakeEvent(0, 1)) != 1 {
 		t.Fatal("default path cost should be 1")
 	}
@@ -197,7 +194,7 @@ func TestBuilderWithoutNumberings(t *testing.T) {
 }
 
 func TestGrowthSampling(t *testing.T) {
-	b := NewMonoBuilder([]string{"f"}, nil)
+	b := newMonoBuilder([]string{"f"}, nil, nil)
 	var prevRules int
 	for i := 0; i < 5000; i++ {
 		b.Add(trace.MakeEvent(0, uint64(i%7)))
@@ -219,7 +216,7 @@ func TestGrowthSampling(t *testing.T) {
 }
 
 func TestEmptyWPP(t *testing.T) {
-	b := NewMonoBuilder(nil, nil)
+	b := newMonoBuilder(nil, nil, nil)
 	w := b.Finish(0)
 	if err := w.Verify(); err != nil {
 		t.Fatal(err)
@@ -235,5 +232,56 @@ func TestEmptyWPP(t *testing.T) {
 	}
 	if back := decodeWPP(t, buf.Bytes()); back.Events != 0 {
 		t.Fatal("empty round trip failed")
+	}
+}
+
+// TestAnonymousBuildNamesFunctions: a build given no names calls the
+// functions it saw f0..f<max ID>, mono and chunked alike, sealed or
+// snapshotted; an empty trace gets [f0]. Named builds keep their names.
+func TestAnonymousBuildNamesFunctions(t *testing.T) {
+	events := []trace.Event{trace.MakeEvent(3, 1), trace.MakeEvent(0, 0), trace.MakeEvent(3, 1), trace.MakeEvent(1, 2)}
+	want := []FuncInfo{{Name: "f0"}, {Name: "f1"}, {Name: "f2"}, {Name: "f3"}}
+	for _, opts := range []BuildOptions{{}, {ChunkSize: 2, Workers: 2}} {
+		b := New(nil, nil, opts)
+		if s, ok := b.(LiveSnapshotter); ok {
+			b.AddBatch(events[:2])
+			if got := s.SnapshotWPP().Funcs; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: snapshot names %v, want %v", opts, got, want)
+			}
+			b.AddBatch(events[2:])
+		} else {
+			b.AddBatch(events)
+		}
+		a := b.Finish(uint64(len(events)))
+		if got := a.FuncTable(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: sealed names %v, want %v", opts, got, want)
+		}
+		if err := a.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if got := New(nil, nil, opts).Finish(0).FuncTable(); !reflect.DeepEqual(got, want[:1]) {
+			t.Fatalf("%+v: empty trace names %v, want [f0]", opts, got)
+		}
+		named := New([]string{"main"}, nil, opts)
+		named.Add(trace.MakeEvent(0, 0))
+		if got := named.Finish(1).FuncTable(); !reflect.DeepEqual(got, []FuncInfo{{Name: "main"}}) {
+			t.Fatalf("%+v: named build names %v", opts, got)
+		}
+	}
+}
+
+// TestReportNilBeforeFinish: both strategies report nothing until they
+// are sealed, then a summary of the build.
+func TestReportNilBeforeFinish(t *testing.T) {
+	for _, opts := range []BuildOptions{{}, {ChunkSize: 2, Workers: 1}} {
+		b := New([]string{"f"}, nil, opts)
+		b.AddBatch([]trace.Event{0, 0, 0})
+		if r := b.Report(); r != nil {
+			t.Fatalf("%+v: report %+v before Finish", opts, r)
+		}
+		b.Finish(3)
+		if r := b.Report(); r == nil || r.Events != 3 {
+			t.Fatalf("%+v: report %+v after Finish", opts, r)
+		}
 	}
 }

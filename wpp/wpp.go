@@ -65,11 +65,7 @@ func CompileWithOptions(source string, opts CompileOptions) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(p.Funcs))
-	for i, f := range p.Funcs {
-		names[i] = f.Name
-	}
-	return &Program{prog: p, names: names}, nil
+	return &Program{prog: p, names: p.FuncNames()}, nil
 }
 
 // Functions returns the program's function names, indexed by function ID.
@@ -165,8 +161,7 @@ func (p *Program) profileWith(args []int64, bopts iwpp.BuildOptions, opts []RunO
 		o(&rc)
 	}
 	start := time.Now()
-	t, err := collect.Run(p.prog, args, interp.Config{Stdout: rc.stdout, MaxInstrs: rc.maxInstrs},
-		func(names []string, nums []*bl.Numbering) iwpp.Builder { return iwpp.New(names, nums, bopts) })
+	t, err := collect.Run(p.prog, args, interp.Config{Stdout: rc.stdout, MaxInstrs: rc.maxInstrs}, collect.Build(bopts))
 	if err != nil {
 		return nil, err
 	}
