@@ -303,19 +303,3 @@ func (n *Numbering) PathWeight(path uint64) (int, error) {
 	}
 	return w, nil
 }
-
-// PathString renders a path as "name0 -> name1 -> ..." for reports.
-func (n *Numbering) PathString(path uint64) string {
-	seq, err := n.Regenerate(path)
-	if err != nil {
-		return fmt.Sprintf("<invalid path %d: %v>", path, err)
-	}
-	s := ""
-	for i, b := range seq {
-		if i > 0 {
-			s += " -> "
-		}
-		s += n.Graph.Block(b).Name
-	}
-	return s
-}

@@ -161,12 +161,6 @@ func TestPathWeightAndString(t *testing.T) {
 	if !(w0 == 7 && w1 == 8 || w0 == 8 && w1 == 7) {
 		t.Fatalf("path weights = %d,%d; want {7,8}", w0, w1)
 	}
-	if s := n.PathString(0); s == "" {
-		t.Fatal("empty PathString")
-	}
-	if s := n.PathString(999); s == "" {
-		t.Fatal("PathString for invalid ID should describe the error")
-	}
 }
 
 func TestRegenerateRejectsOutOfRange(t *testing.T) {

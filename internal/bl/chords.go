@@ -237,10 +237,6 @@ func BuildChordsWeighted(n *Numbering, weights *EdgeWeights) *ChordPlan {
 	return plan
 }
 
-// EntryValue is the register's initial value at function entry under the
-// chord plan (phi(EXIT) = 0 thanks to the virtual edge).
-func (p *ChordPlan) EntryValue() int64 { return 0 }
-
 // DynamicIncrements returns the number of register additions the plan
 // executes under the given edge-frequency profile: one per taken
 // non-tree real edge, plus one per taken back edge whose emit increment

@@ -158,13 +158,3 @@ func Prove(n *Numbering, limit uint64) (Proof, error) {
 	}
 	return proof, nil
 }
-
-// ProveGraph numbers g and proves the numbering; a convenience for tests
-// and tools that start from a CFG.
-func ProveGraph(g *cfg.Graph, limit uint64) (Proof, error) {
-	n, err := Number(g)
-	if err != nil {
-		return Proof{}, err
-	}
-	return Prove(n, limit)
-}

@@ -18,7 +18,7 @@ func TestProveSmallGraphs(t *testing.T) {
 		{"doubleDiamond", doubleDiamond(t), 4},
 	}
 	for _, c := range cases {
-		proof, err := ProveGraph(c.graph, 0)
+		proof, err := proveGraph(c.graph, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -53,7 +53,7 @@ func TestProveRandomStructuredGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
 		g := randomStructured(t, rng, 3+rng.Intn(20))
-		proof, err := ProveGraph(g, 0)
+		proof, err := proveGraph(g, 0)
 		if err != nil {
 			if errors.Is(err, ErrTooManyPaths) {
 				continue
@@ -67,7 +67,7 @@ func TestProveRandomStructuredGraphs(t *testing.T) {
 }
 
 func TestProveLimit(t *testing.T) {
-	_, err := ProveGraph(doubleDiamond(t), 2)
+	_, err := proveGraph(doubleDiamond(t), 2)
 	if !errors.Is(err, ErrTooManyPaths) {
 		t.Fatalf("limit 2 on a 4-path graph: err=%v, want ErrTooManyPaths", err)
 	}
@@ -132,4 +132,13 @@ func TestProveDetectsCorruption(t *testing.T) {
 			t.Fatal("Prove accepted a wrong back-edge emit value")
 		}
 	})
+}
+
+// proveGraph numbers g and proves the numbering.
+func proveGraph(g *cfg.Graph, limit uint64) (Proof, error) {
+	n, err := Number(g)
+	if err != nil {
+		return Proof{}, err
+	}
+	return Prove(n, limit)
 }

@@ -40,27 +40,6 @@ type Node struct {
 	Segments int
 }
 
-// Calls returns the total number of activations in the subtree, including
-// the node itself.
-func (n *Node) Calls() uint64 {
-	total := uint64(1)
-	for _, c := range n.Children {
-		total += c.Calls()
-	}
-	return total
-}
-
-// Depth returns the height of the subtree (a leaf has depth 1).
-func (n *Node) Depth() int {
-	d := 0
-	for _, c := range n.Children {
-		if cd := c.Depth(); cd > d {
-			d = cd
-		}
-	}
-	return d + 1
-}
-
 // Edge is a static caller->callee pair.
 type Edge struct {
 	Caller, Callee int32

@@ -64,7 +64,7 @@ func checkTree(t *testing.T, src string, args ...int64) *Tree {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if got := tree.Root.Calls(); got != m.Stats().Calls {
+	if got := activations(tree.Root); got != m.Stats().Calls {
 		t.Fatalf("tree has %d activations, interpreter made %d calls", got, m.Stats().Calls)
 	}
 	wantEdges, _ := expectedEdges(t, src, args...)
@@ -94,8 +94,8 @@ func main(n) { return mid(n) + leaf(n); }`, 5)
 	if tree.Root.Children[0].Name != "mid" || tree.Root.Children[1].Name != "leaf" {
 		t.Fatalf("children order wrong: %s, %s", tree.Root.Children[0].Name, tree.Root.Children[1].Name)
 	}
-	if tree.Root.Depth() != 3 {
-		t.Fatalf("depth %d, want 3", tree.Root.Depth())
+	if depth(tree.Root) != 3 {
+		t.Fatalf("depth %d, want 3", depth(tree.Root))
 	}
 }
 
@@ -122,7 +122,7 @@ func fact(n) {
 }
 func main(n) { return fact(n); }`, 8)
 	// Chain main -> fact x8: depth 9.
-	if d := tree.Root.Depth(); d != 9 {
+	if d := depth(tree.Root); d != 9 {
 		t.Fatalf("depth %d, want 9", d)
 	}
 }
@@ -185,4 +185,23 @@ func (f fakeWalker) Walk(yield func(trace.Event) bool) {
 			return
 		}
 	}
+}
+
+// activations returns the number of activations in n's subtree,
+// including n itself.
+func activations(n *Node) uint64 {
+	total := uint64(1)
+	for _, c := range n.Children {
+		total += activations(c)
+	}
+	return total
+}
+
+// depth returns the height of n's subtree (a leaf has depth 1).
+func depth(n *Node) int {
+	d := 0
+	for _, c := range n.Children {
+		d = max(d, depth(c))
+	}
+	return d + 1
 }

@@ -312,15 +312,6 @@ func (g *Graph) BackEdges() ([]Edge, error) {
 	return back, nil
 }
 
-// NumEdges reports the total number of edges.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for _, b := range g.blocks {
-		n += len(b.Succs)
-	}
-	return n
-}
-
 // Dot renders the graph in Graphviz DOT syntax, for debugging.
 func (g *Graph) Dot() string {
 	var sb strings.Builder

@@ -270,7 +270,4 @@ func TestEdgeAndDotRendering(t *testing.T) {
 	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "n0 -> n1") {
 		t.Fatalf("unexpected dot output:\n%s", dot)
 	}
-	if g.NumEdges() != 4 {
-		t.Fatalf("NumEdges = %d, want 4", g.NumEdges())
-	}
 }

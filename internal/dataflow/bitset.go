@@ -2,27 +2,19 @@ package dataflow
 
 import "math/bits"
 
-// Bitset is a fixed-size bit vector. It backs both the liveness facts
-// (bits are register numbers) and the feasible-path sets (bits are
-// Ball–Larus path IDs).
+// Bitset is a fixed-size bit vector. It backs the feasible-path sets:
+// bit i is Ball–Larus path ID i.
 type Bitset struct {
-	n     int
 	words []uint64
 }
 
 // NewBitset returns an all-zero bitset of n bits.
 func NewBitset(n int) *Bitset {
-	return &Bitset{n: n, words: make([]uint64, (n+63)/64)}
+	return &Bitset{words: make([]uint64, (n+63)/64)}
 }
-
-// Len returns the number of bits.
-func (s *Bitset) Len() int { return s.n }
 
 // Set sets bit i.
 func (s *Bitset) Set(i int) { s.words[i>>6] |= 1 << (uint(i) & 63) }
-
-// Clear clears bit i.
-func (s *Bitset) Clear(i int) { s.words[i>>6] &^= 1 << (uint(i) & 63) }
 
 // Get reports bit i.
 func (s *Bitset) Get(i int) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
@@ -34,37 +26,4 @@ func (s *Bitset) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Clone returns a copy of s.
-func (s *Bitset) Clone() *Bitset {
-	c := &Bitset{n: s.n, words: make([]uint64, len(s.words))}
-	copy(c.words, s.words)
-	return c
-}
-
-// UnionWith ors other into s and reports whether s changed. The sets
-// must have equal length.
-func (s *Bitset) UnionWith(other *Bitset) bool {
-	changed := false
-	for i, w := range other.words {
-		if nw := s.words[i] | w; nw != s.words[i] {
-			s.words[i] = nw
-			changed = true
-		}
-	}
-	return changed
-}
-
-// Equal reports whether s and other hold the same bits.
-func (s *Bitset) Equal(other *Bitset) bool {
-	if s.n != other.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != other.words[i] {
-			return false
-		}
-	}
-	return true
 }

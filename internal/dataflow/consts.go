@@ -257,7 +257,6 @@ func (c *ConstFacts) Reachable(b cfg.BlockID) bool { return c.In[b] != nil }
 // the result over-approximates every concrete execution of f.
 func Consts(f *wlc.Func) (*ConstFacts, error) {
 	res, err := Solve(f.Graph, Problem[Env]{
-		Dir:      Forward,
 		Bottom:   func() Env { return nil },
 		Boundary: func() Env { return entryEnv(f) },
 		IsBottom: func(e Env) bool { return e == nil },

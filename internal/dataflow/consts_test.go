@@ -139,11 +139,11 @@ func main(n) {
 	}
 }
 
-// TestConstsAndLivenessConvergeOnWorkloads is the broad smoke test: the
-// fixpoint must terminate within the convergence guard on every function
-// of every bundled workload, and the facts must keep the exits of these
+// TestConstsConvergeOnWorkloads is the broad smoke test: the fixpoint
+// must terminate within the convergence guard on every function of every
+// bundled workload, and the facts must keep the exits of these
 // terminating programs reachable.
-func TestConstsAndLivenessConvergeOnWorkloads(t *testing.T) {
+func TestConstsConvergeOnWorkloads(t *testing.T) {
 	for _, w := range workloads.All {
 		p, err := wlc.Compile(w.Source)
 		if err != nil {
@@ -157,9 +157,6 @@ func TestConstsAndLivenessConvergeOnWorkloads(t *testing.T) {
 			}
 			if !facts.Reachable(f.Graph.Exit) {
 				t.Errorf("%s/%s: exit proved unreachable (unsound)", w.Name, f.Name)
-			}
-			if _, err := Liveness(f); err != nil {
-				t.Errorf("%s/%s: liveness: %v", w.Name, f.Name, err)
 			}
 		}
 	}

@@ -160,10 +160,3 @@ func eliminateFunc(f *wlc.Func, rep *DeadBranchReport) error {
 	rep.BlocksRemoved += removed
 	return nil
 }
-
-// Pass adapts EliminateDeadBranches to the wlc.Options.IRPasses hook,
-// discarding the report.
-func Pass(p *wlc.Program) error {
-	_, err := EliminateDeadBranches(p)
-	return err
-}

@@ -107,11 +107,12 @@ func TestDeadBranchDifferentialOnWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		pruned, err := wlc.CompileWithOptions(w.Source, wlc.Options{
-			IRPasses: []func(*wlc.Program) error{Pass},
-		})
+		pruned, err := wlc.Compile(w.Source)
 		if err != nil {
-			t.Fatalf("%s: compile with pass: %v", w.Name, err)
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if _, err := EliminateDeadBranches(pruned); err != nil {
+			t.Fatalf("%s: dead-branch pass: %v", w.Name, err)
 		}
 
 		wantRet, wantOut := runPlain(t, plain, w.Small)

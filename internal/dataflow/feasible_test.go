@@ -210,7 +210,7 @@ func TestFeasibleDifferentialOnWorkloads(t *testing.T) {
 			// feasible ⊆ enumerated: the numbering's path space is exactly
 			// [0, NumPaths) (certified by Prove), and each feasible ID must
 			// regenerate to a concrete block sequence.
-			num := m.Numbering(uint32(fi))
+			num := m.Numberings()[fi]
 			if _, err := bl.Prove(num, bl.DefaultProveLimit); err != nil {
 				t.Fatalf("%s/%s: prove: %v", w.Name, f.Name, err)
 			}

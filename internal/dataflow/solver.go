@@ -1,19 +1,18 @@
 // Package dataflow is a generic iterative dataflow framework over the
 // repository's control-flow graphs (package cfg), with concrete analyses
 // over the wlc register IR: constant/interval propagation with branch
-// refinement, liveness, and reachability-under-facts. On top of the
-// constant lattice it implements feasible-path analysis — classifying
-// every Ball–Larus path ID of a function as statically feasible or
-// infeasible — and an IR-level dead-branch/unreachable-block elimination
-// pass.
+// refinement and reachability-under-facts. On top of the constant
+// lattice it implements feasible-path analysis — classifying every
+// Ball–Larus path ID of a function as statically feasible or infeasible
+// — and an IR-level dead-branch/unreachable-block elimination pass.
 //
-// The solver is the classic worklist algorithm: blocks are visited in
-// reverse postorder (forward problems) or postorder (backward problems)
-// and re-queued whenever an input fact changes, until a fixpoint. The
-// fact domain is supplied by the Problem; the solver only requires a
-// bottom element, a join, and monotone transfer functions. A convergence
-// guard bounds the visits per block, so a non-monotone or
-// infinitely-ascending problem fails loudly instead of spinning.
+// The solver is the classic forward worklist algorithm: blocks are
+// visited in reverse postorder and re-queued whenever an input fact
+// changes, until a fixpoint. The fact domain is supplied by the
+// Problem; the solver only requires a bottom element, a join, and
+// monotone transfer functions. A convergence guard bounds the visits
+// per block, so a non-monotone or infinitely-ascending problem fails
+// loudly instead of spinning.
 package dataflow
 
 import (
@@ -22,29 +21,15 @@ import (
 	"repro/internal/cfg"
 )
 
-// Direction orients a dataflow problem.
-type Direction int
-
-// Directions.
-const (
-	// Forward propagates facts along edges from the entry.
-	Forward Direction = iota
-	// Backward propagates facts against edges from the exit.
-	Backward
-)
-
-// Problem describes one dataflow analysis over a single graph. F is the
-// fact attached to each block boundary.
+// Problem describes one forward dataflow analysis over a single graph:
+// facts propagate along edges from the entry. F is the fact attached to
+// each block boundary.
 type Problem[F any] struct {
-	// Dir orients propagation.
-	Dir Direction
-
 	// Bottom returns the identity of Join: the fact of an unreached
 	// block boundary.
 	Bottom func() F
 
-	// Boundary returns the fact at the graph's boundary: the entry's
-	// input for Forward problems, the exit's output for Backward ones.
+	// Boundary returns the fact entering the graph's entry block.
 	Boundary func() F
 
 	// IsBottom reports whether a fact is still the unreached bottom.
@@ -57,18 +42,16 @@ type Problem[F any] struct {
 	// be mutated and must be returned.
 	Join func(dst, src F) (F, bool)
 
-	// Transfer computes the fact at the far side of block b from the
-	// fact at its near side (input for Forward, output for Backward).
-	// The input fact must not be mutated; return a fresh or reused
+	// Transfer computes the fact leaving block b from the fact entering
+	// it. The input fact must not be mutated; return a fresh or reused
 	// value.
 	Transfer func(b cfg.BlockID, in F) F
 
 	// EdgeTransfer, if non-nil, refines the fact flowing along the
-	// si-th successor edge of block from (Forward problems only). It
-	// returns the refined fact and whether the edge is feasible at all;
-	// infeasible edges contribute nothing to their target, which is how
-	// constant branch conditions prune paths. The input must not be
-	// mutated.
+	// si-th successor edge of block from. It returns the refined fact
+	// and whether the edge is feasible at all; infeasible edges
+	// contribute nothing to their target, which is how constant branch
+	// conditions prune paths. The input must not be mutated.
 	EdgeTransfer func(from cfg.BlockID, si int, out F) (F, bool)
 
 	// MaxVisits caps the number of times any one block is transferred;
@@ -78,10 +61,9 @@ type Problem[F any] struct {
 
 // Result holds the fixpoint of one solve.
 type Result[F any] struct {
-	// In[b] is the fact entering block b (before its code for Forward,
-	// after it for Backward — "in" is always in propagation order).
+	// In[b] is the fact entering block b, before its code.
 	In []F
-	// Out[b] is the fact leaving block b in propagation order.
+	// Out[b] is the fact leaving block b, after its code.
 	Out []F
 	// EdgeFeasible[b][si] reports whether the si-th successor edge of b
 	// carried a feasible fact at the fixpoint. All-true unless the
@@ -100,9 +82,6 @@ const defaultMaxVisits = 64
 // Solve runs the worklist algorithm for p over g to a fixpoint. The
 // graph must be frozen (predecessor lists computed).
 func Solve[F any](g *cfg.Graph, p Problem[F]) (*Result[F], error) {
-	if p.Dir == Backward && p.EdgeTransfer != nil {
-		return nil, fmt.Errorf("dataflow: %s: EdgeTransfer is a forward-only refinement", g.Name)
-	}
 	maxVisits := p.MaxVisits
 	if maxVisits == 0 {
 		maxVisits = defaultMaxVisits
@@ -125,24 +104,15 @@ func Solve[F any](g *cfg.Graph, p Problem[F]) (*Result[F], error) {
 		}
 	}
 
-	// Visit order: reverse postorder for forward problems (predecessors
-	// mostly before successors), its reverse for backward ones.
+	// Visit order: reverse postorder (predecessors mostly before
+	// successors).
 	order := g.ReversePostorder()
-	if p.Dir == Backward {
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
-	}
 	pos := make([]int, n) // block -> index in order
 	for i, b := range order {
 		pos[b] = i
 	}
 
-	boundary := g.Entry
-	if p.Dir == Backward {
-		boundary = g.Exit
-	}
-	res.In[boundary] = p.Boundary()
+	res.In[g.Entry] = p.Boundary()
 
 	inQueue := make([]bool, n)
 	queue := append([]cfg.BlockID(nil), order...)
@@ -177,14 +147,6 @@ func Solve[F any](g *cfg.Graph, p Problem[F]) (*Result[F], error) {
 		}
 	}
 
-	// succsOf/predsOf in propagation order.
-	fwdTargets := func(b cfg.BlockID) []cfg.BlockID {
-		if p.Dir == Forward {
-			return g.Block(b).Succs
-		}
-		return g.Block(b).Preds
-	}
-
 	for len(queue) > 0 {
 		b := pop()
 		res.Visits[b]++
@@ -199,9 +161,9 @@ func Solve[F any](g *cfg.Graph, p Problem[F]) (*Result[F], error) {
 			out = p.Transfer(b, res.In[b])
 		}
 		res.Out[b] = out
-		for si, t := range fwdTargets(b) {
+		for si, t := range g.Block(b).Succs {
 			flow := out
-			if p.Dir == Forward && p.EdgeTransfer != nil {
+			if p.EdgeTransfer != nil {
 				if p.IsBottom != nil && p.IsBottom(out) {
 					res.EdgeFeasible[b][si] = false
 					continue

@@ -33,7 +33,6 @@ func buildGraph(t *testing.T, n int, entry, exit cfg.BlockID, edges [][2]cfg.Blo
 func TestSolveForwardReachability(t *testing.T) {
 	g := buildGraph(t, 4, 0, 3, [][2]cfg.BlockID{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
 	res, err := Solve(g, Problem[bool]{
-		Dir:      Forward,
 		Bottom:   func() bool { return false },
 		Boundary: func() bool { return true },
 		IsBottom: func(b bool) bool { return !b },
@@ -66,39 +65,12 @@ func TestSolveForwardReachability(t *testing.T) {
 	}
 }
 
-// TestSolveBackward checks propagation against the edges: a fact
-// injected at the exit must reach every block.
-func TestSolveBackward(t *testing.T) {
-	g := buildGraph(t, 4, 0, 3, [][2]cfg.BlockID{{0, 1}, {1, 2}, {1, 3}, {2, 1}})
-	res, err := Solve(g, Problem[int]{
-		Dir:      Backward,
-		Bottom:   func() int { return 0 },
-		Boundary: func() int { return 7 },
-		Join: func(dst, src int) (int, bool) {
-			if src > dst {
-				return src, true
-			}
-			return dst, false
-		},
-		Transfer: func(b cfg.BlockID, in int) int { return in },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < 4; b++ {
-		if b != 3 && res.In[b] != 7 && res.Out[b] != 7 {
-			t.Errorf("block %d never saw the exit fact (in=%d out=%d)", b, res.In[b], res.Out[b])
-		}
-	}
-}
-
 // TestSolveConvergenceGuard feeds the solver a non-converging problem
 // (a strictly growing "lattice" with no top) and expects a loud error,
 // not a spin.
 func TestSolveConvergenceGuard(t *testing.T) {
 	g := buildGraph(t, 4, 0, 3, [][2]cfg.BlockID{{0, 1}, {1, 2}, {1, 3}, {2, 1}})
 	_, err := Solve(g, Problem[int]{
-		Dir:      Forward,
 		Bottom:   func() int { return 0 },
 		Boundary: func() int { return 1 },
 		Join:     func(dst, src int) (int, bool) { return dst + src, src != 0 },
@@ -106,22 +78,5 @@ func TestSolveConvergenceGuard(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "without converging") {
 		t.Fatalf("non-converging problem returned %v, want convergence-guard error", err)
-	}
-}
-
-// TestSolveRejectsBackwardEdgeTransfer: edge refinement is a
-// forward-only concept here.
-func TestSolveRejectsBackwardEdgeTransfer(t *testing.T) {
-	g := buildGraph(t, 2, 0, 1, [][2]cfg.BlockID{{0, 1}})
-	_, err := Solve(g, Problem[int]{
-		Dir:          Backward,
-		Bottom:       func() int { return 0 },
-		Boundary:     func() int { return 0 },
-		Join:         func(dst, src int) (int, bool) { return dst, false },
-		Transfer:     func(b cfg.BlockID, in int) int { return in },
-		EdgeTransfer: func(from cfg.BlockID, si int, out int) (int, bool) { return out, true },
-	})
-	if err == nil {
-		t.Fatal("backward EdgeTransfer accepted")
 	}
 }

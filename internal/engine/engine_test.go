@@ -137,7 +137,10 @@ func TestRunMergesInChunkOrderAtAnyWorkerCount(t *testing.T) {
 		want = append(want, uint64(n))
 	}
 	for _, workers := range []int{0, 1, 2, 4, 16} {
-		got := Run(snaps, workers, sumFold{})
+		got, err := RunSource(SliceSource(snaps), workers, sumFold{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: Run merged %v, want %v", workers, got, want)
 		}
@@ -145,7 +148,7 @@ func TestRunMergesInChunkOrderAtAnyWorkerCount(t *testing.T) {
 }
 
 func TestRunEmptyReturnsZero(t *testing.T) {
-	if got := Run(nil, 4, sumFold{}); got != nil {
+	if got, err := RunSource(SliceSource(nil), 4, sumFold{}); err != nil || got != nil {
 		t.Fatalf("Run over zero chunks = %v, want zero value", got)
 	}
 }

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"runtime"
-
-	"repro/internal/sequitur"
-)
+import "runtime"
 
 // Fold is one analysis expressed over the engine: a per-chunk pass that
 // reduces one grammar's Analysis to a partial result, and an associative
@@ -28,17 +24,6 @@ func Workers(workers int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return workers
-}
-
-// Run executes a Fold over the snapshot sequence: per-chunk passes in
-// parallel on `workers` goroutines (normalized by Workers), then a
-// sequential in-order merge. With a single snapshot the result is
-// Chunk(0, ...) — the monolithic case is the one-chunk special case of
-// the same engine. It is RunSource over an in-memory slice, whose chunk
-// access cannot fail.
-func Run[R any](snaps []*sequitur.Snapshot, workers int, f Fold[R]) R {
-	out, _ := RunSource(SliceSource(snaps), workers, f)
-	return out
 }
 
 // Boundary is one chunk's contribution to cross-seam window counting:

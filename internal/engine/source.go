@@ -103,8 +103,10 @@ func MapSource[R any](src Source, workers int, fn func(i int, a *Analysis) R) ([
 }
 
 // RunSource executes a Fold over a Source: per-chunk passes in parallel
-// via MapSource, then a sequential in-order merge. It is Run lifted to
-// fallible chunk access; over a SliceSource the two are identical.
+// on `workers` goroutines (normalized by Workers) via MapSource, then a
+// sequential in-order merge. With a single chunk the result is
+// Chunk(0, ...) — the monolithic case is the one-chunk special case of
+// the same engine.
 func RunSource[R any](src Source, workers int, f Fold[R]) (R, error) {
 	parts, err := MapSource(src, workers, f.Chunk)
 	if err != nil {

@@ -40,22 +40,6 @@ func testSnaps(t *testing.T, n int) []*sequitur.Snapshot {
 	return snaps
 }
 
-// TestRunSourceMatchesRun pins the refactor: the slice-backed source
-// path computes exactly what the original Run did, at any worker count.
-func TestRunSourceMatchesRun(t *testing.T) {
-	snaps := testSnaps(t, 5)
-	want := Run(snaps, 1, lenFold{})
-	for _, workers := range []int{0, 1, 2, 4, 16} {
-		got, err := RunSource(SliceSource(snaps), workers, lenFold{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("workers=%d: RunSource = %d, Run = %d", workers, got, want)
-		}
-	}
-}
-
 // TestMapSourceOrder: results arrive in chunk order regardless of
 // scheduling.
 func TestMapSourceOrder(t *testing.T) {

@@ -303,7 +303,7 @@ func checkPipeline(t *testing.T, trial int, src string) {
 	}
 	perFuncRegen := map[uint32][]cfg.BlockID{}
 	for _, e := range events {
-		seq, err := mPath.Numbering(e.Func()).Regenerate(e.Path())
+		seq, err := mPath.Numberings()[e.Func()].Regenerate(e.Path())
 		if err != nil {
 			fail("regenerate %v: %v", e, err)
 		}

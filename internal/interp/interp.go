@@ -35,10 +35,9 @@ const (
 // Config controls an execution.
 type Config struct {
 	Mode Mode
-	// Sink receives every trace event; the interpreter is the push side
-	// of the trace.Source/trace.Sink pipeline, so any WPP builder (or
-	// trace.SinkFunc closure) plugs in directly. Required for
-	// BlockTrace/PathTrace.
+	// Sink receives every trace event; the interpreter pushes into it,
+	// so any WPP builder (or trace.SinkFunc closure) plugs in directly.
+	// Required for BlockTrace/PathTrace.
 	Sink trace.Sink
 	// EdgeSink, when set, observes every CFG edge taken: function ID,
 	// source block, and the successor index within the source block. It
@@ -311,10 +310,6 @@ func New(p *wlc.Program, config Config) (*Machine, error) {
 	}
 	return m, nil
 }
-
-// Numbering exposes the Ball–Larus numbering of function fn (PathTrace
-// machines only), which analyses use to map path IDs back to blocks.
-func (m *Machine) Numbering(fn uint32) *bl.Numbering { return m.nums[fn] }
 
 // Numberings returns the numbering of every function, indexed by function
 // ID.

@@ -619,7 +619,7 @@ func TestPathTraceMatchesBlockTrace(t *testing.T) {
 	}
 	perFuncRegen := map[uint32][]cfg.BlockID{}
 	for _, e := range paths {
-		num := mp.Numbering(e.Func())
+		num := mp.Numberings()[e.Func()]
 		seq, err := num.Regenerate(e.Path())
 		if err != nil {
 			t.Fatalf("regenerating %v: %v", e, err)

@@ -14,16 +14,3 @@ func (cw CountingWriter) Write(p []byte) (int, error) {
 	cw.C.Add(uint64(n))
 	return n, err
 }
-
-// CountingReader counts bytes flowing from R into C. Used to meter
-// artifact decode paths.
-type CountingReader struct {
-	R io.Reader
-	C *Counter
-}
-
-func (cr CountingReader) Read(p []byte) (int, error) {
-	n, err := cr.R.Read(p)
-	cr.C.Add(uint64(n))
-	return n, err
-}

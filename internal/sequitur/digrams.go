@@ -59,21 +59,6 @@ func (t *digramTable) reset() {
 	t.live = 0
 }
 
-// get returns the handle indexed under (a, b), or nilSym.
-func (t *digramTable) get(a, b uint64) symRef {
-	i := uint32(digramHash(a, b)) & t.mask
-	for {
-		e := &t.entries[i]
-		if e.sym == nilSym {
-			return nilSym
-		}
-		if e.a == a && e.b == b {
-			return e.sym
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
 // set inserts (a, b) -> s, overwriting an existing entry for the key.
 func (t *digramTable) set(a, b uint64, s symRef) {
 	if t.live >= t.growAt {

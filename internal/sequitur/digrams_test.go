@@ -141,3 +141,19 @@ func TestDigramTableResetKeepsCapacity(t *testing.T) {
 		}
 	}
 }
+
+// get returns the handle indexed under (a, b), or nilSym. The append
+// engine probes through getOrSet; tests read the index through get.
+func (t *digramTable) get(a, b uint64) symRef {
+	i := uint32(digramHash(a, b)) & t.mask
+	for {
+		e := &t.entries[i]
+		if e.sym == nilSym {
+			return nilSym
+		}
+		if e.a == a && e.b == b {
+			return e.sym
+		}
+		i = (i + 1) & t.mask
+	}
+}

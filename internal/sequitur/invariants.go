@@ -38,13 +38,12 @@ func (g *Grammar) UnindexedDigrams() int {
 			chain[d] = true
 		}
 	}
-	missing := 0
-	for d := range chain {
-		if g.table.get(d.a, d.b) == nilSym {
-			missing++
+	for _, e := range g.table.entries {
+		if e.sym != nilSym {
+			delete(chain, digram{e.a, e.b})
 		}
 	}
-	return missing
+	return len(chain)
 }
 
 // snapKey mirrors symKey for the array form: terminals by value, rule

@@ -190,26 +190,6 @@ func (g *Grammar) Append(v uint64) {
 // Len reports the number of terminals appended so far.
 func (g *Grammar) Len() uint64 { return g.terminals }
 
-// Expand invokes yield for every terminal of the full expansion of the
-// start rule, in order. Iteration stops early if yield returns false.
-func (g *Grammar) Expand(yield func(uint64) bool) {
-	var walk func(r ruleRef) bool
-	walk = func(r ruleRef) bool {
-		for h := g.firstOf(r); !g.sym(h).guard; h = g.sym(h).next {
-			s := g.sym(h)
-			if s.isNonterminal() {
-				if !walk(s.rule) {
-					return false
-				}
-			} else if !yield(s.value) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(g.start)
-}
-
 // Stats summarizes the size of a grammar.
 type Stats struct {
 	// Terminals is the number of input symbols consumed.

@@ -527,3 +527,23 @@ func BenchmarkAppendLoopy(b *testing.B) {
 		g.Append(uint64(i % 7))
 	}
 }
+
+// Expand invokes yield for every terminal of the full expansion of the
+// start rule, in order. Iteration stops early if yield returns false.
+func (g *Grammar) Expand(yield func(uint64) bool) {
+	var walk func(r ruleRef) bool
+	walk = func(r ruleRef) bool {
+		for h := g.firstOf(r); !g.sym(h).guard; h = g.sym(h).next {
+			s := g.sym(h)
+			if s.isNonterminal() {
+				if !walk(s.rule) {
+					return false
+				}
+			} else if !yield(s.value) {
+				return false
+			}
+		}
+		return true
+	}
+	walk(g.start)
+}

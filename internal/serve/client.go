@@ -100,11 +100,6 @@ func EncodeFrame(events []trace.Event) []byte {
 	return trace.AppendFrame(make([]byte, 0, trace.EncodedSize(events)), events)
 }
 
-// Ingest streams one frame of events into the session.
-func (c *Client) Ingest(id string, events []trace.Event) (IngestResult, error) {
-	return c.IngestRaw(id, EncodeFrame(events))
-}
-
 // IngestRaw posts raw bytes as an events frame. Fault-injecting tests use
 // it to send malformed and truncated frames.
 func (c *Client) IngestRaw(id string, frame []byte) (IngestResult, error) {
@@ -155,25 +150,6 @@ func (c *Client) Hot(id string, q HotQuery) (HotResult, error) {
 	return res, err
 }
 
-// Artifact downloads the sealed artifact bytes.
-func (c *Client) Artifact(id string) ([]byte, error) {
-	req, err := http.NewRequest("GET", c.Base+"/v1/sessions/"+url.PathEscape(id)+"/artifact", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpc().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		var eb errorBody
-		json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb) //nolint:errcheck // best-effort message
-		return nil, &StatusError{Code: resp.StatusCode, Msg: eb.Error}
-	}
-	return io.ReadAll(resp.Body)
-}
-
 // Evict removes the session.
 func (c *Client) Evict(id string) error {
 	return c.do("DELETE", "/v1/sessions/"+url.PathEscape(id), "", nil, nil)
@@ -184,18 +160,4 @@ func (c *Client) Info(id string) (SessionInfo, error) {
 	var info SessionInfo
 	err := c.do("GET", "/v1/sessions/"+url.PathEscape(id), "", nil, &info)
 	return info, err
-}
-
-// List fetches the resident-session table.
-func (c *Client) List() (ListResult, error) {
-	var res ListResult
-	err := c.do("GET", "/v1/sessions", "", nil, &res)
-	return res, err
-}
-
-// Health fetches /healthz.
-func (c *Client) Health() (Health, error) {
-	var h Health
-	err := c.do("GET", "/healthz", "", nil, &h)
-	return h, err
 }

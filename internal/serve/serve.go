@@ -663,10 +663,3 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, Health{Status: "ok", Sessions: n})
 }
-
-// SessionCount reports resident sessions (open + sealed).
-func (s *Server) SessionCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
-}

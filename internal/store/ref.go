@@ -1,9 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -44,55 +41,4 @@ func IsRef(arg string) bool {
 		return true
 	}
 	return false
-}
-
-// ReadRef resolves a store reference to the artifact's full encoded
-// bytes and hash. "@<prefix>" looks up a stored artifact; a
-// "<workload>@<scale>" ref resolves through the build index, lazily
-// building (monolithic wpp1, the CLI default geometry) on first use.
-func (s *Store) ReadRef(ref string) ([]byte, Hash, error) {
-	if rest, ok := strings.CutPrefix(ref, "@"); ok {
-		h, err := s.FindArtifact(rest)
-		if err != nil {
-			return nil, Hash{}, err
-		}
-		data, err := s.GetArtifact(h)
-		return data, h, err
-	}
-	name, scale, ok := strings.Cut(ref, "@")
-	if !ok {
-		return nil, Hash{}, fmt.Errorf("store: %q is not a store reference", ref)
-	}
-	key := BuildKey{Workload: name, Scale: scale}
-	res, err := s.Resolve(key, DefaultBuild(key))
-	if err != nil {
-		return nil, Hash{}, err
-	}
-	return res.Bytes, res.Hash, nil
-}
-
-// OpenInput is the CLI front door for an input argument that may be a
-// file path or a store reference: refs resolve through the store in
-// dir, everything else opens as a file. A ref with no store configured
-// is an error that names the fix.
-func OpenInput(arg, dir string) (io.ReadCloser, error) {
-	if !IsRef(arg) {
-		f, err := os.Open(arg)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		return f, nil
-	}
-	if dir == "" {
-		return nil, fmt.Errorf("store: %q is a store reference but no store is configured (pass -store DIR or set $%s)", arg, EnvDir)
-	}
-	s, err := Open(dir, nil)
-	if err != nil {
-		return nil, err
-	}
-	data, _, err := s.ReadRef(arg)
-	if err != nil {
-		return nil, err
-	}
-	return io.NopCloser(bytes.NewReader(data)), nil
 }

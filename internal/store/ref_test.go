@@ -1,12 +1,6 @@
 package store
 
-import (
-	"bytes"
-	"io"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestIsRef(t *testing.T) {
 	cases := map[string]bool{
@@ -25,67 +19,6 @@ func TestIsRef(t *testing.T) {
 		if got := IsRef(arg); got != want {
 			t.Errorf("IsRef(%q) = %v, want %v", arg, got, want)
 		}
-	}
-}
-
-func TestOpenInputFileAndRefs(t *testing.T) {
-	s, _ := newTestStore(t)
-	golden := filepath.Join("..", "experiments", "testdata", "golden", goldenName(t))
-	data, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, _, err := s.PutArtifactBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Plain file path: passes through to the filesystem.
-	r, err := OpenInput(golden, s.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := io.ReadAll(r)
-	r.Close()
-	if !bytes.Equal(got, data) {
-		t.Fatal("file path read diverged")
-	}
-
-	// Hash ref: resolves through the store.
-	r, err = OpenInput("@"+h.String()[:10], s.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ = io.ReadAll(r)
-	r.Close()
-	if !bytes.Equal(got, data) {
-		t.Fatal("hash ref read diverged")
-	}
-
-	// Ref without a store directory: a directed error, not a file open.
-	if _, err := OpenInput("@"+h.String()[:10], ""); err == nil {
-		t.Fatal("ref resolved with no store configured")
-	}
-
-	// Workload ref: lazily builds on first use, hits on the second.
-	r, err = OpenInput("queens@small", s.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, _ := io.ReadAll(r)
-	r.Close()
-	if len(built) == 0 {
-		t.Fatal("workload ref built an empty artifact")
-	}
-	data2, h2, err := s.ReadRef("queens@small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(built, data2) {
-		t.Fatal("second workload-ref read diverged")
-	}
-	if h2 == (Hash{}) {
-		t.Fatal("zero hash from ReadRef")
 	}
 }
 

@@ -31,10 +31,12 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -69,7 +71,8 @@ var ErrNotFound = errors.New("store: not found")
 
 // CorruptObjectError reports that bytes read back from the store do not
 // hash to the name they were stored under. Readers return it instead of
-// the corrupt bytes; it is never silently repaired.
+// the corrupt bytes and never repair the object; a later PutObject of
+// the same content does.
 type CorruptObjectError struct {
 	// Path is the file whose contents failed verification.
 	Path string
@@ -105,24 +108,26 @@ func Open(dir string, met *Metrics) (*Store, error) {
 	return &Store{dir: dir, met: met.orNoop(), flight: map[string]*flightCall{}}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) objectPath(h Hash) string {
 	hx := h.String()
 	return filepath.Join(s.dir, "objects", hx[:2], hx[2:])
 }
 
 // PutObject stores data under its hash. The second return is true when
-// the object was newly written, false when an object of that hash was
-// already present (the dedup case — nothing is written).
+// the object was written, false when the object on disk already held
+// exactly data (the dedup case — nothing is written). An object file
+// that holds other bytes is corrupt: it is counted in CorruptObjects
+// and rewritten atomically.
 func (s *Store) PutObject(data []byte) (Hash, bool, error) {
 	h := HashOf(data)
 	p := s.objectPath(h)
-	if fi, err := os.Stat(p); err == nil && fi.Size() == int64(len(data)) {
+	switch exists, same := holds(p, data); {
+	case same:
 		s.met.ObjectsDeduped.Inc()
 		s.met.BytesDeduped.Add(uint64(len(data)))
 		return h, false, nil
+	case exists:
+		s.met.CorruptObjects.Inc()
 	}
 	if err := writeFileAtomic(p, data); err != nil {
 		return h, false, fmt.Errorf("store: put object: %w", err)
@@ -151,11 +156,27 @@ func (s *Store) GetObject(h Hash) ([]byte, error) {
 	return data, nil
 }
 
-// HasObject reports whether an object named h is present (without
-// verifying its content).
-func (s *Store) HasObject(h Hash) bool {
-	_, err := os.Stat(s.objectPath(h))
-	return err == nil
+// holds reports whether a file exists at path and whether it holds
+// exactly data, comparing a block at a time so that a large object is
+// never read whole.
+func holds(path string, data []byte) (exists, same bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		return false, false
+	}
+	defer f.Close()
+	if fi, err := f.Stat(); err != nil || fi.Size() != int64(len(data)) {
+		return true, false
+	}
+	buf := make([]byte, min(len(data), 32<<10))
+	for rest := data; len(rest) > 0; {
+		block := buf[:min(len(buf), len(rest))]
+		if _, err := io.ReadFull(f, block); err != nil || !bytes.Equal(block, rest[:len(block)]) {
+			return true, false
+		}
+		rest = rest[len(block):]
+	}
+	return true, true
 }
 
 // writeFileAtomic writes data to path via a temp file in the same

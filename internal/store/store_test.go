@@ -66,8 +66,8 @@ func TestObjectRoundTripAndDedup(t *testing.T) {
 	if !fresh {
 		t.Fatal("first put reported dedup")
 	}
-	if !s.HasObject(h) {
-		t.Fatal("HasObject false after put")
+	if _, err := os.Stat(s.objectPath(h)); err != nil {
+		t.Fatalf("object file missing after put: %v", err)
 	}
 	got, err := s.GetObject(h)
 	if err != nil {
@@ -113,6 +113,42 @@ func TestCorruptObjectIsTypedError(t *testing.T) {
 	}
 	if met.CorruptObjects.Value() == 0 {
 		t.Fatal("CorruptObjects counter not incremented")
+	}
+}
+
+// TestPutObjectRepairsSameSizeCorruption: an object file corrupted in
+// place at its own size is not a dedup hit. Putting the same content
+// again rewrites it, counts it as corrupt, and the object reads back.
+func TestPutObjectRepairsSameSizeCorruption(t *testing.T) {
+	s, met := newTestStore(t)
+	data := []byte("payload under repair")
+	h, _, err := s.PutObject(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s.objectPath(h)
+	bad := bytes.Clone(data)
+	bad[len(bad)/2] ^= 0xff
+	if err := os.WriteFile(p, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h2, fresh, err := s.PutObject(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h2 != h || !fresh {
+		t.Fatalf("repair put: fresh=%v hash=%s, want a rewrite of %s", fresh, h2, h)
+	}
+	got, err := s.GetObject(h)
+	if err != nil {
+		t.Fatalf("GetObject after repair: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("GetObject after repair returned %q", got)
+	}
+	if met.CorruptObjects.Value() != 1 || met.ObjectsDeduped.Value() != 0 || met.ObjectsWritten.Value() != 2 {
+		t.Fatalf("counters: corrupt=%d deduped=%d written=%d, want 1, 0, 2",
+			met.CorruptObjects.Value(), met.ObjectsDeduped.Value(), met.ObjectsWritten.Value())
 	}
 }
 
@@ -295,63 +331,6 @@ func goldenName(t *testing.T) string {
 	}
 	t.Fatal("no .wpc2 golden artifact")
 	return ""
-}
-
-func TestGCPreservesIndexedArtifacts(t *testing.T) {
-	s, _ := newTestStore(t)
-	const chunk = 256
-	events := syntheticEvents(8 * chunk)
-	keep := buildChunked(t, events[:6*chunk], chunk)
-	drop := buildChunked(t, events, chunk)
-	hKeep, _, err := s.PutArtifact(keep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes, err := s.GetArtifact(hKeep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RecordBuild(BuildKey{Workload: "expr", Scale: "small", Chunk: chunk}, hKeep); err != nil {
-		t.Fatal(err)
-	}
-	hDrop, mDrop, err := s.PutArtifact(drop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deleting the manifest makes hDrop's unshared objects garbage.
-	if err := os.Remove(s.manifestPath(hDrop)); err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// drop had its own header plus two chunks beyond the shared prefix.
-	if st.ObjectsRemoved == 0 {
-		t.Fatal("GC removed nothing")
-	}
-	if st.Artifacts != 1 {
-		t.Fatalf("GC marked %d artifacts", st.Artifacts)
-	}
-	got, err := s.GetArtifact(hKeep)
-	if err != nil {
-		t.Fatalf("kept artifact unreadable after GC: %v", err)
-	}
-	if !bytes.Equal(got, wantBytes) {
-		t.Fatal("kept artifact bytes changed across GC")
-	}
-	// The shared chunk objects must have survived; the dropped
-	// artifact's tail chunks must not.
-	tail, err := ParseHash(mDrop.Parts[len(mDrop.Parts)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.HasObject(tail) {
-		t.Fatal("unreferenced tail chunk survived GC")
-	}
-	if _, err := s.LookupBuild(BuildKey{Workload: "expr", Scale: "small", Chunk: chunk}); err != nil {
-		t.Fatalf("build index entry lost: %v", err)
-	}
 }
 
 func mustWorkloadSource(t *testing.T, name string) string {

@@ -80,9 +80,8 @@ func (s *Store) OpenView(h Hash, vm *iwpp.ViewMetrics) (*iwpp.ArtifactView, erro
 	return iwpp.NewViewParts(header, loads, m.Size, &iwpp.ViewOptions{Metrics: vm})
 }
 
-// OpenViewInput is OpenInput's lazy counterpart: the CLI front door for
-// an input argument that may be a file path or a store reference,
-// opened as an ArtifactView instead of a byte stream. Files are
+// OpenViewInput is the CLI front door for an input argument that may be
+// a file path or a store reference, opened as a lazy ArtifactView. Files are
 // memory-mapped via OpenViewFile; "@<prefix>" refs resolve to a stored
 // artifact's view; "<workload>@<scale>" refs resolve through the build
 // index (building on first use) and view the stored result. A ref with

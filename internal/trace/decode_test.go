@@ -143,8 +143,9 @@ func decodeBatches(t *testing.T, data []byte, block, batch int) ([]Event, error)
 // FuzzFrameDecode holds the block Reader to the byte-at-a-time
 // reference on arbitrary bytes, for every way a stream can arrive: read
 // blocks of 1 to 64 bytes (smaller than one varint and than the magic)
-// and batches of 1 to 64 events, plus ReaderSource on top. Both must
-// deliver the same events, then the same error sentinel.
+// and batches of 1 to 64 events, plus the 512-event batches a trace
+// replay reads. All must deliver the same events, then the same error
+// sentinel.
 func FuzzFrameDecode(f *testing.F) {
 	for _, c := range wireErrorCases(f) {
 		for _, block := range []uint8{0, 2, 63} {
@@ -165,20 +166,10 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("untyped decode error %v", err)
 		}
 
-		src, err := NewReaderSource(&blockReader{data, block})
-		if err != nil {
-			if len(want) != 0 || sentinel(err) != sentinel(wantErr) {
-				t.Fatalf("NewReaderSource: %v, reference %v", err, wantErr)
-			}
-			return
-		}
-		var streamed []Event
-		n, err := src.Each(func(e Event) bool {
-			streamed = append(streamed, e)
-			return true
-		})
-		if sentinel(err) != sentinel(wantErr) || n != uint64(len(want)) || !equalEvents(streamed, want) {
-			t.Fatalf("ReaderSource gave %d events, %v; reference %d events, %v", n, err, len(want), wantErr)
+		replayed, err := decodeBatches(t, data, block, 512)
+		if sentinel(err) != sentinel(wantErr) || len(replayed) != len(want) || !equalEvents(replayed, want) {
+			t.Fatalf("block %d batch 512: Reader gave %d events, %v; reference %d events, %v",
+				block, len(replayed), err, len(want), wantErr)
 		}
 	})
 }

@@ -93,46 +93,36 @@ func wireErrorCases(t testing.TB) []wireCase {
 	}
 }
 
-// TestReaderSourceWireErrors drives the ReaderSource error paths with
-// wireErrorCases. Every case must return the typed sentinel the server
-// maps to a 400 — never panic, never yield the bad event.
+// TestReaderSourceWireErrors drives the Reader's error paths with
+// wireErrorCases, reading in ReadBatch loops as a trace replay does.
+// Every case must return the typed sentinel the server maps to a 400 —
+// never panic, never deliver the bad event.
 func TestReaderSourceWireErrors(t *testing.T) {
 	cases := wireErrorCases(t)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			src, err := NewReaderSource(bytes.NewReader(c.data))
-			if err != nil {
-				if c.want == nil || !errors.Is(err, c.want) {
-					t.Fatalf("NewReaderSource: got %v, want %v", err, c.want)
-				}
-				return
-			}
-			var got []Event
-			n, err := src.Each(func(e Event) bool {
-				got = append(got, e)
-				return true
-			})
+			got, err := decodeBatches(t, c.data, len(c.data)+1, 2)
 			if c.want == nil {
-				if err != nil {
-					t.Fatalf("Each: unexpected error %v", err)
+				if err != io.EOF {
+					t.Fatalf("ReadBatch: unexpected error %v", err)
 				}
 			} else if !errors.Is(err, c.want) {
-				t.Fatalf("Each: got error %v, want %v", err, c.want)
+				t.Fatalf("ReadBatch: got error %v, want %v", err, c.want)
 			}
-			if len(got) != c.yields || n != uint64(c.yields) {
-				t.Fatalf("Each yielded %d events (reported %d), want %d", len(got), n, c.yields)
+			if len(got) != c.yields {
+				t.Fatalf("ReadBatch delivered %d events, want %d", len(got), c.yields)
 			}
 			for _, e := range got {
 				if CheckEvent(e) != nil {
-					t.Fatalf("Each yielded out-of-range event %v", e)
+					t.Fatalf("ReadBatch delivered out-of-range event %v", e)
 				}
 			}
 		})
 	}
 }
 
-// TestReaderValidatesEachEvent pins that validation happens inside
-// Reader.Read itself, not only at the Source layer.
+// TestReaderValidatesEachEvent pins that the one-event Reader.Read
+// validates like ReadBatch: the good event first, then the typed error.
 func TestReaderValidatesEachEvent(t *testing.T) {
 	r, err := NewReader(bytes.NewReader(rawEvents(uint64(MakeEvent(4, 4)), uint64(MaxFuncs)<<PathBits)))
 	if err != nil {
@@ -161,7 +151,7 @@ func TestCheckEventWrapsRangeSentinel(t *testing.T) {
 }
 
 // TestReaderEOFStaysClean pins that a well-formed stream still ends in a
-// bare io.EOF (not ErrTruncated), which Each converts to a nil error.
+// bare io.EOF (not ErrTruncated), which callers treat as a clean end.
 func TestReaderEOFStaysClean(t *testing.T) {
 	r, err := NewReader(bytes.NewReader(wireTrace(t, []Event{MakeEvent(1, 1)}, nil)))
 	if err != nil {

@@ -1,7 +1,5 @@
 package trace
 
-import "io"
-
 // Sink consumes a stream of path events in execution order. The
 // interpreter emits through a Sink, and every WPP builder is one; any
 // component that accepts events one at a time fits here.
@@ -43,77 +41,3 @@ func (s *LateSink) AddBatch(es []Event) { s.Dst.AddBatch(es) }
 
 // AddBatch appends the whole slice; Buffer is the in-memory BatchSink.
 func (b *Buffer) AddBatch(es []Event) { b.Events = append(b.Events, es...) }
-
-// Source streams path events in order without requiring the whole trace
-// in memory. Each calls yield for every event until the stream ends or
-// yield returns false, and reports how many events were yielded.
-// Implementations: Buffer (in-memory slice), ReaderSource (raw trace
-// file); the interpreter is the push-side dual, feeding a Sink directly.
-type Source interface {
-	Each(yield func(Event) bool) (uint64, error)
-}
-
-// Each yields the buffered events; Buffer is the in-memory Source.
-func (b *Buffer) Each(yield func(Event) bool) (uint64, error) {
-	for i, e := range b.Events {
-		if !yield(e) {
-			return uint64(i + 1), nil
-		}
-	}
-	return uint64(len(b.Events)), nil
-}
-
-// ReaderSource adapts a raw trace Reader ("WPT1" stream) to a Source,
-// so a recorded trace file replays through the same pipeline as a live
-// execution.
-type ReaderSource struct {
-	r       *Reader
-	batch   [512]Event
-	pending []Event // the tail of batch decoded but not yet yielded
-}
-
-// NewReaderSource validates the trace magic on rd and returns the
-// streaming source.
-func NewReaderSource(rd io.Reader) (*ReaderSource, error) {
-	r, err := NewReader(rd)
-	if err != nil {
-		return nil, err
-	}
-	return &ReaderSource{r: r}, nil
-}
-
-// Each streams events until EOF or until yield returns false; a later
-// Each resumes after the last event yielded.
-func (s *ReaderSource) Each(yield func(Event) bool) (uint64, error) {
-	var n uint64
-	for {
-		for len(s.pending) > 0 {
-			e := s.pending[0]
-			s.pending = s.pending[1:]
-			n++
-			if !yield(e) {
-				return n, nil
-			}
-		}
-		// The Reader's errors are sticky, so an error that came with
-		// the last events is returned by the next call.
-		k, err := s.r.ReadBatch(s.batch[:])
-		if k == 0 {
-			if err == io.EOF {
-				err = nil
-			}
-			return n, err
-		}
-		s.pending = s.batch[:k]
-	}
-}
-
-// Copy drains src into dst and reports the number of events moved. It is
-// the bridge between the pull side (Source) and the push side (Sink) of
-// the pipeline.
-func Copy(dst Sink, src Source) (uint64, error) {
-	return src.Each(func(e Event) bool {
-		dst.Add(e)
-		return true
-	})
-}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -54,81 +53,6 @@ func TestCheckEventRejectsOverwideFunc(t *testing.T) {
 	raw := Event(uint64(MaxFuncs) << PathBits)
 	if err := CheckEvent(raw); err == nil {
 		t.Fatal("CheckEvent accepted function ID beyond MaxFuncs")
-	}
-}
-
-func TestBufferSourceSinkCopy(t *testing.T) {
-	src := &Buffer{}
-	for i := 0; i < 10; i++ {
-		src.Add(MakeEvent(uint32(i%3), uint64(i)))
-	}
-	var dst Buffer
-	n, err := Copy(&dst, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 10 || dst.Len() != 10 {
-		t.Fatalf("Copy moved %d events, dst has %d, want 10", n, dst.Len())
-	}
-	for i, e := range dst.Events {
-		if e != src.Events[i] {
-			t.Fatalf("event %d differs: %v vs %v", i, e, src.Events[i])
-		}
-	}
-}
-
-func TestBufferEachEarlyStop(t *testing.T) {
-	b := &Buffer{Events: []Event{1, 2, 3, 4}}
-	var seen []Event
-	n, err := b.Each(func(e Event) bool {
-		seen = append(seen, e)
-		return len(seen) < 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 || len(seen) != 2 {
-		t.Fatalf("early stop yielded %d events (reported %d), want 2", len(seen), n)
-	}
-}
-
-func TestReaderSourceStreamsTraceFile(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Event{MakeEvent(0, 1), MakeEvent(1, 2), MakeEvent(2, 1<<PathBits-1)}
-	for _, e := range want {
-		if err := w.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewReaderSource(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Buffer
-	n, err := Copy(&got, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != uint64(len(want)) {
-		t.Fatalf("streamed %d events, want %d", n, len(want))
-	}
-	for i, e := range got.Events {
-		if e != want[i] {
-			t.Fatalf("event %d is %v, want %v", i, e, want[i])
-		}
-	}
-}
-
-func TestReaderSourceRejectsBadMagic(t *testing.T) {
-	if _, err := NewReaderSource(bytes.NewReader([]byte("XXXX"))); err == nil {
-		t.Fatal("bad magic accepted")
 	}
 }
 

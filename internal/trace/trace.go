@@ -326,48 +326,6 @@ func DeflateSize(events []Event, level int) (int64, error) {
 	return cw.n, nil
 }
 
-// Deflate compresses the varint encoding of events and returns the bytes,
-// for callers that need the actual artifact rather than just its size.
-func Deflate(events []Event, level int) ([]byte, error) {
-	var out bytes.Buffer
-	fw, err := flate.NewWriter(&out, level)
-	if err != nil {
-		return nil, err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	for _, e := range events {
-		n := binary.PutUvarint(buf[:], uint64(e))
-		if _, err := fw.Write(buf[:n]); err != nil {
-			return nil, err
-		}
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
-// Inflate decompresses data produced by Deflate back into events.
-func Inflate(data []byte) ([]Event, error) {
-	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(data)))
-	if err != nil {
-		return nil, fmt.Errorf("trace: inflate: %w", err)
-	}
-	var events []Event
-	for len(raw) > 0 {
-		v, n := binary.Uvarint(raw)
-		if n == 0 {
-			return nil, fmt.Errorf("trace: inflate: %w: event cut mid-varint", ErrTruncated)
-		}
-		if n < 0 {
-			return nil, fmt.Errorf("trace: inflate: %w: varint overflows a 64-bit integer", ErrEventRange)
-		}
-		events = append(events, Event(v))
-		raw = raw[n:]
-	}
-	return events, nil
-}
-
 type countingDiscard struct{ n int64 }
 
 func (c *countingDiscard) Write(p []byte) (int, error) {

@@ -20,14 +20,6 @@ func Format(f *File) string {
 	return p.sb.String()
 }
 
-// FormatStmt renders a single statement (at top-level indentation), for
-// diagnostics.
-func FormatStmt(s Stmt) string {
-	var p printer
-	p.stmt(s)
-	return p.sb.String()
-}
-
 // FormatExpr renders an expression.
 func FormatExpr(e Expr) string {
 	var p printer

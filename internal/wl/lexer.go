@@ -158,19 +158,3 @@ func (l *Lexer) Next() (Token, error) {
 	}
 	return Token{}, errf(pos, "unexpected character %q", string(c))
 }
-
-// LexAll tokenizes the whole input, for tests.
-func LexAll(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var toks []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == EOF {
-			return toks, nil
-		}
-	}
-}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestLexBasics(t *testing.T) {
-	toks, err := LexAll("func main() { var x = 1 + 23; } // comment\n")
+	toks, err := lexAll("func main() { var x = 1 + 23; } // comment\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestLexBasics(t *testing.T) {
 }
 
 func TestLexOperators(t *testing.T) {
-	toks, err := LexAll("< <= > >= == != = ! && & || | ^ << >> + - * / %")
+	toks, err := lexAll("< <= > >= == != = ! && & || | ^ << >> + - * / %")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestLexOperators(t *testing.T) {
 }
 
 func TestLexPositions(t *testing.T) {
-	toks, err := LexAll("a\n  b")
+	toks, err := lexAll("a\n  b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +48,10 @@ func TestLexPositions(t *testing.T) {
 }
 
 func TestLexErrors(t *testing.T) {
-	if _, err := LexAll("@"); err == nil {
+	if _, err := lexAll("@"); err == nil {
 		t.Fatal("expected error for @")
 	}
-	if _, err := LexAll("99999999999999999999999999"); err == nil {
+	if _, err := lexAll("99999999999999999999999999"); err == nil {
 		t.Fatal("expected error for overflowing literal")
 	}
 }
@@ -295,5 +295,21 @@ func TestTokenAndErrorStrings(t *testing.T) {
 	}
 	if Kind(200).String() == "" {
 		t.Fatal("unknown kind string empty")
+	}
+}
+
+// lexAll tokenizes the whole input.
+func lexAll(src string) ([]Token, error) {
+	l := NewLexer(src)
+	var toks []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, nil
+		}
 	}
 }

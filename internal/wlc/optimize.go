@@ -1,10 +1,6 @@
 package wlc
 
-import (
-	"fmt"
-
-	"repro/internal/wl"
-)
+import "repro/internal/wl"
 
 // Options controls compilation.
 type Options struct {
@@ -14,12 +10,6 @@ type Options struct {
 	// build, mirroring how the paper's traces depend on the compiled
 	// binary, not the source.
 	ConstFold bool
-	// IRPasses are applied to the lowered program in order, each a
-	// whole-program IR rewrite (e.g. dataflow-driven dead-branch
-	// elimination, which lives outside this package so the IR stays
-	// analysis-free). A pass must leave the program verifying; the
-	// compiler re-checks after the last pass.
-	IRPasses []func(*Program) error
 }
 
 // CompileWithOptions parses, checks, optionally optimizes, and lowers WL
@@ -35,21 +25,7 @@ func CompileWithOptions(src string, opts Options) (*Program, error) {
 	if opts.ConstFold {
 		foldFile(file)
 	}
-	prog, err := Lower(file)
-	if err != nil {
-		return nil, err
-	}
-	if len(opts.IRPasses) > 0 {
-		for _, pass := range opts.IRPasses {
-			if err := pass(prog); err != nil {
-				return nil, err
-			}
-		}
-		if err := prog.Verify(); err != nil {
-			return nil, fmt.Errorf("wlc: IR pass broke the program: %w", err)
-		}
-	}
-	return prog, nil
+	return Lower(file)
 }
 
 // Fold applies the optimizer's AST rewrites (constant folding,

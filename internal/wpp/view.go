@@ -545,9 +545,6 @@ func (v *ArtifactView) Format() string { return v.format }
 // monolithic artifact presents its single grammar as chunk 0.
 func (v *ArtifactView) Chunked() bool { return v.chunked }
 
-// Version is the artifact format version (FormatV1 or FormatV2).
-func (v *ArtifactView) Version() uint8 { return v.version }
-
 // FuncTable lists the traced functions, indexed by function ID.
 func (v *ArtifactView) FuncTable() []FuncInfo { return v.funcs }
 
@@ -579,16 +576,6 @@ func (v *ArtifactView) DistinctPaths() int { return len(v.costs) }
 // PathCost returns the instruction cost of one event's acyclic path;
 // unknown events cost 0.
 func (v *ArtifactView) PathCost(e trace.Event) uint64 { return v.costs[e] }
-
-// CostEvents returns the cost table's keys in ascending order.
-func (v *ArtifactView) CostEvents() []trace.Event {
-	if v.dict != nil {
-		out := make([]trace.Event, len(v.dict))
-		copy(out, v.dict)
-		return out
-	}
-	return sortedCostEvents(v.costs)
-}
 
 // Close releases whatever backs the view (the memory mapping for
 // OpenViewFile views). The view must not be used afterwards.

@@ -186,10 +186,6 @@ func fillCosts(nums []*bl.Numbering, snaps ...*sequitur.Snapshot) map[trace.Even
 // Events reports the number of events consumed so far.
 func (b *MonoBuilder) Events() uint64 { return b.events }
 
-// GrammarStats exposes the live grammar size, for growth-curve
-// experiments that sample the builder mid-stream.
-func (b *MonoBuilder) GrammarStats() sequitur.Stats { return b.grammar.Stats() }
-
 // Finish seals the WPP and records the build report. instructions is
 // the total executed instruction count (interp.Stats.Instructions).
 func (b *MonoBuilder) Finish(instructions uint64) Artifact {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/interp"
+	"repro/internal/sequitur"
 	"repro/internal/trace"
 	"repro/internal/wlc"
 )
@@ -285,3 +286,7 @@ func TestReportNilBeforeFinish(t *testing.T) {
 		}
 	}
 }
+
+// GrammarStats exposes the live grammar size, for tests that sample the
+// builder mid-stream.
+func (b *MonoBuilder) GrammarStats() sequitur.Stats { return b.grammar.Stats() }
