@@ -186,12 +186,12 @@ func main() {
 	}
 }
 
-// checkGolden decodes and structurally verifies every artifact under
-// dir — the committed golden corpus spans all four formats, so a
-// failure here means the decoder regressed on bytes it must read
-// forever. Each artifact is verified both as a lazy mmap-backed view and
-// fully decoded, and the decoded artifact must re-encode to the file's
-// exact bytes.
+// checkGolden decodes and verifies every artifact under dir — the
+// committed golden corpus spans all four formats, so a failure here
+// means the decoder regressed on bytes it must read forever. Each
+// artifact is verified both as a lazy mmap-backed view and fully
+// decoded: the two VerifyArtifact reports must be equal, and the
+// decoded artifact must re-encode to the file's exact bytes.
 func checkGolden(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -208,7 +208,7 @@ func checkGolden(dir string) error {
 			return fmt.Errorf("golden %s: view open: %w", path, err)
 		}
 		format := v.Format()
-		err = v.Verify(0)
+		viewRep, err := v.VerifyArtifact(0)
 		v.Close()
 		if err != nil {
 			return fmt.Errorf("golden %s (%s): view verify: %w", path, format, err)
@@ -221,8 +221,12 @@ func checkGolden(dir string) error {
 		if err != nil {
 			return fmt.Errorf("golden %s: decode: %w", path, err)
 		}
-		if err := a.Verify(); err != nil {
+		rep, err := a.VerifyArtifact(0)
+		if err != nil {
 			return fmt.Errorf("golden %s (%s): verify: %w", path, format, err)
+		}
+		if rep != viewRep {
+			return fmt.Errorf("golden %s (%s): view reports %+v, decoded artifact %+v", path, format, viewRep, rep)
 		}
 		var buf bytes.Buffer
 		if _, err := a.Encode(&buf); err != nil {

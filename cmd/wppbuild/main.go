@@ -28,13 +28,16 @@
 // artifact's hash for use as an "@hash" ref.
 //
 // -verify proves every function's Ball–Larus numbering unique and
-// compact by exhaustive path enumeration before the run, and deep-checks
-// the finished artifact (grammar invariants, chunk geometry, path-ID
-// bounds) before it is written. When the artifact was built by running a
-// program (not from a raw trace), -verify additionally runs the static
-// feasible-path analysis and requires every distinct observed path ID to
-// be classified feasible — a dynamic cross-check of the dataflow
-// framework against the interpreter.
+// compact by exhaustive path enumeration before the run, and checks the
+// finished artifact before it is written with VerifyArtifact: the one
+// grammar-time artifact check (grammar invariants, chunk geometry,
+// event total, path-ID bounds, a cost table holding exactly the traced
+// events) plus the duplicate-digram count. When the artifact was built
+// by running a program (not from a raw trace), -verify additionally runs
+// the static feasible-path analysis and requires every distinct observed
+// path ID — the verified cost table's events — to be classified
+// feasible: a dynamic cross-check of the dataflow framework against the
+// interpreter.
 package main
 
 import (
@@ -147,7 +150,7 @@ func main() {
 	}
 	iwpp.SetVersion(a, version)
 	if *verify {
-		vrep, verr := a.VerifyArtifact()
+		vrep, verr := a.VerifyArtifact(*workers)
 		if verr != nil {
 			fatal(fmt.Errorf("artifact fails deep verification: %w", verr))
 		}
@@ -262,33 +265,22 @@ func fromSource(source string, args []int64, newBuilder collect.BuilderFactory) 
 
 // checkFeasibility is the -verify feasible-path cross-check: every
 // distinct path ID recorded in the artifact must be classified feasible
-// by the static dataflow analysis of the program just traced. An
-// infeasible observed path means the analysis (or the trace) is wrong,
-// so it is fatal.
+// by the static dataflow analysis of the program just traced. The
+// distinct events are the verified artifact's cost table, read without
+// expanding the trace. An infeasible observed path means the analysis
+// (or the trace) is wrong, so it is fatal.
 func checkFeasibility(prog *wlc.Program, a iwpp.Artifact) {
 	sets, err := dataflow.FeasiblePaths(prog, 0)
 	if err != nil {
 		fatal(fmt.Errorf("feasible-path analysis failed: %w", err))
 	}
-	distinct := map[trace.Event]bool{}
-	var bad error
-	a.Walk(func(e trace.Event) bool {
-		if distinct[e] {
-			return true
-		}
-		distinct[e] = true
-		if int(e.Func()) >= len(sets) {
-			bad = fmt.Errorf("event %v references function %d beyond the program's %d", e, e.Func(), len(sets))
-			return false
-		}
+	// VerifyArtifact has bounded every event's function by the artifact's
+	// table, which the build took from prog.
+	distinct := a.DistinctEvents()
+	for _, e := range distinct {
 		if err := sets[e.Func()].CheckObserved(prog.Funcs[e.Func()].Name, []uint64{e.Path()}); err != nil {
-			bad = err
-			return false
+			fatal(err)
 		}
-		return true
-	})
-	if bad != nil {
-		fatal(bad)
 	}
 	var feasible, total uint64
 	skipped := 0

@@ -10,22 +10,23 @@
 // an error.
 //
 // Inputs open through the lazy mmap-backed view layer: the artifact is
-// indexed in one cheap pass and chunk grammars materialize only for the
-// parts of the report that need them, so header-level statistics print
-// without decoding the trace.
+// indexed in one cheap pass and chunk grammars materialize one at a time
+// for the parts of the report that need them; nothing is decoded whole.
 //
-// -verify runs the deep artifact checker (SEQUITUR grammar invariants,
-// chunk geometry, path-ID bounds) before printing statistics, and exits
-// nonzero on any violation. Adding -workload name recompiles the named
-// built-in workload, cross-checks the artifact's function table against
-// the recompiled program, proves every Ball–Larus numbering unique and
-// compact by exhaustive path enumeration, and regenerates each distinct
-// traced path ID back to a block sequence.
+// Every run first applies the one grammar-time artifact check (Verify:
+// grammar invariants, chunk geometry, event total, path-ID bounds, a
+// cost table holding exactly the traced events); no check expands the
+// trace. -verify runs VerifyArtifact instead, which adds only the
+// duplicate-digram count, and prints its report. Adding -workload name
+// recompiles the named built-in workload, cross-checks the function
+// tables, proves every Ball–Larus numbering unique and compact, and
+// regenerates each distinct traced path ID (the verified cost table's
+// events) to a block sequence. Only -dump walks the trace.
 //
 // -coverage (with -workload name) recompiles the workload, classifies
 // every static Ball–Larus path as feasible or infeasible with the
 // dataflow framework, and prints observed/feasible/total path counts per
-// function. A dynamically observed path the analysis calls infeasible is
+// function, the observed paths again being the verified cost table's. A dynamically observed path the analysis calls infeasible is
 // a soundness violation and exits nonzero.
 //
 // The input may be a file path or a content-addressed store reference:
@@ -46,7 +47,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"repro/internal/bl"
 	"repro/internal/dataflow"
@@ -64,7 +64,7 @@ func main() {
 	profile := flag.Int("profile", 0, "also print the top n entries of the recovered path profile")
 	funcs := flag.Bool("funcs", false, "also print the per-function cost profile")
 	dot := flag.Bool("dot", false, "print the grammar DAG in Graphviz DOT form and exit")
-	verify := flag.Bool("verify", false, "deep-verify the artifact (grammar invariants, path-ID bounds) before printing statistics")
+	verify := flag.Bool("verify", false, "print the artifact check's report, with the duplicate-digram count, before the statistics")
 	workload := flag.String("workload", "", "with -verify or -coverage: cross-check against this built-in workload")
 	coverage := flag.Bool("coverage", false, "with -workload: print per-function path coverage (observed/feasible/total) and exit; nonzero if an observed path is statically infeasible")
 	storeDir := flag.String("store", "", "content-addressed store directory for @hash and name@scale inputs (default $WPP_STORE)")
@@ -88,26 +88,21 @@ func main() {
 	if *coverage && *workload == "" {
 		fatal(fmt.Errorf("-coverage requires -workload (the artifact does not carry the program)"))
 	}
-	if err := v.Verify(0); err != nil {
-		fatal(fmt.Errorf("artifact fails verification: %w", err))
-	}
-	if *coverage {
-		coverageReport(*workload, v.FuncTable(), distinctWalk(v))
-		return
-	}
 	if *verify {
-		a, err := v.Materialize()
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := a.VerifyArtifact()
+		rep, err := v.VerifyArtifact(0)
 		if err != nil {
 			fatal(fmt.Errorf("artifact fails deep verification: %w", err))
 		}
 		fmt.Println(rep.String())
-		if *workload != "" {
-			verifyAgainstWorkload(*workload, a.FuncTable(), a.Walk)
-		}
+	} else if err := v.Verify(0); err != nil {
+		fatal(fmt.Errorf("artifact fails verification: %w", err))
+	}
+	if *coverage {
+		coverageReport(*workload, v.FuncTable(), v.DistinctEvents())
+		return
+	}
+	if *workload != "" {
+		verifyAgainstWorkload(*workload, v.FuncTable(), v.DistinctEvents())
 	}
 	table := v.FuncTable()
 	if *dot {
@@ -121,28 +116,28 @@ func main() {
 		fmt.Print(w.Grammar.Dot(func(sym uint64) string { return iwpp.EventName(table, trace.Event(sym)) }))
 		return
 	}
-	sum, err := v.Summarize(0)
+	st, err := v.Stats(0)
 	if err != nil {
 		fatal(err)
 	}
 	kind := "wpp"
 	fmt.Printf("format:         %s\n", v.Format())
 	fmt.Printf("functions:      %d\n", len(table))
-	fmt.Printf("events:         %d\n", v.NumEvents())
-	fmt.Printf("distinct paths: %d\n", v.DistinctPaths())
+	fmt.Printf("events:         %d\n", st.Events)
+	fmt.Printf("distinct paths: %d\n", st.DistinctPaths)
 	fmt.Printf("instructions:   %d\n", v.TotalInstructions())
 	if v.Chunked() {
 		kind = "wpc"
-		fmt.Printf("chunks:         %d (size %d)\n", v.NumChunks(), v.ChunkSize())
+		fmt.Printf("chunks:         %d (size %d)\n", st.Chunks, st.ChunkSize)
 	}
-	fmt.Printf("rules:          %d\n", sum.Rules)
-	fmt.Printf("rhs symbols:    %d\n", sum.RHSSymbols)
+	fmt.Printf("rules:          %d\n", st.Rules)
+	fmt.Printf("rhs symbols:    %d\n", st.RHSSymbols)
 	if v.Chunked() {
-		fmt.Printf("peak live rhs:  %d\n", v.PeakLiveRHS())
+		fmt.Printf("peak live rhs:  %d\n", st.PeakLiveRHS)
 	}
-	fmt.Printf("raw trace:      %d bytes\n", sum.RawTraceBytes)
-	fmt.Printf("%s:            %d bytes (%.1fx)\n", kind, v.Size(), float64(sum.RawTraceBytes)/float64(v.Size()))
-	fmt.Printf("grammar only:   %d bytes\n", sum.GrammarBytes)
+	fmt.Printf("raw trace:      %d bytes\n", st.RawTraceBytes)
+	fmt.Printf("%s:            %d bytes (%.1fx)\n", kind, st.EncodedBytes, float64(st.RawTraceBytes)/float64(st.EncodedBytes))
+	fmt.Printf("grammar only:   %d bytes\n", st.GrammarBytes)
 	if *dump > 0 {
 		fmt.Println("trace prefix:")
 		n := 0
@@ -180,41 +175,11 @@ func main() {
 	}
 }
 
-// distinctWalk adapts a view to the walk signature the workload
-// cross-checks expect, yielding each distinct traced event exactly once
-// in ascending order. The checks only consume the distinct event set,
-// so this is computed grammar-side — chunk-parallel event frequencies,
-// entries with nonzero count — instead of expanding the trace.
-func distinctWalk(v *iwpp.ArtifactView) func(func(trace.Event) bool) {
-	return func(yield func(trace.Event) bool) {
-		freqs, err := hotpath.EventFrequencies(v, 0)
-		if err != nil {
-			fatal(err)
-		}
-		events := make([]trace.Event, 0, len(freqs))
-		for e, n := range freqs {
-			if n > 0 {
-				events = append(events, e)
-			}
-		}
-		sort.Slice(events, func(i, j int) bool { return events[i] < events[j] })
-		for _, e := range events {
-			if !yield(e) {
-				return
-			}
-		}
-	}
-}
-
-// verifyAgainstWorkload recompiles the named built-in workload and holds
-// the artifact to it: the function tables must agree (names and, where
-// the artifact records them, path counts), every recompiled Ball–Larus
-// numbering must pass the exhaustive uniqueness/compactness proof, and
-// every distinct path ID in the trace must regenerate to a block
-// sequence of the recompiled CFG. Functions with more acyclic paths than
-// the proof limit are reported and skipped, matching the interpreter's
-// own path-explosion guard.
-func verifyAgainstWorkload(name string, funcs []iwpp.FuncInfo, walk func(func(trace.Event) bool)) {
+// compileWorkload recompiles the named built-in workload and holds the
+// artifact's function table to it: the same functions under the same
+// names, and, where the artifact records path counts, the same counts
+// as the recompiled Ball–Larus numberings.
+func compileWorkload(name string, funcs []iwpp.FuncInfo) (*wlc.Program, []*bl.Numbering) {
 	wl, err := workloads.ByName(name)
 	if err != nil {
 		fatal(err)
@@ -238,6 +203,18 @@ func verifyAgainstWorkload(name string, funcs []iwpp.FuncInfo, walk func(func(tr
 			fatal(fmt.Errorf("%s: artifact records %d paths, recompiled numbering has %d", f.Name, f.NumPaths, nums[i].NumPaths))
 		}
 	}
+	return prog, nums
+}
+
+// verifyAgainstWorkload holds a verified artifact to the named built-in
+// workload: the function tables must agree (compileWorkload), every
+// recompiled Ball–Larus numbering must pass the exhaustive
+// uniqueness/compactness proof, and every distinct traced event must
+// regenerate to a block sequence of the recompiled CFG. Functions with
+// more acyclic paths than the proof limit are reported and skipped,
+// matching the interpreter's own path-explosion guard.
+func verifyAgainstWorkload(name string, funcs []iwpp.FuncInfo, distinct []trace.Event) {
+	prog, nums := compileWorkload(name, funcs)
 	proved, skipped := 0, 0
 	for i, n := range nums {
 		if _, err := bl.Prove(n, 0); err != nil {
@@ -250,74 +227,32 @@ func verifyAgainstWorkload(name string, funcs []iwpp.FuncInfo, walk func(func(tr
 		}
 		proved++
 	}
-	var regenerated int
-	var bad error
-	distinct := map[trace.Event]bool{}
-	walk(func(e trace.Event) bool {
-		if distinct[e] {
-			return true
-		}
-		distinct[e] = true
-		if int(e.Func()) >= len(nums) {
-			bad = fmt.Errorf("event %v references function %d beyond the workload's %d", e, e.Func(), len(nums))
-			return false
-		}
+	// Verify has bounded every event's function by the table, which
+	// compileWorkload matched to the workload.
+	for _, e := range distinct {
 		if _, err := nums[e.Func()].Regenerate(e.Path()); err != nil {
-			bad = fmt.Errorf("event %v fails to regenerate: %w", e, err)
-			return false
+			fatal(fmt.Errorf("event %v fails to regenerate: %w", e, err))
 		}
-		regenerated++
-		return true
-	})
-	if bad != nil {
-		fatal(bad)
 	}
 	fmt.Printf("bl: workload %s cross-checked: %d/%d numbering(s) proved unique+compact (%d skipped), %d distinct path(s) regenerated\n",
-		name, proved, len(nums), skipped, regenerated)
+		name, proved, len(nums), skipped, len(distinct))
 }
 
 // coverageReport recompiles the named workload, runs the feasible-path
-// analysis on it, and reports per-function path coverage: how many
-// distinct path IDs the trace observed, how many the analysis classifies
-// feasible, and the total static path count. An observed path classified
-// infeasible is a soundness violation and exits nonzero.
-func coverageReport(name string, funcs []iwpp.FuncInfo, walk func(func(trace.Event) bool)) {
-	wl, err := workloads.ByName(name)
-	if err != nil {
-		fatal(err)
-	}
-	prog, err := wlc.Compile(wl.Source)
-	if err != nil {
-		fatal(fmt.Errorf("recompiling workload %s: %w", name, err))
-	}
-	if len(funcs) != len(prog.Funcs) {
-		fatal(fmt.Errorf("artifact has %d functions, workload %s compiles to %d", len(funcs), name, len(prog.Funcs)))
-	}
-	for i, f := range funcs {
-		if f.Name != prog.Funcs[i].Name {
-			fatal(fmt.Errorf("function %d is %q in the artifact but %q in workload %s", i, f.Name, prog.Funcs[i].Name, name))
-		}
-	}
+// analysis on it, and reports per-function path coverage: how many of
+// the verified artifact's distinct path IDs each function observed, how
+// many the analysis classifies feasible, and the total static path
+// count. An observed path classified infeasible is a soundness violation
+// and exits nonzero.
+func coverageReport(name string, funcs []iwpp.FuncInfo, distinct []trace.Event) {
+	prog, _ := compileWorkload(name, funcs)
 	sets, err := dataflow.FeasiblePaths(prog, 0)
 	if err != nil {
 		fatal(fmt.Errorf("feasible-path analysis failed: %w", err))
 	}
-
-	observed := make([]map[uint64]bool, len(prog.Funcs))
-	for i := range observed {
-		observed[i] = make(map[uint64]bool)
-	}
-	var bad error
-	walk(func(e trace.Event) bool {
-		if int(e.Func()) >= len(sets) {
-			bad = fmt.Errorf("event %v references function %d beyond the workload's %d", e, e.Func(), len(sets))
-			return false
-		}
-		observed[e.Func()][e.Path()] = true
-		return true
-	})
-	if bad != nil {
-		fatal(bad)
+	observed := make([][]uint64, len(prog.Funcs))
+	for _, e := range distinct {
+		observed[e.Func()] = append(observed[e.Func()], e.Path())
 	}
 
 	fmt.Printf("path coverage (workload %s):\n", name)
@@ -325,7 +260,7 @@ func coverageReport(name string, funcs []iwpp.FuncInfo, walk func(func(trace.Eve
 	violations := 0
 	for i, fn := range prog.Funcs {
 		ps := sets[i]
-		for id := range observed[i] {
+		for _, id := range observed[i] {
 			if !ps.IsFeasible(id) {
 				fmt.Fprintf(os.Stderr, "wppstats: %s: observed path %d is classified statically infeasible\n", fn.Name, id)
 				violations++

@@ -60,7 +60,7 @@ func TestRunBuildsArtifact(t *testing.T) {
 		if r.Report == nil || len(r.Numberings) != len(prog.Funcs) {
 			t.Fatalf("%+v: report %v, %d numberings", opts, r.Report, len(r.Numberings))
 		}
-		if err := r.Artifact.Verify(); err != nil {
+		if err := r.Artifact.Verify(1); err != nil {
 			t.Fatal(err)
 		}
 	}

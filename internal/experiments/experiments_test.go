@@ -295,7 +295,7 @@ func TestWPPForWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Verify(); err != nil {
+	if err := w.Verify(1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := WPPForWorkload("nope", Small); err == nil {

@@ -176,7 +176,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode (%s): %v", format, err)
 			}
-			if err := a.Verify(); err != nil {
+			if err := a.Verify(1); err != nil {
 				t.Fatalf("verify (%s): %v", format, err)
 			}
 			var buf bytes.Buffer

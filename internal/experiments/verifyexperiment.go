@@ -41,7 +41,7 @@ func VerifyAll(scale Scale, names []string) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", w.Name, err)
 			}
-			rep, err := t.Artifact.VerifyArtifact()
+			rep, err := t.Artifact.VerifyArtifact(0)
 			if err != nil {
 				return nil, fmt.Errorf("%s (%s): %w", name, rep.Kind, err)
 			}

@@ -22,7 +22,8 @@ var cyclicWPP1 = []byte{
 // fold, the grammar summary, the hot-subpath search and Verify. The full
 // walk runs only on artifacts Verify accepts whose header declares at
 // most 2^16 events, so every input stays cheap. Seeded with the golden
-// files under 4 KB and the cyclic artifact.
+// files under 4 KB, the cyclic artifact and the artifact whose
+// expansion length overflows 64 bits.
 func FuzzViewAnalyses(f *testing.F) {
 	dir := filepath.Join("..", "experiments", "testdata", "golden")
 	entries, err := os.ReadDir(dir)
@@ -39,6 +40,11 @@ func FuzzViewAnalyses(f *testing.F) {
 		}
 	}
 	f.Add(cyclicWPP1)
+	overflow, err := os.ReadFile(filepath.Join("..", "wpp", "testdata", "overflow65.wpp1"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(overflow)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := wpp.NewView(data, nil)
@@ -47,7 +53,7 @@ func FuzzViewAnalyses(f *testing.F) {
 		}
 		defer v.Close()
 		EventFrequencies(v, 2)
-		v.Summarize(2)
+		v.Stats(2)
 		Find(v, Options{MinLen: 1, MaxLen: 4, Threshold: 0.01}, 2)
 		if v.Verify(2) != nil || v.NumEvents() > 1<<16 {
 			return

@@ -317,7 +317,7 @@ func checkPipeline(t *testing.T, trial int, src string) {
 
 	// WPP round trip.
 	w := builder.Finish(mPath.Stats().Instructions).(*iwpp.WPP)
-	if err := w.Verify(); err != nil {
+	if err := w.Verify(1); err != nil {
 		fail("wpp verify: %v", err)
 	}
 	var walked []trace.Event

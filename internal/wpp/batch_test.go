@@ -81,7 +81,7 @@ func TestAddBatchMatchesAddArtifacts(t *testing.T) {
 					t.Fatalf("batched builder counted %d events, want %d", got.Events(), len(events))
 				}
 				a := got.Finish(uint64(len(events)))
-				if _, err := a.VerifyArtifact(); err != nil {
+				if _, err := a.VerifyArtifact(1); err != nil {
 					t.Fatalf("batched artifact fails deep verification: %v", err)
 				}
 				for _, v := range []uint8{FormatV1, FormatV2} {

@@ -30,16 +30,22 @@ type Builder interface {
 // Decode produces one from any of the four encodings, and
 // engine.NewPositions answers positional queries on any of them.
 // Callers needing strategy-specific API (Grammar, Chunks) type-assert
-// to the concrete type.
+// to the concrete type. *ArtifactView offers the same checks over an
+// encoded artifact without decoding it whole.
 type Artifact interface {
 	// Source exposes the chunk grammars to the analyses (a monolithic
 	// artifact is one chunk).
 	engine.Source
-	// Verify checks the artifact's internal structural consistency.
-	Verify() error
-	// VerifyParallel is Verify with its per-chunk checks on `workers`
-	// goroutines (<=0 means GOMAXPROCS).
-	VerifyParallel(workers int) error
+	// Verify is the one artifact check, run in grammar time with its
+	// per-chunk work on `workers` goroutines (<=0 means GOMAXPROCS):
+	// well-formed SEQUITUR grammars (reachability, rule utility), chunk
+	// geometry, the event total, and a cost table holding exactly the
+	// events the grammars yield, each with an in-range path ID.
+	Verify(workers int) error
+	// VerifyArtifact is Verify plus the duplicate-digram count against
+	// SEQUITUR's seam slack, the one costly measure, and reports what
+	// was checked.
+	VerifyArtifact(workers int) (VerifyReport, error)
 	// Stats summarizes the artifact's size.
 	Stats() Stats
 	// Encode writes the artifact in the encoding its Version selects and
@@ -54,15 +60,16 @@ type Artifact interface {
 	// DistinctPaths reports how many distinct (function, path) pairs
 	// were executed.
 	DistinctPaths() int
+	// DistinctEvents lists those pairs in ascending order: the cost
+	// table's events, which Verify holds to the events the grammars
+	// yield.
+	DistinctEvents() []trace.Event
 	// PathCost returns the instruction cost of one event's acyclic
 	// path; unknown events cost 0.
 	PathCost(trace.Event) uint64
 	// Walk yields the full event trace in order, stopping early if
 	// yield returns false.
 	Walk(yield func(trace.Event) bool)
-	// VerifyArtifact deep-checks the artifact beyond Verify's
-	// structural pass (SEQUITUR invariants, path-ID bounds).
-	VerifyArtifact() (VerifyReport, error)
 }
 
 // BuildOptions selects and tunes the construction strategy.

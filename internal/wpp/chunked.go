@@ -48,11 +48,6 @@ func (c *ChunkedWPP) Chunk(i int) (*sequitur.Snapshot, error) { return c.Chunks[
 // Walk yields the full event trace across all chunks in order.
 func (c *ChunkedWPP) Walk(yield func(trace.Event) bool) { walk(c, yield) }
 
-// RawTraceBytes computes the varint-encoded size of the uncompressed
-// trace the artifact replaces (trace magic + payload), without
-// materializing it — the numerator of the compression ratio.
-func (c *ChunkedWPP) RawTraceBytes() int64 { return rawTraceBytes(c.Chunks) }
-
 // Encode writes the chunked WPP to out in the encoding Version selects.
 // The encoding is a deterministic function of the artifact, so equal
 // artifacts serialize byte-identically.
@@ -74,15 +69,18 @@ func (c *ChunkedWPP) PathCost(e trace.Event) uint64 { return c.costs[e] }
 // executed.
 func (c *ChunkedWPP) DistinctPaths() int { return len(c.costs) }
 
-// Verify checks that every chunk is well formed, the expansion lengths
-// add up to Events, and every event names a known function and has a
-// recorded cost. It is VerifyParallel(1).
-func (c *ChunkedWPP) Verify() error { return c.VerifyParallel(1) }
-
-// VerifyParallel runs Verify's per-chunk checks on the given number of
-// goroutines (<=0 means runtime.GOMAXPROCS(0)). The result is
-// deterministic: the error reported is always the one for the
-// lowest-indexed bad chunk, whatever the schedule.
-func (c *ChunkedWPP) VerifyParallel(workers int) error {
-	return verify(&c.artifact().header, c, workers)
+// Verify is WPP.Verify over every chunk, plus the chunk geometry: every
+// chunk but the last expands to exactly ChunkSize events.
+func (c *ChunkedWPP) Verify(workers int) error {
+	_, err := c.artifact().verify(workers, false)
+	return err
 }
+
+// VerifyArtifact is Verify plus the duplicate-digram count, as for WPP.
+func (c *ChunkedWPP) VerifyArtifact(workers int) (VerifyReport, error) {
+	return c.artifact().verify(workers, true)
+}
+
+// DistinctEvents lists the cost table's events in ascending order: on a
+// verified artifact, exactly the distinct events of the trace.
+func (c *ChunkedWPP) DistinctEvents() []trace.Event { return sortedCostEvents(c.costs) }

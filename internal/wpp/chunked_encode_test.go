@@ -21,7 +21,7 @@ func TestChunkedEncodeRoundTrip(t *testing.T) {
 			t.Fatalf("Encode reported %d bytes, wrote %d", n, buf.Len())
 		}
 		got := decodeChunked(t, buf.Bytes())
-		if err := got.Verify(); err != nil {
+		if err := got.Verify(1); err != nil {
 			t.Fatal(err)
 		}
 		if got.Events != orig.Events || got.ChunkSize != orig.ChunkSize ||
@@ -67,10 +67,10 @@ func TestDecodeAny(t *testing.T) {
 	if _, err := cb.Finish(100).Encode(&cbuf); err != nil {
 		t.Fatal(err)
 	}
-	if err := decodeWPP(t, mbuf.Bytes()).Verify(); err != nil {
+	if err := decodeWPP(t, mbuf.Bytes()).Verify(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := decodeChunked(t, cbuf.Bytes()).Verify(); err != nil {
+	if err := decodeChunked(t, cbuf.Bytes()).Verify(1); err != nil {
 		t.Fatal(err)
 	}
 	for _, junk := range [][]byte{[]byte("nope"), nil} {

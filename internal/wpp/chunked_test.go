@@ -43,7 +43,7 @@ func TestChunkedWalkMatchesRaw(t *testing.T) {
 		if !reflect.DeepEqual(walked, raw) {
 			t.Fatalf("chunkSize=%d: walk mismatch", chunkSize)
 		}
-		if err := c.Verify(); err != nil {
+		if err := c.Verify(1); err != nil {
 			t.Fatalf("chunkSize=%d: %v", chunkSize, err)
 		}
 		if c.Events != uint64(len(raw)) {
@@ -92,7 +92,7 @@ func TestChunkedStats(t *testing.T) {
 func TestChunkedEmpty(t *testing.T) {
 	b := newRefBuilder(nil, nil, 10)
 	c := b.Finish(0)
-	if err := c.Verify(); err != nil {
+	if err := c.Verify(1); err != nil {
 		t.Fatal(err)
 	}
 	n := 0

@@ -153,7 +153,7 @@ func TestWPP2RoundTrip(t *testing.T) {
 				t.Fatalf("decoded Version = %d, want %d", got.Version, FormatV2)
 			}
 			sameWPP(t, got, w)
-			if err := got.Verify(); err != nil {
+			if err := got.Verify(1); err != nil {
 				t.Fatalf("decoded artifact fails verify: %v", err)
 			}
 			var buf2 bytes.Buffer
@@ -189,7 +189,7 @@ func TestWPC2RoundTrip(t *testing.T) {
 				t.Fatalf("decoded Version = %d, want %d", got.Version, FormatV2)
 			}
 			sameChunked(t, got, c)
-			if err := got.Verify(); err != nil {
+			if err := got.Verify(1); err != nil {
 				t.Fatalf("decoded artifact fails verify: %v", err)
 			}
 			var buf2 bytes.Buffer

@@ -66,10 +66,10 @@ func FuzzChunkedParity(f *testing.F) {
 		seq := sb.Finish(uint64(len(events)))
 		par := pb.Finish(uint64(len(events))).(*ChunkedWPP)
 
-		if err := seq.Verify(); err != nil {
+		if err := seq.Verify(1); err != nil {
 			t.Fatalf("reference verify: %v", err)
 		}
-		if err := par.VerifyParallel(nw); err != nil {
+		if err := par.Verify(nw); err != nil {
 			t.Fatalf("parallel verify: %v", err)
 		}
 		if !reflect.DeepEqual(par.Chunks, seq.Chunks) {
@@ -199,7 +199,7 @@ func checkDecode(t *testing.T, data []byte) {
 		return
 	}
 	// Verify rejects cyclic grammars before Walk could loop forever.
-	if err := a.Verify(); err != nil {
+	if err := a.Verify(1); err != nil {
 		return
 	}
 	var walked []trace.Event

@@ -54,7 +54,7 @@ func TestMetricsScrapeDuringParallelBuild(t *testing.T) {
 	close(stop)
 	scrapers.Wait()
 
-	if err := c.Verify(); err != nil {
+	if err := c.Verify(1); err != nil {
 		t.Fatalf("artifact fails verification under concurrent scraping: %v", err)
 	}
 	if got := met.EventsIngested.Value(); got != events {

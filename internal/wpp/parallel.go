@@ -261,7 +261,7 @@ func (b *ParallelChunkedBuilder) buildReport(c *ChunkedWPP, wall time.Duration) 
 		ChunkSize:     c.ChunkSize,
 		DistinctPaths: len(c.costs),
 		Workers:       len(b.workerBusy),
-		BytesIn:       c.RawTraceBytes(),
+		BytesIn:       rawTraceBytes(c.Chunks),
 		BytesOut:      c.EncodedSize(),
 		WallTime:      wall,
 		WorkerBusy:    make([]float64, len(b.workerBusy)),

@@ -66,7 +66,7 @@ func TestParallelStress(t *testing.T) {
 				errs[trial] = "parallel artifact diverged from the reference"
 				return
 			}
-			if err := par.VerifyParallel(workers); err != nil {
+			if err := par.Verify(workers); err != nil {
 				errs[trial] = err.Error()
 			}
 		}(trial)
@@ -96,7 +96,7 @@ func TestParallelBackpressure(t *testing.T) {
 	if c.Events != uint64(n) || len(c.Chunks) != (n+3)/4 {
 		t.Fatalf("got %d events in %d chunks", c.Events, len(c.Chunks))
 	}
-	if err := c.Verify(); err != nil {
+	if err := c.Verify(1); err != nil {
 		t.Fatal(err)
 	}
 }

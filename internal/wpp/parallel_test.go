@@ -111,7 +111,7 @@ func TestParallelEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(expand(par), seqExp) {
 					t.Fatalf("%s chunk=%d workers=%d: expansion differs", name, cs, nw)
 				}
-				if err := par.VerifyParallel(nw); err != nil {
+				if err := par.Verify(nw); err != nil {
 					t.Fatalf("%s chunk=%d workers=%d: verify: %v", name, cs, nw, err)
 				}
 			}
@@ -181,7 +181,7 @@ func TestParallelEmpty(t *testing.T) {
 	for _, nw := range []int{1, 4} {
 		b := newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: 10, Workers: nw})
 		c := b.Finish(0).(*ChunkedWPP)
-		if err := c.Verify(); err != nil {
+		if err := c.Verify(1); err != nil {
 			t.Fatal(err)
 		}
 		if len(c.Chunks) != 0 || c.Events != 0 {
@@ -214,13 +214,13 @@ func TestParallelFinishTwicePanics(t *testing.T) {
 func TestVerifyParallelDetectsCorruption(t *testing.T) {
 	events, instrs := eventsFor(t, "lexer")
 	c := feedParallel(events, instrs, 200, 2)
-	if err := c.VerifyParallel(4); err != nil {
+	if err := c.Verify(4); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the header: every worker count must report the mismatch.
 	c.Events++
 	for _, nw := range []int{1, 4} {
-		if err := c.VerifyParallel(nw); err == nil {
+		if err := c.Verify(nw); err == nil {
 			t.Fatalf("workers=%d: corrupted artifact verified", nw)
 		}
 	}

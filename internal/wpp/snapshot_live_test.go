@@ -75,7 +75,7 @@ func TestSnapshotWPPMatchesPrefixBuild(t *testing.T) {
 		if full.Events != uint64(len(events)) {
 			t.Fatalf("cut %d: continued build has %d events, want %d", cut, full.Events, len(events))
 		}
-		if err := full.Verify(); err != nil {
+		if err := full.Verify(1); err != nil {
 			t.Fatalf("cut %d: continued build fails verify: %v", cut, err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestSnapshotWPPAfterBatchedIngest(t *testing.T) {
 	if got := snap.DistinctPaths(); got == 0 {
 		t.Fatal("snapshot after AddBatch has empty cost table")
 	}
-	if err := snap.Verify(); err != nil {
+	if err := snap.Verify(1); err != nil {
 		t.Fatalf("snapshot fails verify: %v", err)
 	}
 	before := snap.DistinctPaths()

@@ -29,7 +29,7 @@ func synthEvents(n int) []trace.Event {
 
 func TestVerifyArtifactMonolithic(t *testing.T) {
 	w := buildVerifyWPP(synthEvents(500))
-	rep, err := w.VerifyArtifact()
+	rep, err := w.VerifyArtifact(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestVerifyArtifactChecksPathBounds(t *testing.T) {
 	// Path IDs run 0..6; a recorded bound of 7 is satisfied.
 	w.Funcs[0].NumPaths = 7
 	w.Funcs[1].NumPaths = 7
-	rep, err := w.VerifyArtifact()
+	rep, err := w.VerifyArtifact(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestVerifyArtifactChecksPathBounds(t *testing.T) {
 	}
 	// A tighter bound must be rejected.
 	w.Funcs[1].NumPaths = 5
-	if _, err := w.VerifyArtifact(); err == nil || !strings.Contains(err.Error(), "outside [0,5)") {
+	if _, err := w.VerifyArtifact(1); err == nil || !strings.Contains(err.Error(), "outside [0,5)") {
 		t.Fatalf("path-ID bound violation not caught: %v", err)
 	}
 }
@@ -75,7 +75,7 @@ func TestVerifyArtifactRejectsUtilityViolation(t *testing.T) {
 		{{Rule: 1}},
 		{{Rule: -1, Value: 1}, {Rule: -1, Value: 2}},
 	}}
-	if _, err := w.VerifyArtifact(); err == nil || !strings.Contains(err.Error(), "rule utility") {
+	if _, err := w.VerifyArtifact(1); err == nil || !strings.Contains(err.Error(), "rule utility") {
 		t.Fatalf("utility violation not caught: %v", err)
 	}
 }
@@ -86,7 +86,7 @@ func TestVerifyArtifactRejectsUnreachableRule(t *testing.T) {
 		{{Rule: -1, Value: 1}, {Rule: -1, Value: 2}},
 		{{Rule: -1, Value: 3}, {Rule: -1, Value: 4}},
 	}}
-	if _, err := w.VerifyArtifact(); err == nil || !strings.Contains(err.Error(), "unreachable") {
+	if _, err := w.VerifyArtifact(1); err == nil || !strings.Contains(err.Error(), "unreachable") {
 		t.Fatalf("unreachable rule not caught: %v", err)
 	}
 }
@@ -102,7 +102,7 @@ func TestVerifyArtifactRejectsDigramBlowup(t *testing.T) {
 	}
 	w := buildVerifyWPP(events)
 	w.Grammar = &sequitur.Snapshot{Rules: [][]sequitur.Sym{rhs}}
-	if _, err := w.VerifyArtifact(); err == nil || !strings.Contains(err.Error(), "duplicate digrams") {
+	if _, err := w.VerifyArtifact(1); err == nil || !strings.Contains(err.Error(), "duplicate digrams") {
 		t.Fatalf("digram blowup not caught: %v", err)
 	}
 }
@@ -110,7 +110,7 @@ func TestVerifyArtifactRejectsDigramBlowup(t *testing.T) {
 func TestVerifyArtifactRejectsForeignCostEntry(t *testing.T) {
 	w := buildVerifyWPP(synthEvents(50))
 	w.costs[trace.MakeEvent(1, 999)] = 1 // never appears in the trace
-	if _, err := w.VerifyArtifact(); err == nil || !strings.Contains(err.Error(), "cost table") {
+	if _, err := w.VerifyArtifact(1); err == nil || !strings.Contains(err.Error(), "cost table") {
 		t.Fatalf("stray cost entry not caught: %v", err)
 	}
 }
@@ -122,7 +122,7 @@ func TestVerifyArtifactChunked(t *testing.T) {
 		b.Add(e)
 	}
 	c := b.Finish(500)
-	rep, err := c.VerifyArtifact()
+	rep, err := c.VerifyArtifact(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,18 +132,18 @@ func TestVerifyArtifactChunked(t *testing.T) {
 
 	// Tampering with the declared geometry must be caught.
 	c.ChunkSize = 100
-	if _, err := c.VerifyArtifact(); err == nil || !strings.Contains(err.Error(), "chunk size") {
+	if _, err := c.VerifyArtifact(1); err == nil || !strings.Contains(err.Error(), "chunk size") {
 		t.Fatalf("chunk geometry violation not caught: %v", err)
 	}
 }
 
 func TestVerifyArtifactEmpty(t *testing.T) {
 	w := buildVerifyWPP(nil)
-	if _, err := w.VerifyArtifact(); err != nil {
+	if _, err := w.VerifyArtifact(1); err != nil {
 		t.Fatalf("empty monolithic artifact: %v", err)
 	}
 	cb := newRefBuilder(nil, nil, 8)
-	if _, err := cb.Finish(0).VerifyArtifact(); err != nil {
+	if _, err := cb.Finish(0).VerifyArtifact(1); err != nil {
 		t.Fatalf("empty chunked artifact: %v", err)
 	}
 }
@@ -160,7 +160,7 @@ func TestVerifyRejectsUnknownFunction(t *testing.T) {
 		m.Add(e)
 	}
 	for _, a := range []Artifact{b.Finish(3), m.Finish(3)} {
-		if err := a.Verify(); err == nil || !strings.Contains(err.Error(), "unknown function") {
+		if err := a.Verify(1); err == nil || !strings.Contains(err.Error(), "unknown function") {
 			t.Errorf("%T.Verify = %v, want an unknown-function error", a, err)
 		}
 		var buf bytes.Buffer

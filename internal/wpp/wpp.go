@@ -243,35 +243,16 @@ func (b *MonoBuilder) SnapshotWPP() *WPP {
 }
 
 // TotalPathCost is the cost-weighted length of the trace: the sum over
-// every event of its acyclic path's cost. It is computed bottom-up on the
-// grammar with memoized per-rule totals, in time proportional to the
-// grammar rather than the trace. For cost-1 tables (builds from raw
-// traces) it equals Events.
+// every event of its acyclic path's cost, weighed on the grammar
+// (sequitur.Snapshot.Weigh) in time proportional to the grammar rather
+// than the trace. For cost-1 tables (builds from raw traces) it equals
+// Events.
 func (w *WPP) TotalPathCost() uint64 {
-	n := len(w.Grammar.Rules)
-	if n == 0 {
+	sums, _ := w.Grammar.Weigh(func(v uint64) uint64 { return w.costs[trace.Event(v)] })
+	if len(sums) == 0 {
 		return 0
 	}
-	memo := make([]uint64, n)
-	done := make([]bool, n)
-	var visit func(int) uint64
-	visit = func(i int) uint64 {
-		if done[i] {
-			return memo[i]
-		}
-		var total uint64
-		for _, s := range w.Grammar.Rules[i] {
-			if s.IsRule() {
-				total += visit(int(s.Rule))
-			} else {
-				total += w.costs[trace.Event(s.Value)]
-			}
-		}
-		memo[i] = total
-		done[i] = true
-		return total
-	}
-	return visit(0)
+	return sums[0]
 }
 
 // PathCost returns the instruction cost of one event's acyclic path.
@@ -335,14 +316,25 @@ type Stats struct {
 // rule use counts.
 func (w *WPP) Stats() Stats { return w.artifact().stats() }
 
-// Verify checks internal consistency: the grammar is well formed, its
-// expansion length equals Events, and every event it expands to has a
-// recorded cost and an in-range function ID.
-func (w *WPP) Verify() error { return w.VerifyParallel(1) }
+// Verify checks the artifact in grammar time, without expanding the
+// trace: the grammar is a well-formed SEQUITUR grammar whose expansion
+// is Events long, and the cost table holds exactly the events it yields,
+// each naming a known function and an in-range path ID. workers sizes
+// the chunk pool (<=0 means GOMAXPROCS); a WPP has one chunk.
+func (w *WPP) Verify(workers int) error {
+	_, err := w.artifact().verify(workers, false)
+	return err
+}
 
-// VerifyParallel is Verify; a monolithic WPP has one grammar to check,
-// so workers does not matter.
-func (w *WPP) VerifyParallel(workers int) error { return verify(&w.artifact().header, w, workers) }
+// VerifyArtifact is Verify plus the duplicate-digram count against
+// SEQUITUR's seam slack, and reports what was checked.
+func (w *WPP) VerifyArtifact(workers int) (VerifyReport, error) {
+	return w.artifact().verify(workers, true)
+}
+
+// DistinctEvents lists the cost table's events in ascending order: on a
+// verified artifact, exactly the distinct events of the trace.
+func (w *WPP) DistinctEvents() []trace.Event { return sortedCostEvents(w.costs) }
 
 // Encode writes the WPP to out in the encoding Version selects.
 func (w *WPP) Encode(out io.Writer) (int64, error) { return w.artifact().encode(out) }

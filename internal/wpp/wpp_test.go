@@ -65,7 +65,7 @@ func TestBuildAndWalk(t *testing.T) {
 	if !reflect.DeepEqual(walked, raw) {
 		t.Fatal("Walk does not reproduce the raw event stream")
 	}
-	if err := w.Verify(); err != nil {
+	if err := w.Verify(1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -143,7 +143,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("EncodedSize = %d, Encode wrote %d", got, written)
 	}
 	back := decodeWPP(t, buf.Bytes())
-	if err := back.Verify(); err != nil {
+	if err := back.Verify(1); err != nil {
 		t.Fatal(err)
 	}
 	if back.Events != w.Events || back.Instructions != w.Instructions {
@@ -175,7 +175,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestVerifyCatchesTruncatedEvents(t *testing.T) {
 	w, _ := buildWPP(t, loopProgram, 50)
 	w.Events++ // corrupt the header
-	if err := w.Verify(); err == nil {
+	if err := w.Verify(1); err == nil {
 		t.Fatal("corrupted event count not detected")
 	}
 }
@@ -219,7 +219,7 @@ func TestGrowthSampling(t *testing.T) {
 func TestEmptyWPP(t *testing.T) {
 	b := newMonoBuilder(nil, nil, nil)
 	w := b.Finish(0)
-	if err := w.Verify(); err != nil {
+	if err := w.Verify(1); err != nil {
 		t.Fatal(err)
 	}
 	count := 0
@@ -257,7 +257,7 @@ func TestAnonymousBuildNamesFunctions(t *testing.T) {
 		if got := a.FuncTable(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v: sealed names %v, want %v", opts, got, want)
 		}
-		if err := a.Verify(); err != nil {
+		if err := a.Verify(1); err != nil {
 			t.Fatal(err)
 		}
 		if got := New(nil, nil, opts).Finish(0).FuncTable(); !reflect.DeepEqual(got, want[:1]) {
