@@ -28,7 +28,8 @@ type Positions struct {
 }
 
 // NewPositions indexes src's chunks by event position. It fails if a
-// chunk does.
+// chunk does, or if the chunks together hold more events than a uint64
+// counts (AddLength).
 func NewPositions(src Source) (*Positions, error) {
 	p := &Positions{src: src, ends: make([]uint64, src.NumChunks()), last: -1}
 	var total uint64
@@ -38,7 +39,9 @@ func NewPositions(src Source) (*Positions, error) {
 			return nil, err
 		}
 		if len(sn.Rules) > 0 {
-			total += sn.ExpandedLen()[0]
+			if total, err = AddLength(total, sn.ExpandedLen()[0]); err != nil {
+				return nil, err
+			}
 		}
 		p.ends[c] = total
 	}

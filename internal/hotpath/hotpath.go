@@ -256,7 +256,9 @@ func eachShard(n int, fn func(s int)) {
 // the shard of its first MinLen events. A source with fewer chunks than
 // workers splits into workers/chunks shards, so the workers the chunks
 // leave idle count shards of them; otherwise there is one shard. A source
-// without chunks yields no tries.
+// without chunks yields no tries. A source whose chunks together hold
+// more events than a uint64 counts fails (engine.AddLength): its window
+// counts could wrap.
 func countWindows(src engine.Source, workers int, opts Options) ([]*engine.WindowTrie, error) {
 	met := opts.metrics()
 	shards := 1
@@ -266,6 +268,12 @@ func countWindows(src engine.Source, workers int, opts Options) ([]*engine.Windo
 	st, err := engine.RunSource(src, workers, windowFold{opts: opts, met: met, shards: shards})
 	if err != nil || st == nil {
 		return nil, err
+	}
+	var events uint64
+	for _, b := range st.bounds {
+		if events, err = engine.AddLength(events, b.Length); err != nil {
+			return nil, fmt.Errorf("hotpath: %w", err)
+		}
 	}
 	start := time.Now()
 	engine.CrossingWindows(st.bounds, opts.MaxLen, func(window []uint64, from int) {

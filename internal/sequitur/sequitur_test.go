@@ -2,6 +2,8 @@ package sequitur
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -289,6 +291,24 @@ func TestSnapshotStableAcrossEqualInputs(t *testing.T) {
 	b := feed(t, in).Snapshot()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("snapshots differ for identical inputs")
+	}
+}
+
+// TestUvarintLen: UvarintLen agrees with binary.PutUvarint on both
+// sides of every 7-bit length boundary.
+func TestUvarintLen(t *testing.T) {
+	buf := make([]byte, binary.MaxVarintLen64)
+	for _, v := range []uint64{0, 1, math.MaxUint64} {
+		if got, want := UvarintLen(v), binary.PutUvarint(buf, v); got != want {
+			t.Errorf("UvarintLen(%d) = %d, PutUvarint writes %d", v, got, want)
+		}
+	}
+	for k := 7; k < 64; k += 7 {
+		for _, v := range []uint64{1<<k - 1, 1 << k} {
+			if got, want := UvarintLen(v), binary.PutUvarint(buf, v); got != want {
+				t.Errorf("UvarintLen(%d) = %d, PutUvarint writes %d", v, got, want)
+			}
+		}
 	}
 }
 
