@@ -9,13 +9,15 @@
 // monolithic analysis of the same trace.
 //
 // The artifact opens through the lazy mmap-backed view layer: chunk
-// grammars materialize inside the per-chunk analysis pass and are
-// discarded after counting, so peak memory tracks one chunk per worker
-// instead of the whole decoded artifact. The wpp_open_* metrics on
-// -debug-addr expose the open path (bytes mapped, chunks materialized,
-// time to first result); the hotpath_* metrics expose the search's
-// stages (per-chunk window count, chunk merge plus seam windows,
-// harvest) and the number of distinct windows counted.
+// grammars materialize inside the per-chunk analysis pass, and each
+// chunk's window counts are added to one accumulator as the chunk
+// finishes, so peak memory tracks one chunk per worker plus the merged
+// counts instead of the whole decoded artifact or every chunk's counts.
+// The wpp_open_* metrics on -debug-addr expose the open path (bytes
+// mapped, chunks materialized, time to first result); the hotpath_*
+// metrics expose the search's stages (per-chunk window count, chunk
+// merges plus seam windows, harvest) and the number of distinct windows
+// counted.
 //
 // The input may be a file path or a content-addressed store reference
 // ("@<hash-prefix>" or "<workload>@<scale>", resolved through -store or

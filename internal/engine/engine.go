@@ -1,19 +1,22 @@
-// Package engine is the single grammar-fold analysis engine behind every
+// Package engine is the single grammar analysis engine behind every
 // compressed-trace analysis. A whole program path is a sequence of
 // SEQUITUR grammars (one for a monolithic WPP, one per chunk for a
 // chunked WPP); every analysis — hot-subpath search, path profiles,
-// spectra — is a Fold: a bottom-up pass over each grammar DAG with
-// per-rule memoization, plus an order-preserving merge across grammars,
-// with boundary windows materialized for analyses whose windows slide
-// across chunk seams.
+// spectra — is a bottom-up pass over each grammar DAG with per-rule
+// memoization (Analysis), run on every chunk by the one chunk loop
+// EachChunk, with boundary windows materialized for analyses whose
+// windows slide across chunk seams (Boundary, CrossingWindows).
 //
 // Expressing analyses this way (following how Kini et al. frame race
 // detection as a generic pass over an SLP grammar) means a new analysis
-// implements one Fold and inherits chunking, parallelism, and
-// determinism; it does not re-implement traversal. The engine guarantees
-// that for a fixed chunk sequence the result is identical for every
-// worker count: per-chunk passes are pure functions of their snapshot,
-// and merging is sequential in chunk order.
+// writes one per-chunk pass and inherits chunking, parallelism, and
+// determinism; it does not re-implement traversal. Each analysis adds a
+// chunk's result to one accumulator as the chunk finishes, so it holds
+// one chunk per worker, not all of them. Results are still identical for
+// every worker count and every schedule: every accumulated quantity is a
+// count, a sum does not depend on order, and every analysis sorts its
+// output totally. Seam boundaries, which do depend on chunk order, are
+// stored by chunk index.
 package engine
 
 import (
@@ -24,7 +27,7 @@ import (
 	"repro/internal/sequitur"
 )
 
-// Analysis caches the per-grammar derived data every fold shares: the
+// Analysis caches the per-grammar derived data every analysis shares: the
 // memoized bottom-up quantities of one snapshot's rule DAG.
 type Analysis struct {
 	// Snap is the grammar under analysis.
@@ -47,25 +50,15 @@ type Analysis struct {
 	ranked   [][]sequitur.Sym
 }
 
-// NewAnalysis computes the memoized per-rule data for one snapshot in a
-// single bottom-up pass.
+// NewAnalysis computes the memoized per-rule data for one snapshot: one
+// pass children first fills each rule's cumulative and total expansion
+// lengths, and one parents first its use count.
 func NewAnalysis(snap *sequitur.Snapshot) *Analysis {
-	a := &Analysis{Snap: snap}
-	n := len(a.Snap.Rules)
-	a.ExpLen = a.Snap.ExpandedLen()
-	a.Uses = make([]uint64, n)
-	if n > 0 {
-		a.Uses[0] = 1
-		for _, r := range a.topoOrder() {
-			for _, s := range a.Snap.Rules[r] {
-				if s.IsRule() {
-					a.Uses[s.Rule] += a.Uses[r]
-				}
-			}
-		}
-	}
-	a.CumLens = make([][]uint64, n)
-	for i, rhs := range a.Snap.Rules {
+	n := len(snap.Rules)
+	a := &Analysis{Snap: snap, ExpLen: make([]uint64, n), Uses: make([]uint64, n), CumLens: make([][]uint64, n)}
+	order := a.topoOrder()
+	for _, r := range order {
+		rhs := snap.Rules[r]
 		cum := make([]uint64, len(rhs)+1)
 		for j, s := range rhs {
 			if s.IsRule() {
@@ -74,7 +67,19 @@ func NewAnalysis(snap *sequitur.Snapshot) *Analysis {
 				cum[j+1] = cum[j] + 1
 			}
 		}
-		a.CumLens[i] = cum
+		a.CumLens[r] = cum
+		a.ExpLen[r] = cum[len(rhs)]
+	}
+	if n > 0 {
+		a.Uses[0] = 1
+	}
+	for k := len(order) - 1; k >= 0; k-- {
+		r := order[k]
+		for _, s := range snap.Rules[r] {
+			if s.IsRule() {
+				a.Uses[s.Rule] += a.Uses[r]
+			}
+		}
 	}
 	return a
 }
@@ -88,17 +93,18 @@ func (a *Analysis) Length() uint64 {
 	return a.ExpLen[0]
 }
 
-// topoOrder returns rule indices with every parent before its children.
+// topoOrder returns every rule's index, reachable from the start rule
+// or not, with every child before its parents.
 func (a *Analysis) topoOrder() []int32 {
 	n := len(a.Snap.Rules)
-	state := make([]int8, n)
+	state := make([]bool, n)
 	order := make([]int32, 0, n)
 	var visit func(int32)
 	visit = func(r int32) {
-		if state[r] != 0 {
+		if state[r] {
 			return
 		}
-		state[r] = 1
+		state[r] = true
 		for _, s := range a.Snap.Rules[r] {
 			if s.IsRule() {
 				visit(s.Rule)
@@ -106,17 +112,15 @@ func (a *Analysis) topoOrder() []int32 {
 		}
 		order = append(order, r)
 	}
-	visit(0)
-	// Reverse postorder = parents first.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
+	for r := range n {
+		visit(int32(r))
 	}
 	return order
 }
 
 // Terminals visits every terminal occurrence in every rule body together
 // with the rule's derivation-tree use count — the weighted-terminal pass
-// frequency folds are built on. Each distinct trace position is covered
+// frequency analyses are built on. Each distinct trace position is covered
 // exactly once.
 func (a *Analysis) Terminals(visit func(v uint64, uses uint64)) {
 	for r, rhs := range a.Snap.Rules {
@@ -166,7 +170,7 @@ func collect[T uint32 | uint64](a *Analysis, rules [][]sequitur.Sym, r int32, st
 }
 
 // rankTerminals builds dict and ranked on first use; the prefix shards
-// of one grammar share them, and folds that never count windows never
+// of one grammar share them, and analyses that never count windows never
 // build them.
 func (a *Analysis) rankTerminals() {
 	a.rankOnce.Do(func() {

@@ -3,17 +3,18 @@ package engine
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/sequitur"
 )
 
-// Source is a sequence of chunk grammars an analysis can fold over
-// without requiring them all in memory at once. The in-memory artifacts
-// (a monolithic WPP is one chunk) return their grammars as they are;
-// lazy views materialize and validate each chunk inside the Chunk call,
-// so a corrupt or unreadable chunk surfaces as an error from the fold
+// Source is a sequence of chunk grammars an analysis can visit without
+// requiring them all in memory at once. The in-memory artifacts (a
+// monolithic WPP is one chunk) return their grammars as they are; lazy
+// views materialize and validate each chunk inside the Chunk call, so a
+// corrupt or unreadable chunk surfaces as an error from the analysis
 // instead of failing the open.
 //
 // Every chunk a Source returns is a well-formed, acyclic grammar whose
@@ -55,13 +56,26 @@ func (s SliceSource) NumChunks() int { return len(s) }
 // Chunk implements Source.
 func (s SliceSource) Chunk(i int) (*sequitur.Snapshot, error) { return s[i], nil }
 
+// Workers normalizes a worker-count option: non-positive means
+// GOMAXPROCS.
+func Workers(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
 // EachChunk loads every chunk of src and calls fn on it, on `workers`
-// goroutines (normalized by Workers; one worker runs inline). It is the
-// one chunk-parallel loop behind every fold, view scan and verifier.
-// Every chunk is visited even after a failure, and the error returned is
-// the lowest-indexed chunk's — from loading it or from fn — so it is
-// deterministic at every worker count. fn must only write state owned by
-// index i.
+// goroutines (normalized by Workers; one worker runs inline), in no
+// fixed order. It is the one chunk loop behind every analysis, view scan
+// and verifier. Every chunk is visited even after a failure, and the
+// error returned is the lowest-indexed chunk's — from loading it or from
+// fn — so it is deterministic at every worker count. fn may run
+// concurrently with itself: it writes only state owned by index i, or
+// guards what the chunks share, such as an analysis's accumulator, with
+// a lock. A view's chunk grammar is garbage once fn returns, so an
+// analysis that adds each chunk's result to one accumulator inside fn
+// holds one chunk per worker, plus the accumulator.
 func EachChunk(src Source, workers int, fn func(i int, sn *sequitur.Snapshot) error) error {
 	n := src.NumChunks()
 	errs := make([]error, n)
@@ -103,42 +117,4 @@ func EachChunk(src Source, workers int, fn func(i int, sn *sequitur.Snapshot) er
 		}
 	}
 	return nil
-}
-
-// MapSource builds each chunk's Analysis and applies fn to it via
-// EachChunk, returning results in chunk order. fn must only write state
-// owned by index i. A chunk that fails to load fails the map with the
-// lowest-indexed failing chunk's error.
-func MapSource[R any](src Source, workers int, fn func(i int, a *Analysis) R) ([]R, error) {
-	out := make([]R, src.NumChunks())
-	err := EachChunk(src, workers, func(i int, sn *sequitur.Snapshot) error {
-		out[i] = fn(i, NewAnalysis(sn))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunSource executes a Fold over a Source: per-chunk passes in parallel
-// on `workers` goroutines (normalized by Workers) via MapSource, then a
-// sequential in-order merge. With a single chunk the result is
-// Chunk(0, ...) — the monolithic case is the one-chunk special case of
-// the same engine.
-func RunSource[R any](src Source, workers int, f Fold[R]) (R, error) {
-	parts, err := MapSource(src, workers, f.Chunk)
-	if err != nil {
-		var zero R
-		return zero, err
-	}
-	if len(parts) == 0 {
-		var zero R
-		return zero, nil
-	}
-	acc := parts[0]
-	for _, p := range parts[1:] {
-		acc = f.Merge(acc, p)
-	}
-	return acc, nil
 }

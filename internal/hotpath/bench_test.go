@@ -37,3 +37,33 @@ func BenchmarkFindViewMono(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFindViewChunked times FindView on chunked WPC2 views of bfs
+// and lexer at 4096 events per chunk, at wpphot's default options, on 1
+// and 2 workers: each chunk's window counts are added to one accumulator
+// as the chunk finishes.
+func BenchmarkFindViewChunked(b *testing.B) {
+	opts := Options{MinLen: 4, MaxLen: 16, Threshold: 0.01}
+	for _, p := range []struct {
+		name string
+		arg  int64
+	}{{"bfs", 450}, {"lexer", 30000}} {
+		wl, err := workloads.ByName(p.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, c := programBoth(b, wl.Source, 4096, p.arg)
+		v := viewFor(b, c, wpp.FormatV2)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", p.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := FindView(v, opts, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(c.NumEvents())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mev/s")
+			})
+		}
+	}
+}

@@ -3,11 +3,15 @@ package hotpath
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/interp"
+	"repro/internal/sequitur"
 	"repro/internal/trace"
 	"repro/internal/wlc"
+	"repro/internal/workloads"
 	"repro/internal/wpp"
 )
 
@@ -206,29 +210,114 @@ func TestFindChunkedCrossingOnly(t *testing.T) {
 	}
 }
 
-// TestFindChunkedDeterministicAcrossWorkers: repeated runs at different
-// worker counts must produce identical slices (order included).
+// TestFindChunkedDeterministicAcrossWorkers: on a source of at least 64
+// chunks, the analyses that add each chunk's result to one accumulator
+// as the chunk finishes — Find, EventFrequencies, PathProfileView and
+// CompareSpectra — must return exactly the workers=1 answer, order
+// included, at every worker count and on every repeat, whatever order
+// the chunks finish in; and Find must match the scan oracle.
 func TestFindChunkedDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	ids := make([]uint64, 2000)
-	for i := range ids {
-		ids[i] = uint64(rng.Intn(4))
-	}
-	c := syntheticChunked(ids, 128)
-	opts := Options{MinLen: 2, MaxLen: 6, Threshold: 0.01}
-	base, err := FindChunked(c, opts, 1)
+	wl, err := workloads.ByName("lexer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 8} {
-		for rep := 0; rep < 3; rep++ {
-			got, err := FindChunked(c, opts, workers)
-			if err != nil {
-				t.Fatal(err)
+	mono, c := programBoth(t, wl.Source, 128, wl.Small)
+	_, other := programBoth(t, wl.Source, 128, wl.Small/2)
+	if c.NumChunks() < 64 {
+		t.Fatalf("source has %d chunks, want at least 64", c.NumChunks())
+	}
+	opts := Options{MinLen: 2, MaxLen: 6, Threshold: 0.01}
+	type answers struct {
+		hot     []Subpath
+		freqs   map[trace.Event]uint64
+		profile []PathProfileEntry
+		spectra *SpectrumDiff
+	}
+	run := func(workers int) answers {
+		var a answers
+		var err error
+		if a.hot, err = Find(c, opts, workers); err != nil {
+			t.Fatal(err)
+		}
+		a.freqs = freqsOf(t, c, workers)
+		if a.profile, err = PathProfileView(c, workers); err != nil {
+			t.Fatal(err)
+		}
+		if a.spectra, err = CompareSpectra(c, other, workers); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	base := run(1)
+	oracle, err := FindByScan(mono, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(oracle) == 0 || !reflect.DeepEqual(base.hot, oracle) {
+		t.Fatalf("Find diverges from the scan oracle:\n got %v\nwant %v", render(base.hot), render(oracle))
+	}
+	if base.spectra.Identical() {
+		t.Fatal("runs at two scales compare identical")
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		for rep := 0; rep < 10; rep++ {
+			if got := run(workers); !reflect.DeepEqual(got, base) {
+				t.Fatalf("workers=%d rep=%d: result differs from workers=1", workers, rep)
 			}
-			if !reflect.DeepEqual(got, base) {
-				t.Fatalf("workers=%d rep=%d: nondeterministic result", workers, rep)
-			}
+		}
+	}
+}
+
+// heapSource wraps a source and records the largest live heap, after a
+// full collection, seen as a chunk is loaded.
+type heapSource struct {
+	engine.Source
+	peak uint64
+}
+
+func (s *heapSource) Chunk(i int) (*sequitur.Snapshot, error) {
+	s.peak = max(s.peak, liveHeap())
+	return s.Source.Chunk(i)
+}
+
+// liveHeap collects garbage and returns the bytes of live heap objects.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestChunkedSearchLiveMemory: a chunked search adds each chunk's window
+// counts to one accumulator as the chunk finishes, so what it holds at
+// any chunk load is at most about what it returns. Holding every chunk's
+// tries until one merge at the end costs several times that.
+func TestChunkedSearchLiveMemory(t *testing.T) {
+	wl, err := workloads.ByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MinLen: 4, MaxLen: 16, Threshold: 0.01}
+	for _, cs := range []uint64{256, 1024, 4096} {
+		_, c := programBoth(t, wl.Source, cs, wl.Small)
+		src := &heapSource{Source: c}
+		runtime.GC() // a second collection empties the trie pool
+		before := liveHeap()
+		tries, err := countWindows(src, 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withTries := liveHeap()
+		runtime.KeepAlive(tries)
+		tries = nil
+		held := withTries - liveHeap()
+		peak := src.peak - min(src.peak, before)
+		t.Logf("chunk %d: %d chunks, peak %d B, tries %d B, ratio %.2f", cs, c.NumChunks(), peak, held, float64(peak)/float64(held))
+		if c.NumChunks() < 2 {
+			t.Fatalf("chunk %d: %d chunks, want several", cs, c.NumChunks())
+		}
+		if float64(peak) > 1.5*float64(held) {
+			t.Fatalf("chunk %d: live heap grew by %d B during the search, more than 1.5x the %d B its tries hold", cs, peak, held)
 		}
 	}
 }

@@ -45,14 +45,14 @@ func workloadBoth(t *testing.T, name string) (*wpp.WPP, *wpp.ChunkedWPP) {
 	return mb.Finish(m.Stats().Instructions).(*wpp.WPP), cb.Finish(m.Stats().Instructions).(*wpp.ChunkedWPP)
 }
 
-// TestFoldEquivalenceOnWorkloads is the refactor's keystone property
-// test: on every bundled workload, the fold-based analyses must
-// reproduce the pre-refactor answers exactly. The oracle is FindByScan,
-// which expands the grammar and scans the raw event stream — it never
-// touches the fold engine. Find (monolithic, one-chunk fold) and
-// FindChunked (multi-chunk fold with boundary merging, at several
-// worker counts) must both match it, and the frequency folds must match
-// a direct walk count.
+// TestFoldEquivalenceOnWorkloads is the engine's keystone property
+// test: on every bundled workload, the grammar analyses must reproduce
+// the decompressed answers exactly. The oracle is FindByScan, which
+// expands the grammar and scans the raw event stream — it never touches
+// the engine. Find (monolithic, one chunk) and FindChunked (many chunks,
+// summed into one accumulator with seam windows added, at several
+// worker counts) must both match it, and the event frequencies must
+// match a direct walk count.
 func TestFoldEquivalenceOnWorkloads(t *testing.T) {
 	opts := Options{MinLen: 2, MaxLen: 6, Threshold: 0.01}
 	workerCounts := []int{1, 2, 4}
@@ -83,7 +83,7 @@ func TestFoldEquivalenceOnWorkloads(t *testing.T) {
 				}
 			}
 
-			// Frequency folds against a direct walk of the expanded trace.
+			// Event frequencies against a direct walk of the expanded trace.
 			want := map[trace.Event]uint64{}
 			w.Walk(func(e trace.Event) bool { want[e]++; return true })
 			if got := freqsOf(t, w, 1); !reflect.DeepEqual(got, want) {
@@ -99,7 +99,7 @@ func TestFoldEquivalenceOnWorkloads(t *testing.T) {
 }
 
 // TestSpectrumEquivalenceOnWorkloads checks the spectra layer on top of
-// the frequency fold: a workload's spectrum compared against itself
+// the event frequencies: a workload's spectrum compared against itself
 // must report zero divergence and no exclusive paths, on every bundled
 // workload.
 func TestSpectrumEquivalenceOnWorkloads(t *testing.T) {

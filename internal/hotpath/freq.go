@@ -2,40 +2,43 @@ package hotpath
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/engine"
+	"repro/internal/sequitur"
 	"repro/internal/trace"
 	"repro/internal/wpp"
 )
 
-// freqFold is the event-frequency analysis expressed over the engine:
-// each terminal occurrence in a rule body contributes the rule's
-// derivation-tree use count, and chunk results merge by summation.
-type freqFold struct{}
-
-func (freqFold) Chunk(_ int, a *engine.Analysis) map[trace.Event]uint64 {
-	m := make(map[trace.Event]uint64)
-	a.Terminals(func(v, uses uint64) {
-		m[trace.Event(v)] += uses
-	})
-	return m
-}
-
-func (freqFold) Merge(acc, next map[trace.Event]uint64) map[trace.Event]uint64 {
-	for e, n := range next {
-		acc[e] += n
-	}
-	return acc
-}
-
 // EventFrequencies returns the execution count of every distinct acyclic
 // path event, computed from the grammars without decompressing the
-// trace: per chunk on `workers` goroutines (<=0 means GOMAXPROCS), merged
-// by summation, so every worker count and artifact shape of one event
-// stream yields the same map. Only a lazy view's chunks can fail, with a
-// *wpp.ViewError.
+// trace: each chunk on one of `workers` goroutines (<=0 means
+// GOMAXPROCS) sums the derivation-tree use counts of the rules whose
+// bodies hold each terminal, and its map is added to one accumulator as
+// the chunk finishes. Sums do not depend on order, so every worker count
+// and artifact shape of one event stream yields the same map. Only a
+// lazy view's chunks can fail, with a *wpp.ViewError.
 func EventFrequencies(src Source, workers int) (map[trace.Event]uint64, error) {
-	freqs, err := engine.RunSource(src, workers, freqFold{})
+	var (
+		mu    sync.Mutex
+		freqs map[trace.Event]uint64 // the accumulator
+	)
+	err := engine.EachChunk(src, workers, func(_ int, sn *sequitur.Snapshot) error {
+		m := make(map[trace.Event]uint64)
+		engine.NewAnalysis(sn).Terminals(func(v, uses uint64) {
+			m[trace.Event(v)] += uses
+		})
+		mu.Lock()
+		defer mu.Unlock()
+		if freqs == nil {
+			freqs = m
+			return nil
+		}
+		for e, n := range m {
+			freqs[e] += n
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

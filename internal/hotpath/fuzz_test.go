@@ -18,8 +18,8 @@ var cyclicWPP1 = []byte{
 }
 
 // FuzzViewAnalyses holds the analyses over a lazy view to "a value or an
-// error, never a crash" on any bytes NewView accepts: the frequency
-// fold, the grammar summary, the hot-subpath search and Verify. The full
+// error, never a crash" on any bytes NewView accepts: the event
+// frequencies, the grammar summary, the hot-subpath search and Verify. The full
 // walk runs only on artifacts Verify accepts whose header declares at
 // most 2^16 events, so every input stays cheap. Seeded with the golden
 // files under 4 KB, the cyclic artifact and the artifact whose

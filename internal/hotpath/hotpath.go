@@ -8,14 +8,14 @@
 // grammars plus their cost model, so a monolithic WPP, a chunked WPP and
 // a lazy view of either are analyzed by the same code. The hot-subpath
 // search runs directly on the SEQUITUR grammar, without decompressing
-// the trace, as a fold over the engine package's single traversal:
-// per-chunk window counting on the grammar DAG, plus boundary windows
-// materialized across chunk seams. A monolithic WPP is the one-chunk
-// case of the same fold, so every artifact shape of one event stream
-// yields identical subpaths. FindByScan is the paper's strawman
-// alternative (decompress and slide a window); it produces identical
-// results and serves as both the E6 baseline and a correctness oracle in
-// tests.
+// the trace, over the engine package's one chunk loop: per-chunk window
+// counting on the grammar DAG, summed into one accumulator as chunks
+// finish, plus boundary windows materialized across chunk seams. A
+// monolithic WPP is the one-chunk case of the same search, so every
+// artifact shape of one event stream yields identical subpaths.
+// FindByScan is the paper's strawman alternative (decompress and slide a
+// window); it produces identical results and serves as both the E6
+// baseline and a correctness oracle in tests.
 package hotpath
 
 import (
@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obsv"
+	"repro/internal/sequitur"
 	"repro/internal/trace"
 	"repro/internal/wpp"
 )
@@ -47,8 +48,9 @@ type Metrics struct {
 	SubpathsEmitted *obsv.Counter
 	// CountSeconds times each chunk grammar's window count.
 	CountSeconds *obsv.Histogram
-	// SeamSeconds times, per search, the merge of the chunk counts plus
-	// the windows crossing chunk seams.
+	// SeamSeconds times, per search, the merges of the chunk counts into
+	// the accumulator, summed over the chunks as each finishes, plus the
+	// count of the windows crossing chunk seams.
 	SeamSeconds *obsv.Histogram
 	// HarvestSeconds times, per search, the scan of the counted windows
 	// for minimal hot subpaths.
@@ -148,13 +150,15 @@ var (
 // GOMAXPROCS). A window of the full trace either lies entirely inside
 // one chunk — counted on that chunk's grammar — or crosses a chunk seam
 // and is counted once, attributed to the chunk containing its start
-// position. Merging is by summation, so neither the worker count nor the
-// artifact's chunking can change any count; a monolithic WPP is the
-// one-chunk case. With fewer chunks than workers, each chunk's count
-// splits into prefix shards so every worker counts (see countWindows).
-// A lazy view materializes each chunk grammar inside the per-chunk pass
-// and discards it after counting, so peak memory tracks one chunk per
-// worker; its materialization failures surface as *wpp.ViewError.
+// position. Chunk counts are summed into one accumulator as each chunk
+// finishes, and the result is sorted totally, so neither the worker
+// count, the order chunks finish in, nor the artifact's chunking can
+// change the answer; a monolithic WPP is the one-chunk case. With fewer
+// chunks than workers, each chunk's count splits into prefix shards so
+// every worker counts (see countWindows). A lazy view materializes each
+// chunk grammar inside the per-chunk pass and drops it once its counts
+// are merged, so peak memory tracks one chunk per worker plus the merged
+// counts; its materialization failures surface as *wpp.ViewError.
 func Find(src Source, opts Options, workers int) ([]Subpath, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -169,11 +173,9 @@ func Find(src Source, opts Options, workers int) ([]Subpath, error) {
 		start := time.Now()
 		result = harvest(tries, opts, src)
 		met.HarvestSeconds.Observe(time.Since(start))
-		// The result holds copies of the windows, so the tries can go
-		// back to the pool. Only these are released, not the other
-		// chunks' tries merged into them: the pool would then hold one
-		// trie per chunk, each grown in turn to the largest count that
-		// draws it.
+		// The result holds copies of the windows, so the accumulator's
+		// tries can go back to the pool; the chunk tries merged into
+		// them are already garbage (see countWindows).
 		for _, t := range tries {
 			t.Release()
 		}
@@ -195,44 +197,6 @@ func FindView(v *wpp.ArtifactView, opts Options, workers int) ([]Subpath, error)
 	return Find(v, opts, workers)
 }
 
-// windowState accumulates the per-chunk window tries and boundary
-// regions across the merge.
-type windowState struct {
-	tries  []*engine.WindowTrie // windows fully inside the scanned chunks, one trie per prefix shard
-	bounds []engine.Boundary    // one per chunk, in chunk order
-	merge  time.Duration        // time spent merging chunk tries
-}
-
-// windowFold is the hot-subpath search expressed over the engine: the
-// per-chunk pass counts every window length on the grammar into one
-// window trie per prefix shard, the shards on their own goroutines, and
-// materializes the chunk's boundary regions; the merge adds the tries
-// shard by shard and concatenates boundaries in chunk order.
-type windowFold struct {
-	opts   Options
-	met    *Metrics
-	shards int
-}
-
-func (f windowFold) Chunk(_ int, a *engine.Analysis) *windowState {
-	f.met.ChunksScanned.Inc()
-	start := time.Now()
-	tries := make([]*engine.WindowTrie, f.shards)
-	eachShard(f.shards, func(s int) {
-		tries[s] = a.CountWindowShard(f.opts.MinLen, f.opts.MaxLen, s, f.shards)
-	})
-	f.met.CountSeconds.Observe(time.Since(start))
-	return &windowState{tries: tries, bounds: []engine.Boundary{a.Boundary(f.opts.MaxLen - 1)}}
-}
-
-func (f windowFold) Merge(acc, next *windowState) *windowState {
-	start := time.Now()
-	eachShard(f.shards, func(s int) { acc.tries[s].Merge(next.tries[s]) })
-	acc.bounds = append(acc.bounds, next.bounds...)
-	acc.merge += time.Since(start)
-	return acc
-}
-
 // eachShard calls fn(0), ..., fn(n-1), each on its own goroutine when
 // n > 1, and returns when all have.
 func eachShard(n int, fn func(s int)) {
@@ -250,45 +214,76 @@ func eachShard(n int, fn func(s int)) {
 
 // countWindows counts every window of length opts.MinLen..opts.MaxLen in
 // the source's trace into disjoint prefix-shard tries (see
-// engine.CountWindowShard): the window fold over the chunks, then the
-// windows crossing chunk seams (weight 1 each, attributed to the chunk
-// holding their start — a single chunk contributes none), each routed to
-// the shard of its first MinLen events. A source with fewer chunks than
-// workers splits into workers/chunks shards, so the workers the chunks
-// leave idle count shards of them; otherwise there is one shard. A source
-// without chunks yields no tries. A source whose chunks together hold
-// more events than a uint64 counts fails (engine.AddLength): its window
-// counts could wrap.
+// engine.CountWindowShard): each chunk's windows, counted on its grammar,
+// then the windows crossing chunk seams (weight 1 each, attributed to the
+// chunk holding their start — a single chunk contributes none), each
+// routed to the shard of its first MinLen events. The first chunk to
+// finish keeps its tries as the accumulator; each later chunk's tries are
+// added to it shard by shard, under one lock, as soon as that chunk is
+// counted, so the search holds one chunk's tries per worker plus the
+// accumulator, whatever the chunk count. Merged chunk tries are left to
+// the garbage collector, not released to the trie pool: a pooled trie
+// keeps its grown slot table, so a small count drawing it would probe a
+// sparse table. Seam boundaries are kept by chunk index, so the crossing
+// windows are found in chunk order. A source with fewer chunks than workers splits into
+// workers/chunks shards, so the workers the chunks leave idle count
+// shards of them; otherwise there is one shard. A source without chunks
+// yields no tries. A source whose chunks together hold more events than
+// a uint64 counts fails (engine.AddLength): its window counts could wrap.
 func countWindows(src engine.Source, workers int, opts Options) ([]*engine.WindowTrie, error) {
 	met := opts.metrics()
-	shards := 1
-	if n := src.NumChunks(); n > 0 {
-		shards = max(1, engine.Workers(workers)/n)
-	}
-	st, err := engine.RunSource(src, workers, windowFold{opts: opts, met: met, shards: shards})
-	if err != nil || st == nil {
+	n := src.NumChunks()
+	shards := max(1, engine.Workers(workers)/max(n, 1))
+	bounds := make([]engine.Boundary, n)
+	var (
+		mu    sync.Mutex
+		tries []*engine.WindowTrie // the accumulator, one trie per shard
+		merge time.Duration
+	)
+	err := engine.EachChunk(src, workers, func(i int, sn *sequitur.Snapshot) error {
+		met.ChunksScanned.Inc()
+		a := engine.NewAnalysis(sn)
+		start := time.Now()
+		chunk := make([]*engine.WindowTrie, shards)
+		eachShard(shards, func(s int) {
+			chunk[s] = a.CountWindowShard(opts.MinLen, opts.MaxLen, s, shards)
+		})
+		met.CountSeconds.Observe(time.Since(start))
+		bounds[i] = a.Boundary(opts.MaxLen - 1)
+		mu.Lock()
+		defer mu.Unlock()
+		if tries == nil {
+			tries = chunk
+			return nil
+		}
+		start = time.Now()
+		eachShard(shards, func(s int) { tries[s].Merge(chunk[s]) })
+		merge += time.Since(start)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	var events uint64
-	for _, b := range st.bounds {
+	for _, b := range bounds {
 		if events, err = engine.AddLength(events, b.Length); err != nil {
 			return nil, fmt.Errorf("hotpath: %w", err)
 		}
 	}
 	start := time.Now()
-	engine.CrossingWindows(st.bounds, opts.MaxLen, func(window []uint64, from int) {
+	engine.CrossingWindows(bounds, opts.MaxLen, func(window []uint64, from int) {
 		if from = max(from, opts.MinLen); from <= len(window) {
-			st.tries[engine.ShardOf(window[:opts.MinLen], shards)].Add(window, from, 1)
+			tries[engine.ShardOf(window[:opts.MinLen], shards)].Add(window, from, 1)
 			met.BoundaryWindows.Add(uint64(len(window) - from + 1))
 		}
 	})
-	met.SeamSeconds.Observe(st.merge + time.Since(start))
-	for _, t := range st.tries {
+	met.SeamSeconds.Observe(merge + time.Since(start))
+	for _, t := range tries {
 		if err := t.Err(); err != nil {
 			return nil, fmt.Errorf("hotpath: %w", err)
 		}
 	}
-	return st.tries, nil
+	return tries, nil
 }
 
 // FindByScan locates the same minimal hot subpaths by decompressing the

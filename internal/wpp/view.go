@@ -381,6 +381,11 @@ func NewView(data []byte, opts *ViewOptions) (*ArtifactView, error) {
 		numChunks, err = v.parseHeader(r)
 		return err
 	})
+	// A chunk grammar takes at least 5 bytes (magic and rule count), so a
+	// count the bytes cannot hold is refused before it sizes any table.
+	if err == nil && numChunks > 1 && numChunks > (len(data)-r.off)/5 {
+		err = fmt.Errorf("wpp: %d chunks cannot fit in the %d bytes after the header", numChunks, len(data)-r.off)
+	}
 	if err != nil {
 		if v.closer != nil {
 			v.closer.Close()
