@@ -21,6 +21,12 @@ import (
 // 2^65+2 events (see internal/wpp/overflow_test.go, which builds it).
 var overflowArtifact = filepath.Join("internal", "wpp", "testdata", "overflow65.wpp1")
 
+// costOverflow is a WPP1 of four paths a whose one path costs 2^62
+// instructions, so every hot window's cost overflows 64 bits (see
+// internal/hotpath/prune_test.go, which builds it). Only wpphot prices
+// windows, so only wpphot must refuse it.
+var costOverflow = filepath.Join("internal", "hotpath", "testdata", "costoverflow.wpp1")
+
 // overflowChunks is a 418-byte WPC1 of two chunks of 2^63 events each,
 // whose total wraps to the header's 0 (built by the same test file).
 var overflowChunks = filepath.Join("internal", "wpp", "testdata", "overflow2x63.wpc1")
@@ -82,32 +88,40 @@ func TestCLICorruptArtifacts(t *testing.T) {
 		{"wppdiff", func(p string) []string { return []string{p, p} }},
 	}
 
+	// fails runs tool on args, requiring a nonzero exit, a diagnostic
+	// naming the tool on stderr that contains want, and no panic.
+	fails := func(t *testing.T, tool string, args []string, want string) {
+		cmd := exec.Command(filepath.Join(bin, tool), args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout = &stdout
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if err == nil {
+			t.Fatalf("%s %v exited 0\nstdout:\n%s", tool, args, stdout.String())
+		}
+		if _, ok := err.(*exec.ExitError); !ok {
+			t.Fatalf("%s did not run: %v", tool, err)
+		}
+		msg := stderr.String()
+		if !strings.Contains(msg, tool+":") || !strings.Contains(msg, want) {
+			t.Errorf("stderr lacks a %q diagnostic containing %q:\n%s", tool+":", want, msg)
+		}
+		for _, stream := range []string{msg, stdout.String()} {
+			if strings.Contains(stream, "panic:") {
+				t.Errorf("%s panicked on %v:\n%s", tool, args, stream)
+			}
+		}
+	}
 	for _, tool := range tools {
 		for _, in := range inputs {
 			t.Run(tool.tool+"/"+strings.ReplaceAll(in.name, " ", "-"), func(t *testing.T) {
-				cmd := exec.Command(filepath.Join(bin, tool.tool), tool.args(in.path)...)
-				var stdout, stderr bytes.Buffer
-				cmd.Stdout = &stdout
-				cmd.Stderr = &stderr
-				err := cmd.Run()
-				if err == nil {
-					t.Fatalf("%s on %s exited 0\nstdout:\n%s", tool.tool, in.name, stdout.String())
-				}
-				if _, ok := err.(*exec.ExitError); !ok {
-					t.Fatalf("%s did not run: %v", tool.tool, err)
-				}
-				msg := stderr.String()
-				if !strings.Contains(msg, tool.tool+":") {
-					t.Errorf("stderr lacks %q diagnostic prefix:\n%s", tool.tool+":", msg)
-				}
-				for _, stream := range []string{msg, stdout.String()} {
-					if strings.Contains(stream, "panic:") {
-						t.Errorf("%s panicked on %s:\n%s", tool.tool, in.name, stream)
-					}
-				}
+				fails(t, tool.tool, tool.args(in.path), "")
 			})
 		}
 	}
+	t.Run("wpphot/cost-overflow-WPP1", func(t *testing.T) {
+		fails(t, "wpphot", []string{"-min", "2", "-max", "4", costOverflow}, "cost overflows 64 bits")
+	})
 }
 
 // TestCLIVerifyOverflowFails: wppstats -verify refuses the overflowing

@@ -1,23 +1,25 @@
 // wpphot reports the minimal hot subpaths of a .wpp artifact, analyzing
 // the compressed grammar directly. All four containers are accepted:
 // monolithic ("WPP1", "WPP2") and chunked ("WPC1", "WPC2", written by
-// wppbuild -chunk), in either format version. The window count runs on
-// -workers goroutines: chunked artifacts per chunk, and an artifact with
-// fewer chunks than workers — a monolithic one always — split further
-// into prefix shards, each counting the windows whose first -min events
-// hash to it. The answers are identical at every worker count and to the
-// monolithic analysis of the same trace.
+// wppbuild -chunk), in either format version. The search makes two exact
+// passes: one counts every window of -min events, the other only the
+// longer windows that can still be minimal hot subpaths. Each pass runs
+// on -workers goroutines: chunked artifacts per chunk, and an artifact
+// with fewer chunks than workers — a monolithic one always — split
+// further among its grammar's rule bodies. The answers are identical at
+// every worker count and to the monolithic analysis of the same trace.
 //
 // The artifact opens through the lazy mmap-backed view layer: chunk
-// grammars materialize inside the per-chunk analysis pass, and each
+// grammars materialize inside each pass, once per chunk, and each
 // chunk's window counts are added to one accumulator as the chunk
 // finishes, so peak memory tracks one chunk per worker plus the merged
 // counts instead of the whole decoded artifact or every chunk's counts.
 // The wpp_open_* metrics on -debug-addr expose the open path (bytes
 // mapped, chunks materialized, time to first result); the hotpath_*
-// metrics expose the search's stages (per-chunk window count, chunk
-// merges plus seam windows, harvest) and the number of distinct windows
-// counted.
+// metrics expose the search's stages (pass 1, per-chunk pass-2 window
+// count, chunk merges plus seam windows, harvest) and the number of
+// distinct windows counted. A hot subpath whose cost overflows 64 bits
+// fails the search.
 //
 // The input may be a file path or a content-addressed store reference
 // ("@<hash-prefix>" or "<workload>@<scale>", resolved through -store or
@@ -47,7 +49,7 @@ func main() {
 	threshold := flag.Float64("threshold", 0.01, "hotness threshold as a fraction of total cost")
 	top := flag.Int("top", 20, "print at most this many subpaths")
 	scan := flag.Bool("scan", false, "use the decompress-and-scan baseline instead of the grammar analysis (monolithic artifacts only)")
-	workers := flag.Int("workers", 0, "goroutines counting windows: one per chunk, or per prefix shard when there are fewer chunks than workers, as in a monolithic artifact (0 = all cores)")
+	workers := flag.Int("workers", 0, "goroutines counting windows: one per chunk, or per part of the rule bodies when there are fewer chunks than workers, as in a monolithic artifact (0 = all cores)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :6060)")
 	progress := flag.Duration("progress", 0, "emit a progress line to stderr at this interval (e.g. 1s)")
 	storeDir := flag.String("store", "", "content-addressed store directory for @hash and name@scale inputs (default $WPP_STORE)")

@@ -57,9 +57,19 @@ func NewAnalysis(snap *sequitur.Snapshot) *Analysis {
 	n := len(snap.Rules)
 	a := &Analysis{Snap: snap, ExpLen: make([]uint64, n), Uses: make([]uint64, n), CumLens: make([][]uint64, n)}
 	order := a.topoOrder()
+	// One backing array for every rule's table, as in Snapshot.
+	size := 0
+	for _, rhs := range snap.Rules {
+		size += len(rhs) + 1
+	}
+	flat := make([]uint64, size)
+	for r, rhs := range snap.Rules {
+		a.CumLens[r] = flat[: len(rhs)+1 : len(rhs)+1]
+		flat = flat[len(rhs)+1:]
+	}
 	for _, r := range order {
 		rhs := snap.Rules[r]
-		cum := make([]uint64, len(rhs)+1)
+		cum := a.CumLens[r]
 		for j, s := range rhs {
 			if s.IsRule() {
 				cum[j+1] = cum[j] + a.ExpLen[s.Rule]
@@ -67,7 +77,6 @@ func NewAnalysis(snap *sequitur.Snapshot) *Analysis {
 				cum[j+1] = cum[j] + 1
 			}
 		}
-		a.CumLens[r] = cum
 		a.ExpLen[r] = cum[len(rhs)]
 	}
 	if n > 0 {
@@ -136,40 +145,120 @@ func (a *Analysis) Terminals(visit func(v uint64, uses uint64)) {
 // Collect appends the terminals of rule r's expansion in [start,
 // start+length) to out, descending only the subtrees the range touches.
 func (a *Analysis) Collect(r int32, start, length uint64, out []uint64) []uint64 {
-	return collect(a, a.Snap.Rules, r, start, length, out)
-}
-
-// collectRanks is Collect over the ranked rule bodies: it appends the
-// ranks of the terminals instead of the terminals. rankTerminals must
-// have run.
-func (a *Analysis) collectRanks(r int32, start, length uint64, out []uint32) []uint32 {
-	return collect(a, a.ranked, r, start, length, out)
-}
-
-// collect is Collect over rules, a's rule bodies or their ranked copy.
-func collect[T uint32 | uint64](a *Analysis, rules [][]sequitur.Sym, r int32, start, length uint64, out []T) []T {
-	rhs := rules[r]
+	rhs := a.Snap.Rules[r]
 	cum := a.CumLens[r]
 	// Binary search for the first RHS symbol whose span contains start.
 	j := sort.Search(len(rhs), func(j int) bool { return cum[j+1] > start })
 	for ; length > 0 && j < len(rhs); j++ {
 		s := rhs[j]
 		if !s.IsRule() {
-			out = append(out, T(s.Value))
+			out = append(out, s.Value)
 			length--
 			start = cum[j+1]
 			continue
 		}
 		childStart := start - cum[j]
 		take := min(length, a.ExpLen[s.Rule]-childStart)
-		out = collect(a, rules, s.Rule, childStart, take, out)
+		out = a.Collect(s.Rule, childStart, take, out)
 		length -= take
 		start = cum[j+1]
 	}
 	return out
 }
 
-// rankTerminals builds dict and ranked on first use; the prefix shards
+// maxEnd caps the width of the rule ends rankEnds caches, so the cache
+// stays within a few times the grammar's own size whatever the window
+// length.
+const maxEnd = 32
+
+// rankEnds is Collect over the ranked rule bodies, for the window walk:
+// it appends ranks, not events, and it caches, for every rule, the ranks
+// of the first and of the last min(k, length) terminals of its
+// expansion. A run the walk collects reaches at most MaxLen-1 positions
+// past a body symbol's end on either side, so with k = MaxLen-1 it copies
+// the part of the run that covers a child's head or tail from the cache
+// instead of descending into the child.
+type rankEnds struct {
+	a *Analysis
+	k uint64
+	// heads[r] holds rule r's first terminals' ranks, tails[r] its last
+	// ones', last first.
+	heads, tails [][]uint32
+}
+
+// newRankEnds builds the cache of width min(k, maxEnd), children before
+// parents. rankTerminals must have run.
+func newRankEnds(a *Analysis, k int) *rankEnds {
+	k = min(k, maxEnd)
+	n := len(a.ranked)
+	e := &rankEnds{a: a, k: uint64(k), heads: make([][]uint32, n), tails: make([][]uint32, n)}
+	size := 0
+	for _, l := range a.ExpLen {
+		size += 2 * int(min(uint64(k), l))
+	}
+	flat := make([]uint32, 0, size)
+	for _, r := range a.topoOrder() {
+		rhs := a.ranked[r]
+		from := len(flat)
+		for j := 0; j < len(rhs) && len(flat)-from < k; j++ {
+			if s := rhs[j]; s.IsRule() {
+				h := e.heads[s.Rule]
+				flat = append(flat, h[:min(len(h), k-(len(flat)-from))]...)
+			} else {
+				flat = append(flat, uint32(s.Value))
+			}
+		}
+		e.heads[r] = flat[from:len(flat):len(flat)]
+		from = len(flat)
+		for j := len(rhs) - 1; j >= 0 && len(flat)-from < k; j-- {
+			if s := rhs[j]; s.IsRule() {
+				t := e.tails[s.Rule]
+				flat = append(flat, t[:min(len(t), k-(len(flat)-from))]...)
+			} else {
+				flat = append(flat, uint32(s.Value))
+			}
+		}
+		e.tails[r] = flat[from:len(flat):len(flat)]
+	}
+	return e
+}
+
+// collect appends the ranks of the terminals of rule r's expansion in
+// [start, start+length) to out.
+func (e *rankEnds) collect(r int32, start, length uint64, out []uint32) []uint32 {
+	a := e.a
+	rhs := a.ranked[r]
+	cum := a.CumLens[r]
+	j := sort.Search(len(rhs), func(j int) bool { return cum[j+1] > start })
+	for ; length > 0 && j < len(rhs); j++ {
+		s := rhs[j]
+		if !s.IsRule() {
+			out = append(out, uint32(s.Value))
+			length--
+			start = cum[j+1]
+			continue
+		}
+		childStart := start - cum[j]
+		n := a.ExpLen[s.Rule]
+		take := min(length, n-childStart)
+		switch {
+		case take <= e.k && childStart == 0:
+			out = append(out, e.heads[s.Rule][:take]...)
+		case take <= e.k && childStart+take == n:
+			t := e.tails[s.Rule]
+			for i := int(take) - 1; i >= 0; i-- {
+				out = append(out, t[i])
+			}
+		default:
+			out = e.collect(s.Rule, childStart, take, out)
+		}
+		length -= take
+		start = cum[j+1]
+	}
+	return out
+}
+
+// rankTerminals builds dict and ranked on first use; the parts
 // of one grammar share them, and analyses that never count windows never
 // build them.
 func (a *Analysis) rankTerminals() {

@@ -82,8 +82,9 @@ func TestAnalysisLengthAndUses(t *testing.T) {
 	}
 }
 
-// TestCollectMatchesDirectSlicing checks Collect, and collectRanks mapped
-// back through the rank dictionary, against slices of the trace.
+// TestCollectMatchesDirectSlicing checks Collect, and the rank collect
+// of the window walk mapped back through the rank dictionary, with rule
+// ends cached 0 to 40 wide, against slices of the trace.
 func TestCollectMatchesDirectSlicing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	syms := randSyms(rng, 300, 4)
@@ -103,12 +104,13 @@ func TestCollectMatchesDirectSlicing(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("Collect(0,%d,%d) = %v, want %v", start, length, got, want)
 		}
+		k := rng.Intn(41)
 		got = got[:0]
-		for _, k := range a.collectRanks(0, start, length, nil) {
-			got = append(got, a.dict[k])
+		for _, r := range newRankEnds(a, k).collect(0, start, length, nil) {
+			got = append(got, a.dict[r])
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("collectRanks(0,%d,%d) maps to %v, want %v", start, length, got, want)
+			t.Fatalf("rank collect(0,%d,%d) with ends %d wide maps to %v, want %v", start, length, k, got, want)
 		}
 	}
 }

@@ -43,20 +43,13 @@ func (t *WindowTrie) lookup(parent uint32, v uint64) uint32 {
 	if k < 0 {
 		return 0
 	}
-	sym := uint32(k)
-	for i := uint32(trieHash(parent, uint64(sym))) & t.mask; t.slots[i].id != 0; i = (i + 1) & t.mask {
-		if s := t.slots[i]; s.parent == parent && s.sym == sym {
-			return s.id
-		}
-	}
-	return 0
+	return t.find(parent, uint32(k))
 }
 
 // TestShardsPartitionWindowCount checks, on every bundled workload's
-// grammar and for 1..5 shards, that the prefix shards partition the
-// window count: their tries' counts together are CountWindowRange's, no
-// counted window is in two shards (nor in a shard its prefix does not
-// route to), and every shard trie numbers parents below their children.
+// grammar and for 1..5 parts, that the parts partition the window
+// count: the counts of their tries sum to CountWindowRange's, window by
+// window, and every part's trie numbers parents below their children.
 func TestShardsPartitionWindowCount(t *testing.T) {
 	for _, name := range workloads.Names() {
 		name := name
@@ -75,51 +68,31 @@ func TestShardsPartitionWindowCount(t *testing.T) {
 				if want == 0 {
 					t.Fatalf("min=%d: no windows counted", minLen)
 				}
-				for shards := 1; shards <= 5; shards++ {
-					label := fmt.Sprintf("min=%d shards=%d", minLen, shards)
-					owner := make([]int, full.Len()) // 1 + the shard counting each full-trie node
-					var got int
-					for s := 0; s < shards; s++ {
-						tr := a.CountWindowShard(minLen, maxLen, s, shards)
+				for parts := 1; parts <= 5; parts++ {
+					label := fmt.Sprintf("min=%d parts=%d", minLen, parts)
+					sum := make([]uint64, full.Len()) // the parts' counts, by full-trie node
+					for s := 0; s < parts; s++ {
+						tr := a.CountWindowPart(minLen, maxLen, nil, s, parts)
 						if err := tr.Err(); err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						// remap[n] is shard node n's node in the full trie;
-						// route[n] the shard its length-minLen prefix routes to.
+						// remap[n] is part node n's node in the full trie.
 						remap := make([]uint32, tr.Len())
-						route := make([]int, tr.Len())
 						for n := 1; n < tr.Len(); n++ {
 							p := tr.Parent[n]
 							if p >= uint32(n) {
-								t.Fatalf("%s shard %d: node %d has parent %d", label, s, n, p)
+								t.Fatalf("%s part %d: node %d has parent %d", label, s, n, p)
 							}
 							if remap[n] = full.lookup(remap[p], tr.Dict[tr.Sym[n]]); remap[n] == 0 {
-								t.Fatalf("%s shard %d: window %v is not in the full count", label, s, tr.Window(uint32(n), nil))
+								t.Fatalf("%s part %d: window %v is not in the full count", label, s, tr.Window(uint32(n), nil))
 							}
-							switch d := int(tr.Depth[n]); {
-							case d == minLen:
-								route[n] = ShardOf(tr.Window(uint32(n), nil), shards)
-							case d > minLen:
-								route[n] = route[p]
-							}
-							if int(tr.Depth[n]) < minLen || tr.Count[n] == 0 {
-								continue
-							}
-							id := remap[n]
-							switch {
-							case owner[id] != 0:
-								t.Fatalf("%s: window %v counted in shards %d and %d", label, tr.Window(uint32(n), nil), owner[id]-1, s)
-							case route[n] != s:
-								t.Fatalf("%s: window %v counted in shard %d, routes to %d", label, tr.Window(uint32(n), nil), s, route[n])
-							case tr.Count[n] != full.Count[id]:
-								t.Fatalf("%s: window %v counted %d times, CountWindowRange %d", label, tr.Window(uint32(n), nil), tr.Count[n], full.Count[id])
-							}
-							owner[id] = s + 1
-							got++
+							sum[remap[n]] += tr.Count[n]
 						}
 					}
-					if got != want {
-						t.Fatalf("%s: shards count %d distinct windows, CountWindowRange %d", label, got, want)
+					for n := 1; n < full.Len(); n++ {
+						if sum[n] != full.Count[n] {
+							t.Fatalf("%s: window %v counted %d times by the parts, %d by CountWindowRange", label, full.Window(uint32(n), nil), sum[n], full.Count[n])
+						}
 					}
 				}
 			}

@@ -111,7 +111,7 @@ func (t *WindowTrie) Reset() {
 	t.Dict, t.ranks, t.err = nil, nil, nil
 }
 
-// Release resets t and returns it to the pool CountWindowShard takes its
+// Release resets t and returns it to the pool CountWindowPart takes its
 // tries from. t must not be used after its release.
 func (t *WindowTrie) Release() {
 	t.Reset()
@@ -188,6 +188,16 @@ func (t *WindowTrie) rank(v uint64) (uint32, bool) {
 // exhausted, and records the failure in Err.
 func (t *WindowTrie) intern(parent, sym uint32) uint32 {
 	return t.internHashed(uint32(trieHash(parent, uint64(sym))), parent, sym)
+}
+
+// find returns the node of window parent·sym, or 0 if t has none. It
+// only reads t, so finds may run concurrently with each other.
+func (t *WindowTrie) find(parent, sym uint32) uint32 {
+	for i := uint32(trieHash(parent, uint64(sym))) & t.mask; ; i = (i + 1) & t.mask {
+		if s := &t.slots[i]; s.id == 0 || s.parent == parent && s.sym == sym {
+			return s.id
+		}
+	}
 }
 
 // internHashed is intern given the key's hash.
@@ -299,47 +309,32 @@ func (t *WindowTrie) Merge(o *WindowTrie) {
 // CountWindowRange returns a trie counting every window of length
 // minLen..maxLen in the grammar's expansion, in one walk per start
 // position; windows shorter than minLen have count 0. It is the
-// one-shard case of CountWindowShard.
+// unpruned, one-part case of CountWindowPart.
 func (a *Analysis) CountWindowRange(minLen, maxLen int) *WindowTrie {
-	return a.CountWindowShard(minLen, maxLen, 0, 1)
+	return a.CountWindowPart(minLen, maxLen, nil, 0, 1)
 }
 
-// ShardOf returns the prefix shard, in 0..shards-1, of the windows that
-// begin with prefix: a hash of its events mod shards, and 0 without
-// hashing when there is one shard. It hashes events, never ranks, which
-// differ between grammars.
-func ShardOf(prefix []uint64, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	var h uint64
-	for _, v := range prefix {
-		h = trieHash(uint32(h), v)
-	}
-	return int(h % uint64(shards))
-}
-
-// CountWindowShard is CountWindowRange restricted to prefix shard shard
-// of shards: it counts only the windows whose start position routes to
-// the shard, by ShardOf of the start's first minLen events. Every window
-// counted from a start is at least minLen long, so it begins with that
-// prefix, and so do all its own prefixes of length minLen and more. The
-// shards of one grammar are therefore disjoint: each counted window, and
-// each window of depth minLen or more, is a node of exactly one shard's
-// trie, and their counts together are CountWindowRange's. Only windows
-// shorter than minLen, whose counts are always 0, repeat across shards.
-// It panics unless 0 <= shard < shards. The trie comes from the pool
-// Release returns tries to.
-func (a *Analysis) CountWindowShard(minLen, maxLen, shard, shards int) *WindowTrie {
-	if shard < 0 || shard >= shards {
-		panic(fmt.Sprintf("engine: shard %d outside 0..%d", shard, shards-1))
+// CountWindowPart is CountWindowRange restricted to part part of parts
+// of the start positions, and, with a non-nil p, to the windows p does
+// not cut (see Pruning). Laid end to end, the rule bodies split into
+// parts runs of about equal symbol counts, and a part walks the starts
+// of the body symbols in its run. Every window occurrence is owned by one
+// start of one body symbol (see countPart), so the counts of parts
+// 0..parts-1 sum to the one-part count; a window may be a node of
+// several parts' tries. The split is by body symbols, not by rules,
+// because the start rule's body is most of a SEQUITUR grammar. It panics
+// unless 0 <= part < parts. The trie comes from the pool Release returns
+// tries to.
+func (a *Analysis) CountWindowPart(minLen, maxLen int, p *Pruning, part, parts int) *WindowTrie {
+	if part < 0 || part >= parts {
+		panic(fmt.Sprintf("engine: part %d outside 0..%d", part, parts-1))
 	}
 	t := triePool.Get().(*WindowTrie)
-	a.countShard(t, minLen, maxLen, shard, shards)
+	a.countPart(t, minLen, maxLen, p, part, parts)
 	return t
 }
 
-// countShard is CountWindowShard into t, an empty trie.
+// countPart is CountWindowPart into t, an empty trie.
 //
 // A window of the expansion either lies inside one nonterminal of some
 // rule body — and is owned by that nonterminal's rule — or is owned by
@@ -349,10 +344,10 @@ func (a *Analysis) CountWindowShard(minLen, maxLen, shard, shards int) *WindowTr
 // counts every window exactly once without expanding the trace. For a
 // start o inside body symbol j, the owned lengths are those reaching
 // past cum[j+1] (every length if j is a terminal); so each start is
-// walked once, to depth min(maxLen, ruleLen-o), counting from the
-// shortest owned length up. The walker collects the ranks of
-// overlapping starts' windows once, as one run.
-func (a *Analysis) countShard(t *WindowTrie, minLen, maxLen, shard, shards int) {
+// walked once, to depth min(maxLen, ruleLen-o) or to where p cuts it,
+// counting from the shortest owned length up. The walker collects the
+// ranks of overlapping starts' windows once, as one run.
+func (a *Analysis) countPart(t *WindowTrie, minLen, maxLen int, p *Pruning, part, parts int) {
 	if maxLen > MaxWindowLen {
 		t.fail(&LimitError{What: "window length", Value: uint64(maxLen), Limit: MaxWindowLen})
 		return
@@ -364,21 +359,36 @@ func (a *Analysis) countShard(t *WindowTrie, minLen, maxLen, shard, shards int) 
 	}
 	t.Dict = slices.Clip(a.dict) // shared: rank must append to a copy
 	L, minL := uint64(maxLen), uint64(minLen)
-	w := walker{t: t, a: a, maxLen: L, minLen: minLen, shard: shard, shards: shards}
+	w := walkerPool.Get().(*walker)
+	*w = walker{t: t, a: a, ends: newRankEnds(a, maxLen-1), maxLen: L, minLen: minLen,
+		terms: w.terms[:0], vals: w.vals[:0], units: w.units[:0]}
+	if p != nil {
+		w.prune(p)
+	}
+	// The part walks body symbols [lo, hi) of the rule bodies laid end to
+	// end; off is where rule r's body begins.
+	size := 0
+	for _, rhs := range a.ranked {
+		size += len(rhs)
+	}
+	lo, hi := size*part/parts, size*(part+1)/parts
+	off := 0
 	for r, rhs := range a.ranked {
+		jLo, jHi := max(lo-off, 0), min(hi-off, len(rhs))
+		off += len(rhs)
 		uses := a.Uses[r]
 		cum := a.CumLens[r]
 		total := cum[len(rhs)]
-		if uses == 0 || total < minL {
+		if jLo >= jHi || uses == 0 || total < minL {
 			continue
 		}
 		w.rule(int32(r), total, uses)
-		for j := 0; j < len(rhs); j++ {
+		for j := jLo; j < jHi; j++ {
 			if !rhs[j].IsRule() {
 				// A stretch of terminals, each starting windows of
 				// every length.
 				k := j + 1
-				for k < len(rhs) && !rhs[k].IsRule() {
+				for k < jHi && !rhs[k].IsRule() {
 					k++
 				}
 				w.starts(cum[j], cum[k], 0)
@@ -390,15 +400,26 @@ func (a *Analysis) countShard(t *WindowTrie, minLen, maxLen, shard, shards int) 
 			end := cum[j+1]
 			w.starts(max(cum[j], end+1-min(end+1, L)), end, end)
 		}
-		if t.err != nil {
+		if t.err != nil || off >= hi {
 			break
 		}
 	}
 	w.flush()
+	// Pooled, w keeps only its buffers, not the grammar or the trie.
+	*w = walker{terms: w.terms[:0], vals: w.vals[:0], units: w.units[:0]}
+	walkerPool.Put(w)
 }
+
+// walkerPool holds walkers between counts, so a count of a small chunk
+// collects its runs into buffers an earlier count already grew.
+var walkerPool = sync.Pool{New: func() any { return new(walker) }}
 
 // walkBatch is how many windows a walker steps through together.
 const walkBatch = 64
+
+// maxRun is how many ranks terms may hold before the walker walks a
+// partly filled batch, so that terms can drop what the batch refers to.
+const maxRun = 1 << 12
 
 // walker adds windows to a trie a batch at a time, stepping every window
 // of the batch one symbol deeper per round. The table probes of one
@@ -409,26 +430,57 @@ const walkBatch = 64
 //
 // The windows are those of one rule at a time. The walker collects the
 // ranks of a run of overlapping windows once, into terms, and a queued
-// window refers to its part of the run in place; terms starts afresh for
-// a new run only when no window is queued.
+// window refers to its part of the run in place; only when no window is
+// queued does terms start afresh for a new run, or drop the part of the
+// current run before the next start. Once terms holds maxRun ranks, the
+// walker walks its queue early, so that terms can.
 //
-// A walker counting one prefix shard drops, in starts, every window whose
-// first minLen events route to another shard.
+// A pruned walker (see Pruning) also keeps, for each position of terms,
+// the pass-1 value of the MinLen window starting there and a prefix sum
+// of unit costs, so it can cut each start's window in starts without
+// walking it.
 type walker struct {
 	t     *WindowTrie
 	a     *Analysis
+	ends  *rankEnds
 	terms []uint32 // the collected runs, back to back
 	win   [walkBatch]batchWindow
 	k     int    // windows queued
 	sink  uint32 // consumes the touch loads so the compiler keeps them
 
-	r             int32  // the rule walked
-	total, uses   uint64 // its expansion length and use count
-	runLo, runHi  uint64 // the run's positions in the rule, [runLo, runHi)
-	runOff        int    // the run's offset in terms
-	maxLen        uint64
-	minLen        int
-	shard, shards int
+	r            int32  // the rule walked
+	total, uses  uint64 // its expansion length and use count
+	runLo, runHi uint64 // the run's positions in the rule, [runLo, runHi)
+	runOff       int    // the run's offset in terms
+	maxLen       uint64
+	minLen       int
+
+	p *Pruning // nil for an unpruned count
+	// With p: vals[i] is the pass-1 value of the MinLen window at terms[i]
+	// (MaxUint64 where none lies inside one run), units[i] the saturating
+	// sum of the unit costs of terms[:i], and toBase and cost map the
+	// grammar's ranks to p's base ranks (noRank for none) and unit costs.
+	vals, units []uint64
+	toBase      []uint32
+	cost        []uint64
+}
+
+// noRank marks a grammar rank with no rank in a pruning's base trie.
+const noRank = math.MaxUint32
+
+// prune makes w a walker pruned by p.
+func (w *walker) prune(p *Pruning) {
+	w.p = p
+	w.units = append(w.units, 0)
+	w.toBase = make([]uint32, len(w.a.dict))
+	w.cost = make([]uint64, len(w.a.dict))
+	for k, v := range w.a.dict {
+		b, ok := p.ranks[v]
+		if !ok {
+			b = noRank
+		}
+		w.toBase[k], w.cost[k] = b, p.cost(v)
+	}
 }
 
 // batchWindow is one queued window, terms[off:off+n], with its Add
@@ -448,24 +500,44 @@ func (w *walker) rule(r int32, total, uses uint64) {
 }
 
 // starts queues the windows of rule w.r from each start position o in
-// [lo, hi) that own a length in minLen..maxLen and whose prefix routes to
-// the walker's shard. The windows from o owned by the rule are those
-// reaching past position end, every window if o >= end. Calls must come
-// in increasing position order within a rule.
+// [lo, hi) that own a length in minLen..maxLen, each cut where the
+// walker's pruning cuts it. The windows from o owned by the rule are
+// those reaching past position end, every window if o >= end. Calls must
+// come in increasing position order within a rule.
 func (w *walker) starts(lo, hi, end uint64) {
 	if lo >= hi {
 		return
 	}
-	if lo >= w.runHi {
+	if w.k > 0 && len(w.terms) >= maxRun {
+		w.flush() // so terms can drop what the queue refers to
+	}
+	switch {
+	case lo >= w.runHi:
 		// A new run.
 		if w.k == 0 {
 			w.terms = w.terms[:0]
+			if w.p != nil {
+				w.vals, w.units = w.vals[:0], w.units[:1]
+			}
 		}
 		w.runLo, w.runHi, w.runOff = lo, lo, len(w.terms)
+	case w.k == 0 && lo > w.runLo:
+		// No queued window refers to the run before lo: drop it, so a run
+		// that spans a whole rule does not grow terms with it.
+		d := w.runOff + int(lo-w.runLo)
+		w.terms = w.terms[:copy(w.terms, w.terms[d:])]
+		if w.p != nil {
+			w.vals = w.vals[:copy(w.vals, w.vals[min(d, len(w.vals)):])]
+			w.units = w.units[:copy(w.units, w.units[d:])]
+		}
+		w.runLo, w.runOff = lo, 0
 	}
 	if need := min(w.total, hi-1+w.maxLen); need > w.runHi {
-		w.terms = w.a.collectRanks(w.r, w.runHi, need-w.runHi, w.terms)
+		w.terms = w.ends.collect(w.r, w.runHi, need-w.runHi, w.terms)
 		w.runHi = need
+		if w.p != nil {
+			w.extend()
+		}
 	}
 	minL := uint64(w.minLen)
 	for o := lo; o < hi; o++ {
@@ -477,10 +549,12 @@ func (w *walker) starts(lo, hi, end uint64) {
 			return // so do the later starts: o+from only grows with o
 		}
 		off := w.runOff + int(o-w.runLo)
-		if w.shards > 1 && w.shardOf(w.terms[off:off+w.minLen]) != w.shard {
-			continue
-		}
 		n := int(min(w.total, o+w.maxLen) - o)
+		if w.p != nil {
+			if n = w.cut(off, n); n < int(from) {
+				continue
+			}
+		}
 		w.win[w.k] = batchWindow{off: off, n: n, from: int(from), weight: w.uses}
 		if w.k++; w.k == walkBatch {
 			w.flush()
@@ -488,13 +562,48 @@ func (w *walker) starts(lo, hi, end uint64) {
 	}
 }
 
-// shardOf is ShardOf of the events the ranks in prefix stand for.
-func (w *walker) shardOf(prefix []uint32) int {
-	var h uint64
-	for _, k := range prefix {
-		h = trieHash(uint32(h), w.t.Dict[k])
+// extend brings vals and units up to the end of terms. A MinLen window
+// that does not lie inside one run never starts a walked window, so its
+// position gets MaxUint64.
+func (w *walker) extend() {
+	n := len(w.terms)
+	w.units = slices.Grow(w.units, n+1-len(w.units))
+	for i := len(w.units) - 1; i < n; i++ {
+		w.units = append(w.units, addSat(w.units[i], w.cost[w.terms[i]]))
 	}
-	return int(h % uint64(w.shards))
+	w.vals = slices.Grow(w.vals, n-len(w.vals))
+	for len(w.vals) < w.runOff {
+		w.vals = append(w.vals, math.MaxUint64)
+	}
+	m := w.p.minLen
+	for i := len(w.vals); i+m <= n; i++ {
+		w.vals = append(w.vals, w.baseValue(w.terms[i:i+m]))
+	}
+}
+
+// baseValue is the pass-1 value of the window of the grammar's ranks win.
+func (w *walker) baseValue(win []uint32) uint64 {
+	var n uint32
+	for _, k := range win {
+		if k = w.toBase[k]; k == noRank {
+			return math.MaxUint64
+		}
+		if n = w.p.base.find(n, k); n == 0 {
+			return math.MaxUint64
+		}
+	}
+	return w.p.vals[n]
+}
+
+// cut is Pruning.cut for the window of n terms at terms[off]: its unit
+// cost is bounded by a difference of prefix sums, or by MaxUint64 once
+// the sums saturate.
+func (w *walker) cut(off, n int) int {
+	unit := uint64(math.MaxUint64)
+	if u := w.units[off+n]; u != math.MaxUint64 {
+		unit = u - w.units[off]
+	}
+	return w.p.cut(w.vals[off:off+n-w.p.minLen+1], unit)
 }
 
 // flush walks the queued windows.

@@ -131,7 +131,7 @@ func TestWindowTrieLimits(t *testing.T) {
 		{"symbols exhausted by a count", func() *WindowTrie {
 			tr := NewWindowTrie()
 			tr.maxSyms = 2
-			a.countShard(tr, 1, 6, 0, 1)
+			a.countPart(tr, 1, 6, nil, 0, 1)
 			return tr
 		}},
 		{"symbols exhausted by Add", func() *WindowTrie {
@@ -235,7 +235,7 @@ func TestTrieReuseIsolation(t *testing.T) {
 	seam := []uint64{3, 8, 0, 1, 5}
 	query := func(tr *WindowTrie) map[string]uint64 {
 		t.Helper()
-		a.countShard(tr, 2, 7, 0, 1)
+		a.countPart(tr, 2, 7, nil, 0, 1)
 		o := other.CountWindowRange(2, 7)
 		tr.Merge(o)
 		o.Release()
@@ -257,7 +257,7 @@ func TestTrieReuseIsolation(t *testing.T) {
 	tr := NewWindowTrie()
 	query(tr)
 	tr.Reset()
-	b.countShard(tr, 1, 9, 0, 1)
+	b.countPart(tr, 1, 9, nil, 0, 1)
 	tr.Add([]uint64{100, 101, 999}, 1, 3)
 	tr.Reset()
 	if got := query(tr); !reflect.DeepEqual(got, want) {
@@ -274,7 +274,7 @@ func TestTrieReuseIsolation(t *testing.T) {
 		tb.Release()
 		ta := a.CountWindowRange(2, 7)
 		ref := NewWindowTrie()
-		a.countShard(ref, 2, 7, 0, 1)
+		a.countPart(ref, 2, 7, nil, 0, 1)
 		if got, want := windowCounts(ta), windowCounts(ref); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: pooled trie counts differ from a fresh trie's", i)
 		}

@@ -10,8 +10,8 @@ import (
 
 // BenchmarkFindViewMono times FindView on monolithic WPP2 views of the
 // expr, sort and bfs artifacts the hot-query benchmark stores, at wpphot's
-// default options, on 1 and 2 workers: on 2 the view's single chunk
-// splits into two prefix shards.
+// default options, on 1 and 2 workers: on 2 each pass splits the view's
+// single grammar into two parts of its rule bodies.
 func BenchmarkFindViewMono(b *testing.B) {
 	opts := Options{MinLen: 4, MaxLen: 16, Threshold: 0.01}
 	for _, p := range []struct {

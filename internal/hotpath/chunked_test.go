@@ -288,10 +288,11 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestChunkedSearchLiveMemory: a chunked search adds each chunk's window
-// counts to one accumulator as the chunk finishes, so what it holds at
-// any chunk load is at most about what it returns. Holding every chunk's
-// tries until one merge at the end costs several times that.
+// TestChunkedSearchLiveMemory: the chunk loop each pass of a chunked
+// search runs adds each chunk's window counts to one accumulator as the
+// chunk finishes, so what it holds at any chunk load is at most about
+// what it returns. Holding every chunk's tries until one merge at the end
+// costs several times that. The unpruned count, the larger, is measured.
 func TestChunkedSearchLiveMemory(t *testing.T) {
 	wl, err := workloads.ByName("bfs")
 	if err != nil {
@@ -303,13 +304,13 @@ func TestChunkedSearchLiveMemory(t *testing.T) {
 		src := &heapSource{Source: c}
 		runtime.GC() // a second collection empties the trie pool
 		before := liveHeap()
-		tries, err := countWindows(src, 1, opts)
+		tr, err := countWindows(src, 1, pass{minLen: opts.MinLen, maxLen: opts.MaxLen}, noopMetrics)
 		if err != nil {
 			t.Fatal(err)
 		}
 		withTries := liveHeap()
-		runtime.KeepAlive(tries)
-		tries = nil
+		runtime.KeepAlive(tr)
+		tr = nil
 		held := withTries - liveHeap()
 		peak := src.peak - min(src.peak, before)
 		t.Logf("chunk %d: %d chunks, peak %d B, tries %d B, ratio %.2f", cs, c.NumChunks(), peak, held, float64(peak)/float64(held))

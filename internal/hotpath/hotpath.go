@@ -8,11 +8,14 @@
 // grammars plus their cost model, so a monolithic WPP, a chunked WPP and
 // a lazy view of either are analyzed by the same code. The hot-subpath
 // search runs directly on the SEQUITUR grammar, without decompressing
-// the trace, over the engine package's one chunk loop: per-chunk window
-// counting on the grammar DAG, summed into one accumulator as chunks
-// finish, plus boundary windows materialized across chunk seams. A
-// monolithic WPP is the one-chunk case of the same search, so every
-// artifact shape of one event stream yields identical subpaths.
+// the trace, in two exact passes over the engine package's one chunk
+// loop: per-chunk window counting on the grammar DAG, summed into one
+// accumulator as chunks finish, plus boundary windows materialized
+// across chunk seams. The first pass counts the shortest windows; the
+// second counts longer windows only where they can still be minimal hot
+// subpaths (engine.Pruning). A monolithic WPP is the one-chunk case of
+// the same search, so every artifact shape of one event stream yields
+// identical subpaths.
 // FindByScan is the paper's strawman alternative (decompress and slide a
 // window); it produces identical results and serves as both the E6
 // baseline and a correctness oracle in tests.
@@ -20,7 +23,9 @@ package hotpath
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -36,21 +41,27 @@ import (
 // (obsv metrics are nil-safe); a nil *Metrics disables instrumentation.
 type Metrics struct {
 	// ChunksScanned counts chunk grammars analyzed by the searches (a
-	// monolithic search scans exactly one).
+	// monolithic search scans exactly one), once per search, though both
+	// passes read each.
 	ChunksScanned *obsv.Counter
 	// BoundaryWindows counts window occurrences materialized from chunk
 	// boundary regions (the work chunking adds over the monolithic scan).
 	BoundaryWindows *obsv.Counter
-	// WindowsDistinct counts the distinct windows of length MinLen..MaxLen
-	// the searches counted, the size of what the harvest scans.
+	// WindowsDistinct counts the distinct windows the two passes of the
+	// searches hold: every window of length MinLen, plus the longer
+	// windows pass 2 counted. It is the size of what the harvest scans.
 	WindowsDistinct *obsv.Counter
 	// SubpathsEmitted counts minimal hot subpaths reported.
 	SubpathsEmitted *obsv.Counter
-	// CountSeconds times each chunk grammar's window count.
+	// Pass1Seconds times, per search, pass 1: the count of every window
+	// of length MinLen, chunk grammars and seams together.
+	Pass1Seconds *obsv.Histogram
+	// CountSeconds times each chunk grammar's pass-2 window count. A
+	// search with MaxLen == MinLen has no pass 2.
 	CountSeconds *obsv.Histogram
-	// SeamSeconds times, per search, the merges of the chunk counts into
-	// the accumulator, summed over the chunks as each finishes, plus the
-	// count of the windows crossing chunk seams.
+	// SeamSeconds times, per search, pass 2's merges of the chunk counts
+	// into the accumulator, summed over the chunks as each finishes, plus
+	// the count of the windows crossing chunk seams.
 	SeamSeconds *obsv.Histogram
 	// HarvestSeconds times, per search, the scan of the counted windows
 	// for minimal hot subpaths.
@@ -65,6 +76,7 @@ func NewMetrics(r *obsv.Registry) *Metrics {
 		BoundaryWindows: r.Counter("hotpath_boundary_windows_total"),
 		WindowsDistinct: r.Counter("hotpath_windows_distinct_total"),
 		SubpathsEmitted: r.Counter("hotpath_subpaths_total"),
+		Pass1Seconds:    r.Histogram("hotpath_pass1_seconds", nil),
 		CountSeconds:    r.Histogram("hotpath_count_seconds", nil),
 		SeamSeconds:     r.Histogram("hotpath_seam_seconds", nil),
 		HarvestSeconds:  r.Histogram("hotpath_harvest_seconds", nil),
@@ -145,25 +157,36 @@ var (
 	_ Source = (*wpp.ArtifactView)(nil)
 )
 
+// ErrCostOverflow reports a minimal hot subpath whose cost, its count
+// times the cost of one occurrence, does not fit in 64 bits. Path costs
+// are read from the artifact unbounded, so a hostile or corrupt cost
+// table can price a window past any uint64.
+var ErrCostOverflow = errors.New("hotpath: a minimal hot subpath's cost overflows 64 bits")
+
 // Find locates all minimal hot subpaths by analyzing the source's chunk
 // grammars in compressed form, on `workers` goroutines (<=0 means
-// GOMAXPROCS). A window of the full trace either lies entirely inside
-// one chunk — counted on that chunk's grammar — or crosses a chunk seam
-// and is counted once, attributed to the chunk containing its start
+// GOMAXPROCS), in two exact passes (see engine.Pruning). Pass 1 counts
+// every window of length MinLen, which gives each its exact count and
+// whether it is hot. Pass 2 counts the longer windows, but walks each
+// start position only until its windows can no longer be minimal hot
+// subpaths. A window of the full trace either lies entirely inside one
+// chunk — counted on that chunk's grammar — or crosses a chunk seam and
+// is counted once, attributed to the chunk containing its start
 // position. Chunk counts are summed into one accumulator as each chunk
 // finishes, and the result is sorted totally, so neither the worker
 // count, the order chunks finish in, nor the artifact's chunking can
 // change the answer; a monolithic WPP is the one-chunk case. With fewer
-// chunks than workers, each chunk's count splits into prefix shards so
-// every worker counts (see countWindows). A lazy view materializes each
-// chunk grammar inside the per-chunk pass and drops it once its counts
-// are merged, so peak memory tracks one chunk per worker plus the merged
-// counts; its materialization failures surface as *wpp.ViewError.
+// chunks than workers, each chunk's rule bodies split among the workers
+// (see countWindows). A lazy view materializes each chunk grammar once per
+// pass and drops it once its counts are merged, so peak memory tracks
+// one chunk per worker plus the merged counts; its materialization
+// failures surface as *wpp.ViewError. A minimal hot subpath whose cost
+// does not fit in 64 bits fails the search with ErrCostOverflow.
 func Find(src Source, opts Options, workers int) ([]Subpath, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	tries, err := countWindows(src, workers, opts)
+	tries, err := countPasses(src, opts, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -171,18 +194,58 @@ func Find(src Source, opts Options, workers int) ([]Subpath, error) {
 	var result []Subpath
 	if tries != nil {
 		start := time.Now()
-		result = harvest(tries, opts, src)
+		result, err = harvest(tries, opts, src)
 		met.HarvestSeconds.Observe(time.Since(start))
-		// The result holds copies of the windows, so the accumulator's
-		// tries can go back to the pool; the chunk tries merged into
-		// them are already garbage (see countWindows).
+		// The result holds copies of the windows, so the tries can go
+		// back to the pool.
 		for _, t := range tries {
 			t.Release()
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	sortSubpaths(result)
 	met.SubpathsEmitted.Add(uint64(len(result)))
 	return result, nil
+}
+
+// countPasses runs the two passes of Find and returns the tries its
+// harvest reads: pass 1's count of every window of length MinLen, then,
+// unless MaxLen == MinLen or pass 1 leaves pass 2 nothing to count
+// (engine.Pruning.Live), pass 2's pruned count of the longer windows. A
+// source without chunks or without instructions, where nothing is hot,
+// yields none after pass 1.
+func countPasses(src Source, opts Options, workers int) ([]*engine.WindowTrie, error) {
+	met := opts.metrics()
+	start := time.Now()
+	base, err := countWindows(src, workers, pass{minLen: opts.MinLen, maxLen: opts.MinLen}, met)
+	if err != nil {
+		return nil, err
+	}
+	met.Pass1Seconds.Observe(time.Since(start))
+	met.ChunksScanned.Add(uint64(src.NumChunks()))
+	total := src.TotalInstructions()
+	switch {
+	case base == nil:
+		return nil, nil
+	case total == 0:
+		base.Release()
+		return nil, nil
+	case opts.MaxLen == opts.MinLen:
+		return []*engine.WindowTrie{base}, nil
+	}
+	cost := func(v uint64) uint64 { return src.PathCost(trace.Event(v)) }
+	p := engine.NewPruning(base, opts.MinLen, opts.MaxLen, cost, hotFloor(opts, total))
+	if !p.Live() {
+		return []*engine.WindowTrie{base}, nil
+	}
+	longer, err := countWindows(src, workers, pass{minLen: opts.MinLen + 1, maxLen: opts.MaxLen, prune: p, count: met.CountSeconds, seam: met.SeamSeconds}, met)
+	if err != nil {
+		base.Release()
+		return nil, err
+	}
+	return []*engine.WindowTrie{base, longer}, nil
 }
 
 // FindChunked is Find on a chunked WPP, kept because the perfbench
@@ -197,9 +260,9 @@ func FindView(v *wpp.ArtifactView, opts Options, workers int) ([]Subpath, error)
 	return Find(v, opts, workers)
 }
 
-// eachShard calls fn(0), ..., fn(n-1), each on its own goroutine when
+// eachPart calls fn(0), ..., fn(n-1), each on its own goroutine when
 // n > 1, and returns when all have.
-func eachShard(n int, fn func(s int)) {
+func eachPart(n int, fn func(s int)) {
 	var wg sync.WaitGroup
 	for s := 1; s < n; s++ {
 		wg.Add(1)
@@ -212,44 +275,51 @@ func eachShard(n int, fn func(s int)) {
 	wg.Wait()
 }
 
-// countWindows counts every window of length opts.MinLen..opts.MaxLen in
-// the source's trace into disjoint prefix-shard tries (see
-// engine.CountWindowShard): each chunk's windows, counted on its grammar,
-// then the windows crossing chunk seams (weight 1 each, attributed to the
-// chunk holding their start — a single chunk contributes none), each
-// routed to the shard of its first MinLen events. The first chunk to
-// finish keeps its tries as the accumulator; each later chunk's tries are
-// added to it shard by shard, under one lock, as soon as that chunk is
-// counted, so the search holds one chunk's tries per worker plus the
-// accumulator, whatever the chunk count. Merged chunk tries are left to
-// the garbage collector, not released to the trie pool: a pooled trie
-// keeps its grown slot table, so a small count drawing it would probe a
-// sparse table. Seam boundaries are kept by chunk index, so the crossing
-// windows are found in chunk order. A source with fewer chunks than workers splits into
-// workers/chunks shards, so the workers the chunks leave idle count
-// shards of them; otherwise there is one shard. A source without chunks
-// yields no tries. A source whose chunks together hold more events than
-// a uint64 counts fails (engine.AddLength): its window counts could wrap.
-func countWindows(src engine.Source, workers int, opts Options) ([]*engine.WindowTrie, error) {
-	met := opts.metrics()
+// pass is one window count over a source: the window lengths it counts,
+// the pruning that restricts it (nil counts every window) and the timers
+// of its chunk counts and of its merges plus seam count (nil for none).
+type pass struct {
+	minLen, maxLen int
+	prune          *engine.Pruning
+	count, seam    *obsv.Histogram
+}
+
+// countWindows counts the windows of length ps.minLen..ps.maxLen in the
+// source's trace, pruned by ps.prune, into one trie: each chunk's
+// windows, counted on its grammar, then the windows crossing chunk seams
+// (weight 1 each, attributed to the chunk holding their start — a single
+// chunk contributes none), pruned alike. The first chunk to finish keeps
+// its tries as the accumulator; each later chunk's tries are added to it
+// under one lock as soon as that chunk is counted, so the search holds
+// one chunk's tries per worker plus the accumulator, whatever the chunk
+// count. Merged tries are left to the garbage collector, not released to
+// the trie pool: a pooled trie keeps its grown slot table, so a small
+// count drawing it would probe a sparse table. Seam boundaries are kept
+// by chunk index, so the crossing windows are found in chunk order. A
+// source with fewer chunks than workers splits each chunk's rule bodies
+// into workers/chunks parts (engine.CountWindowPart), counted on the workers
+// the chunks leave idle and merged before the seam count; otherwise
+// there is one part. A source without chunks yields no trie. A source
+// whose chunks together hold more events than a uint64 counts fails
+// (engine.AddLength): its window counts could wrap.
+func countWindows(src engine.Source, workers int, ps pass, met *Metrics) (*engine.WindowTrie, error) {
 	n := src.NumChunks()
-	shards := max(1, engine.Workers(workers)/max(n, 1))
+	parts := max(1, engine.Workers(workers)/max(n, 1))
 	bounds := make([]engine.Boundary, n)
 	var (
 		mu    sync.Mutex
-		tries []*engine.WindowTrie // the accumulator, one trie per shard
+		tries []*engine.WindowTrie // the accumulator, one trie per part
 		merge time.Duration
 	)
 	err := engine.EachChunk(src, workers, func(i int, sn *sequitur.Snapshot) error {
-		met.ChunksScanned.Inc()
 		a := engine.NewAnalysis(sn)
 		start := time.Now()
-		chunk := make([]*engine.WindowTrie, shards)
-		eachShard(shards, func(s int) {
-			chunk[s] = a.CountWindowShard(opts.MinLen, opts.MaxLen, s, shards)
+		chunk := make([]*engine.WindowTrie, parts)
+		eachPart(parts, func(s int) {
+			chunk[s] = a.CountWindowPart(ps.minLen, ps.maxLen, ps.prune, s, parts)
 		})
-		met.CountSeconds.Observe(time.Since(start))
-		bounds[i] = a.Boundary(opts.MaxLen - 1)
+		ps.count.Observe(time.Since(start))
+		bounds[i] = a.Boundary(ps.maxLen - 1)
 		mu.Lock()
 		defer mu.Unlock()
 		if tries == nil {
@@ -257,7 +327,7 @@ func countWindows(src engine.Source, workers int, opts Options) ([]*engine.Windo
 			return nil
 		}
 		start = time.Now()
-		eachShard(shards, func(s int) { tries[s].Merge(chunk[s]) })
+		eachPart(parts, func(s int) { tries[s].Merge(chunk[s]) })
 		merge += time.Since(start)
 		return nil
 	})
@@ -270,24 +340,31 @@ func countWindows(src engine.Source, workers int, opts Options) ([]*engine.Windo
 			return nil, fmt.Errorf("hotpath: %w", err)
 		}
 	}
+	if tries == nil {
+		return nil, nil
+	}
 	start := time.Now()
-	engine.CrossingWindows(bounds, opts.MaxLen, func(window []uint64, from int) {
-		if from = max(from, opts.MinLen); from <= len(window) {
-			tries[engine.ShardOf(window[:opts.MinLen], shards)].Add(window, from, 1)
-			met.BoundaryWindows.Add(uint64(len(window) - from + 1))
+	t := tries[0]
+	for _, o := range tries[1:] {
+		t.Merge(o)
+	}
+	engine.CrossingWindows(bounds, ps.maxLen, func(window []uint64, from int) {
+		from = max(from, ps.minLen)
+		if l := ps.prune.Cut(window); from <= l {
+			t.Add(window[:l], from, 1)
+			met.BoundaryWindows.Add(uint64(l - from + 1))
 		}
 	})
-	met.SeamSeconds.Observe(merge + time.Since(start))
-	for _, t := range tries {
-		if err := t.Err(); err != nil {
-			return nil, fmt.Errorf("hotpath: %w", err)
-		}
+	ps.seam.Observe(merge + time.Since(start))
+	if err := t.Err(); err != nil {
+		return nil, fmt.Errorf("hotpath: %w", err)
 	}
-	return tries, nil
+	return t, nil
 }
 
 // FindByScan locates the same minimal hot subpaths by decompressing the
-// trace and sliding a window over it, one length at a time.
+// trace and sliding a window over it, one length at a time. It fails
+// with ErrCostOverflow where Find does.
 func FindByScan(w *wpp.WPP, opts Options) ([]Subpath, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -310,37 +387,36 @@ func FindByScan(w *wpp.WPP, opts Options) ([]Subpath, error) {
 			counts[string(key)]++
 		}
 		for k, count := range counts {
-			var unit uint64
+			var unit, carry uint64
+			over := false
 			for i := 0; i < len(k); i += 8 {
-				unit += w.PathCost(trace.Event(binary.BigEndian.Uint64([]byte(k[i : i+8]))))
+				unit, carry = bits.Add64(unit, w.PathCost(trace.Event(binary.BigEndian.Uint64([]byte(k[i:i+8])))), 0)
+				over = over || carry != 0
 			}
-			if cost, frac, ok := hotCost(unit, count, opts, w.Instructions); ok {
-				hot = append(hot, hotWindow{key: k, count: count, cost: cost, frac: frac})
+			if h, ok := hotCost(unit, over, count, opts, w.Instructions); ok {
+				h.key = k
+				hot = append(hot, h)
 			}
 		}
 	}
-	result := minimal(hot, opts.MinLen)
+	result, err := minimal(hot, opts.MinLen)
+	if err != nil {
+		return nil, err
+	}
 	sortSubpaths(result)
 	return result, nil
 }
 
-// harvest scans the shard tries' windows for hot ones, the shards
-// concurrently, and returns the minimal hot subpaths among them all
-// under the source's cost model.
-func harvest(tries []*engine.WindowTrie, opts Options, src Source) []Subpath {
-	if src.TotalInstructions() == 0 {
-		return nil
-	}
-	hots := make([][]hotWindow, len(tries))
-	distinct := make([]uint64, len(tries))
-	eachShard(len(tries), func(s int) {
-		hots[s], distinct[s] = hotWindows(tries[s], opts, src)
-	})
+// harvest scans the tries' windows for hot ones and returns the minimal
+// hot subpaths among them all under the source's cost model. No window
+// may be counted in two of the tries.
+func harvest(tries []*engine.WindowTrie, opts Options, src Source) ([]Subpath, error) {
 	met := opts.metrics()
 	var hot []hotWindow
-	for s := range tries {
-		hot = append(hot, hots[s]...)
-		met.WindowsDistinct.Add(distinct[s])
+	for _, t := range tries {
+		h, distinct := hotWindows(t, opts, src)
+		hot = append(hot, h...)
+		met.WindowsDistinct.Add(distinct)
 	}
 	return minimal(hot, opts.MinLen)
 }
@@ -356,17 +432,21 @@ func hotWindows(t *engine.WindowTrie, opts Options, src Source) ([]hotWindow, ui
 		symCost[k] = src.PathCost(trace.Event(v))
 	}
 	unit := make([]uint64, t.Len())
+	over := make([]bool, t.Len()) // unit[n] wrapped
 	var distinct uint64
 	var hot []hotWindow
 	var syms []uint64
 	for n := 1; n < t.Len(); n++ {
-		unit[n] = unit[t.Parent[n]] + symCost[t.Sym[n]]
+		p := t.Parent[n]
+		var carry uint64
+		unit[n], carry = bits.Add64(unit[p], symCost[t.Sym[n]], 0)
+		over[n] = over[p] || carry != 0
 		count := t.Count[n]
 		if count == 0 || int(t.Depth[n]) < opts.MinLen {
 			continue
 		}
 		distinct++
-		cost, frac, ok := hotCost(unit[n], count, opts, total)
+		h, ok := hotCost(unit[n], over[n], count, opts, total)
 		if !ok {
 			continue
 		}
@@ -375,30 +455,55 @@ func hotWindows(t *engine.WindowTrie, opts Options, src Source) ([]hotWindow, ui
 		for _, v := range syms {
 			key = binary.BigEndian.AppendUint64(key, v)
 		}
-		hot = append(hot, hotWindow{key: string(key), count: count, cost: cost, frac: frac})
+		h.key = string(key)
+		hot = append(hot, h)
 	}
 	return hot, distinct
 }
 
 // hotWindow is a window whose aggregate cost meets the threshold, keyed
-// by its symbols' concatenated 8-byte big-endian encodings.
+// by its symbols' concatenated 8-byte big-endian encodings. A window
+// whose cost does not fit in 64 bits is hot, with overflow set and no
+// cost.
 type hotWindow struct {
 	key         string
 	count, cost uint64
 	frac        float64
+	overflow    bool
 }
 
 // hotCost applies the threshold to a window occurring count times at
-// unit cost per occurrence.
-func hotCost(unit, count uint64, opts Options, total uint64) (cost uint64, frac float64, hot bool) {
-	cost = unit * count
-	frac = float64(cost) / float64(total)
-	return cost, frac, !(frac < opts.Threshold)
+// unit cost per occurrence, over reporting a unit cost past 64 bits, and
+// returns the window, without its key, and whether it is hot.
+func hotCost(unit uint64, over bool, count uint64, opts Options, total uint64) (hotWindow, bool) {
+	hi, cost := bits.Mul64(unit, count)
+	if over || hi != 0 {
+		return hotWindow{count: count, overflow: true}, true
+	}
+	frac := float64(cost) / float64(total)
+	return hotWindow{count: count, cost: cost, frac: frac}, !(frac < opts.Threshold)
+}
+
+// hotFloor returns the least cost hotCost calls hot out of total, the
+// engine.Pruning floor. The threshold test is monotone in the cost, and
+// total itself is hot, so a binary search over 0..total finds it.
+func hotFloor(opts Options, total uint64) uint64 {
+	lo, hi := uint64(0), total
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if _, hot := hotCost(mid, false, 1, opts, total); hot {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // minimal returns the hot windows no proper contiguous subwindow of which
-// (of length >= minLen) is itself hot.
-func minimal(hot []hotWindow, minLen int) []Subpath {
+// (of length >= minLen) is itself hot, or ErrCostOverflow if the cost of
+// one of them overflows.
+func minimal(hot []hotWindow, minLen int) ([]Subpath, error) {
 	set := make(map[string]bool, len(hot))
 	for _, h := range hot {
 		set[h.key] = true
@@ -408,9 +513,12 @@ func minimal(hot []hotWindow, minLen int) []Subpath {
 		if containsHotSub(h.key, len(h.key)/8, minLen, set) {
 			continue
 		}
+		if h.overflow {
+			return nil, ErrCostOverflow
+		}
 		result = append(result, Subpath{Events: decodeKey(h.key), Count: h.count, Cost: h.cost, Fraction: h.frac})
 	}
-	return result
+	return result, nil
 }
 
 // containsHotSub reports whether any proper contiguous subwindow of key

@@ -36,24 +36,16 @@ func keyOf(window []uint64) string {
 	return string(key)
 }
 
-// trieCounts reads the same per-length maps off counted prefix-shard
-// tries, failing if a counted window appears in two shards.
-func trieCounts(t *testing.T, tries []*engine.WindowTrie, minLen, maxLen int) []map[string]uint64 {
-	t.Helper()
+// trieCounts reads the same per-length maps off a counted trie.
+func trieCounts(tr *engine.WindowTrie, minLen, maxLen int) []map[string]uint64 {
 	out := make([]map[string]uint64, maxLen-minLen+1)
 	for i := range out {
 		out[i] = map[string]uint64{}
 	}
-	for _, tr := range tries {
-		for n := 1; n < tr.Len(); n++ {
-			d := int(tr.Depth[n])
-			if d >= minLen && d <= maxLen && tr.Count[n] != 0 {
-				key := keyOf(tr.Window(uint32(n), nil))
-				if _, dup := out[d-minLen][key]; dup {
-					t.Fatalf("window %x counted in two shards", key)
-				}
-				out[d-minLen][key] = tr.Count[n]
-			}
+	for n := 1; n < tr.Len(); n++ {
+		d := int(tr.Depth[n])
+		if d >= minLen && d <= maxLen && tr.Count[n] != 0 {
+			out[d-minLen][keyOf(tr.Window(uint32(n), nil))] = tr.Count[n]
 		}
 	}
 	return out
@@ -70,15 +62,15 @@ func chunkSnapshots(events []uint64, chunkSize int) engine.SliceSource {
 	return src
 }
 
-// checkWindowParity compares countWindows on src against want, the scan
-// counts for every length of opts.
+// checkWindowParity compares the unpruned countWindows on src against
+// want, the scan counts for every length of opts.
 func checkWindowParity(t *testing.T, label string, src engine.Source, want []map[string]uint64, opts Options, workers int) {
 	t.Helper()
-	tries, err := countWindows(src, workers, opts)
+	tr, err := countWindows(src, workers, pass{minLen: opts.MinLen, maxLen: opts.MaxLen}, noopMetrics)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if tries == nil {
+	if tr == nil {
 		for _, m := range want {
 			if len(m) != 0 {
 				t.Fatalf("%s: no trie for a non-empty trace", label)
@@ -86,13 +78,27 @@ func checkWindowParity(t *testing.T, label string, src engine.Source, want []map
 		}
 		return
 	}
-	if src.NumChunks() < workers && len(tries) < 2 {
-		t.Fatalf("%s: %d chunks on %d workers counted in %d shard(s)", label, src.NumChunks(), workers, len(tries))
-	}
-	got := trieCounts(t, tries, opts.MinLen, opts.MaxLen)
+	got := trieCounts(tr, opts.MinLen, opts.MaxLen)
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("%s: length %d: trie has %d distinct windows, scan %d", label, opts.MinLen+i, len(got[i]), len(want[i]))
+		}
+	}
+}
+
+// checkPartsSum checks that the parts of one grammar's window count,
+// at 1..maxParts parts, sum to its one-part count.
+func checkPartsSum(t *testing.T, label string, sn *sequitur.Snapshot, opts Options, maxParts int) {
+	t.Helper()
+	a := engine.NewAnalysis(sn)
+	want := trieCounts(a.CountWindowRange(opts.MinLen, opts.MaxLen), opts.MinLen, opts.MaxLen)
+	for parts := 1; parts <= maxParts; parts++ {
+		sum := engine.NewWindowTrie()
+		for s := 0; s < parts; s++ {
+			sum.Merge(a.CountWindowPart(opts.MinLen, opts.MaxLen, nil, s, parts))
+		}
+		if got := trieCounts(sum, opts.MinLen, opts.MaxLen); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the counts of %d parts do not sum to the one-part count", label, parts)
 		}
 	}
 }
@@ -139,9 +145,9 @@ func TestWindowCountParityOnWorkloads(t *testing.T) {
 // FuzzWindowCountParity checks the window trie against the scan on a
 // fuzzer-chosen small-alphabet stream, chunk size, length range and
 // worker count. The monolithic stream runs at one worker and at 2-4,
-// where it splits into prefix shards; the chunked stream, when it has at
-// most 64 chunks, runs at 2-4 workers per chunk, so its seam windows are
-// routed across shards too.
+// where its rule bodies split into parts, whose counts must also sum to the
+// one-part count; the chunked stream, when it has at most 64 chunks,
+// runs at 2-4 workers per chunk, so each chunk's rule bodies split too.
 func FuzzWindowCountParity(f *testing.F) {
 	f.Add([]byte("abcabcabdabcabcabd"), uint8(4), uint8(2), uint8(6), uint8(0))
 	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaab"), uint8(3), uint8(1), uint8(9), uint8(1))
@@ -164,6 +170,9 @@ func FuzzWindowCountParity(f *testing.F) {
 		mono := chunkSnapshots(events, len(events)+1)
 		checkWindowParity(t, "mono", mono, want, opts, 1)
 		checkWindowParity(t, fmt.Sprintf("mono workers=%d", workers), mono, want, opts, workers)
+		if len(mono) > 0 {
+			checkPartsSum(t, "mono", mono[0], opts, workers)
+		}
 		if chunk > 0 {
 			src := chunkSnapshots(events, int(chunk))
 			// workers per chunk when there are few chunks; 2 when there
@@ -177,8 +186,9 @@ func FuzzWindowCountParity(f *testing.F) {
 	})
 }
 
-// TestStageMetrics checks that a search reports its distinct windows and
-// one observation per stage.
+// TestStageMetrics checks that a search reports the distinct windows of
+// the tries its two passes build, fewer than the unpruned count holds,
+// and one observation per stage.
 func TestStageMetrics(t *testing.T) {
 	_, cw := workloadBoth(t, "expr")
 	reg := obsv.NewRegistry()
@@ -187,25 +197,37 @@ func TestStageMetrics(t *testing.T) {
 	if _, err := FindChunked(cw, opts, 2); err != nil {
 		t.Fatal(err)
 	}
-	tries, err := countWindows(engine.SliceSource(cw.Chunks), 2, Options{MinLen: 2, MaxLen: 6})
+	distinct := func(tries ...*engine.WindowTrie) uint64 {
+		var n uint64
+		for _, tr := range tries {
+			for i := 1; i < tr.Len(); i++ {
+				if int(tr.Depth[i]) >= opts.MinLen && tr.Count[i] != 0 {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	tries, err := countPasses(cw, Options{MinLen: 2, MaxLen: 6, Threshold: 0.01}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var distinct uint64
-	for _, tr := range tries {
-		for n := 1; n < tr.Len(); n++ {
-			if tr.Depth[n] >= 2 && tr.Count[n] != 0 {
-				distinct++
-			}
-		}
+	want := distinct(tries...)
+	full, err := countWindows(cw, 2, pass{minLen: 2, maxLen: 6}, noopMetrics)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := met.WindowsDistinct.Value(); got != distinct || got == 0 {
-		t.Fatalf("hotpath_windows_distinct_total = %d, want %d", got, distinct)
+	t.Logf("the two passes hold %d distinct windows, the unpruned count %d", want, distinct(full))
+	if got := met.WindowsDistinct.Value(); got != want || got == 0 {
+		t.Fatalf("hotpath_windows_distinct_total = %d, want %d", got, want)
+	}
+	if want >= distinct(full) {
+		t.Fatalf("the two passes hold %d distinct windows, no fewer than the unpruned count's %d", want, distinct(full))
 	}
 	if got, want := met.CountSeconds.Count(), uint64(len(cw.Chunks)); got != want {
-		t.Fatalf("count stage observed %d times, want one per chunk (%d)", got, want)
+		t.Fatalf("pass-2 count stage observed %d times, want one per chunk (%d)", got, want)
 	}
-	if met.SeamSeconds.Count() != 1 || met.HarvestSeconds.Count() != 1 {
-		t.Fatalf("seam/harvest stages observed %d/%d times, want 1/1", met.SeamSeconds.Count(), met.HarvestSeconds.Count())
+	if met.Pass1Seconds.Count() != 1 || met.SeamSeconds.Count() != 1 || met.HarvestSeconds.Count() != 1 {
+		t.Fatalf("pass1/seam/harvest stages observed %d/%d/%d times, want 1/1/1", met.Pass1Seconds.Count(), met.SeamSeconds.Count(), met.HarvestSeconds.Count())
 	}
 }
