@@ -22,9 +22,10 @@ import (
 var overflowArtifact = filepath.Join("internal", "wpp", "testdata", "overflow65.wpp1")
 
 // costOverflow is a WPP1 of four paths a whose one path costs 2^62
-// instructions, so every hot window's cost overflows 64 bits (see
-// internal/hotpath/prune_test.go, which builds it). Only wpphot prices
-// windows, so only wpphot must refuse it.
+// instructions, so the trace's total path cost and every hot window's
+// cost overflow 64 bits (see internal/hotpath/prune_test.go, which builds
+// it). wpphot prices windows and wppstats -verify sums the path costs, so
+// both must refuse it; the other tools read it as well formed.
 var costOverflow = filepath.Join("internal", "hotpath", "testdata", "costoverflow.wpp1")
 
 // overflowChunks is a 418-byte WPC1 of two chunks of 2^63 events each,
@@ -121,6 +122,9 @@ func TestCLICorruptArtifacts(t *testing.T) {
 	}
 	t.Run("wpphot/cost-overflow-WPP1", func(t *testing.T) {
 		fails(t, "wpphot", []string{"-min", "2", "-max", "4", costOverflow}, "cost overflows 64 bits")
+	})
+	t.Run("wppstats-verify/cost-overflow-WPP1", func(t *testing.T) {
+		fails(t, "wppstats", []string{"-verify", costOverflow}, "total path cost overflows 64 bits")
 	})
 }
 

@@ -101,11 +101,22 @@ func NewWindowTrie() *WindowTrie {
 // are freed after two idle GC cycles.
 var triePool = sync.Pool{New: func() any { return NewWindowTrie() }}
 
+// maxKeptSlots caps the slot table Reset keeps, at 384 KB. A count walks
+// one window at a time and waits out each probe that misses the cache, so
+// a small count must not draw a table a large one grew: it would scatter
+// its few windows over all of it.
+const maxKeptSlots = 1 << 15
+
 // Reset empties t to the root and drops its dictionary and error, keeping
-// the capacity of its arrays. The slot table keeps its size, so the next
-// count interns into a table an earlier one has already grown.
+// the capacity of its arrays. The slot table keeps its size up to
+// maxKeptSlots, so the next count interns into a table an earlier one has
+// already grown.
 func (t *WindowTrie) Reset() {
-	clear(t.slots)
+	if len(t.slots) > maxKeptSlots {
+		t.initSlots(maxKeptSlots)
+	} else {
+		clear(t.slots)
+	}
 	t.Parent, t.Sym, t.Depth, t.Count = t.Parent[:1], t.Sym[:1], t.Depth[:1], t.Count[:1]
 	t.Count[0] = 0
 	t.Dict, t.ranks, t.err = nil, nil, nil
@@ -187,21 +198,7 @@ func (t *WindowTrie) rank(v uint64) (uint32, bool) {
 // It returns 0 — the root, never a child — once the node-ID space is
 // exhausted, and records the failure in Err.
 func (t *WindowTrie) intern(parent, sym uint32) uint32 {
-	return t.internHashed(uint32(trieHash(parent, uint64(sym))), parent, sym)
-}
-
-// find returns the node of window parent·sym, or 0 if t has none. It
-// only reads t, so finds may run concurrently with each other.
-func (t *WindowTrie) find(parent, sym uint32) uint32 {
-	for i := uint32(trieHash(parent, uint64(sym))) & t.mask; ; i = (i + 1) & t.mask {
-		if s := &t.slots[i]; s.id == 0 || s.parent == parent && s.sym == sym {
-			return s.id
-		}
-	}
-}
-
-// internHashed is intern given the key's hash.
-func (t *WindowTrie) internHashed(h, parent, sym uint32) uint32 {
+	h := uint32(trieHash(parent, uint64(sym)))
 	i := h & t.mask
 	for {
 		s := &t.slots[i]
@@ -240,6 +237,16 @@ func (t *WindowTrie) internHashed(h, parent, sym uint32) uint32 {
 	t.Depth = append(t.Depth, t.Depth[parent]+1)
 	t.Count = append(t.Count, 0)
 	return id
+}
+
+// find returns the node of window parent·sym, or 0 if t has none. It
+// only reads t, so finds may run concurrently with each other.
+func (t *WindowTrie) find(parent, sym uint32) uint32 {
+	for i := uint32(trieHash(parent, uint64(sym))) & t.mask; ; i = (i + 1) & t.mask {
+		if s := &t.slots[i]; s.id == 0 || s.parent == parent && s.sym == sym {
+			return s.id
+		}
+	}
 }
 
 func (t *WindowTrie) rehash(capacity int) {
@@ -306,25 +313,19 @@ func (t *WindowTrie) Merge(o *WindowTrie) {
 	}
 }
 
-// CountWindowRange returns a trie counting every window of length
-// minLen..maxLen in the grammar's expansion, in one walk per start
-// position; windows shorter than minLen have count 0. It is the
-// unpruned, one-part case of CountWindowPart.
-func (a *Analysis) CountWindowRange(minLen, maxLen int) *WindowTrie {
-	return a.CountWindowPart(minLen, maxLen, nil, 0, 1)
-}
-
-// CountWindowPart is CountWindowRange restricted to part part of parts
-// of the start positions, and, with a non-nil p, to the windows p does
-// not cut (see Pruning). Laid end to end, the rule bodies split into
-// parts runs of about equal symbol counts, and a part walks the starts
-// of the body symbols in its run. Every window occurrence is owned by one
-// start of one body symbol (see countPart), so the counts of parts
-// 0..parts-1 sum to the one-part count; a window may be a node of
-// several parts' tries. The split is by body symbols, not by rules,
-// because the start rule's body is most of a SEQUITUR grammar. It panics
-// unless 0 <= part < parts. The trie comes from the pool Release returns
-// tries to.
+// CountWindowPart returns a trie counting every window of length
+// minLen..maxLen in the grammar's expansion that starts in part part of
+// parts of the start positions, in one walk per start position, and,
+// with a non-nil p, only the windows p does not cut (see Pruning);
+// windows shorter than minLen have count 0. Laid end to end, the rule
+// bodies split into parts runs of about equal symbol counts, and a part
+// walks the starts of the body symbols in its run. Every window
+// occurrence is owned by one start of one body symbol (see countPart),
+// so the counts of parts 0..parts-1 sum to the one-part count; a window
+// may be a node of several parts' tries. The split is by body symbols,
+// not by rules, because the start rule's body is most of a SEQUITUR
+// grammar. It panics unless 0 <= part < parts. The trie comes from the
+// pool Release returns tries to.
 func (a *Analysis) CountWindowPart(minLen, maxLen int, p *Pruning, part, parts int) *WindowTrie {
 	if part < 0 || part >= parts {
 		panic(fmt.Sprintf("engine: part %d outside 0..%d", part, parts-1))
@@ -404,7 +405,6 @@ func (a *Analysis) countPart(t *WindowTrie, minLen, maxLen int, p *Pruning, part
 			break
 		}
 	}
-	w.flush()
 	// Pooled, w keeps only its buffers, not the grammar or the trie.
 	*w = walker{terms: w.terms[:0], vals: w.vals[:0], units: w.units[:0]}
 	walkerPool.Put(w)
@@ -414,26 +414,11 @@ func (a *Analysis) countPart(t *WindowTrie, minLen, maxLen int, p *Pruning, part
 // collects its runs into buffers an earlier count already grew.
 var walkerPool = sync.Pool{New: func() any { return new(walker) }}
 
-// walkBatch is how many windows a walker steps through together.
-const walkBatch = 64
-
-// maxRun is how many ranks terms may hold before the walker walks a
-// partly filled batch, so that terms can drop what the batch refers to.
-const maxRun = 1 << 12
-
-// walker adds windows to a trie a batch at a time, stepping every window
-// of the batch one symbol deeper per round. The table probes of one
-// round are independent of each other, so the round first touches every
-// probe's home slot — loads the processor can have in flight together —
-// and then interns against a warm cache; a walk one window at a time
-// would instead wait out each cache miss in turn.
-//
-// The windows are those of one rule at a time. The walker collects the
-// ranks of a run of overlapping windows once, into terms, and a queued
-// window refers to its part of the run in place; only when no window is
-// queued does terms start afresh for a new run, or drop the part of the
-// current run before the next start. Once terms holds maxRun ranks, the
-// walker walks its queue early, so that terms can.
+// walker adds the windows of one rule at a time to a trie, walking each
+// start's window as soon as it reaches it. It collects the ranks of a
+// run of overlapping windows once, into terms, and drops the part of the
+// run before each later call's first start, so that a run spanning a
+// whole rule does not grow terms with it.
 //
 // A pruned walker (see Pruning) also keeps, for each position of terms,
 // the pass-1 value of the MinLen window starting there and a prefix sum
@@ -443,23 +428,20 @@ type walker struct {
 	t     *WindowTrie
 	a     *Analysis
 	ends  *rankEnds
-	terms []uint32 // the collected runs, back to back
-	win   [walkBatch]batchWindow
-	k     int    // windows queued
-	sink  uint32 // consumes the touch loads so the compiler keeps them
+	terms []uint32 // the run's ranks, terms[i] at position runLo+i
 
 	r            int32  // the rule walked
 	total, uses  uint64 // its expansion length and use count
 	runLo, runHi uint64 // the run's positions in the rule, [runLo, runHi)
-	runOff       int    // the run's offset in terms
 	maxLen       uint64
 	minLen       int
 
 	p *Pruning // nil for an unpruned count
-	// With p: vals[i] is the pass-1 value of the MinLen window at terms[i]
-	// (MaxUint64 where none lies inside one run), units[i] the saturating
-	// sum of the unit costs of terms[:i], and toBase and cost map the
-	// grammar's ranks to p's base ranks (noRank for none) and unit costs.
+	// With p: vals[i] is the pass-1 value of the MinLen window at terms[i],
+	// units[i] the saturating sum of the unit costs of terms[:i] (plus
+	// those of the ranks dropped since the run began), and toBase and cost
+	// map the grammar's ranks to p's base ranks (noRank for none) and unit
+	// costs.
 	vals, units []uint64
 	toBase      []uint32
 	cost        []uint64
@@ -471,7 +453,6 @@ const noRank = math.MaxUint32
 // prune makes w a walker pruned by p.
 func (w *walker) prune(p *Pruning) {
 	w.p = p
-	w.units = append(w.units, 0)
 	w.toBase = make([]uint32, len(w.a.dict))
 	w.cost = make([]uint64, len(w.a.dict))
 	for k, v := range w.a.dict {
@@ -483,15 +464,6 @@ func (w *walker) prune(p *Pruning) {
 	}
 }
 
-// batchWindow is one queued window, terms[off:off+n], with its Add
-// arguments and its walk state: the node reached so far and the hash of
-// the next key to intern.
-type batchWindow struct {
-	off, n, from int
-	weight       uint64
-	node, h      uint32
-}
-
 // rule starts the walk of rule r, of expansion length total and used uses
 // times.
 func (w *walker) rule(r int32, total, uses uint64) {
@@ -499,7 +471,7 @@ func (w *walker) rule(r int32, total, uses uint64) {
 	w.runLo, w.runHi = 0, 0
 }
 
-// starts queues the windows of rule w.r from each start position o in
+// starts walks the windows of rule w.r from each start position o in
 // [lo, hi) that own a length in minLen..maxLen, each cut where the
 // walker's pruning cuts it. The windows from o owned by the rule are
 // those reaching past position end, every window if o >= end. Calls must
@@ -508,29 +480,23 @@ func (w *walker) starts(lo, hi, end uint64) {
 	if lo >= hi {
 		return
 	}
-	if w.k > 0 && len(w.terms) >= maxRun {
-		w.flush() // so terms can drop what the queue refers to
-	}
 	switch {
 	case lo >= w.runHi:
 		// A new run.
-		if w.k == 0 {
-			w.terms = w.terms[:0]
-			if w.p != nil {
-				w.vals, w.units = w.vals[:0], w.units[:1]
-			}
+		w.terms = w.terms[:0]
+		if w.p != nil {
+			w.vals, w.units = w.vals[:0], append(w.units[:0], 0)
 		}
-		w.runLo, w.runHi, w.runOff = lo, lo, len(w.terms)
-	case w.k == 0 && lo > w.runLo:
-		// No queued window refers to the run before lo: drop it, so a run
-		// that spans a whole rule does not grow terms with it.
-		d := w.runOff + int(lo-w.runLo)
+		w.runLo, w.runHi = lo, lo
+	case lo > w.runLo:
+		// No window left to walk starts before lo: drop that part.
+		d := int(lo - w.runLo)
 		w.terms = w.terms[:copy(w.terms, w.terms[d:])]
 		if w.p != nil {
 			w.vals = w.vals[:copy(w.vals, w.vals[min(d, len(w.vals)):])]
 			w.units = w.units[:copy(w.units, w.units[d:])]
 		}
-		w.runLo, w.runOff = lo, 0
+		w.runLo = lo
 	}
 	if need := min(w.total, hi-1+w.maxLen); need > w.runHi {
 		w.terms = w.ends.collect(w.r, w.runHi, need-w.runHi, w.terms)
@@ -548,23 +514,32 @@ func (w *walker) starts(lo, hi, end uint64) {
 		if o+from > w.total {
 			return // so do the later starts: o+from only grows with o
 		}
-		off := w.runOff + int(o-w.runLo)
+		off := int(o - w.runLo)
 		n := int(min(w.total, o+w.maxLen) - o)
 		if w.p != nil {
 			if n = w.cut(off, n); n < int(from) {
 				continue
 			}
 		}
-		w.win[w.k] = batchWindow{off: off, n: n, from: int(from), weight: w.uses}
-		if w.k++; w.k == walkBatch {
-			w.flush()
+		w.walk(w.terms[off:off+n], int(from))
+	}
+}
+
+// walk interns every prefix of win, a window of ranks, and adds the
+// rule's use count to each prefix at least from symbols long.
+func (w *walker) walk(win []uint32, from int) {
+	var n uint32
+	for d, k := range win {
+		if n = w.t.intern(n, k); n == 0 {
+			return
+		}
+		if d+1 >= from {
+			w.t.Count[n] += w.uses
 		}
 	}
 }
 
-// extend brings vals and units up to the end of terms. A MinLen window
-// that does not lie inside one run never starts a walked window, so its
-// position gets MaxUint64.
+// extend brings vals and units up to the end of terms.
 func (w *walker) extend() {
 	n := len(w.terms)
 	w.units = slices.Grow(w.units, n+1-len(w.units))
@@ -572,9 +547,6 @@ func (w *walker) extend() {
 		w.units = append(w.units, addSat(w.units[i], w.cost[w.terms[i]]))
 	}
 	w.vals = slices.Grow(w.vals, n-len(w.vals))
-	for len(w.vals) < w.runOff {
-		w.vals = append(w.vals, math.MaxUint64)
-	}
 	m := w.p.minLen
 	for i := len(w.vals); i+m <= n; i++ {
 		w.vals = append(w.vals, w.baseValue(w.terms[i:i+m]))
@@ -606,46 +578,16 @@ func (w *walker) cut(off, n int) int {
 	return w.p.cut(w.vals[off:off+n-w.p.minLen+1], unit)
 }
 
-// flush walks the queued windows.
-func (w *walker) flush() {
-	t, win := w.t, w.win[:w.k]
-	depth := 0
-	for i := range win {
-		depth = max(depth, win[i].n)
-	}
-	for d := 0; d < depth && t.err == nil; d++ {
-		var sink uint32
-		for i := range win {
-			if b := &win[i]; d < b.n {
-				b.h = uint32(trieHash(b.node, uint64(w.terms[b.off+d])))
-				sink += t.slots[b.h&t.mask].id
-			}
-		}
-		w.sink += sink
-		for i := range win {
-			if b := &win[i]; d < b.n {
-				b.node = t.internHashed(b.h, b.node, w.terms[b.off+d])
-			}
-		}
-		for i := range win {
-			if b := &win[i]; d < b.n && d+1 >= b.from {
-				t.Count[b.node] += b.weight
-			}
-		}
-	}
-	w.k = 0
-}
-
 // CountWindows accumulates, for every distinct window of length l in the
 // grammar's expansion, its total occurrence count, keyed by the
 // concatenated 8-byte big-endian encodings of the window's symbols. It is
-// the single-length case of CountWindowRange, and panics if l is outside
-// 1..MaxWindowLen.
+// the single-length, unpruned, one-part case of CountWindowPart, and
+// panics if l is outside 1..MaxWindowLen.
 func (a *Analysis) CountWindows(l int, counts map[string]uint64) {
 	if l < 1 || l > MaxWindowLen {
 		panic(fmt.Sprintf("engine: CountWindows length %d outside 1..%d", l, MaxWindowLen))
 	}
-	t := a.CountWindowRange(l, l)
+	t := a.CountWindowPart(l, l, nil, 0, 1)
 	defer t.Release()
 	if t.err != nil {
 		panic(t.err) // 2^32 distinct windows or symbols in one grammar: beyond addressable memory

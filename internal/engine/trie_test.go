@@ -9,6 +9,15 @@ import (
 	"unsafe"
 )
 
+// CountWindowRange returns a trie counting every window of length
+// minLen..maxLen in the grammar's expansion, in one walk per start
+// position; windows shorter than minLen have count 0. It is the
+// unpruned, one-part case of CountWindowPart, the oracle the window-count
+// tests compare the parts and the pruned counts against.
+func (a *Analysis) CountWindowRange(minLen, maxLen int) *WindowTrie {
+	return a.CountWindowPart(minLen, maxLen, nil, 0, 1)
+}
+
 // trieCounts lists the trie's nonzero counts of length-l windows in
 // CountWindows' key form.
 func trieCounts(t *WindowTrie, l int) map[string]uint64 {
@@ -222,7 +231,8 @@ func checkRanks(t *testing.T, tr *WindowTrie) {
 // same counts as on a fresh trie. The query also merges another chunk's
 // trie and adds a seam window, each with events missing from A's
 // dictionary, so both paths that extend a dictionary run on the reused
-// trie.
+// trie. A trie whose slot table grew past maxKeptSlots keeps that many
+// slots on reset, and counts the same.
 func TestTrieReuseIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	symsB := randSyms(rng, 300, 6)
@@ -265,6 +275,16 @@ func TestTrieReuseIsolation(t *testing.T) {
 	}
 	if tr.Len() != fresh.Len() {
 		t.Fatalf("reused trie has %d nodes, fresh trie %d", tr.Len(), fresh.Len())
+	}
+
+	// A slot table grown past maxKeptSlots is cut back to it.
+	tr.rehash(4 * maxKeptSlots)
+	tr.Reset()
+	if len(tr.slots) != maxKeptSlots {
+		t.Fatalf("reset kept %d slots, want %d", len(tr.slots), maxKeptSlots)
+	}
+	if got := query(tr); !reflect.DeepEqual(got, want) {
+		t.Fatalf("trie reset from %d slots counts %d windows, fresh trie %d, or their counts differ", 4*maxKeptSlots, len(got), len(want))
 	}
 
 	// The same through the pool: every count of A, whatever trie it

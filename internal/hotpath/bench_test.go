@@ -11,21 +11,30 @@ import (
 // BenchmarkFindViewMono times FindView on monolithic WPP2 views of the
 // expr, sort and bfs artifacts the hot-query benchmark stores, at wpphot's
 // default options, on 1 and 2 workers: on 2 each pass splits the view's
-// single grammar into two parts of its rule bodies.
+// single grammar into two parts of its rule bodies. A last row runs the
+// medium-scale expr artifact at threshold 0.0005, the slowest of 0.01,
+// 0.001, 0.0005 and 0.0001 on it: the search whose pass 2 walks the most
+// windows.
 func BenchmarkFindViewMono(b *testing.B) {
-	opts := Options{MinLen: 4, MaxLen: 16, Threshold: 0.01}
 	for _, p := range []struct {
-		name string
-		arg  int64
-	}{{"expr", 150}, {"sort", 7000}, {"bfs", 450}} {
+		label, name string
+		arg         int64
+		threshold   float64
+	}{
+		{"expr", "expr", 150, 0.01},
+		{"sort", "sort", 7000, 0.01},
+		{"bfs", "bfs", 450, 0.01},
+		{"expr-medium-threshold=0.0005", "expr", 1200, 0.0005},
+	} {
 		wl, err := workloads.ByName(p.name)
 		if err != nil {
 			b.Fatal(err)
 		}
 		w, _ := programBoth(b, wl.Source, 1<<40, p.arg)
 		v := viewFor(b, w, wpp.FormatV2)
+		opts := Options{MinLen: 4, MaxLen: 16, Threshold: p.threshold}
 		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/workers=%d", p.name, workers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/workers=%d", p.label, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := FindView(v, opts, workers); err != nil {

@@ -59,9 +59,10 @@ type Metrics struct {
 	// CountSeconds times each chunk grammar's pass-2 window count. A
 	// search with MaxLen == MinLen has no pass 2.
 	CountSeconds *obsv.Histogram
-	// SeamSeconds times, per search, pass 2's merges of the chunk counts
-	// into the accumulator, summed over the chunks as each finishes, plus
-	// the count of the windows crossing chunk seams.
+	// SeamSeconds times, per search, pass 2's merges of each chunk's
+	// parts and of the chunk counts into the accumulator, summed over the
+	// chunks as each finishes, plus the count of the windows crossing
+	// chunk seams.
 	SeamSeconds *obsv.Histogram
 	// HarvestSeconds times, per search, the scan of the counted windows
 	// for minimal hot subpaths.
@@ -288,27 +289,27 @@ type pass struct {
 // source's trace, pruned by ps.prune, into one trie: each chunk's
 // windows, counted on its grammar, then the windows crossing chunk seams
 // (weight 1 each, attributed to the chunk holding their start — a single
-// chunk contributes none), pruned alike. The first chunk to finish keeps
-// its tries as the accumulator; each later chunk's tries are added to it
-// under one lock as soon as that chunk is counted, so the search holds
-// one chunk's tries per worker plus the accumulator, whatever the chunk
-// count. Merged tries are left to the garbage collector, not released to
-// the trie pool: a pooled trie keeps its grown slot table, so a small
-// count drawing it would probe a sparse table. Seam boundaries are kept
-// by chunk index, so the crossing windows are found in chunk order. A
-// source with fewer chunks than workers splits each chunk's rule bodies
-// into workers/chunks parts (engine.CountWindowPart), counted on the workers
-// the chunks leave idle and merged before the seam count; otherwise
-// there is one part. A source without chunks yields no trie. A source
-// whose chunks together hold more events than a uint64 counts fails
-// (engine.AddLength): its window counts could wrap.
+// chunk contributes none), pruned alike. A source with fewer chunks than
+// workers splits each chunk's rule bodies into workers/chunks parts
+// (engine.CountWindowPart), counted on the workers the chunks leave idle
+// and merged into the chunk's first part; otherwise there is one part.
+// The first chunk to finish keeps its trie as the accumulator; each later
+// chunk's trie is added to it under one lock as soon as that chunk is
+// counted, so the search holds one chunk's tries per worker plus the
+// accumulator, whatever the chunk count. Merged tries are left to the
+// garbage collector, not released to the trie pool: a pooled trie keeps
+// its grown slot table, so a small count drawing it would probe a sparse
+// table. Seam boundaries are kept by chunk index, so the crossing
+// windows are found in chunk order. A source without chunks yields no
+// trie. A source whose chunks together hold more events than a uint64
+// counts fails (engine.AddLength): its window counts could wrap.
 func countWindows(src engine.Source, workers int, ps pass, met *Metrics) (*engine.WindowTrie, error) {
 	n := src.NumChunks()
 	parts := max(1, engine.Workers(workers)/max(n, 1))
 	bounds := make([]engine.Boundary, n)
 	var (
 		mu    sync.Mutex
-		tries []*engine.WindowTrie // the accumulator, one trie per part
+		t     *engine.WindowTrie // the accumulator
 		merge time.Duration
 	)
 	err := engine.EachChunk(src, workers, func(i int, sn *sequitur.Snapshot) error {
@@ -320,14 +321,20 @@ func countWindows(src engine.Source, workers int, ps pass, met *Metrics) (*engin
 		})
 		ps.count.Observe(time.Since(start))
 		bounds[i] = a.Boundary(ps.maxLen - 1)
+		start = time.Now()
+		for _, o := range chunk[1:] {
+			chunk[0].Merge(o)
+		}
+		parted := time.Since(start)
 		mu.Lock()
 		defer mu.Unlock()
-		if tries == nil {
-			tries = chunk
+		merge += parted
+		if t == nil {
+			t = chunk[0]
 			return nil
 		}
 		start = time.Now()
-		eachPart(parts, func(s int) { tries[s].Merge(chunk[s]) })
+		t.Merge(chunk[0])
 		merge += time.Since(start)
 		return nil
 	})
@@ -340,14 +347,10 @@ func countWindows(src engine.Source, workers int, ps pass, met *Metrics) (*engin
 			return nil, fmt.Errorf("hotpath: %w", err)
 		}
 	}
-	if tries == nil {
+	if t == nil {
 		return nil, nil
 	}
 	start := time.Now()
-	t := tries[0]
-	for _, o := range tries[1:] {
-		t.Merge(o)
-	}
 	engine.CrossingWindows(bounds, ps.maxLen, func(window []uint64, from int) {
 		from = max(from, ps.minLen)
 		if l := ps.prune.Cut(window); from <= l {

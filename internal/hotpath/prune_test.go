@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sequitur"
@@ -77,10 +78,12 @@ func costOverflowArtifact() []byte {
 	return encodeArtifact([]uint64{0, 0, 0, 0}, []uint64{1 << 62}, 1<<63, 0)
 }
 
-// TestCostOverflowRejected: a minimal hot subpath whose cost does not fit
-// in 64 bits fails Find, on the view and on the decoded WPP, and
-// FindByScan with ErrCostOverflow, instead of being dropped or reported
-// with a wrapped cost. The artifact itself is well formed.
+// TestCostOverflowRejected: a trace whose total path cost does not fit in
+// 64 bits fails Verify(1), on the view and on the decoded WPP, with a
+// diagnostic naming the path-cost total. Its minimal hot subpaths' costs
+// overflow too, so Find, on the view and on the decoded WPP, and
+// FindByScan fail with ErrCostOverflow instead of dropping them or
+// reporting a wrapped cost.
 func TestCostOverflowRejected(t *testing.T) {
 	data := costOverflowArtifact()
 	if committed, err := os.ReadFile(costOverflowFile); err != nil || !bytes.Equal(committed, data) {
@@ -91,14 +94,16 @@ func TestCostOverflowRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.Close()
-	if err := v.Verify(1); err != nil {
-		t.Fatalf("Verify(1) = %v, want the artifact accepted", err)
-	}
 	a, err := wpp.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := a.(*wpp.WPP)
+	for name, art := range map[string]interface{ Verify(int) error }{"view": v, "WPP": w} {
+		if err := art.Verify(1); err == nil || !strings.Contains(err.Error(), "total path cost overflows 64 bits") {
+			t.Errorf("Verify(1) on the %s = %v, want a path-cost overflow", name, err)
+		}
+	}
 	for _, opts := range []Options{
 		{MinLen: 1, MaxLen: 2, Threshold: 0.5},
 		{MinLen: 2, MaxLen: 4, Threshold: 0.01}, // the wpphot defaults but for the lengths

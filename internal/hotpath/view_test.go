@@ -82,8 +82,9 @@ func main(n) {
 }
 
 // TestFindViewWorkersAgree: on every committed golden artifact (all
-// four formats), FindView answers identically at 1..4 workers — the
-// monolithic files split into prefix shards from 2 workers on.
+// four formats), FindView answers identically at 1..4 workers — from 2
+// workers on, each pass splits a monolithic file's rule bodies into
+// parts.
 func TestFindViewWorkersAgree(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "experiments", "testdata", "golden", "*"))
 	if err != nil || len(paths) == 0 {

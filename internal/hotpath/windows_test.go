@@ -87,11 +87,12 @@ func checkWindowParity(t *testing.T, label string, src engine.Source, want []map
 }
 
 // checkPartsSum checks that the parts of one grammar's window count,
-// at 1..maxParts parts, sum to its one-part count.
+// at 1..maxParts parts, sum to its one-part count, the unpruned count of
+// every window.
 func checkPartsSum(t *testing.T, label string, sn *sequitur.Snapshot, opts Options, maxParts int) {
 	t.Helper()
 	a := engine.NewAnalysis(sn)
-	want := trieCounts(a.CountWindowRange(opts.MinLen, opts.MaxLen), opts.MinLen, opts.MaxLen)
+	want := trieCounts(a.CountWindowPart(opts.MinLen, opts.MaxLen, nil, 0, 1), opts.MinLen, opts.MaxLen)
 	for parts := 1; parts <= maxParts; parts++ {
 		sum := engine.NewWindowTrie()
 		for s := 0; s < parts; s++ {

@@ -2,6 +2,7 @@ package wpp
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/engine"
@@ -54,10 +55,12 @@ func digramDupBound(events uint64, grammars int) int {
 // chunk, on `workers` goroutines (<=0 means GOMAXPROCS), passes
 // Validate, reachability, rule utility and has a cost entry for every
 // terminal; then the chunk lengths sum without overflow to the header's
-// event count, every chunk but the last expands to ChunkSize, and the
-// cost table holds exactly the events the grammars yield. digrams adds
-// the duplicate-digram count, the one costly measure. A chunk error is
-// the lowest-indexed failing chunk's.
+// event count, the chunks' path costs sum without overflow, every chunk
+// but the last expands to ChunkSize, and the cost table holds exactly
+// the events the grammars yield. The total path cost is not held to the
+// header's instruction count, which a daemon seal takes from its client.
+// digrams adds the duplicate-digram count, the one costly measure. A
+// chunk error is the lowest-indexed failing chunk's.
 func check(h *header, src engine.Source, workers int, digrams bool) (VerifyReport, error) {
 	n := src.NumChunks()
 	rep := VerifyReport{Kind: "monolithic", Events: h.events, Chunks: n, DistinctEvents: len(h.costs)}
@@ -86,12 +89,13 @@ func check(h *header, src engine.Source, workers int, digrams bool) (VerifyRepor
 	seen := make([]atomic.Bool, len(dict))
 	type facts struct {
 		events     uint64
+		cost       uint64
 		rules      int
 		dupDigrams int
 	}
 	per := make([]facts, n)
 	err := engine.EachChunk(src, workers, func(i int, sn *sequitur.Snapshot) error {
-		events, err := checkChunk(sn, rank, seen)
+		events, cost, err := checkChunk(sn, rank, h.costs, seen)
 		if err != nil {
 			label := "grammar"
 			if h.chunked {
@@ -99,7 +103,7 @@ func check(h *header, src engine.Source, workers int, digrams bool) (VerifyRepor
 			}
 			return fmt.Errorf("wpp: %s: %w", label, err)
 		}
-		per[i] = facts{events: events, rules: len(sn.Rules)}
+		per[i] = facts{events: events, cost: cost, rules: len(sn.Rules)}
 		if digrams {
 			per[i].dupDigrams = sn.DigramDuplicates()
 		}
@@ -109,10 +113,13 @@ func check(h *header, src engine.Source, workers int, digrams bool) (VerifyRepor
 		return rep, err
 	}
 
-	var total uint64
+	var total, cost, carry uint64
 	for _, f := range per {
 		if total, err = engine.AddLength(total, f.events); err != nil {
 			return rep, fmt.Errorf("wpp: %w", err)
+		}
+		if cost, carry = bits.Add64(cost, f.cost, 0); carry != 0 {
+			return rep, fmt.Errorf("wpp: total path cost overflows 64 bits")
 		}
 		rep.Rules += f.rules
 		rep.DupDigrams += f.dupDigrams
@@ -156,11 +163,12 @@ func check(h *header, src engine.Source, workers int, digrams bool) (VerifyRepor
 }
 
 // checkChunk runs check's per-chunk part on one grammar and returns its
-// expansion length. It marks each terminal's dictionary rank in seen.
-func checkChunk(sn *sequitur.Snapshot, rank map[uint64]uint64, seen []atomic.Bool) (uint64, error) {
+// expansion length and path cost, the sum of its events' costs. It marks
+// each terminal's dictionary rank in seen.
+func checkChunk(sn *sequitur.Snapshot, rank map[uint64]uint64, costs map[trace.Event]uint64, seen []atomic.Bool) (events, cost uint64, err error) {
 	lens, err := sn.CheckedLen()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	// In an acyclic grammar, rule utility implies reachability: among the
 	// unreachable rules, one that none of the others references is
@@ -169,9 +177,9 @@ func checkChunk(sn *sequitur.Snapshot, rank map[uint64]uint64, seen []atomic.Boo
 	for r, uses := range sn.RuleUses()[1:] {
 		if uses < 2 {
 			if dead := sn.UnreachableRules(); len(dead) > 0 {
-				return 0, fmt.Errorf("%d rule(s) unreachable from the start rule (first: %d)", len(dead), dead[0])
+				return 0, 0, fmt.Errorf("%d rule(s) unreachable from the start rule (first: %d)", len(dead), dead[0])
 			}
-			return 0, fmt.Errorf("rule %d referenced %d time(s), rule utility requires 2", r+1, uses)
+			return 0, 0, fmt.Errorf("rule %d referenced %d time(s), rule utility requires 2", r+1, uses)
 		}
 	}
 	for _, rhs := range sn.Rules {
@@ -181,12 +189,16 @@ func checkChunk(sn *sequitur.Snapshot, rank map[uint64]uint64, seen []atomic.Boo
 			}
 			r, ok := rank[s.Value]
 			if !ok {
-				return 0, fmt.Errorf("event %v has no recorded cost", trace.Event(s.Value))
+				return 0, 0, fmt.Errorf("event %v has no recorded cost", trace.Event(s.Value))
 			}
 			if !seen[r].Load() {
 				seen[r].Store(true)
 			}
 		}
 	}
-	return lens[0], nil
+	sums, err := sn.Weigh(func(v uint64) uint64 { return costs[trace.Event(v)] })
+	if err != nil {
+		return 0, 0, fmt.Errorf("total path cost overflows 64 bits")
+	}
+	return lens[0], sums[0], nil
 }
