@@ -2,7 +2,10 @@ package collect
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bl"
 	"repro/internal/interp"
@@ -77,20 +80,47 @@ func (s *finishSpy) Finish(instructions uint64) wpp.Artifact {
 	return s.Builder.Finish(instructions)
 }
 
-// TestRunDrainsOnError: a run that fails still finishes the builder,
-// which waits for the chunked pipeline's workers to exit.
+// TestRunDrainsOnError: a run that fails, on an interpreter fault or a
+// MaxInstrs stop, still finishes the builder, monolithic or chunked, and
+// every goroutine the build started has exited afterwards.
 func TestRunDrainsOnError(t *testing.T) {
-	prog := compile(t, `func main() { var i = 0; while i >= 0 { i = i + 1; } return 0; }`)
-	var spy *finishSpy
-	_, err := Run(prog, nil, interp.Config{MaxInstrs: 5000}, func(names []string, nums []*bl.Numbering) wpp.Builder {
-		spy = &finishSpy{Builder: wpp.New(names, nums, wpp.BuildOptions{ChunkSize: 16, Workers: 4})}
-		return spy
-	})
-	if err == nil {
-		t.Fatal("runaway run not aborted")
+	runs := []struct {
+		name string
+		src  string
+		cfg  interp.Config
+		want string // in the run's error
+	}{
+		{"fault", `func main() {
+    var i = 0;
+    var z = 0;
+    while i < 100000 { i = i + 1; if i == 3000 { z = 1 / (i - i); } }
+    return z;
+}`, interp.Config{}, "division by zero"},
+		{"max-instrs", `func main() { var i = 0; while i >= 0 { i = i + 1; } return 0; }`, interp.Config{MaxInstrs: 5000}, "limit"},
 	}
-	if !spy.finished {
-		t.Fatal("failed run left the builder unfinished")
+	for _, r := range runs {
+		prog := compile(t, r.src)
+		for _, opts := range []wpp.BuildOptions{{}, {ChunkSize: 16, Workers: 4}} {
+			base := runtime.NumGoroutine()
+			var spy *finishSpy
+			_, err := Run(prog, nil, r.cfg, func(names []string, nums []*bl.Numbering) wpp.Builder {
+				spy = &finishSpy{Builder: wpp.New(names, nums, opts)}
+				return spy
+			})
+			if err == nil || !strings.Contains(err.Error(), r.want) {
+				t.Fatalf("%s %+v: run error %v, want one mentioning %q", r.name, opts, err, r.want)
+			}
+			if !spy.finished || spy.Events() == 0 {
+				t.Fatalf("%s %+v: failed run left the builder unfinished (finished %v, %d events)", r.name, opts, spy.finished, spy.Events())
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s %+v: %d goroutines after the failed run, %d before", r.name, opts, runtime.NumGoroutine(), base)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
 	}
 }
 

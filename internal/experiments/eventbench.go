@@ -2,11 +2,12 @@ package experiments
 
 // EventBench is the event-path trajectory: a machine-readable measurement
 // of the whole builder ingestion chain — trace events in, sealed artifact
-// out — comparing the per-event path (one Add per event, each a
-// one-event batch with its own metric updates) against the batched path
-// (AddBatch slices feeding Grammar.AppendBatch, metrics amortized per
-// batch). The JSON keeps the "scalar" name for the per-event chain so
-// old and new trajectory files still diff. Both chains run with
+// out — comparing the per-event path (one Add per event through a sink
+// trampoline) against the batched path (AddBatch slices, the
+// interpreter's emission). Both fill the same batch buffers, which the
+// builder's workers feed to Grammar.AppendBatch. The JSON keeps the
+// "scalar" name for the per-event chain so old and new trajectory files
+// still diff. Both chains run with
 // BuildMetrics installed, the configuration every CLI deploys, and both
 // run back-to-back in one process on the same captured event stream, so
 // the speedup column is an honest same-machine ratio.
@@ -51,9 +52,9 @@ type EventBenchRow struct {
 	Events uint64 `json:"events"`
 	// Mono is the monolithic single-grammar chain, the wppbuild default.
 	Mono EventBenchChain `json:"mono"`
-	// Chunked is the parallel chunked pipeline. Its per-event and batch
-	// chains share the worker-side compressor, so the ratio isolates the
-	// ingestion feed and is structurally smaller than the mono speedup.
+	// Chunked is the chunked build on the configured worker pool. Like
+	// Mono, its per-event and batch chains share the worker-side
+	// compressor, so the ratio isolates the ingestion feed.
 	Chunked EventBenchChain `json:"chunked"`
 	// Encoded artifact sizes under each format, whole file.
 	WPP1Bytes int64 `json:"wpp1_bytes"`
@@ -72,8 +73,8 @@ var EventLayout = Layout[EventBenchRow]{
 	},
 	Notes: func(*Trajectory[EventBenchRow]) []string {
 		return []string{
-			"throughput in Mev/s over the Add/AddBatch feed with BuildMetrics installed (the deployed configuration); builder construction and Finish, identical on both chains, are untimed",
-			"chunked chains share the worker-side compressor; their ratio isolates the ingestion feed",
+			"throughput in Mev/s from the first Add/AddBatch to Finish's return, with BuildMetrics installed (the deployed configuration); builder construction is untimed",
+			"both chains of a strategy share the worker-side compressor, so their ratio isolates the ingestion feed",
 			"wpp2/wpp1 and wpc2/wpc1 are whole-file encoded size ratios; v2 is never larger by construction",
 		}
 	},
@@ -106,10 +107,9 @@ func sizeRatio(v2, v1 int64) string {
 // every event through a trace.SinkFunc trampoline and an interface
 // dispatch (how the pre-batch pipeline delivered events), the batched
 // chain through the interpreter's emission buffer (append per event,
-// one AddBatch per 4096-event slice). Builder construction and sealing
-// stay outside the timed region: they are identical work on both
-// chains, and the throughput being pinned is the per-event delivery
-// rate, not the one-time artifact sealing.
+// one AddBatch per 4096-event slice). The timed region is the feed plus
+// Finish, since compression runs on the builder's workers and a feed
+// may return before they are done.
 func feed(b iwpp.Builder, events []trace.Event, batched bool) {
 	if batched {
 		var sink trace.BatchSink = b
@@ -169,19 +169,18 @@ func EventBench(scale Scale, names []string, chunkSize uint64, workers, reps int
 		// the chain that pays it. The scalar and batched builds alternate
 		// within each repetition so a load spike on a shared machine hits
 		// both chains alike instead of skewing whichever phase it lands
-		// on. Only the feeds are timed: construction and Finish are
-		// byte-for-byte identical work on both chains, and folding their
-		// fixed cost into the rate would just dilute the per-event ratio
-		// on short traces, so their steps' times are dropped.
+		// on. Each chain is timed from its first event to Finish's
+		// return: the builder compresses on worker goroutines, so a feed
+		// returns once its batches are queued, and only Finish says the
+		// grammar is built. Construction stays untimed.
 		measurePair := func(opts func() iwpp.BuildOptions) (float64, float64, iwpp.Artifact) {
 			var b iwpp.Builder
 			var a iwpp.Artifact
 			d, _ := bestOf(reps, // no step returns an error
 				func() error { b = iwpp.New(art.Names, art.Numberings, opts()); return nil },
-				func() error { feed(b, art.Events, false); return nil },
-				func() error { b.Finish(instrs); b = iwpp.New(art.Names, art.Numberings, opts()); return nil },
-				func() error { feed(b, art.Events, true); return nil },
-				func() error { a = b.Finish(instrs); return nil },
+				func() error { feed(b, art.Events, false); b.Finish(instrs); return nil },
+				func() error { b = iwpp.New(art.Names, art.Numberings, opts()); return nil },
+				func() error { feed(b, art.Events, true); a = b.Finish(instrs); return nil },
 			)
 			n := float64(len(art.Events))
 			return n / d[1].Seconds(), n / d[3].Seconds(), a

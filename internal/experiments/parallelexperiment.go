@@ -25,7 +25,7 @@ type P1Row struct {
 	FindN   time.Duration // FindChunked, N workers
 }
 
-// P1 measures the parallel chunked pipeline: same stream, same chunk
+// P1 measures the chunked build on a worker pool: same stream, same chunk
 // size, 1 worker vs `workers` workers, for both construction and the
 // hot-subpath analysis. The outputs are verified identical before any
 // timing is reported, so the table can only ever show the cost of
@@ -40,7 +40,7 @@ func P1(scale Scale, names []string, chunkSize uint64, workers, reps int) ([]P1R
 		Title:  fmt.Sprintf("parallel chunked pipeline scaling (chunk=%d, N=%d, GOMAXPROCS=%d)", chunkSize, workers, runtime.GOMAXPROCS(0)),
 		Header: []string{"workload", "events", "chunks", "build w=1", fmt.Sprintf("build w=%d", workers), "speedup", "find w=1", fmt.Sprintf("find w=%d", workers)},
 		Notes: []string{
-			"build: ParallelChunkedBuilder wall time over a pre-captured stream; find: FindChunked (min 2, max 8, 0.5%)",
+			"build: wpp.New chunked build wall time over a pre-captured stream, Add to Finish; find: FindChunked (min 2, max 8, 0.5%)",
 			"wall-clock speedup requires free cores; outputs are byte-identical at every worker count",
 		},
 	}

@@ -198,8 +198,8 @@ func (ss *session) seal(req SealRequest, now time.Time) (SealResult, *apiError) 
 }
 
 // evict finalizes and forgets the session. Open sessions drain their
-// builder first (the parallel pipeline owns worker goroutines that
-// Finish joins), so eviction never leaks a pooled grammar or a worker.
+// builder first (every build owns worker goroutines that Finish joins),
+// so eviction never leaks a pooled grammar or a worker.
 // Safe to call twice; only the first call reports work done.
 func (ss *session) evict() bool {
 	ss.mu.Lock()
@@ -220,8 +220,10 @@ func (ss *session) evict() bool {
 // hotQuery answers a hot-subpath query. Sealed sessions answer from the
 // sealed artifact — bit-for-bit what wpphot computes on the same file.
 // Open monolithic sessions answer from a point-in-time snapshot of the
-// growing grammar (the paper's online premise made queryable); open
-// chunked sessions cannot snapshot mid-flight and answer 409.
+// growing grammar (the paper's online premise made queryable), which the
+// build's worker takes between two batches; the session lock only orders
+// the request after the frames already applied. Open chunked sessions
+// cannot snapshot mid-flight and answer 409.
 func (ss *session) hotQuery(opts hotpath.Options, k int) (HotResult, *apiError) {
 	ss.mu.Lock()
 	a, sealed := ss.artifact, ss.state == sessSealed
@@ -230,13 +232,13 @@ func (ss *session) hotQuery(opts hotpath.Options, k int) (HotResult, *apiError) 
 		ss.mu.Unlock()
 		return HotResult{}, errf(http.StatusGone, "session %s was evicted", ss.id)
 	case sessOpen:
-		snapper, ok := ss.builder.(iwpp.LiveSnapshotter)
-		if !ok {
+		w := ss.builder.(iwpp.LiveSnapshotter).SnapshotWPP()
+		if w == nil {
 			ss.mu.Unlock()
 			return HotResult{}, errf(http.StatusConflict,
 				"session %s is chunked: live queries need a monolithic session; seal first", ss.id)
 		}
-		a = snapper.SnapshotWPP()
+		a = w
 	}
 	ss.mu.Unlock()
 

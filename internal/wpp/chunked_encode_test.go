@@ -54,7 +54,7 @@ func TestChunkedEncodeRoundTrip(t *testing.T) {
 // TestDecodeAny decodes both containers through the one Decode entry
 // point and checks junk is refused.
 func TestDecodeAny(t *testing.T) {
-	mb := newMonoBuilder([]string{"f"}, nil, nil)
+	mb := New([]string{"f"}, nil, BuildOptions{})
 	cb := newRefBuilder([]string{"f"}, nil, 16)
 	for i := 0; i < 100; i++ {
 		mb.Add(trace.MakeEvent(0, uint64(i%3)))

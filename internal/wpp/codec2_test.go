@@ -63,7 +63,7 @@ func funcNames(events []trace.Event) []string {
 }
 
 func buildMonoFor(events []trace.Event) *WPP {
-	b := newMonoBuilder(funcNames(events), nil, nil)
+	b := New(funcNames(events), nil, BuildOptions{})
 	for _, e := range events {
 		b.Add(e)
 	}

@@ -11,7 +11,7 @@ import (
 // encodeMono builds and encodes a small monolithic artifact.
 func encodeMonoBytes(t testing.TB) []byte {
 	t.Helper()
-	b := newMonoBuilder([]string{"f"}, nil, nil)
+	b := New([]string{"f"}, nil, BuildOptions{})
 	for i := 0; i < 120; i++ {
 		b.Add(trace.MakeEvent(0, uint64(i%4)))
 	}
@@ -161,7 +161,7 @@ func TestDecodeArtifactRejectsOutOfRangeEvent(t *testing.T) {
 		t.Fatal("sanity: crafted event unexpectedly valid")
 	}
 
-	b := newMonoBuilder([]string{"f"}, nil, nil)
+	b := New([]string{"f"}, nil, BuildOptions{})
 	for i := 0; i < 20; i++ {
 		b.Add(trace.MakeEvent(0, uint64(i%3)))
 	}

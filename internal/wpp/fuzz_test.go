@@ -58,7 +58,7 @@ func FuzzChunkedParity(f *testing.F) {
 		}
 
 		sb := newRefBuilder(funcNames(events), nil, chunkSize)
-		pb := newParallelChunkedBuilder(funcNames(events), nil, BuildOptions{ChunkSize: chunkSize, Workers: nw})
+		pb := New(funcNames(events), nil, BuildOptions{ChunkSize: chunkSize, Workers: nw})
 		for _, e := range events {
 			sb.Add(e)
 			pb.Add(e)
@@ -135,7 +135,7 @@ func FuzzDecodeChunked(f *testing.F) {
 // chunked v1 artifact, bare and unknown magics, the empty file, and
 // truncations of both containers.
 func FuzzDecodeAny(f *testing.F) {
-	mb := newMonoBuilder([]string{"f"}, nil, nil)
+	mb := New([]string{"f"}, nil, BuildOptions{})
 	cb := newRefBuilder([]string{"f"}, nil, 16)
 	for i := 0; i < 200; i++ {
 		e := trace.MakeEvent(0, uint64(i%5))

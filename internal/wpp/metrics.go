@@ -9,30 +9,34 @@ import (
 	"repro/internal/sequitur"
 )
 
-// BuildMetrics is the instrumentation hook set shared by every builder
-// front-end. Any field may be nil — obsv metrics are nil-safe no-ops —
-// and a nil *BuildMetrics disables instrumentation entirely; the builders
-// treat it as a value with all-nil fields, so hot-path call sites need no
-// conditionals and never allocate.
+// BuildMetrics is the builder's instrumentation hook set. Any field may
+// be nil — obsv metrics are nil-safe no-ops — and a nil *BuildMetrics
+// disables instrumentation entirely; the builder treats it as a value
+// with all-nil fields, so hot-path call sites need no conditionals and
+// never allocate.
 type BuildMetrics struct {
-	// EventsIngested counts events accepted by Add across all builders.
+	// EventsIngested counts events handed to the workers, a batch at a
+	// time (Add's partly filled batch is counted when it is flushed).
 	EventsIngested *obsv.Counter
-	// ChunksSealed counts chunk buffers handed to compression.
+	// ChunksSealed counts chunks closed by the front-end.
 	ChunksSealed *obsv.Counter
-	// QueueDepth tracks the number of sealed chunks waiting for a worker.
+	// QueueDepth tracks the number of chunks waiting for a worker.
 	QueueDepth *obsv.Gauge
-	// PoolRecycles counts chunk buffers obtained from the recycle pool
-	// with capacity already allocated (a hit means steady-state reuse).
+	// PoolRecycles counts batch buffers taken from the free list with
+	// capacity already allocated (a hit means steady-state reuse).
 	PoolRecycles *obsv.Counter
 	// WorkerBusyNS and WorkerIdleNS accumulate nanoseconds the pool's
-	// workers spent compressing vs waiting for jobs, summed over workers.
+	// workers spent compressing vs waiting for batches, summed over
+	// workers.
 	WorkerBusyNS *obsv.Counter
 	WorkerIdleNS *obsv.Counter
-	// ChunkCompress is the per-chunk compression latency distribution.
+	// ChunkCompress is the distribution of per-chunk compression time:
+	// the time a worker spent appending the chunk's batches and sealing
+	// it, not the wall time the chunk was open.
 	ChunkCompress *obsv.Histogram
 	// Grammar instruments the SEQUITUR grammars doing the compressing
-	// (shared by all pool workers; counters sum, the table gauge tracks
-	// the most recently active grammar).
+	// (shared by all workers; counters sum, the table gauge tracks the
+	// most recently active grammar).
 	Grammar sequitur.Metrics
 }
 

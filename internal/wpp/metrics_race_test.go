@@ -18,7 +18,7 @@ func TestMetricsScrapeDuringParallelBuild(t *testing.T) {
 	reg := obsv.NewRegistry()
 	met := NewBuildMetrics(reg)
 	names := []string{"f0", "f1", "f2", "f3"}
-	b := newParallelChunkedBuilder(names, nil, BuildOptions{ChunkSize: 256, Workers: 4, Metrics: met})
+	b := New(names, nil, BuildOptions{ChunkSize: 256, Workers: 4, Metrics: met})
 
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup

@@ -1,6 +1,7 @@
 package wpp
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -50,7 +51,7 @@ func benchmarkParallelBuild(b *testing.B, workers int) {
 	b.SetBytes(int64(len(events) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pb := newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: benchChunk, Workers: workers})
+		pb := New(nil, nil, BuildOptions{ChunkSize: benchChunk, Workers: workers})
 		for _, e := range events {
 			pb.Add(e)
 		}
@@ -63,14 +64,17 @@ func BenchmarkParallelBuild2(b *testing.B) { benchmarkParallelBuild(b, 2) }
 func BenchmarkParallelBuild4(b *testing.B) { benchmarkParallelBuild(b, 4) }
 func BenchmarkParallelBuildN(b *testing.B) { benchmarkParallelBuild(b, runtime.GOMAXPROCS(0)) }
 
+// BenchmarkParallelBuildWorkloads runs both shapes of the one builder
+// on workload streams: chunked at 1 and GOMAXPROCS workers, and
+// monolithic (one chunk on one worker).
 func BenchmarkParallelBuildWorkloads(b *testing.B) {
 	for _, name := range []string{"compress", "expr", "sort"} {
 		events, _ := eventsFor(b, name)
-		for _, nw := range []int{1, runtime.GOMAXPROCS(0)} {
-			b.Run(name+"/w="+itoa(nw), func(b *testing.B) {
+		run := func(label string, opts BuildOptions) {
+			b.Run(name+"/"+label, func(b *testing.B) {
 				b.SetBytes(int64(len(events) * 8))
 				for i := 0; i < b.N; i++ {
-					pb := newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: 1024, Workers: nw})
+					pb := New(nil, nil, opts)
 					for _, e := range events {
 						pb.Add(e)
 					}
@@ -78,6 +82,10 @@ func BenchmarkParallelBuildWorkloads(b *testing.B) {
 				}
 			})
 		}
+		for _, nw := range []int{1, runtime.GOMAXPROCS(0)} {
+			run("w="+itoa(nw), BuildOptions{ChunkSize: 1024, Workers: nw})
+		}
+		run("mono", BuildOptions{})
 	}
 }
 
@@ -96,12 +104,14 @@ func itoa(n int) string {
 }
 
 // TestParallelOverheadBound is the benchmark regression guard: the
-// parallel pipeline at Workers=1 must stay within 1.2x of the per-event
-// reference build's wall time on the same stream (plus a small absolute
-// grace so sub-millisecond jitter cannot fail the build). The pipeline's
-// only extra work at one worker is buffering each chunk and one channel
-// hop per seal, which is far cheaper than grammar construction; a bigger
-// gap means the pipeline regressed.
+// builder at Workers=1 must stay within 1.2x of the per-event reference
+// build's wall time on the same stream (plus a small absolute grace so
+// sub-millisecond jitter cannot fail the build). It runs for a chunked
+// build against a chunked reference, and for a monolithic build against
+// a one-grammar reference. The builder's only extra work at one worker
+// is copying events into batches and one channel hop per batch, which is
+// far cheaper than grammar construction; a bigger gap means the pipeline
+// regressed — for example, a channel operation per Add.
 func TestParallelOverheadBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector intercepts every atomic op; the 1.2x bound only holds in normal builds")
@@ -112,38 +122,44 @@ func TestParallelOverheadBound(t *testing.T) {
 	}
 	events := benchStream(n)
 
-	reference := func() time.Duration {
-		start := time.Now()
-		cb := newRefBuilder(nil, nil, benchChunk)
-		for _, e := range events {
-			cb.Add(e)
+	for _, chunkSize := range []uint64{benchChunk, 0} {
+		reference := func() time.Duration {
+			start := time.Now()
+			refChunk := chunkSize
+			if refChunk == 0 {
+				refChunk = math.MaxUint64 // one grammar: the whole stream
+			}
+			cb := newRefBuilder(nil, nil, refChunk)
+			for _, e := range events {
+				cb.Add(e)
+			}
+			cb.Finish(uint64(n))
+			return time.Since(start)
 		}
-		cb.Finish(uint64(n))
-		return time.Since(start)
-	}
-	parallel := func() time.Duration {
-		start := time.Now()
-		pb := newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: benchChunk, Workers: 1})
-		for _, e := range events {
-			pb.Add(e)
+		parallel := func() time.Duration {
+			start := time.Now()
+			pb := New(nil, nil, BuildOptions{ChunkSize: chunkSize, Workers: 1})
+			for _, e := range events {
+				pb.Add(e)
+			}
+			pb.Finish(uint64(n))
+			return time.Since(start)
 		}
-		pb.Finish(uint64(n))
-		return time.Since(start)
-	}
 
-	// Best of five per side, the repetitions interleaved so that load
-	// from a neighbouring process hits both sides alike.
-	seq, par := time.Duration(1<<63-1), time.Duration(1<<63-1)
-	for rep := 0; rep < 5; rep++ {
-		seq = min(seq, reference())
-		par = min(par, parallel())
-	}
+		// Best of five per side, the repetitions interleaved so that load
+		// from a neighbouring process hits both sides alike.
+		seq, par := time.Duration(1<<63-1), time.Duration(1<<63-1)
+		for rep := 0; rep < 5; rep++ {
+			seq = min(seq, reference())
+			par = min(par, parallel())
+		}
 
-	const grace = 20 * time.Millisecond
-	limit := seq + seq/5 + grace // 1.2x + jitter grace
-	t.Logf("reference %v, parallel(w=1) %v, limit %v", seq, par, limit)
-	if par > limit {
-		t.Errorf("parallel pipeline at Workers=1 took %v, over the %v bound (reference %v)", par, limit, seq)
+		const grace = 20 * time.Millisecond
+		limit := seq + seq/5 + grace // 1.2x + jitter grace
+		t.Logf("chunk %d: reference %v, builder(w=1) %v, limit %v", chunkSize, seq, par, limit)
+		if par > limit {
+			t.Errorf("chunk %d: builder at Workers=1 took %v, over the %v bound (reference %v)", chunkSize, par, limit, seq)
+		}
 	}
 }
 
@@ -171,7 +187,7 @@ func TestInstrumentedOverheadBound(t *testing.T) {
 
 	build := func(met *BuildMetrics) time.Duration {
 		start := time.Now()
-		pb := newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: benchChunk, Workers: 1, Metrics: met})
+		pb := New(nil, nil, BuildOptions{ChunkSize: benchChunk, Workers: 1, Metrics: met})
 		for _, e := range events {
 			pb.Add(e)
 		}

@@ -43,7 +43,7 @@ func TestParallelStress(t *testing.T) {
 			chunkSize := uint64(1 + rng.Intn(64)) // tiny: hundreds to thousands of seals
 			workers := 1 + rng.Intn(8)
 
-			pb := newParallelChunkedBuilder(funcNames(events), nil, BuildOptions{ChunkSize: chunkSize, Workers: workers})
+			pb := New(funcNames(events), nil, BuildOptions{ChunkSize: chunkSize, Workers: workers})
 			for i, e := range events {
 				pb.Add(e)
 				// Randomize seal timing relative to worker progress: yield
@@ -88,7 +88,7 @@ func TestParallelBackpressure(t *testing.T) {
 	if testing.Short() {
 		n = 10000
 	}
-	b := newParallelChunkedBuilder([]string{"f"}, nil, BuildOptions{ChunkSize: 4, Workers: 1})
+	b := New([]string{"f"}, nil, BuildOptions{ChunkSize: 4, Workers: 1})
 	for i := 0; i < n; i++ {
 		b.Add(trace.MakeEvent(0, uint64(i%7)))
 	}

@@ -59,7 +59,7 @@ func feedReference(events []trace.Event, instrs, chunkSize uint64) *ChunkedWPP {
 }
 
 func feedParallel(events []trace.Event, instrs, chunkSize uint64, workers int) *ChunkedWPP {
-	b := newParallelChunkedBuilder(funcNames(events), nil, BuildOptions{ChunkSize: chunkSize, Workers: workers})
+	b := New(funcNames(events), nil, BuildOptions{ChunkSize: chunkSize, Workers: workers})
 	for _, e := range events {
 		b.Add(e)
 	}
@@ -146,7 +146,7 @@ func TestParallelCostsMatchSequential(t *testing.T) {
 	}
 	names := prog.FuncNames()
 	var seqB *refBuilder
-	var parB *ParallelChunkedBuilder
+	var parB Builder
 	m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
 		seqB.Add(e)
 		parB.Add(e)
@@ -155,7 +155,7 @@ func TestParallelCostsMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqB = newRefBuilder(names, m.Numberings(), 128)
-	parB = newParallelChunkedBuilder(names, m.Numberings(), BuildOptions{ChunkSize: 128, Workers: 3})
+	parB = New(names, m.Numberings(), BuildOptions{ChunkSize: 128, Workers: 3})
 	if _, err := m.Run("main", w.Small); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestParallelCostsMatchSequential(t *testing.T) {
 
 func TestParallelEmpty(t *testing.T) {
 	for _, nw := range []int{1, 4} {
-		b := newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: 10, Workers: nw})
+		b := New(nil, nil, BuildOptions{ChunkSize: 10, Workers: nw})
 		c := b.Finish(0).(*ChunkedWPP)
 		if err := c.Verify(1); err != nil {
 			t.Fatal(err)
@@ -190,17 +190,8 @@ func TestParallelEmpty(t *testing.T) {
 	}
 }
 
-func TestParallelBuilderValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero chunk size accepted")
-		}
-	}()
-	newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: 0})
-}
-
 func TestParallelFinishTwicePanics(t *testing.T) {
-	b := newParallelChunkedBuilder(nil, nil, BuildOptions{ChunkSize: 10, Workers: 1})
+	b := New(nil, nil, BuildOptions{ChunkSize: 10, Workers: 1})
 	b.Add(trace.MakeEvent(0, 1))
 	b.Finish(1)
 	defer func() {

@@ -6,7 +6,7 @@ import (
 	"repro/internal/trace"
 )
 
-// refBuilder is the test reference ParallelChunkedBuilder is held to: a
+// refBuilder is the test reference the builder is held to: a
 // chunked WPP built the plain way, on the caller's goroutine, one event
 // at a time. One sequitur.Grammar is reused through Reset at each seal,
 // each distinct event is priced as it arrives, and PeakLiveRHS samples

@@ -1,6 +1,8 @@
 package wpp
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -29,13 +31,13 @@ func liveNames() []string { return make([]string, 128) }
 func TestSnapshotWPPMatchesPrefixBuild(t *testing.T) {
 	events := liveEvents(800)
 	for _, cut := range []int{0, 1, 137, 400, 800} {
-		live := newMonoBuilder(liveNames(), nil, nil)
+		live := New(liveNames(), nil, BuildOptions{}).(*builder)
 		for _, e := range events[:cut] {
 			live.Add(e)
 		}
 		snap := live.SnapshotWPP()
 
-		ref := newMonoBuilder(liveNames(), nil, nil)
+		ref := New(liveNames(), nil, BuildOptions{})
 		for _, e := range events[:cut] {
 			ref.Add(e)
 		}
@@ -87,7 +89,7 @@ func TestSnapshotWPPMatchesPrefixBuild(t *testing.T) {
 // snapshot's copied costs.
 func TestSnapshotWPPAfterBatchedIngest(t *testing.T) {
 	events := liveEvents(600)
-	live := newMonoBuilder(liveNames(), nil, nil)
+	live := New(liveNames(), nil, BuildOptions{}).(*builder)
 	live.AddBatch(events[:300])
 	snap := live.SnapshotWPP()
 	if got := snap.DistinctPaths(); got == 0 {
@@ -111,7 +113,7 @@ func TestSnapshotWPPAfterBatchedIngest(t *testing.T) {
 // TestSnapshotWPPInstructionsIsTotalPathCost pins the documented live
 // denominator.
 func TestSnapshotWPPInstructionsIsTotalPathCost(t *testing.T) {
-	live := newMonoBuilder(liveNames(), nil, nil)
+	live := New(liveNames(), nil, BuildOptions{}).(*builder)
 	live.AddBatch(liveEvents(256))
 	snap := live.SnapshotWPP()
 	if snap.Instructions != snap.TotalPathCost() {
@@ -124,7 +126,7 @@ func TestSnapshotWPPInstructionsIsTotalPathCost(t *testing.T) {
 
 // TestTotalPathCostWeighted checks the weighted sum against a direct walk.
 func TestTotalPathCostWeighted(t *testing.T) {
-	b := newMonoBuilder(liveNames(), nil, nil)
+	b := New(liveNames(), nil, BuildOptions{})
 	events := liveEvents(512)
 	for _, e := range events {
 		b.Add(e)
@@ -135,5 +137,38 @@ func TestTotalPathCostWeighted(t *testing.T) {
 	w.Walk(func(e trace.Event) bool { want += w.PathCost(e); return true })
 	if got := w.TotalPathCost(); got != want {
 		t.Fatalf("TotalPathCost = %d, walked sum = %d", got, want)
+	}
+}
+
+// TestSnapshotWPPAcrossBatches: snapshots taken after whole batches and
+// inside a partly filled one each cover exactly the events added so
+// far, and the build seals byte-identical to one never snapshotted.
+func TestSnapshotWPPAcrossBatches(t *testing.T) {
+	events := liveEvents(3*batchEvents + 100)
+	live := New(liveNames(), nil, BuildOptions{}).(*builder)
+	ref := New(liveNames(), nil, BuildOptions{})
+	cuts := map[int]bool{batchEvents: true, batchEvents + 1: true, 2*batchEvents + 77: true, len(events): true}
+	for i, e := range events {
+		live.Add(e)
+		ref.Add(e)
+		if !cuts[i+1] {
+			continue
+		}
+		snap := live.SnapshotWPP()
+		var walked []trace.Event
+		snap.Walk(func(e trace.Event) bool { walked = append(walked, e); return true })
+		if snap.Events != uint64(i+1) || !reflect.DeepEqual(walked, events[:i+1]) {
+			t.Fatalf("snapshot after %d events covers %d (walks %d)", i+1, snap.Events, len(walked))
+		}
+	}
+	var got, want bytes.Buffer
+	if _, err := live.Finish(9).Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Finish(9).Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("snapshotted build seals differently from an unsnapshotted one")
 	}
 }

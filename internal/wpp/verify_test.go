@@ -12,7 +12,7 @@ import (
 // buildVerifyWPP compresses a synthetic event stream with the monolithic
 // builder.
 func buildVerifyWPP(events []trace.Event) *WPP {
-	b := newMonoBuilder([]string{"f0", "f1"}, nil, nil)
+	b := New([]string{"f0", "f1"}, nil, BuildOptions{})
 	for _, e := range events {
 		b.Add(e)
 	}
@@ -153,8 +153,8 @@ func TestVerifyArtifactEmpty(t *testing.T) {
 // through a view.
 func TestVerifyRejectsUnknownFunction(t *testing.T) {
 	events := []trace.Event{trace.MakeEvent(0, 1), trace.MakeEvent(1, 2), trace.MakeEvent(0, 1)}
-	b := newParallelChunkedBuilder([]string{"f0"}, nil, BuildOptions{ChunkSize: 2, Workers: 1})
-	m := newMonoBuilder([]string{"f0"}, nil, nil)
+	b := New([]string{"f0"}, nil, BuildOptions{ChunkSize: 2, Workers: 1})
+	m := New([]string{"f0"}, nil, BuildOptions{})
 	for _, e := range events {
 		b.Add(e)
 		m.Add(e)

@@ -182,8 +182,10 @@ func parseFuncTable(r *byteReader) ([]FuncInfo, error) {
 	if numFuncs > trace.MaxFuncs {
 		return nil, fmt.Errorf("wpp: implausible function count %d", numFuncs)
 	}
-	funcs := make([]FuncInfo, numFuncs)
-	for i := range funcs {
+	// Each entry takes at least two bytes (name length and path count),
+	// so the bytes left bound the table before any entry is read.
+	funcs := make([]FuncInfo, 0, min(numFuncs, uint64(len(r.data)-r.off)/2))
+	for range numFuncs {
 		nameLen, err := r.uvarint("name length")
 		if err != nil {
 			return nil, err
@@ -195,10 +197,11 @@ func parseFuncTable(r *byteReader) ([]FuncInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		funcs[i].Name = string(name)
-		if funcs[i].NumPaths, err = r.uvarint("path count"); err != nil {
+		fi := FuncInfo{Name: string(name)}
+		if fi.NumPaths, err = r.uvarint("path count"); err != nil {
 			return nil, err
 		}
+		funcs = append(funcs, fi)
 	}
 	return funcs, nil
 }

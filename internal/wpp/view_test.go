@@ -279,6 +279,25 @@ func TestViewPartsCorruptChunk(t *testing.T) {
 	}
 }
 
+// TestViewFuncTableAllocBounded: the function table is sized by the
+// bytes left, not by the count the header declares. The 8-byte header
+// "WPP1" + uvarint 2^21 (also a FuzzViewParity and FuzzViewAnalyses
+// seed) declares 2^21 functions and ends there; sizing the table by the
+// count allocated ~50 MB before the missing name length failed the open.
+func TestViewFuncTableAllocBounded(t *testing.T) {
+	data := []byte("WPP1\x80\x80\x80\x01")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewView(data, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "name length") {
+		t.Fatalf("NewView = %v, want a name-length error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("NewView on %d bytes allocated %d bytes, want at most 1 MiB", len(data), got)
+	}
+}
+
 // TestViewCorruptFileTypedErrors pins the other half of the
 // no-silent-garbage guarantee for self-contained byte views: header
 // corruption is rejected at open, and framing corruption inside the

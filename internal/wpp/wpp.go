@@ -14,7 +14,6 @@ package wpp
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/bl"
 	"repro/internal/sequitur"
@@ -60,58 +59,6 @@ type WPP struct {
 	// costs maps each distinct event to the instruction count of its
 	// acyclic path.
 	costs map[trace.Event]uint64
-}
-
-// MonoBuilder accumulates a WPP online: the monolithic strategy behind
-// New, one SEQUITUR grammar over the whole stream.
-type MonoBuilder struct {
-	grammar *sequitur.Grammar
-	funcs   []FuncInfo
-	nums    []*bl.Numbering
-	events  uint64
-	metrics BuildMetrics
-	start   time.Time // first event; the report's wall time runs from here
-	report  *BuildReport
-}
-
-// newMonoBuilder returns a monolithic builder for a program whose
-// functions have the given Ball–Larus numberings (indexed by function
-// ID, as produced by interp.Machine.Numberings), instrumented by m (nil
-// disables instrumentation).
-func newMonoBuilder(names []string, nums []*bl.Numbering, m *BuildMetrics) *MonoBuilder {
-	b := &MonoBuilder{
-		grammar: sequitur.New(),
-		funcs:   funcTable(names, nums),
-		nums:    nums,
-		metrics: m.orNoop(),
-	}
-	b.grammar.SetMetrics(b.metrics.Grammar)
-	return b
-}
-
-// Add feeds one path event to the grammar: the one-event case of
-// AddBatch. Like AddBatch it does not price the event; an invalid event
-// (one the numberings cannot regenerate) surfaces at Finish or
-// SnapshotWPP, where the cost table is derived.
-func (b *MonoBuilder) Add(e trace.Event) {
-	one := [1]trace.Event{e}
-	b.AddBatch(one[:])
-}
-
-// AddBatch feeds a slice of path events to the grammar, equivalent to
-// calling Add for each element. The cost of each distinct path is
-// derived from the grammar's terminals at Finish (see fillCosts), so
-// invalid events surface there rather than at ingestion.
-func (b *MonoBuilder) AddBatch(es []trace.Event) {
-	if b.start.IsZero() {
-		b.start = time.Now()
-	}
-	if len(es) == 0 {
-		return
-	}
-	sequitur.AppendBatchOf(b.grammar, es)
-	b.events += uint64(len(es))
-	b.metrics.EventsIngested.Add(uint64(len(es)))
 }
 
 // funcTable is the function table a builder records: one entry per
@@ -181,65 +128,6 @@ func fillCosts(nums []*bl.Numbering, snaps ...*sequitur.Snapshot) map[trace.Even
 		}
 	}
 	return costs
-}
-
-// Events reports the number of events consumed so far.
-func (b *MonoBuilder) Events() uint64 { return b.events }
-
-// Finish seals the WPP and records the build report. instructions is
-// the total executed instruction count (interp.Stats.Instructions).
-func (b *MonoBuilder) Finish(instructions uint64) Artifact {
-	if b.start.IsZero() {
-		b.start = time.Now()
-	}
-	w := b.snapshot()
-	w.Instructions = instructions
-	r := BuildReport{
-		Events:        w.Events,
-		Chunks:        1,
-		DistinctPaths: w.DistinctPaths(),
-		Workers:       1,
-		BytesIn:       rawTraceBytes([]*sequitur.Snapshot{w.Grammar}),
-		BytesOut:      w.EncodedSize(),
-		WallTime:      time.Since(b.start),
-		WorkerBusy:    []float64{1},
-	}
-	if r.BytesOut > 0 {
-		r.Ratio = float64(r.BytesIn) / float64(r.BytesOut)
-	}
-	b.report = &r
-	return w
-}
-
-// Report returns the build summary; nil before Finish.
-func (b *MonoBuilder) Report() *BuildReport { return b.report }
-
-// snapshot is the grammar at its current state as an artifact, without
-// an instruction total.
-func (b *MonoBuilder) snapshot() *WPP {
-	snap := b.grammar.Snapshot()
-	costs := fillCosts(b.nums, snap)
-	return &WPP{
-		Funcs:   sealedFuncs(b.funcs, costs),
-		Grammar: snap,
-		Events:  b.events,
-		costs:   costs,
-	}
-}
-
-// SnapshotWPP captures the still-growing build as a queryable WPP
-// without sealing it: the grammar is snapshotted at its current state,
-// the cost table is derived from the snapshot's terminals exactly as
-// Finish derives it, and the builder continues unaffected. Because the
-// executed-instruction total is not known until the trace ends, the
-// snapshot's Instructions is set to TotalPathCost — the cost-weighted
-// trace length — so hot-subpath fractions stay well defined mid-stream. The caller must serialize
-// SnapshotWPP against Add/AddBatch; the returned WPP shares nothing
-// mutable with the builder.
-func (b *MonoBuilder) SnapshotWPP() *WPP {
-	w := b.snapshot()
-	w.Instructions = w.TotalPathCost()
-	return w
 }
 
 // TotalPathCost is the cost-weighted length of the trace: the sum over

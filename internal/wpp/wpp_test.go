@@ -36,7 +36,7 @@ func buildWPP(t *testing.T, src string, args ...int64) (*WPP, []trace.Event) {
 		t.Fatal(err)
 	}
 	var raw []trace.Event
-	var b *MonoBuilder
+	var b Builder
 	m, err := interp.New(p, interp.Config{Mode: interp.PathTrace, Sink: trace.SinkFunc(func(e trace.Event) {
 		raw = append(raw, e)
 		b.Add(e)
@@ -45,7 +45,7 @@ func buildWPP(t *testing.T, src string, args ...int64) (*WPP, []trace.Event) {
 		t.Fatal(err)
 	}
 	names := p.FuncNames()
-	b = newMonoBuilder(names, m.Numberings(), nil)
+	b = New(names, m.Numberings(), BuildOptions{})
 	if _, err := m.Run("main", args...); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestVerifyCatchesTruncatedEvents(t *testing.T) {
 }
 
 func TestBuilderWithoutNumberings(t *testing.T) {
-	b := newMonoBuilder([]string{"f"}, nil, nil)
+	b := New([]string{"f"}, nil, BuildOptions{})
 	for i := 0; i < 10; i++ {
 		b.Add(trace.MakeEvent(0, uint64(i%3)))
 	}
@@ -195,7 +195,7 @@ func TestBuilderWithoutNumberings(t *testing.T) {
 }
 
 func TestGrowthSampling(t *testing.T) {
-	b := newMonoBuilder([]string{"f"}, nil, nil)
+	b := New([]string{"f"}, nil, BuildOptions{}).(*builder)
 	var prevRules int
 	for i := 0; i < 5000; i++ {
 		b.Add(trace.MakeEvent(0, uint64(i%7)))
@@ -217,7 +217,7 @@ func TestGrowthSampling(t *testing.T) {
 }
 
 func TestEmptyWPP(t *testing.T) {
-	b := newMonoBuilder(nil, nil, nil)
+	b := New(nil, nil, BuildOptions{})
 	w := b.Finish(0)
 	if err := w.Verify(1); err != nil {
 		t.Fatal(err)
@@ -244,15 +244,14 @@ func TestAnonymousBuildNamesFunctions(t *testing.T) {
 	want := []FuncInfo{{Name: "f0"}, {Name: "f1"}, {Name: "f2"}, {Name: "f3"}}
 	for _, opts := range []BuildOptions{{}, {ChunkSize: 2, Workers: 2}} {
 		b := New(nil, nil, opts)
-		if s, ok := b.(LiveSnapshotter); ok {
-			b.AddBatch(events[:2])
-			if got := s.SnapshotWPP().Funcs; !reflect.DeepEqual(got, want) {
-				t.Fatalf("%+v: snapshot names %v, want %v", opts, got, want)
-			}
-			b.AddBatch(events[2:])
-		} else {
-			b.AddBatch(events)
+		b.AddBatch(events[:2])
+		// Only a monolithic build has one grammar to snapshot.
+		if snap := b.(LiveSnapshotter).SnapshotWPP(); (snap != nil) != (opts.ChunkSize == 0) {
+			t.Fatalf("%+v: snapshot %v", opts, snap)
+		} else if snap != nil && !reflect.DeepEqual(snap.Funcs, want) {
+			t.Fatalf("%+v: snapshot names %v, want %v", opts, snap.Funcs, want)
 		}
+		b.AddBatch(events[2:])
 		a := b.Finish(uint64(len(events)))
 		if got := a.FuncTable(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v: sealed names %v, want %v", opts, got, want)
@@ -287,6 +286,13 @@ func TestReportNilBeforeFinish(t *testing.T) {
 	}
 }
 
-// GrammarStats exposes the live grammar size, for tests that sample the
-// builder mid-stream.
-func (b *MonoBuilder) GrammarStats() sequitur.Stats { return b.grammar.Stats() }
+// GrammarStats measures a monolithic build's live grammar on a snapshot,
+// for tests that sample the builder mid-stream.
+func (b *builder) GrammarStats() sequitur.Stats {
+	w := b.SnapshotWPP()
+	st := sequitur.Stats{Terminals: w.Events, Rules: len(w.Grammar.Rules)}
+	for _, rhs := range w.Grammar.Rules {
+		st.RHSSymbols += len(rhs)
+	}
+	return st
+}
