@@ -41,6 +41,9 @@ type Analysis struct {
 	// after symbol j (CumLens[r][0] == 0).
 	CumLens [][]uint64
 
+	// order lists every rule, children before parents (topoOrder).
+	order []int32
+
 	// The window counts' symbol ranks, built once by rankTerminals:
 	// dict lists the distinct terminals in ascending order, so rank k is
 	// event dict[k], and ranked is Snap.Rules with every terminal's Value
@@ -48,6 +51,11 @@ type Analysis struct {
 	rankOnce sync.Once
 	dict     []uint64
 	ranked   [][]sequitur.Sym
+
+	// ends is the rank-end cache every count on this grammar shares
+	// (rankEnds), built under endsMu.
+	endsMu sync.Mutex
+	ends   *rankEnds
 }
 
 // NewAnalysis computes the memoized per-rule data for one snapshot: one
@@ -56,7 +64,8 @@ type Analysis struct {
 func NewAnalysis(snap *sequitur.Snapshot) *Analysis {
 	n := len(snap.Rules)
 	a := &Analysis{Snap: snap, ExpLen: make([]uint64, n), Uses: make([]uint64, n), CumLens: make([][]uint64, n)}
-	order := a.topoOrder()
+	a.order = a.topoOrder()
+	order := a.order
 	// One backing array for every rule's table, as in Snapshot.
 	size := 0
 	for _, rhs := range snap.Rules {
@@ -148,7 +157,12 @@ func (a *Analysis) Collect(r int32, start, length uint64, out []uint64) []uint64
 	rhs := a.Snap.Rules[r]
 	cum := a.CumLens[r]
 	// Binary search for the first RHS symbol whose span contains start.
-	j := sort.Search(len(rhs), func(j int) bool { return cum[j+1] > start })
+	// A range from the rule's first position, such as one entering a
+	// child at its head, starts at symbol 0.
+	j := 0
+	if start > 0 {
+		j = sort.Search(len(rhs), func(j int) bool { return cum[j+1] > start })
+	}
 	for ; length > 0 && j < len(rhs); j++ {
 		s := rhs[j]
 		if !s.IsRule() {
@@ -177,13 +191,29 @@ const maxEnd = 32
 // expansion. A run the walk collects reaches at most MaxLen-1 positions
 // past a body symbol's end on either side, so with k = MaxLen-1 it copies
 // the part of the run that covers a child's head or tail from the cache
-// instead of descending into the child.
+// instead of descending into the child. A cache of any width collects
+// the same ranks.
 type rankEnds struct {
 	a *Analysis
 	k uint64
-	// heads[r] holds rule r's first terminals' ranks, tails[r] its last
-	// ones', last first.
+	// heads[r] holds the ranks of rule r's first terminals, tails[r]
+	// those of its last ones, both in trace order.
 	heads, tails [][]uint32
+}
+
+// rankEnds returns the grammar's rank-end cache, at least min(k, maxEnd)
+// wide. The counts on one grammar share one cache: the first count
+// builds it, and a later count that asks for a wider one replaces it, so
+// a search whose first pass asks for the narrower width builds it twice
+// at most. rankTerminals must have run.
+func (a *Analysis) rankEnds(k int) *rankEnds {
+	k = min(k, maxEnd)
+	a.endsMu.Lock()
+	defer a.endsMu.Unlock()
+	if a.ends == nil || a.ends.k < uint64(k) {
+		a.ends = newRankEnds(a, k)
+	}
+	return a.ends
 }
 
 // newRankEnds builds the cache of width min(k, maxEnd), children before
@@ -197,7 +227,7 @@ func newRankEnds(a *Analysis, k int) *rankEnds {
 		size += 2 * int(min(uint64(k), l))
 	}
 	flat := make([]uint32, 0, size)
-	for _, r := range a.topoOrder() {
+	for _, r := range a.order {
 		rhs := a.ranked[r]
 		from := len(flat)
 		for j := 0; j < len(rhs) && len(flat)-from < k; j++ {
@@ -209,53 +239,73 @@ func newRankEnds(a *Analysis, k int) *rankEnds {
 			}
 		}
 		e.heads[r] = flat[from:len(flat):len(flat)]
+		// The tail is gathered last first, then put in trace order.
 		from = len(flat)
 		for j := len(rhs) - 1; j >= 0 && len(flat)-from < k; j-- {
 			if s := rhs[j]; s.IsRule() {
 				t := e.tails[s.Rule]
-				flat = append(flat, t[:min(len(t), k-(len(flat)-from))]...)
+				for i := len(t) - 1; i >= 0 && len(flat)-from < k; i-- {
+					flat = append(flat, t[i])
+				}
 			} else {
 				flat = append(flat, uint32(s.Value))
 			}
 		}
+		slices.Reverse(flat[from:])
 		e.tails[r] = flat[from:len(flat):len(flat)]
 	}
 	return e
 }
 
 // collect appends the ranks of the terminals of rule r's expansion in
-// [start, start+length) to out.
-func (e *rankEnds) collect(r int32, start, length uint64, out []uint32) []uint32 {
+// [start, start+length) to out. j is the index of a body symbol at or
+// before the one holding start, from which collect looks forward;
+// collect returns out and the index of the symbol holding the last
+// position it collected. A walk moves forward through a rule, so it
+// hands each call the index the previous one returned, and no call
+// searches the body.
+func (e *rankEnds) collect(r int32, j int, start, length uint64, out []uint32) ([]uint32, int) {
+	if length == 0 {
+		return out, j
+	}
 	a := e.a
 	rhs := a.ranked[r]
 	cum := a.CumLens[r]
-	j := sort.Search(len(rhs), func(j int) bool { return cum[j+1] > start })
-	for ; length > 0 && j < len(rhs); j++ {
+	for cum[j+1] <= start {
+		j++
+	}
+	for ; ; j++ {
 		s := rhs[j]
 		if !s.IsRule() {
 			out = append(out, uint32(s.Value))
 			length--
-			start = cum[j+1]
-			continue
-		}
-		childStart := start - cum[j]
-		n := a.ExpLen[s.Rule]
-		take := min(length, n-childStart)
-		switch {
-		case take <= e.k && childStart == 0:
-			out = append(out, e.heads[s.Rule][:take]...)
-		case take <= e.k && childStart+take == n:
-			t := e.tails[s.Rule]
-			for i := int(take) - 1; i >= 0; i-- {
-				out = append(out, t[i])
+		} else {
+			childStart := start - cum[j]
+			n := a.ExpLen[s.Rule]
+			take := min(length, n-childStart)
+			switch {
+			case take <= e.k && childStart == 0:
+				out = append(out, e.heads[s.Rule][:take]...)
+			case take <= e.k && childStart+take == n:
+				t := e.tails[s.Rule]
+				out = append(out, t[uint64(len(t))-take:]...)
+			default:
+				// Inside a child, the first symbol of a range that starts
+				// past its head is found by binary search.
+				c := 0
+				if childStart > 0 {
+					ccum := a.CumLens[s.Rule]
+					c = sort.Search(len(ccum)-1, func(c int) bool { return ccum[c+1] > childStart })
+				}
+				out, _ = e.collect(s.Rule, c, childStart, take, out)
 			}
-		default:
-			out = e.collect(s.Rule, childStart, take, out)
+			length -= take
 		}
-		length -= take
+		if length == 0 {
+			return out, j
+		}
 		start = cum[j+1]
 	}
-	return out
 }
 
 // rankTerminals builds dict and ranked on first use; the parts

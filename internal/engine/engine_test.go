@@ -106,7 +106,8 @@ func TestCollectMatchesDirectSlicing(t *testing.T) {
 		}
 		k := rng.Intn(41)
 		got = got[:0]
-		for _, r := range newRankEnds(a, k).collect(0, start, length, nil) {
+		ranks, _ := newRankEnds(a, k).collect(0, 0, start, length, nil)
+		for _, r := range ranks {
 			got = append(got, a.dict[r])
 		}
 		if !reflect.DeepEqual(got, want) {

@@ -13,26 +13,57 @@ import (
 // grammar by Analysis.CumLens (Analysis.Collect), in O(grammar depth x
 // log fanout) per position.
 //
-// Building it loads every chunk once, one at a time, to learn its
-// length. A query then loads only the chunks its range touches, and the
-// Analysis of the chunk used last is kept, so queries that move forward
-// through the trace load each chunk once. A Positions is safe for
-// concurrent use.
+// Building it takes the chunk lengths from the source's header when the
+// source states them (HeaderSource), and otherwise loads every chunk
+// once, one at a time, to learn its length. A query then loads only the
+// chunks its range touches, and the Analysis of the chunk used last is
+// kept, so queries that move forward through the trace load each chunk
+// once. A Positions is safe for concurrent use.
 type Positions struct {
 	src  Source
 	ends []uint64 // ends[c] is the number of events in chunks 0..c
+	// hdr is src when ends came from its header: each chunk is then held
+	// to its stated length when it loads.
+	hdr HeaderSource
 
 	mu   sync.Mutex
 	last int // chunk index of cur; -1 before the first query
 	cur  *Analysis
 }
 
+// HeaderSource is a Source whose header states every chunk's expansion
+// length, so it can be indexed by position without loading a chunk.
+type HeaderSource interface {
+	Source
+	// ChunkLengths returns the chunk lengths the header states, or false
+	// if the header cannot state them consistently.
+	ChunkLengths() ([]uint64, bool)
+	// LengthError reports that chunk i, once loaded, expands to got
+	// events, not the length ChunkLengths stated.
+	LengthError(i int, got uint64) error
+}
+
 // NewPositions indexes src's chunks by event position. It fails if a
-// chunk does, or if the chunks together hold more events than a uint64
-// counts (AddLength).
+// chunk it loads does, or if the chunks together hold more events than a
+// uint64 counts (AddLength). A HeaderSource's chunks are not loaded
+// here; each one that a query loads later must expand to the length its
+// header states, or the query fails with the source's LengthError.
 func NewPositions(src Source) (*Positions, error) {
 	p := &Positions{src: src, ends: make([]uint64, src.NumChunks()), last: -1}
 	var total uint64
+	if h, ok := src.(HeaderSource); ok {
+		if lens, ok := h.ChunkLengths(); ok && len(lens) == len(p.ends) {
+			for c, n := range lens {
+				var err error
+				if total, err = AddLength(total, n); err != nil {
+					return nil, err
+				}
+				p.ends[c] = total
+			}
+			p.hdr = h
+			return p, nil
+		}
+	}
 	for c := range p.ends {
 		sn, err := src.Chunk(c)
 		if err != nil {
@@ -72,6 +103,15 @@ func (p *Positions) locate(i uint64) (*Analysis, uint64, error) {
 			return nil, 0, err
 		}
 		a = NewAnalysis(sn)
+		if p.hdr != nil {
+			want := p.ends[c]
+			if c > 0 {
+				want -= p.ends[c-1]
+			}
+			if a.Length() != want {
+				return nil, 0, p.hdr.LengthError(c, a.Length())
+			}
+		}
 		p.mu.Lock()
 		p.cur, p.last = a, c
 		p.mu.Unlock()

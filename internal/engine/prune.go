@@ -48,6 +48,10 @@ type Pruning struct {
 	// rare MinLen window, its count if it is another MinLen window, and
 	// MaxUint64, which never cuts, for every other node.
 	vals []uint64
+	// link[n] is base node n's suffix link: the node of window n without
+	// its first event, or noLink if base has no such node. The root, whose
+	// window is empty, links nowhere.
+	link []uint32
 	live bool // some MinLen window is neither hot nor rare
 }
 
@@ -57,7 +61,7 @@ type Pruning struct {
 // concurrent calls; floor is the least hot cost.
 func NewPruning(base *WindowTrie, minLen, maxLen int, cost func(v uint64) uint64, floor uint64) *Pruning {
 	p := &Pruning{base: base, minLen: minLen, cost: cost, floor: floor,
-		ranks: make(map[uint64]uint32, len(base.Dict)), vals: make([]uint64, base.Len())}
+		ranks: make(map[uint64]uint32, len(base.Dict)), vals: make([]uint64, base.Len()), link: make([]uint32, base.Len())}
 	costs := make([]uint64, len(base.Dict))
 	var most uint64
 	for k, v := range base.Dict {
@@ -71,8 +75,22 @@ func NewPruning(base *WindowTrie, minLen, maxLen int, cost func(v uint64) uint64
 		rest = math.MaxUint64
 	}
 	units := make([]uint64, base.Len())
-	p.vals[0] = math.MaxUint64
+	p.vals[0], p.link[0] = math.MaxUint64, noLink
 	for n := 1; n < base.Len(); n++ {
+		// A window's suffix is its prefix's suffix extended by its last
+		// event, which only an exact find can name: the links of
+		// Aho–Corasick's automaton, built here in node order, which
+		// visits each parent before its children.
+		switch pl := p.link[base.Parent[n]]; {
+		case base.Depth[n] == 1:
+			p.link[n] = 0
+		case pl == noLink:
+			p.link[n] = noLink
+		default:
+			if p.link[n] = base.find(pl, base.Sym[n]); p.link[n] == 0 {
+				p.link[n] = noLink
+			}
+		}
 		units[n] = addSat(units[base.Parent[n]], costs[base.Sym[n]])
 		switch c := base.Count[n]; {
 		case int(base.Depth[n]) != minLen || c == 0:
@@ -147,6 +165,9 @@ func (p *Pruning) value(win []uint64) uint64 {
 	}
 	return p.vals[n]
 }
+
+// noLink marks a base node without a suffix link.
+const noLink = math.MaxUint32
 
 // addSat returns a+b, or MaxUint64 if the sum does not fit.
 func addSat(a, b uint64) uint64 {

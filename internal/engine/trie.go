@@ -361,7 +361,7 @@ func (a *Analysis) countPart(t *WindowTrie, minLen, maxLen int, p *Pruning, part
 	t.Dict = slices.Clip(a.dict) // shared: rank must append to a copy
 	L, minL := uint64(maxLen), uint64(minLen)
 	w := walkerPool.Get().(*walker)
-	*w = walker{t: t, a: a, ends: newRankEnds(a, maxLen-1), maxLen: L, minLen: minLen,
+	*w = walker{t: t, a: a, ends: a.rankEnds(maxLen - 1), maxLen: L, minLen: minLen,
 		terms: w.terms[:0], vals: w.vals[:0], units: w.units[:0]}
 	if p != nil {
 		w.prune(p)
@@ -383,7 +383,7 @@ func (a *Analysis) countPart(t *WindowTrie, minLen, maxLen int, p *Pruning, part
 		if jLo >= jHi || uses == 0 || total < minL {
 			continue
 		}
-		w.rule(int32(r), total, uses)
+		w.rule(int32(r), total, uses, jLo)
 		for j := jLo; j < jHi; j++ {
 			if !rhs[j].IsRule() {
 				// A stretch of terminals, each starting windows of
@@ -431,6 +431,7 @@ type walker struct {
 	terms []uint32 // the run's ranks, terms[i] at position runLo+i
 
 	r            int32  // the rule walked
+	at           int    // a body index at or before the symbol holding position runHi, where collect resumes
 	total, uses  uint64 // its expansion length and use count
 	runLo, runHi uint64 // the run's positions in the rule, [runLo, runHi)
 	maxLen       uint64
@@ -441,10 +442,12 @@ type walker struct {
 	// units[i] the saturating sum of the unit costs of terms[:i] (plus
 	// those of the ranks dropped since the run began), and toBase and cost
 	// map the grammar's ranks to p's base ranks (noRank for none) and unit
-	// costs.
+	// costs. node is the base node of the window one position before the
+	// next value's, or 0 if that window has no node or no value.
 	vals, units []uint64
 	toBase      []uint32
 	cost        []uint64
+	node        uint32
 }
 
 // noRank marks a grammar rank with no rank in a pruning's base trie.
@@ -465,10 +468,10 @@ func (w *walker) prune(p *Pruning) {
 }
 
 // rule starts the walk of rule r, of expansion length total and used uses
-// times.
-func (w *walker) rule(r int32, total, uses uint64) {
-	w.r, w.total, w.uses = r, total, uses
-	w.runLo, w.runHi = 0, 0
+// times, from body symbol j on.
+func (w *walker) rule(r int32, total, uses uint64, j int) {
+	w.r, w.total, w.uses, w.at = r, total, uses, j
+	w.runLo, w.runHi, w.node = 0, 0, 0
 }
 
 // starts walks the windows of rule w.r from each start position o in
@@ -486,6 +489,7 @@ func (w *walker) starts(lo, hi, end uint64) {
 		w.terms = w.terms[:0]
 		if w.p != nil {
 			w.vals, w.units = w.vals[:0], append(w.units[:0], 0)
+			w.node = 0
 		}
 		w.runLo, w.runHi = lo, lo
 	case lo > w.runLo:
@@ -493,13 +497,17 @@ func (w *walker) starts(lo, hi, end uint64) {
 		d := int(lo - w.runLo)
 		w.terms = w.terms[:copy(w.terms, w.terms[d:])]
 		if w.p != nil {
+			if d > len(w.vals) {
+				// The next value's window does not follow node's.
+				w.node = 0
+			}
 			w.vals = w.vals[:copy(w.vals, w.vals[min(d, len(w.vals)):])]
 			w.units = w.units[:copy(w.units, w.units[d:])]
 		}
 		w.runLo = lo
 	}
 	if need := min(w.total, hi-1+w.maxLen); need > w.runHi {
-		w.terms = w.ends.collect(w.r, w.runHi, need-w.runHi, w.terms)
+		w.terms, w.at = w.ends.collect(w.r, w.at, w.runHi, need-w.runHi, w.terms)
 		w.runHi = need
 		if w.p != nil {
 			w.extend()
@@ -549,22 +557,40 @@ func (w *walker) extend() {
 	w.vals = slices.Grow(w.vals, n-len(w.vals))
 	m := w.p.minLen
 	for i := len(w.vals); i+m <= n; i++ {
-		w.vals = append(w.vals, w.baseValue(w.terms[i:i+m]))
+		w.vals = append(w.vals, w.value(w.terms[i:i+m]))
 	}
 }
 
-// baseValue is the pass-1 value of the window of the grammar's ranks win.
-func (w *walker) baseValue(win []uint32) uint64 {
+// value is the pass-1 value of win, the MinLen window of the grammar's
+// ranks one position past node's, and makes node win's node. The window
+// win drops node's first event and adds its last one, so win's node is
+// one find from node's suffix link. Without a node or a link, it
+// descends from the root (descend); a last rank base lacks leaves win
+// without a node.
+func (w *walker) value(win []uint32) uint64 {
+	if l := w.p.link[w.node]; l == noLink {
+		w.node = w.descend(win)
+	} else if k := w.toBase[win[len(win)-1]]; k == noRank {
+		w.node = 0
+	} else {
+		w.node = w.p.base.find(l, k)
+	}
+	return w.p.vals[w.node]
+}
+
+// descend returns the base node of the window of the grammar's ranks
+// win, found from the root, or 0 if base has none.
+func (w *walker) descend(win []uint32) uint32 {
 	var n uint32
 	for _, k := range win {
 		if k = w.toBase[k]; k == noRank {
-			return math.MaxUint64
+			return 0
 		}
 		if n = w.p.base.find(n, k); n == 0 {
-			return math.MaxUint64
+			return 0
 		}
 	}
-	return w.p.vals[n]
+	return n
 }
 
 // cut is Pruning.cut for the window of n terms at terms[off]: its unit

@@ -8,13 +8,13 @@ import (
 	"repro/internal/wpp"
 )
 
-// BenchmarkFindViewMono times FindView on monolithic WPP2 views of the
-// expr, sort and bfs artifacts the hot-query benchmark stores, at wpphot's
-// default options, on 1 and 2 workers: on 2 each pass splits the view's
-// single grammar into two parts of its rule bodies. A last row runs the
-// medium-scale expr artifact at threshold 0.0005, the slowest of 0.01,
-// 0.001, 0.0005 and 0.0001 on it: the search whose pass 2 walks the most
-// windows.
+// BenchmarkFindViewMono times FindView on monolithic WPP2 views of every
+// monolithic artifact the hot-query benchmark stores (lexer, sort, bfs,
+// queens, compress and expr), at wpphot's default options, on 1 and 2
+// workers: on 2 each pass splits the view's single grammar into two parts
+// of its rule bodies. A last row runs the medium-scale expr artifact at
+// threshold 0.0005, the slowest of 0.01, 0.001, 0.0005 and 0.0001 on it:
+// the search whose pass 2 walks the most windows.
 func BenchmarkFindViewMono(b *testing.B) {
 	for _, p := range []struct {
 		label, name string
@@ -24,6 +24,9 @@ func BenchmarkFindViewMono(b *testing.B) {
 		{"expr", "expr", 150, 0.01},
 		{"sort", "sort", 7000, 0.01},
 		{"bfs", "bfs", 450, 0.01},
+		{"lexer", "lexer", 30000, 0.01},
+		{"queens", "queens", 8, 0.01},
+		{"compress", "compress", 1500, 0.01},
 		{"expr-medium-threshold=0.0005", "expr", 1200, 0.0005},
 	} {
 		wl, err := workloads.ByName(p.name)

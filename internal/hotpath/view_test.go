@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obsv"
+	"repro/internal/workloads"
 	"repro/internal/wpp"
 )
 
@@ -274,4 +276,56 @@ func TestFindViewConcurrentReuse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFindDecodeCounts pins how often a search materializes a view's
+// chunks: a monolithic view's Find keeps its one chunk's Analysis from
+// pass 1 to pass 2 and materializes it once per search, while a chunked
+// view with more chunks than workers materializes each chunk once per
+// pass, so it holds one chunk per worker.
+func TestFindDecodeCounts(t *testing.T) {
+	wl, err := workloads.ByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono, chunked := programBoth(t, wl.Source, 256, wl.Small)
+	opts := Options{MinLen: 4, MaxLen: 16, Threshold: 0.01}
+	for _, c := range []struct {
+		name  string
+		art   wpp.Artifact
+		loads func(chunks int) int // materializations per search
+	}{
+		{"mono", mono, func(int) int { return 1 }},
+		{"chunked", chunked, func(chunks int) int { return 2 * chunks }},
+	} {
+		var buf bytes.Buffer
+		if _, err := c.art.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		vm := wpp.NewViewMetrics(obsv.NewRegistry())
+		v, err := wpp.NewView(buf.Bytes(), &wpp.ViewOptions{Metrics: vm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.name == "chunked" && v.NumChunks() <= 2 {
+			t.Fatalf("chunked view has %d chunks, want more than the 2 workers", v.NumChunks())
+		}
+		for _, workers := range []int{1, 2} {
+			met := NewMetrics(obsv.NewRegistry())
+			o := opts
+			o.Metrics = met
+			before := vm.ChunksMaterialized.Value()
+			if _, err := Find(v, o, workers); err != nil {
+				t.Fatal(err)
+			}
+			if got := met.CountSeconds.Count(); got != uint64(v.NumChunks()) {
+				t.Fatalf("%s, %d workers: pass 2 counted %d chunks, want all %d", c.name, workers, got, v.NumChunks())
+			}
+			want := c.loads(v.NumChunks())
+			if got := vm.ChunksMaterialized.Value() - before; got != uint64(want) {
+				t.Errorf("%s, %d workers: the search materialized %d chunks, want %d", c.name, workers, got, want)
+			}
+		}
+		v.Close()
+	}
 }

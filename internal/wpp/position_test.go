@@ -5,6 +5,7 @@ package wpp
 // as a lazy view.
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -207,5 +208,57 @@ func checkPositions(t *testing.T, what string, p *engine.Positions, walked []uin
 	}
 	if _, err := p.Slice(1, math.MaxUint64, nil); err == nil {
 		t.Fatalf("%s: overflowing Slice accepted", what)
+	}
+}
+
+// TestViewPositionsFromHeader: a view's positional index comes from its
+// header, so building it materializes no chunk, on every golden file;
+// and a chunk that expands to another length than the header states
+// fails the query that loads it with a *ViewError, never a wrong answer.
+func TestViewPositionsFromHeader(t *testing.T) {
+	for name, data := range goldenArtifacts(t) {
+		met := NewViewMetrics(obsv.NewRegistry())
+		view, err := NewView(data, &ViewOptions{Metrics: met})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p, err := engine.NewPositions(view)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := met.ChunksMaterialized.Value(); got != 0 {
+			t.Errorf("%s: NewPositions materialized %d chunks", name, got)
+		}
+		if p.Len() != view.NumEvents() {
+			t.Errorf("%s: Len %d, header says %d events", name, p.Len(), view.NumEvents())
+		}
+	}
+
+	// Chunks of 100, 100 and 41 events under a header whose chunk size
+	// is 101: its lengths, 101, 101 and 39, still sum to the event count.
+	c, events := buildChunked(t, loopProgram, 100, 120)
+	if len(c.Chunks) != 3 || len(events) != 241 {
+		t.Fatalf("fixture has %d chunks and %d events, want 3 and 241", len(c.Chunks), len(events))
+	}
+	c.ChunkSize = 101
+	view, err := NewView(encodeChunked(t, c), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := engine.NewPositions(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.EventAt(0)
+	var ve *ViewError
+	if !errors.As(err, &ve) || ve.Chunk != 0 {
+		t.Fatalf("EventAt(0) on a chunk shorter than its header states: %v, want a *ViewError for chunk 0", err)
+	}
+	q, err := engine.NewPositions(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.FirstDiff(q, p); !errors.As(err, &ve) {
+		t.Fatalf("FirstDiff against that view: %v, want a *ViewError", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math/bits"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -649,6 +650,40 @@ func (v *ArtifactView) Chunk(i int) (*sequitur.Snapshot, error) {
 	v.met.MaterializedBytes.Add(uint64(len(data)))
 	v.firstOnce.Do(func() { v.met.FirstResultSeconds.Observe(time.Since(v.opened)) })
 	return sn, nil
+}
+
+// ChunkLengths derives every chunk's expansion length from the header
+// without materializing a chunk, for engine.NewPositions: the event
+// count for a monolithic artifact, and for a chunked one ChunkSize for
+// every chunk but the last, which holds the rest. It reports false when
+// the header cannot be right: the full chunks alone reach past the event
+// count, or leave the last chunk more than ChunkSize events.
+func (v *ArtifactView) ChunkLengths() ([]uint64, bool) {
+	if !v.chunked {
+		return []uint64{v.events}, true
+	}
+	if v.nchunks == 0 {
+		return nil, v.events == 0
+	}
+	hi, full := bits.Mul64(uint64(v.nchunks-1), v.chunkSize)
+	if hi != 0 || full >= v.events || v.events-full > v.chunkSize {
+		return nil, false
+	}
+	lens := make([]uint64, v.nchunks)
+	for i := range lens {
+		lens[i] = v.chunkSize
+	}
+	lens[len(lens)-1] = v.events - full
+	return lens, true
+}
+
+var _ engine.HeaderSource = (*ArtifactView)(nil)
+
+// LengthError is the *ViewError of chunk i, which expands to got events
+// where ChunkLengths stated another length.
+func (v *ArtifactView) LengthError(i int, got uint64) error {
+	lens, _ := v.ChunkLengths()
+	return &ViewError{Chunk: i, Err: fmt.Errorf("wpp: chunk expands to %d events, the header states %d", got, lens[i])}
 }
 
 // Walk yields the full event trace in order, materializing one chunk at
