@@ -146,15 +146,30 @@ var binOpcodes = map[wl.Kind]opcode{
 	wl.And: opAnd, wl.Or: opOr, wl.Xor: opXor, wl.Shl: opShl, wl.Shr: opShr,
 }
 
-// op is one pre-decoded instruction. src keeps what only calls, prints
-// and faults read: the position, the argument registers, the original
-// opcode or operator.
+// op is one pre-decoded instruction, or two or three of wlc's fused
+// into one dispatch (see decode). src keeps what only calls, prints and
+// faults read: the position, the argument registers, the original
+// opcode or operator; a fused op's src is the instruction that can
+// fault.
 type op struct {
 	code      opcode
+	fuse      fusion
 	dst, a, b int32
-	imm       int64 // opConst's value; opCall's callee index
+	k         int32 // fuseConst's register
+	mov       int32 // fuseMov's register
+	imm       int64 // opConst's and fuseConst's value; opCall's callee index
 	src       *wlc.Instr
 }
+
+// fusion flags the instructions decode folded into a binary operator or
+// a load. fuseConst: the op was preceded by k = imm, which it writes
+// first. fuseMov: it was followed by mov = dst, which it writes last.
+type fusion uint8
+
+const (
+	fuseConst fusion = 1 << iota
+	fuseMov
+)
 
 // block is one pre-decoded basic block: its slice of the function's op
 // stream, its terminator with resolved successor indexes, and the
@@ -169,10 +184,13 @@ type block struct {
 	plan   [2]edgePlan
 }
 
-// function is one pre-decoded function.
+// function is one pre-decoded function. event, on PathTrace machines,
+// is its path event with path ID 0: Numberings bounds the function IDs
+// and every path ID below 2^PathBits, so a path event is event | path.
 type function struct {
 	name   string
 	id     uint32
+	event  trace.Event
 	nregs  int
 	entry  int32
 	blocks []block
@@ -180,6 +198,15 @@ type function struct {
 
 // decode flattens f into one op stream and a block table. num is nil
 // unless the machine path-traces.
+//
+// wlc's lowering leaves a constant and a move around most operators
+// (t = K; d = a op t and t = a op b; x = t), so decode fuses them: a
+// Const followed by a binary operator or a Load becomes that op with
+// fuseConst, and a binary operator or Load followed by a Mov of its
+// result takes the Mov as fuseMov. A fused op makes the same register
+// writes in the same order as the instructions it replaces, and only
+// its operator or load can fault, at that instruction's position.
+// Stats count block weights, so they do not see the fusion.
 func decode(f *wlc.Func, num *bl.Numbering) function {
 	g := f.Graph
 	n := 0
@@ -188,21 +215,24 @@ func decode(f *wlc.Func, num *bl.Numbering) function {
 	}
 	stream := make([]op, 0, n)
 	fn := function{name: f.Name, id: uint32(f.ID), nregs: f.NumRegs, entry: int32(g.Entry), blocks: make([]block, g.NumBlocks())}
+	if num != nil {
+		fn.event = trace.MakeEvent(fn.id, 0)
+	}
 	for _, blk := range g.Blocks() {
 		start := len(stream)
-		for i := range f.Code[blk.ID] {
-			in := &f.Code[blk.ID][i]
-			o := op{dst: in.Dst, a: in.A, b: in.B, imm: in.Imm, src: in}
-			var ok bool
-			if in.Op == wlc.OpBin {
-				if o.code, ok = binOpcodes[in.BinOp]; !ok {
-					o.code = opBadBin
-				}
-			} else if o.code, ok = plainOpcodes[in.Op]; !ok {
-				o.code = opBad
+		code := f.Code[blk.ID]
+		for i := 0; i < len(code); i++ {
+			o := decodeInstr(&code[i])
+			if o.code == opConst && i+1 < len(code) && (code[i+1].Op == wlc.OpBin || code[i+1].Op == wlc.OpLoad) {
+				i++
+				k := o
+				o = decodeInstr(&code[i])
+				o.fuse, o.k, o.imm = fuseConst, k.dst, k.imm
 			}
-			if in.Op == wlc.OpCall {
-				o.imm = int64(in.Fn)
+			if (o.code >= opAdd || o.code == opLoad) && i+1 < len(code) && code[i+1].Op == wlc.OpMov && code[i+1].A == o.dst {
+				i++
+				o.fuse |= fuseMov
+				o.mov = code[i].Dst
 			}
 			stream = append(stream, o)
 		}
@@ -223,6 +253,23 @@ func decode(f *wlc.Func, num *bl.Numbering) function {
 		fn.blocks[blk.ID] = b
 	}
 	return fn
+}
+
+// decodeInstr decodes one instruction on its own.
+func decodeInstr(in *wlc.Instr) op {
+	o := op{dst: in.Dst, a: in.A, b: in.B, imm: in.Imm, src: in}
+	var ok bool
+	if in.Op == wlc.OpBin {
+		if o.code, ok = binOpcodes[in.BinOp]; !ok {
+			o.code = opBadBin
+		}
+	} else if o.code, ok = plainOpcodes[in.Op]; !ok {
+		o.code = opBad
+	}
+	if in.Op == wlc.OpCall {
+		o.imm = int64(in.Fn)
+	}
+	return o
 }
 
 // Machine executes a compiled program. A Machine is not safe for
@@ -417,9 +464,13 @@ func (m *Machine) run(f *function, base int) (Value, error) {
 		if mode == BlockTrace {
 			m.emit(trace.MakeEvent(f.id, uint64(b.id)))
 		}
-		for i := range b.code {
-			in := &b.code[i]
+		code := b.code
+		for i := range code {
+			in := &code[i]
 			if in.code >= opAdd {
+				if in.fuse&fuseConst != 0 {
+					regs[in.k].setInt(in.imm)
+				}
 				x, y := &regs[in.a], &regs[in.b]
 				if x.Arr != nil || y.Arr != nil {
 					return Value{}, fault(f, in, "arithmetic on array value")
@@ -468,22 +519,25 @@ func (m *Machine) run(f *function, base int) (Value, error) {
 				default:
 					return Value{}, fault(f, in, "unknown operator %s", in.src.BinOp)
 				}
-				regs[in.dst] = Value{I: v}
+				regs[in.dst].setInt(v)
+				if in.fuse&fuseMov != 0 {
+					regs[in.mov].setInt(v)
+				}
 				continue
 			}
 			switch in.code {
 			case opConst:
-				regs[in.dst] = Value{I: in.imm}
+				regs[in.dst].setInt(in.imm)
 			case opMov:
 				regs[in.dst] = regs[in.a]
 			case opNot:
-				regs[in.dst] = Value{I: b2i(!truthy(&regs[in.a]))}
+				regs[in.dst].setInt(b2i(!truthy(&regs[in.a])))
 			case opNeg:
 				a := &regs[in.a]
 				if a.Arr != nil {
 					return Value{}, fault(f, in, "negation of array value")
 				}
-				regs[in.dst] = Value{I: -a.I}
+				regs[in.dst].setInt(-a.I)
 			case opNewArr:
 				n := &regs[in.a]
 				if n.Arr != nil {
@@ -498,8 +552,11 @@ func (m *Machine) run(f *function, base int) (Value, error) {
 				if a.Arr == nil {
 					return Value{}, fault(f, in, "len of non-array")
 				}
-				regs[in.dst] = Value{I: int64(len(a.Arr))}
+				regs[in.dst].setInt(int64(len(a.Arr)))
 			case opLoad:
+				if in.fuse&fuseConst != 0 {
+					regs[in.k].setInt(in.imm)
+				}
 				a, idx := &regs[in.a], &regs[in.b]
 				if a.Arr == nil {
 					return Value{}, fault(f, in, "indexing non-array")
@@ -507,7 +564,10 @@ func (m *Machine) run(f *function, base int) (Value, error) {
 				if idx.Arr != nil || idx.I < 0 || idx.I >= int64(len(a.Arr)) {
 					return Value{}, fault(f, in, "index %d out of range [0,%d)", idx.I, len(a.Arr))
 				}
-				regs[in.dst] = Value{I: a.Arr[idx.I]}
+				regs[in.dst].setInt(a.Arr[idx.I])
+				if in.fuse&fuseMov != 0 {
+					regs[in.mov].setInt(regs[in.dst].I)
+				}
 			case opStore:
 				a, idx, v := &regs[in.a], &regs[in.b], &regs[in.dst]
 				if a.Arr == nil {
@@ -558,7 +618,7 @@ func (m *Machine) run(f *function, base int) (Value, error) {
 			}
 		case wlc.TermExit:
 			if mode == PathTrace {
-				m.emit(trace.MakeEvent(f.id, path))
+				m.emit(f.event | trace.Event(path))
 			}
 			return regs[0], nil
 		}
@@ -568,7 +628,7 @@ func (m *Machine) run(f *function, base int) (Value, error) {
 		if mode == PathTrace {
 			ep := &b.plan[si]
 			if ep.back {
-				m.emit(trace.MakeEvent(f.id, path+ep.emitAdd))
+				m.emit(f.event | trace.Event(path+ep.emitAdd))
 				path = ep.reset
 			} else {
 				path += ep.add
@@ -576,6 +636,16 @@ func (m *Machine) run(f *function, base int) (Value, error) {
 		}
 		b = &f.blocks[b.succ[si]]
 	}
+}
+
+// setInt makes v the scalar i. Registers mostly hold scalars, so the
+// array reference is cleared only when there is one: the common store
+// writes one word and no pointer.
+func (v *Value) setInt(i int64) {
+	if v.Arr != nil {
+		v.Arr = nil
+	}
+	v.I = i
 }
 
 func truthy(v *Value) bool {

@@ -173,12 +173,54 @@ func FuzzInterpParity(f *testing.F) {
 	})
 }
 
+// fusedFaultCases fault in the second half of an op decode fused: a
+// constant divisor or remainder of zero, arithmetic on an array after a
+// fused constant, and a fused Load out of range, after a constant index
+// or before a Mov. Each names the fusion
+// it must contain, so a change to the lowering cannot quietly turn a
+// case into an unfused one.
+var fusedFaultCases = []struct {
+	src  string
+	want fusion
+}{
+	{"func main(n) { var x = 1; x = n / 0; return x; }", fuseConst | fuseMov},
+	{"func main(n) { return n / 0; }", fuseConst},
+	{"func main(n) { return n % 0; }", fuseConst},
+	{"func main(n) { var x = 1; x = n % 0; return x; }", fuseConst | fuseMov},
+	{"func main(n) { var a = array(2); var x = 1; x = a * 3; return x; }", fuseConst | fuseMov},
+	{"func main(n) { var a = array(2); return 3 - a; }", fuseConst},
+	{"func main(n) { var a = array(2); var x = 1; x = a[n]; return x; }", fuseMov},
+	{"func main(n) { var a = array(2); return a[5]; }", fuseConst},
+	{"func main(n) { var a = array(2); var x = 1; while x < 5 { x = a[x]; x = x + 2; } return x; }", fuseMov},
+}
+
 // TestInterpParity holds Machine to the reference on the fault tables,
 // which progGen's programs never reach, and on programs with recursion,
 // printing and more events than one emission batch.
 func TestInterpParity(t *testing.T) {
 	for _, c := range runtimeErrorCases {
 		checkParity(t, c.src, []uint64{0, 120})
+	}
+	for _, c := range fusedFaultCases {
+		p, err := wlc.Compile(c.src)
+		if err != nil {
+			t.Fatalf("compile: %v\n%s", err, c.src)
+		}
+		fused := false
+		for _, f := range p.Funcs {
+			for _, b := range decode(f, nil).blocks {
+				for _, o := range b.code {
+					fused = fused || o.fuse&c.want == c.want
+				}
+			}
+		}
+		if !fused {
+			t.Fatalf("no op with fusion %b in\n%s", c.want, c.src)
+		}
+		if o := observe(t, p, parityConfig{mode: PathTrace}, false, 7); o.err == "" {
+			t.Fatalf("ran to completion, want a fault in\n%s", c.src)
+		}
+		checkParity(t, c.src, []uint64{0, 120}, 7)
 	}
 	for _, c := range instrLimitCases {
 		checkParity(t, c.src, []uint64{c.maxInstrs})

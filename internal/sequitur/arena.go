@@ -37,9 +37,11 @@ const (
 // symbol is a node in a doubly linked rule body. A rule body is circular
 // around a guard node: guard.next is the first symbol, guard.prev the
 // last. For a terminal, rule is nilRule and value holds the terminal.
-// For a nonterminal, rule is the referenced rule. For a guard, guard is
-// true and rule points back at the owning rule. On the symbol freelist,
-// next links to the next free handle and every other field is zero.
+// For a nonterminal, rule is the referenced rule and value its digram
+// key, the rule's complemented id, so every symbol's key is its value.
+// For a guard, guard is true and rule points back at the owning rule.
+// On the symbol freelist, next links to the next free handle and every
+// other field is zero.
 type symbol struct {
 	value      uint64
 	next, prev symRef

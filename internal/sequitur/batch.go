@@ -23,6 +23,8 @@ func panicTerminal(v uint64) {
 //   - the digram probe uses getOrSet: one walk of the probe chain either
 //     finds the repeated occurrence or indexes the new digram, where a
 //     textbook check probes twice (get, then set);
+//   - every symbol carries its digram key in its value (a nonterminal
+//     its rule's complemented id), so no key costs a rule lookup;
 //   - substitution passes the digram keys it already knows down the call
 //     chain (substituteB, checkKeyed, expandB) instead of recomputing
 //     them from the arena, and skips the index probes of a generic
@@ -65,10 +67,7 @@ func AppendBatchOf[T ~uint64](g *Grammar, vs []T) {
 	tail := gp.prev
 	tp := g.sym(tail)
 	tailGuard := tail == guard
-	var tailKey uint64
-	if !tailGuard {
-		tailKey = g.keyOf(tail)
-	}
+	tailKey := tp.value
 	// Every iteration links exactly one symbol; substitutions adjust the
 	// count down as they happen, so the net bookkeeping can be hoisted.
 	g.rhsSymbols += len(vs)
@@ -104,7 +103,7 @@ func AppendBatchOf[T ~uint64](g *Grammar, vs []T) {
 		// new digram cannot already be indexed at tail (tail was the last
 		// symbol; its digram did not exist), so a found entry is always a
 		// genuine other occurrence or an overlap.
-		m := g.table.getOrSet(tailKey, v, tail)
+		m := g.getOrSet(tailKey, v, tail)
 		if m == nilSym || g.sym(m).next == tail {
 			// Indexed it, or overlapping occurrence (run of identical
 			// symbols) which the algorithm leaves unindexed.
@@ -117,13 +116,7 @@ func AppendBatchOf[T ~uint64](g *Grammar, vs []T) {
 		tail = gp.prev
 		tp = g.sym(tail)
 		tailGuard = tail == guard
-		if !tailGuard {
-			if tp.rule != nilRule {
-				tailKey = ^g.rules[tp.rule].id
-			} else {
-				tailKey = tp.value
-			}
-		}
+		tailKey = tp.value
 	}
 	g.terminals += uint64(len(vs))
 	if g.instrumented {
@@ -186,7 +179,7 @@ func (g *Grammar) matchB(s symRef, sp *symbol, m symRef, a, b uint64) {
 		// body is unreachable from the index until this insert), and a
 		// rule a copy references cannot be dissolved while the copy
 		// itself holds a use of it, so both keys are stable.
-		g.table.set(a, b, c1)
+		g.set(a, b, c1)
 	}
 	// Rule utility. The match left r's body as the two symbols of the
 	// repeated digram, so only a nonterminal at either end of it can have
@@ -234,11 +227,11 @@ func (g *Grammar) expandB(u symRef, us *symbol) {
 	// Evict u's two digrams where the index points at them.
 	var leftKey, rightKey uint64
 	if !leftS.guard {
-		leftKey = g.symKey(leftS)
+		leftKey = leftS.value
 		g.table.deleteIf(leftKey, uKey, left)
 	}
 	if !rightS.guard {
-		rightKey = g.symKey(rightS)
+		rightKey = rightS.value
 		g.table.deleteIf(uKey, rightKey, u)
 	}
 	g.rhsSymbols--
@@ -255,11 +248,11 @@ func (g *Grammar) expandB(u symRef, us *symbol) {
 	g.freeRule(rr)
 	// Re-check the open seams. If the left one substituted, the right
 	// one was handled by the recursive work.
-	if !leftS.guard && g.checkKeyed(left, leftS, leftKey, g.symKey(firstS)) {
+	if !leftS.guard && g.checkKeyed(left, leftS, leftKey, firstS.value) {
 		return
 	}
 	if !rightS.guard {
-		g.checkKeyed(last, lastS, g.symKey(lastS), rightKey)
+		g.checkKeyed(last, lastS, lastS.value, rightKey)
 	}
 }
 
@@ -298,7 +291,7 @@ func (g *Grammar) substituteB(h symRef, hs *symbol, r ruleRef, a, b uint64, inde
 	var xnKey uint64
 	if !xnGuard {
 		// x's right digram may be indexed at x.
-		xnKey = g.symKey(xNextS)
+		xnKey = xNextS.value
 		g.table.deleteIf(b, xnKey, x)
 	}
 	if xs.rule != nilRule {
@@ -309,7 +302,7 @@ func (g *Grammar) substituteB(h symRef, hs *symbol, r ruleRef, a, b uint64, inde
 	var pKey uint64
 	if !pGuard {
 		// The digram (p, h) may be indexed at p.
-		pKey = g.symKey(ps)
+		pKey = ps.value
 		g.table.deleteIf(pKey, a, p)
 	}
 	if hs.rule != nilRule {
@@ -318,13 +311,13 @@ func (g *Grammar) substituteB(h symRef, hs *symbol, r ruleRef, a, b uint64, inde
 	// Free x; rewrite h's slot in place as the new nonterminal.
 	*xs = symbol{next: g.symFree}
 	g.symFree = x
-	*hs = symbol{rule: r, next: xNext, prev: p}
+	rKey := ^g.rules[r].id
+	*hs = symbol{value: rKey, rule: r, next: xNext, prev: p}
 	xNextS.prev = h
 	g.rhsSymbols--
 	g.rules[r].uses++
 	// Re-check the seams with their keys in hand. If the left seam
 	// substituted, the right seam was handled by the recursive work.
-	rKey := ^g.rules[r].id
 	if !pGuard && g.checkKeyed(p, ps, pKey, rKey) {
 		return
 	}
@@ -338,7 +331,7 @@ func (g *Grammar) substituteB(h symRef, hs *symbol, r ruleRef, a, b uint64, inde
 // caller, and reports whether a substitution took place. hp is h
 // resolved.
 func (g *Grammar) checkKeyed(h symRef, hp *symbol, a, b uint64) bool {
-	m := g.table.getOrSet(a, b, h)
+	m := g.getOrSet(a, b, h)
 	if m == nilSym || m == h {
 		return false
 	}

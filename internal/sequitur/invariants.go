@@ -38,15 +38,15 @@ func (g *Grammar) UnindexedDigrams() int {
 			chain[d] = true
 		}
 	}
-	for _, e := range g.table.entries {
+	for _, e := range g.table.slots {
 		if e.sym != nilSym {
-			delete(chain, digram{e.a, e.b})
+			delete(chain, g.digramAt(e.sym))
 		}
 	}
 	return len(chain)
 }
 
-// snapKey mirrors symKey for the array form: terminals by value, rule
+// snapKey mirrors keyOf for the array form: terminals by value, rule
 // references by complemented index (terminals are < MaxTerminal, so the
 // spaces cannot collide).
 func snapKey(s Sym) uint64 {

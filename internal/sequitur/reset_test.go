@@ -41,7 +41,7 @@ func TestResetClearsAllState(t *testing.T) {
 	if got := g.table.live; got != 0 {
 		t.Errorf("digram table has %d entries after Reset, want 0", got)
 	}
-	if cap(g.table.entries) < minTableCap {
+	if cap(g.table.slots) < minTableCap {
 		t.Errorf("digram table lost its capacity across Reset")
 	}
 	if g.nextID != 1 {

@@ -52,17 +52,9 @@ type digram struct {
 	a, b uint64
 }
 
-// keyOf returns the digram key of one non-guard symbol.
-func (g *Grammar) keyOf(h symRef) uint64 { return g.symKey(g.sym(h)) }
-
-// symKey is keyOf for a symbol already resolved: terminals by value,
-// nonterminals by their rule's complemented id.
-func (g *Grammar) symKey(s *symbol) uint64 {
-	if s.rule != nilRule {
-		return ^g.rules[s.rule].id
-	}
-	return s.value
-}
+// keyOf returns the digram key of one non-guard symbol: its value,
+// which for a nonterminal is its rule's complemented id.
+func (g *Grammar) keyOf(h symRef) uint64 { return g.sym(h).value }
 
 // digramAt returns the key of the digram starting at h.
 func (g *Grammar) digramAt(h symRef) digram {
@@ -288,8 +280,9 @@ func (sn *Snapshot) Expand(ri int, yield func(uint64) bool) bool {
 //   - every live rule other than the start rule is referenced >= 2 times
 //     and use counts match actual references (rule utility),
 //   - size bookkeeping (liveRules, rhsSymbols) matches the structure,
-//   - every digram-index entry points at a live symbol whose current
-//     digram matches the entry's key.
+//   - every digram-index slot points at a live symbol whose current
+//     digram matches the slot's fingerprint, no digram is indexed
+//     twice, and every slot lies on its digram's probe chain.
 //
 // Digram uniqueness is deliberately NOT enforced exactly: as in
 // Nevill-Manning and Witten's published implementation, seam handling
@@ -322,6 +315,9 @@ func (g *Grammar) Verify() error {
 				return fmt.Errorf("sequitur: rule %d: interior guard at position %d", g.rules[r].id, i)
 			}
 			if s.isNonterminal() {
+				if s.value != ^g.rules[s.rule].id {
+					return fmt.Errorf("sequitur: rule %d: nonterminal at position %d carries key %d, not its rule's", g.rules[r].id, i, s.value)
+				}
 				refCount[s.rule]++
 				if !seen[s.rule] {
 					seen[s.rule] = true
@@ -353,17 +349,26 @@ func (g *Grammar) Verify() error {
 		}
 	}
 	live := 0
-	for _, e := range g.table.entries {
+	indexed := map[digram]bool{}
+	for i, e := range g.table.slots {
 		if e.sym == nilSym {
 			continue
 		}
 		live++
 		cur, ok := symPos[e.sym]
 		if !ok {
-			return fmt.Errorf("sequitur: index entry (%d,%d) points at a dead or boundary symbol", e.a, e.b)
+			return fmt.Errorf("sequitur: index slot %d points at a dead or boundary symbol", i)
 		}
-		if cur != (digram{e.a, e.b}) {
-			return fmt.Errorf("sequitur: index entry (%d,%d) points at a symbol whose digram is (%d,%d)", e.a, e.b, cur.a, cur.b)
+		h := uint32(digramHash(cur.a, cur.b))
+		if e.h32 != h {
+			return fmt.Errorf("sequitur: index slot %d has fingerprint %#x but its symbol's digram (%d,%d) hashes to %#x", i, e.h32, cur.a, cur.b, h)
+		}
+		if indexed[cur] {
+			return fmt.Errorf("sequitur: digram (%d,%d) is indexed twice", cur.a, cur.b)
+		}
+		indexed[cur] = true
+		if at := g.table.find(h, e.sym); at != i {
+			return fmt.Errorf("sequitur: index slot %d is not on its digram's probe chain", i)
 		}
 	}
 	if live != g.table.live {

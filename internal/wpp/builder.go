@@ -1,6 +1,7 @@
 package wpp
 
 import (
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -318,9 +319,20 @@ func (b *builder) putBatch(es []uint64) {
 	}
 }
 
+// checkEvent panics on an event SEQUITUR cannot take as a terminal. The
+// front-end checks every event before it changes any state, so the
+// panic reaches the caller's goroutine, where it can be recovered and
+// the builder still finishes; on a worker it would kill the process.
+func checkEvent(e trace.Event) {
+	if uint64(e) >= sequitur.MaxTerminal {
+		panic(fmt.Sprintf("wpp: event %#x out of range", uint64(e)))
+	}
+}
+
 // Add feeds one event: it fills the batch and touches a channel only
 // when the batch is full.
 func (b *builder) Add(e trace.Event) {
+	checkEvent(e)
 	if b.batch == nil {
 		b.getBatch()
 	}
@@ -333,8 +345,12 @@ func (b *builder) Add(e trace.Event) {
 
 // AddBatch feeds a slice of events, equivalent to calling Add for each
 // element. It must be called from a single goroutine (it is an interp
-// Sink), and not after Finish.
+// Sink), and not after Finish. An out-of-range event panics before any
+// event of the slice is taken.
 func (b *builder) AddBatch(es []trace.Event) {
+	for _, e := range es {
+		checkEvent(e)
+	}
 	b.events += uint64(len(es))
 	for len(es) > 0 {
 		if b.batch == nil {

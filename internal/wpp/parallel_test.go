@@ -3,10 +3,14 @@ package wpp
 import (
 	"bytes"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/interp"
+	"repro/internal/sequitur"
 	"repro/internal/trace"
 	"repro/internal/wlc"
 	"repro/internal/workloads"
@@ -200,6 +204,51 @@ func TestParallelFinishTwicePanics(t *testing.T) {
 		}
 	}()
 	b.Finish(1)
+}
+
+// TestOutOfRangeEventPanicsOnCaller feeds an event SEQUITUR cannot
+// take, through Add and inside an AddBatch slice, to a monolithic and a
+// chunked build. Each call must panic on the caller's goroutine before
+// it takes any event, so the caller recovers, Finish seals the events
+// fed before, and the builder's goroutines drain.
+func TestOutOfRangeEventPanicsOnCaller(t *testing.T) {
+	bad := trace.Event(sequitur.MaxTerminal)
+	good := []trace.Event{trace.MakeEvent(0, 1), trace.MakeEvent(0, 2), trace.MakeEvent(0, 1), trace.MakeEvent(0, 2)}
+	for _, opts := range []BuildOptions{{}, {ChunkSize: 3, Workers: 4}} {
+		base := runtime.NumGoroutine()
+		b := New(nil, nil, opts)
+		b.AddBatch(good)
+		for name, feed := range map[string]func(){
+			"Add":      func() { b.Add(bad) },
+			"AddBatch": func() { b.AddBatch(append(slices.Clone(good), bad)) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%+v: %s took out-of-range event %#x", opts, name, uint64(bad))
+					}
+				}()
+				feed()
+			}()
+			if b.Events() != uint64(len(good)) {
+				t.Fatalf("%+v: %s changed the event count to %d before panicking", opts, name, b.Events())
+			}
+		}
+		a := b.Finish(0)
+		if a.NumEvents() != uint64(len(good)) {
+			t.Fatalf("%+v: artifact has %d events, want %d", opts, a.NumEvents(), len(good))
+		}
+		if err := a.Verify(1); err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%+v: %d goroutines after Finish, %d before", opts, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }
 
 func TestVerifyParallelDetectsCorruption(t *testing.T) {
