@@ -4,9 +4,12 @@ package repro_test
 // then drive the full tool chain the way a user would.
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -183,4 +186,44 @@ func firstLine(s string) string {
 		return s[:i]
 	}
 	return s
+}
+
+// TestWppbuildPrintsBytesWritten: monolithic and chunked wpp2 builds
+// print one encoded size, the "bytes written" line, equal to the
+// written file's size, with the raw trace's ratio to it.
+func TestWppbuildPrintsBytesWritten(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping CLI end-to-end in -short mode")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "wppbuild")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/wppbuild").CombinedOutput(); err != nil {
+		t.Fatalf("building wppbuild: %v\n%s", err, out)
+	}
+	written := regexp.MustCompile(`(?m)^bytes written: (\d+) \(ratio ([0-9.]+)x\)$`)
+	raw := regexp.MustCompile(`(?m)^raw trace bytes: (\d+)$`)
+	for _, extra := range [][]string{nil, {"-chunk", "4096", "-workers", "2"}} {
+		out := filepath.Join(dir, "expr.wpp")
+		args := append([]string{"-o", out, "-workload", "expr", "-scale", "small", "-format", "wpp2"}, extra...)
+		printed := runTool(t, bin, args...)
+		fi, err := os.Stat(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := written.FindAllStringSubmatch(printed, -1)
+		if len(sizes) != 1 || strings.Contains(printed, "bytes in/out") {
+			t.Fatalf("%v: want one bytes-written line and no other size:\n%s", extra, printed)
+		}
+		if n, _ := strconv.ParseInt(sizes[0][1], 10, 64); n != fi.Size() {
+			t.Fatalf("%v: printed %d bytes written, the file holds %d", extra, n, fi.Size())
+		}
+		m := raw.FindStringSubmatch(printed)
+		if m == nil {
+			t.Fatalf("%v: no raw trace size printed:\n%s", extra, printed)
+		}
+		rawBytes, _ := strconv.ParseFloat(m[1], 64)
+		if want := fmt.Sprintf("%.1f", rawBytes/float64(fi.Size())); sizes[0][2] != want {
+			t.Fatalf("%v: printed ratio %sx, raw trace over file size is %sx", extra, sizes[0][2], want)
+		}
+	}
 }

@@ -41,6 +41,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -160,21 +161,18 @@ func main() {
 		}
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
+	// Encode once: the -o file and the store put take the same bytes.
+	var enc bytes.Buffer
+	if _, err := a.Encode(&enc); err != nil {
 		fatal(err)
 	}
-	n, err := a.Encode(&obsv.CountingWriter{W: f, C: encodedBytes})
-	if err != nil {
+	if err := os.WriteFile(*out, enc.Bytes(), 0o666); err != nil {
 		fatal(err)
 	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	if rep != nil {
-		ratio.Set(rep.Ratio)
-	}
-	printArtifact(a, rep, n, *out)
+	encodedBytes.Add(uint64(enc.Len()))
+	stats := a.Stats()
+	ratio.Set(float64(stats.RawTraceBytes) / float64(enc.Len()))
+	printArtifact(stats, rep, enc.Len(), *out)
 	// Write-through: record the artifact (and, when the build has a
 	// stable identity, its build key) in the content-addressed store.
 	if dir := store.DirFromFlag(*storeDir); dir != "" {
@@ -182,7 +180,7 @@ func main() {
 		if serr != nil {
 			fatal(serr)
 		}
-		h, _, perr := st.PutArtifact(a)
+		h, _, perr := st.PutArtifactEncoded(a, enc.Bytes())
 		if perr != nil {
 			fatal(perr)
 		}
@@ -210,18 +208,21 @@ func formatVersion(format string) (uint8, error) {
 	return 0, fmt.Errorf("unknown -format %q (want wpp1 or wpp2)", format)
 }
 
-// printArtifact renders the build summary; a chunked build also reports
-// chunk geometry and pipeline utilization.
-func printArtifact(a iwpp.Artifact, rep *iwpp.BuildReport, n int64, path string) {
-	st := a.Stats()
-	if st.ChunkSize == 0 {
-		fmt.Printf("events: %d\nrules: %d\nrhs symbols: %d\nraw trace bytes: %d\nwpp bytes: %d (%.1fx)\n-> %s\n",
-			st.Events, st.Rules, st.RHSSymbols, st.RawTraceBytes, n, float64(st.RawTraceBytes)/float64(n), path)
-		return
+// printArtifact renders the build summary: the artifact's shape, then
+// n, the bytes written, against the raw trace. A chunked build also
+// reports chunk geometry and pipeline utilization.
+func printArtifact(st iwpp.Stats, rep *iwpp.BuildReport, n int, path string) {
+	fmt.Printf("events: %d\n", st.Events)
+	if st.ChunkSize > 0 {
+		fmt.Printf("chunks: %d (size %d)\n", st.Chunks, st.ChunkSize)
 	}
-	fmt.Printf("events: %d\nchunks: %d (size %d)\nrules: %d\nrhs symbols: %d\npeak live symbols: %d\nwpc bytes: %d\n-> %s\n",
-		st.Events, st.Chunks, st.ChunkSize, st.Rules, st.RHSSymbols, st.PeakLiveRHS, n, path)
-	if rep != nil {
+	fmt.Printf("rules: %d\nrhs symbols: %d\n", st.Rules, st.RHSSymbols)
+	if st.ChunkSize > 0 {
+		fmt.Printf("peak live symbols: %d\n", st.PeakLiveRHS)
+	}
+	fmt.Printf("raw trace bytes: %d\nbytes written: %d (ratio %.1fx)\n-> %s\n",
+		st.RawTraceBytes, n, float64(st.RawTraceBytes)/float64(n), path)
+	if st.ChunkSize > 0 && rep != nil {
 		fmt.Println(rep.String())
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/collect"
 	"repro/internal/interp"
@@ -106,7 +107,11 @@ func A4(scale Scale, _ []string) ([]A4Row, *Table, error) {
 			if err != nil {
 				return 0, 0, 0, 0, err
 			}
-			return t.Stats.Instructions, t.Stats.Events, t.Report.BytesOut, t.Value, nil
+			size, err := t.Artifact.Encode(io.Discard)
+			if err != nil {
+				return 0, 0, 0, 0, err
+			}
+			return t.Stats.Instructions, t.Stats.Events, size, t.Value, nil
 		}
 		pi, pe, pb, pres, err := build(false)
 		if err != nil {

@@ -57,12 +57,11 @@ func encodeArtifact(ids, costs []uint64, instructions uint64, chunk int) []byte 
 	if chunk > 0 {
 		put(uint64(len(grammars)))
 	}
+	enc := buf.Bytes()
 	for _, sn := range grammars {
-		if _, err := sn.Encode(&buf); err != nil {
-			panic(err)
-		}
+		enc, _ = sn.AppendEncoding(enc, nil)
 	}
-	return buf.Bytes()
+	return enc
 }
 
 // costOverflowFile is a committed copy of costOverflowArtifact's bytes,

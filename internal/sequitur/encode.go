@@ -1,7 +1,6 @@
 package sequitur
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -22,55 +21,41 @@ import (
 
 var magic = [4]byte{'S', 'Q', 'G', '1'}
 
-// Encode writes the snapshot to w and returns the number of bytes written.
-func (sn *Snapshot) Encode(w io.Writer) (int64, error) {
-	cw := &countWriter{w: bufio.NewWriter(w)}
-	if _, err := cw.Write(magic[:]); err != nil {
-		return cw.n, err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := cw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(sn.Rules))); err != nil {
-		return cw.n, err
-	}
-	for _, rhs := range sn.Rules {
-		if err := putUvarint(uint64(len(rhs))); err != nil {
-			return cw.n, err
-		}
-		for _, s := range rhs {
-			var v uint64
+// AppendEncoding appends the snapshot's encoding to buf and returns the
+// extended slice; it is the package's one encoder. With a nil rank every
+// terminal is written as its value. A container that dictionary-codes
+// its terminals passes rank, which maps a value to the number written in
+// its place; a value rank does not know fails the encode, and buf is
+// returned as it was given.
+func (sn *Snapshot) AppendEncoding(buf []byte, rank func(uint64) (uint64, bool)) ([]byte, error) {
+	start := len(buf)
+	buf = append(buf, magic[:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(sn.Rules)))
+	for i, rhs := range sn.Rules {
+		buf = binary.AppendUvarint(buf, uint64(len(rhs)))
+		for j, s := range rhs {
 			if s.IsRule() {
-				v = uint64(s.Rule)<<1 | 1
-			} else {
-				v = s.Value << 1
+				buf = binary.AppendUvarint(buf, uint64(s.Rule)<<1|1)
+				continue
 			}
-			if err := putUvarint(v); err != nil {
-				return cw.n, err
+			v := s.Value
+			if rank != nil {
+				r, ok := rank(v)
+				if !ok {
+					return buf[:start], fmt.Errorf("sequitur: rule %d sym %d: terminal %d has no rank", i, j, v)
+				}
+				v = r
 			}
+			buf = binary.AppendUvarint(buf, v<<1)
 		}
 	}
-	return cw.n, cw.w.(*bufio.Writer).Flush()
+	return buf, nil
 }
 
-// EncodedSize returns the number of bytes Encode would write.
+// EncodedSize is the length of the snapshot's encoding, unranked.
 func (sn *Snapshot) EncodedSize() int64 {
-	n := int64(len(magic))
-	n += int64(UvarintLen(uint64(len(sn.Rules))))
-	for _, rhs := range sn.Rules {
-		n += int64(UvarintLen(uint64(len(rhs))))
-		for _, s := range rhs {
-			if s.IsRule() {
-				n += int64(UvarintLen(uint64(s.Rule)<<1 | 1))
-			} else {
-				n += int64(UvarintLen(s.Value << 1))
-			}
-		}
-	}
-	return n
+	buf, _ := sn.AppendEncoding(nil, nil)
+	return int64(len(buf))
 }
 
 // UvarintLen is the number of bytes binary.PutUvarint writes for v.
@@ -103,7 +88,7 @@ func Scan(data []byte) (int, error) {
 	return d.off, nil
 }
 
-// Decode builds the snapshot Encode wrote into data. data must hold
+// Decode builds the snapshot AppendEncoding wrote into data. data must hold
 // exactly one encoding: trailing bytes are an error.
 func Decode(data []byte) (*Snapshot, error) {
 	d := decoder{data: data}
@@ -111,16 +96,16 @@ func Decode(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	sn := &Snapshot{Rules: make([][]Sym, 0, min(numRules, 1<<16))}
+	// Every rule and every symbol takes at least one input byte, so the
+	// bytes left cap each table before its entries are read: a corrupt
+	// count fails at the end of data instead of sizing a table for it.
+	sn := &Snapshot{Rules: make([][]Sym, 0, min(numRules, d.left()))}
 	for i := uint64(0); i < numRules; i++ {
 		rhsLen, err := d.ruleLen(i)
 		if err != nil {
 			return nil, err
 		}
-		// Grow incrementally: every symbol costs at least one input byte,
-		// so a corrupt length fails at the end of data instead of
-		// allocating it all.
-		rhs := make([]Sym, 0, min(rhsLen, 1<<16))
+		rhs := make([]Sym, 0, min(rhsLen, d.left()))
 		for j := uint64(0); j < rhsLen; j++ {
 			v, ok := d.uvarint()
 			if !ok {
@@ -149,6 +134,9 @@ type decoder struct {
 	data []byte
 	off  int
 }
+
+// left is the number of bytes not yet read.
+func (d *decoder) left() uint64 { return uint64(len(d.data) - d.off) }
 
 // uvarint reads one varint; ok is false if data ends inside it or it
 // overflows 64 bits.
@@ -327,16 +315,4 @@ func (sn *Snapshot) Dot(label func(uint64) string) string {
 	}
 	sb.WriteString("}\n")
 	return sb.String()
-}
-
-// countWriter counts bytes written through it.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }

@@ -324,14 +324,9 @@ func TestResetReuseMatchesOracleAcrossChunks(t *testing.T) {
 				pooled.Append(v)
 				o.Append(v)
 			}
-			var pb, ob bytes.Buffer
-			if _, err := pooled.Snapshot().Encode(&pb); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := o.Snapshot().Encode(&ob); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(pb.Bytes(), ob.Bytes()) {
+			pb, _ := pooled.Snapshot().AppendEncoding(nil, nil)
+			ob, _ := o.Snapshot().AppendEncoding(nil, nil)
+			if !bytes.Equal(pb, ob) {
 				t.Fatalf("chunk [%d,%d): pooled grammar encoding diverges from fresh oracle (chunkSize %d)", lo, hi, chunkSize)
 			}
 			if err := pooled.Verify(); err != nil {

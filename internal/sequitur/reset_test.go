@@ -96,15 +96,10 @@ func TestResetEquivalentToFresh(t *testing.T) {
 	if rs, fs := reused.Stats(), fresh.Stats(); rs != fs {
 		t.Fatalf("stats diverge: reused %+v, fresh %+v", rs, fs)
 	}
-	var rb, fb bytes.Buffer
-	if _, err := reused.Snapshot().Encode(&rb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.Snapshot().Encode(&fb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rb.Bytes(), fb.Bytes()) {
-		t.Errorf("reused grammar encodes to %d bytes != fresh %d bytes", rb.Len(), fb.Len())
+	rb, _ := reused.Snapshot().AppendEncoding(nil, nil)
+	fb, _ := fresh.Snapshot().AppendEncoding(nil, nil)
+	if !bytes.Equal(rb, fb) {
+		t.Errorf("reused grammar encodes to %d bytes != fresh %d bytes", len(rb), len(fb))
 	}
 }
 

@@ -1,11 +1,13 @@
 package sequitur
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -322,23 +324,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		g := feed(t, in)
 		sn := g.Snapshot()
-		var buf bytes.Buffer
-		written, err := sn.Encode(&buf)
+		enc, err := sn.AppendEncoding(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if written != int64(buf.Len()) {
-			t.Fatalf("Encode reported %d bytes, wrote %d", written, buf.Len())
-		}
-		if got := sn.EncodedSize(); got != written {
-			t.Fatalf("EncodedSize = %d, Encode wrote %d", got, written)
-		}
-		back, err := Decode(buf.Bytes())
+		back, err := Decode(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, err := Scan(buf.Bytes()); err != nil || n != buf.Len() {
-			t.Fatalf("Scan = %d, %v; want %d", n, err, buf.Len())
+		if n, err := Scan(enc); err != nil || n != len(enc) {
+			t.Fatalf("Scan = %d, %v; want %d", n, err, len(enc))
 		}
 		if !reflect.DeepEqual(back, sn) {
 			t.Fatal("decode(encode(snapshot)) != snapshot")
@@ -358,16 +353,74 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		}
 	}
 	// Scan delimits; only Decode insists the encoding fills its input.
-	var buf bytes.Buffer
-	if _, err := (&Snapshot{Rules: [][]Sym{{{Rule: -1, Value: 7}}}}).Encode(&buf); err != nil {
+	enc, err := (&Snapshot{Rules: [][]Sym{{{Rule: -1, Value: 7}}}}).AppendEncoding(nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	padded := append(buf.Bytes(), 0)
-	if n, err := Scan(padded); err != nil || n != buf.Len() {
-		t.Fatalf("Scan = %d, %v; want %d", n, err, buf.Len())
+	padded := append(enc, 0)
+	if n, err := Scan(padded); err != nil || n != len(enc) {
+		t.Fatalf("Scan = %d, %v; want %d", n, err, len(enc))
 	}
 	if _, err := Decode(padded); err == nil {
 		t.Fatal("Decode accepted a trailing byte")
+	}
+}
+
+// TestAppendEncodingRanks: with a rank, each terminal is written as its
+// rank after whatever buf already holds, rule references unchanged, so
+// decoding gives the snapshot with ranked terminals; a terminal the rank
+// does not know fails the encode and hands buf back as it came.
+func TestAppendEncodingRanks(t *testing.T) {
+	sn := &Snapshot{Rules: [][]Sym{
+		{{Rule: 1}, {Rule: -1, Value: 900}, {Rule: 1}},
+		{{Rule: -1, Value: 500}, {Rule: -1, Value: 900}},
+	}}
+	ranks := map[uint64]uint64{500: 0, 900: 1}
+	rank := func(v uint64) (uint64, bool) { r, ok := ranks[v]; return r, ok }
+	prefix := []byte("hdr")
+	enc, err := sn.AppendEncoding(prefix, rank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(enc[:3]) != "hdr" {
+		t.Fatalf("prefix overwritten: %q", enc[:3])
+	}
+	back, err := Decode(enc[3:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Snapshot{Rules: [][]Sym{
+		{{Rule: 1}, {Rule: -1, Value: 1}, {Rule: 1}},
+		{{Rule: -1, Value: 0}, {Rule: -1, Value: 1}},
+	}}
+	if !reflect.DeepEqual(back, want) {
+		t.Fatalf("ranked decode = %+v, want %+v", back.Rules, want.Rules)
+	}
+	delete(ranks, 500)
+	got, err := sn.AppendEncoding(prefix, rank)
+	if err == nil {
+		t.Fatal("encode with an unranked terminal succeeded")
+	}
+	if string(got) != "hdr" {
+		t.Fatalf("failed encode returned %q, want the prefix alone", got)
+	}
+}
+
+// TestDecodeAllocBoundedByInput: a 10-byte grammar declaring 65536
+// rules, the first 65536 symbols long, must fail without sizing either
+// table by its count. Every rule and symbol takes an input byte, so
+// the bytes left cap both.
+func TestDecodeAllocBoundedByInput(t *testing.T) {
+	data := []byte{'S', 'Q', 'G', '1', 0x80, 0x80, 0x04, 0x80, 0x80, 0x04}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Decode = %v, want unexpected EOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+		t.Fatalf("Decode of %d bytes allocated %d bytes, want at most 64 KiB", len(data), alloc)
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/mmapio"
+	"repro/internal/sequitur"
 	iwpp "repro/internal/wpp"
 )
 
@@ -122,18 +124,22 @@ func (s *Store) PutArtifact(a iwpp.Artifact) (Hash, *Manifest, error) {
 	if _, err := a.Encode(&buf); err != nil {
 		return Hash{}, nil, fmt.Errorf("store: encoding artifact: %w", err)
 	}
-	return s.putArtifact(a, buf.Bytes())
+	return s.PutArtifactEncoded(a, buf.Bytes())
 }
 
-// PutArtifactBytes stores an already-encoded artifact. The bytes are
-// decoded in full first, so corrupt input is refused rather than
-// stored, then stored exactly as given.
+// PutArtifactBytes stores an already-encoded artifact. Every chunk is
+// materialized through the one view the put opens, so corrupt input is
+// refused rather than stored; the bytes are then stored exactly as
+// given.
 func (s *Store) PutArtifactBytes(enc []byte) (Hash, *Manifest, error) {
-	a, err := iwpp.Decode(enc)
+	v, err := iwpp.NewView(enc, nil)
+	if err == nil {
+		err = engine.EachChunk(v, 0, func(int, *sequitur.Snapshot) error { return nil })
+	}
 	if err != nil {
 		return Hash{}, nil, fmt.Errorf("store: decoding artifact: %w", err)
 	}
-	return s.putArtifact(a, enc)
+	return s.put(v, enc)
 }
 
 // PutArtifactEncoded stores an artifact whose encoding the caller
@@ -141,13 +147,6 @@ func (s *Store) PutArtifactBytes(enc []byte) (Hash, *Manifest, error) {
 // of PutArtifactBytes. enc must be a's Encode output; its header is
 // checked against a before anything is recorded.
 func (s *Store) PutArtifactEncoded(a iwpp.Artifact, enc []byte) (Hash, *Manifest, error) {
-	return s.putArtifact(a, enc)
-}
-
-// putArtifact stores enc, the encoding of a. Chunked artifacts are
-// split into header and chunk objects along the framing of enc itself,
-// so the parts reassemble exactly the bytes being addressed.
-func (s *Store) putArtifact(a iwpp.Artifact, enc []byte) (Hash, *Manifest, error) {
 	v, err := iwpp.NewView(enc, nil)
 	if err != nil {
 		return Hash{}, nil, fmt.Errorf("store: artifact header: %w", err)
@@ -155,6 +154,13 @@ func (s *Store) putArtifact(a iwpp.Artifact, enc []byte) (Hash, *Manifest, error
 	if err := checkHeader(v, a); err != nil {
 		return Hash{}, nil, err
 	}
+	return s.put(v, enc)
+}
+
+// put stores enc, viewed by v. Chunked artifacts are split into header
+// and chunk objects along the framing of enc itself, so the parts
+// reassemble exactly the bytes being addressed.
+func (s *Store) put(v *iwpp.ArtifactView, enc []byte) (Hash, *Manifest, error) {
 	h := HashOf(enc)
 	if m, err := s.Manifest(h); err == nil {
 		// Already stored. Still a put of every part as far as dedup

@@ -7,10 +7,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/obsv"
+	"repro/internal/sequitur"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 	iwpp "repro/internal/wpp"
@@ -393,5 +395,54 @@ func TestPutArtifactEncodedChecksHeader(t *testing.T) {
 	}
 	if _, _, err := s.PutArtifactEncoded(chunked, chunkedEnc); err != nil {
 		t.Fatalf("matching encoding refused: %v", err)
+	}
+}
+
+// TestPutArtifactBytesRefusesCorruptChunk hands PutArtifactBytes
+// chunked artifacts whose header opens but one of whose chunks cannot
+// materialize: a chunk cut short, a chunk whose rule references itself,
+// and a v2 chunk whose terminal ranks past the dictionary. Each put must
+// fail and record nothing.
+func TestPutArtifactBytesRefusesCorruptChunk(t *testing.T) {
+	s, _ := newTestStore(t)
+	good := buildChunked(t, syntheticEvents(300), 64)
+	var enc bytes.Buffer
+	if _, err := good.Encode(&enc); err != nil {
+		t.Fatal(err)
+	}
+	// The last chunk's rule 1 references itself.
+	cyclic := *good
+	cyclic.Chunks = slices.Clone(good.Chunks)
+	cyclic.Chunks[len(cyclic.Chunks)-1] = &sequitur.Snapshot{Rules: [][]sequitur.Sym{
+		{{Rule: 1}},
+		{{Rule: 1}, {Rule: -1, Value: uint64(good.DistinctEvents()[0])}},
+	}}
+	var cyclicEnc bytes.Buffer
+	if _, err := cyclic.Encode(&cyclicEnc); err != nil {
+		t.Fatal(err)
+	}
+	// A WPC2 with a one-entry dictionary whose one chunk writes ranks 0
+	// and 5.
+	rankPast := []byte{'W', 'P', 'C', '2', 1, 1, 'f', 0, 4, 2, 2, 0, 1, 0, 1, 1, 'S', 'Q', 'G', '1', 1, 2, 0, 10}
+	for _, c := range []struct {
+		name string
+		enc  []byte
+	}{
+		{"last chunk cut short", enc.Bytes()[:enc.Len()-1]},
+		{"cyclic chunk", cyclicEnc.Bytes()},
+		{"rank past the dictionary", rankPast},
+	} {
+		if _, err := iwpp.NewView(c.enc, nil); err != nil {
+			t.Fatalf("%s: header does not open (%v); the case must corrupt a chunk", c.name, err)
+		}
+		if _, _, err := s.PutArtifactBytes(c.enc); err == nil {
+			t.Errorf("%s: put succeeded", c.name)
+		}
+		if _, err := s.Manifest(HashOf(c.enc)); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: manifest recorded (%v)", c.name, err)
+		}
+	}
+	if _, _, err := s.PutArtifactBytes(enc.Bytes()); err != nil {
+		t.Fatalf("intact artifact refused: %v", err)
 	}
 }

@@ -1,10 +1,10 @@
 package wpp
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/engine"
@@ -117,26 +117,14 @@ func sortedCostEvents(costs map[trace.Event]uint64) []trace.Event {
 	return events
 }
 
-// rankSnapshot returns a copy of sn with every terminal replaced by its
-// dictionary rank. It fails if a terminal is not in the dictionary.
-func rankSnapshot(sn *sequitur.Snapshot, rank map[uint64]uint64) (*sequitur.Snapshot, error) {
-	out := &sequitur.Snapshot{Rules: make([][]sequitur.Sym, len(sn.Rules))}
-	for i, rhs := range sn.Rules {
-		nr := make([]sequitur.Sym, len(rhs))
-		for j, s := range rhs {
-			if s.IsRule() {
-				nr[j] = s
-				continue
-			}
-			r, ok := rank[s.Value]
-			if !ok {
-				return nil, fmt.Errorf("wpp: cannot encode v2: grammar terminal %v has no cost-table entry", trace.Event(s.Value))
-			}
-			nr[j] = sequitur.Sym{Rule: -1, Value: r}
-		}
-		out.Rules[i] = nr
+// dictRank maps a terminal value to its rank in dict, the ascending v2
+// terminal dictionary, by binary search; ok is false for a value dict
+// lacks.
+func dictRank(dict []trace.Event) func(uint64) (uint64, bool) {
+	return func(v uint64) (uint64, bool) {
+		i, ok := slices.BinarySearch(dict, trace.Event(v))
+		return uint64(i), ok
 	}
-	return out, nil
 }
 
 // unrankSnapshot rewrites a decoded rank snapshot's terminals back to
@@ -156,92 +144,59 @@ func unrankSnapshot(sn *sequitur.Snapshot, dict []trace.Event) error {
 	return nil
 }
 
-// terminalRanks builds the value -> rank map for the dictionary.
-func terminalRanks(dict []trace.Event) map[uint64]uint64 {
-	rank := make(map[uint64]uint64, len(dict))
-	for i, e := range dict {
-		rank[uint64(e)] = uint64(i)
-	}
-	return rank
-}
-
-// encoder writes varints through a buffered writer, counting bytes and
-// keeping the first error.
-type encoder struct {
-	bw      *bufio.Writer
-	written int64
-	buf     [binary.MaxVarintLen64]byte
-	err     error
-}
-
-func (e *encoder) put(v uint64) {
-	n := binary.PutUvarint(e.buf[:], v)
-	e.raw(e.buf[:n])
-}
-
-func (e *encoder) raw(p []byte) {
-	if e.err != nil {
-		return
-	}
-	m, err := e.bw.Write(p)
-	e.written += int64(m)
-	e.err = err
-}
-
 // encode writes the artifact in the container and version its header
-// selects. The encoding is a deterministic function of the artifact, so
-// equal artifacts serialize byte-identically.
+// selects, one part at a time: the header, then each grammar, appended
+// to one reused buffer. A v2 grammar's terminals are written as their
+// dictionary ranks as they are appended. The encoding is a deterministic
+// function of the artifact, so equal artifacts serialize
+// byte-identically. On error, out may hold a prefix of the encoding.
 func (a *artifact) encode(out io.Writer) (int64, error) {
 	dict := sortedCostEvents(a.costs)
-	grammars := a.chunks
+	var rank func(uint64) (uint64, bool)
 	if a.v2() {
-		rank := terminalRanks(dict)
-		grammars = make([]*sequitur.Snapshot, len(a.chunks))
-		for i, sn := range a.chunks {
-			r, err := rankSnapshot(sn, rank)
-			if err != nil {
-				if a.chunked {
-					err = fmt.Errorf("wpp: chunk %d: %w", i, err)
-				}
-				return 0, err
-			}
-			grammars[i] = r
-		}
+		rank = dictRank(dict)
 	}
-	e := &encoder{bw: bufio.NewWriter(out)}
+	buf := a.appendHeader(nil, dict)
+	n, err := out.Write(buf)
+	written := int64(n)
+	for i := 0; err == nil && i < len(a.chunks); i++ {
+		if buf, err = a.chunks[i].AppendEncoding(buf[:0], rank); err != nil {
+			if a.chunked {
+				err = fmt.Errorf("chunk %d: %w", i, err)
+			}
+			return written, fmt.Errorf("wpp: cannot encode v2, a terminal has no cost-table entry: %w", err)
+		}
+		n, err = out.Write(buf)
+		written += int64(n)
+	}
+	return written, err
+}
+
+// appendHeader appends everything the encoding holds before the
+// grammars; dict is the cost table's events in ascending order.
+func (a *artifact) appendHeader(buf []byte, dict []trace.Event) []byte {
 	m := a.magic()
-	e.raw(m[:])
-	e.put(uint64(len(a.funcs)))
+	buf = append(buf, m[:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(a.funcs)))
 	for _, f := range a.funcs {
-		e.put(uint64(len(f.Name)))
-		e.raw([]byte(f.Name))
-		e.put(f.NumPaths)
+		buf = binary.AppendUvarint(buf, uint64(len(f.Name)))
+		buf = append(buf, f.Name...)
+		buf = binary.AppendUvarint(buf, f.NumPaths)
 	}
 	for _, v := range a.geometry() {
-		e.put(v)
+		buf = binary.AppendUvarint(buf, v)
 	}
-	e.put(uint64(len(dict)))
+	buf = binary.AppendUvarint(buf, uint64(len(dict)))
 	prev := uint64(0)
 	for _, ev := range dict {
-		e.put(a.costKey(ev, prev))
-		e.put(a.costs[ev])
+		buf = binary.AppendUvarint(buf, a.costKey(ev, prev))
+		buf = binary.AppendUvarint(buf, a.costs[ev])
 		prev = uint64(ev)
 	}
 	if a.chunked {
-		e.put(uint64(len(grammars)))
+		buf = binary.AppendUvarint(buf, uint64(len(a.chunks)))
 	}
-	for _, sn := range grammars {
-		if e.err != nil {
-			break
-		}
-		n, err := sn.Encode(e.bw)
-		e.written += n
-		e.err = err
-	}
-	if e.err == nil {
-		e.err = e.bw.Flush()
-	}
-	return e.written, e.err
+	return buf
 }
 
 // costKey is how a cost-table entry's event is written: absolute in v1,
@@ -252,49 +207,6 @@ func (h *header) costKey(ev trace.Event, prev uint64) uint64 {
 		return uint64(ev) - prev
 	}
 	return uint64(ev)
-}
-
-// encodedSize is the byte length encode writes, computed arithmetically
-// from the same fields without encoding or copying a grammar. It is
-// meaningful only for an artifact encode accepts.
-func (a *artifact) encodedSize() int64 {
-	dict := sortedCostEvents(a.costs)
-	n := int64(4 + sequitur.UvarintLen(uint64(len(a.funcs))))
-	for _, f := range a.funcs {
-		n += int64(sequitur.UvarintLen(uint64(len(f.Name))) + len(f.Name) + sequitur.UvarintLen(f.NumPaths))
-	}
-	for _, v := range a.geometry() {
-		n += int64(sequitur.UvarintLen(v))
-	}
-	n += int64(sequitur.UvarintLen(uint64(len(dict))))
-	prev := uint64(0)
-	for _, ev := range dict {
-		n += int64(sequitur.UvarintLen(a.costKey(ev, prev)) + sequitur.UvarintLen(a.costs[ev]))
-		prev = uint64(ev)
-	}
-	if a.chunked {
-		n += int64(sequitur.UvarintLen(uint64(len(a.chunks))))
-	}
-	if !a.v2() {
-		for _, sn := range a.chunks {
-			n += sn.EncodedSize()
-		}
-		return n
-	}
-	// A ranked terminal's varint replaces the event's; the framing and
-	// rule references are the v1 sizes.
-	rank := terminalRanks(dict)
-	for _, sn := range a.chunks {
-		n += sn.EncodedSize()
-		for _, rhs := range sn.Rules {
-			for _, s := range rhs {
-				if !s.IsRule() {
-					n += int64(sequitur.UvarintLen(rank[s.Value]<<1) - sequitur.UvarintLen(s.Value<<1))
-				}
-			}
-		}
-	}
-	return n
 }
 
 // walk yields the full event trace of src in order, one chunk at a time,
@@ -353,19 +265,11 @@ func (a *artifact) verify(workers int, digrams bool) (VerifyReport, error) {
 }
 
 // stats is Stats for an in-memory artifact, whose chunks cannot fail.
+// EncodedBytes is the length of its encoding.
 func (a *artifact) stats() Stats {
-	st, _ := statsOf(&a.header, a, 1, a.encodedSize())
+	n, _ := a.encode(io.Discard)
+	st, _ := statsOf(&a.header, a, 1, n)
 	return st
-}
-
-// rawTraceBytes is the size of the uncompressed varint trace the chunk
-// grammars replace: the trace magic plus every chunk's expansion.
-func rawTraceBytes(chunks []*sequitur.Snapshot) int64 {
-	n := int64(4)
-	for _, sn := range chunks {
-		n += snapshotRawBytes(sn)
-	}
-	return n
 }
 
 // snapshotRawBytes is the varint byte size of a snapshot's full

@@ -478,13 +478,8 @@ func (b *builder) buildReport(a *artifact, wall time.Duration) *BuildReport {
 		ChunkSize:     a.chunkSize,
 		DistinctPaths: len(a.costs),
 		Workers:       len(b.workerBusy),
-		BytesIn:       rawTraceBytes(a.chunks),
-		BytesOut:      a.encodedSize(),
 		WallTime:      wall,
 		WorkerBusy:    make([]float64, len(b.workerBusy)),
-	}
-	if r.BytesOut > 0 {
-		r.Ratio = float64(r.BytesIn) / float64(r.BytesOut)
 	}
 	if wall > 0 {
 		for i, busy := range b.workerBusy {

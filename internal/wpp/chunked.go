@@ -53,11 +53,6 @@ func (c *ChunkedWPP) Walk(yield func(trace.Event) bool) { walk(c, yield) }
 // artifacts serialize byte-identically.
 func (c *ChunkedWPP) Encode(out io.Writer) (int64, error) { return c.artifact().encode(out) }
 
-// EncodedSize returns the byte size Encode would produce: header, cost
-// table and every chunk grammar. Stats().GrammarBytes is the grammars
-// alone.
-func (c *ChunkedWPP) EncodedSize() int64 { return c.artifact().encodedSize() }
-
 // Stats computes the summary.
 func (c *ChunkedWPP) Stats() Stats { return c.artifact().stats() }
 

@@ -72,9 +72,8 @@ func TestChunkedSizeTradeoff(t *testing.T) {
 	// lost); the total grammar bytes must be monotone-ish.
 	tiny, _ := buildChunked(t, loopProgram, 16, 400)
 	big, _ := buildChunked(t, loopProgram, 1<<30, 400)
-	if tiny.EncodedSize() <= big.EncodedSize() {
-		t.Fatalf("tiny chunks (%dB) should cost more than monolithic (%dB)",
-			tiny.EncodedSize(), big.EncodedSize())
+	if tb, bb := encodedLen(t, tiny), encodedLen(t, big); tb <= bb {
+		t.Fatalf("tiny chunks (%dB) should cost more than monolithic (%dB)", tb, bb)
 	}
 }
 

@@ -2,6 +2,7 @@ package wpp
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -101,11 +102,18 @@ func sameWPP(t *testing.T, a, b *WPP) {
 // nil, which DeepEqual refuses but the encoding ignores.
 func grammarBytes(t *testing.T, sn *sequitur.Snapshot) []byte {
 	t.Helper()
-	var b bytes.Buffer
-	if _, err := sn.Encode(&b); err != nil {
+	b, _ := sn.AppendEncoding(nil, nil)
+	return b
+}
+
+// encodedLen is the length of a's encoding.
+func encodedLen(t *testing.T, a Artifact) int64 {
+	t.Helper()
+	n, err := a.Encode(io.Discard)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return b.Bytes()
+	return n
 }
 
 func sameChunked(t *testing.T, a, b *ChunkedWPP) {
@@ -145,9 +153,6 @@ func TestWPP2RoundTrip(t *testing.T) {
 			if n != int64(buf.Len()) {
 				t.Fatalf("Encode reported %d bytes, wrote %d", n, buf.Len())
 			}
-			if got := w.EncodedSize(); got != n {
-				t.Fatalf("EncodedSize %d != encoded %d", got, n)
-			}
 			got := decodeWPP(t, buf.Bytes())
 			if got.Version != FormatV2 {
 				t.Fatalf("decoded Version = %d, want %d", got.Version, FormatV2)
@@ -180,9 +185,6 @@ func TestWPC2RoundTrip(t *testing.T) {
 			}
 			if n != int64(buf.Len()) {
 				t.Fatalf("Encode reported %d bytes, wrote %d", n, buf.Len())
-			}
-			if got := c.EncodedSize(); got != n {
-				t.Fatalf("EncodedSize %d != encoded %d", got, n)
 			}
 			got := decodeChunked(t, buf.Bytes())
 			if got.Version != FormatV2 {
@@ -239,33 +241,23 @@ func TestWPP2DecodeEqualsWPP1Decode(t *testing.T) {
 // TestWPP2NeverLarger is the size regression guard: by construction
 // (delta <= absolute in the sorted cost table, rank <= value in the
 // grammar terminals) the v2 encoding is at most the v1 size, on every
-// stream. Checked for both reported sizes and actual bytes.
+// stream, in both containers.
 func TestWPP2NeverLarger(t *testing.T) {
 	for name, events := range testStreams() {
 		t.Run(name, func(t *testing.T) {
 			w := buildMonoFor(events)
 			w.Version = FormatV1
-			v1 := w.EncodedSize()
-			var b1 bytes.Buffer
-			if _, err := w.Encode(&b1); err != nil {
-				t.Fatal(err)
-			}
+			v1 := encodedLen(t, w)
 			w.Version = FormatV2
-			v2 := w.EncodedSize()
-			var b2 bytes.Buffer
-			if _, err := w.Encode(&b2); err != nil {
-				t.Fatal(err)
-			}
-			if v2 > v1 || int64(b2.Len()) > int64(b1.Len()) {
-				t.Fatalf("WPP2 (%d bytes) exceeds WPP1 (%d bytes)", b2.Len(), b1.Len())
+			if v2 := encodedLen(t, w); v2 > v1 {
+				t.Fatalf("WPP2 (%d bytes) exceeds WPP1 (%d bytes)", v2, v1)
 			}
 
 			c := buildChunkedFor(events, 64)
 			c.Version = FormatV1
-			cv1 := c.EncodedSize()
+			cv1 := encodedLen(t, c)
 			c.Version = FormatV2
-			cv2 := c.EncodedSize()
-			if cv2 > cv1 {
+			if cv2 := encodedLen(t, c); cv2 > cv1 {
 				t.Fatalf("WPC2 (%d bytes) exceeds WPC1 (%d bytes)", cv2, cv1)
 			}
 		})
@@ -285,24 +277,25 @@ func TestEncodeV2MissingCost(t *testing.T) {
 }
 
 // TestEncodedSizeGolden: on every golden artifact, both containers, at
-// both versions, EncodedSize is the length of what Encode writes — the
-// whole artifact, header and cost table included — and re-encoding at
-// the file's own version reproduces the file.
+// both versions, the sizes reported (Encode's count and Stats'
+// EncodedBytes) are the length of what Encode writes — the whole
+// artifact, header and cost table included — and re-encoding at the
+// file's own version reproduces the file.
 func TestEncodedSizeGolden(t *testing.T) {
 	for name, data := range goldenArtifacts(t) {
 		a, err := Decode(data)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sized := a.(interface{ EncodedSize() int64 })
 		for _, version := range []uint8{FormatV1, FormatV2} {
 			SetVersion(a, version)
 			var buf bytes.Buffer
-			if _, err := a.Encode(&buf); err != nil {
+			n, err := a.Encode(&buf)
+			if err != nil {
 				t.Fatalf("%s v%d: %v", name, version, err)
 			}
-			if got := sized.EncodedSize(); got != int64(buf.Len()) {
-				t.Errorf("%s v%d: EncodedSize %d, Encode wrote %d", name, version, got, buf.Len())
+			if got := a.Stats().EncodedBytes; n != int64(buf.Len()) || got != n {
+				t.Errorf("%s v%d: Encode reported %d and Stats %d, Encode wrote %d", name, version, n, got, buf.Len())
 			}
 			if buf.Bytes()[3] == data[3] && !bytes.Equal(buf.Bytes(), data) { // same version digit
 				t.Errorf("%s v%d: re-encoding differs from the file", name, version)

@@ -3,6 +3,7 @@ package wpp
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/sequitur"
@@ -98,9 +99,10 @@ func FuzzChunkedParity(f *testing.F) {
 }
 
 // FuzzDecode holds Decode to its contract on arbitrary bytes, seeded
-// with every golden artifact (all four formats) and its first half.
-// FuzzDecodeChunked, FuzzDecodeAny and FuzzDecodeWPP2 hold Decode to the
-// same contract from their own seed corpora; checkDecode is the contract.
+// with every golden artifact (all four formats) and its first half, and
+// with the counts-beyond-bytes inputs below. FuzzDecodeChunked, FuzzDecodeAny and
+// FuzzDecodeWPP2 hold Decode to the same contract from their own seed
+// corpora; checkDecode is the contract.
 func FuzzDecode(f *testing.F) {
 	for _, s := range goldenSeeds(f) {
 		f.Add(s)
@@ -109,8 +111,42 @@ func FuzzDecode(f *testing.F) {
 	for _, s := range []string{"WPP1", "WPP2", "WPC1", "WPC2", "WPP9", ""} {
 		f.Add([]byte(s))
 	}
+	f.Add(grammarCountsBeyondBytes)
+	for _, s := range costCountsBeyondBytes {
+		f.Add(s)
+	}
 	f.Fuzz(checkDecode)
 }
+
+// grammarCountsBeyondBytes is a WPP1 of one function and an empty cost
+// table whose grammar is "SQG1" then the uvarints 65536 and 65536: 65536
+// rules, the first 65536 symbols long, declared in 6 bytes. Here the
+// view's framing scan refuses it before sequitur.Decode runs; a chunk
+// loaded from store parts is not scanned, and there Decode's own cap
+// bounds it (sequitur's TestDecodeAllocBoundedByInput).
+var grammarCountsBeyondBytes = []byte{'W', 'P', 'P', '1', 1, 1, 'f', 0, 0, 0, 0,
+	'S', 'Q', 'G', '1', 0x80, 0x80, 0x04, 0x80, 0x80, 0x04}
+
+// costCountsBeyondBytes are a WPP1 and a WPP2 of no functions that
+// declare 2^32 cost-table entries in 12 bytes. A cost table sized by
+// its count, even one capped at 2^16 entries, allocates megabytes.
+var costCountsBeyondBytes = [][]byte{
+	{'W', 'P', 'P', '1', 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10},
+	{'W', 'P', 'P', '2', 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10},
+}
+
+// Decode's allocation bound on n input bytes is decodeAllocPerByte*n +
+// decodeAllocSlack (ROADMAP item 6's c and K). Every table Decode sizes
+// from a count is capped by the bytes left to back it, so a valid
+// artifact costs what its decoded form takes: about 16 bytes per grammar
+// symbol, 24 per rule, and a cost map entry cloned once, against at
+// least one input byte for each. The golden corpus reads at most 25
+// bytes per input byte. The slack absorbs fixed costs (the worker pool,
+// the view) and what the fuzzing engine allocates meanwhile.
+const (
+	decodeAllocPerByte = 64
+	decodeAllocSlack   = 1 << 20
+)
 
 // FuzzDecodeChunked seeds the Decode contract with a small chunked
 // artifact, its bare magic, the empty file and a truncation, plus the
@@ -188,13 +224,20 @@ func FuzzDecodeWPP2(f *testing.F) {
 }
 
 // checkDecode is Decode's contract on arbitrary bytes:
-//   - it never panics or loops;
+//   - it never panics or loops, and it allocates within the linear
+//     bound above, whether it succeeds or fails;
 //   - whatever decodes and verifies walks safely, and recompressing its
 //     expansion gives a grammar that satisfies the live invariants;
 //   - it re-encodes, and decoding the re-encoding is a fixed point;
 //   - truncating that exact encoding makes Decode fail.
 func checkDecode(t *testing.T, data []byte) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	a, err := Decode(data)
+	runtime.ReadMemStats(&after)
+	if alloc, bound := after.TotalAlloc-before.TotalAlloc, decodeAllocPerByte*uint64(len(data))+decodeAllocSlack; alloc > bound {
+		t.Fatalf("Decode of %d bytes allocated %d bytes, over the bound of %d", len(data), alloc, bound)
+	}
 	if err != nil {
 		return
 	}

@@ -71,7 +71,9 @@ func (m *BuildMetrics) orNoop() BuildMetrics {
 }
 
 // BuildReport summarizes a finished build: what went in, what came out,
-// and how busy the pipeline was. It is valid after Finish.
+// and how busy the pipeline was. It is valid after Finish. It holds no
+// byte sizes: the builder seals before the caller picks a format, so the
+// size is the encoding's length, read where the artifact is encoded.
 type BuildReport struct {
 	// Events is the number of path events ingested; Chunks the number of
 	// chunk grammars produced; ChunkSize the configured chunk size.
@@ -82,12 +84,6 @@ type BuildReport struct {
 	DistinctPaths int
 	// Workers is the pool size the build ran with.
 	Workers int
-	// BytesIn is the varint-encoded size of the uncompressed trace the
-	// artifact replaces; BytesOut the encoded artifact size; Ratio is
-	// BytesIn/BytesOut.
-	BytesIn  int64
-	BytesOut int64
-	Ratio    float64
 	// WallTime is construction start to Finish return.
 	WallTime time.Duration
 	// WorkerBusy is each worker's fraction of WallTime spent compressing
@@ -102,7 +98,6 @@ func (r BuildReport) String() string {
 	fmt.Fprintf(&b, "build report:\n")
 	fmt.Fprintf(&b, "  events ingested: %d (%d distinct paths)\n", r.Events, r.DistinctPaths)
 	fmt.Fprintf(&b, "  chunks:          %d (size %d)\n", r.Chunks, r.ChunkSize)
-	fmt.Fprintf(&b, "  bytes in/out:    %d / %d (ratio %.1fx)\n", r.BytesIn, r.BytesOut, r.Ratio)
 	fmt.Fprintf(&b, "  wall time:       %s\n", r.WallTime.Round(time.Microsecond))
 	busy := make([]string, len(r.WorkerBusy))
 	for i, f := range r.WorkerBusy {

@@ -70,8 +70,8 @@ func TestMetricsScrapeDuringParallelBuild(t *testing.T) {
 	if rep.Events != events || rep.Chunks != len(c.Chunks) {
 		t.Errorf("report events/chunks = %d/%d, want %d/%d", rep.Events, rep.Chunks, events, len(c.Chunks))
 	}
-	if rep.BytesIn <= 0 || rep.BytesOut <= 0 || rep.Ratio <= 0 {
-		t.Errorf("report byte totals not positive: %+v", rep)
+	if len(rep.WorkerBusy) != rep.Workers || rep.Workers == 0 {
+		t.Errorf("report has %d busy fractions for %d workers", len(rep.WorkerBusy), rep.Workers)
 	}
 }
 

@@ -47,10 +47,8 @@ func overflowArtifact() []byte {
 	} {
 		buf.Write(binary.AppendUvarint(nil, v))
 	}
-	if _, err := sn.Encode(&buf); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	enc, _ := sn.AppendEncoding(buf.Bytes(), nil)
+	return enc
 }
 
 // overflowChunksArtifact hand-encodes a WPC1 of two chunks, each a
@@ -78,12 +76,11 @@ func overflowChunksArtifact() []byte {
 	} {
 		buf.Write(binary.AppendUvarint(nil, v))
 	}
+	enc := buf.Bytes()
 	for range 2 {
-		if _, err := sn.Encode(&buf); err != nil {
-			panic(err)
-		}
+		enc, _ = sn.AppendEncoding(enc, nil)
 	}
-	return buf.Bytes()
+	return enc
 }
 
 // TestExpansionOverflowRejected: the overflowing artifact gets a typed

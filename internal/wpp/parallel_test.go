@@ -106,9 +106,6 @@ func TestParallelEquivalence(t *testing.T) {
 				if got, want := par.Stats(), seq.Stats(); got != want {
 					t.Fatalf("%s chunk=%d workers=%d: stats %+v != %+v", name, cs, nw, got, want)
 				}
-				if got, want := par.EncodedSize(), seq.EncodedSize(); got != want {
-					t.Fatalf("%s chunk=%d workers=%d: encoded size %d != %d", name, cs, nw, got, want)
-				}
 				if !bytes.Equal(encodeChunked(t, par), seqBytes) {
 					t.Fatalf("%s chunk=%d workers=%d: artifact bytes differ", name, cs, nw)
 				}

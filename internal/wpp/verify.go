@@ -85,7 +85,7 @@ func check(h *header, src engine.Source, workers int, digrams bool) (VerifyRepor
 		}
 	}
 
-	rank := terminalRanks(dict)
+	rank := dictRank(dict)
 	seen := make([]atomic.Bool, len(dict))
 	type facts struct {
 		events     uint64
@@ -165,7 +165,7 @@ func check(h *header, src engine.Source, workers int, digrams bool) (VerifyRepor
 // checkChunk runs check's per-chunk part on one grammar and returns its
 // expansion length and path cost, the sum of its events' costs. It marks
 // each terminal's dictionary rank in seen.
-func checkChunk(sn *sequitur.Snapshot, rank map[uint64]uint64, costs map[trace.Event]uint64, seen []atomic.Bool) (events, cost uint64, err error) {
+func checkChunk(sn *sequitur.Snapshot, rank func(uint64) (uint64, bool), costs map[trace.Event]uint64, seen []atomic.Bool) (events, cost uint64, err error) {
 	lens, err := sn.CheckedLen()
 	if err != nil {
 		return 0, 0, err
@@ -187,7 +187,7 @@ func checkChunk(sn *sequitur.Snapshot, rank map[uint64]uint64, costs map[trace.E
 			if s.IsRule() {
 				continue
 			}
-			r, ok := rank[s.Value]
+			r, ok := rank(s.Value)
 			if !ok {
 				return 0, 0, fmt.Errorf("event %v has no recorded cost", trace.Event(s.Value))
 			}

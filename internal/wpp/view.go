@@ -207,38 +207,12 @@ func parseFuncTable(r *byteReader) ([]FuncInfo, error) {
 	return funcs, nil
 }
 
-// parseCostTableV1 reads a v1 cost table: absolute events, in any
-// order.
-func parseCostTableV1(r *byteReader) (map[trace.Event]uint64, error) {
-	numCosts, err := r.uvarint("cost count")
-	if err != nil {
-		return nil, err
-	}
-	if numCosts > 1<<32 {
-		return nil, fmt.Errorf("wpp: implausible cost count %d", numCosts)
-	}
-	costs := make(map[trace.Event]uint64, min(numCosts, 1<<16))
-	for i := uint64(0); i < numCosts; i++ {
-		e, err := r.uvarint("cost event")
-		if err != nil {
-			return nil, err
-		}
-		c, err := r.uvarint("cost value")
-		if err != nil {
-			return nil, err
-		}
-		if err := trace.CheckEvent(trace.Event(e)); err != nil {
-			return nil, fmt.Errorf("wpp: cost table: %w", err)
-		}
-		costs[trace.Event(e)] = c
-	}
-	return costs, nil
-}
-
-// parseCostTableV2 reads a v2 delta-encoded cost table, returning the
-// reconstructed dictionary and cost map. Deltas that break strict
-// ascent are rejected: they would make dictionary ranks ambiguous.
-func parseCostTableV2(r *byteReader) ([]trace.Event, map[trace.Event]uint64, error) {
+// parseCostTable reads the cost table in the header's version. A v1
+// table holds absolute events, in any order. A v2 table is
+// delta-encoded, and its events, ascending, are also returned as the
+// terminal dictionary (nil for v1); deltas that break strict ascent are
+// rejected, since they would make dictionary ranks ambiguous.
+func (h *header) parseCostTable(r *byteReader) ([]trace.Event, map[trace.Event]uint64, error) {
 	numCosts, err := r.uvarint("cost count")
 	if err != nil {
 		return nil, nil, err
@@ -246,22 +220,28 @@ func parseCostTableV2(r *byteReader) ([]trace.Event, map[trace.Event]uint64, err
 	if numCosts > 1<<32 {
 		return nil, nil, fmt.Errorf("wpp: implausible cost count %d", numCosts)
 	}
-	costs := make(map[trace.Event]uint64, min(numCosts, 1<<16))
-	dict := make([]trace.Event, 0, min(numCosts, 1<<16))
+	// An entry takes at least two bytes (event and cost), so the bytes
+	// left bound the tables before any entry is read.
+	capacity := min(numCosts, uint64(len(r.data)-r.off)/2)
+	costs := make(map[trace.Event]uint64, capacity)
+	var dict []trace.Event
+	what := "cost event"
+	if h.v2() {
+		dict = make([]trace.Event, 0, capacity)
+		what = "cost event delta"
+	}
 	prev := uint64(0)
 	for i := uint64(0); i < numCosts; i++ {
-		delta, err := r.uvarint("cost event delta")
+		v, err := r.uvarint(what)
 		if err != nil {
 			return nil, nil, err
 		}
-		v := delta
-		if i > 0 {
-			if delta == 0 {
+		if h.v2() && i > 0 {
+			if v == 0 {
 				return nil, nil, fmt.Errorf("wpp: cost table entry %d repeats its predecessor", i)
 			}
 			var carry uint64
-			v, carry = prev+delta, prev
-			if v < carry {
+			if v, carry = bits.Add64(prev, v, 0); carry != 0 {
 				return nil, nil, fmt.Errorf("wpp: cost table entry %d overflows", i)
 			}
 		}
@@ -272,7 +252,9 @@ func parseCostTableV2(r *byteReader) ([]trace.Event, map[trace.Event]uint64, err
 		if err := trace.CheckEvent(trace.Event(v)); err != nil {
 			return nil, nil, fmt.Errorf("wpp: cost table: %w", err)
 		}
-		dict = append(dict, trace.Event(v))
+		if h.v2() {
+			dict = append(dict, trace.Event(v))
+		}
 		costs[trace.Event(v)] = c
 		prev = v
 	}
@@ -346,11 +328,7 @@ func (v *ArtifactView) parseHeader(r *byteReader) (int, error) {
 		}
 		v.peakLiveRHS = int(peak)
 	}
-	if v.version >= FormatV2 {
-		if v.dict, v.costs, err = parseCostTableV2(r); err != nil {
-			return 0, err
-		}
-	} else if v.costs, err = parseCostTableV1(r); err != nil {
+	if v.dict, v.costs, err = v.parseCostTable(r); err != nil {
 		return 0, err
 	}
 	if !v.chunked {

@@ -134,8 +134,10 @@ func TestViewGoldenParity(t *testing.T) {
 				if !v.Chunked() {
 					t.Fatal("view reports monolithic for a chunked artifact")
 				}
-				if st := w.Stats(); st.RawTraceBytes != rawTraceBytes(w.Chunks) {
-					t.Errorf("RawTraceBytes = %d, reference %d", st.RawTraceBytes, rawTraceBytes(w.Chunks))
+				var raw []trace.Event
+				w.Walk(func(e trace.Event) bool { raw = append(raw, e); return true })
+				if st, want := w.Stats(), trace.EncodedSize(raw); st.RawTraceBytes != want {
+					t.Errorf("RawTraceBytes = %d, expanded trace encodes to %d", st.RawTraceBytes, want)
 				}
 				if !reflect.DeepEqual(v.FuncTable(), w.Funcs) {
 					t.Error("function tables diverge")
@@ -391,6 +393,10 @@ func FuzzViewParity(f *testing.F) {
 	f.Add([]byte{})
 	// Well framed, but rule 1 references itself: both sides must refuse.
 	f.Add([]byte{'W', 'P', 'P', '1', 1, 1, 'f', 0, 8, 8, 2, 0, 1, 1, 1, 'S', 'Q', 'G', '1', 2, 2, 3, 3, 2, 0, 3})
+	f.Add(grammarCountsBeyondBytes)
+	for _, s := range costCountsBeyondBytes {
+		f.Add(s)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref, refErr := refDecode(bytes.NewReader(data))

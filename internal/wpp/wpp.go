@@ -226,6 +226,3 @@ func (w *WPP) DistinctEvents() []trace.Event { return sortedCostEvents(w.costs) 
 
 // Encode writes the WPP to out in the encoding Version selects.
 func (w *WPP) Encode(out io.Writer) (int64, error) { return w.artifact().encode(out) }
-
-// EncodedSize returns the byte size Encode would produce.
-func (w *WPP) EncodedSize() int64 { return w.artifact().encodedSize() }

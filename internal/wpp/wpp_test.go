@@ -139,9 +139,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if written != int64(buf.Len()) {
 		t.Fatalf("Encode reported %d bytes, wrote %d", written, buf.Len())
 	}
-	if got := w.EncodedSize(); got != written {
-		t.Fatalf("EncodedSize = %d, Encode wrote %d", got, written)
-	}
 	back := decodeWPP(t, buf.Bytes())
 	if err := back.Verify(1); err != nil {
 		t.Fatal(err)

@@ -19,9 +19,10 @@ type ChunkedOptions struct {
 	Workers int
 }
 
-// BuildReport summarizes a profile's build: events ingested, chunk and
-// byte totals, the compression ratio, and each worker's busy fraction of
-// the build's wall time.
+// BuildReport summarizes a profile's build: events ingested, distinct
+// paths, chunk totals, and each worker's busy fraction of the build's
+// wall time. It carries no byte sizes; WriteTo's count is the encoded
+// size.
 type BuildReport = iwpp.BuildReport
 
 // ProfileChunked runs main(args...) under path tracing, compressing the
