@@ -94,7 +94,7 @@ func SeqBench(scale Scale, names []string, chunkSize uint64, reps int) (*Traject
 		}
 
 		// Monolithic: one fresh grammar consumes the whole stream. The
-		// alloc measurement uses its own run so slab/table growth is
+		// alloc measurement uses its own run so symbol-slice/table growth is
 		// charged honestly to the regime that pays it.
 		var g *sequitur.Grammar
 		build := func() error {
@@ -134,7 +134,7 @@ func SeqBench(scale Scale, names []string, chunkSize uint64, reps int) (*Traject
 			}
 			return nil
 		}
-		_ = pass() // warm the slabs and table to the largest chunk's working set
+		_ = pass() // warm the symbol slice and table to the largest chunk's working set
 		chunked, _ := bestOf(reps, pass)
 		chunkedAlloc, _ := allocBytes(pass)
 		cm := SeqBenchMeasure{

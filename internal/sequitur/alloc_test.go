@@ -2,7 +2,7 @@ package sequitur
 
 // Allocation regression guards for the arena layout. The contract the
 // parallel builder's worker pool depends on: once a pooled grammar has
-// grown its slabs, rule arena, and digram table to a stream's working
+// grown its symbol slice, rule arena, and digram table to a stream's working
 // set, replaying a stream of that size through Reset+Append touches the
 // allocator zero times, and Snapshot stays at a constant handful of
 // allocations regardless of rule count.
@@ -27,7 +27,7 @@ func testMetrics() Metrics {
 }
 
 // allocStream is a WPP-shaped tape: hot patterns with occasional noise,
-// large enough to force several slab and table growths on first contact.
+// large enough to force several symbol-slice and table growths on first contact.
 func allocStream(n int) []uint64 {
 	rng := rand.New(rand.NewSource(21))
 	in := make([]uint64, n)
@@ -51,7 +51,7 @@ func TestSteadyStateAppendAllocatesNothing(t *testing.T) {
 			g.Append(v)
 		}
 	}
-	replay() // warm-up: grow slabs, rule arena, and table past the working set
+	replay() // warm-up: grow the symbol slice, rule arena, and table past the working set
 	allocs := testing.AllocsPerRun(5, replay)
 	if allocs != 0 {
 		t.Errorf("steady-state Reset+Append allocated %.1f times per replay of %d events, want 0", allocs, len(in))

@@ -24,7 +24,9 @@ func panicTerminal(v uint64) {
 //     finds the repeated occurrence or indexes the new digram, where a
 //     textbook check probes twice (get, then set);
 //   - every symbol carries its digram key in its value (a nonterminal
-//     its rule's complemented id), so no key costs a rule lookup;
+//     its rule's complemented slot), so no key costs a rule lookup, and
+//     the value alone tells a terminal, a nonterminal and a guard apart,
+//     so a symbol is 16 bytes and resolving a handle is one load;
 //   - substitution passes the digram keys it already knows down the call
 //     chain (substituteB, checkKeyed, expandB) instead of recomputing
 //     them from the arena, and skips the index probes of a generic
@@ -62,6 +64,25 @@ func AppendBatchOf[T ~uint64](g *Grammar, vs []T) {
 			panicTerminal(uint64(v))
 		}
 	}
+	// The one place a batch may move the symbol slice: before any
+	// pointer into it is resolved (see arena.go for the bound). A long
+	// batch reserves one stride at a time, so a caller that hands over a
+	// whole trace does not reserve memory in proportion to it.
+	for lo := 0; lo < len(vs); lo += reserveStride {
+		part := vs[lo:min(lo+reserveStride, len(vs))]
+		g.reserve(reserveFor(g.rhsSymbols, len(part)))
+		appendReserved(g, part)
+	}
+	g.terminals += uint64(len(vs))
+	if g.instrumented {
+		g.metrics.Terminals.Add(uint64(len(vs)))
+		g.metrics.DigramTable.Set(int64(g.table.live))
+	}
+}
+
+// appendReserved is the batch loop, run inside a reservation that
+// covers it: gp and tp are held across every iteration.
+func appendReserved[T ~uint64](g *Grammar, vs []T) {
 	guard := g.rules[g.start].guardSym
 	gp := g.sym(guard)
 	tail := gp.prev
@@ -73,10 +94,10 @@ func AppendBatchOf[T ~uint64](g *Grammar, vs []T) {
 	g.rhsSymbols += len(vs)
 	for _, tv := range vs {
 		v := uint64(tv)
-		// Inline symbol allocation (allocSym + newSym fused into one
-		// slot write) and tail link. tp caches the tail's slot pointer —
-		// slabs never move and the tail is live, so it stays valid across
-		// iterations.
+		// Inline symbol allocation (allocSym fused with the slot write)
+		// and tail link. tp caches the tail's slot pointer — the slice
+		// does not move inside the reservation and the tail is live, so
+		// it stays valid across iterations.
 		h := g.symFree
 		var s *symbol
 		if h != nilSym {
@@ -84,8 +105,8 @@ func AppendBatchOf[T ~uint64](g *Grammar, vs []T) {
 			g.symFree = s.next
 		} else {
 			h = symRef(g.symUsed)
-			if int(h>>slabBits) == len(g.slabs) {
-				g.slabs = append(g.slabs, new([slabSize]symbol))
+			if int(h) >= len(g.syms) {
+				panicArena(g.symUsed)
 			}
 			g.symUsed++
 			s = g.sym(h)
@@ -118,29 +139,24 @@ func AppendBatchOf[T ~uint64](g *Grammar, vs []T) {
 		tailGuard = tail == guard
 		tailKey = tp.value
 	}
-	g.terminals += uint64(len(vs))
-	if g.instrumented {
-		g.metrics.Terminals.Add(uint64(len(vs)))
-		g.metrics.DigramTable.Set(int64(g.table.live))
-	}
 }
 
 // matchB handles a repeated digram whose keys (a, b) are already known:
 // s is the newly formed occurrence, m the indexed one. sp is s resolved
 // — callers always have the pointer in hand, and sym(h) is a pure
-// function of the handle (slabs never move), so threading resolved
-// pointers down the chain drops redundant arena resolutions without any
-// aliasing hazard.
+// function of the handle (the slice does not move inside a batch), so
+// threading resolved pointers down the chain drops redundant arena
+// resolutions without any aliasing hazard.
 func (g *Grammar) matchB(s symRef, sp *symbol, m symRef, a, b uint64) {
 	var r ruleRef
 	var id uint64
 	ms := g.sym(m)
 	mPrevS := g.sym(ms.prev)
 	mNextNextS := g.sym(g.sym(ms.next).next)
-	if mPrevS.guard && mNextNextS.guard {
+	if mPrevS.isGuard() && mNextNextS.isGuard() {
 		// The matched occurrence is the entire body of a rule: reuse it.
 		// The index entry for (a, b) points at that body and stays.
-		r = mPrevS.rule
+		r = ruleRef(mPrevS.value)
 		g.metrics.RulesReused.Inc()
 		id = g.rules[r].id
 		g.substituteB(s, sp, r, a, b, false)
@@ -154,17 +170,16 @@ func (g *Grammar) matchB(s symRef, sp *symbol, m symRef, a, b uint64) {
 		gh := g.rules[r].guardSym
 		c1 := g.allocSym()
 		c2 := g.allocSym()
-		xv := g.sym(sp.next)
-		*g.sym(c1) = symbol{value: sp.value, rule: sp.rule, next: c2, prev: gh}
-		*g.sym(c2) = symbol{value: xv.value, rule: xv.rule, next: gh, prev: c1}
+		*g.sym(c1) = symbol{value: a, next: c2, prev: gh}
+		*g.sym(c2) = symbol{value: b, next: gh, prev: c1}
 		ghs := g.sym(gh)
 		ghs.next, ghs.prev = c1, c2
 		g.rhsSymbols += 2
-		if sp.rule != nilRule {
-			g.rules[sp.rule].uses++
+		if a >= nonterminal {
+			g.rules[ruleRef(^a)].uses++
 		}
-		if xv.rule != nilRule {
-			g.rules[xv.rule].uses++
+		if b >= nonterminal {
+			g.rules[ruleRef(^b)].uses++
 		}
 		id = g.rules[r].id
 		// Replace the older occurrence first so its index entry is
@@ -193,14 +208,14 @@ func (g *Grammar) matchB(s symRef, sp *symbol, m symRef, a, b uint64) {
 		return
 	}
 	f := g.firstOf(r)
-	if fs := g.sym(f); fs.isNonterminal() && g.rules[fs.rule].uses == 1 {
+	if fs := g.sym(f); fs.isNonterminal() && g.rules[fs.ruleOf()].uses == 1 {
 		g.expandB(f, fs)
 	}
 	if g.rules[r].id != id {
 		return
 	}
 	l := g.lastOf(r)
-	if ls := g.sym(l); ls.isNonterminal() && g.rules[ls.rule].uses == 1 {
+	if ls := g.sym(l); ls.isNonterminal() && g.rules[ls.ruleOf()].uses == 1 {
 		g.expandB(l, ls)
 	}
 }
@@ -214,23 +229,25 @@ func (g *Grammar) matchB(s symRef, sp *symbol, m symRef, a, b uint64) {
 // u, the guard and the rule's arena slot are released. The uses count
 // of rr is not decremented: the slot is zeroed when the rule is freed.
 func (g *Grammar) expandB(u symRef, us *symbol) {
-	rr := us.rule
-	uKey := ^g.rules[rr].id
+	uKey := us.value
+	rr := us.ruleOf()
 	left, right := us.prev, us.next
 	gh := g.rules[rr].guardSym
 	first := g.sym(gh).next
 	last := g.sym(gh).prev
-	if g.sym(first).guard {
+	if g.sym(first).isGuard() {
 		panic("sequitur: expanding empty rule")
 	}
 	leftS, rightS := g.sym(left), g.sym(right)
-	// Evict u's two digrams where the index points at them.
+	// Evict u's two digrams where the index points at them: rr's slot is
+	// freed below, and no digram keyed by it may outlive the rule.
 	var leftKey, rightKey uint64
-	if !leftS.guard {
+	leftGuard, rightGuard := leftS.isGuard(), rightS.isGuard()
+	if !leftGuard {
 		leftKey = leftS.value
 		g.table.deleteIf(leftKey, uKey, left)
 	}
-	if !rightS.guard {
+	if !rightGuard {
 		rightKey = rightS.value
 		g.table.deleteIf(uKey, rightKey, u)
 	}
@@ -248,10 +265,10 @@ func (g *Grammar) expandB(u symRef, us *symbol) {
 	g.freeRule(rr)
 	// Re-check the open seams. If the left one substituted, the right
 	// one was handled by the recursive work.
-	if !leftS.guard && g.checkKeyed(left, leftS, leftKey, firstS.value) {
+	if !leftGuard && g.checkKeyed(left, leftS, leftKey, firstS.value) {
 		return
 	}
-	if !rightS.guard {
+	if !rightGuard {
 		g.checkKeyed(last, lastS, lastS.value, rightKey)
 	}
 }
@@ -287,32 +304,32 @@ func (g *Grammar) substituteB(h symRef, hs *symbol, r ruleRef, a, b uint64, inde
 	if indexed {
 		g.table.deleteIf(a, b, h)
 	}
-	xnGuard := xNextS.guard
+	xnGuard := xNextS.isGuard()
 	var xnKey uint64
 	if !xnGuard {
 		// x's right digram may be indexed at x.
 		xnKey = xNextS.value
 		g.table.deleteIf(b, xnKey, x)
 	}
-	if xs.rule != nilRule {
-		g.rules[xs.rule].uses--
+	if xs.isNonterminal() {
+		g.rules[xs.ruleOf()].uses--
 	}
 	ps := g.sym(p)
-	pGuard := ps.guard
+	pGuard := ps.isGuard()
 	var pKey uint64
 	if !pGuard {
 		// The digram (p, h) may be indexed at p.
 		pKey = ps.value
 		g.table.deleteIf(pKey, a, p)
 	}
-	if hs.rule != nilRule {
-		g.rules[hs.rule].uses--
+	if hs.isNonterminal() {
+		g.rules[hs.ruleOf()].uses--
 	}
 	// Free x; rewrite h's slot in place as the new nonterminal.
 	*xs = symbol{next: g.symFree}
 	g.symFree = x
-	rKey := ^g.rules[r].id
-	*hs = symbol{value: rKey, rule: r, next: xNext, prev: p}
+	rKey := ^uint64(r)
+	*hs = symbol{value: rKey, next: xNext, prev: p}
 	xNextS.prev = h
 	g.rhsSymbols--
 	g.rules[r].uses++

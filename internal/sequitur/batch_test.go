@@ -95,7 +95,7 @@ func TestBatchDifferentialRandom(t *testing.T) {
 // TestBatchDifferentialPatterns pins the structured shapes that stress
 // specific engine paths: identical runs (overlap handling), period-2
 // and period-4 repetition (deep rule nesting and rule reuse), and a
-// stream long enough to grow slabs and rehash the digram table inside
+// stream long enough to grow the symbol slice and rehash the digram table inside
 // one batch.
 func TestBatchDifferentialPatterns(t *testing.T) {
 	patterns := map[string][]uint64{}
@@ -222,7 +222,7 @@ func TestSteadyStateAppendBatchAllocatesNothing(t *testing.T) {
 			g.AppendBatch(in[lo:min(lo+4096, len(in))])
 		}
 	}
-	replay() // warm-up: grow slabs, rule arena, and table past the working set
+	replay() // warm-up: grow the symbol slice, rule arena, and table past the working set
 	allocs := testing.AllocsPerRun(5, replay)
 	if allocs != 0 {
 		t.Errorf("steady-state Reset+AppendBatch allocated %.1f times per replay of %d events, want 0", allocs, len(in))

@@ -26,23 +26,7 @@ func BenchmarkSequiturCollectMix(b *testing.B) {
 	}
 	traces := make([][]trace.Event, len(mix))
 	for i, p := range mix {
-		w, err := workloads.ByName(p.name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prog, err := wlc.Compile(w.Source)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var buf trace.Buffer
-		m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: &buf})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.Run("main", p.arg); err != nil {
-			b.Fatal(err)
-		}
-		traces[i] = buf.Events
+		traces[i] = pathTrace(b, p.name, p.arg)
 	}
 	const batch = 4096
 	var events uint64
@@ -60,4 +44,49 @@ func BenchmarkSequiturCollectMix(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds()/1e6, "Mev/s")
+}
+
+// BenchmarkSequiturIngestChunks appends matrix's path trace at arg 24
+// (362,377 events) to one pooled grammar in 4096-event chunks, with a
+// Reset before and a Snapshot after each chunk: the builder half of a
+// perfbench ingest session, where every chunk's grammar is small and
+// cache-resident. The trace is captured before the timer starts.
+func BenchmarkSequiturIngestChunks(b *testing.B) {
+	es := pathTrace(b, "matrix", 24)
+	const chunk = 4096
+	g := sequitur.New()
+	var events uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < len(es); lo += chunk {
+			g.Reset()
+			sequitur.AppendBatchOf(g, es[lo:min(lo+chunk, len(es))])
+			g.Snapshot()
+			events += g.Len()
+		}
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds()/1e6, "Mev/s")
+}
+
+// pathTrace runs a bundled workload's main(arg) under path tracing and
+// returns its events.
+func pathTrace(b *testing.B, name string, arg int64) []trace.Event {
+	w, err := workloads.ByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := wlc.Compile(w.Source)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf trace.Buffer
+	m, err := interp.New(prog, interp.Config{Mode: interp.PathTrace, Sink: &buf})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Run("main", arg); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Events
 }

@@ -19,8 +19,10 @@ import (
 
 // pair allocates a detached symbol whose digram is (a, b).
 func pair(g *Grammar, a, b uint64) symRef {
-	h := g.newSym(a, nilRule, false)
-	g.sym(h).next = g.newSym(b, nilRule, false)
+	g.reserve(int(g.symUsed) + 2)
+	h, n := g.allocSym(), g.allocSym()
+	*g.sym(h) = symbol{value: a, next: n}
+	*g.sym(n) = symbol{value: b}
 	return h
 }
 

@@ -18,19 +18,19 @@ func (g *Grammar) UnindexedDigrams() int {
 		r := queue[0]
 		queue = queue[1:]
 		prevOverlap := false
-		for h := g.firstOf(r); !g.sym(h).guard; h = g.sym(h).next {
+		for h := g.firstOf(r); !g.sym(h).isGuard(); h = g.sym(h).next {
 			s := g.sym(h)
-			if s.isNonterminal() && !seen[s.rule] {
-				seen[s.rule] = true
-				queue = append(queue, s.rule)
+			if sr := s.ruleOf(); s.isNonterminal() && !seen[sr] {
+				seen[sr] = true
+				queue = append(queue, sr)
 			}
-			if g.sym(s.next).guard {
+			if g.sym(s.next).isGuard() {
 				continue
 			}
 			d := g.digramAt(h)
 			// Skip the second of two overlapping occurrences (aaa); the
 			// index never holds those.
-			if !g.sym(s.prev).guard && g.keyOf(s.prev) == d.a && d.a == d.b && !prevOverlap {
+			if !g.sym(s.prev).isGuard() && g.keyOf(s.prev) == d.a && d.a == d.b && !prevOverlap {
 				prevOverlap = true
 				continue
 			}

@@ -2,7 +2,7 @@ package sequitur
 
 // The behavioral oracle for the arena rewrite: a direct transliteration
 // of the original pointer-chased, map-indexed SEQUITUR implementation
-// this package shipped before symbols moved into slab arenas and the
+// this package shipped before symbols moved into an arena and the
 // digram index became an open-addressing table. The arena layout is a
 // pure memory-representation change, so on every input the two
 // implementations must produce identical snapshots; the fuzzer and
@@ -256,23 +256,41 @@ func compareToOracle(t *testing.T, input []uint64, opts Options) {
 // symbol, which stress exactly the overlap handling and the table's
 // backward-shift deletion path.
 func FuzzArenaOracleParity(f *testing.F) {
-	f.Add([]byte{}, false)
-	f.Add([]byte{1, 2, 3, 1, 2, 3}, false)
-	f.Add(bytes.Repeat([]byte{7}, 64), false)                                                                            // one long run
-	f.Add(bytes.Repeat([]byte{7}, 41), true)                                                                             // odd-length run, utility off
-	f.Add(bytes.Repeat([]byte{1, 1, 1, 1, 2}, 20), false)                                                                // runs broken by a separator
-	f.Add(bytes.Repeat([]byte{'a', 'b', 'c', 'd', 'b', 'c'}, 12), false)                                                 // the DCC'97 example, repeated
-	f.Add([]byte{7, 5, 0, 1, 1, 5, 3, 3, 4, 1, 3, 5, 5, 5, 4, 2, 4, 0, 6, 2, 7, 4, 3, 5, 6, 2, 7, 5, 5, 4, 5, 2}, false) // single-use rule at a body's end
+	for _, c := range oracleCorpus {
+		f.Add(c.data, c.disableUtility)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, disableUtility bool) {
-		if len(data) > 1<<12 {
-			data = data[:1<<12]
-		}
-		in := make([]uint64, len(data))
-		for i, b := range data {
-			in[i] = uint64(b % 8)
-		}
-		compareToOracle(t, in, Options{DisableRuleUtility: disableUtility})
+		compareToOracle(t, oracleInput(data), Options{DisableRuleUtility: disableUtility})
 	})
+}
+
+// oracleCorpus is FuzzArenaOracleParity's seed corpus; the reservation
+// test replays it too.
+var oracleCorpus = []struct {
+	data           []byte
+	disableUtility bool
+}{
+	{[]byte{}, false},
+	{[]byte{1, 2, 3, 1, 2, 3}, false},
+	{bytes.Repeat([]byte{7}, 64), false},                            // one long run
+	{bytes.Repeat([]byte{7}, 41), true},                             // odd-length run, utility off
+	{bytes.Repeat([]byte{1, 1, 1, 1, 2}, 20), false},                // runs broken by a separator
+	{bytes.Repeat([]byte{'a', 'b', 'c', 'd', 'b', 'c'}, 12), false}, // the DCC'97 example, repeated
+	{[]byte{7, 5, 0, 1, 1, 5, 3, 3, 4, 1, 3, 5, 5, 5, 4, 2, 4, 0, 6, 2, 7, 4, 3, 5, 6, 2, 7, 5, 5, 4, 5, 2}, false}, // single-use rule at a body's end
+}
+
+// oracleInput maps fuzz bytes to terminals: at most 4096 of them, over
+// an alphabet of 8, so repeated digrams (rule creation, reuse,
+// expansion) dominate.
+func oracleInput(data []byte) []uint64 {
+	if len(data) > 1<<12 {
+		data = data[:1<<12]
+	}
+	in := make([]uint64, len(data))
+	for i, b := range data {
+		in[i] = uint64(b % 8)
+	}
+	return in
 }
 
 // TestArenaOracleParityRandom is the always-on slice of the fuzz

@@ -36,6 +36,7 @@ func TestResetClearsAllState(t *testing.T) {
 			g.terminals, g.rhsSymbols, g.liveRules)
 	}
 
+	reserved := len(g.syms)
 	g.Reset()
 
 	if got := g.table.live; got != 0 {
@@ -64,15 +65,16 @@ func TestResetClearsAllState(t *testing.T) {
 	}
 	// The start rule must be replaced, not merely truncated: symbols of
 	// the old derivation must not leak into the new one.
-	if s := g.sym(g.firstOf(g.start)); !s.guard {
+	if s := g.sym(g.firstOf(g.start)); !s.isGuard() {
 		t.Errorf("start rule still has RHS symbols after Reset (first = %+v)", s)
 	}
-	// The arenas must be rewound, not released: Reset keeps the slabs.
+	// The arenas must be rewound, not released: Reset keeps the symbol
+	// slice and its reservation.
 	if g.symUsed != 1+1 { // nil sentinel skipped, one guard for the new start rule
 		t.Errorf("symbol arena cursor = %d after Reset, want 2", g.symUsed)
 	}
-	if len(g.slabs) == 0 {
-		t.Error("symbol slabs released by Reset; they must be retained for reuse")
+	if len(g.syms) < reserved {
+		t.Errorf("symbol slice shrank from %d to %d handles across Reset; it must be retained for reuse", reserved, len(g.syms))
 	}
 }
 

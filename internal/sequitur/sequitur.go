@@ -23,12 +23,13 @@
 // it is tested against.
 //
 // Every trace event of a build funnels through that engine, so the data
-// layout is built for the allocator to stay out of the way: symbols live
-// in slab arenas addressed by dense uint32 handles (arena.go) and the
-// digram index is an open-addressing hash table (digrams.go).
-// Steady-state appends allocate nothing, and Reset rewinds a grammar for
-// reuse while keeping slabs and table capacity — the contract the pooled
-// per-worker grammars in the parallel builder rely on.
+// layout is built for the allocator to stay out of the way: 16-byte
+// symbols live in one flat slice addressed by dense uint32 handles
+// (arena.go) and the digram index is an open-addressing hash table
+// (digrams.go). Steady-state appends allocate nothing, and Reset rewinds
+// a grammar for reuse while keeping the symbol slice and table capacity
+// — the contract the pooled per-worker grammars in the parallel builder
+// rely on.
 //
 // Terminal values must be below MaxTerminal; the trace-event encoding in
 // package trace stays far below that bound.
@@ -46,14 +47,17 @@ import (
 const MaxTerminal = uint64(1) << 62
 
 // digram is the index key for a pair of adjacent symbols. Terminals are
-// keyed by value; nonterminals by ^(rule id), which cannot collide with a
-// terminal because terminals are < MaxTerminal.
+// keyed by value; nonterminals by ^(rule slot), which cannot collide with
+// a terminal because terminals are < MaxTerminal. A slot is recycled only
+// after its rule's last use is freed and every digram keyed by it is
+// evicted, so at any instant a key names one live rule, and the index
+// holds the textbook's contents (keyed by rule ids) up to renaming.
 type digram struct {
 	a, b uint64
 }
 
 // keyOf returns the digram key of one non-guard symbol: its value,
-// which for a nonterminal is its rule's complemented id.
+// which for a nonterminal is its rule's complemented slot.
 func (g *Grammar) keyOf(h symRef) uint64 { return g.sym(h).value }
 
 // digramAt returns the key of the digram starting at h.
@@ -90,14 +94,14 @@ type Metrics struct {
 // Grammar is an online SEQUITUR grammar. The zero value is not usable;
 // call New.
 type Grammar struct {
-	// Symbol arena: chunked slabs, a bump cursor, and an intrusive
-	// freelist threaded through the next fields of freed symbols.
-	slabs   []*[slabSize]symbol
+	// Symbol arena: one flat slice whose length is the reservation
+	// (arena.go), a bump cursor, and an intrusive freelist threaded
+	// through the next fields of freed symbols.
+	syms    []symbol
 	symUsed uint32
 	symFree symRef
 
-	// Rule arena: dense slice (index 0 reserved as nilRule) plus a
-	// recycle stack of freed slots.
+	// Rule arena: dense slice plus a recycle stack of freed slots.
 	rules     []rule
 	freeRules []ruleRef
 
@@ -141,16 +145,17 @@ func NewWithOptions(opts Options) *Grammar {
 		nextID:  1,
 		opts:    opts,
 		symUsed: 1, // handle 0 is the nil sentinel
-		rules:   make([]rule, 1, 64),
+		rules:   make([]rule, 0, 64),
 	}
 	g.table.init(minTableCap)
+	g.reserve(reserveFor(0, 0))
 	g.start = g.allocRule(0)
 	g.liveRules = 1
 	return g
 }
 
 // Reset returns the grammar to its freshly constructed state, keeping the
-// symbol slabs, the rule arena's storage, and the digram table's
+// symbol slice, the rule arena's storage, and the digram table's
 // capacity. A reset grammar is algorithmically indistinguishable from
 // New(): feeding it the same terminals yields an identical Snapshot,
 // because the index is only ever used for point lookups, never iterated.
@@ -161,7 +166,7 @@ func (g *Grammar) Reset() {
 	g.table.reset()
 	g.symUsed = 1
 	g.symFree = nilSym
-	g.rules = g.rules[:1]
+	g.rules = g.rules[:0]
 	g.freeRules = g.freeRules[:0]
 	g.nextID = 1
 	g.terminals = 0
@@ -233,11 +238,11 @@ func (g *Grammar) Snapshot() *Snapshot {
 	order[0] = g.start
 	// Discover rules breadth-first in reference order.
 	for i := 0; i < len(order); i++ {
-		for h := g.firstOf(order[i]); !g.sym(h).guard; h = g.sym(h).next {
+		for h := g.firstOf(order[i]); !g.sym(h).isGuard(); h = g.sym(h).next {
 			s := g.sym(h)
-			if s.isNonterminal() && indexOf[s.rule] < 0 {
-				indexOf[s.rule] = int32(len(order))
-				order = append(order, s.rule)
+			if r := s.ruleOf(); s.isNonterminal() && indexOf[r] < 0 {
+				indexOf[r] = int32(len(order))
+				order = append(order, r)
 			}
 		}
 	}
@@ -245,10 +250,10 @@ func (g *Grammar) Snapshot() *Snapshot {
 	snap := &Snapshot{Rules: make([][]Sym, len(order))}
 	for i, r := range order {
 		start := len(backing)
-		for h := g.firstOf(r); !g.sym(h).guard; h = g.sym(h).next {
+		for h := g.firstOf(r); !g.sym(h).isGuard(); h = g.sym(h).next {
 			s := g.sym(h)
 			if s.isNonterminal() {
-				backing = append(backing, Sym{Rule: indexOf[s.rule]})
+				backing = append(backing, Sym{Rule: indexOf[s.ruleOf()]})
 			} else {
 				backing = append(backing, Sym{Rule: -1, Value: s.value})
 			}
@@ -276,7 +281,8 @@ func (sn *Snapshot) Expand(ri int, yield func(uint64) bool) bool {
 
 // Verify checks the structural invariants of the grammar:
 //
-//   - linked-list integrity of every rule body,
+//   - linked-list integrity of every rule body, and every nonterminal
+//     refers to a live rule slot whose guard carries that slot,
 //   - every live rule other than the start rule is referenced >= 2 times
 //     and use counts match actual references (rule utility),
 //   - size bookkeeping (liveRules, rhsSymbols) matches the structure,
@@ -295,7 +301,9 @@ func (sn *Snapshot) Expand(ri int, yield func(uint64) bool) bool {
 //
 // The index cross-check is also what makes arena recycling safe to
 // trust: a prematurely freed symbol whose slot was reused would surface
-// here as an entry whose key no longer matches the slot's digram.
+// here as an entry whose key no longer matches the slot's digram, and a
+// rule slot recycled while a digram keyed by it stayed indexed, as an
+// entry whose symbol no longer carries that key.
 func (g *Grammar) Verify() error {
 	seen := map[ruleRef]bool{g.start: true}
 	queue := []ruleRef{g.start}
@@ -306,25 +314,23 @@ func (g *Grammar) Verify() error {
 		r := queue[0]
 		queue = queue[1:]
 		i := 0
-		for h := g.firstOf(r); !g.sym(h).guard; h = g.sym(h).next {
+		for h := g.firstOf(r); !g.sym(h).isGuard(); h = g.sym(h).next {
 			s := g.sym(h)
 			if g.sym(s.next).prev != h || g.sym(s.prev).next != h {
 				return fmt.Errorf("sequitur: rule %d: broken links at position %d", g.rules[r].id, i)
 			}
-			if s.guard {
-				return fmt.Errorf("sequitur: rule %d: interior guard at position %d", g.rules[r].id, i)
-			}
 			if s.isNonterminal() {
-				if s.value != ^g.rules[s.rule].id {
-					return fmt.Errorf("sequitur: rule %d: nonterminal at position %d carries key %d, not its rule's", g.rules[r].id, i, s.value)
+				sr := s.ruleOf()
+				if !g.liveSlot(sr) {
+					return fmt.Errorf("sequitur: rule %d: nonterminal at position %d carries key %d, not a live rule slot's", g.rules[r].id, i, s.value)
 				}
-				refCount[s.rule]++
-				if !seen[s.rule] {
-					seen[s.rule] = true
-					queue = append(queue, s.rule)
+				refCount[sr]++
+				if !seen[sr] {
+					seen[sr] = true
+					queue = append(queue, sr)
 				}
 			}
-			if !g.sym(s.next).guard {
+			if !g.sym(s.next).isGuard() {
 				symPos[h] = g.digramAt(h)
 			}
 			i++
@@ -375,4 +381,14 @@ func (g *Grammar) Verify() error {
 		return fmt.Errorf("sequitur: digram table live=%d but %d entries occupied", g.table.live, live)
 	}
 	return nil
+}
+
+// liveSlot reports whether r is an allocated rule slot whose guard
+// carries r: a freed slot is zeroed, so its guard handle is nilSym.
+func (g *Grammar) liveSlot(r ruleRef) bool {
+	if int(r) >= len(g.rules) || g.rules[r].guardSym == nilSym {
+		return false
+	}
+	gs := g.sym(g.rules[r].guardSym)
+	return gs.isGuard() && ruleRef(gs.value) == r
 }

@@ -606,10 +606,10 @@ func BenchmarkAppendLoopy(b *testing.B) {
 func (g *Grammar) Expand(yield func(uint64) bool) {
 	var walk func(r ruleRef) bool
 	walk = func(r ruleRef) bool {
-		for h := g.firstOf(r); !g.sym(h).guard; h = g.sym(h).next {
+		for h := g.firstOf(r); !g.sym(h).isGuard(); h = g.sym(h).next {
 			s := g.sym(h)
 			if s.isNonterminal() {
-				if !walk(s.rule) {
+				if !walk(s.ruleOf()) {
 					return false
 				}
 			} else if !yield(s.value) {

@@ -111,7 +111,7 @@ func TestSoakSteadyStateMemory(t *testing.T) {
 	}
 	// Steady state: after 8 further waves of full churn, the drained
 	// daemon's heap may not have grown past 2x the warmed-up baseline.
-	// A leak of any per-session structure (grammar slab, builder, costs
+	// A leak of any per-session structure (grammar arena, builder, costs
 	// map, session record) compounds per wave and blows well past that.
 	if finalHeap > 2*warmupHeap {
 		t.Errorf("heap grew %d -> %d bytes across churn waves; daemon is accreting per-session state",

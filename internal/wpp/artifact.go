@@ -227,12 +227,13 @@ func walk(src engine.Source, yield func(trace.Event) bool) error {
 // statsOf is the one Stats computation behind every artifact type: the
 // header's figures plus the grammar shape of every chunk of src, summed
 // over `workers` goroutines (<=0 means GOMAXPROCS). encoded is the
-// artifact's byte size. Grammar bytes are the canonical (v1, unranked)
-// encoding for both format versions.
-func statsOf(h *header, src engine.Source, workers int, encoded int64) (Stats, error) {
+// artifact's byte size and grammars that of its grammars alone, both
+// taken from the bytes in the artifact's own format, so a v2 artifact's
+// grammars are counted with their terminals ranked.
+func statsOf(h *header, src engine.Source, workers int, encoded, grammars int64) (Stats, error) {
 	per := make([]Stats, src.NumChunks())
 	err := engine.EachChunk(src, workers, func(i int, sn *sequitur.Snapshot) error {
-		per[i] = Stats{Rules: len(sn.Rules), GrammarBytes: sn.EncodedSize(), RawTraceBytes: snapshotRawBytes(sn)}
+		per[i] = Stats{Rules: len(sn.Rules), RawTraceBytes: snapshotRawBytes(sn)}
 		for _, rhs := range sn.Rules {
 			per[i].RHSSymbols += len(rhs)
 		}
@@ -248,12 +249,12 @@ func statsOf(h *header, src engine.Source, workers int, encoded int64) (Stats, e
 		DistinctPaths: len(h.costs),
 		PeakLiveRHS:   h.peakLiveRHS,
 		EncodedBytes:  encoded,
+		GrammarBytes:  grammars,
 		RawTraceBytes: 4, // trace magic
 	}
 	for _, s := range per {
 		st.Rules += s.Rules
 		st.RHSSymbols += s.RHSSymbols
-		st.GrammarBytes += s.GrammarBytes
 		st.RawTraceBytes += s.RawTraceBytes
 	}
 	return st, nil
@@ -265,10 +266,12 @@ func (a *artifact) verify(workers int, digrams bool) (VerifyReport, error) {
 }
 
 // stats is Stats for an in-memory artifact, whose chunks cannot fail.
-// EncodedBytes is the length of its encoding.
+// Both sizes come from one encoding: EncodedBytes is its length, and
+// GrammarBytes that length less the header's.
 func (a *artifact) stats() Stats {
 	n, _ := a.encode(io.Discard)
-	st, _ := statsOf(&a.header, a, 1, n)
+	hdr := len(a.appendHeader(nil, sortedCostEvents(a.costs)))
+	st, _ := statsOf(&a.header, a, 1, n, n-int64(hdr))
 	return st
 }
 

@@ -54,7 +54,8 @@ type ArtifactView struct {
 	// monolithic formats). A byte-backed view holds raw, the encoded
 	// artifact, and hdrEnd, the offset of the first chunk grammar; segs,
 	// each chunk's byte region, is delimited from raw on first use. A
-	// parts-backed view leaves raw nil and holds one loader per chunk.
+	// parts-backed view leaves raw nil, holds one loader per chunk, and
+	// sets hdrEnd to the header part's length.
 	nchunks   int
 	raw       []byte
 	hdrEnd    int
@@ -515,6 +516,7 @@ func NewViewParts(header []byte, chunks []ChunkLoad, totalSize int64, opts *View
 	}
 	v.nchunks = len(chunks)
 	v.loads = chunks
+	v.hdrEnd = len(header)
 	v.size = totalSize
 	v.met.Opens.Inc()
 	v.met.BytesIndexed.Add(uint64(len(header)))
@@ -686,9 +688,23 @@ func (v *ArtifactView) VerifyArtifact(workers int) (VerifyReport, error) {
 
 // Stats is the eager artifacts' Stats, field for field, computed from
 // the chunks across `workers` goroutines (<=0 means GOMAXPROCS).
-// EncodedBytes is the viewed size.
+// EncodedBytes is the viewed size, and GrammarBytes the chunk grammars'
+// bytes: the framed segments of viewed bytes, or for a view over stored
+// parts (the header and one part per chunk, EncodedBytes in all) every
+// byte after the header.
 func (v *ArtifactView) Stats(workers int) (Stats, error) {
-	return statsOf(&v.header, v, workers, v.size)
+	grammars := v.size - int64(v.hdrEnd)
+	if v.raw != nil {
+		segs, err := v.segments()
+		if err != nil {
+			return Stats{}, err
+		}
+		grammars = 0
+		for _, seg := range segs {
+			grammars += int64(len(seg))
+		}
+	}
+	return statsOf(&v.header, v, workers, v.size, grammars)
 }
 
 // DistinctEvents lists the cost table's events in ascending order: on a

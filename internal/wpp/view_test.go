@@ -368,7 +368,9 @@ func TestViewWrongKind(t *testing.T) {
 }
 
 // FuzzViewParity holds the view to the streaming reference decoder on
-// arbitrary bytes: if the reference accepts the input, the view must
+// arbitrary bytes, and opening the view and materializing its chunks to
+// Decode's allocation bound (openAndMaterialize): if the reference
+// accepts the input, the view must
 // accept it, agree on every observable, and re-encode the same bytes;
 // if the reference rejects it, the view must reject it at open or at
 // materialization — it may defer the error, but never swallow it. The
@@ -400,7 +402,7 @@ func FuzzViewParity(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref, refErr := refDecode(bytes.NewReader(data))
-		v, viewErr := NewView(data, nil)
+		v, viewErr := openAndMaterialize(t, data)
 		if refErr != nil {
 			// Open may succeed (it reads only the header), but then
 			// materializing everything must fail.
@@ -440,6 +442,29 @@ func FuzzViewParity(f *testing.F) {
 			t.Fatal("materialized view re-encodes differently from reference decode")
 		}
 	})
+}
+
+// openAndMaterialize opens a view on data and materializes its chunks
+// one at a time, up to the first that fails, and holds the two under
+// checkDecode's allocation bound: what the bytes do not back, a view
+// must not allocate either. The view is returned for the caller's
+// checks, unless it failed to open.
+func openAndMaterialize(t *testing.T, data []byte) (*ArtifactView, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v, err := NewView(data, nil)
+	if err == nil {
+		for i := 0; i < v.NumChunks(); i++ {
+			if _, err := v.Chunk(i); err != nil {
+				break
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if alloc, bound := after.TotalAlloc-before.TotalAlloc, decodeAllocPerByte*uint64(len(data))+decodeAllocSlack; alloc > bound {
+		t.Fatalf("NewView and materializing every chunk of %d bytes allocated %d bytes, over the bound of %d", len(data), alloc, bound)
+	}
+	return v, err
 }
 
 // TestViewFileTruncatedWhileMapped truncates a mapped artifact file

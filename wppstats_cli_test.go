@@ -8,6 +8,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -86,6 +88,58 @@ func TestWppstatsProfileChunkedMatchesMonolithic(t *testing.T) {
 			if got := rows(chunked); got != want {
 				t.Errorf("%s profile rows differ from %s:\n%s\nwant:\n%s", chunked, mono, got, want)
 			}
+		}
+	}
+}
+
+// TestWppstatsGrammarBytesFromFile: wppstats takes "grammar only" from
+// the artifact's own bytes, so a v2 artifact's grammars are counted
+// ranked. On a chunked file it is the chunk grammars' bytes exactly; on
+// every file it is below the whole file's size, and a v2 twin's is
+// below its v1 twin's.
+func TestWppstatsGrammarBytesFromFile(t *testing.T) {
+	bin := buildTools(t)
+	dir := t.TempDir()
+	grammarOnly := regexp.MustCompile(`(?m)^grammar only: +(\d+) bytes$`)
+	for _, extra := range [][]string{nil, {"-chunk", "4096", "-workers", "2"}} {
+		sizes := map[string]int64{}
+		for _, format := range []string{"wpp1", "wpp2"} {
+			path := filepath.Join(dir, format+strings.Join(extra, ""))
+			runTool(t, filepath.Join(bin, "wppbuild"), append([]string{"-o", path, "-workload", "expr", "-scale", "small", "-format", format}, extra...)...)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := runTool(t, filepath.Join(bin, "wppstats"), path)
+			m := grammarOnly.FindStringSubmatch(out)
+			if m == nil {
+				t.Fatalf("%s %v: no grammar size printed:\n%s", format, extra, out)
+			}
+			grammar, _ := strconv.ParseInt(m[1], 10, 64)
+			if grammar <= 0 || grammar >= int64(len(data)) {
+				t.Fatalf("%s %v: grammar only %d bytes, the whole file %d", format, extra, grammar, len(data))
+			}
+			if extra != nil {
+				v, err := iwpp.NewView(data, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, chunks, err := v.Parts()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want int64
+				for _, c := range chunks {
+					want += int64(len(c))
+				}
+				if grammar != want {
+					t.Fatalf("%s %v: grammar only %d bytes, the chunk grammars hold %d", format, extra, grammar, want)
+				}
+			}
+			sizes[format] = grammar
+		}
+		if sizes["wpp2"] >= sizes["wpp1"] {
+			t.Fatalf("%v: v2 grammars %d bytes, v1 %d: ranked terminals must be smaller", extra, sizes["wpp2"], sizes["wpp1"])
 		}
 	}
 }
