@@ -3,9 +3,10 @@
 // SEQUITUR grammars (one for a monolithic WPP, one per chunk for a
 // chunked WPP); every analysis — hot-subpath search, path profiles,
 // spectra — is a bottom-up pass over each grammar DAG with per-rule
-// memoization (Analysis), run on every chunk by the one chunk loop
-// EachChunk, with boundary windows materialized for analyses whose
-// windows slide across chunk seams (Boundary, CrossingWindows).
+// memoization (Analysis), run by the one chunk loop (EachChunk,
+// EachAnalysis) on every chunk its source's holder (Chunks) gives, with
+// boundary windows materialized for analyses whose windows slide across
+// chunk seams (Boundary, CrossingWindows).
 //
 // Expressing analyses this way (following how Kini et al. frame race
 // detection as a generic pass over an SLP grammar) means a new analysis

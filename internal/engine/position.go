@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Positions answers positional queries over any Source — the event at
@@ -15,20 +14,16 @@ import (
 //
 // Building it takes the chunk lengths from the source's header when the
 // source states them (HeaderSource), and otherwise loads every chunk
-// once, one at a time, to learn its length. A query then loads only the
-// chunks its range touches, and the Analysis of the chunk used last is
-// kept, so queries that move forward through the trace load each chunk
-// once. A Positions is safe for concurrent use.
+// once, one at a time, to learn its length. A query then asks the
+// source's holder (Hold) for the Analyses of the chunks its range
+// touches, so queries that move forward through the trace load each
+// chunk once. A Positions is safe for concurrent use.
 type Positions struct {
-	src  Source
+	src  *Chunks
 	ends []uint64 // ends[c] is the number of events in chunks 0..c
 	// hdr is src when ends came from its header: each chunk is then held
-	// to its stated length when it loads.
+	// to its stated length whenever a query obtains it.
 	hdr HeaderSource
-
-	mu   sync.Mutex
-	last int // chunk index of cur; -1 before the first query
-	cur  *Analysis
 }
 
 // HeaderSource is a Source whose header states every chunk's expansion
@@ -46,10 +41,10 @@ type HeaderSource interface {
 // NewPositions indexes src's chunks by event position. It fails if a
 // chunk it loads does, or if the chunks together hold more events than a
 // uint64 counts (AddLength). A HeaderSource's chunks are not loaded
-// here; each one that a query loads later must expand to the length its
+// here; each one a query obtains later must expand to the length its
 // header states, or the query fails with the source's LengthError.
 func NewPositions(src Source) (*Positions, error) {
-	p := &Positions{src: src, ends: make([]uint64, src.NumChunks()), last: -1}
+	p := &Positions{src: Hold(src), ends: make([]uint64, src.NumChunks())}
 	var total uint64
 	if h, ok := src.(HeaderSource); ok {
 		if lens, ok := h.ChunkLengths(); ok && len(lens) == len(p.ends) {
@@ -91,32 +86,18 @@ func (p *Positions) Len() uint64 {
 // chunk's Analysis, and i's offset within the chunk.
 func (p *Positions) locate(i uint64) (*Analysis, uint64, error) {
 	c := sort.Search(len(p.ends), func(c int) bool { return p.ends[c] > i })
+	var start uint64 // the chunk's first position
 	if c > 0 {
-		i -= p.ends[c-1]
+		start = p.ends[c-1]
 	}
-	p.mu.Lock()
-	a, last := p.cur, p.last
-	p.mu.Unlock()
-	if c != last {
-		sn, err := p.src.Chunk(c)
-		if err != nil {
-			return nil, 0, err
-		}
-		a = NewAnalysis(sn)
-		if p.hdr != nil {
-			want := p.ends[c]
-			if c > 0 {
-				want -= p.ends[c-1]
-			}
-			if a.Length() != want {
-				return nil, 0, p.hdr.LengthError(c, a.Length())
-			}
-		}
-		p.mu.Lock()
-		p.cur, p.last = a, c
-		p.mu.Unlock()
+	a, err := p.src.Analysis(c)
+	if err == nil && p.hdr != nil && a.Length() != p.ends[c]-start {
+		err = p.hdr.LengthError(c, a.Length())
 	}
-	return a, i, nil
+	if err != nil {
+		return nil, 0, err
+	}
+	return a, i - start, nil
 }
 
 // EventAt returns the event at position i (0-based).
@@ -161,8 +142,8 @@ const diffBlock = 4096
 //
 // It walks a one chunk at a time and compares each chunk, diffBlock
 // events at a time, with b's Slice of the same positions. Neither trace
-// is materialized: memory is one chunk's Analysis per side plus two
-// blocks, whatever the trace length.
+// is materialized: memory is what each side's holder keeps (Chunks)
+// plus two blocks, whatever the trace length.
 func FirstDiff(a, b *Positions) (uint64, error) {
 	n := min(a.Len(), b.Len())
 	var ea, eb []uint64

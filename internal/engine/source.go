@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,9 +26,9 @@ import (
 // the length) instead of handing analyses a wrapped count. The chunks
 // together may still hold more events than a uint64 counts, so an
 // analysis that sums their lengths does so with AddLength, which fails
-// with the same typed error. Chunk must be safe for concurrent calls on
-// distinct indices and may be called more than once per index;
-// implementations return a snapshot the caller may read freely.
+// with the same typed error. Chunk must be safe for concurrent calls and
+// may be called more than once per index. Its snapshots are shared (a
+// view's among all its analyses), so callers only read them.
 type Source interface {
 	// NumChunks reports the number of chunk grammars.
 	NumChunks() int
@@ -73,16 +74,24 @@ func Workers(workers int) int {
 // fn — so it is deterministic at every worker count. fn may run
 // concurrently with itself: it writes only state owned by index i, or
 // guards what the chunks share, such as an analysis's accumulator, with
-// a lock. A view's chunk grammar is garbage once fn returns, so an
-// analysis that adds each chunk's result to one accumulator inside fn
-// holds one chunk per worker, plus the accumulator.
+// a lock. Once fn returns, a view keeps the chunk only while it holds it.
 func EachChunk(src Source, workers int, fn func(i int, sn *sequitur.Snapshot) error) error {
-	n := src.NumChunks()
+	return each(src.NumChunks(), workers, src.Chunk, fn)
+}
+
+// EachAnalysis is EachChunk handing fn each chunk's Analysis (Hold).
+func EachAnalysis(src Source, workers int, fn func(i int, a *Analysis) error) error {
+	h := Hold(src)
+	return each(h.NumChunks(), workers, h.Analysis, fn)
+}
+
+// each is EachChunk's loop: fn on load(i) for every index i below n.
+func each[T any](n, workers int, load func(i int) (T, error), fn func(i int, c T) error) error {
 	errs := make([]error, n)
 	run := func(i int) {
-		sn, err := src.Chunk(i)
+		c, err := load(i)
 		if err == nil {
-			err = fn(i, sn)
+			err = fn(i, c)
 		}
 		errs[i] = err
 	}
@@ -117,4 +126,90 @@ func EachChunk(src Source, workers int, fn func(i int, sn *sequitur.Snapshot) er
 		}
 	}
 	return nil
+}
+
+// Hold returns the Chunks that holds src's chunks: src's own (Held), as
+// a view's, or else a new one over src for the caller to keep.
+func Hold(src Source) *Chunks {
+	if h, ok := src.(interface{ Held() *Chunks }); ok {
+		return h.Held()
+	}
+	return NewChunks(src.NumChunks(), src.Chunk)
+}
+
+// Chunks holds a source's chunk grammars and their Analyses for every
+// chunk loop that asks it: every chunk of a source with at most
+// Workers(0) chunks, else the Workers(0) used last. A held chunk is
+// loaded once and its Analysis built on first request, so a loop that
+// reads only grammars builds none. A failed load is not held, so each
+// request loads it again; concurrent requests for a chunk share a load.
+type Chunks struct {
+	n    int
+	load func(i int) (*sequitur.Snapshot, error)
+	mu   sync.Mutex
+	held []*held // least recently used first
+}
+
+type held struct {
+	i           int
+	load, build sync.Once
+	sn          *sequitur.Snapshot
+	a           *Analysis
+	err         error
+}
+
+// NewChunks holds the n chunks load returns, safe for concurrent calls.
+func NewChunks(n int, load func(i int) (*sequitur.Snapshot, error)) *Chunks {
+	return &Chunks{n: n, load: load}
+}
+
+// Held returns c, which holds its own chunks.
+func (c *Chunks) Held() *Chunks { return c }
+
+// NumChunks implements Source.
+func (c *Chunks) NumChunks() int { return c.n }
+
+// Chunk implements Source.
+func (c *Chunks) Chunk(i int) (*sequitur.Snapshot, error) {
+	h := c.get(i)
+	return h.sn, h.err
+}
+
+// Analysis returns chunk i's Analysis, built once while it is held.
+func (c *Chunks) Analysis(i int) (*Analysis, error) {
+	h := c.get(i)
+	if h.err == nil {
+		h.build.Do(func() { h.a = NewAnalysis(h.sn) })
+	}
+	return h.a, h.err
+}
+
+// get returns chunk i, loaded, as the most recently used.
+func (c *Chunks) get(i int) *held {
+	c.mu.Lock()
+	k := slices.IndexFunc(c.held, func(h *held) bool { return h.i == i })
+	if k < 0 {
+		k = len(c.held)
+		c.held = append(c.held, &held{i: i})
+	}
+	h := c.held[k]
+	c.held = append(slices.Delete(c.held, k, k+1), h)
+	if len(c.held) > Workers(0) {
+		c.held = slices.Delete(c.held, 0, 1)
+	}
+	c.mu.Unlock()
+	h.load.Do(func() { h.sn, h.err = c.load(i) })
+	if h.err != nil {
+		c.mu.Lock()
+		c.held = slices.DeleteFunc(c.held, func(o *held) bool { return o == h })
+		c.mu.Unlock()
+	}
+	return h
+}
+
+// Release drops every chunk held.
+func (c *Chunks) Release() {
+	c.mu.Lock()
+	c.held = nil
+	c.mu.Unlock()
 }

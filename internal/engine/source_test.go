@@ -91,3 +91,69 @@ func TestSourceErrorIsWrappable(t *testing.T) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
 	}
 }
+
+// TestChunksHold pins what a Chunks keeps. With no more chunks than
+// Workers(0) it loads each chunk once for any number of loops, and
+// builds an Analysis only when one is asked for. A chunk that fails to
+// load is never held: it loads again on every request and fails the
+// same way. Release drops everything. With more chunks, it holds the
+// Workers(0) used last.
+func TestChunksHold(t *testing.T) {
+	w := Workers(0)
+	snaps := testSnaps(t, w+3)
+	bad := w - 1 // fails to load
+	boom := errors.New("boom")
+	var loads atomic.Int64
+	load := func(i int) (*sequitur.Snapshot, error) {
+		loads.Add(1)
+		if i == bad {
+			return nil, boom
+		}
+		return snaps[i], nil
+	}
+
+	few := NewChunks(w, load)
+	for pass := 0; pass < 3; pass++ {
+		if err := EachChunk(few, 2, func(int, *sequitur.Snapshot) error { return nil }); !errors.Is(err, boom) {
+			t.Fatalf("pass %d: err = %v, want the failed chunk's", pass, err)
+		}
+	}
+	if got := loads.Swap(0); got != int64(w+2) {
+		t.Fatalf("three loops over %d chunks loaded %d, want each good one once and the failing one 3 times", w, got)
+	}
+	for i := 0; i < bad; i++ {
+		if few.get(i).a != nil {
+			t.Fatalf("chunk %d has an Analysis no loop asked for", i)
+		}
+	}
+	if _, err := few.Analysis(bad); !errors.Is(err, boom) {
+		t.Fatalf("the failed chunk's Analysis: err = %v", err)
+	}
+	if w > 1 {
+		a, _ := few.Analysis(0)
+		if b, _ := few.Analysis(0); a == nil || b != a {
+			t.Fatal("two requests for chunk 0 got different Analyses")
+		}
+	}
+	loads.Store(0)
+	few.Release()
+	few.Chunk(0)
+	if got := loads.Load(); got != 1 {
+		t.Fatalf("a released chunk loaded %d times, want 1", got)
+	}
+
+	many := NewChunks(len(snaps), func(i int) (*sequitur.Snapshot, error) {
+		loads.Add(1)
+		return snaps[i], nil
+	})
+	for i := range snaps {
+		many.Chunk(i)
+	}
+	loads.Store(0)
+	for i := len(snaps) - 1; i >= 0; i-- {
+		many.Chunk(i)
+	}
+	if got := loads.Load(); got != 3 {
+		t.Fatalf("a backward pass over %d chunks, %d held, loaded %d, want 3", len(snaps), w, got)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/engine"
-	"repro/internal/sequitur"
 	"repro/internal/trace"
 	"repro/internal/wpp"
 )
@@ -19,20 +18,15 @@ import (
 // and artifact shape of one event stream yields the same map. Only a
 // lazy view's chunks can fail, with a *wpp.ViewError.
 func EventFrequencies(src Source, workers int) (map[trace.Event]uint64, error) {
-	var (
-		mu    sync.Mutex
-		freqs map[trace.Event]uint64 // the accumulator
-	)
-	err := engine.EachChunk(src, workers, func(_ int, sn *sequitur.Snapshot) error {
+	var mu sync.Mutex
+	freqs := map[trace.Event]uint64{} // the accumulator
+	err := engine.EachAnalysis(src, workers, func(_ int, a *engine.Analysis) error {
 		m := make(map[trace.Event]uint64)
-		engine.NewAnalysis(sn).Terminals(func(v, uses uint64) {
-			m[trace.Event(v)] += uses
-		})
+		a.Terminals(func(v, uses uint64) { m[trace.Event(v)] += uses })
 		mu.Lock()
 		defer mu.Unlock()
-		if freqs == nil {
-			freqs = m
-			return nil
+		if len(freqs) == 0 {
+			freqs, m = m, freqs // the first counts become the accumulator
 		}
 		for e, n := range m {
 			freqs[e] += n
@@ -41,9 +35,6 @@ func EventFrequencies(src Source, workers int) (map[trace.Event]uint64, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if freqs == nil {
-		freqs = make(map[trace.Event]uint64)
 	}
 	return freqs, nil
 }

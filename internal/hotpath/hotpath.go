@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obsv"
-	"repro/internal/sequitur"
 	"repro/internal/trace"
 	"repro/internal/wpp"
 )
@@ -178,15 +177,12 @@ var ErrCostOverflow = errors.New("hotpath: a minimal hot subpath's cost overflow
 // count, the order chunks finish in, nor the artifact's chunking can
 // change the answer; a monolithic WPP is the one-chunk case. With fewer
 // chunks than workers, each chunk's rule bodies split among the workers
-// (see countWindows). A source with no more chunks than workers, such
-// as every monolithic view, has each chunk materialized and analyzed
-// once, and keeps its Analysis from pass 1 to pass 2; with more chunks
-// than workers, a lazy view materializes each chunk grammar once per
-// pass and drops it once its counts are merged. Either way peak memory
-// tracks one chunk per worker plus the merged counts. A view's
-// materialization failures surface as *wpp.ViewError. A minimal hot
-// subpath whose cost does not fit in 64 bits fails the search with
-// ErrCostOverflow.
+// (see countWindows). Both passes take each chunk's Analysis from the
+// source's holder (engine.Chunks), which keeps a monolithic view's for
+// later analyses too; peak memory tracks one chunk per worker plus the
+// merged counts. A view's materialization failures surface as
+// *wpp.ViewError. A minimal hot subpath whose cost does not fit in 64
+// bits fails the search with ErrCostOverflow.
 func Find(src Source, opts Options, workers int) ([]Subpath, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -223,15 +219,9 @@ func Find(src Source, opts Options, workers int) ([]Subpath, error) {
 // yields none after pass 1.
 func countPasses(src Source, opts Options, workers int) ([]*engine.WindowTrie, error) {
 	met := opts.metrics()
-	// With no more chunks than workers, the search holds each chunk's
-	// Analysis from pass 1 to pass 2 within the bound of one chunk per
-	// worker, so each chunk is decoded and analyzed once.
-	var kept []*engine.Analysis
-	if n := src.NumChunks(); n <= engine.Workers(workers) {
-		kept = make([]*engine.Analysis, n)
-	}
+	chunks := engine.Hold(src) // one holder for both passes
 	start := time.Now()
-	base, err := countWindows(src, workers, pass{minLen: opts.MinLen, maxLen: opts.MinLen, kept: kept}, met)
+	base, err := countWindows(chunks, workers, pass{minLen: opts.MinLen, maxLen: opts.MinLen}, met)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +242,7 @@ func countPasses(src Source, opts Options, workers int) ([]*engine.WindowTrie, e
 	if !p.Live() {
 		return []*engine.WindowTrie{base}, nil
 	}
-	longer, err := countWindows(src, workers, pass{minLen: opts.MinLen + 1, maxLen: opts.MaxLen, prune: p, kept: kept, count: met.CountSeconds, seam: met.SeamSeconds}, met)
+	longer, err := countWindows(chunks, workers, pass{minLen: opts.MinLen + 1, maxLen: opts.MaxLen, prune: p, count: met.CountSeconds, seam: met.SeamSeconds}, met)
 	if err != nil {
 		base.Release()
 		return nil, err
@@ -288,54 +278,20 @@ func eachPart(n int, fn func(s int)) {
 }
 
 // pass is one window count over a source: the window lengths it counts,
-// the pruning that restricts it (nil counts every window), the chunk
-// Analyses its search keeps across passes (nil keeps none) and the
-// timers of its chunk counts and of its merges plus seam count (nil for
-// none).
+// the pruning that restricts it (nil counts every window) and the timers
+// of its chunk counts and of its merges plus seam count (nil for none).
 type pass struct {
 	minLen, maxLen int
 	prune          *engine.Pruning
-	kept           []*engine.Analysis
 	count, seam    *obsv.Histogram
-}
-
-// keptSource is a source plus the chunk Analyses a search keeps: chunk i
-// is loaded and analyzed only while kept[i] is nil, and kept[i] then
-// holds its Analysis; with kept nil, each visit loads and analyzes its
-// chunk. Each index is written by the one call that visits it.
-type keptSource struct {
-	engine.Source
-	kept []*engine.Analysis
-}
-
-// Chunk implements engine.Source.
-func (k keptSource) Chunk(i int) (*sequitur.Snapshot, error) {
-	if k.kept != nil && k.kept[i] != nil {
-		return k.kept[i].Snap, nil
-	}
-	return k.Source.Chunk(i)
-}
-
-// analysis returns chunk i's Analysis, sn's, building it unless the
-// source keeps it already.
-func (k keptSource) analysis(i int, sn *sequitur.Snapshot) *engine.Analysis {
-	if k.kept == nil {
-		return engine.NewAnalysis(sn)
-	}
-	if k.kept[i] == nil {
-		k.kept[i] = engine.NewAnalysis(sn)
-	}
-	return k.kept[i]
 }
 
 // countWindows counts the windows of length ps.minLen..ps.maxLen in the
 // source's trace, pruned by ps.prune, into one trie: each chunk's
 // windows, counted on its grammar, then the windows crossing chunk seams
 // (weight 1 each, attributed to the chunk holding their start — a single
-// chunk contributes none), pruned alike. A chunk whose Analysis ps.kept
-// holds is not loaded again, and one it has room for is kept there. A
-// source with fewer chunks than
-// workers splits each chunk's rule bodies into workers/chunks parts
+// chunk contributes none), pruned alike. A source with fewer chunks
+// than workers splits each chunk's rule bodies into workers/chunks parts
 // (engine.CountWindowPart), counted on the workers the chunks leave idle
 // and merged into the chunk's first part; otherwise there is one part.
 // The first chunk to finish keeps its trie as the accumulator; each later
@@ -357,9 +313,7 @@ func countWindows(src engine.Source, workers int, ps pass, met *Metrics) (*engin
 		t     *engine.WindowTrie // the accumulator
 		merge time.Duration
 	)
-	ks := keptSource{Source: src, kept: ps.kept}
-	err := engine.EachChunk(ks, workers, func(i int, sn *sequitur.Snapshot) error {
-		a := ks.analysis(i, sn)
+	err := engine.EachAnalysis(src, workers, func(i int, a *engine.Analysis) error {
 		start := time.Now()
 		chunk := make([]*engine.WindowTrie, parts)
 		eachPart(parts, func(s int) {

@@ -49,28 +49,22 @@ func CompareSpectra(a, b Source, workers int) (*SpectrumDiff, error) {
 	if err != nil {
 		return nil, err
 	}
-	diff := &SpectrumDiff{}
-	seen := map[trace.Event]bool{}
+	diff := &SpectrumDiff{TotalPaths: len(fa)}
 	for e, ca := range fa {
-		seen[e] = true
 		cb := fb[e]
 		if cb > 0 {
 			diff.SharedPaths++
 		}
 		if ca != cb {
-			diff.Entries = append(diff.Entries, SpectrumDiffEntry{
-				Event: e, CountA: ca, CountB: cb, OnlyB: false, OnlyA: cb == 0,
-			})
+			diff.Entries = append(diff.Entries, SpectrumDiffEntry{Event: e, CountA: ca, CountB: cb, OnlyA: cb == 0})
 		}
 	}
 	for e, cb := range fb {
-		if seen[e] {
-			continue
+		if _, ok := fa[e]; !ok {
+			diff.TotalPaths++
+			diff.Entries = append(diff.Entries, SpectrumDiffEntry{Event: e, CountB: cb, OnlyB: true})
 		}
-		seen[e] = true
-		diff.Entries = append(diff.Entries, SpectrumDiffEntry{Event: e, CountB: cb, OnlyB: true})
 	}
-	diff.TotalPaths = len(seen)
 	sort.Slice(diff.Entries, func(i, j int) bool {
 		di := absDiff(diff.Entries[i].CountA, diff.Entries[i].CountB)
 		dj := absDiff(diff.Entries[j].CountA, diff.Entries[j].CountB)

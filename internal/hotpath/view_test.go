@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/obsv"
 	"repro/internal/workloads"
 	"repro/internal/wpp"
@@ -16,6 +17,17 @@ import (
 
 // viewFor encodes the artifact and reopens it as a lazy view.
 func viewFor(t testing.TB, a wpp.Artifact, version uint8) *wpp.ArtifactView {
+	t.Helper()
+	v, err := wpp.NewView(encodeAs(t, a, version), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { v.Close() })
+	return v
+}
+
+// encodeAs encodes the artifact in the given format version.
+func encodeAs(t testing.TB, a wpp.Artifact, version uint8) []byte {
 	t.Helper()
 	switch w := a.(type) {
 	case *wpp.WPP:
@@ -27,12 +39,7 @@ func viewFor(t testing.TB, a wpp.Artifact, version uint8) *wpp.ArtifactView {
 	if _, err := a.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	v, err := wpp.NewView(buf.Bytes(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { v.Close() })
-	return v
+	return buf.Bytes()
 }
 
 // TestFindViewOracle: FindView over both view kinds and both format
@@ -219,7 +226,9 @@ func main(n) {
 // TestFindViewConcurrentReuse: four goroutines search every golden
 // artifact, each in its own shuffled order and at 1 and 2 workers, so
 // their window counts run on tries other searches released, at the same
-// time; every answer must equal the artifact's one-shot answer.
+// time. Each searches a view of its own and one view per artifact that
+// all four share, so they also race on the chunks and Analyses that
+// view holds; every answer must equal the artifact's one-shot answer.
 func TestFindViewConcurrentReuse(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "experiments", "testdata", "golden", "*"))
 	if err != nil || len(paths) == 0 {
@@ -248,6 +257,13 @@ func TestFindViewConcurrentReuse(t *testing.T) {
 		}
 		v.Close()
 	}
+	shared := make([]*wpp.ArtifactView, len(paths))
+	for i := range shared {
+		if shared[i], err = wpp.NewView(data[i], nil); err != nil {
+			t.Fatal(err)
+		}
+		defer shared[i].Close()
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -262,12 +278,14 @@ func TestFindViewConcurrentReuse(t *testing.T) {
 						return
 					}
 					for k, o := range opts {
-						got, err := FindView(v, o, workers)
-						if err != nil {
-							t.Errorf("%s: %v", paths[i], err)
-						} else if !reflect.DeepEqual(got, want[i][k]) {
-							t.Errorf("goroutine %d: %s min=%d max=%d workers=%d: %d subpaths, one-shot %d",
-								g, paths[i], o.MinLen, o.MaxLen, workers, len(got), len(want[i][k]))
+						for _, v := range []*wpp.ArtifactView{v, shared[i]} {
+							got, err := FindView(v, o, workers)
+							if err != nil {
+								t.Errorf("%s: %v", paths[i], err)
+							} else if !reflect.DeepEqual(got, want[i][k]) {
+								t.Errorf("goroutine %d: %s min=%d max=%d workers=%d: %d subpaths, one-shot %d",
+									g, paths[i], o.MinLen, o.MaxLen, workers, len(got), len(want[i][k]))
+							}
 						}
 					}
 					v.Close()
@@ -279,10 +297,12 @@ func TestFindViewConcurrentReuse(t *testing.T) {
 }
 
 // TestFindDecodeCounts pins how often a search materializes a view's
-// chunks: a monolithic view's Find keeps its one chunk's Analysis from
-// pass 1 to pass 2 and materializes it once per search, while a chunked
-// view with more chunks than workers materializes each chunk once per
-// pass, so it holds one chunk per worker.
+// chunks. A monolithic view holds its one chunk from the first search's
+// pass 1 on, so that search materializes it once, and a second search,
+// the path and function profiles and Stats on the view not at all. A
+// chunked view with more chunks than engine.Workers(0) holds only the
+// chunks used last, so every search materializes each chunk once per
+// pass.
 func TestFindDecodeCounts(t *testing.T) {
 	wl, err := workloads.ByName("bfs")
 	if err != nil {
@@ -293,10 +313,10 @@ func TestFindDecodeCounts(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		art   wpp.Artifact
-		loads func(chunks int) int // materializations per search
+		loads func(search, chunks int) int // materializations by the search
 	}{
-		{"mono", mono, func(int) int { return 1 }},
-		{"chunked", chunked, func(chunks int) int { return 2 * chunks }},
+		{"mono", mono, func(search, _ int) int { return 1 - search }},
+		{"chunked", chunked, func(_, chunks int) int { return 2 * chunks }},
 	} {
 		var buf bytes.Buffer
 		if _, err := c.art.Encode(&buf); err != nil {
@@ -307,10 +327,10 @@ func TestFindDecodeCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.name == "chunked" && v.NumChunks() <= 2 {
-			t.Fatalf("chunked view has %d chunks, want more than the 2 workers", v.NumChunks())
+		if c.name == "chunked" && v.NumChunks() <= engine.Workers(0) {
+			t.Fatalf("chunked view has %d chunks, want more than the %d a view holds", v.NumChunks(), engine.Workers(0))
 		}
-		for _, workers := range []int{1, 2} {
+		for search, workers := range []int{1, 2} {
 			met := NewMetrics(obsv.NewRegistry())
 			o := opts
 			o.Metrics = met
@@ -321,9 +341,23 @@ func TestFindDecodeCounts(t *testing.T) {
 			if got := met.CountSeconds.Count(); got != uint64(v.NumChunks()) {
 				t.Fatalf("%s, %d workers: pass 2 counted %d chunks, want all %d", c.name, workers, got, v.NumChunks())
 			}
-			want := c.loads(v.NumChunks())
+			want := c.loads(search, v.NumChunks())
 			if got := vm.ChunksMaterialized.Value() - before; got != uint64(want) {
-				t.Errorf("%s, %d workers: the search materialized %d chunks, want %d", c.name, workers, got, want)
+				t.Errorf("%s, search %d on %d workers: the search materialized %d chunks, want %d", c.name, search+1, workers, got, want)
+			}
+		}
+		if c.name == "mono" {
+			if _, err := PathProfileView(v, 2); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := FuncProfile(v, 2); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v.Stats(2); err != nil {
+				t.Fatal(err)
+			}
+			if got := vm.ChunksMaterialized.Value(); got != 1 {
+				t.Errorf("mono: two searches, the profiles and Stats materialized %d chunks, want 1", got)
 			}
 		}
 		v.Close()

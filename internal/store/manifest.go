@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"io"
@@ -230,9 +231,31 @@ func checkHeader(v *iwpp.ArtifactView, a iwpp.Artifact) error {
 	return nil
 }
 
+// checkSize fails with a *SizeError unless the object files of parts,
+// artifact h's, hold m.Size bytes together. The objects are not read:
+// each is hash-verified, and so held to its size, when it is loaded.
+func (s *Store) checkSize(h Hash, m *Manifest, parts []Hash) error {
+	var total int64
+	for _, ph := range parts {
+		fi, err := os.Stat(s.objectPath(ph))
+		if err != nil {
+			if errors.Is(err, os.ErrNotExist) {
+				return fmt.Errorf("store: object %s: %w", ph, ErrNotFound)
+			}
+			return fmt.Errorf("store: object %s: %w", ph, err)
+		}
+		total += fi.Size()
+	}
+	if total != m.Size {
+		return &SizeError{Path: s.manifestPath(h), Size: m.Size, Parts: total}
+	}
+	return nil
+}
+
 // GetArtifact reassembles the full encoded bytes of artifact h from its
-// parts, verifying each object and the whole-artifact hash. The result
-// is byte-identical to what was stored.
+// parts, verifying each object, the manifest's size (*SizeError) and the
+// whole-artifact hash. The result is byte-identical to what was stored.
+// The buffer grows with the parts, so a false size allocates nothing.
 func (s *Store) GetArtifact(h Hash) ([]byte, error) {
 	m, err := s.Manifest(h)
 	if err != nil {
@@ -242,13 +265,16 @@ func (s *Store) GetArtifact(h Hash) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, m.Size)
+	var buf []byte
 	for _, ph := range parts {
 		data, err := s.GetObject(ph)
 		if err != nil {
 			return nil, err
 		}
 		buf = append(buf, data...)
+	}
+	if int64(len(buf)) != m.Size {
+		return nil, &SizeError{Path: s.manifestPath(h), Size: m.Size, Parts: int64(len(buf))}
 	}
 	if got := HashOf(buf); got != h {
 		s.met.CorruptObjects.Inc()
@@ -264,7 +290,7 @@ func (s *Store) GetArtifact(h Hash) ([]byte, error) {
 // is hash-verified as it is loaded, and the whole-artifact digest is
 // checked before EOF is reported, so a reader that drains to EOF has
 // read exactly the stored bytes. The returned size is the total byte
-// count.
+// count, which the part objects' sizes must match (*SizeError).
 func (s *Store) ArtifactReader(h Hash) (io.ReadCloser, int64, error) {
 	m, err := s.Manifest(h)
 	if err != nil {
@@ -272,6 +298,9 @@ func (s *Store) ArtifactReader(h Hash) (io.ReadCloser, int64, error) {
 	}
 	parts, err := m.partHashes()
 	if err != nil {
+		return nil, 0, err
+	}
+	if err := s.checkSize(h, m, parts); err != nil {
 		return nil, 0, err
 	}
 	return &artifactReader{s: s, want: h, path: s.manifestPath(h), parts: parts, digest: sha256.New()}, m.Size, nil

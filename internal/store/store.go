@@ -85,6 +85,19 @@ func (e *CorruptObjectError) Error() string {
 	return fmt.Sprintf("store: corrupt object %s: content hashes to %s", e.Path, e.Got)
 }
 
+// SizeError reports a manifest whose size is not the byte count of the
+// parts it lists. Readers return it instead of trusting the size.
+type SizeError struct {
+	// Path is the manifest file.
+	Path string
+	// Size is what the manifest states; Parts is what its parts hold.
+	Size, Parts int64
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("store: manifest %s states %d bytes, its parts hold %d", e.Path, e.Size, e.Parts)
+}
+
 // Store is one on-disk content-addressed store. It is safe for
 // concurrent use by multiple goroutines; concurrent Resolve calls for
 // the same build key collapse into a single build.

@@ -2,11 +2,13 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -444,5 +446,64 @@ func TestPutArtifactBytesRefusesCorruptChunk(t *testing.T) {
 	}
 	if _, _, err := s.PutArtifactBytes(enc.Bytes()); err != nil {
 		t.Fatalf("intact artifact refused: %v", err)
+	}
+}
+
+// TestManifestSizeMismatch rewrites the size in a blob and a chunked
+// manifest to values its parts do not hold, from far past any buffer to
+// one byte short. GetArtifact, OpenView and ArtifactReader must each
+// fail with a *SizeError, before allocating for the false size.
+func TestManifestSizeMismatch(t *testing.T) {
+	s, _ := newTestStore(t)
+	var mono bytes.Buffer
+	b := iwpp.New([]string{"f0", "f1", "f2", "f3", "f4", "f5", "f6"}, nil, iwpp.BuildOptions{})
+	b.AddBatch(syntheticEvents(500))
+	if _, err := b.Finish(500).Encode(&mono); err != nil {
+		t.Fatal(err)
+	}
+	blob, _, err := s.PutArtifactBytes(mono.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked, _ := putChunked(t, s, 256)
+	for _, h := range []Hash{blob, chunked} {
+		m, err := s.Manifest(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int64{9000000000000000000, 1 << 34, m.Size + 1, m.Size - 1} {
+			bad := *m
+			bad.Size = size
+			data, err := json.Marshal(&bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(s.manifestPath(h), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var se *SizeError
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = s.GetArtifact(h)
+			runtime.ReadMemStats(&after)
+			if !errors.As(err, &se) || se.Size != size || se.Parts != m.Size {
+				t.Errorf("%s size %d: GetArtifact error = %v, want a *SizeError of %d against %d", m.Kind, size, err, size, m.Size)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20+4*uint64(m.Size) {
+				t.Errorf("%s size %d: GetArtifact allocated %d bytes for a %d-byte artifact", m.Kind, size, alloc, m.Size)
+			}
+			if v, err := s.OpenView(h, nil); !errors.As(err, &se) {
+				if err == nil {
+					v.Close()
+				}
+				t.Errorf("%s size %d: OpenView error = %v, want a *SizeError", m.Kind, size, err)
+			}
+			if r, _, err := s.ArtifactReader(h); !errors.As(err, &se) {
+				if err == nil {
+					r.Close()
+				}
+				t.Errorf("%s size %d: ArtifactReader error = %v, want a *SizeError", m.Kind, size, err)
+			}
+		}
 	}
 }

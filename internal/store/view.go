@@ -50,6 +50,9 @@ func (s *Store) OpenView(h Hash, vm *iwpp.ViewMetrics) (*iwpp.ArtifactView, erro
 	if err != nil {
 		return nil, err
 	}
+	if err := s.checkSize(h, m, parts); err != nil {
+		return nil, err
+	}
 	if m.Kind == "blob" {
 		d, err := s.mapObject(parts[0])
 		if err != nil {

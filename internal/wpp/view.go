@@ -36,12 +36,10 @@ import (
 // before touching the trace — is decoded eagerly, so stats-style
 // queries answer in O(header) instead of O(trace).
 //
-// A view is an engine.Source: every chunk it returns has passed
-// sequitur.Snapshot.Validate, so analyses over it may recurse over the
-// rules. Views are safe for concurrent use after opening: the deferred
-// chunk index is built exactly once under a sync.Once, and
-// materialization is pure (every Chunk call decodes afresh; nothing is
-// cached or mutated).
+// A view is an engine.Source whose every chunk has passed
+// sequitur.Snapshot.Validate, so analyses may recurse over its rules.
+// While it is open, one engine.Chunks (Held) holds its chunks and their
+// Analyses for all its analyses to share. It is safe for concurrent use.
 type ArtifactView struct {
 	header
 	format string
@@ -50,13 +48,13 @@ type ArtifactView struct {
 	// nil for v1, whose terminals are raw event values.
 	dict []trace.Event
 
-	// nchunks is the chunk count declared by the header (1 for the
+	// held holds the chunks, as many as the header declares (1 for the
 	// monolithic formats). A byte-backed view holds raw, the encoded
 	// artifact, and hdrEnd, the offset of the first chunk grammar; segs,
 	// each chunk's byte region, is delimited from raw on first use. A
 	// parts-backed view leaves raw nil, holds one loader per chunk, and
 	// sets hdrEnd to the header part's length.
-	nchunks   int
+	held      *engine.Chunks
 	raw       []byte
 	hdrEnd    int
 	segs      [][]byte
@@ -352,36 +350,45 @@ func (v *ArtifactView) parseHeader(r *byteReader) (int, error) {
 // ArtifactView.Close otherwise — and retains data for its lifetime;
 // chunk decodes read straight from the buffer.
 func NewView(data []byte, opts *ViewOptions) (*ArtifactView, error) {
+	return newView(data, opts, func(v *ArtifactView, hdrEnd, numChunks int) error {
+		// A chunk grammar takes at least 5 bytes (magic and rule count):
+		// refuse a count the bytes cannot hold before it sizes any table.
+		if numChunks > 1 && numChunks > (len(data)-hdrEnd)/5 {
+			return fmt.Errorf("wpp: %d chunks cannot fit in the %d bytes after the header", numChunks, len(data)-hdrEnd)
+		}
+		v.raw, v.size = data, int64(len(data))
+		return nil
+	})
+}
+
+// newView parses the header at the start of data into a view, which
+// finish completes given the header's length and chunk count, and
+// counts the open. On failure it closes opts.Closer.
+func newView(data []byte, opts *ViewOptions, finish func(v *ArtifactView, hdrEnd, numChunks int) error) (*ArtifactView, error) {
 	var o ViewOptions
 	if opts != nil {
 		o = *opts
 	}
 	v := &ArtifactView{met: o.Metrics.orNoop(), closer: o.Closer, opened: time.Now()}
-	start := time.Now()
 	r := &byteReader{data: data}
-	var numChunks int
+	var n int
 	err := noFault(func() (err error) {
-		numChunks, err = v.parseHeader(r)
+		if n, err = v.parseHeader(r); err == nil {
+			err = finish(v, r.off, n)
+		}
 		return err
 	})
-	// A chunk grammar takes at least 5 bytes (magic and rule count), so a
-	// count the bytes cannot hold is refused before it sizes any table.
-	if err == nil && numChunks > 1 && numChunks > (len(data)-r.off)/5 {
-		err = fmt.Errorf("wpp: %d chunks cannot fit in the %d bytes after the header", numChunks, len(data)-r.off)
-	}
 	if err != nil {
 		if v.closer != nil {
 			v.closer.Close()
 		}
 		return nil, err
 	}
-	v.nchunks = numChunks
-	v.raw = data
 	v.hdrEnd = r.off
-	v.size = int64(len(data))
+	v.held = engine.NewChunks(n, v.materialize)
 	v.met.Opens.Inc()
 	v.met.BytesIndexed.Add(uint64(r.off))
-	v.met.IndexSeconds.Observe(time.Since(start))
+	v.met.IndexSeconds.Observe(time.Since(v.opened))
 	return v, nil
 }
 
@@ -397,8 +404,11 @@ func Decode(data []byte) (Artifact, error) {
 	if !v.chunked {
 		return v.WPP()
 	}
-	chunks, err := v.chunks()
-	if err != nil {
+	chunks := make([]*sequitur.Snapshot, v.NumChunks())
+	if err := engine.EachChunk(v, 0, func(i int, sn *sequitur.Snapshot) error {
+		chunks[i] = sn
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return &ChunkedWPP{
@@ -441,9 +451,9 @@ func noFault(fn func() error) (err error) {
 // access.
 func (v *ArtifactView) segments() ([][]byte, error) {
 	v.indexOnce.Do(func() {
-		segs := make([][]byte, 0, min(v.nchunks, 1<<16))
+		segs := make([][]byte, 0, min(v.NumChunks(), 1<<16))
 		off := v.hdrEnd
-		for i := 0; i < v.nchunks; i++ {
+		for i := 0; i < v.NumChunks(); i++ {
 			var n int
 			err := noFault(func() (err error) {
 				n, err = sequitur.Scan(v.raw[off:])
@@ -488,40 +498,18 @@ func (v *ArtifactView) Parts() (header []byte, chunks [][]byte, err error) {
 // parse. Chunk bytes are loaded — and verified, if the loader verifies
 // — only at materialization.
 func NewViewParts(header []byte, chunks []ChunkLoad, totalSize int64, opts *ViewOptions) (*ArtifactView, error) {
-	var o ViewOptions
-	if opts != nil {
-		o = *opts
-	}
-	v := &ArtifactView{met: o.Metrics.orNoop(), closer: o.Closer, opened: time.Now()}
-	fail := func(err error) (*ArtifactView, error) {
-		if v.closer != nil {
-			v.closer.Close()
+	return newView(header, opts, func(v *ArtifactView, hdrEnd, numChunks int) error {
+		switch {
+		case !v.chunked:
+			return fmt.Errorf("wpp: %s artifact cannot be opened from parts", v.format)
+		case hdrEnd != len(header):
+			return fmt.Errorf("wpp: chunked header has %d trailing bytes", len(header)-hdrEnd)
+		case numChunks != len(chunks):
+			return fmt.Errorf("wpp: header declares %d chunks, have %d parts", numChunks, len(chunks))
 		}
-		return nil, err
-	}
-	start := time.Now()
-	r := &byteReader{data: header}
-	numChunks, err := v.parseHeader(r)
-	if err != nil {
-		return fail(err)
-	}
-	if !v.chunked {
-		return fail(fmt.Errorf("wpp: %s artifact cannot be opened from parts", v.format))
-	}
-	if r.off != len(header) {
-		return fail(fmt.Errorf("wpp: chunked header has %d trailing bytes", len(header)-r.off))
-	}
-	if numChunks != len(chunks) {
-		return fail(fmt.Errorf("wpp: header declares %d chunks, have %d parts", numChunks, len(chunks)))
-	}
-	v.nchunks = len(chunks)
-	v.loads = chunks
-	v.hdrEnd = len(header)
-	v.size = totalSize
-	v.met.Opens.Inc()
-	v.met.BytesIndexed.Add(uint64(len(header)))
-	v.met.IndexSeconds.Observe(time.Since(start))
-	return v, nil
+		v.loads, v.size = chunks, totalSize
+		return nil
+	})
 }
 
 // OpenViewFile opens an artifact file as a lazy view, memory-mapping it
@@ -562,7 +550,7 @@ func (v *ArtifactView) TotalInstructions() uint64 { return v.instructions }
 
 // NumChunks reports the number of chunk grammars (1 for monolithic
 // artifacts).
-func (v *ArtifactView) NumChunks() int { return v.nchunks }
+func (v *ArtifactView) NumChunks() int { return v.held.NumChunks() }
 
 // Size is the encoded size of the artifact in bytes.
 func (v *ArtifactView) Size() int64 { return v.size }
@@ -575,24 +563,31 @@ func (v *ArtifactView) DistinctPaths() int { return len(v.costs) }
 // unknown events cost 0.
 func (v *ArtifactView) PathCost(e trace.Event) uint64 { return v.costs[e] }
 
-// Close releases whatever backs the view (the memory mapping for
-// OpenViewFile views). The view must not be used afterwards.
+// Close releases the chunks the view holds and whatever backs the view
+// (the memory mapping for OpenViewFile views). The view must not be used
+// afterwards.
 func (v *ArtifactView) Close() error {
+	v.held.Release()
 	if v.closer != nil {
 		return v.closer.Close()
 	}
 	return nil
 }
 
-// Chunk materializes chunk i's grammar: load bytes, decode with full
+// Chunk returns chunk i's grammar, materialized unless held: shared by
+// every analysis of the view, and valid after Close.
+func (v *ArtifactView) Chunk(i int) (*sequitur.Snapshot, error) { return v.held.Chunk(i) }
+
+// Held returns the engine.Chunks holding the view's chunks (engine.Hold).
+func (v *ArtifactView) Held() *engine.Chunks { return v.held }
+
+// materialize decodes chunk i's grammar: load bytes, decode with full
 // bounds checks, release the bytes, validate the grammar (in range,
 // acyclic, no short rules), and (for v2) rewrite terminal ranks back to
-// event values against the artifact's dictionary. Every call decodes
-// afresh; the returned snapshot shares nothing with the view's backing
-// bytes and stays valid after Close.
-func (v *ArtifactView) Chunk(i int) (*sequitur.Snapshot, error) {
-	if i < 0 || i >= v.nchunks {
-		return nil, &ViewError{Chunk: i, Err: fmt.Errorf("wpp: chunk index out of range (%d chunks)", v.nchunks)}
+// event values against the artifact's dictionary.
+func (v *ArtifactView) materialize(i int) (*sequitur.Snapshot, error) {
+	if i < 0 || i >= v.NumChunks() {
+		return nil, &ViewError{Chunk: i, Err: fmt.Errorf("wpp: chunk index out of range (%d chunks)", v.NumChunks())}
 	}
 	var data []byte
 	var release func()
@@ -642,14 +637,14 @@ func (v *ArtifactView) ChunkLengths() ([]uint64, bool) {
 	if !v.chunked {
 		return []uint64{v.events}, true
 	}
-	if v.nchunks == 0 {
+	if v.NumChunks() == 0 {
 		return nil, v.events == 0
 	}
-	hi, full := bits.Mul64(uint64(v.nchunks-1), v.chunkSize)
+	hi, full := bits.Mul64(uint64(v.NumChunks()-1), v.chunkSize)
 	if hi != 0 || full >= v.events || v.events-full > v.chunkSize {
 		return nil, false
 	}
-	lens := make([]uint64, v.nchunks)
+	lens := make([]uint64, v.NumChunks())
 	for i := range lens {
 		lens[i] = v.chunkSize
 	}
@@ -674,7 +669,7 @@ func (v *ArtifactView) Walk(yield func(trace.Event) bool) error { return walk(v,
 
 // Verify is the eager artifacts' Verify on the view: the same grammar-
 // time check, one chunk at a time across `workers` goroutines (<=0 means
-// GOMAXPROCS), with no chunk kept after it is checked.
+// GOMAXPROCS), building no Analysis.
 func (v *ArtifactView) Verify(workers int) error {
 	_, err := check(&v.header, v, workers, false)
 	return err
@@ -711,30 +706,19 @@ func (v *ArtifactView) Stats(workers int) (Stats, error) {
 // verified artifact, exactly the distinct events of the trace.
 func (v *ArtifactView) DistinctEvents() []trace.Event { return sortedCostEvents(v.costs) }
 
-// chunks materializes every chunk grammar, in order, across a worker
-// pool.
-func (v *ArtifactView) chunks() ([]*sequitur.Snapshot, error) {
-	chunks := make([]*sequitur.Snapshot, v.nchunks)
-	err := engine.EachChunk(v, 0, func(i int, sn *sequitur.Snapshot) error {
-		chunks[i] = sn
-		return nil
-	})
-	return chunks, err
-}
-
 // WPP materializes the whole monolithic artifact. The result
 // re-encodes to the original bytes, up to the end of its last grammar.
 func (v *ArtifactView) WPP() (*WPP, error) {
 	if v.chunked {
 		return nil, fmt.Errorf("wpp: view is a %s, not a monolithic artifact", v.format)
 	}
-	chunks, err := v.chunks()
+	sn, err := v.Chunk(0)
 	if err != nil {
 		return nil, err
 	}
 	return &WPP{
 		Funcs:        v.funcs,
-		Grammar:      chunks[0],
+		Grammar:      sn,
 		Events:       v.events,
 		Instructions: v.instructions,
 		Version:      v.version,
